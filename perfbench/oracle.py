@@ -1,8 +1,9 @@
 """Brute-force retrieval oracle, independent of `dkph.retrieval` and `dkph.codes`.
 
-It works on unpacked bits and plain Python: distances from a {0,1} bit
-matrix, a stable (distance, id) ranking, self-exclusion by id and AP@k
-divided by min(R, k), where R counts the relevant database items.
+It works on unpacked bits: distances from {0,1} bit matrices, a stable
+(distance, id) ranking of the whole database, self-exclusion by id and AP@k
+divided by min(R, k), where R counts the relevant database items. It is fast
+enough to check every query of every width once per run.
 """
 
 from __future__ import annotations
@@ -22,20 +23,28 @@ def unpack(packed: np.ndarray, k: int) -> np.ndarray:
     return bits.reshape(packed.shape[0], -1)[:, :k].astype(np.int64)
 
 
-def ranking(q_bits: np.ndarray, db_bits: np.ndarray, db_ids, exclude_id=None):
-    """(distance, id) pairs of the database, nearest first, ties by lower id."""
-    dists = (q_bits[None, :] != db_bits).sum(axis=1)
-    return sorted((int(d), int(i)) for d, i in zip(dists, db_ids) if i != exclude_id)
+def distances(q_bits, db_bits) -> np.ndarray:
+    """Hamming distance of every query row to every database row: the count
+    of positions where one has a 1 and the other a 0 (exact in float64)."""
+    q = np.atleast_2d(q_bits).astype(np.float64)
+    db = np.asarray(db_bits, dtype=np.float64)
+    return (q @ (1 - db).T + (1 - q) @ db.T).round().astype(np.int64)
+
+
+def ranking(dists: np.ndarray, db_ids, exclude_id=None) -> np.ndarray:
+    """Database positions nearest first, ties by lower id, without `exclude_id`."""
+    ids = np.asarray(db_ids, dtype=np.int64)
+    order = np.argsort(dists * (int(ids.max()) + 1) + ids, kind="stable")
+    return order if exclude_id is None else order[ids[order] != exclude_id]
 
 
 def map_at_ks(q_bits, q_labels, q_ids, db_bits, db_labels, db_ids, ks) -> dict:
     """Mean AP@k for each k, over the queries with at least one relevant item
     (None where no query has one)."""
-    label_of = dict(zip((int(i) for i in db_ids), (int(x) for x in db_labels)))
+    db_labels = np.asarray(db_labels)
     totals, evaluated = dict.fromkeys(ks, 0.0), 0
-    for bits, label, qid in zip(q_bits, q_labels, q_ids):
-        ranked = ranking(bits, db_bits, db_ids, exclude_id=int(qid))
-        relevant = [label_of[i] == int(label) for _, i in ranked]
+    for dists, label, qid in zip(distances(q_bits, db_bits), q_labels, q_ids):
+        relevant = (db_labels[ranking(dists, db_ids, int(qid))] == label).tolist()
         r = sum(relevant)
         if r == 0:
             continue
@@ -52,5 +61,6 @@ def map_at_ks(q_bits, q_labels, q_ids, db_bits, db_labels, db_ids, ks) -> dict:
 
 def topk(q_bits, db_bits, db_ids, k: int, exclude_id=None):
     """(ids, distances) of the k nearest database items."""
-    ranked = ranking(q_bits, db_bits, db_ids, exclude_id)[:k]
-    return [i for _, i in ranked], [d for d, _ in ranked]
+    dists = distances(q_bits, db_bits)[0]
+    order = ranking(dists, db_ids, exclude_id)[:k]
+    return np.asarray(db_ids)[order].tolist(), dists[order].tolist()

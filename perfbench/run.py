@@ -27,7 +27,7 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
 SCRATCH = ROOT / ".perfbench"
-SETUPS = 3   # cold set-ups per run, each in a fresh interpreter; setup_s is their median
+SETUPS = 9   # cold set-ups per run, each in a fresh interpreter; setup_s is their median
 
 # One busy thread: BLAS must not add threads of its own (set before numpy loads).
 THREAD_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -61,10 +61,22 @@ def metric_specs(trace: int) -> dict[str, dict]:
     return {m["name"]: m for m in spec["per_layer" if trace else "end_to_end"]}
 
 
-def timed_setups(args) -> float:
+def pin_to_one_cpu() -> None:
+    """Run this process and the set-up interpreters it starts on one CPU.
+
+    The CPUs of a shared machine can run at different speeds at the same
+    time; on one CPU, the speed probes measure the CPU the timed work runs on.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def timed_setups(args, ops, workloads) -> float:
+    """Median reference seconds of SETUPS cold set-ups, each bracketed by speed probes."""
     samples = []
     for i in range(SETUPS):
         work_root = SCRATCH / "work" / f"setup-{os.getpid()}-{i}"
+        before = workloads.speed_probe()
         try:
             out = subprocess.run(
                 [sys.executable, "-c", SETUP_CODE, str(SRC), str(BENCH), args.workload,
@@ -72,7 +84,7 @@ def timed_setups(args) -> float:
                 capture_output=True, text=True, timeout=120, check=True)
         finally:
             shutil.rmtree(work_root, ignore_errors=True)
-        samples.append(float(out.stdout.split()[-1]))
+        samples.append(ops.reference(float(out.stdout.split()[-1]), before))
     return statistics.median(samples)
 
 
@@ -112,10 +124,13 @@ def percentile(values, q: float) -> float:
 
 
 def measure(args, w, ops, workloads, spans) -> tuple[dict, dict]:
-    """Repetitions while less than --seconds has passed (one of each kind at least).
+    """Repetitions for about --seconds, two at least (one of each kind with --trace 1).
 
-    With --trace 1, untraced and traced repetitions alternate; the spans of
-    the last traced one are written out. Returns (metrics, extra record).
+    Another repetition starts unless, at the mean repetition time so far, it
+    would end more than half a repetition after --seconds; so the measured
+    time is --seconds give or take half a repetition. With --trace 1,
+    untraced and traced repetitions alternate; the spans of the last traced
+    one are written out. Returns (metrics, extra record).
     """
     plain, traced, layer_rows = [], [], []
     start = time.perf_counter()
@@ -133,7 +148,8 @@ def measure(args, w, ops, workloads, spans) -> tuple[dict, dict]:
         else:
             plain.append(workloads.repetition(w, index, ops, check=index == 0,
                                               rerun=bool(args.trace)))
-        if (not args.trace or traced) and time.perf_counter() - start >= args.seconds:
+        elapsed, reps = time.perf_counter() - start, len(plain) + len(traced)
+        if reps >= 2 and elapsed + elapsed / reps / 2 >= args.seconds:
             break
 
     metrics = workloads.end_to_end(plain + traced, ops)
@@ -162,16 +178,17 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     os.environ.update(THREAD_ENV)   # inherited by the set-up interpreters too
+    pin_to_one_cpu()
     sys.path[:0] = [str(SRC), str(BENCH)]
     specs = metric_specs(args.trace)
 
-    setup_s = timed_setups(args)
     import spans
     import workloads
 
+    ops = workloads.Ops()
+    setup_s = timed_setups(args, ops, workloads)
     work_root = SCRATCH / "work" / f"{args.workload}-{args.seed}-{os.getpid()}"
     w = workloads.setup(args.workload, args.seed, work_root, smoke=args.smoke)
-    ops = workloads.Ops()
     record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace, "config_hash": w.cfg.config_hash(),
               "fingerprint": fingerprint()}

@@ -27,8 +27,7 @@ from collections import defaultdict
 TARGETS = {
     "encoder": ("encode_forward", "encode_backward"),
     "teacher": ("teacher_forward", "teacher_backward", "masked_eval_loss", "train_teacher"),
-    "student": ("student_forward", "batch_gradients", "student_step", "train_student",
-                "probe_reconstruction"),
+    "student": ("student_forward", "batch_gradients", "student_step", "train_student"),
     "optim": ("Adam.step",),
     "graph": ("kmeans", "default_bandwidth", "build_affinity", "build_signed_graph",
               "adjacency_row", "sample_pairs"),

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1]
@@ -92,11 +93,33 @@ def test_oracle_check_catches_a_wrong_map(tmp_path):
     retr = workloads.setup("retrieval", 5, tmp_path / "retrieval", smoke=True)
     ops = workloads.Ops()
     maps = workloads.evaluate(retr.code_sets, ops)
-    workloads.check_outputs(retr.code_sets, maps, ops, sample=None)
+    workloads.check_outputs(retr.code_sets, maps, ops)
     assert ops.failed == 0, ops.errors
     maps[16]["20"] += 1e-6
-    workloads.check_outputs(retr.code_sets, maps, ops, sample=None)
+    workloads.check_outputs(retr.code_sets, maps, ops)
     assert ops.failed == 1 and ops.errors[0].startswith("map@20[16]")
+
+
+def test_oracle_check_catches_mishandled_non_member_queries(tmp_path, monkeypatch):
+    from dkph import retrieval
+
+    retr = workloads.setup("retrieval", 5, tmp_path / "retrieval", smoke=True)
+    map_at_k, query_topk = retrieval.map_at_k, retrieval.query_topk
+
+    # Treats a query id as a database position: right for members, whose ids
+    # are positions, and wrong for fresh queries, whose ids are not in the index.
+    def wrong_map(q_bits, q_labels, idx, k, q_ids):
+        return map_at_k(q_bits, q_labels, idx, k, idx.ids[np.asarray(q_ids) % idx.n])
+
+    def wrong_topk(idx, code, k, qid):
+        return query_topk(idx, code, k, int(idx.ids[qid % idx.n]))
+
+    monkeypatch.setattr(retrieval, "map_at_k", wrong_map)
+    monkeypatch.setattr(retrieval, "query_topk", wrong_topk)
+    ops = workloads.Ops()
+    workloads.check_outputs(retr.code_sets, workloads.evaluate(retr.code_sets, ops), ops)
+    assert any(e.startswith("map@") for e in ops.errors), ops.errors
+    assert any(e.startswith("query_topk[") for e in ops.errors), ops.errors
 
 
 @pytest.mark.parametrize("trace", [0, 1])
