@@ -6,6 +6,10 @@ hyperparameter name is the main reproducibility hazard.
 
 ``config_hash`` covers every hyperparameter (not the workspace paths), so
 moving a work directory does not invalidate its artifacts.
+
+Values are range-checked when a config is built: a value that would only
+fail deep inside a stage (more anchors than training videos, say) raises
+ConfigError naming its key.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 from .encoder import EncoderConfig
 from .exceptions import ConfigError
 from .student import LossWeights
-from .synth import SynthConfig
+from .synth import SPLIT_FRACTIONS, SynthConfig
 
 
 @dataclass
@@ -57,6 +61,25 @@ class RunConfig:
     work_dir: str = "work"
 
     UNHASHED = ("work_dir",)
+
+    def __post_init__(self):
+        n_train = self.num_classes * int(round(SPLIT_FRACTIONS[0] * self.videos_per_class))
+        checks = (
+            ("num_anchors", self.num_anchors <= n_train,
+             f"more anchors than the {n_train} training videos "
+             f"(num_classes x round({SPLIT_FRACTIONS[0]} x videos_per_class))"),
+            ("anchor_neighbors", 1 <= self.anchor_neighbors <= self.num_anchors,
+             "must lie in [1, num_anchors]"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("teacher_epochs", self.teacher_epochs >= 0, "must be >= 0"),
+            ("student_epochs", self.student_epochs >= 0, "must be >= 0"),
+            ("code_bits", len(self.code_bits) > 0 and all(b > 0 for b in self.code_bits),
+             "must be a nonempty list of positive widths"),
+            ("mask_ratio", 0.0 < self.mask_ratio < 1.0, "must lie strictly between 0 and 1"),
+        )
+        for key, ok, why in checks:
+            if not ok:
+                raise ConfigError(f"{key} = {_format_value(getattr(self, key))}: {why}")
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(gamma1=self.gamma1, gamma2=self.gamma2, eta=self.eta,

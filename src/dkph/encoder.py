@@ -13,6 +13,14 @@ Pre-norm residuals; attention rows are a probability simplex; the embedding
 mean is the plain row average. Forward caches every intermediate needed by
 :func:`encode_backward`, and the backward is verified against central finite
 differences in the test suite.
+
+Batches. Both passes run on a (B, M, D) batch of videos: the per-frame
+layers as one matrix product over all B * M rows, attention as B stacked
+M x M products. The backward returns parameter gradients summed over the
+batch. A 2-D (M, D) input is a batch of one, squeezed on return. For a batch,
+``mask`` is a sequence of B frame-index sets (None or empty: unmasked);
+for one video it is a single set. Callers run large sets of videos in
+blocks of :data:`BLOCK_VIDEOS` (see :func:`blocks`).
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import numpy as np
 from .exceptions import ShapeError, StaleCacheError
 
 _LN_EPS = 1e-5
+BLOCK_VIDEOS = 64  # videos per pass; bounds the forward cache at any N
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
@@ -53,9 +62,9 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class EncoderParams:
     """All learnable tensors of the encoder block.
 
-    The same class doubles as a gradient accumulator (see :meth:`zeros`).
-    ``version`` is bumped by trainers after each in-place optimizer step so
-    that stale forward caches can be rejected.
+    Gradients come back in the same class. ``version`` is bumped by trainers
+    after each in-place optimizer step so that stale forward caches can be
+    rejected.
     """
 
     w_in: np.ndarray
@@ -138,39 +147,29 @@ class EncoderParams:
         kwargs = {name: getattr(self, name).copy() for name in self.TENSOR_FIELDS}
         return EncoderParams(**kwargs, version=self.version)
 
-    def add_(self, other: "EncoderParams") -> None:
-        for name in self.TENSOR_FIELDS:
-            getattr(self, name).__iadd__(getattr(other, name))
-
-    def add_scaled_(self, other: "EncoderParams", c: float) -> None:
-        for name in self.TENSOR_FIELDS:
-            getattr(self, name).__iadd__(c * getattr(other, name))
-
-    def scale_(self, c: float) -> None:
-        for name in self.TENSOR_FIELDS:
-            getattr(self, name).__imul__(c)
-
 
 @dataclass
 class VisualEmbeddings:
     """Per-frame encoder outputs plus their row average."""
 
-    per_frame: np.ndarray  # (M, model_dim)
-    mean: np.ndarray       # (model_dim,)
+    per_frame: np.ndarray  # (M, model_dim), or (B, M, model_dim)
+    mean: np.ndarray       # (model_dim,), or (B, model_dim)
 
     @classmethod
     def from_frames(cls, per_frame: np.ndarray) -> "VisualEmbeddings":
-        return cls(per_frame=per_frame, mean=per_frame.mean(axis=0))
+        return cls(per_frame=per_frame, mean=per_frame.mean(axis=-2))
 
 
 @dataclass
 class EncoderCache:
+    """Forward intermediates. Row arrays are flat, (B * M, width); q, k, v
+    are (B, M, model_dim); attn has the input's leading shape."""
+
     params: EncoderParams
     version: int
+    single: bool
     x: np.ndarray
-    mask: tuple[int, ...]
-    h_proj: np.ndarray
-    h0: np.ndarray
+    masked: np.ndarray     # (B, M) bool
     ln1: tuple
     n1: np.ndarray
     q: np.ndarray
@@ -178,12 +177,16 @@ class EncoderCache:
     v: np.ndarray
     attn: np.ndarray
     ctx: np.ndarray
-    h1: np.ndarray
     ln2: tuple
     n2: np.ndarray
     f1_pre: np.ndarray
     gelu_t: np.ndarray
     g1: np.ndarray
+
+
+def blocks(n: int) -> list[slice]:
+    """Slices of ``range(n)`` in runs of at most BLOCK_VIDEOS videos."""
+    return [slice(s, min(s + BLOCK_VIDEOS, n)) for s in range(0, n, BLOCK_VIDEOS)]
 
 
 def _ln_forward(x, gain, bias):
@@ -207,7 +210,7 @@ def _ln_backward(dy, gain, ln_cache):
 
 
 def _gelu_forward(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x ** 3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     return 0.5 * x * (1.0 + t), t
 
 
@@ -216,125 +219,143 @@ def _gelu_backward(dy, x, t):
     return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
 
+def _mask_rows(mask, batch: int, m_frames: int) -> np.ndarray:
+    """The (B, M) boolean mask of B per-video index sets (None: no mask)."""
+    masks = mask if mask is not None else [None] * batch
+    if len(masks) != batch:
+        raise ShapeError(f"expected {batch} masks, got {len(masks)}")
+    masked = np.zeros((batch, m_frames), dtype=bool)
+    for row, mk in enumerate(masks):
+        idx = [int(i) for i in mk] if mk else []
+        if idx and (min(idx) < 0 or max(idx) >= m_frames):
+            raise ShapeError(f"mask indices out of range for M={m_frames}")
+        masked[row, idx] = True
+    return masked
+
+
 def encode_forward(
     x: np.ndarray,
     params: EncoderParams,
     mask=None,
     mask_embed: np.ndarray | None = None,
 ) -> tuple[VisualEmbeddings, EncoderCache]:
-    """Run the block on one video.
+    """Run the block on one video (M, D) or a batch (B, M, D).
 
-    ``mask`` is an optional set of frame indices; masked frames have their
-    projected content replaced by ``mask_embed`` before the positional rows
-    are added, so no feature content leaks through. Attention still runs
-    over all M positions.
+    ``mask`` is an optional set of frame indices, or for a batch a sequence
+    of B such sets; masked frames have their projected content replaced by
+    ``mask_embed`` before the positional rows are added, so no feature
+    content leaks through. Attention still runs over all M positions.
     """
     x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 2
+    if single:
+        x, mask = x[None], [mask]
     m_frames, d_in = params.e_pos.shape[0], params.w_in.shape[0]
-    if x.shape != (m_frames, d_in):
-        raise ShapeError(f"expected features of shape ({m_frames}, {d_in}), got {x.shape}")
-    mask = tuple(sorted(set(int(i) for i in mask))) if mask else ()
-    if mask:
-        if mask_embed is None:
-            raise ValueError("mask given but no mask embedding")
-        if mask[0] < 0 or mask[-1] >= m_frames:
-            raise ShapeError(f"mask indices out of range for M={m_frames}")
+    if x.ndim != 3 or x.shape[1:] != (m_frames, d_in):
+        shape = x.shape[1:] if single else x.shape
+        raise ShapeError(f"expected features of shape (B, {m_frames}, {d_in}) "
+                         f"or ({m_frames}, {d_in}), got {shape}")
+    b = x.shape[0]
+    masked = _mask_rows(mask, b, m_frames)
+    rows = masked.reshape(-1)
+    if rows.any() and mask_embed is None:
+        raise ValueError("mask given but no mask embedding")
 
-    h_proj = x @ params.w_in + params.b_in
-    if mask:
-        h_proj = h_proj.copy()
-        h_proj[list(mask)] = mask_embed
-    h0 = h_proj + params.e_pos
+    xf = x.reshape(b * m_frames, d_in)
+    h_proj = xf @ params.w_in + params.b_in
+    if rows.any():
+        h_proj[rows] = mask_embed
+    d = h_proj.shape[1]
+    h0 = (h_proj.reshape(b, m_frames, d) + params.e_pos).reshape(-1, d)
 
     n1, ln1 = _ln_forward(h0, params.ln1_g, params.ln1_b)
-    q = n1 @ params.w_q
-    k = n1 @ params.w_k
-    v = n1 @ params.w_v
-    scores = (q @ k.T) / math.sqrt(params.w_q.shape[1])
-    scores -= scores.max(axis=1, keepdims=True)
+    q = (n1 @ params.w_q).reshape(b, m_frames, d)
+    k = (n1 @ params.w_k).reshape(b, m_frames, d)
+    v = (n1 @ params.w_v).reshape(b, m_frames, d)
+    scores = (q @ k.transpose(0, 2, 1)) / math.sqrt(d)
+    scores -= scores.max(axis=2, keepdims=True)
     e = np.exp(scores)
-    attn = e / e.sum(axis=1, keepdims=True)
-    ctx = attn @ v
+    attn = e / e.sum(axis=2, keepdims=True)
+    ctx = (attn @ v).reshape(-1, d)
     h1 = h0 + ctx @ params.w_o + params.b_o
 
     n2, ln2 = _ln_forward(h1, params.ln2_g, params.ln2_b)
     f1_pre = n2 @ params.w_f1 + params.b_f1
     g1, gelu_t = _gelu_forward(f1_pre)
-    out = h1 + g1 @ params.w_f2 + params.b_f2
+    out = (h1 + g1 @ params.w_f2 + params.b_f2).reshape(b, m_frames, d)
 
     cache = EncoderCache(
-        params=params, version=params.version, x=x, mask=mask,
-        h_proj=h_proj, h0=h0, ln1=ln1, n1=n1, q=q, k=k, v=v,
-        attn=attn, ctx=ctx, h1=h1, ln2=ln2, n2=n2,
-        f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
+        params=params, version=params.version, single=single, x=xf, masked=masked,
+        ln1=ln1, n1=n1, q=q, k=k, v=v, attn=attn[0] if single else attn, ctx=ctx,
+        ln2=ln2, n2=n2, f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
     )
-    return VisualEmbeddings.from_frames(out), cache
+    return VisualEmbeddings.from_frames(out[0] if single else out), cache
 
 
 def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     """Gradients of a scalar loss w.r.t. params, input, and mask embedding.
 
-    ``grad_out`` is the loss gradient w.r.t. the per-frame outputs (M x
-    model_dim); a gradient on the embedding *mean* must be folded in by the
+    ``grad_out`` is the loss gradient w.r.t. the per-frame outputs, shaped
+    like them; a gradient on the embedding *mean* must be folded in by the
     caller (add grad_mean / M to every row). Returns
-    ``(param_grads, grad_x, grad_mask_embed)`` where grad_mask_embed is None
-    when the forward ran unmasked.
+    ``(param_grads, grad_x, grad_mask_embed)``: parameter gradients summed
+    over the batch, grad_x shaped like the input, and grad_mask_embed None
+    when no frame was masked.
     """
     p = cache.params
     if cache.version != p.version:
         raise StaleCacheError(
             f"cache from params version {cache.version}, params now at {p.version}"
         )
-    g = EncoderParams.zeros(p.config())
+    b, m_frames = cache.masked.shape
+    d = p.w_in.shape[1]
+    out_shape = (m_frames, d) if cache.single else (b, m_frames, d)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != cache.h0.shape:
-        raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {cache.h0.shape}")
+    if grad_out.shape != out_shape:
+        raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {out_shape}")
+    grad_out = grad_out.reshape(b * m_frames, d)
 
     # out = h1 + g1 @ w_f2 + b_f2
-    d_h1 = grad_out.copy()
-    g.w_f2 += cache.g1.T @ grad_out
-    g.b_f2 += grad_out.sum(axis=0)
-    d_g1 = grad_out @ p.w_f2.T
-    d_f1 = _gelu_backward(d_g1, cache.f1_pre, cache.gelu_t)
-    g.w_f1 += cache.n2.T @ d_f1
-    g.b_f1 += d_f1.sum(axis=0)
-    d_n2 = d_f1 @ p.w_f1.T
-    dx2, d_g2, d_b2 = _ln_backward(d_n2, p.ln2_g, cache.ln2)
-    g.ln2_g += d_g2
-    g.ln2_b += d_b2
-    d_h1 += dx2
+    w_f2 = cache.g1.T @ grad_out
+    b_f2 = grad_out.sum(axis=0)
+    d_f1 = _gelu_backward(grad_out @ p.w_f2.T, cache.f1_pre, cache.gelu_t)
+    w_f1 = cache.n2.T @ d_f1
+    b_f1 = d_f1.sum(axis=0)
+    dx2, ln2_g, ln2_b = _ln_backward(d_f1 @ p.w_f1.T, p.ln2_g, cache.ln2)
+    d_h1 = grad_out + dx2
 
     # h1 = h0 + ctx @ w_o + b_o
-    d_h0 = d_h1.copy()
-    g.w_o += cache.ctx.T @ d_h1
-    g.b_o += d_h1.sum(axis=0)
-    d_ctx = d_h1 @ p.w_o.T
-    d_attn = d_ctx @ cache.v.T
-    d_v = cache.attn.T @ d_ctx
-    inner = (d_attn * cache.attn).sum(axis=1, keepdims=True)
-    d_scores = cache.attn * (d_attn - inner)
-    inv_sqrt = 1.0 / math.sqrt(p.w_q.shape[1])
-    d_q = (d_scores @ cache.k) * inv_sqrt
-    d_k = (d_scores.T @ cache.q) * inv_sqrt
-    g.w_q += cache.n1.T @ d_q
-    g.w_k += cache.n1.T @ d_k
-    g.w_v += cache.n1.T @ d_v
+    w_o = cache.ctx.T @ d_h1
+    b_o = d_h1.sum(axis=0)
+    d_ctx = (d_h1 @ p.w_o.T).reshape(b, m_frames, d)
+    attn = cache.attn.reshape(b, m_frames, m_frames)
+    d_attn = d_ctx @ cache.v.transpose(0, 2, 1)
+    d_v = (attn.transpose(0, 2, 1) @ d_ctx).reshape(-1, d)
+    inner = (d_attn * attn).sum(axis=2, keepdims=True)
+    d_scores = attn * (d_attn - inner)
+    inv_sqrt = 1.0 / math.sqrt(d)
+    d_q = ((d_scores @ cache.k) * inv_sqrt).reshape(-1, d)
+    d_k = ((d_scores.transpose(0, 2, 1) @ cache.q) * inv_sqrt).reshape(-1, d)
+    w_q = cache.n1.T @ d_q
+    w_k = cache.n1.T @ d_k
+    w_v = cache.n1.T @ d_v
     d_n1 = d_q @ p.w_q.T + d_k @ p.w_k.T + d_v @ p.w_v.T
-    dx1, d_g1n, d_b1n = _ln_backward(d_n1, p.ln1_g, cache.ln1)
-    g.ln1_g += d_g1n
-    g.ln1_b += d_b1n
-    d_h0 += dx1
+    dx1, ln1_g, ln1_b = _ln_backward(d_n1, p.ln1_g, cache.ln1)
+    d_h0 = d_h1 + dx1
 
     # h0 = (proj with mask rows replaced) + e_pos
-    g.e_pos += d_h0
-    d_proj = d_h0
+    e_pos = d_h0.reshape(b, m_frames, d).sum(axis=0)
+    rows = cache.masked.reshape(-1)
     grad_mask_embed = None
-    if cache.mask:
-        rows = list(cache.mask)
-        grad_mask_embed = d_proj[rows].sum(axis=0)
-        d_proj = d_proj.copy()
-        d_proj[rows] = 0.0
-    g.w_in += cache.x.T @ d_proj
-    g.b_in += d_proj.sum(axis=0)
-    grad_x = d_proj @ p.w_in.T
-    return g, grad_x, grad_mask_embed
+    if rows.any():
+        grad_mask_embed = d_h0[rows].sum(axis=0)
+        d_h0[rows] = 0.0
+    w_in = cache.x.T @ d_h0
+    b_in = d_h0.sum(axis=0)
+    grad_x = (d_h0 @ p.w_in.T).reshape(b, m_frames, -1)
+    grads = EncoderParams(
+        w_in=w_in, b_in=b_in, e_pos=e_pos, w_q=w_q, w_k=w_k, w_v=w_v,
+        w_o=w_o, b_o=b_o, ln1_g=ln1_g, ln1_b=ln1_b, ln2_g=ln2_g, ln2_b=ln2_b,
+        w_f1=w_f1, b_f1=b_f1, w_f2=w_f2, b_f2=b_f2,
+    )
+    return grads, grad_x[0] if cache.single else grad_x, grad_mask_embed

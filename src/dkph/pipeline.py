@@ -2,7 +2,8 @@
 
 Every stage is checkpointed under ``<work_dir>/run-<hash12>/`` where the
 hash covers all hyperparameters. A stage whose meta record and outputs
-already exist is skipped, so reruns with the same config are cheap and
+already exist, and whose record carries the current ``CODE_VERSION``, is
+skipped, so reruns with the same config are cheap and
 reproduce the previous report byte for byte (wall times are recorded when
 a stage first executes and re-read afterwards).
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import serial
 from .codes import pack_bits
 from .config import RunConfig
-from .encoder import encode_forward
+from .encoder import blocks, encode_forward
 from .exceptions import PipelineError
 from .graph import (
     AnchorSet,
@@ -42,6 +43,7 @@ from .retrieval import CodeIndex, map_at_k, pr_curve
 from .student import (
     StudentParams,
     probe_reconstruction,
+    student_forward,
     train_student,
     write_training_log,
 )
@@ -49,6 +51,12 @@ from .synth import generate_synthetic, load_dataset_splits
 from .teacher import TeacherParams, teacher_forward, train_teacher
 
 MAP_KS = (5, 20, 60, 100)
+
+# Written into every meta record. Bump it whenever the code changes what a
+# stage produces for the same config, so that old artifacts are rebuilt;
+# records without the field count as version 1. Version 2: the batched
+# encoder passes sum floats in another order (results move in the last ulp).
+CODE_VERSION = 2
 
 
 @dataclass
@@ -75,6 +83,8 @@ def stage_completed(run_dir: Path, stage: str, cfg: RunConfig) -> bool:
     record = json.loads(meta.read_text())
     if record.get("config_hash") != cfg.config_hash():
         return False
+    if record.get("code_version") != CODE_VERSION:
+        return False
     return all((run_dir / out).exists() for out in record["outputs"])
 
 
@@ -92,7 +102,7 @@ def _run_stage(run_dir: Path, stage: str, cfg: RunConfig, outputs: list[str], fn
     for out in outputs:
         if not (run_dir / out).exists():
             raise PipelineError(stage, f"expected output {out} was not produced")
-    meta = {"stage": stage, "config_hash": cfg.config_hash(),
+    meta = {"stage": stage, "config_hash": cfg.config_hash(), "code_version": CODE_VERSION,
             "wall_time_s": round(time.perf_counter() - start, 3), "outputs": outputs}
     path = _meta_path(run_dir, stage)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -143,8 +153,9 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
             for epoch, loss in enumerate(result.epoch_losses):
                 f.write(f"epoch={epoch} recon={loss:.10g}\n")
             f.write(f"eval_after={result.eval_after:.10g}\n")
-        means = np.stack([
-            encode_forward(x, result.params.encoder)[0].mean for x in train.features
+        means = np.concatenate([
+            encode_forward(train.features[blk], result.params.encoder)[0].mean
+            for blk in blocks(len(train.features))
         ])
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
 
@@ -205,9 +216,8 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int) -> None:
 
 def encode_split(features: np.ndarray, params: StudentParams) -> np.ndarray:
     """Hard codes for every video; returns packed uint8 rows."""
-    from .student import student_forward
-
-    bits = np.stack([student_forward(x, params).code for x in features])
+    bits = np.concatenate([student_forward(features[blk], params).code
+                           for blk in blocks(len(features))])
     return pack_bits(bits.astype(np.int8))
 
 

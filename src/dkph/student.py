@@ -21,6 +21,12 @@ identity behind tanh); bsim consumes the tanh relaxation directly, so its
 gradient is exact. The "relaxed" forward mode bypasses the sign everywhere,
 making the entire objective smooth for finite-difference verification; the
 sign layer itself is the one piece finite differences cannot see.
+
+Batches. ``student_forward`` takes one video (M, D) or a batch (B, M, D),
+as the encoder does; for a batch every output gains a leading B axis (the
+code is (B, K)). ``batch_gradients``, ``probe_reconstruction`` and the
+pipeline's encoding run the videos they need in blocks of
+``encoder.BLOCK_VIDEOS``; the student never masks frames.
 """
 
 from __future__ import annotations
@@ -30,7 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import sign_pm1
-from .encoder import EncoderConfig, EncoderParams, VisualEmbeddings, encode_backward, encode_forward
+from .encoder import (
+    EncoderConfig,
+    EncoderParams,
+    VisualEmbeddings,
+    blocks,
+    encode_backward,
+    encode_forward,
+)
 from .encoder import _uniform
 from .exceptions import TrainingError
 from .graph import PairSample, SignedGraph, sample_pairs
@@ -83,19 +96,6 @@ class StudentParams:
             b_dec=_uniform(rng, cfg.input_dim, code_bits),
         )
 
-    @classmethod
-    def zeros(cls, cfg: EncoderConfig, code_bits: int) -> "StudentParams":
-        d, m = cfg.model_dim, cfg.frame_count
-        return cls(
-            encoder=EncoderParams.zeros(cfg),
-            w_hash=np.zeros((m * d, code_bits)),
-            b_hash=np.zeros(code_bits),
-            w_temp=np.zeros((d, code_bits)),
-            b_temp=np.zeros(code_bits),
-            w_dec=np.zeros((code_bits, cfg.input_dim)),
-            b_dec=np.zeros(cfg.input_dim),
-        )
-
     @property
     def code_bits(self) -> int:
         return self.w_hash.shape[1]
@@ -117,7 +117,7 @@ class StudentParams:
 
 @dataclass
 class StudentForward:
-    code: np.ndarray      # (K,) hard {-1,+1}, or tanh values in relaxed mode
+    code: np.ndarray      # (K,) hard {-1,+1}, or tanh values in relaxed mode; (B, K) for a batch
     act: np.ndarray       # (K,) tanh(t_hat)
     latent: np.ndarray    # (M, K)
     recon: np.ndarray     # (M, D)
@@ -128,7 +128,8 @@ class StudentForward:
 def student_forward(x: np.ndarray, params: StudentParams,
                     binarize: str = "hard") -> StudentForward:
     emb, cache = encode_forward(x, params.encoder)
-    t_hat = emb.per_frame.reshape(-1) @ params.w_hash + params.b_hash
+    frames = emb.per_frame
+    t_hat = frames.reshape(*frames.shape[:-2], -1) @ params.w_hash + params.b_hash
     act = np.tanh(t_hat)
     if binarize == "hard":
         code = sign_pm1(act)
@@ -136,8 +137,8 @@ def student_forward(x: np.ndarray, params: StudentParams,
         code = act
     else:
         raise ValueError(f"unknown binarize mode {binarize!r}")
-    latent = emb.per_frame @ params.w_temp + params.b_temp
-    recon = (latent + code) @ params.w_dec + params.b_dec
+    latent = frames @ params.w_temp + params.b_temp
+    recon = (latent + code[..., None, :]) @ params.w_dec + params.b_dec
     return StudentForward(code=code, act=act, latent=latent, recon=recon,
                           embeddings=emb, enc_cache=cache)
 
@@ -195,87 +196,88 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
                     binarize: str = "hard"):
     """Losses and gradients of recon + gamma1*bsim + gamma2*tsim.
 
-    One forward and one backward per distinct video: reconstruction covers
-    ``batch``, the pair losses cover the videos named in ``pairs`` (both
-    sides of a pair receive bsim gradient; only the anchor side receives
-    tsim gradient). Returns (losses dict, StudentParams gradient
-    accumulator); the reported loss components are unweighted.
+    One forward and one backward per distinct video, in blocks:
+    reconstruction covers ``batch``, the pair losses cover the videos named
+    in ``pairs`` (both sides of a pair receive bsim gradient; only the
+    anchor side receives tsim gradient). Returns (losses dict, StudentParams
+    of gradients); the reported loss components are unweighted.
     """
     cfg = params.encoder.config()
     k = params.code_bits
-    need = sorted(set(int(b) for b in batch) | {s.i for s in pairs} | {s.j for s in pairs})
-    fwds = {v: student_forward(features[v], params, binarize=binarize) for v in need}
-
     batch = sorted(set(int(b) for b in batch))
+    need = sorted(set(batch) | {s.i for s in pairs} | {s.j for s in pairs})
+    row = {v: r for r, v in enumerate(need)}
+    x = np.asarray(features, dtype=np.float64)[need]
+    fwds = [(blk, student_forward(x[blk], params, binarize=binarize))
+            for blk in blocks(len(need))]
+
+    in_batch = np.zeros(len(need), dtype=bool)
+    in_batch[[row[v] for v in batch]] = True
     recon_scale = 1.0 / (len(batch) * cfg.frame_count * cfg.input_dim) if batch else 0.0
     l_recon = 0.0
-    for v in batch:
-        diff = fwds[v].recon - features[v]
-        l_recon += float((diff * diff).sum())
+    for blk, fwd in fwds:
+        diff = fwd.recon - x[blk]
+        l_recon += float((diff * diff).sum(axis=(1, 2))[in_batch[blk]].sum())
     l_recon *= recon_scale
 
-    d_act = {v: np.zeros(k) for v in need}
-    d_mean = {v: np.zeros(cfg.model_dim) for v in need}
+    d_act = np.zeros((len(need), k))
+    d_mean = np.zeros((len(need), cfg.model_dim))
     l_bsim = 0.0
     l_tsim = 0.0
     if pairs:
         n = len(pairs)
         g1, g2 = weights.gamma1, weights.gamma2
-        for s in pairs:
-            ui, uj = fwds[s.i].act, fwds[s.j].act
-            sim = float(ui @ uj) / k
-            resid = s.label - sim
-            l_bsim += abs(s.label) * resid * resid
-            d_sim = g1 * (-2.0) * abs(s.label) * resid / (n * k)
-            d_act[s.i] += d_sim * uj
-            d_act[s.j] += d_sim * ui
+        act = np.concatenate([fwd.act for _, fwd in fwds])
+        means = np.concatenate([fwd.embeddings.mean for _, fwd in fwds])
+        i = np.array([row[s.i] for s in pairs])
+        j = np.array([row[s.j] for s in pairs])
+        label = np.array([s.label for s in pairs], dtype=np.float64)
+        weight = np.abs(label)
 
-            ti = fwds[s.i].embeddings.mean
-            delta_i = ti - anchor_of(s.i)
-            pull = float((delta_i * delta_i).sum())
-            l_tsim += pull
-            d_mean[s.i] += g2 * 2.0 * delta_i / n
-            coeff = abs(s.label) * (1 - s.label)
-            if coeff:
-                delta_j = ti - anchor_of(s.j)
-                push = float((delta_j * delta_j).sum())
-                hinge = pull - push + weights.beta
-                if hinge > 0.0:
-                    l_tsim += weights.eta * coeff * hinge
-                    d_mean[s.i] += g2 * weights.eta * coeff * 2.0 * (delta_i - delta_j) / n
-        l_bsim /= n
-        l_tsim /= n
+        ui, uj = act[i], act[j]
+        resid = label - (ui * uj).sum(axis=1) / k
+        l_bsim = float((weight * resid * resid).sum()) / n
+        d_sim = (g1 * (-2.0) / (n * k)) * weight * resid
+        np.add.at(d_act, i, d_sim[:, None] * uj)
+        np.add.at(d_act, j, d_sim[:, None] * ui)
 
-    grads = StudentParams.zeros(cfg, k)
-    batch_set = set(batch)
-    for v in need:
-        fwd = fwds[v]
-        d_frames = np.zeros_like(fwd.embeddings.per_frame)
-        d_code = np.zeros(k)
-        if v in batch_set:
-            d_recon = 2.0 * recon_scale * (fwd.recon - features[v])
-            mix = fwd.latent + fwd.code
-            grads.w_dec += mix.T @ d_recon
-            grads.b_dec += d_recon.sum(axis=0)
-            d_mix = d_recon @ params.w_dec.T
-            grads.w_temp += fwd.embeddings.per_frame.T @ d_mix
-            grads.b_temp += d_mix.sum(axis=0)
-            d_frames += d_mix @ params.w_temp.T
-            d_code += d_mix.sum(axis=0)  # straight-through into the code
+        ti = means[i]
+        delta_i = ti - np.stack([anchor_of(s.i) for s in pairs])
+        delta_j = ti - np.stack([anchor_of(s.j) for s in pairs])
+        pull = (delta_i * delta_i).sum(axis=1)
+        hinge = pull - (delta_j * delta_j).sum(axis=1) + weights.beta
+        coeff = weight * (1 - label)
+        push = np.where((coeff != 0) & (hinge > 0.0), weights.eta * coeff, 0.0)
+        l_tsim = float((pull + push * hinge).sum()) / n
+        np.add.at(d_mean, i, (g2 * 2.0 / n) * (delta_i + push[:, None] * (delta_i - delta_j)))
 
-        d_that = (d_code + d_act[v]) * (1.0 - fwd.act * fwd.act)
-        concat = fwd.embeddings.per_frame.reshape(-1)
-        grads.w_hash += np.outer(concat, d_that)
-        grads.b_hash += d_that
-        d_frames += (params.w_hash @ d_that).reshape(d_frames.shape)
-        d_frames += d_mean[v] / cfg.frame_count
-
+    grads: dict[str, np.ndarray] = {}
+    for blk, fwd in fwds:
+        frames = fwd.embeddings.per_frame
+        d_recon = np.where(in_batch[blk, None, None], 2.0 * recon_scale * (fwd.recon - x[blk]), 0.0)
+        d_mix = d_recon @ params.w_dec.T
+        # straight-through into the code, plus the pair terms on tanh(t_hat)
+        d_that = (d_mix.sum(axis=1) + d_act[blk]) * (1.0 - fwd.act * fwd.act)
+        d_frames = (d_mix @ params.w_temp.T
+                    + (d_that @ params.w_hash.T).reshape(frames.shape)
+                    + d_mean[blk, None, :] / cfg.frame_count)
         enc_grads, _, _ = encode_backward(d_frames, fwd.enc_cache)
-        grads.encoder.add_(enc_grads)
+        mix = fwd.latent + fwd.code[:, None, :]
+        part = enc_grads.as_dict(prefix="encoder.")
+        part.update(
+            w_dec=mix.reshape(-1, k).T @ d_recon.reshape(-1, cfg.input_dim),
+            b_dec=d_recon.sum(axis=(0, 1)),
+            w_temp=frames.reshape(-1, cfg.model_dim).T @ d_mix.reshape(-1, k),
+            b_temp=d_mix.sum(axis=(0, 1)),
+            w_hash=frames.reshape(len(frames), -1).T @ d_that,
+            b_hash=d_that.sum(axis=0),
+        )
+        for name, g in part.items():
+            grads[name] = grads[name] + g if name in grads else g
 
     total = l_recon + weights.gamma1 * l_bsim + weights.gamma2 * l_tsim
     losses = {"recon": l_recon, "bsim": l_bsim, "tsim": l_tsim, "total": total}
-    return losses, grads
+    return losses, StudentParams.from_dict(grads)
 
 
 def student_step(features: np.ndarray, batch, params: StudentParams,
@@ -367,18 +369,20 @@ def probe_reconstruction(features: np.ndarray, params: StudentParams,
         raise ValueError(f"unknown probe mode {mode!r}")
     features = np.asarray(features, dtype=np.float64)
     total = 0.0
-    for x in features:
+    for blk in blocks(features.shape[0]):
+        x = features[blk]
         fwd = student_forward(x, params)
+        code = fwd.code[:, None, :]
         if mode == "intact":
-            mix = fwd.latent + fwd.code
+            mix = fwd.latent + code
         elif mode == "drop_code":
             mix = fwd.latent
         elif mode == "drop_latent":
-            mix = np.broadcast_to(fwd.code, fwd.latent.shape)
+            mix = np.broadcast_to(code, fwd.latent.shape)
         else:
-            mix = np.broadcast_to(fwd.latent.mean(axis=0) + fwd.code, fwd.latent.shape)
-        recon = mix @ params.w_dec + params.b_dec
-        total += student_recon_loss(x, recon)
+            mix = np.broadcast_to(fwd.latent.mean(axis=1, keepdims=True) + code,
+                                  fwd.latent.shape)
+        total += student_recon_loss(x, mix @ params.w_dec + params.b_dec) * len(x)
     return total / features.shape[0]
 
 

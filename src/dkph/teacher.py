@@ -16,6 +16,12 @@ Averaging the frame codes into one video code (`video_code_from_frames`)
 reproduces the baseline whose failure mode motivates the student: bitwise
 frame-code means can land on exact zero, which {-1,+1} codes cannot
 represent; the tie rule resolves those to +1 and the tie count is reported.
+
+Batches. The forward, the loss and the backward take one video (M, D) or a
+batch (B, M, D), as the encoder does: for a batch ``mask`` is a sequence of
+B frame-index sets, the loss is one value per video, and the backward
+returns the gradient of the summed per-video losses. Training and
+evaluation run in blocks of ``encoder.BLOCK_VIDEOS`` videos.
 """
 
 from __future__ import annotations
@@ -25,8 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import BinaryCode, sign_pm1
-from .encoder import EncoderConfig, EncoderParams, VisualEmbeddings, encode_backward, encode_forward
-from .encoder import _uniform
+from .encoder import (
+    EncoderConfig,
+    EncoderParams,
+    VisualEmbeddings,
+    blocks,
+    encode_backward,
+    encode_forward,
+)
+from .encoder import _mask_rows, _uniform
 from .exceptions import ShapeError, TrainingError
 from .optim import Adam
 
@@ -58,18 +71,6 @@ class TeacherParams:
             b_dec=_uniform(rng, cfg.input_dim, code_bits),
         )
 
-    @classmethod
-    def zeros(cls, cfg: EncoderConfig, code_bits: int = DEFAULT_TEACHER_BITS) -> "TeacherParams":
-        d = cfg.model_dim
-        return cls(
-            encoder=EncoderParams.zeros(cfg),
-            mask_embed=np.zeros(d),
-            w_hash=np.zeros((d, code_bits)),
-            b_hash=np.zeros(code_bits),
-            w_dec=np.zeros((code_bits, cfg.input_dim)),
-            b_dec=np.zeros(cfg.input_dim),
-        )
-
     @property
     def code_bits(self) -> int:
         return self.w_hash.shape[1]
@@ -91,12 +92,11 @@ class TeacherParams:
 
 @dataclass
 class TeacherForward:
-    frame_codes: np.ndarray   # (M, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
-    recon: np.ndarray         # (M, input_dim)
+    frame_codes: np.ndarray   # (..., M, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
+    recon: np.ndarray         # (..., M, input_dim)
     embeddings: VisualEmbeddings
     act: np.ndarray           # tanh(pre-binarization)
     enc_cache: object
-    mask: tuple[int, ...]
 
 
 def teacher_forward(x: np.ndarray, params: TeacherParams, mask=None,
@@ -106,8 +106,7 @@ def teacher_forward(x: np.ndarray, params: TeacherParams, mask=None,
     ``binarize="relaxed"`` skips the sign so the whole pass is smooth; used
     by the gradient checker.
     """
-    emb, cache = encode_forward(x, params.encoder, mask=mask,
-                                mask_embed=params.mask_embed if mask else None)
+    emb, cache = encode_forward(x, params.encoder, mask=mask, mask_embed=params.mask_embed)
     z = emb.per_frame @ params.w_hash + params.b_hash
     act = np.tanh(z)
     if binarize == "hard":
@@ -118,49 +117,67 @@ def teacher_forward(x: np.ndarray, params: TeacherParams, mask=None,
         raise ValueError(f"unknown binarize mode {binarize!r}")
     recon = codes @ params.w_dec + params.b_dec
     return TeacherForward(frame_codes=codes, recon=recon, embeddings=emb,
-                          act=act, enc_cache=cache, mask=cache.mask)
+                          act=act, enc_cache=cache)
 
 
-def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask) -> float:
-    """Squared error on masked positions, averaged over D * |mask| scalars."""
-    mask = sorted(set(int(i) for i in mask or ()))
-    if not mask:
-        raise ValueError("teacher reconstruction loss needs a nonempty mask")
+def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask):
+    """Squared error on masked positions, averaged over D * |mask| scalars.
+
+    A float for one video; for a batch, one loss per video (``mask`` is a
+    sequence of B index sets).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != recon.shape:
         raise ShapeError(f"shapes differ: {x.shape} vs {recon.shape}")
-    diff = x[mask] - recon[mask]
-    return float((diff * diff).sum() / (x.shape[1] * len(mask)))
+    if x.ndim == 2:
+        return float(_video_losses(x[None], recon[None], [mask])[0])
+    return _video_losses(x, recon, mask)
+
+
+def _video_losses(x: np.ndarray, recon: np.ndarray, masks) -> np.ndarray:
+    """Masked loss of each video of a (B, M, D) batch."""
+    rows = _mask_rows(masks, x.shape[0], x.shape[1])
+    if not rows.any(axis=1).all():
+        raise ValueError("teacher reconstruction loss needs a nonempty mask")
+    diff = x - recon
+    per_frame = np.where(rows, (diff * diff).sum(axis=2), 0.0)
+    return per_frame.sum(axis=1) / (x.shape[2] * rows.sum(axis=1))
 
 
 def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: TeacherParams) -> TeacherParams:
-    """Gradients of the masked reconstruction loss for every teacher tensor.
+    """Gradients of the masked reconstruction loss for every teacher tensor,
+    summed over the videos of a batch.
 
     Straight-through: d(code)/d(pre-activation) is taken as tanh', whether
     the forward binarized or not.
     """
-    mask = list(fwd.mask)
-    if not mask:
+    cache = fwd.enc_cache
+    if not cache.masked.any(axis=1).all():
         raise ValueError("teacher backward needs the masked forward")
-    g = TeacherParams.zeros(params.encoder.config(), params.code_bits)
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != fwd.recon.shape:
+        raise ShapeError(f"shapes differ: {x.shape} vs {fwd.recon.shape}")
+    b, m_frames = cache.masked.shape
+    d_in, bits = x.shape[-1], params.code_bits
+    rows = cache.masked.astype(np.float64)
+    scale = rows / (d_in * rows.sum(axis=1, keepdims=True))
 
-    d_recon = np.zeros_like(fwd.recon)
-    d_recon[mask] = 2.0 * (fwd.recon[mask] - x[mask]) / (x.shape[1] * len(mask))
-
-    g.w_dec += fwd.frame_codes.T @ d_recon
-    g.b_dec += d_recon.sum(axis=0)
-    d_codes = d_recon @ params.w_dec.T
-    d_z = d_codes * (1.0 - fwd.act * fwd.act)
-    g.w_hash += fwd.embeddings.per_frame.T @ d_z
-    g.b_hash += d_z.sum(axis=0)
+    d_recon = (2.0 * scale.reshape(-1, 1)) * (fwd.recon - x).reshape(-1, d_in)
+    codes = fwd.frame_codes.reshape(-1, bits)
+    act = fwd.act.reshape(-1, bits)
+    frames = fwd.embeddings.per_frame.reshape(b * m_frames, -1)
+    d_z = (d_recon @ params.w_dec.T) * (1.0 - act * act)
     d_frames = d_z @ params.w_hash.T
 
-    enc_grads, _, d_me = encode_backward(d_frames, fwd.enc_cache)
-    g.encoder = enc_grads
-    if d_me is not None:
-        g.mask_embed += d_me
-    return g
+    enc_grads, _, d_me = encode_backward(d_frames.reshape(fwd.embeddings.per_frame.shape), cache)
+    return TeacherParams(
+        encoder=enc_grads,
+        mask_embed=d_me,
+        w_hash=frames.T @ d_z,
+        b_hash=d_z.sum(axis=0),
+        w_dec=codes.T @ d_recon,
+        b_dec=d_recon.sum(axis=0),
+    )
 
 
 def video_code_from_frames(frame_codes: np.ndarray, tie_rule: str = "plus_one"):
@@ -197,10 +214,11 @@ class TeacherTrainResult:
 
 def masked_eval_loss(features: np.ndarray, params: TeacherParams, masks) -> float:
     """Mean masked-reconstruction loss over a dataset with fixed masks."""
+    features = np.asarray(features, dtype=np.float64)
     total = 0.0
-    for x, mask in zip(features, masks):
-        fwd = teacher_forward(x, params, mask=mask)
-        total += teacher_recon_loss(x, fwd.recon, mask)
+    for blk in blocks(len(features)):
+        fwd = teacher_forward(features[blk], params, mask=masks[blk])
+        total += float(teacher_recon_loss(features[blk], fwd.recon, masks[blk]).sum())
     return total / len(features)
 
 
@@ -235,23 +253,19 @@ def train_teacher(features: np.ndarray, cfg: EncoderConfig, *,
         epoch_total = 0.0
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            grads = TeacherParams.zeros(cfg, code_bits)
+            masks = [draw_mask(rng, cfg.frame_count, mask_ratio) for _ in batch]
+            grads: dict[str, np.ndarray] = {}
             batch_loss = 0.0
-            for vi in batch:
-                mask = draw_mask(rng, cfg.frame_count, mask_ratio)
-                fwd = teacher_forward(features[vi], params, mask=mask)
-                batch_loss += teacher_recon_loss(features[vi], fwd.recon, mask)
-                g = teacher_backward(features[vi], fwd, params)
-                grads.encoder.add_(g.encoder)
-                for name in TeacherParams.EXTRA_FIELDS:
-                    getattr(grads, name).__iadd__(getattr(g, name))
-            scale = 1.0 / len(batch)
-            grads.encoder.scale_(scale)
-            for name in TeacherParams.EXTRA_FIELDS:
-                getattr(grads, name).__imul__(scale)
+            for blk in blocks(len(batch)):
+                x = features[batch[blk]]
+                fwd = teacher_forward(x, params, mask=masks[blk])
+                batch_loss += float(teacher_recon_loss(x, fwd.recon, masks[blk]).sum())
+                for name, g in teacher_backward(x, fwd, params).as_dict().items():
+                    grads[name] = grads[name] + g if name in grads else g
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"teacher loss non-finite at epoch {epoch}", epoch)
-            opt.step(flat, grads.as_dict())
+            scale = 1.0 / len(batch)
+            opt.step(flat, {name: g * scale for name, g in grads.items()})
             params.encoder.version += 1
             epoch_total += batch_loss * scale
         epoch_losses.append(epoch_total / ((n + batch_size - 1) // batch_size))

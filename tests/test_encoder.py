@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dkph import encoder
 from dkph.encoder import (
     EncoderConfig,
     EncoderParams,
@@ -46,6 +47,75 @@ def oracle_forward(x, p, mask=(), mask_embed=None):
     f1 = n2 @ p.w_f1 + p.b_f1
     g1 = 0.5 * f1 * (1.0 + np.tanh(c * (f1 + 0.044715 * f1 ** 3)))
     return h1 + g1 @ p.w_f2 + p.b_f2
+
+
+def oracle_backward(x, p, grad_out, mask=(), mask_embed=None):
+    """Straight-line gradients of sum(grad_out * out) for one video.
+
+    Recomputes the forward; shares no helper with the library. Returns
+    (dict of parameter gradients, grad_x, grad_mask_embed or None)."""
+    eps = 1e-5
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+
+    def ln(z, gain, bias):
+        mu = z.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(((z - mu) ** 2).mean(axis=1, keepdims=True) + eps)
+        zhat = (z - mu) * inv
+        return zhat * gain + bias, zhat, inv
+
+    def ln_back(dy, gain, zhat, inv):
+        dz = dy * gain
+        dx = inv * (dz - dz.mean(axis=1, keepdims=True)
+                    - zhat * (dz * zhat).mean(axis=1, keepdims=True))
+        return dx, (dy * zhat).sum(axis=0), dy.sum(axis=0)
+
+    rows = list(mask)
+    h = x @ p.w_in + p.b_in
+    for i in rows:
+        h[i] = mask_embed
+    h0 = h + p.e_pos
+    n1, z1, i1 = ln(h0, p.ln1_g, p.ln1_b)
+    q, k, v = n1 @ p.w_q, n1 @ p.w_k, n1 @ p.w_v
+    root = math.sqrt(p.w_q.shape[1])
+    s = q @ k.T / root
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    att = e / e.sum(axis=1, keepdims=True)
+    ctx = att @ v
+    h1 = h0 + ctx @ p.w_o + p.b_o
+    n2, z2, i2 = ln(h1, p.ln2_g, p.ln2_b)
+    f1 = n2 @ p.w_f1 + p.b_f1
+    t = np.tanh(c * (f1 + a * f1 ** 3))
+    g1 = 0.5 * f1 * (1.0 + t)
+
+    g = {"w_f2": g1.T @ grad_out, "b_f2": grad_out.sum(axis=0)}
+    df1 = (grad_out @ p.w_f2.T) * (0.5 * (1.0 + t)
+                                    + 0.5 * f1 * (1.0 - t ** 2) * c * (1.0 + 3.0 * a * f1 ** 2))
+    g["w_f1"], g["b_f1"] = n2.T @ df1, df1.sum(axis=0)
+    dx2, g["ln2_g"], g["ln2_b"] = ln_back(df1 @ p.w_f1.T, p.ln2_g, z2, i2)
+    dh1 = grad_out + dx2
+    g["w_o"], g["b_o"] = ctx.T @ dh1, dh1.sum(axis=0)
+    dctx = dh1 @ p.w_o.T
+    datt = dctx @ v.T
+    dv = att.T @ dctx
+    ds = att * (datt - (datt * att).sum(axis=1, keepdims=True)) / root
+    dq, dk = ds @ k, ds.T @ q
+    g["w_q"], g["w_k"], g["w_v"] = n1.T @ dq, n1.T @ dk, n1.T @ dv
+    dx1, g["ln1_g"], g["ln1_b"] = ln_back(dq @ p.w_q.T + dk @ p.w_k.T + dv @ p.w_v.T,
+                                          p.ln1_g, z1, i1)
+    dh0 = dh1 + dx1
+    g["e_pos"] = dh0.copy()
+    grad_me = dh0[rows].sum(axis=0) if rows else None
+    dh0[rows] = 0.0
+    g["w_in"], g["b_in"] = x.T @ dh0, dh0.sum(axis=0)
+    return g, dh0 @ p.w_in.T, grad_me
+
+
+def assert_rel_close(got, want, tol=1e-12):
+    """Largest deviation within tol times the largest entry of want."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (
+        np.max(np.abs(got - want)), np.max(np.abs(want)))
 
 
 class TestForward:
@@ -199,3 +269,69 @@ class TestBackward:
         p.version += 1
         with pytest.raises(StaleCacheError):
             encode_backward(np.zeros((4, 8)), cache)
+
+
+MASKS = [(0,), (), (1, 3), None, (0, 1, 2, 3)]
+
+
+class TestBatched:
+    def batch(self, seed):
+        rng = np.random.default_rng(seed)
+        return toy_params(seed), rng.normal(size=(5, 4, 6)), rng.normal(size=8)
+
+    def test_forward_equals_stacked_per_video_oracle(self):
+        p, x, me = self.batch(40)
+        emb, cache = encode_forward(x, p, mask=MASKS, mask_embed=me)
+        want = np.stack([oracle_forward(x[b], p, mask=MASKS[b] or (), mask_embed=me)
+                         for b in range(5)])
+        assert emb.per_frame.shape == (5, 4, 8) and emb.mean.shape == (5, 8)
+        np.testing.assert_allclose(emb.per_frame, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(emb.mean, want.mean(axis=1), rtol=0, atol=1e-12)
+        assert cache.attn.shape == (5, 4, 4)
+        np.testing.assert_allclose(cache.attn.sum(axis=2), 1.0, atol=1e-12)
+
+    def test_oracle_backward_matches_single_video_library(self):
+        p, x, me = self.batch(41)
+        go = np.random.default_rng(42).normal(size=(4, 8))
+        _, cache = encode_forward(x[0], p, mask=(1, 2), mask_embed=me)
+        grads, gx, gme = encode_backward(go, cache)
+        want, want_x, want_me = oracle_backward(x[0], p, go, mask=(1, 2), mask_embed=me)
+        for name in EncoderParams.TENSOR_FIELDS:
+            assert_rel_close(getattr(grads, name), want[name])
+        assert_rel_close(gx, want_x)
+        assert_rel_close(gme, want_me)
+
+    def test_backward_equals_summed_per_video_oracle(self):
+        p, x, me = self.batch(43)
+        go = np.random.default_rng(44).normal(size=(5, 4, 8))
+        _, cache = encode_forward(x, p, mask=MASKS, mask_embed=me)
+        grads, gx, gme = encode_backward(go, cache)
+        per_video = [oracle_backward(x[b], p, go[b], mask=MASKS[b] or (), mask_embed=me)
+                     for b in range(5)]
+        for name in EncoderParams.TENSOR_FIELDS:
+            assert_rel_close(getattr(grads, name), sum(g[name] for g, _, _ in per_video))
+        assert_rel_close(gx, np.stack([gxb for _, gxb, _ in per_video]))
+        assert_rel_close(gme, sum(m for _, _, m in per_video if m is not None))
+
+    def test_unmasked_batch_has_no_mask_embedding_gradient(self):
+        p, x, _ = self.batch(45)
+        _, cache = encode_forward(x, p)
+        _, gx, gme = encode_backward(np.ones((5, 4, 8)), cache)
+        assert gme is None and gx.shape == (5, 4, 6)
+
+    def test_batch_shape_errors(self):
+        p, x, me = self.batch(46)
+        with pytest.raises(ShapeError):
+            encode_forward(np.zeros((5, 3, 6)), p)
+        with pytest.raises(ShapeError):
+            encode_forward(x, p, mask=MASKS[:4], mask_embed=me)
+        with pytest.raises(ValueError):
+            encode_forward(x, p, mask=MASKS)  # no embedding given
+        _, cache = encode_forward(x, p)
+        with pytest.raises(ShapeError):
+            encode_backward(np.zeros((4, 8)), cache)
+
+    def test_blocks_cover_range_in_bounded_runs(self, monkeypatch):
+        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
+        assert encoder.blocks(7) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert encoder.blocks(0) == []

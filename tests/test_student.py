@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
+from collections import defaultdict
+
+from dkph import encoder
 from dkph.codes import unpack_bits, pack_bits
 from dkph.encoder import EncoderConfig
-from dkph.graph import PairSample, SignedGraph
+from dkph.graph import PairSample, SignedGraph, sample_pairs
 from dkph.gradcheck import student_gradient_check
 from dkph.optim import Adam
 from dkph.student import (
     LossWeights,
     StudentParams,
+    PROBE_MODES,
     batch_gradients,
     bsim_loss,
+    probe_reconstruction,
     student_forward,
     student_recon_loss,
     student_step,
@@ -20,7 +25,7 @@ from dkph.student import (
     tsim_loss,
     write_training_log,
 )
-from test_encoder import oracle_forward
+from test_encoder import assert_rel_close, oracle_backward, oracle_forward
 
 TOY = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
 K = 8
@@ -234,3 +239,115 @@ class TestStep:
         write_training_log(path, history)
         line = path.read_text().strip()
         assert line == "epoch=0 recon=1 bsim=0.5 tsim=0.25 total=1.28"
+
+
+def oracle_student(x, p):
+    """Straight-line hard forward of one video: frames, act, code, latent, recon."""
+    frames = oracle_forward(x, p.encoder)
+    act = np.tanh(frames.reshape(-1) @ p.w_hash + p.b_hash)
+    code = np.where(act >= 0, 1.0, -1.0)
+    latent = frames @ p.w_temp + p.b_temp
+    return frames, act, code, latent, (latent + code) @ p.w_dec + p.b_dec
+
+
+def oracle_batch_gradients(features, batch, pairs, p, w, anchor_of):
+    """Per-video, per-pair loops over the straight-line oracles."""
+    k = p.code_bits
+    m, d_in = features.shape[1:]
+    need = sorted(set(batch) | {s.i for s in pairs} | {s.j for s in pairs})
+    fw = {v: oracle_student(features[v], p) for v in need}
+    batch = sorted(set(batch))
+    rs = 1.0 / (len(batch) * m * d_in)
+    l_recon = rs * sum(((fw[v][4] - features[v]) ** 2).sum() for v in batch)
+    d_act = {v: np.zeros(k) for v in need}
+    d_mean = {v: np.zeros(p.w_temp.shape[0]) for v in need}
+    l_bsim = l_tsim = 0.0
+    n = len(pairs)
+    for s in pairs:
+        ui, uj = fw[s.i][1], fw[s.j][1]
+        resid = s.label - ui @ uj / k
+        l_bsim += abs(s.label) * resid ** 2
+        d_sim = w.gamma1 * -2.0 * abs(s.label) * resid / (n * k)
+        d_act[s.i] += d_sim * uj
+        d_act[s.j] += d_sim * ui
+        ti = fw[s.i][0].mean(axis=0)
+        di = ti - anchor_of(s.i)
+        pull = di @ di
+        l_tsim += pull
+        d_mean[s.i] += w.gamma2 * 2.0 * di / n
+        coeff = abs(s.label) * (1 - s.label)
+        dj = ti - anchor_of(s.j)
+        hinge = pull - dj @ dj + w.beta
+        if coeff and hinge > 0:
+            l_tsim += w.eta * coeff * hinge
+            d_mean[s.i] += w.gamma2 * w.eta * coeff * 2.0 * (di - dj) / n
+
+    g = defaultdict(float)
+    for v in need:
+        frames, act, code, latent, recon = fw[v]
+        d_frames = np.zeros_like(frames)
+        d_code = np.zeros(k)
+        if v in batch:
+            d_recon = 2.0 * rs * (recon - features[v])
+            g["w_dec"] += (latent + code).T @ d_recon
+            g["b_dec"] += d_recon.sum(axis=0)
+            d_mix = d_recon @ p.w_dec.T
+            g["w_temp"] += frames.T @ d_mix
+            g["b_temp"] += d_mix.sum(axis=0)
+            d_frames += d_mix @ p.w_temp.T
+            d_code += d_mix.sum(axis=0)
+        d_that = (d_code + d_act[v]) * (1.0 - act ** 2)
+        g["w_hash"] += np.outer(frames.reshape(-1), d_that)
+        g["b_hash"] += d_that
+        d_frames += (p.w_hash @ d_that).reshape(frames.shape) + d_mean[v] / m
+        enc, _, _ = oracle_backward(features[v], p.encoder, d_frames)
+        for name, grad in enc.items():
+            g[f"encoder.{name}"] += grad
+    losses = {"recon": l_recon, "bsim": l_bsim / n, "tsim": l_tsim / n}
+    return losses, g
+
+
+class TestBatched:
+    def test_forward_equals_stacked_per_video_oracle(self):
+        p = toy_student(20)
+        x = np.random.default_rng(21).normal(size=(3, 4, 6))
+        fwd = student_forward(x, p)
+        want = [oracle_student(x[b], p) for b in range(3)]
+        assert fwd.code.shape == (3, K) and fwd.recon.shape == (3, 4, 6)
+        np.testing.assert_array_equal(fwd.code, np.stack([o[2] for o in want]))
+        np.testing.assert_allclose(fwd.act, np.stack([o[1] for o in want]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fwd.recon, np.stack([o[4] for o in want]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [2, 64])
+    def test_batch_gradients_equal_per_video_oracle(self, monkeypatch, block):
+        # the batch is a subset, and pairs reach videos outside it
+        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", block)
+        feats, graph, anchor_of = two_class_setup(22)
+        p = toy_student(23)
+        w = LossWeights()
+        batch = [0, 1, 3]
+        pairs = sample_pairs(graph, batch, count=8, seed=24)
+        assert {s.j for s in pairs} - set(batch)
+        losses, grads = batch_gradients(feats, batch, pairs, p, w, anchor_of)
+        want_losses, want = oracle_batch_gradients(feats, batch, pairs, p, w, anchor_of)
+        for name in ("recon", "bsim", "tsim"):
+            assert losses[name] == pytest.approx(want_losses[name], rel=1e-12)
+        got = grads.as_dict()
+        assert set(got) == set(want)
+        for name, g in got.items():
+            assert_rel_close(g, want[name])
+
+    @pytest.mark.parametrize("mode", PROBE_MODES)
+    def test_probe_reconstruction_equals_per_video_oracle(self, monkeypatch, mode):
+        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 2)
+        feats, _, _ = two_class_setup(25)
+        p = toy_student(26)
+        total = 0.0
+        for x in feats:
+            _, _, code, latent, _ = oracle_student(x, p)
+            mix = {"intact": latent + code, "drop_code": latent,
+                   "drop_latent": np.tile(code, (4, 1)),
+                   "mean_latent": np.tile(latent.mean(axis=0) + code, (4, 1))}[mode]
+            total += ((x - (mix @ p.w_dec + p.b_dec)) ** 2).mean()
+        assert probe_reconstruction(feats, p, mode) == pytest.approx(total / len(feats),
+                                                                     rel=1e-12)

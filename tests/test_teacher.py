@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dkph import encoder
 from dkph.encoder import EncoderConfig, EncoderParams
 from dkph.exceptions import TrainingError
 from dkph.numerics import finite_diff_check
@@ -16,7 +17,7 @@ from dkph.teacher import (
     train_teacher,
     video_code_from_frames,
 )
-from test_encoder import oracle_forward
+from test_encoder import assert_rel_close, oracle_backward, oracle_forward
 
 TOY = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
 BITS = 16
@@ -221,3 +222,81 @@ class TestTraining:
         a = masked_eval_loss(feats, p, masks)
         b = masked_eval_loss(feats, p, masks)
         assert a == b
+
+
+def oracle_teacher(x, p, mask, binarize="hard"):
+    """Straight-line masked loss and gradients of one video, from the
+    encoder oracles; straight-through past the sign."""
+    frames = oracle_forward(x, p.encoder, mask=mask, mask_embed=p.mask_embed)
+    act = np.tanh(frames @ p.w_hash + p.b_hash)
+    codes = np.where(act >= 0, 1.0, -1.0) if binarize == "hard" else act
+    recon = codes @ p.w_dec + p.b_dec
+    rows = list(mask)
+    scale = x.shape[1] * len(rows)
+    loss = ((x[rows] - recon[rows]) ** 2).sum() / scale
+    d_recon = np.zeros_like(recon)
+    d_recon[rows] = 2.0 * (recon[rows] - x[rows]) / scale
+    d_z = (d_recon @ p.w_dec.T) * (1.0 - act ** 2)
+    enc, _, d_me = oracle_backward(x, p.encoder, d_z @ p.w_hash.T, mask=mask,
+                                   mask_embed=p.mask_embed)
+    grads = {f"encoder.{n}": g for n, g in enc.items()}
+    grads.update(mask_embed=d_me, w_hash=frames.T @ d_z, b_hash=d_z.sum(axis=0),
+                 w_dec=codes.T @ d_recon, b_dec=d_recon.sum(axis=0))
+    return loss, grads
+
+
+BATCH_MASKS = [(0,), (1, 3), (0, 1, 2)]
+
+
+class TestBatched:
+    def test_forward_loss_and_backward_equal_per_video_oracle(self):
+        p = toy_teacher(30)
+        x = np.random.default_rng(31).normal(size=(3, 4, 6))
+        fwd = teacher_forward(x, p, mask=BATCH_MASKS)
+        assert fwd.recon.shape == (3, 4, 6) and fwd.frame_codes.shape == (3, 4, BITS)
+        losses = teacher_recon_loss(x, fwd.recon, BATCH_MASKS)
+        grads = teacher_backward(x, fwd, p).as_dict()
+        per_video = [oracle_teacher(x[b], p, BATCH_MASKS[b]) for b in range(3)]
+        np.testing.assert_allclose(losses, [loss for loss, _ in per_video], rtol=1e-12)
+        for name, g in grads.items():
+            assert_rel_close(g, sum(pv[name] for _, pv in per_video))
+
+    def test_finite_difference_check_three_videos_distinct_masks(self):
+        p = toy_teacher(32)
+        x = np.random.default_rng(33).normal(size=(3, 4, 6))
+
+        def loss(_):
+            fwd = teacher_forward(x, p, mask=BATCH_MASKS, binarize="relaxed")
+            return float(teacher_recon_loss(x, fwd.recon, BATCH_MASKS).sum())
+
+        fwd = teacher_forward(x, p, mask=BATCH_MASKS, binarize="relaxed")
+        pd, gd = p.as_dict(), teacher_backward(x, fwd, p).as_dict()
+        names = list(pd)
+        report = finite_diff_check(loss, [pd[n] for n in names], [gd[n] for n in names],
+                                   step=1e-5)
+        assert report.max_rel_error < 1e-4, (report, names[report.worst_index[0]])
+
+    def test_backward_rejects_an_unmasked_video(self):
+        p = toy_teacher(34)
+        x = np.random.default_rng(35).normal(size=(2, 4, 6))
+        fwd = teacher_forward(x, p, mask=[(0,), ()])
+        with pytest.raises(ValueError):
+            teacher_backward(x, fwd, p)
+
+    def test_eval_loss_is_mean_of_per_video_losses(self, monkeypatch):
+        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 2)
+        feats = TestTraining().make_features(n=5)
+        p = toy_teacher(36)
+        masks = [(0,), (1,), (2, 3), (0, 3), (1, 2)]
+        want = np.mean([oracle_teacher(x, p, m)[0] for x, m in zip(feats, masks)])
+        assert masked_eval_loss(feats, p, masks) == pytest.approx(want, rel=1e-12)
+
+    def test_training_in_small_blocks_matches_default_blocks(self, monkeypatch):
+        # same masks in the same order, so blocking only reorders float sums
+        feats = TestTraining().make_features(n=12)
+        a = train_teacher(feats, TOY, epochs=2, code_bits=BITS, seed=9, batch_size=8)
+        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
+        b = train_teacher(feats, TOY, epochs=2, code_bits=BITS, seed=9, batch_size=8)
+        for name, arr in a.params.as_dict().items():
+            assert_rel_close(b.params.as_dict()[name], arr, tol=1e-9)
+        np.testing.assert_allclose(b.epoch_losses, a.epoch_losses, rtol=1e-12)
