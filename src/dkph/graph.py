@@ -1,10 +1,11 @@
 """Gaussian-adaptive anchor similarity graph over frozen teacher embeddings.
 
 Pipeline: k-means anchors over the N video embeddings, sparse affinity Z
-(each video keeps softmax weights over its p nearest centers), streaming
-rows of the normalized adjacency A = Z diag(Z^T 1)^-1 Z^T, per-row
-mean/std thresholds PT = mu + lambda1*eps and NT = mu - lambda2*eps, and a
-signed sparse graph:
+(each video keeps softmax weights over its p nearest centers), rows of the
+normalized anchor-graph adjacency A = Z diag(Z^T 1)^-1 Z^T (Liu, Wang,
+Kumar and Chang, "Hashing with Graphs", ICML 2011), per-row mean/std
+thresholds PT = mu + lambda1*eps and NT = mu - lambda2*eps, and a signed
+sparse graph:
 
     +1  if A_ij >= PT_i
     -1  if NT_i < A_ij < mu_i      (hard negatives: just below the mean)
@@ -12,11 +13,18 @@ signed sparse graph:
 
 Thresholds are computed over the *nonzero* off-diagonal entries of the row;
 with sparse Z most pairs share no anchor and sit at exactly 0, and folding
-those zeros in would collapse the mean. Rows with fewer than two nonzero
-entries are marked isolated and excluded from pair sampling.
+those zeros in would collapse the mean. A row with fewer than two such
+entries gets no edges; videos without any edge are the graph's isolated
+rows, which the pair sampler never draws.
 
-An N x N matrix is never materialized: each row touches only videos that
-share an anchor with the query row.
+A is computed in row blocks and never exists as an N x N matrix. Z is
+scattered once into a dense (N, N_c) matrix; a block of B rows then holds
+its values and its support (pairs sharing an anchor where both weights are
+nonzero) as dense (B, N) arrays, with B chosen so that one (B, N) float64
+buffer fits BLOCK_BYTES. Peak memory is a few such buffers plus Z. Each
+entry sums the same (z_ik * z_jk) / mass_k terms in slot order as a
+per-entry loop would, so the values, and hence the edges, are exact.
+k-means distances are blocked over rows under the same budget.
 """
 
 from __future__ import annotations
@@ -29,6 +37,14 @@ import numpy as np
 from .exceptions import DegenerateAnchorError, SamplingError
 
 logger = logging.getLogger(__name__)
+
+# Byte budget of one float64 work buffer in the row-blocked kernels: a block
+# of A is (B, N) and a block of k-means differences is (B, N_c, d).
+BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 @dataclass
@@ -97,8 +113,15 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - centers[None, :, :]
-    return (diff * diff).sum(axis=2)
+    """(N, N_c) squared distances, broadcast over row blocks so the
+    difference tensor stays within BLOCK_BYTES. Each entry reduces the same
+    contiguous d-vector whatever the block, so results do not depend on it."""
+    out = np.empty((pts.shape[0], centers.shape[0]), dtype=np.result_type(pts, centers))
+    step = _block_rows(8 * centers.shape[0] * pts.shape[1])
+    for lo in range(0, pts.shape[0], step):
+        diff = pts[lo:lo + step, None, :] - centers[None, :, :]
+        out[lo:lo + step] = (diff * diff).sum(axis=2)
+    return out
 
 
 @dataclass
@@ -110,17 +133,11 @@ class SparseAffinity:
     alpha: float
     n_centers: int
     center_mass: np.ndarray = field(init=False)      # (N_c,) column sums of Z
-    selectors: list = field(init=False)              # center -> array of video indices
 
     def __post_init__(self):
         mass = np.zeros(self.n_centers)
         np.add.at(mass, self.center_idx.reshape(-1), self.weights.reshape(-1))
         self.center_mass = mass
-        sel = [[] for _ in range(self.n_centers)]
-        for vid in range(self.center_idx.shape[0]):
-            for k in self.center_idx[vid]:
-                sel[k].append(vid)
-        self.selectors = [np.array(s, dtype=np.int64) for s in sel]
 
     @property
     def n(self) -> int:
@@ -129,10 +146,6 @@ class SparseAffinity:
     @property
     def p(self) -> int:
         return self.center_idx.shape[1]
-
-    def weight_of(self, vid: int, center: int) -> float:
-        slot = np.nonzero(self.center_idx[vid] == center)[0]
-        return float(self.weights[vid, slot[0]]) if slot.size else 0.0
 
 
 def default_bandwidth(points: np.ndarray, anchors: AnchorSet, p: int) -> float:
@@ -163,33 +176,51 @@ def build_affinity(points: np.ndarray, anchors: AnchorSet, p: int, alpha: float)
     return SparseAffinity(center_idx=nearest, weights=w, alpha=alpha, n_centers=n_centers)
 
 
+def _adjacency_blocks(z: SparseAffinity, start: int, stop: int):
+    """Yield (first row, values, support) for rows [start, stop) of A.
+
+    values and support are dense (B, N) arrays; B keeps one float64 (B, N)
+    buffer within BLOCK_BYTES. support marks the videos sharing an anchor
+    with the row where both weights are nonzero, so it keeps entries whose
+    product underflowed to 0.0. A centre without positive mass under a
+    nonzero weight of these rows raises DegenerateAnchorError, before any
+    block is computed.
+    """
+    bad = (z.weights[start:stop] != 0.0) & (z.center_mass[z.center_idx[start:stop]] <= 0.0)
+    if bad.any():
+        raise DegenerateAnchorError(int(z.center_idx[start:stop][bad][0]))
+    zd = np.zeros((z.n, z.n_centers))
+    np.put_along_axis(zd, z.center_idx, z.weights, axis=1)
+    zd_t = np.ascontiguousarray(zd.T)
+    nonzero = (zd != 0.0).astype(np.float64)
+    # past the check, a centre without mass is reached only through zero
+    # weights, whose terms are 0 for any finite divisor
+    mass = np.where(z.center_mass > 0.0, z.center_mass, 1.0)
+    step = _block_rows(8 * z.n)
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        k, w = z.center_idx[lo:hi], z.weights[lo:hi]
+        acc = np.zeros((hi - lo, z.n))
+        for s in range(z.p):
+            acc += w[:, s, None] * zd_t[k[:, s]] / mass[k[:, s]][:, None]
+        yield lo, acc, nonzero[lo:hi] @ nonzero.T > 0.0
+
+
 def adjacency_row(i: int, z: SparseAffinity) -> tuple[np.ndarray, np.ndarray]:
     """Row i of A = Z Lambda^-1 Z^T without forming the N x N matrix.
 
     Returns (video indices, values) sorted by index; only videos sharing at
     least one anchor with i appear (others are exactly zero).
     """
-    acc: dict[int, float] = {}
-    for slot in range(z.p):
-        k = int(z.center_idx[i, slot])
-        zik = float(z.weights[i, slot])
-        if zik == 0.0:
-            continue
-        mass = float(z.center_mass[k])
-        if mass <= 0.0:
-            raise DegenerateAnchorError(k)
-        for j in z.selectors[k]:
-            zjk = z.weight_of(int(j), k)
-            if zjk:
-                acc[int(j)] = acc.get(int(j), 0.0) + zik * zjk / mass
-    idx = np.array(sorted(acc), dtype=np.int64)
-    vals = np.array([acc[j] for j in idx], dtype=np.float64)
-    return idx, vals
+    _, acc, support = next(_adjacency_blocks(z, i, i + 1))
+    idx = np.flatnonzero(support[0])
+    return idx, acc[0, idx]
 
 
 @dataclass
 class GaussianThresholds:
-    """Per-row positive/negative cutoffs; rows with support < 2 are isolated."""
+    """Per-row positive/negative cutoffs; a row with support < 2 has none
+    and gets no edges."""
 
     mu: float
     eps: float
@@ -235,25 +266,30 @@ def sign_row(row_idx: np.ndarray, row_vals: np.ndarray, i: int,
 class SignedGraph:
     positives: list      # per video: np.ndarray of +1 neighbors
     negatives: list      # per video: np.ndarray of -1 neighbors
-    isolated: np.ndarray  # video indices excluded from sampling
 
     @property
     def n(self) -> int:
         return len(self.positives)
 
+    @property
+    def isolated(self) -> np.ndarray:
+        """Videos with no positive and no negative edge; sample_pairs never
+        draws them."""
+        return np.flatnonzero([p.size == 0 and q.size == 0
+                               for p, q in zip(self.positives, self.negatives)])
+
 
 def build_signed_graph(z: SparseAffinity, lambda1: float, lambda2: float) -> SignedGraph:
-    positives, negatives, isolated = [], [], []
-    for i in range(z.n):
-        idx, vals = adjacency_row(i, z)
-        th = row_thresholds(idx, vals, i, lambda1, lambda2)
-        if th.isolated:
-            isolated.append(i)
-        pos, neg = sign_row(idx, vals, i, th)
-        positives.append(pos)
-        negatives.append(neg)
-    return SignedGraph(positives=positives, negatives=negatives,
-                       isolated=np.array(isolated, dtype=np.int64))
+    positives, negatives = [], []
+    for lo, acc, support in _adjacency_blocks(z, 0, z.n):
+        for r in range(acc.shape[0]):
+            idx = np.flatnonzero(support[r])
+            vals = acc[r, idx]
+            th = row_thresholds(idx, vals, lo + r, lambda1, lambda2)
+            pos, neg = sign_row(idx, vals, lo + r, th)
+            positives.append(pos)
+            negatives.append(neg)
+    return SignedGraph(positives=positives, negatives=negatives)
 
 
 @dataclass

@@ -186,9 +186,7 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
 
 def load_graph_artifacts(run_dir: Path) -> tuple[SignedGraph, AnchorSet, float]:
     positives, negatives, header = serial.load_graph(run_dir / "graph.bin")
-    iso = np.array([i for i in range(header["n"])
-                    if positives[i].size == 0 and negatives[i].size == 0], dtype=np.int64)
-    graph = SignedGraph(positives=positives, negatives=negatives, isolated=iso)
+    graph = SignedGraph(positives=positives, negatives=negatives)
     blob = serial.load_checkpoint(run_dir / "anchors.ckpt")
     anchors = AnchorSet(centers=blob["centers"],
                         assignments=blob["assignments"].reshape(-1).astype(np.int64),

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dkph import graph
 from dkph.exceptions import DegenerateAnchorError, SamplingError
 from dkph.graph import (
     AnchorSet,
     GaussianThresholds,
     SignedGraph,
+    SparseAffinity,
     adjacency_row,
     build_affinity,
     build_signed_graph,
@@ -42,6 +46,72 @@ def dense_adjacency(z_dense):
 def brute_force_labels(vals, pt, nt, mu):
     """The two-line labeler from the threshold rule, entry by entry."""
     return [1 if v >= pt else (-1 if nt < v < mu else 0) for v in vals]
+
+
+def oracle_adjacency_row(i, z):
+    """Row i of A by the per-entry dict loop (oracle for the block kernel).
+
+    Every video j whose slot holds a nonzero weight on one of i's anchors
+    gets an entry, even when z_ik * z_jk underflows to 0.0.
+    """
+    acc = {}
+    for slot in range(z.p):
+        k = int(z.center_idx[i, slot])
+        zik = float(z.weights[i, slot])
+        if zik == 0.0:
+            continue
+        mass = float(z.center_mass[k])
+        if mass <= 0.0:
+            raise DegenerateAnchorError(k)
+        for j in range(z.n):
+            slots = np.nonzero(z.center_idx[j] == k)[0]
+            zjk = float(z.weights[j, slots[0]]) if slots.size else 0.0
+            if zjk:
+                acc[j] = acc.get(j, 0.0) + zik * zjk / mass
+    idx = np.array(sorted(acc), dtype=np.int64)
+    return idx, np.array([acc[j] for j in idx], dtype=np.float64)
+
+
+def oracle_signed_row(idx, vals, i, lambda1, lambda2):
+    """Thresholds over the nonzero off-diagonal entries, then the sign rule
+    over every off-diagonal entry of the row (oracle)."""
+    keep = (idx != i) & (vals != 0.0)
+    support = vals[keep]
+    if support.size < 2:
+        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    mu, eps = float(support.mean()), float(support.std())
+    pt, nt = mu + lambda1 * eps, mu - lambda2 * eps
+    off = idx != i
+    idx, vals = idx[off], vals[off]
+    return idx[vals >= pt], idx[(nt < vals) & (vals < mu)]
+
+
+def oracle_signed_graph(z, lambda1, lambda2):
+    """(positives, negatives, rows without edges) row by row (oracle)."""
+    positives, negatives = [], []
+    for i in range(z.n):
+        idx, vals = oracle_adjacency_row(i, z)
+        pos, neg = oracle_signed_row(idx, vals, i, lambda1, lambda2)
+        positives.append(pos)
+        negatives.append(neg)
+    isolated = [i for i in range(z.n) if positives[i].size == 0 and negatives[i].size == 0]
+    return positives, negatives, isolated
+
+
+def assert_graph_matches_oracle(z, lambda1, lambda2):
+    """build_signed_graph and adjacency_row agree exactly with the oracles."""
+    want_pos, want_neg, want_iso = oracle_signed_graph(z, lambda1, lambda2)
+    g = build_signed_graph(z, lambda1, lambda2)
+    assert g.n == z.n
+    for i in range(z.n):
+        np.testing.assert_array_equal(g.positives[i], want_pos[i])
+        np.testing.assert_array_equal(g.negatives[i], want_neg[i])
+        idx, vals = adjacency_row(i, z)
+        want_idx, want_vals = oracle_adjacency_row(i, z)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(vals, want_vals)
+    assert g.isolated.tolist() == want_iso
+    return g
 
 
 class TestKmeans:
@@ -81,6 +151,14 @@ class TestKmeans:
             out = kmeans(pts, 6, seed=6, max_iters=iters)
             assert out.inertia <= prev + 1e-12
             prev = out.inertia
+
+    def test_blocked_sq_dists_equal_plain_broadcast(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        pts, centers = rng.normal(size=(37, 11)), rng.normal(size=(5, 11))
+        diff = pts[:, None, :] - centers[None, :, :]
+        plain = (diff * diff).sum(axis=2)
+        monkeypatch.setattr(graph, "BLOCK_BYTES", 8 * 5 * 11 * 4)  # 4 rows, 37 = 9*4 + 1
+        np.testing.assert_array_equal(graph._sq_dists(pts, centers), plain)
 
     def test_deterministic_under_seed(self):
         pts = np.random.default_rng(7).normal(size=(40, 3))
@@ -272,7 +350,6 @@ class TestSampler:
         return SignedGraph(
             positives=[np.array([1, 2]), np.array([0]), np.array([0, 3]), np.array([2])],
             negatives=[np.array([3]), np.array([3]), np.array([1]), np.array([0, 1])],
-            isolated=np.array([], dtype=np.int64),
         )
 
     def test_deterministic_sequence_under_seed(self):
@@ -297,7 +374,6 @@ class TestSampler:
         g = SignedGraph(
             positives=[np.array([1]), np.array([0])],
             negatives=[np.array([], dtype=np.int64), np.array([], dtype=np.int64)],
-            isolated=np.array([], dtype=np.int64),
         )
         with caplog.at_level(logging.WARNING, logger="dkph.graph"):
             pairs = sample_pairs(g, [0, 1], count=50, seed=8)
@@ -308,7 +384,6 @@ class TestSampler:
         g = SignedGraph(
             positives=[np.array([], dtype=np.int64)],
             negatives=[np.array([], dtype=np.int64)],
-            isolated=np.array([0]),
         )
         with pytest.raises(SamplingError):
             sample_pairs(g, [0], count=1, seed=9)
@@ -334,3 +409,83 @@ class TestBuildSignedGraph:
             np.testing.assert_array_equal(g.positives[i], pos)
             np.testing.assert_array_equal(g.negatives[i], neg)
             assert i not in g.positives[i] and i not in g.negatives[i]
+
+
+def random_affinity(n, nc, p, seed, alpha_scale=1.0):
+    pts = np.random.default_rng(seed).normal(size=(n, 3))
+    anchors = kmeans(pts, nc, seed=seed)
+    alpha = default_bandwidth(pts, anchors, p) or 1.0  # 0 when every point is a centre
+    return build_affinity(pts, anchors, p=p, alpha=alpha * alpha_scale)
+
+
+@st.composite
+def affinities(draw):
+    n = draw(st.integers(2, 30))
+    nc = draw(st.integers(1, min(n, 6)))
+    p = draw(st.integers(1, nc))
+    seed = draw(st.integers(0, 2**16))
+    # 2e-3 and 1e-3 push some weights below 1e-154, where products underflow
+    scale = draw(st.sampled_from([1.0, 0.3, 0.01, 2e-3, 1e-3]))
+    return random_affinity(n, nc, p, seed, scale)
+
+
+class TestBlockKernelAgainstOracle:
+    @given(affinities(), st.integers(1, 31), st.sampled_from([(2.0, 1.0), (0.5, 0.5), (0.0, 3.0)]))
+    @settings(max_examples=80, deadline=None)
+    def test_edges_and_isolated_rows_equal_oracle(self, z, block_rows, lambdas):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "BLOCK_BYTES", 8 * z.n * block_rows)
+            assert_graph_matches_oracle(z, *lambdas)
+
+    def test_several_blocks_with_ragged_last_block(self, monkeypatch):
+        z = random_affinity(23, 5, 3, seed=4)
+        monkeypatch.setattr(graph, "BLOCK_BYTES", 8 * 23 * 5)
+        starts = [lo for lo, _, _ in graph._adjacency_blocks(z, 0, z.n)]
+        assert starts == [0, 5, 10, 15, 20]  # last block holds 3 rows
+        assert_graph_matches_oracle(z, 2.0, 1.0)
+
+    def test_underflowed_products_stay_in_support(self):
+        # this bandwidth leaves weights below 1e-154: a pair sharing only
+        # such anchors has A_ij == 0.0 exactly, yet it is support and labelled
+        z = random_affinity(30, 6, 3, seed=0, alpha_scale=2e-3)
+        assert np.all(z.weights != 0.0)
+        zero_negatives = 0
+        for i in range(z.n):
+            idx, vals = oracle_adjacency_row(i, z)
+            _, neg = oracle_signed_row(idx, vals, i, 2.0, 1.0)
+            zero_negatives += np.isin(neg, idx[vals == 0.0]).sum()
+        assert zero_negatives > 0
+        assert_graph_matches_oracle(z, 2.0, 1.0)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_constant_rows_label_every_neighbour_positive(self, p):
+        n = 8  # every entry is exactly 1/8, so the mean is too
+        z = SparseAffinity(center_idx=np.tile(np.arange(p), (n, 1)),
+                           weights=np.full((n, p), 1.0 / p), alpha=1.0, n_centers=p)
+        g = assert_graph_matches_oracle(z, 2.0, 1.0)
+        for i in range(n):
+            assert g.positives[i].tolist() == [j for j in range(n) if j != i]
+            assert g.negatives[i].size == 0
+
+    @given(affinities(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_zero_mass_centre_matches_oracle(self, z, data):
+        row = data.draw(st.integers(0, z.n - 1))
+        slot = data.draw(st.integers(0, z.p - 1))
+        z.center_mass[z.center_idx[row, slot]] = 0.0
+        try:
+            oracle_signed_graph(z, 2.0, 1.0)
+        except DegenerateAnchorError as err:
+            with pytest.raises(DegenerateAnchorError) as exc:
+                build_signed_graph(z, 2.0, 1.0)
+            assert exc.value.center == err.center
+        else:
+            assert_graph_matches_oracle(z, 2.0, 1.0)
+
+    def test_zero_mass_centre_raises_from_build_naming_the_centre(self):
+        z = random_affinity(12, 4, 2, seed=5)
+        bad = int(z.center_idx[7, 1])
+        z.center_mass[bad] = 0.0
+        with pytest.raises(DegenerateAnchorError) as exc:
+            build_signed_graph(z, 2.0, 1.0)
+        assert exc.value.center == bad

@@ -178,7 +178,7 @@ def two_class_setup(seed=0):
     evens, odds = [0, 2, 4], [1, 3, 5]
     pos = [np.array([v for v in (evens if i % 2 == 0 else odds) if v != i]) for i in range(6)]
     neg = [np.array(odds if i % 2 == 0 else evens) for i in range(6)]
-    graph = SignedGraph(positives=pos, negatives=neg, isolated=np.array([], dtype=np.int64))
+    graph = SignedGraph(positives=pos, negatives=neg)
     centers = np.stack([np.zeros(8), np.ones(8)])
     anchor_of = lambda v: centers[v % 2]
     return feats, graph, anchor_of
