@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serial
-from .codes import pack_bits
+from .codes import pack_bits, unpack_bits
 from .config import RunConfig
 from .encoder import blocks, encode_forward
 from .exceptions import PipelineError
@@ -47,7 +47,7 @@ from .student import (
     train_student,
     write_training_log,
 )
-from .synth import generate_synthetic, load_dataset_splits
+from .synth import generate_synthetic, load_dataset_splits, load_split_labels
 from .teacher import TeacherParams, teacher_forward, train_teacher
 
 MAP_KS = (5, 20, 60, 100)
@@ -234,23 +234,28 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int) -> None:
                [f"query_{bits}.codes", f"database_{bits}.codes"], fn)
 
 
-def evaluate_codes(run_dir: Path, bits: int) -> dict:
-    splits = load_dataset_splits(run_dir / "data")
+def _map_scores(run_dir: Path, tag: str, bits: int, splits) -> tuple[dict, np.ndarray, CodeIndex]:
+    """mAP@k for each of MAP_KS that the database holds, of query_<tag>.codes
+    against database_<tag>.codes; also the query bits and the index.
+
+    ``splits`` maps "query" and "database" to objects with labels and ids.
+    """
     query, db = splits["query"], splits["database"]
-    q_packed, _ = serial.load_codes(run_dir / f"query_{bits}.codes")
-    d_packed, _ = serial.load_codes(run_dir / f"database_{bits}.codes")
+    q_packed, _ = serial.load_codes(run_dir / f"query_{tag}.codes")
+    d_packed, _ = serial.load_codes(run_dir / f"database_{tag}.codes")
     idx = CodeIndex(packed=d_packed, ids=db.ids, k=bits, labels=db.labels)
-
-    from .codes import unpack_bits
-
     q_bits = unpack_bits(q_packed, bits)
-    metrics: dict = {"bits": bits, "map": {}}
-    for k in MAP_KS:
-        if k <= idx.n:
-            score = map_at_k(q_bits, query.labels, idx, k=k, query_ids=query.ids)
-            metrics["map"][str(k)] = score.value
-    metrics["pr"] = pr_curve(q_bits, query.labels, idx, query_ids=query.ids)
-    return metrics
+    maps = {str(k): map_at_k(q_bits, query.labels, idx, k=k, query_ids=query.ids).value
+            for k in MAP_KS if k <= idx.n}
+    return maps, q_bits, idx
+
+
+def evaluate_codes(run_dir: Path, bits: int) -> dict:
+    splits = load_split_labels(run_dir / "data")
+    maps, q_bits, idx = _map_scores(run_dir, str(bits), bits, splits)
+    query = splits["query"]
+    return {"bits": bits, "map": maps,
+            "pr": pr_curve(q_bits, query.labels, idx, query_ids=query.ids)}
 
 
 def stage_eval(cfg: RunConfig, run_dir: Path, bits: int) -> None:
@@ -372,18 +377,7 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
         _run_stage(run_dir, stage, cfg,
                    [f"{stage}.ckpt", f"query_{stage}.codes", f"database_{stage}.codes"], fn)
 
-        q_packed, _ = serial.load_codes(run_dir / f"query_{stage}.codes")
-        d_packed, _ = serial.load_codes(run_dir / f"database_{stage}.codes")
-        idx = CodeIndex(packed=d_packed, ids=splits["database"].ids, k=bits,
-                        labels=splits["database"].labels)
-        from .codes import unpack_bits
-
-        q_bits = unpack_bits(q_packed, bits)
-        results["map"][variant] = {
-            str(k): map_at_k(q_bits, splits["query"].labels, idx, k=k,
-                             query_ids=splits["query"].ids).value
-            for k in MAP_KS if k <= idx.n
-        }
+        results["map"][variant] = _map_scores(run_dir, stage, bits, splits)[0]
 
     # information decomposition on the trained full model, database split
     full = StudentParams.from_dict(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"))

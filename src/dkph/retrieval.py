@@ -1,8 +1,19 @@
 """Packed-bit Hamming index and the retrieval evaluation suite.
 
-Codes live as packed bytes; distance is a table-driven population count
-over XORed rows. Ranking ties (equal distance) break toward the lower id
-so every ranked list is deterministic.
+Codes live as packed bytes (``codes.pack_bits``). For distances the packed
+rows are viewed as zero-padded uint64 words, and the Hamming distance of
+two rows is the sum of ``np.bitwise_count`` over their XORed words; pad
+bits are zero in both operands, so they never count.
+
+``map_at_k`` and ``pr_curve`` pack their queries once and compute one
+(queries x database) distance matrix per call, in blocks of query rows
+sized so that one (B, n_db) int64 buffer fits BLOCK_BYTES; everything else
+derives from it. Results are ranked by the single int64 key
+``distance * n + rank_of_id``, where ``rank_of_id`` is an item's position in
+ascending id order: keys are unique, so ties (equal distance) break toward
+the lower id and every ranked list is deterministic without a stable sort.
+mAP@k takes an argpartition top-k and sorts only those k items; the PR
+sweep ranks nothing and reads per-query histograms of distance 0..K.
 
 Evaluation conventions:
   * AP@k divides by min(R, k), where R is the number of relevant items in
@@ -17,27 +28,42 @@ Evaluation conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import BinaryCode, pack_bits, require_same_length, unpack_bits
+from .codes import BinaryCode, pack_bits, require_same_length
 from .exceptions import ShapeError
 from . import serial
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+# Byte budget of one (B, n_db) int64 work buffer of a block of query rows.
+BLOCK_BYTES = 1 << 20
+
+
+def _as_words(packed: np.ndarray) -> np.ndarray:
+    """Packed uint8 rows as zero-padded uint64 words, (n, ceil(bytes / 8))."""
+    n, n_bytes = packed.shape
+    padded = np.zeros((n, -(-n_bytes // 8) * 8), dtype=np.uint8)
+    padded[:, :n_bytes] = packed
+    return padded.view(np.uint64)
 
 
 def hamming(a: BinaryCode, b: BinaryCode) -> int:
     """Number of differing bits, computed on the packed bytes."""
     require_same_length(a, b)
-    return int(_POPCOUNT[np.bitwise_xor(a.packed, b.packed)].sum())
+    return int(np.bitwise_count(np.bitwise_xor(a.packed, b.packed)).sum())
 
 
-def packed_distances(packed_db: np.ndarray, packed_q: np.ndarray) -> np.ndarray:
-    """Hamming distances of one packed query row against all db rows."""
-    xor = np.bitwise_xor(packed_db, packed_q[None, :])
-    return _POPCOUNT[xor].sum(axis=1).astype(np.int64)
+def packed_distances(db_words: np.ndarray, q_words: np.ndarray) -> np.ndarray:
+    """(nq, n_db) int64 Hamming distances between rows of uint64 words."""
+    dist = np.bitwise_xor.outer(q_words[:, 0], db_words[:, 0])
+    np.bitwise_count(dist, out=dist)
+    if db_words.shape[1] > 1:
+        word = np.empty_like(dist)
+        for w in range(1, db_words.shape[1]):
+            np.bitwise_xor.outer(q_words[:, w], db_words[:, w], out=word)
+            dist += np.bitwise_count(word, out=word)
+    return dist.view(np.int64)
 
 
 @dataclass
@@ -48,22 +74,45 @@ class CodeIndex:
     ids: np.ndarray               # (n,) int64
     k: int
     labels: np.ndarray | None = None  # (n,) semantic labels, optional
+    # derived once: the packed rows as uint64 words; each row's position in
+    # ascending id order (the tie-breaking part of the ranking key); the rows
+    # in that order and their ids (to find a row by id)
+    words: np.ndarray = field(init=False, repr=False)
+    rank_of_id: np.ndarray = field(init=False, repr=False)
+    _id_order: np.ndarray = field(init=False, repr=False)
+    _sorted_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.packed = np.asarray(self.packed, dtype=np.uint8)
         self.ids = np.asarray(self.ids, dtype=np.int64)
+        if self.packed.ndim != 2 or self.packed.shape[1] != (self.k + 7) // 8:
+            raise ShapeError(f"{self.k}-bit codes pack into {(self.k + 7) // 8} bytes "
+                             f"per row, got rows of shape {self.packed.shape}")
         if self.packed.shape[0] != self.ids.size:
             raise ShapeError("ids and code rows differ in count")
-        if np.unique(self.ids).size != self.ids.size:
+        self._id_order = np.argsort(self.ids)
+        self._sorted_ids = self.ids[self._id_order]
+        if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
             raise ValueError("ids must be unique")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.size != self.ids.size:
                 raise ShapeError("labels and ids differ in count")
+        self.rank_of_id = np.empty(self.n, dtype=np.int64)
+        self.rank_of_id[self._id_order] = np.arange(self.n)
+        self.words = _as_words(self.packed)
 
     @property
     def n(self) -> int:
         return self.ids.size
+
+    def _rows_of(self, ids) -> np.ndarray:
+        """Database row of each id, or -1 where the id is not in the index."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if self.n == 0:
+            return np.full(ids.shape, -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self._sorted_ids, ids), self.n - 1)
+        return np.where(self._sorted_ids[at] == ids, self._id_order[at], -1)
 
     @classmethod
     def from_bits(cls, bits: np.ndarray, ids=None, labels=None) -> "CodeIndex":
@@ -95,26 +144,35 @@ class RankedList:
     distances: np.ndarray
 
 
-def _rank_all(idx: CodeIndex, query: BinaryCode, exclude_id=None):
-    if query.k != idx.k:
-        raise ShapeError(f"query has {query.k} bits, index has {idx.k}")
-    dists = packed_distances(idx.packed, query.packed)
-    ids = idx.ids
-    labels = idx.labels
-    if exclude_id is not None:
-        keep = ids != exclude_id
-        dists, ids = dists[keep], ids[keep]
-        labels = labels[keep] if labels is not None else None
-    order = np.lexsort((ids, dists))
-    return ids[order], dists[order], (labels[order] if labels is not None else None)
+def _ranked(key: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest keys of each row, in ascending key order."""
+    if k >= key.shape[1]:
+        return np.argsort(key, axis=1)
+    top = np.argpartition(key, k - 1, axis=1)[:, :k]
+    rows = np.arange(key.shape[0])[:, None]
+    return top[rows, np.argsort(key[rows, top], axis=1)]
 
 
 def query_topk(idx: CodeIndex, query: BinaryCode, k: int, exclude_id=None) -> RankedList:
     """The k nearest codes; raises if k exceeds the (post-exclusion) size."""
-    ids, dists, _ = _rank_all(idx, query, exclude_id)
-    if k > ids.size:
-        raise ValueError(f"k={k} exceeds database size {ids.size}")
-    return RankedList(ids=ids[:k], distances=dists[:k])
+    if query.k != idx.k:
+        raise ShapeError(f"query has {query.k} bits, index has {idx.k}")
+    dist = packed_distances(idx.words, _as_words(query.packed[None, :]))[0]
+    size = idx.n
+    if exclude_id is not None:
+        own = idx.ids == exclude_id
+        dist[own] = idx.k + 1   # past every real key, so never among the k
+        size -= np.count_nonzero(own)
+    if not 0 <= k <= size:
+        raise ValueError(f"k={k} outside 0..{size}, the database size after exclusion")
+    key = dist * idx.n
+    key += idx.rank_of_id
+    if k < idx.n:
+        top = np.argpartition(key, k - 1)[:k]
+        top = top[np.argsort(key[top])]
+    else:
+        top = np.argsort(key)
+    return RankedList(ids=idx.ids[top], distances=dist[top])
 
 
 @dataclass
@@ -124,6 +182,55 @@ class MapScore:
     skipped: int   # queries with zero relevant items
 
 
+def _queries(query_bits, query_labels, query_ids, idx: CodeIndex, exclude_self: bool):
+    """Checked query set: (packed words, labels, own database row or -1)."""
+    if idx.labels is None:
+        raise ValueError("index has no labels")
+    query_bits = np.asarray(query_bits)
+    if query_bits.ndim != 2 or query_bits.shape[0] == 0:
+        raise ShapeError(f"query_bits must be a nonempty (nq, K) array, "
+                         f"got shape {query_bits.shape}")
+    nq, k = query_bits.shape
+    if k != idx.k:
+        raise ShapeError(f"query has {k} bits, index has {idx.k}")
+    query_labels = np.asarray(query_labels)
+    if query_labels.shape != (nq,):
+        raise ShapeError(f"query_labels has shape {query_labels.shape}, "
+                         f"expected one label per query ({nq},)")
+    own = np.full(nq, -1, dtype=np.int64)
+    if query_ids is not None:
+        query_ids = np.asarray(query_ids)
+        if query_ids.shape != (nq,):
+            raise ShapeError(f"query_ids has shape {query_ids.shape}, "
+                             f"expected one id per query ({nq},)")
+        if exclude_self:
+            own = idx._rows_of(query_ids)
+    return _as_words(pack_bits(query_bits)), query_labels, own
+
+
+def _live_blocks(idx: CodeIndex, q_words, q_labels, own):
+    """The queries with at least one relevant item, per block of query rows:
+    (distances, relevance, relevant counts, own-row mask, skipped count).
+
+    A query's own database row gets distance K + 1, past every real one, and
+    is not relevant.
+    """
+    step = max(1, BLOCK_BYTES // (8 * max(1, idx.n)))
+    for start in range(0, q_words.shape[0], step):
+        rows = slice(start, start + step)
+        dist = packed_distances(idx.words, q_words[rows])
+        rel = q_labels[rows, None] == idx.labels[None, :]
+        has_own = own[rows] >= 0
+        r = np.flatnonzero(has_own)
+        dist[r, own[rows][r]] = idx.k + 1
+        rel[r, own[rows][r]] = False
+        r_total = np.count_nonzero(rel, axis=1)
+        live = r_total > 0
+        if not live.all():
+            dist, rel, r_total, has_own = dist[live], rel[live], r_total[live], has_own[live]
+        yield dist, rel, r_total, has_own, live.size - r_total.size
+
+
 def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,
              query_ids=None, exclude_self: bool = True) -> MapScore:
     """Mean average precision over the top-k ranked results.
@@ -131,33 +238,32 @@ def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,
     query_bits: (nq, K) over {-1,+1}; query_ids enables self-exclusion when
     the query set overlaps the database.
     """
-    if idx.labels is None:
-        raise ValueError("index has no labels")
-    query_bits = np.asarray(query_bits)
-    if query_bits.ndim != 2 or query_bits.shape[0] == 0:
-        raise ValueError("need a nonempty (nq, K) query array")
-    query_labels = np.asarray(query_labels)
-    ap_sum = 0.0
-    evaluated = 0
+    q_words, q_labels, own = _queries(query_bits, query_labels, query_ids, idx, exclude_self)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    aps = []
     skipped = 0
-    for qi in range(query_bits.shape[0]):
-        code = BinaryCode(query_bits[qi].astype(np.int8))
-        exclude = query_ids[qi] if (exclude_self and query_ids is not None) else None
-        _, _, labels = _rank_all(idx, code, exclude)
-        rel = labels == query_labels[qi]
-        r_total = int(rel.sum())
-        if r_total == 0:
-            skipped += 1
+    for key, rel, r_total, has_own, n_skipped in _live_blocks(idx, q_words, q_labels, own):
+        skipped += n_skipped
+        if not r_total.size:
             continue
-        top = rel[:k]
-        hits = np.cumsum(top)
-        precision_at = hits / np.arange(1, top.size + 1)
-        ap = float((precision_at * top).sum()) / min(r_total, k)
-        ap_sum += ap
-        evaluated += 1
-    if evaluated == 0:
+        key *= idx.n
+        key += idx.rank_of_id
+        top = _ranked(key, k)
+        hit = rel[np.arange(top.shape[0])[:, None], top]
+        terms = np.cumsum(hit, axis=1) / np.arange(1, top.shape[1] + 1) * hit
+        sums = terms.sum(axis=1)
+        if top.shape[1] == idx.n:
+            # an excluded own row ranks last: sum the n - 1 real items only,
+            # which is the summation order of a list without it
+            sums[has_own] = terms[has_own, :-1].sum(axis=1)
+        aps.append(sums / np.minimum(r_total, k))
+    if not aps:
         raise ValueError("no evaluable queries (all had zero relevant items)")
-    return MapScore(value=ap_sum / evaluated, evaluated=evaluated, skipped=skipped)
+    aps = np.concatenate(aps)
+    # a running total in query order
+    return MapScore(value=float(np.cumsum(aps)[-1]) / aps.size, evaluated=aps.size,
+                    skipped=skipped)
 
 
 def pr_curve(query_bits: np.ndarray, query_labels, idx: CodeIndex,
@@ -168,31 +274,25 @@ def pr_curve(query_bits: np.ndarray, query_labels, idx: CodeIndex,
     precision averages over queries that retrieved something at radius r.
     Radii where no query retrieves anything yield no point.
     """
-    if idx.labels is None:
-        raise ValueError("index has no labels")
-    query_bits = np.asarray(query_bits)
-    query_labels = np.asarray(query_labels)
-
-    per_query = []
-    for qi in range(query_bits.shape[0]):
-        code = BinaryCode(query_bits[qi].astype(np.int8))
-        exclude = query_ids[qi] if (exclude_self and query_ids is not None) else None
-        _, dists, labels = _rank_all(idx, code, exclude)
-        rel = labels == query_labels[qi]
-        if rel.sum() == 0:
-            continue
-        per_query.append((dists, rel))
-
+    q_words, q_labels, own = _queries(query_bits, query_labels, query_ids, idx, exclude_self)
+    bins = idx.k + 2   # distances 0..K, then K + 1 for excluded own rows
+    retrieved, hits, totals = [], [], []
+    for dist, rel, r_total, _, _ in _live_blocks(idx, q_words, q_labels, own):
+        dist += np.arange(r_total.size)[:, None] * bins   # one histogram per query
+        size = r_total.size * bins
+        n_ret = np.bincount(dist.ravel(), minlength=size).reshape(-1, bins)
+        n_hit = np.bincount(dist[rel], minlength=size).reshape(-1, bins)
+        retrieved.append(np.cumsum(n_ret[:, :-1], axis=1))
+        hits.append(np.cumsum(n_hit[:, :-1], axis=1))
+        totals.append(r_total)
+    # (radius, query) rows, so that each radius averages one contiguous row
+    n_ret = np.ascontiguousarray(np.concatenate(retrieved).T)
+    n_hit = np.ascontiguousarray(np.concatenate(hits).T)
+    recall = n_hit / np.concatenate(totals)
     points: list[tuple[float, float]] = []
     for radius in range(idx.k + 1):
-        recalls, precisions = [], []
-        for dists, rel in per_query:
-            retrieved = dists <= radius
-            n_ret = int(retrieved.sum())
-            n_hit = int((retrieved & rel).sum())
-            recalls.append(n_hit / int(rel.sum()))
-            if n_ret > 0:
-                precisions.append(n_hit / n_ret)
-        if precisions:
-            points.append((float(np.mean(recalls)), float(np.mean(precisions))))
+        got = n_ret[radius] > 0
+        if got.any():
+            precision = n_hit[radius][got] / n_ret[radius][got]
+            points.append((float(np.mean(recall[radius])), float(np.mean(precision))))
     return points

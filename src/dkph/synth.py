@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,4 +147,21 @@ def load_dataset_splits(data_dir) -> dict[str, Split]:
         split = load_split(data_dir, name, id_offset=offset)
         offset += split.ids.size
         out[name] = split
+    return out
+
+
+class SplitLabels(NamedTuple):
+    labels: np.ndarray    # (n,) class ids
+    ids: np.ndarray       # (n,) global video ids
+
+
+def load_split_labels(data_dir) -> dict[str, SplitLabels]:
+    """Labels and global ids of all three splits from the label files alone
+    (no features), numbered as load_dataset_splits numbers them."""
+    out: dict[str, SplitLabels] = {}
+    offset = 0
+    for name in ("train", "query", "database"):
+        labels = serial.load_labels(Path(data_dir) / f"{name}.labels")
+        out[name] = SplitLabels(labels, np.arange(offset, offset + labels.size))
+        offset += labels.size
     return out

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dkph import encoder, pipeline
+from dkph import encoder, pipeline, serial, synth
 from dkph.codes import pack_bits
 from dkph.config import RunConfig
 from dkph.encoder import EncoderConfig
@@ -49,6 +49,27 @@ def test_rerun_reproduces_report_and_executes_no_stage(tiny_run):
     assert {s: m["wall_time_s"] for s, m in after.items()} == \
         {s: m["wall_time_s"] for s, m in before.items()}
     assert after == before
+
+
+def test_split_labels_number_ids_like_the_full_splits(tiny_run):
+    _, _, first = tiny_run
+    full = synth.load_dataset_splits(first.run_dir / "data")
+    labels = synth.load_split_labels(first.run_dir / "data")
+    assert list(labels) == list(full) == ["train", "query", "database"]
+    for name, split in full.items():
+        np.testing.assert_array_equal(labels[name].labels, split.labels)
+        np.testing.assert_array_equal(labels[name].ids, split.ids)
+
+
+def test_evaluate_codes_reads_no_features(tiny_run, monkeypatch):
+    _, _, first = tiny_run
+    def no_features(path):
+        raise AssertionError(f"evaluate_codes loaded {path}")
+
+    monkeypatch.setattr(serial, "load_features", no_features)
+    metrics = pipeline.evaluate_codes(first.run_dir, 16)
+    assert json.dumps(metrics, sort_keys=True) + "\n" == \
+        (first.run_dir / "metrics_16.json").read_text()
 
 
 def test_meta_records_carry_the_code_version(tiny_run):

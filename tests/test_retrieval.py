@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkph.codes import BinaryCode
+from dkph import retrieval
+from dkph.codes import BinaryCode, pack_bits
 from dkph.exceptions import ShapeError
-from dkph.retrieval import CodeIndex, hamming, map_at_k, pr_curve, query_topk
+from dkph.retrieval import CodeIndex, MapScore, hamming, map_at_k, pr_curve, query_topk
 
 
 def random_bits(rng, n, k):
@@ -279,3 +280,193 @@ class TestPrCurve:
                     pairs.append((dists, rel))
             want = self.oracle_points(pairs, 10)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+# -- straight-line oracles: the per-query ranking loop the evaluation used
+# before it computed one distance matrix per call -----------------------------
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def oracle_rank_all(idx, query_row, exclude_id=None):
+    """Byte-table popcounts of one query against every database row, the
+    row sharing the query's id dropped, then a stable (distance, id) sort."""
+    packed_q = pack_bits(np.asarray(query_row).astype(np.int8))
+    dists = _POPCOUNT[np.bitwise_xor(idx.packed, packed_q[None, :])].sum(axis=1).astype(np.int64)
+    ids = idx.ids
+    labels = idx.labels
+    if exclude_id is not None:
+        keep = ids != exclude_id
+        dists, ids = dists[keep], ids[keep]
+        labels = labels[keep] if labels is not None else None
+    order = np.lexsort((ids, dists))
+    return ids[order], dists[order], (labels[order] if labels is not None else None)
+
+
+def oracle_map_at_k(query_bits, query_labels, idx, k, query_ids=None, exclude_self=True):
+    ap_sum = 0.0
+    evaluated = 0
+    skipped = 0
+    for qi in range(query_bits.shape[0]):
+        exclude = query_ids[qi] if (exclude_self and query_ids is not None) else None
+        _, _, labels = oracle_rank_all(idx, query_bits[qi], exclude)
+        rel = labels == query_labels[qi]
+        r_total = int(rel.sum())
+        if r_total == 0:
+            skipped += 1
+            continue
+        top = rel[:k]
+        hits = np.cumsum(top)
+        precision_at = hits / np.arange(1, top.size + 1)
+        ap = float((precision_at * top).sum()) / min(r_total, k)
+        ap_sum += ap
+        evaluated += 1
+    if evaluated == 0:
+        return None
+    return MapScore(value=ap_sum / evaluated, evaluated=evaluated, skipped=skipped)
+
+
+def oracle_pr_curve(query_bits, query_labels, idx, query_ids=None, exclude_self=True):
+    per_query = []
+    for qi in range(query_bits.shape[0]):
+        exclude = query_ids[qi] if (exclude_self and query_ids is not None) else None
+        _, dists, labels = oracle_rank_all(idx, query_bits[qi], exclude)
+        rel = labels == query_labels[qi]
+        if rel.sum() == 0:
+            continue
+        per_query.append((dists, rel))
+    points = []
+    for radius in range(idx.k + 1):
+        recalls, precisions = [], []
+        for dists, rel in per_query:
+            retrieved = dists <= radius
+            n_ret = int(retrieved.sum())
+            n_hit = int((retrieved & rel).sum())
+            recalls.append(n_hit / int(rel.sum()))
+            if n_ret > 0:
+                precisions.append(n_hit / n_ret)
+        if precisions:
+            points.append((float(np.mean(recalls)), float(np.mean(precisions))))
+    return points
+
+
+WIDTHS = (1, 7, 8, 13, 63, 64, 65, 130)
+
+
+def oracle_case(rng, k_bits, n, nq, n_classes, all_equal):
+    """Database with shuffled, non-contiguous (partly negative) ids; about half
+    the queries are database members (same id, code and label), the rest are
+    fresh codes whose labels may match no database item."""
+    if all_equal:
+        bits = np.tile(random_bits(rng, 1, k_bits), (n, 1))
+    else:
+        bits = random_bits(rng, n, k_bits)
+    ids = rng.permutation(20 * n)[:n] * 3 - 10 * n
+    labels = rng.integers(0, n_classes, n)
+    idx = CodeIndex.from_bits(bits, ids=ids, labels=labels)
+    members = rng.random(nq) < 0.5
+    rows = rng.integers(0, n, nq)
+    fresh = np.tile(bits[:1], (nq, 1)) if all_equal else random_bits(rng, nq, k_bits)
+    q_bits = np.where(members[:, None], bits[rows], fresh)
+    q_labels = np.where(members, labels[rows], rng.integers(0, n_classes + 1, nq))
+    q_ids = np.where(members, ids[rows], 10**6 + np.arange(nq))
+    return idx, q_bits, q_labels, q_ids
+
+
+class TestAgainstOracle:
+    @given(st.sampled_from(WIDTHS), st.integers(1, 30), st.integers(1, 17),
+           st.integers(1, 4), st.booleans(), st.booleans(), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_map_pr_and_topk_match_oracle(self, k_bits, n, nq, n_classes, all_equal,
+                                          exclude_self, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        idx, q_bits, q_labels, q_ids = oracle_case(rng, k_bits, n, nq, n_classes, all_equal)
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of block_rows queries; the last one is ragged unless it divides nq
+            mp.setattr(retrieval, "BLOCK_BYTES", block_rows * 8 * n)
+            for k in sorted({1, 2, 5, max(1, n - 1), n, n + 1, n + 7}):
+                want = oracle_map_at_k(q_bits, q_labels, idx, k, q_ids, exclude_self)
+                if want is None:
+                    with pytest.raises(ValueError, match="no evaluable queries"):
+                        map_at_k(q_bits, q_labels, idx, k, q_ids, exclude_self)
+                    continue
+                got = map_at_k(q_bits, q_labels, idx, k, q_ids, exclude_self)
+                assert (got.value, got.evaluated, got.skipped) == \
+                    (want.value, want.evaluated, want.skipped)
+            assert pr_curve(q_bits, q_labels, idx, q_ids, exclude_self) == \
+                oracle_pr_curve(q_bits, q_labels, idx, q_ids, exclude_self)
+
+        for qi in range(nq):
+            exclude = q_ids[qi] if exclude_self else None
+            ids, dists, _ = oracle_rank_all(idx, q_bits[qi], exclude)
+            code = BinaryCode(q_bits[qi])
+            for k in sorted({0, min(1, ids.size), ids.size // 2, ids.size}):
+                got = query_topk(idx, code, k, exclude_id=exclude)
+                assert got.ids.tolist() == ids[:k].tolist()
+                assert got.distances.tolist() == dists[:k].tolist()
+            with pytest.raises(ValueError):
+                query_topk(idx, code, ids.size + 1, exclude_id=exclude)
+
+    def test_ragged_query_blocks_one_distance_matrix_each(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        idx, q_bits, q_labels, q_ids = oracle_case(rng, 65, 30, 23, 3, False)
+        monkeypatch.setattr(retrieval, "BLOCK_BYTES", 5 * 8 * idx.n)  # 5, 5, 5, 5, 3
+        calls = []
+        kernel = retrieval.packed_distances
+        monkeypatch.setattr(retrieval, "packed_distances",
+                            lambda db, q: calls.append(q.shape[0]) or kernel(db, q))
+        for k in (1, 5, 29, 30, 31):
+            got = map_at_k(q_bits, q_labels, idx, k, q_ids)
+            want = oracle_map_at_k(q_bits, q_labels, idx, k, q_ids)
+            assert (got.value, got.evaluated, got.skipped) == \
+                (want.value, want.evaluated, want.skipped)
+        assert pr_curve(q_bits, q_labels, idx, q_ids) == \
+            oracle_pr_curve(q_bits, q_labels, idx, q_ids)
+        assert calls == [5, 5, 5, 5, 3] * 6
+
+    @pytest.mark.parametrize("k_bits", WIDTHS)
+    def test_packed_distances_matrix(self, k_bits):
+        rng = np.random.default_rng(k_bits)
+        db, q = random_bits(rng, 9, k_bits), random_bits(rng, 4, k_bits)
+        got = retrieval.packed_distances(CodeIndex.from_bits(db).words,
+                                         CodeIndex.from_bits(q).words)
+        want = [[oracle_hamming(a, b) for b in db] for a in q]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+
+class TestQueryValidation:
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.bits = random_bits(rng, 6, 8)
+        self.idx = CodeIndex.from_bits(self.bits, ids=np.arange(6), labels=[0, 1, 0, 1, 1, 0])
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda q, lab, idx, **kw: map_at_k(q, lab, idx, 3, **kw),
+        lambda q, lab, idx, **kw: pr_curve(q, lab, idx, **kw),
+    ], ids=["map_at_k", "pr_curve"])
+    def test_bad_query_sets_raise_shape_error(self, evaluate):
+        q = self.bits[:2]
+        with pytest.raises(ShapeError, match="query_labels"):
+            evaluate(q, [0, 1, 0, 1, 1], self.idx)      # too many labels
+        with pytest.raises(ShapeError, match="query_labels"):
+            evaluate(q, [0], self.idx)                  # too few labels
+        with pytest.raises(ShapeError, match="query_ids"):
+            evaluate(q, [0, 1], self.idx, query_ids=[0, 1, 2])
+        with pytest.raises(ShapeError, match="query_ids"):
+            evaluate(q, [0, 1], self.idx, query_ids=[0])
+        with pytest.raises(ShapeError, match="query_bits"):
+            evaluate(self.bits[0], [0], self.idx)       # one 1-D code
+        with pytest.raises(ShapeError, match="query_bits"):
+            evaluate(self.bits[:0], [], self.idx)       # no queries
+        with pytest.raises(ShapeError, match="16 bits, index has 8"):
+            evaluate(np.ones((2, 16), dtype=np.int8), [0, 1], self.idx)
+
+    def test_map_needs_positive_k(self):
+        with pytest.raises(ValueError):
+            map_at_k(self.bits[:2], [0, 1], self.idx, 0)
+
+    def test_index_rejects_packed_rows_of_the_wrong_width(self):
+        with pytest.raises(ShapeError):
+            CodeIndex(packed=np.zeros((3, 2), dtype=np.uint8), ids=np.arange(3), k=8)
