@@ -15,8 +15,14 @@ from .exceptions import ShapeError
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
-    """Sign with the tie rule sign(0) = +1, so outputs are exactly {-1,+1}."""
-    return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
+    """Sign with the tie rule sign(0) = +1, so outputs are exactly {-1,+1}.
+
+    The result has the dtype of a floating ``x`` (float64 otherwise), so a
+    float32 forward stays float32.
+    """
+    x = np.asarray(x)
+    one = np.ones((), dtype=x.dtype if x.dtype.kind == "f" else np.float64)
+    return np.where(x >= 0.0, one, -one)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

@@ -21,6 +21,13 @@ batch. A 2-D (M, D) input is a batch of one, squeezed on return. For a batch,
 ``mask`` is a sequence of B frame-index sets (None or empty: unmasked);
 for one video it is a single set. Callers run large sets of videos in
 blocks of :data:`BLOCK_VIDEOS` (see :func:`blocks`).
+
+Precision. Both passes compute in the dtype of the parameters and cast
+their inputs to it; no dtype is fixed here. Trainers build parameters in
+``np.result_type(features, np.float32)``: float32 for the float32 features
+the feature files hold, float64 for float64 or int64 features, which is
+what the finite-difference checks use. :func:`cast_params` narrows a
+float64 initialization or checkpoint to the features' dtype.
 """
 
 from __future__ import annotations
@@ -139,13 +146,23 @@ class EncoderParams:
     def from_dict(cls, d: dict[str, np.ndarray], prefix: str = "") -> "EncoderParams":
         kwargs = {}
         for name in cls.TENSOR_FIELDS:
-            arr = np.asarray(d[prefix + name], dtype=np.float64)
+            arr = np.asarray(d[prefix + name])
             kwargs[name] = arr.reshape(-1) if name.startswith(("b_", "ln")) else arr
         return cls(**kwargs)
 
     def copy(self) -> "EncoderParams":
         kwargs = {name: getattr(self, name).copy() for name in self.TENSOR_FIELDS}
         return EncoderParams(**kwargs, version=self.version)
+
+
+def cast_params(params, dtype):
+    """``params`` (encoder, teacher or student) with every tensor in ``dtype``.
+
+    Tensors already in ``dtype`` are shared, not copied, so a float64 set
+    cast to float64 is the same numbers. The version restarts at 0.
+    """
+    return type(params).from_dict(
+        {name: t.astype(dtype, copy=False) for name, t in params.as_dict().items()})
 
 
 @dataclass
@@ -246,7 +263,7 @@ def encode_forward(
     ``mask_embed`` before the positional rows are added, so no feature
     content leaks through. Attention still runs over all M positions.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.w_in.dtype)
     single = x.ndim == 2
     if single:
         x, mask = x[None], [mask]
@@ -310,7 +327,7 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     b, m_frames = cache.masked.shape
     d = p.w_in.shape[1]
     out_shape = (m_frames, d) if cache.single else (b, m_frames, d)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=p.w_in.dtype)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {out_shape}")
     grad_out = grad_out.reshape(b * m_frames, d)

@@ -1,9 +1,12 @@
 """Dense float64 matrices and the finite-difference gradient checker.
 
-A "matrix" throughout this package is a 2-D ``numpy.ndarray`` of float64.
-All training math runs in double precision so that central finite
-differences can resolve gradient errors down to ~1e-7; single precision is
-used only for on-disk storage of features and packed codes.
+A "matrix" here is a 2-D ``numpy.ndarray`` of float64. Training and
+encoding compute in the dtype of their features (see ``encoder``): float32
+for the features the pipeline stores, float64 for float64 input. Gradient
+checks run in float64 so that central finite differences can resolve
+gradient errors down to ~1e-7; a step of 1e-5 is below float32 resolution
+for values near 1, so :func:`finite_diff_check` accepts only float64
+parameters.
 
 The public operations here validate shapes and reject non-finite results.
 Hot inner loops elsewhere use numpy directly; their backward passes are
@@ -121,13 +124,18 @@ def finite_diff_check(
     bit-exactly, otherwise the noise floor swamps the differences).
 
     The relative error of each scalar is |a - n| / max(|a|, |n|, 1e-8); the
-    report carries the worst one and where it occurred.
+    report carries the worst one and where it occurred. Every parameter must
+    be float64: the sweep perturbs it in place, and a converted copy would
+    leave the loss unchanged. Others raise TypeError naming their index.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if len(params) != len(analytic_grads):
         raise ShapeError("params and analytic_grads length mismatch")
-    params = [np.asarray(p, dtype=np.float64) for p in params]
+    params = [np.asarray(p) for p in params]
+    for pi, p in enumerate(params):
+        if p.dtype != np.float64:
+            raise TypeError(f"parameter {pi} is {p.dtype}, not float64")
 
     base = float(loss_fn(params))
     again = float(loss_fn(params))

@@ -29,7 +29,7 @@ import numpy as np
 from . import serial
 from .codes import pack_bits, unpack_bits
 from .config import RunConfig
-from .encoder import blocks, encode_forward
+from .encoder import blocks, cast_params, encode_forward
 from .exceptions import PipelineError
 from .graph import (
     AnchorSet,
@@ -47,7 +47,7 @@ from .student import (
     train_student,
     write_training_log,
 )
-from .synth import generate_synthetic, load_dataset_splits, load_split_labels
+from .synth import generate_synthetic, load_dataset_splits, load_split, load_split_labels
 from .teacher import TeacherParams, teacher_forward, train_teacher
 
 MAP_KS = (5, 20, 60, 100)
@@ -56,7 +56,9 @@ MAP_KS = (5, 20, 60, 100)
 # stage produces for the same config, so that old artifacts are rebuilt;
 # records without the field count as version 1. Version 2: the batched
 # encoder passes sum floats in another order (results move in the last ulp).
-CODE_VERSION = 2
+# Version 3: teacher, student and encoding compute in float32, the precision
+# of the feature files, instead of widening them to float64.
+CODE_VERSION = 3
 
 
 @dataclass
@@ -142,7 +144,7 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
     _require(run_dir, "data", cfg, needed_by="teacher")
 
     def fn():
-        train = load_dataset_splits(run_dir / "data")["train"]
+        train = load_split(run_dir / "data", "train")
         result = train_teacher(train.features, cfg.encoder_config(),
                                epochs=cfg.teacher_epochs, code_bits=cfg.teacher_bits,
                                batch_size=cfg.batch_size, learn_rate=cfg.learn_rate,
@@ -198,7 +200,7 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int) -> None:
     _require(run_dir, "graph", cfg, needed_by=f"student_{bits}")
 
     def fn():
-        train = load_dataset_splits(run_dir / "data")["train"]
+        train = load_split(run_dir / "data", "train")
         graph, anchors, _ = load_graph_artifacts(run_dir)
         anchor_of = lambda v: anchors.centers[anchors.assignments[v]]
         result = train_student(train.features, cfg.encoder_config(), graph, anchor_of,
@@ -223,12 +225,12 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int) -> None:
     _require(run_dir, f"student_{bits}", cfg, needed_by=f"encode_{bits}")
 
     def fn():
-        params = StudentParams.from_dict(
-            serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"))
-        splits = load_dataset_splits(run_dir / "data")
-        for name in ("query", "database"):
-            packed = encode_split(splits[name].features, params)
-            serial.save_codes(run_dir / f"{name}_{bits}.codes", packed, bits)
+        features = {name: load_split(run_dir / "data", name).features
+                    for name in ("query", "database")}
+        params = cast_params(StudentParams.from_dict(
+            serial.load_checkpoint(run_dir / f"student_{bits}.ckpt")), features["query"].dtype)
+        for name, x in features.items():
+            serial.save_codes(run_dir / f"{name}_{bits}.codes", encode_split(x, params), bits)
 
     _run_stage(run_dir, f"encode_{bits}", cfg,
                [f"query_{bits}.codes", f"database_{bits}.codes"], fn)
@@ -380,8 +382,10 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
         results["map"][variant] = _map_scores(run_dir, stage, bits, splits)[0]
 
     # information decomposition on the trained full model, database split
-    full = StudentParams.from_dict(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"))
     db_features = splits["database"].features
+    full = cast_params(
+        StudentParams.from_dict(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt")),
+        db_features.dtype)
     for mode in ("intact", "drop_code", "drop_latent", "mean_latent"):
         results["recon_error"][mode] = probe_reconstruction(db_features, full, mode)
 

@@ -92,12 +92,17 @@ def save_features(path, features: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    """Returns (N, M, D) float64 (training math is double precision)."""
+    """Returns (N, M, D) float32, the stored precision.
+
+    Training and encoding compute in the features' dtype (see
+    ``encoder``), so float32 features train and encode in float32; widening
+    here would add no precision.
+    """
     with open(path, "rb") as f:
         _check_header(f, _MAGIC_FEAT, "features")
         n, m, d = struct.unpack("<III", _read_exact(f, 12))
         data = np.frombuffer(_read_exact(f, n * m * d * 4), dtype="<f4")
-    return data.reshape(n, m, d).astype(np.float64)
+    return data.reshape(n, m, d).astype(np.float32)
 
 
 # -- packed codes --------------------------------------------------------

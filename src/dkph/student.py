@@ -27,6 +27,13 @@ as the encoder does; for a batch every output gains a leading B axis (the
 code is (B, K)). ``batch_gradients``, ``probe_reconstruction`` and the
 pipeline's encoding run the videos they need in blocks of
 ``encoder.BLOCK_VIDEOS``; the student never masks frames.
+
+Precision. Every pass computes in the dtype of the parameters, as the
+encoder does; the anchor centres, pair labels and gradient buffers of
+:func:`batch_gradients` take that dtype too. :func:`train_student` builds
+its parameters in ``np.result_type(features, np.float32)``: float32
+features (what the feature files hold) train in float32, float64 or int64
+features in float64.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .encoder import (
     EncoderParams,
     VisualEmbeddings,
     blocks,
+    cast_params,
     encode_backward,
     encode_forward,
 )
@@ -110,7 +118,7 @@ class StudentParams:
     def from_dict(cls, d: dict[str, np.ndarray]) -> "StudentParams":
         kwargs = {"encoder": EncoderParams.from_dict(d, prefix="encoder.")}
         for name in cls.EXTRA_FIELDS:
-            arr = np.asarray(d[name], dtype=np.float64)
+            arr = np.asarray(d[name])
             kwargs[name] = arr if name.startswith("w_") else arr.reshape(-1)
         return cls(**kwargs)
 
@@ -145,7 +153,7 @@ def student_forward(x: np.ndarray, params: StudentParams,
 
 def student_recon_loss(x: np.ndarray, recon: np.ndarray) -> float:
     """Mean squared error over every scalar (all frames, all videos)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=recon.dtype)
     diff = x - recon
     return float((diff * diff).sum() / diff.size)
 
@@ -204,10 +212,11 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
     """
     cfg = params.encoder.config()
     k = params.code_bits
+    dtype = params.w_hash.dtype
     batch = sorted(set(int(b) for b in batch))
     need = sorted(set(batch) | {s.i for s in pairs} | {s.j for s in pairs})
     row = {v: r for r, v in enumerate(need)}
-    x = np.asarray(features, dtype=np.float64)[need]
+    x = np.asarray(features)[need].astype(dtype, copy=False)
     fwds = [(blk, student_forward(x[blk], params, binarize=binarize))
             for blk in blocks(len(need))]
 
@@ -220,8 +229,8 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
         l_recon += float((diff * diff).sum(axis=(1, 2))[in_batch[blk]].sum())
     l_recon *= recon_scale
 
-    d_act = np.zeros((len(need), k))
-    d_mean = np.zeros((len(need), cfg.model_dim))
+    d_act = np.zeros((len(need), k), dtype=dtype)
+    d_mean = np.zeros((len(need), cfg.model_dim), dtype=dtype)
     l_bsim = 0.0
     l_tsim = 0.0
     if pairs:
@@ -231,7 +240,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
         means = np.concatenate([fwd.embeddings.mean for _, fwd in fwds])
         i = np.array([row[s.i] for s in pairs])
         j = np.array([row[s.j] for s in pairs])
-        label = np.array([s.label for s in pairs], dtype=np.float64)
+        label = np.array([s.label for s in pairs], dtype=dtype)
         weight = np.abs(label)
 
         ui, uj = act[i], act[j]
@@ -242,8 +251,8 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
         np.add.at(d_act, j, d_sim[:, None] * ui)
 
         ti = means[i]
-        delta_i = ti - np.stack([anchor_of(s.i) for s in pairs])
-        delta_j = ti - np.stack([anchor_of(s.j) for s in pairs])
+        delta_i = ti - np.stack([anchor_of(s.i) for s in pairs]).astype(dtype, copy=False)
+        delta_j = ti - np.stack([anchor_of(s.j) for s in pairs]).astype(dtype, copy=False)
         pull = (delta_i * delta_i).sum(axis=1)
         hinge = pull - (delta_j * delta_j).sum(axis=1) + weights.beta
         coeff = weight * (1 - label)
@@ -319,11 +328,15 @@ def train_student(features: np.ndarray, cfg: EncoderConfig, graph: SignedGraph,
 
     ``dual_stream=False`` removes the temporal head: its tensors start at
     zero and stay frozen, so the decoder reconstructs from the code alone.
+    Parameters and all the math are in ``np.result_type(features, np.float32)``.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
+    dtype = np.result_type(features, np.float32)
+    features = features.astype(dtype, copy=False)
     n = features.shape[0]
     init_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
-    params = StudentParams.init(cfg, np.random.default_rng(init_ss), code_bits)
+    params = cast_params(StudentParams.init(cfg, np.random.default_rng(init_ss), code_bits),
+                         dtype)
     freeze: tuple = ()
     if not dual_stream:
         params.w_temp[:] = 0.0
@@ -367,7 +380,7 @@ def probe_reconstruction(features: np.ndarray, params: StudentParams,
     """
     if mode not in PROBE_MODES:
         raise ValueError(f"unknown probe mode {mode!r}")
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     total = 0.0
     for blk in blocks(features.shape[0]):
         x = features[blk]

@@ -44,7 +44,7 @@ class SynthConfig:
 
 @dataclass
 class Split:
-    features: np.ndarray  # (n, M, D) float64
+    features: np.ndarray  # (n, M, D): float64 when generated, float32 when loaded
     labels: np.ndarray    # (n,) class ids
     ids: np.ndarray       # (n,) global video ids
 

@@ -22,6 +22,12 @@ batch (B, M, D), as the encoder does: for a batch ``mask`` is a sequence of
 B frame-index sets, the loss is one value per video, and the backward
 returns the gradient of the summed per-video losses. Training and
 evaluation run in blocks of ``encoder.BLOCK_VIDEOS`` videos.
+
+Precision. Every pass computes in the dtype of the parameters, as the
+encoder does, and the loss in the dtype of the reconstruction.
+:func:`train_teacher` builds its parameters in
+``np.result_type(features, np.float32)``: float32 features (what the
+feature files hold) train in float32, float64 or int64 features in float64.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .encoder import (
     EncoderParams,
     VisualEmbeddings,
     blocks,
+    cast_params,
     encode_backward,
     encode_forward,
 )
@@ -85,7 +92,7 @@ class TeacherParams:
     def from_dict(cls, d: dict[str, np.ndarray]) -> "TeacherParams":
         kwargs = {"encoder": EncoderParams.from_dict(d, prefix="encoder.")}
         for name in cls.EXTRA_FIELDS:
-            arr = np.asarray(d[name], dtype=np.float64)
+            arr = np.asarray(d[name])
             kwargs[name] = arr if arr.ndim == 2 and name.startswith("w_") else arr.reshape(-1)
         return cls(**kwargs)
 
@@ -124,9 +131,9 @@ def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask):
     """Squared error on masked positions, averaged over D * |mask| scalars.
 
     A float for one video; for a batch, one loss per video (``mask`` is a
-    sequence of B index sets).
+    sequence of B index sets), in the dtype of ``recon``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=recon.dtype)
     if x.shape != recon.shape:
         raise ShapeError(f"shapes differ: {x.shape} vs {recon.shape}")
     if x.ndim == 2:
@@ -141,7 +148,7 @@ def _video_losses(x: np.ndarray, recon: np.ndarray, masks) -> np.ndarray:
         raise ValueError("teacher reconstruction loss needs a nonempty mask")
     diff = x - recon
     per_frame = np.where(rows, (diff * diff).sum(axis=2), 0.0)
-    return per_frame.sum(axis=1) / (x.shape[2] * rows.sum(axis=1))
+    return per_frame.sum(axis=1) / (x.shape[2] * rows.sum(axis=1)).astype(x.dtype)
 
 
 def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: TeacherParams) -> TeacherParams:
@@ -154,12 +161,12 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: TeacherParams) 
     cache = fwd.enc_cache
     if not cache.masked.any(axis=1).all():
         raise ValueError("teacher backward needs the masked forward")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=fwd.recon.dtype)
     if x.shape != fwd.recon.shape:
         raise ShapeError(f"shapes differ: {x.shape} vs {fwd.recon.shape}")
     b, m_frames = cache.masked.shape
     d_in, bits = x.shape[-1], params.code_bits
-    rows = cache.masked.astype(np.float64)
+    rows = cache.masked.astype(x.dtype)
     scale = rows / (d_in * rows.sum(axis=1, keepdims=True))
 
     d_recon = (2.0 * scale.reshape(-1, 1)) * (fwd.recon - x).reshape(-1, d_in)
@@ -214,7 +221,7 @@ class TeacherTrainResult:
 
 def masked_eval_loss(features: np.ndarray, params: TeacherParams, masks) -> float:
     """Mean masked-reconstruction loss over a dataset with fixed masks."""
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     total = 0.0
     for blk in blocks(len(features)):
         fwd = teacher_forward(features[blk], params, mask=masks[blk])
@@ -231,15 +238,19 @@ def train_teacher(features: np.ndarray, cfg: EncoderConfig, *,
 
     Deterministic under ``seed``; raises TrainingError with the epoch index
     if the loss goes non-finite. ``epochs=0`` returns the freshly
-    initialized parameters untouched.
+    initialized parameters untouched. Parameters and all the math are in
+    ``np.result_type(features, np.float32)``.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if features.ndim != 3 or features.shape[0] == 0:
         raise ValueError("features must be a nonempty (N, M, D) array")
+    dtype = np.result_type(features, np.float32)
+    features = features.astype(dtype, copy=False)
     n = features.shape[0]
 
     init_ss, train_ss, eval_ss = np.random.SeedSequence(seed).spawn(3)
-    params = TeacherParams.init(cfg, np.random.default_rng(init_ss), code_bits)
+    params = cast_params(TeacherParams.init(cfg, np.random.default_rng(init_ss), code_bits),
+                         dtype)
     eval_rng = np.random.default_rng(eval_ss)
     eval_masks = [draw_mask(eval_rng, cfg.frame_count, mask_ratio) for _ in range(n)]
     eval_before = masked_eval_loss(features, params, eval_masks)

@@ -170,3 +170,15 @@ class TestFiniteDiffCheck:
 
         report = finite_diff_check(loss, [p], [grad])
         assert report.worst_index == (0, 2)
+
+    def test_non_float64_parameter_is_rejected_by_index(self):
+        # a float32 tensor would be swept through a float64 copy that the
+        # loss never reads, reporting a spurious max_rel_error of 1.0
+        good = np.array([[1.0, -2.0]])
+        bad = np.array([[0.5, 3.0]], dtype=np.float32)
+
+        def loss(_):
+            return float((good ** 2).sum() + (bad.astype(np.float64) ** 2).sum())
+
+        with pytest.raises(TypeError, match="parameter 1 is float32"):
+            finite_diff_check(loss, [good, bad], [2.0 * good, 2.0 * bad])

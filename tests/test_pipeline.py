@@ -1,6 +1,8 @@
 """Pipeline: batched encoding, rerun stability and the stage cache."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +72,58 @@ def test_evaluate_codes_reads_no_features(tiny_run, monkeypatch):
     metrics = pipeline.evaluate_codes(first.run_dir, 16)
     assert json.dumps(metrics, sort_keys=True) + "\n" == \
         (first.run_dir / "metrics_16.json").read_text()
+
+
+def _copy_without(first, tmp_path, stage):
+    """A copy of the tiny run in which ``stage`` has not completed."""
+    run_dir = tmp_path / first.run_dir.name
+    shutil.copytree(first.run_dir, run_dir)
+    (run_dir / "meta" / f"{stage}.json").unlink()
+    return run_dir
+
+
+@pytest.mark.parametrize("stage, splits", [
+    ("teacher", {"train"}),
+    ("student_16", {"train"}),
+    ("encode_16", {"query", "database"}),
+])
+def test_training_and_encoding_stages_read_only_their_splits(tiny_run, tmp_path, monkeypatch,
+                                                             stage, splits):
+    cfg, _, first = tiny_run
+    run_dir = _copy_without(first, tmp_path, stage)
+    load = serial.load_features
+    read = []
+
+    def only_own_splits(path):
+        path = Path(path)
+        if path.parent.name == "data":
+            if path.stem not in splits:
+                raise AssertionError(f"stage {stage} loaded {path}")
+            read.append(path.stem)
+        return load(path)
+
+    monkeypatch.setattr(serial, "load_features", only_own_splits)
+    name, _, bits = stage.partition("_")
+    run = getattr(pipeline, f"stage_{name}")
+    run(cfg, run_dir, *([int(bits)] if bits else []))
+    assert sorted(read) == sorted(splits)
+    assert pipeline.stage_completed(run_dir, stage, cfg)
+
+
+def test_encode_stage_narrows_the_checkpoint_to_the_features_dtype(tiny_run, tmp_path,
+                                                                   monkeypatch):
+    cfg, _, first = tiny_run
+    run_dir = _copy_without(first, tmp_path, "encode_16")
+    encode = pipeline.encode_split
+    dtypes = []
+
+    def recorded(features, params):
+        dtypes.append((features.dtype, {a.dtype for a in params.as_dict().values()}))
+        return encode(features, params)
+
+    monkeypatch.setattr(pipeline, "encode_split", recorded)
+    pipeline.stage_encode(cfg, run_dir, 16)
+    assert dtypes == [(np.float32, {np.dtype(np.float32)})] * 2
 
 
 def test_meta_records_carry_the_code_version(tiny_run):

@@ -46,6 +46,13 @@ class TestFeatures:
         back = serial.load_features(path)
         np.testing.assert_array_equal(back, x.astype(np.float32).astype(np.float64))
 
+    def test_load_keeps_the_stored_float32(self, tmp_path):
+        # training and encoding compute in the features' dtype, so widening
+        # here would silently move the pipeline back to float64
+        path = tmp_path / "x.feat"
+        serial.save_features(path, np.ones((2, 3, 4)))
+        assert serial.load_features(path).dtype == np.float32
+
     def test_header_carries_magic_and_dims(self, tmp_path):
         path = tmp_path / "x.feat"
         serial.save_features(path, np.zeros((7, 2, 9)))
