@@ -10,7 +10,7 @@ backward pass is hand-written and gated by finite-difference checks.
 
 from .codes import BinaryCode, pack_bits, unpack_bits
 from .config import RunConfig
-from .encoder import EncoderConfig, EncoderParams, VisualEmbeddings, encode_backward, encode_forward
+from .encoder import EncoderConfig, Params, VisualEmbeddings, encode_backward, encode_forward, init_encoder
 from .graph import (
     AnchorSet,
     GaussianThresholds,
@@ -25,33 +25,30 @@ from .graph import (
     sample_pairs,
     sign_row,
 )
-from .numerics import GradCheckReport, finite_diff_check, matmul, row_softmax
+from .numerics import GradCheckReport, finite_diff_check
 from .pipeline import ablation_suite, run_pipeline
 from .retrieval import CodeIndex, RankedList, hamming, map_at_k, pr_curve, query_topk
-from .student import (
-    LossWeights,
-    StudentParams,
-    bsim_loss,
-    student_forward,
-    student_recon_loss,
-    train_student,
-    tsim_loss,
-)
+from .student import LossWeights, init_student, student_forward, student_recon_loss, train_student
 from .synth import SynthConfig, generate_synthetic
-from .teacher import TeacherParams, teacher_forward, teacher_recon_loss, train_teacher, video_code_from_frames
+from .teacher import (
+    init_teacher,
+    teacher_forward,
+    teacher_recon_loss,
+    train_teacher,
+    video_code_from_frames,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet", "BinaryCode", "CodeIndex", "EncoderConfig", "EncoderParams",
-    "GaussianThresholds", "GradCheckReport", "LossWeights", "PairSample",
-    "RankedList", "RunConfig", "SignedGraph", "SparseAffinity", "StudentParams",
-    "SynthConfig", "TeacherParams", "VisualEmbeddings", "ablation_suite",
-    "adjacency_row", "bsim_loss", "build_affinity", "build_signed_graph",
-    "encode_backward", "encode_forward", "finite_diff_check", "generate_synthetic",
-    "hamming", "kmeans", "map_at_k", "matmul", "pack_bits", "pr_curve",
-    "query_topk", "row_softmax", "row_thresholds", "run_pipeline", "sample_pairs",
+    "AnchorSet", "BinaryCode", "CodeIndex", "EncoderConfig", "GaussianThresholds",
+    "GradCheckReport", "LossWeights", "PairSample", "Params", "RankedList", "RunConfig",
+    "SignedGraph", "SparseAffinity", "SynthConfig", "VisualEmbeddings", "ablation_suite",
+    "adjacency_row", "build_affinity", "build_signed_graph", "encode_backward",
+    "encode_forward", "finite_diff_check", "generate_synthetic", "hamming",
+    "init_encoder", "init_student", "init_teacher", "kmeans", "map_at_k", "pack_bits",
+    "pr_curve", "query_topk", "row_thresholds", "run_pipeline", "sample_pairs",
     "sign_row", "student_forward", "student_recon_loss", "teacher_forward",
-    "teacher_recon_loss", "train_student", "train_teacher", "tsim_loss",
-    "unpack_bits", "video_code_from_frames",
+    "teacher_recon_loss", "train_student", "train_teacher", "unpack_bits",
+    "video_code_from_frames",
 ]

@@ -7,7 +7,7 @@ the last byte are zero, so XOR-based Hamming distances ignore them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,26 +50,21 @@ def unpack_bits(packed: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class BinaryCode:
-    """A K-bit code; ``bits`` holds {-1,+1} as int8."""
+    """A K-bit code; ``bits`` holds {-1,+1} as int8, ``packed`` its
+    pack_bits row, computed once at construction."""
 
     bits: np.ndarray
+    packed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.int8).reshape(-1)
         if not np.all(np.abs(self.bits) == 1):
             raise ValueError("BinaryCode entries must be -1 or +1")
+        self.packed = pack_bits(self.bits)
 
     @property
     def k(self) -> int:
         return self.bits.size
-
-    @property
-    def packed(self) -> np.ndarray:
-        return pack_bits(self.bits)
-
-    @classmethod
-    def from_packed(cls, packed: np.ndarray, k: int) -> "BinaryCode":
-        return cls(unpack_bits(packed, k))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BinaryCode) and np.array_equal(self.bits, other.bits)

@@ -83,9 +83,7 @@ class RunConfig:
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(gamma1=self.gamma1, gamma2=self.gamma2, eta=self.eta,
-                           beta=self.beta, lambda1=self.lambda1, lambda2=self.lambda2,
-                           alpha=self.bandwidth, learn_rate=self.learn_rate,
-                           mask_ratio=self.mask_ratio)
+                           beta=self.beta, learn_rate=self.learn_rate)
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(frame_count=self.frames, input_dim=self.feat_dim,

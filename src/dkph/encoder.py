@@ -22,12 +22,18 @@ batch. A 2-D (M, D) input is a batch of one, squeezed on return. For a batch,
 for one video it is a single set. Callers run large sets of videos in
 blocks of :data:`BLOCK_VIDEOS` (see :func:`blocks`).
 
+Parameters. A model's parameters are one flat dict (:class:`Params`) keyed
+by checkpoint name: the encoder's ``encoder.*`` tensors, then the head's.
+Both passes read only the ``encoder.*`` keys; the backward returns its
+gradients under them, for the head to add its own to.
+
 Precision. Both passes compute in the dtype of the parameters and cast
 their inputs to it; no dtype is fixed here. Trainers build parameters in
 ``np.result_type(features, np.float32)``: float32 for the float32 features
 the feature files hold, float64 for float64 or int64 features, which is
 what the finite-difference checks use. :func:`cast_params` narrows a
-float64 initialization or checkpoint to the features' dtype.
+float64 initialization or checkpoint to the features' dtype, and gives a
+checkpoint's 2-D tensors their model shapes back.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ _LN_EPS = 1e-5
 BLOCK_VIDEOS = 64  # videos per pass; bounds the forward cache at any N
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_PREFIX = "encoder."
 
 
 @dataclass
@@ -65,104 +72,51 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-@dataclass
-class EncoderParams:
-    """All learnable tensors of the encoder block.
+class Params(dict):
+    """Tensors by checkpoint name. Trainers bump ``version`` after each
+    in-place optimizer step, so that stale forward caches can be rejected."""
 
-    Gradients come back in the same class. ``version`` is bumped by trainers
-    after each in-place optimizer step so that stale forward caches can be
-    rejected.
+    version = 0
+
+
+def init_encoder(cfg: EncoderConfig, rng: np.random.Generator) -> Params:
+    """The encoder's tensors, under ``encoder.*`` keys; heads extend the dict."""
+    m, d_in, d, f = cfg.frame_count, cfg.input_dim, cfg.model_dim, cfg.ffn_dim
+    return Params({
+        "encoder.w_in": _uniform(rng, (d_in, d), d_in),
+        "encoder.b_in": _uniform(rng, d, d_in),
+        "encoder.e_pos": _uniform(rng, (m, d), d),
+        "encoder.w_q": _uniform(rng, (d, d), d),
+        "encoder.w_k": _uniform(rng, (d, d), d),
+        "encoder.w_v": _uniform(rng, (d, d), d),
+        "encoder.w_o": _uniform(rng, (d, d), d),
+        "encoder.b_o": _uniform(rng, d, d),
+        "encoder.ln1_g": np.ones(d),
+        "encoder.ln1_b": np.zeros(d),
+        "encoder.ln2_g": np.ones(d),
+        "encoder.ln2_b": np.zeros(d),
+        "encoder.w_f1": _uniform(rng, (d, f), d),
+        "encoder.b_f1": _uniform(rng, f, d),
+        "encoder.w_f2": _uniform(rng, (f, d), f),
+        "encoder.b_f2": _uniform(rng, d, f),
+    })
+
+
+def cast_params(params, dtype) -> Params:
+    """``params`` (an init dict or a loaded checkpoint) with every tensor in
+    ``dtype`` and in its model shape.
+
+    Checkpoints store every tensor 2-D: tensors named ``w_*`` and ``e_pos``
+    keep 2-D, every other tensor becomes 1-D. Tensors already in ``dtype``
+    are shared, not copied, so a float64 set cast to float64 is the same
+    numbers. The version restarts at 0.
     """
-
-    w_in: np.ndarray
-    b_in: np.ndarray
-    e_pos: np.ndarray
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    b_o: np.ndarray
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
-    w_f1: np.ndarray
-    b_f1: np.ndarray
-    w_f2: np.ndarray
-    b_f2: np.ndarray
-    version: int = 0
-
-    TENSOR_FIELDS = (
-        "w_in", "b_in", "e_pos", "w_q", "w_k", "w_v", "w_o", "b_o",
-        "ln1_g", "ln1_b", "ln2_g", "ln2_b", "w_f1", "b_f1", "w_f2", "b_f2",
-    )
-
-    @classmethod
-    def init(cls, cfg: EncoderConfig, rng: np.random.Generator) -> "EncoderParams":
-        m, d_in, d, f = cfg.frame_count, cfg.input_dim, cfg.model_dim, cfg.ffn_dim
-        return cls(
-            w_in=_uniform(rng, (d_in, d), d_in),
-            b_in=_uniform(rng, d, d_in),
-            e_pos=_uniform(rng, (m, d), d),
-            w_q=_uniform(rng, (d, d), d),
-            w_k=_uniform(rng, (d, d), d),
-            w_v=_uniform(rng, (d, d), d),
-            w_o=_uniform(rng, (d, d), d),
-            b_o=_uniform(rng, d, d),
-            ln1_g=np.ones(d),
-            ln1_b=np.zeros(d),
-            ln2_g=np.ones(d),
-            ln2_b=np.zeros(d),
-            w_f1=_uniform(rng, (d, f), d),
-            b_f1=_uniform(rng, f, d),
-            w_f2=_uniform(rng, (f, d), f),
-            b_f2=_uniform(rng, d, f),
-        )
-
-    @classmethod
-    def zeros(cls, cfg: EncoderConfig) -> "EncoderParams":
-        m, d_in, d, f = cfg.frame_count, cfg.input_dim, cfg.model_dim, cfg.ffn_dim
-        z = np.zeros
-        return cls(
-            w_in=z((d_in, d)), b_in=z(d), e_pos=z((m, d)),
-            w_q=z((d, d)), w_k=z((d, d)), w_v=z((d, d)),
-            w_o=z((d, d)), b_o=z(d),
-            ln1_g=z(d), ln1_b=z(d), ln2_g=z(d), ln2_b=z(d),
-            w_f1=z((d, f)), b_f1=z(f), w_f2=z((f, d)), b_f2=z(d),
-        )
-
-    def config(self) -> EncoderConfig:
-        return EncoderConfig(
-            frame_count=self.e_pos.shape[0],
-            input_dim=self.w_in.shape[0],
-            model_dim=self.w_in.shape[1],
-            ffn_dim=self.w_f1.shape[1],
-        )
-
-    def as_dict(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {prefix + name: getattr(self, name) for name in self.TENSOR_FIELDS}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, np.ndarray], prefix: str = "") -> "EncoderParams":
-        kwargs = {}
-        for name in cls.TENSOR_FIELDS:
-            arr = np.asarray(d[prefix + name])
-            kwargs[name] = arr.reshape(-1) if name.startswith(("b_", "ln")) else arr
-        return cls(**kwargs)
-
-    def copy(self) -> "EncoderParams":
-        kwargs = {name: getattr(self, name).copy() for name in self.TENSOR_FIELDS}
-        return EncoderParams(**kwargs, version=self.version)
-
-
-def cast_params(params, dtype):
-    """``params`` (encoder, teacher or student) with every tensor in ``dtype``.
-
-    Tensors already in ``dtype`` are shared, not copied, so a float64 set
-    cast to float64 is the same numbers. The version restarts at 0.
-    """
-    return type(params).from_dict(
-        {name: t.astype(dtype, copy=False) for name, t in params.as_dict().items()})
+    out = Params()
+    for name, t in params.items():
+        t = np.asarray(t).astype(dtype, copy=False)
+        short = name.rpartition(".")[2]
+        out[name] = t if short.startswith("w_") or short == "e_pos" else t.reshape(-1)
+    return out
 
 
 @dataclass
@@ -182,7 +136,7 @@ class EncoderCache:
     """Forward intermediates. Row arrays are flat, (B * M, width); q, k, v
     are (B, M, model_dim); attn has the input's leading shape."""
 
-    params: EncoderParams
+    params: Params
     version: int
     single: bool
     x: np.ndarray
@@ -204,6 +158,11 @@ class EncoderCache:
 def blocks(n: int) -> list[slice]:
     """Slices of ``range(n)`` in runs of at most BLOCK_VIDEOS videos."""
     return [slice(s, min(s + BLOCK_VIDEOS, n)) for s in range(0, n, BLOCK_VIDEOS)]
+
+
+def _tensors(params) -> dict:
+    """The ``encoder.*`` tensors of a parameter dict, by their short names."""
+    return {name[len(_PREFIX):]: t for name, t in params.items() if name.startswith(_PREFIX)}
 
 
 def _ln_forward(x, gain, bias):
@@ -252,7 +211,7 @@ def _mask_rows(mask, batch: int, m_frames: int) -> np.ndarray:
 
 def encode_forward(
     x: np.ndarray,
-    params: EncoderParams,
+    params: Params,
     mask=None,
     mask_embed: np.ndarray | None = None,
 ) -> tuple[VisualEmbeddings, EncoderCache]:
@@ -262,12 +221,14 @@ def encode_forward(
     of B such sets; masked frames have their projected content replaced by
     ``mask_embed`` before the positional rows are added, so no feature
     content leaks through. Attention still runs over all M positions.
+    Only the ``encoder.*`` tensors of ``params`` are read.
     """
-    x = np.asarray(x, dtype=params.w_in.dtype)
+    p = _tensors(params)
+    x = np.asarray(x, dtype=p["w_in"].dtype)
     single = x.ndim == 2
     if single:
         x, mask = x[None], [mask]
-    m_frames, d_in = params.e_pos.shape[0], params.w_in.shape[0]
+    m_frames, d_in = p["e_pos"].shape[0], p["w_in"].shape[0]
     if x.ndim != 3 or x.shape[1:] != (m_frames, d_in):
         shape = x.shape[1:] if single else x.shape
         raise ShapeError(f"expected features of shape (B, {m_frames}, {d_in}) "
@@ -279,27 +240,27 @@ def encode_forward(
         raise ValueError("mask given but no mask embedding")
 
     xf = x.reshape(b * m_frames, d_in)
-    h_proj = xf @ params.w_in + params.b_in
+    h_proj = xf @ p["w_in"] + p["b_in"]
     if rows.any():
         h_proj[rows] = mask_embed
     d = h_proj.shape[1]
-    h0 = (h_proj.reshape(b, m_frames, d) + params.e_pos).reshape(-1, d)
+    h0 = (h_proj.reshape(b, m_frames, d) + p["e_pos"]).reshape(-1, d)
 
-    n1, ln1 = _ln_forward(h0, params.ln1_g, params.ln1_b)
-    q = (n1 @ params.w_q).reshape(b, m_frames, d)
-    k = (n1 @ params.w_k).reshape(b, m_frames, d)
-    v = (n1 @ params.w_v).reshape(b, m_frames, d)
+    n1, ln1 = _ln_forward(h0, p["ln1_g"], p["ln1_b"])
+    q = (n1 @ p["w_q"]).reshape(b, m_frames, d)
+    k = (n1 @ p["w_k"]).reshape(b, m_frames, d)
+    v = (n1 @ p["w_v"]).reshape(b, m_frames, d)
     scores = (q @ k.transpose(0, 2, 1)) / math.sqrt(d)
     scores -= scores.max(axis=2, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=2, keepdims=True)
     ctx = (attn @ v).reshape(-1, d)
-    h1 = h0 + ctx @ params.w_o + params.b_o
+    h1 = h0 + ctx @ p["w_o"] + p["b_o"]
 
-    n2, ln2 = _ln_forward(h1, params.ln2_g, params.ln2_b)
-    f1_pre = n2 @ params.w_f1 + params.b_f1
+    n2, ln2 = _ln_forward(h1, p["ln2_g"], p["ln2_b"])
+    f1_pre = n2 @ p["w_f1"] + p["b_f1"]
     g1, gelu_t = _gelu_forward(f1_pre)
-    out = (h1 + g1 @ params.w_f2 + params.b_f2).reshape(b, m_frames, d)
+    out = (h1 + g1 @ p["w_f2"] + p["b_f2"]).reshape(b, m_frames, d)
 
     cache = EncoderCache(
         params=params, version=params.version, single=single, x=xf, masked=masked,
@@ -317,17 +278,19 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     caller (add grad_mean / M to every row). Returns
     ``(param_grads, grad_x, grad_mask_embed)``: parameter gradients summed
     over the batch, grad_x shaped like the input, and grad_mask_embed None
-    when no frame was masked.
+    when no frame was masked. The parameter gradients are keyed like the
+    parameters, ``encoder.w_in`` ... ``encoder.b_f2``.
     """
-    p = cache.params
-    if cache.version != p.version:
+    version = cache.params.version
+    if cache.version != version:
         raise StaleCacheError(
-            f"cache from params version {cache.version}, params now at {p.version}"
+            f"cache from params version {cache.version}, params now at {version}"
         )
+    p = _tensors(cache.params)
     b, m_frames = cache.masked.shape
-    d = p.w_in.shape[1]
+    d = p["w_in"].shape[1]
     out_shape = (m_frames, d) if cache.single else (b, m_frames, d)
-    grad_out = np.asarray(grad_out, dtype=p.w_in.dtype)
+    grad_out = np.asarray(grad_out, dtype=p["w_in"].dtype)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {out_shape}")
     grad_out = grad_out.reshape(b * m_frames, d)
@@ -335,16 +298,16 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     # out = h1 + g1 @ w_f2 + b_f2
     w_f2 = cache.g1.T @ grad_out
     b_f2 = grad_out.sum(axis=0)
-    d_f1 = _gelu_backward(grad_out @ p.w_f2.T, cache.f1_pre, cache.gelu_t)
+    d_f1 = _gelu_backward(grad_out @ p["w_f2"].T, cache.f1_pre, cache.gelu_t)
     w_f1 = cache.n2.T @ d_f1
     b_f1 = d_f1.sum(axis=0)
-    dx2, ln2_g, ln2_b = _ln_backward(d_f1 @ p.w_f1.T, p.ln2_g, cache.ln2)
+    dx2, ln2_g, ln2_b = _ln_backward(d_f1 @ p["w_f1"].T, p["ln2_g"], cache.ln2)
     d_h1 = grad_out + dx2
 
     # h1 = h0 + ctx @ w_o + b_o
     w_o = cache.ctx.T @ d_h1
     b_o = d_h1.sum(axis=0)
-    d_ctx = (d_h1 @ p.w_o.T).reshape(b, m_frames, d)
+    d_ctx = (d_h1 @ p["w_o"].T).reshape(b, m_frames, d)
     attn = cache.attn.reshape(b, m_frames, m_frames)
     d_attn = d_ctx @ cache.v.transpose(0, 2, 1)
     d_v = (attn.transpose(0, 2, 1) @ d_ctx).reshape(-1, d)
@@ -356,8 +319,8 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     w_q = cache.n1.T @ d_q
     w_k = cache.n1.T @ d_k
     w_v = cache.n1.T @ d_v
-    d_n1 = d_q @ p.w_q.T + d_k @ p.w_k.T + d_v @ p.w_v.T
-    dx1, ln1_g, ln1_b = _ln_backward(d_n1, p.ln1_g, cache.ln1)
+    d_n1 = d_q @ p["w_q"].T + d_k @ p["w_k"].T + d_v @ p["w_v"].T
+    dx1, ln1_g, ln1_b = _ln_backward(d_n1, p["ln1_g"], cache.ln1)
     d_h0 = d_h1 + dx1
 
     # h0 = (proj with mask rows replaced) + e_pos
@@ -369,10 +332,11 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
         d_h0[rows] = 0.0
     w_in = cache.x.T @ d_h0
     b_in = d_h0.sum(axis=0)
-    grad_x = (d_h0 @ p.w_in.T).reshape(b, m_frames, -1)
-    grads = EncoderParams(
+    grad_x = (d_h0 @ p["w_in"].T).reshape(b, m_frames, -1)
+    grads = dict(
         w_in=w_in, b_in=b_in, e_pos=e_pos, w_q=w_q, w_k=w_k, w_v=w_v,
         w_o=w_o, b_o=b_o, ln1_g=ln1_g, ln1_b=ln1_b, ln2_g=ln2_g, ln2_b=ln2_b,
         w_f1=w_f1, b_f1=b_f1, w_f2=w_f2, b_f2=b_f2,
     )
-    return grads, grad_x[0] if cache.single else grad_x, grad_mask_embed
+    return ({_PREFIX + name: g for name, g in grads.items()},
+            grad_x[0] if cache.single else grad_x, grad_mask_embed)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import EncoderConfig, EncoderParams
+from .encoder import EncoderConfig
 from .graph import build_affinity, build_signed_graph, default_bandwidth, kmeans, sample_pairs
 from .numerics import GradCheckReport, finite_diff_check
-from .student import LossWeights, StudentParams, batch_gradients
-from .teacher import TeacherParams, teacher_backward, teacher_forward, teacher_recon_loss
+from .student import LossWeights, batch_gradients, init_student
+from .teacher import init_teacher, teacher_backward, teacher_forward, teacher_recon_loss
 
 
 def student_gradient_check(n_videos: int = 6, frames: int = 4, feat_dim: int = 6,
@@ -33,7 +33,7 @@ def student_gradient_check(n_videos: int = 6, frames: int = 4, feat_dim: int = 6
     cfg = EncoderConfig(frame_count=frames, input_dim=feat_dim,
                         model_dim=model_dim, ffn_dim=2 * model_dim)
     features = rng.normal(size=(n_videos, frames, feat_dim))
-    params = StudentParams.init(cfg, rng, code_bits)
+    params = init_student(cfg, rng, code_bits)
     weights = LossWeights()
 
     # frozen supervision: anchors and signed pairs over the raw feature means
@@ -55,9 +55,7 @@ def student_gradient_check(n_videos: int = 6, frames: int = 4, feat_dim: int = 6
 
     _, grads = batch_gradients(features, batch, pairs, params, weights,
                                anchor_of, binarize="relaxed")
-    names = [f"encoder.{n}" for n in EncoderParams.TENSOR_FIELDS] + list(StudentParams.EXTRA_FIELDS)
-    pd, gd = params.as_dict(), grads.as_dict()
-    return finite_diff_check(loss, [pd[n] for n in names], [gd[n] for n in names], step=step)
+    return finite_diff_check(loss, list(params.values()), [grads[n] for n in params], step=step)
 
 
 def teacher_gradient_check(frames: int = 4, feat_dim: int = 6, model_dim: int = 8,
@@ -68,7 +66,7 @@ def teacher_gradient_check(frames: int = 4, feat_dim: int = 6, model_dim: int = 
     cfg = EncoderConfig(frame_count=frames, input_dim=feat_dim,
                         model_dim=model_dim, ffn_dim=2 * model_dim)
     x = rng.normal(size=(frames, feat_dim))
-    params = TeacherParams.init(cfg, rng, code_bits)
+    params = init_teacher(cfg, rng, code_bits)
     mask = (0, frames - 1)
 
     def loss(_):
@@ -77,6 +75,4 @@ def teacher_gradient_check(frames: int = 4, feat_dim: int = 6, model_dim: int = 
 
     fwd = teacher_forward(x, params, mask=mask, binarize="relaxed")
     grads = teacher_backward(x, fwd, params)
-    names = [f"encoder.{n}" for n in EncoderParams.TENSOR_FIELDS] + list(TeacherParams.EXTRA_FIELDS)
-    pd, gd = params.as_dict(), grads.as_dict()
-    return finite_diff_check(loss, [pd[n] for n in names], [gd[n] for n in names], step=step)
+    return finite_diff_check(loss, list(params.values()), [grads[n] for n in params], step=step)

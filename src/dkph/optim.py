@@ -1,6 +1,7 @@
 """Adam optimizer over named parameter dictionaries.
 
-Parameters are updated in place so that dataclass views stay consistent.
+Parameters are updated in place, so every holder of a model's parameter
+dict sees the step.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ class Adam:
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """One adaptive-moment update; missing grads are treated as zero."""
+        """One adaptive-moment update. A tensor without a gradient is skipped,
+        moments included, so a frozen tensor stays fixed."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t

@@ -29,7 +29,7 @@ import numpy as np
 from . import serial
 from .codes import pack_bits, unpack_bits
 from .config import RunConfig
-from .encoder import blocks, cast_params, encode_forward
+from .encoder import Params, blocks, cast_params, encode_forward
 from .exceptions import PipelineError
 from .graph import (
     AnchorSet,
@@ -41,14 +41,13 @@ from .graph import (
 )
 from .retrieval import CodeIndex, map_at_k, pr_curve
 from .student import (
-    StudentParams,
     probe_reconstruction,
     student_forward,
     train_student,
     write_training_log,
 )
 from .synth import generate_synthetic, load_dataset_splits, load_split, load_split_labels
-from .teacher import TeacherParams, teacher_forward, train_teacher
+from .teacher import train_teacher
 
 MAP_KS = (5, 20, 60, 100)
 
@@ -149,14 +148,14 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
                                epochs=cfg.teacher_epochs, code_bits=cfg.teacher_bits,
                                batch_size=cfg.batch_size, learn_rate=cfg.learn_rate,
                                mask_ratio=cfg.mask_ratio, seed=cfg.train_seed)
-        serial.save_checkpoint(run_dir / "teacher.ckpt", result.params.as_dict())
+        serial.save_checkpoint(run_dir / "teacher.ckpt", result.params)
         with open(run_dir / "teacher_log.txt", "w") as f:
             f.write(f"eval_before={result.eval_before:.10g}\n")
             for epoch, loss in enumerate(result.epoch_losses):
                 f.write(f"epoch={epoch} recon={loss:.10g}\n")
             f.write(f"eval_after={result.eval_after:.10g}\n")
         means = np.concatenate([
-            encode_forward(train.features[blk], result.params.encoder)[0].mean
+            encode_forward(train.features[blk], result.params)[0].mean
             for blk in blocks(len(train.features))
         ])
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
@@ -207,14 +206,14 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int) -> None:
                                cfg.loss_weights(), code_bits=bits,
                                epochs=cfg.student_epochs, batch_size=cfg.batch_size,
                                seed=cfg.train_seed)
-        serial.save_checkpoint(run_dir / f"student_{bits}.ckpt", result.params.as_dict())
+        serial.save_checkpoint(run_dir / f"student_{bits}.ckpt", result.params)
         write_training_log(run_dir / f"student_{bits}_log.txt", result.history)
 
     _run_stage(run_dir, f"student_{bits}", cfg,
                [f"student_{bits}.ckpt", f"student_{bits}_log.txt"], fn)
 
 
-def encode_split(features: np.ndarray, params: StudentParams) -> np.ndarray:
+def encode_split(features: np.ndarray, params: Params) -> np.ndarray:
     """Hard codes for every video; returns packed uint8 rows."""
     bits = np.concatenate([student_forward(features[blk], params).code
                            for blk in blocks(len(features))])
@@ -227,8 +226,8 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int) -> None:
     def fn():
         features = {name: load_split(run_dir / "data", name).features
                     for name in ("query", "database")}
-        params = cast_params(StudentParams.from_dict(
-            serial.load_checkpoint(run_dir / f"student_{bits}.ckpt")), features["query"].dtype)
+        params = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
+                             features["query"].dtype)
         for name, x in features.items():
             serial.save_codes(run_dir / f"{name}_{bits}.codes", encode_split(x, params), bits)
 
@@ -371,7 +370,7 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
                 _variant_weights(cfg, variant), code_bits=bits,
                 epochs=cfg.student_epochs, batch_size=cfg.batch_size,
                 seed=cfg.train_seed, dual_stream=(variant != "no_dual"))
-            serial.save_checkpoint(run_dir / f"{stage}.ckpt", result.params.as_dict())
+            serial.save_checkpoint(run_dir / f"{stage}.ckpt", result.params)
             for name in ("query", "database"):
                 packed = encode_split(splits[name].features, result.params)
                 serial.save_codes(run_dir / f"{name}_{stage}.codes", packed, bits)
@@ -383,9 +382,8 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
 
     # information decomposition on the trained full model, database split
     db_features = splits["database"].features
-    full = cast_params(
-        StudentParams.from_dict(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt")),
-        db_features.dtype)
+    full = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
+                       db_features.dtype)
     for mode in ("intact", "drop_code", "drop_latent", "mean_latent"):
         results["recon_error"][mode] = probe_reconstruction(db_features, full, mode)
 

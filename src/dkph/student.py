@@ -45,12 +45,13 @@ import numpy as np
 from .codes import sign_pm1
 from .encoder import (
     EncoderConfig,
-    EncoderParams,
+    Params,
     VisualEmbeddings,
     blocks,
     cast_params,
     encode_backward,
     encode_forward,
+    init_encoder,
 )
 from .encoder import _uniform
 from .exceptions import TrainingError
@@ -66,61 +67,29 @@ class LossWeights:
     gamma2: float = 0.9      # weight of the embedding-alignment loss
     eta: float = 0.1         # hinge weight inside tsim
     beta: float = 1.0        # hinge margin
-    lambda1: float = 2.0     # positive-threshold factor (graph building)
-    lambda2: float = 1.0     # negative-threshold factor
-    alpha: float = 0.0       # affinity bandwidth; 0 = data-driven default
     learn_rate: float = 5e-4
-    mask_ratio: float = 0.15
 
     def __post_init__(self):
-        for name in ("gamma1", "gamma2", "eta", "beta", "lambda1", "lambda2",
-                     "alpha", "learn_rate", "mask_ratio"):
+        for name in ("gamma1", "gamma2", "eta", "beta", "learn_rate"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass
-class StudentParams:
-    encoder: EncoderParams
-    w_hash: np.ndarray     # (M * model_dim, K)
-    b_hash: np.ndarray     # (K,)
-    w_temp: np.ndarray     # (model_dim, K), shared across frames
-    b_temp: np.ndarray     # (K,)
-    w_dec: np.ndarray      # (K, input_dim), shared across frames
-    b_dec: np.ndarray      # (input_dim,)
-
-    EXTRA_FIELDS = ("w_hash", "b_hash", "w_temp", "b_temp", "w_dec", "b_dec")
-
-    @classmethod
-    def init(cls, cfg: EncoderConfig, rng: np.random.Generator, code_bits: int) -> "StudentParams":
-        d, m = cfg.model_dim, cfg.frame_count
-        return cls(
-            encoder=EncoderParams.init(cfg, rng),
-            w_hash=_uniform(rng, (m * d, code_bits), m * d),
-            b_hash=_uniform(rng, code_bits, m * d),
-            w_temp=_uniform(rng, (d, code_bits), d),
-            b_temp=_uniform(rng, code_bits, d),
-            w_dec=_uniform(rng, (code_bits, cfg.input_dim), code_bits),
-            b_dec=_uniform(rng, cfg.input_dim, code_bits),
-        )
-
-    @property
-    def code_bits(self) -> int:
-        return self.w_hash.shape[1]
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        d = self.encoder.as_dict(prefix="encoder.")
-        for name in self.EXTRA_FIELDS:
-            d[name] = getattr(self, name)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, np.ndarray]) -> "StudentParams":
-        kwargs = {"encoder": EncoderParams.from_dict(d, prefix="encoder.")}
-        for name in cls.EXTRA_FIELDS:
-            arr = np.asarray(d[name])
-            kwargs[name] = arr if name.startswith("w_") else arr.reshape(-1)
-        return cls(**kwargs)
+def init_student(cfg: EncoderConfig, rng: np.random.Generator, code_bits: int) -> Params:
+    """The encoder's tensors, then the hash head over all M frames (``w_hash``,
+    ``b_hash``), the temporal head and the decoder, both shared across frames
+    (``w_temp``, ``b_temp``, ``w_dec``, ``b_dec``), in checkpoint order."""
+    d, m = cfg.model_dim, cfg.frame_count
+    params = init_encoder(cfg, rng)
+    params.update(
+        w_hash=_uniform(rng, (m * d, code_bits), m * d),
+        b_hash=_uniform(rng, code_bits, m * d),
+        w_temp=_uniform(rng, (d, code_bits), d),
+        b_temp=_uniform(rng, code_bits, d),
+        w_dec=_uniform(rng, (code_bits, cfg.input_dim), code_bits),
+        b_dec=_uniform(rng, cfg.input_dim, code_bits),
+    )
+    return params
 
 
 @dataclass
@@ -133,11 +102,11 @@ class StudentForward:
     enc_cache: object
 
 
-def student_forward(x: np.ndarray, params: StudentParams,
+def student_forward(x: np.ndarray, params: Params,
                     binarize: str = "hard") -> StudentForward:
-    emb, cache = encode_forward(x, params.encoder)
+    emb, cache = encode_forward(x, params)
     frames = emb.per_frame
-    t_hat = frames.reshape(*frames.shape[:-2], -1) @ params.w_hash + params.b_hash
+    t_hat = frames.reshape(*frames.shape[:-2], -1) @ params["w_hash"] + params["b_hash"]
     act = np.tanh(t_hat)
     if binarize == "hard":
         code = sign_pm1(act)
@@ -145,8 +114,8 @@ def student_forward(x: np.ndarray, params: StudentParams,
         code = act
     else:
         raise ValueError(f"unknown binarize mode {binarize!r}")
-    latent = frames @ params.w_temp + params.b_temp
-    recon = (latent + code[..., None, :]) @ params.w_dec + params.b_dec
+    latent = frames @ params["w_temp"] + params["b_temp"]
+    recon = (latent + code[..., None, :]) @ params["w_dec"] + params["b_dec"]
     return StudentForward(code=code, act=act, latent=latent, recon=recon,
                           embeddings=emb, enc_cache=cache)
 
@@ -158,61 +127,20 @@ def student_recon_loss(x: np.ndarray, recon: np.ndarray) -> float:
     return float((diff * diff).sum() / diff.size)
 
 
-def bsim_loss(pairs: list[PairSample], codes: dict[int, np.ndarray]) -> float:
-    """Pairwise code-similarity loss on real-valued code relaxations.
-
-    Mean over pairs of |label| * (label - <c_i, c_j>/K)^2. Hard {-1,+1}
-    codes are valid inputs; training feeds tanh(t_hat) so the term stays
-    differentiable.
-    """
-    if not pairs:
-        raise ValueError("bsim needs at least one pair")
-    total = 0.0
-    for s in pairs:
-        ci, cj = codes[s.i], codes[s.j]
-        sim = float(ci @ cj) / ci.size
-        total += abs(s.label) * (s.label - sim) ** 2
-    return total / len(pairs)
-
-
-def tsim_loss(pairs: list[PairSample], means: dict[int, np.ndarray],
-              anchor_of, eta: float, beta: float) -> float:
-    """Embedding-alignment loss against frozen teacher anchor centers.
-
-    Every sampled pair pulls the anchor video's mean embedding toward its
-    own 1-NN teacher center; hard negatives add a hinge pushing it closer
-    to that center than to the partner's center by margin beta. For
-    positive pairs the hinge coefficient |label|*(1-label) vanishes.
-    """
-    if not pairs:
-        raise ValueError("tsim needs at least one pair")
-    total = 0.0
-    for s in pairs:
-        ti = means[s.i]
-        pull = float(((ti - anchor_of(s.i)) ** 2).sum())
-        coeff = abs(s.label) * (1 - s.label)
-        term = pull
-        if coeff:
-            push = float(((ti - anchor_of(s.j)) ** 2).sum())
-            term += eta * coeff * max(0.0, pull - push + beta)
-        total += term
-    return total / len(pairs)
-
-
 def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
-                    params: StudentParams, weights: LossWeights, anchor_of=None,
+                    params: Params, weights: LossWeights, anchor_of=None,
                     binarize: str = "hard"):
     """Losses and gradients of recon + gamma1*bsim + gamma2*tsim.
 
     One forward and one backward per distinct video, in blocks:
     reconstruction covers ``batch``, the pair losses cover the videos named
     in ``pairs`` (both sides of a pair receive bsim gradient; only the
-    anchor side receives tsim gradient). Returns (losses dict, StudentParams
-    of gradients); the reported loss components are unweighted.
+    anchor side receives tsim gradient). Returns (losses dict, gradients
+    keyed like ``params``); the reported loss components are unweighted.
     """
-    cfg = params.encoder.config()
-    k = params.code_bits
-    dtype = params.w_hash.dtype
+    m_frames, d_model = params["encoder.e_pos"].shape
+    k, d_in = params["w_dec"].shape
+    dtype = params["w_hash"].dtype
     batch = sorted(set(int(b) for b in batch))
     need = sorted(set(batch) | {s.i for s in pairs} | {s.j for s in pairs})
     row = {v: r for r, v in enumerate(need)}
@@ -222,7 +150,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
 
     in_batch = np.zeros(len(need), dtype=bool)
     in_batch[[row[v] for v in batch]] = True
-    recon_scale = 1.0 / (len(batch) * cfg.frame_count * cfg.input_dim) if batch else 0.0
+    recon_scale = 1.0 / (len(batch) * m_frames * d_in) if batch else 0.0
     l_recon = 0.0
     for blk, fwd in fwds:
         diff = fwd.recon - x[blk]
@@ -230,7 +158,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
     l_recon *= recon_scale
 
     d_act = np.zeros((len(need), k), dtype=dtype)
-    d_mean = np.zeros((len(need), cfg.model_dim), dtype=dtype)
+    d_mean = np.zeros((len(need), d_model), dtype=dtype)
     l_bsim = 0.0
     l_tsim = 0.0
     if pairs:
@@ -264,19 +192,18 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
     for blk, fwd in fwds:
         frames = fwd.embeddings.per_frame
         d_recon = np.where(in_batch[blk, None, None], 2.0 * recon_scale * (fwd.recon - x[blk]), 0.0)
-        d_mix = d_recon @ params.w_dec.T
+        d_mix = d_recon @ params["w_dec"].T
         # straight-through into the code, plus the pair terms on tanh(t_hat)
         d_that = (d_mix.sum(axis=1) + d_act[blk]) * (1.0 - fwd.act * fwd.act)
-        d_frames = (d_mix @ params.w_temp.T
-                    + (d_that @ params.w_hash.T).reshape(frames.shape)
-                    + d_mean[blk, None, :] / cfg.frame_count)
-        enc_grads, _, _ = encode_backward(d_frames, fwd.enc_cache)
+        d_frames = (d_mix @ params["w_temp"].T
+                    + (d_that @ params["w_hash"].T).reshape(frames.shape)
+                    + d_mean[blk, None, :] / m_frames)
+        part, _, _ = encode_backward(d_frames, fwd.enc_cache)
         mix = fwd.latent + fwd.code[:, None, :]
-        part = enc_grads.as_dict(prefix="encoder.")
         part.update(
-            w_dec=mix.reshape(-1, k).T @ d_recon.reshape(-1, cfg.input_dim),
+            w_dec=mix.reshape(-1, k).T @ d_recon.reshape(-1, d_in),
             b_dec=d_recon.sum(axis=(0, 1)),
-            w_temp=frames.reshape(-1, cfg.model_dim).T @ d_mix.reshape(-1, k),
+            w_temp=frames.reshape(-1, d_model).T @ d_mix.reshape(-1, k),
             b_temp=d_mix.sum(axis=(0, 1)),
             w_hash=frames.reshape(len(frames), -1).T @ d_that,
             b_hash=d_that.sum(axis=0),
@@ -286,10 +213,10 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
 
     total = l_recon + weights.gamma1 * l_bsim + weights.gamma2 * l_tsim
     losses = {"recon": l_recon, "bsim": l_bsim, "tsim": l_tsim, "total": total}
-    return losses, StudentParams.from_dict(grads)
+    return losses, grads
 
 
-def student_step(features: np.ndarray, batch, params: StudentParams,
+def student_step(features: np.ndarray, batch, params: Params,
                  graph: SignedGraph, anchor_of, weights: LossWeights,
                  opt: Adam, pair_rng, pair_count: int | None = None,
                  freeze: tuple = ()) -> dict:
@@ -306,17 +233,16 @@ def student_step(features: np.ndarray, batch, params: StudentParams,
     losses, grads = batch_gradients(features, batch, pairs, params, weights, anchor_of)
     if not np.isfinite(losses["total"]):
         raise TrainingError("student loss non-finite", epoch=-1)
-    grad_dict = grads.as_dict()
     for name in freeze:
-        grad_dict.pop(name, None)
-    opt.step(params.as_dict(), grad_dict)
-    params.encoder.version += 1
+        grads.pop(name, None)
+    opt.step(params, grads)
+    params.version += 1
     return losses
 
 
 @dataclass
 class StudentTrainResult:
-    params: StudentParams
+    params: Params
     history: list[dict]  # one row per epoch: epoch, recon, bsim, tsim, total
 
 
@@ -335,12 +261,11 @@ def train_student(features: np.ndarray, cfg: EncoderConfig, graph: SignedGraph,
     features = features.astype(dtype, copy=False)
     n = features.shape[0]
     init_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
-    params = cast_params(StudentParams.init(cfg, np.random.default_rng(init_ss), code_bits),
-                         dtype)
+    params = cast_params(init_student(cfg, np.random.default_rng(init_ss), code_bits), dtype)
     freeze: tuple = ()
     if not dual_stream:
-        params.w_temp[:] = 0.0
-        params.b_temp[:] = 0.0
+        params["w_temp"][:] = 0.0
+        params["b_temp"][:] = 0.0
         freeze = ("w_temp", "b_temp")
     opt = Adam(lr=weights.learn_rate)
     rng = np.random.default_rng(train_ss)
@@ -369,7 +294,7 @@ def train_student(features: np.ndarray, cfg: EncoderConfig, graph: SignedGraph,
 PROBE_MODES = ("intact", "drop_code", "drop_latent", "mean_latent")
 
 
-def probe_reconstruction(features: np.ndarray, params: StudentParams,
+def probe_reconstruction(features: np.ndarray, params: Params,
                          mode: str = "intact") -> float:
     """Reconstruction error with one stream ablated at evaluation time.
 
@@ -395,7 +320,7 @@ def probe_reconstruction(features: np.ndarray, params: StudentParams,
         else:
             mix = np.broadcast_to(fwd.latent.mean(axis=1, keepdims=True) + code,
                                   fwd.latent.shape)
-        total += student_recon_loss(x, mix @ params.w_dec + params.b_dec) * len(x)
+        total += student_recon_loss(x, mix @ params["w_dec"] + params["b_dec"]) * len(x)
     return total / features.shape[0]
 
 

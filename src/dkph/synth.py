@@ -116,21 +116,6 @@ def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
                         prototypes=prototypes, prototype_accuracy=accuracy)
 
 
-def write_dataset(dataset: SynthDataset, out_dir) -> dict[str, Path]:
-    """Write {split}.features / {split}.labels files; returns their paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    for name, split in dataset.splits.items():
-        feat_path = out_dir / f"{name}.features"
-        lab_path = out_dir / f"{name}.labels"
-        serial.save_features(feat_path, split.features)
-        serial.save_labels(lab_path, split.labels)
-        paths[f"{name}.features"] = feat_path
-        paths[f"{name}.labels"] = lab_path
-    return paths
-
-
 def load_split(data_dir, name: str, id_offset: int = 0) -> Split:
     data_dir = Path(data_dir)
     features = serial.load_features(data_dir / f"{name}.features")

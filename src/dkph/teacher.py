@@ -39,12 +39,13 @@ import numpy as np
 from .codes import BinaryCode, sign_pm1
 from .encoder import (
     EncoderConfig,
-    EncoderParams,
+    Params,
     VisualEmbeddings,
     blocks,
     cast_params,
     encode_backward,
     encode_forward,
+    init_encoder,
 )
 from .encoder import _mask_rows, _uniform
 from .exceptions import ShapeError, TrainingError
@@ -54,47 +55,20 @@ DEFAULT_TEACHER_BITS = 128
 DEFAULT_MASK_RATIO = 0.15
 
 
-@dataclass
-class TeacherParams:
-    encoder: EncoderParams
-    mask_embed: np.ndarray  # (model_dim,)
-    w_hash: np.ndarray      # (model_dim, code_bits)
-    b_hash: np.ndarray      # (code_bits,)
-    w_dec: np.ndarray       # (code_bits, input_dim)
-    b_dec: np.ndarray       # (input_dim,)
-
-    EXTRA_FIELDS = ("mask_embed", "w_hash", "b_hash", "w_dec", "b_dec")
-
-    @classmethod
-    def init(cls, cfg: EncoderConfig, rng: np.random.Generator,
-             code_bits: int = DEFAULT_TEACHER_BITS) -> "TeacherParams":
-        d = cfg.model_dim
-        return cls(
-            encoder=EncoderParams.init(cfg, rng),
-            mask_embed=_uniform(rng, d, d),
-            w_hash=_uniform(rng, (d, code_bits), d),
-            b_hash=_uniform(rng, code_bits, d),
-            w_dec=_uniform(rng, (code_bits, cfg.input_dim), code_bits),
-            b_dec=_uniform(rng, cfg.input_dim, code_bits),
-        )
-
-    @property
-    def code_bits(self) -> int:
-        return self.w_hash.shape[1]
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        d = self.encoder.as_dict(prefix="encoder.")
-        for name in self.EXTRA_FIELDS:
-            d[name] = getattr(self, name)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, np.ndarray]) -> "TeacherParams":
-        kwargs = {"encoder": EncoderParams.from_dict(d, prefix="encoder.")}
-        for name in cls.EXTRA_FIELDS:
-            arr = np.asarray(d[name])
-            kwargs[name] = arr if arr.ndim == 2 and name.startswith("w_") else arr.reshape(-1)
-        return cls(**kwargs)
+def init_teacher(cfg: EncoderConfig, rng: np.random.Generator,
+                 code_bits: int = DEFAULT_TEACHER_BITS) -> Params:
+    """The encoder's tensors, then ``mask_embed``, the hash head (``w_hash``,
+    ``b_hash``) and the decoder (``w_dec``, ``b_dec``), in checkpoint order."""
+    d = cfg.model_dim
+    params = init_encoder(cfg, rng)
+    params.update(
+        mask_embed=_uniform(rng, d, d),
+        w_hash=_uniform(rng, (d, code_bits), d),
+        b_hash=_uniform(rng, code_bits, d),
+        w_dec=_uniform(rng, (code_bits, cfg.input_dim), code_bits),
+        b_dec=_uniform(rng, cfg.input_dim, code_bits),
+    )
+    return params
 
 
 @dataclass
@@ -106,15 +80,15 @@ class TeacherForward:
     enc_cache: object
 
 
-def teacher_forward(x: np.ndarray, params: TeacherParams, mask=None,
+def teacher_forward(x: np.ndarray, params: Params, mask=None,
                     binarize: str = "hard") -> TeacherForward:
     """Encode, hash each frame, decode from codes only.
 
     ``binarize="relaxed"`` skips the sign so the whole pass is smooth; used
     by the gradient checker.
     """
-    emb, cache = encode_forward(x, params.encoder, mask=mask, mask_embed=params.mask_embed)
-    z = emb.per_frame @ params.w_hash + params.b_hash
+    emb, cache = encode_forward(x, params, mask=mask, mask_embed=params["mask_embed"])
+    z = emb.per_frame @ params["w_hash"] + params["b_hash"]
     act = np.tanh(z)
     if binarize == "hard":
         codes = sign_pm1(act)
@@ -122,7 +96,7 @@ def teacher_forward(x: np.ndarray, params: TeacherParams, mask=None,
         codes = act
     else:
         raise ValueError(f"unknown binarize mode {binarize!r}")
-    recon = codes @ params.w_dec + params.b_dec
+    recon = codes @ params["w_dec"] + params["b_dec"]
     return TeacherForward(frame_codes=codes, recon=recon, embeddings=emb,
                           act=act, enc_cache=cache)
 
@@ -151,9 +125,9 @@ def _video_losses(x: np.ndarray, recon: np.ndarray, masks) -> np.ndarray:
     return per_frame.sum(axis=1) / (x.shape[2] * rows.sum(axis=1)).astype(x.dtype)
 
 
-def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: TeacherParams) -> TeacherParams:
+def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict:
     """Gradients of the masked reconstruction loss for every teacher tensor,
-    summed over the videos of a batch.
+    summed over the videos of a batch, keyed like ``params``.
 
     Straight-through: d(code)/d(pre-activation) is taken as tanh', whether
     the forward binarized or not.
@@ -165,7 +139,7 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: TeacherParams) 
     if x.shape != fwd.recon.shape:
         raise ShapeError(f"shapes differ: {x.shape} vs {fwd.recon.shape}")
     b, m_frames = cache.masked.shape
-    d_in, bits = x.shape[-1], params.code_bits
+    d_in, bits = x.shape[-1], params["w_hash"].shape[1]
     rows = cache.masked.astype(x.dtype)
     scale = rows / (d_in * rows.sum(axis=1, keepdims=True))
 
@@ -173,18 +147,18 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: TeacherParams) 
     codes = fwd.frame_codes.reshape(-1, bits)
     act = fwd.act.reshape(-1, bits)
     frames = fwd.embeddings.per_frame.reshape(b * m_frames, -1)
-    d_z = (d_recon @ params.w_dec.T) * (1.0 - act * act)
-    d_frames = d_z @ params.w_hash.T
+    d_z = (d_recon @ params["w_dec"].T) * (1.0 - act * act)
+    d_frames = d_z @ params["w_hash"].T
 
-    enc_grads, _, d_me = encode_backward(d_frames.reshape(fwd.embeddings.per_frame.shape), cache)
-    return TeacherParams(
-        encoder=enc_grads,
+    grads, _, d_me = encode_backward(d_frames.reshape(fwd.embeddings.per_frame.shape), cache)
+    grads.update(
         mask_embed=d_me,
         w_hash=frames.T @ d_z,
         b_hash=d_z.sum(axis=0),
         w_dec=codes.T @ d_recon,
         b_dec=d_recon.sum(axis=0),
     )
+    return grads
 
 
 def video_code_from_frames(frame_codes: np.ndarray, tie_rule: str = "plus_one"):
@@ -212,14 +186,14 @@ def draw_mask(rng: np.random.Generator, frame_count: int,
 
 @dataclass
 class TeacherTrainResult:
-    params: TeacherParams
+    params: Params
     epoch_losses: list[float]  # mean training-batch loss per epoch
     eval_before: float         # fixed-mask loss at initialization
     eval_after: float
     eval_masks: list[tuple[int, ...]]
 
 
-def masked_eval_loss(features: np.ndarray, params: TeacherParams, masks) -> float:
+def masked_eval_loss(features: np.ndarray, params: Params, masks) -> float:
     """Mean masked-reconstruction loss over a dataset with fixed masks."""
     features = np.asarray(features)
     total = 0.0
@@ -249,14 +223,12 @@ def train_teacher(features: np.ndarray, cfg: EncoderConfig, *,
     n = features.shape[0]
 
     init_ss, train_ss, eval_ss = np.random.SeedSequence(seed).spawn(3)
-    params = cast_params(TeacherParams.init(cfg, np.random.default_rng(init_ss), code_bits),
-                         dtype)
+    params = cast_params(init_teacher(cfg, np.random.default_rng(init_ss), code_bits), dtype)
     eval_rng = np.random.default_rng(eval_ss)
     eval_masks = [draw_mask(eval_rng, cfg.frame_count, mask_ratio) for _ in range(n)]
     eval_before = masked_eval_loss(features, params, eval_masks)
 
     opt = Adam(lr=learn_rate)
-    flat = params.as_dict()
     rng = np.random.default_rng(train_ss)
     epoch_losses: list[float] = []
     for epoch in range(epochs):
@@ -271,13 +243,13 @@ def train_teacher(features: np.ndarray, cfg: EncoderConfig, *,
                 x = features[batch[blk]]
                 fwd = teacher_forward(x, params, mask=masks[blk])
                 batch_loss += float(teacher_recon_loss(x, fwd.recon, masks[blk]).sum())
-                for name, g in teacher_backward(x, fwd, params).as_dict().items():
+                for name, g in teacher_backward(x, fwd, params).items():
                     grads[name] = grads[name] + g if name in grads else g
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"teacher loss non-finite at epoch {epoch}", epoch)
             scale = 1.0 / len(batch)
-            opt.step(flat, {name: g * scale for name, g in grads.items()})
-            params.encoder.version += 1
+            opt.step(params, {name: g * scale for name, g in grads.items()})
+            params.version += 1
             epoch_total += batch_loss * scale
         epoch_losses.append(epoch_total / ((n + batch_size - 1) // batch_size))
 

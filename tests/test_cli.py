@@ -41,3 +41,45 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS at 0.0001]") == 2
+
+
+def run_through(args, last):
+    """Run the stage subcommands in order, up to and including ``last``."""
+    for command in cli.STAGE_COMMANDS[:cli.STAGE_COMMANDS.index(last) + 1]:
+        assert cli.main([command, *args]) == 0, command
+
+
+def test_train_student_writes_a_checkpoint_and_log_per_width(tiny):
+    cfg, args = tiny
+    run_through(args, "train-student")
+    for bits in cfg.code_bits:
+        ckpt = serial.load_checkpoint(run_layout(cfg) / f"student_{bits}.ckpt")
+        assert ckpt["w_hash"].shape == (cfg.frames * cfg.model_dim, bits)
+        assert (run_layout(cfg) / f"student_{bits}_log.txt").exists()
+
+
+def test_encode_writes_query_and_database_codes_per_width(tiny):
+    cfg, args = tiny
+    run_through(args, "encode")
+    for bits in cfg.code_bits:
+        for split in ("query", "database"):
+            packed, k = serial.load_codes(run_layout(cfg) / f"{split}_{bits}.codes")
+            assert k == bits and packed.shape[1] == (bits + 7) // 8
+
+
+def test_eval_prints_the_report(tiny, capsys):
+    cfg, args = tiny
+    run_through(args, "encode")
+    capsys.readouterr()
+    assert cli.main(["eval", *args]) == 0
+    out = capsys.readouterr().out
+    report = (run_layout(cfg) / "report.txt").read_text()
+    assert report.startswith("dkph run report\n") and report in out
+
+
+def test_ablate_prints_the_ablation_report(tiny, capsys):
+    cfg, args = tiny
+    assert cli.main(["ablate", *args]) == 0
+    out = capsys.readouterr().out
+    ablation = (run_layout(cfg) / "ablation.txt").read_text()
+    assert ablation.startswith("dkph ablation report\n") and ablation in out

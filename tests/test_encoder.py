@@ -8,9 +8,10 @@ import pytest
 from dkph import encoder
 from dkph.encoder import (
     EncoderConfig,
-    EncoderParams,
+    Params,
     encode_backward,
     encode_forward,
+    init_encoder,
 )
 from dkph.exceptions import ShapeError, StaleCacheError
 from dkph.numerics import finite_diff_check
@@ -19,12 +20,19 @@ TOY = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
 
 
 def toy_params(seed=0):
-    return EncoderParams.init(TOY, np.random.default_rng(seed))
+    return init_encoder(TOY, np.random.default_rng(seed))
 
 
-def oracle_forward(x, p, mask=(), mask_embed=None):
+def encoder_tensors(params):
+    """The ``encoder.*`` tensors of a flat parameter dict, by short name."""
+    return {name[len("encoder."):]: t for name, t in params.items()
+            if name.startswith("encoder.")}
+
+
+def oracle_forward(x, params, mask=(), mask_embed=None):
     """Straight-line re-implementation of the block, kept free of any
     shared helper so it can disagree with the library."""
+    p = encoder_tensors(params)
     eps = 1e-5
     c = math.sqrt(2.0 / math.pi)
 
@@ -33,27 +41,29 @@ def oracle_forward(x, p, mask=(), mask_embed=None):
         var = ((z - mu) ** 2).mean(axis=1, keepdims=True)
         return (z - mu) / np.sqrt(var + eps) * gain + bias
 
-    h = x @ p.w_in + p.b_in
+    h = x @ p["w_in"] + p["b_in"]
     for i in mask:
         h[i] = mask_embed
-    h0 = h + p.e_pos
-    n1 = ln(h0, p.ln1_g, p.ln1_b)
-    q, k, v = n1 @ p.w_q, n1 @ p.w_k, n1 @ p.w_v
-    s = q @ k.T / math.sqrt(p.w_q.shape[1])
+    h0 = h + p["e_pos"]
+    n1 = ln(h0, p["ln1_g"], p["ln1_b"])
+    q, k, v = n1 @ p["w_q"], n1 @ p["w_k"], n1 @ p["w_v"]
+    s = q @ k.T / math.sqrt(p["w_q"].shape[1])
     e = np.exp(s - s.max(axis=1, keepdims=True))
     a = e / e.sum(axis=1, keepdims=True)
-    h1 = h0 + (a @ v) @ p.w_o + p.b_o
-    n2 = ln(h1, p.ln2_g, p.ln2_b)
-    f1 = n2 @ p.w_f1 + p.b_f1
+    h1 = h0 + (a @ v) @ p["w_o"] + p["b_o"]
+    n2 = ln(h1, p["ln2_g"], p["ln2_b"])
+    f1 = n2 @ p["w_f1"] + p["b_f1"]
     g1 = 0.5 * f1 * (1.0 + np.tanh(c * (f1 + 0.044715 * f1 ** 3)))
-    return h1 + g1 @ p.w_f2 + p.b_f2
+    return h1 + g1 @ p["w_f2"] + p["b_f2"]
 
 
-def oracle_backward(x, p, grad_out, mask=(), mask_embed=None):
+def oracle_backward(x, params, grad_out, mask=(), mask_embed=None):
     """Straight-line gradients of sum(grad_out * out) for one video.
 
     Recomputes the forward; shares no helper with the library. Returns
-    (dict of parameter gradients, grad_x, grad_mask_embed or None)."""
+    (dict of parameter gradients by short name, grad_x, grad_mask_embed or
+    None)."""
+    p = encoder_tensors(params)
     eps = 1e-5
     c, a = math.sqrt(2.0 / math.pi), 0.044715
 
@@ -70,44 +80,44 @@ def oracle_backward(x, p, grad_out, mask=(), mask_embed=None):
         return dx, (dy * zhat).sum(axis=0), dy.sum(axis=0)
 
     rows = list(mask)
-    h = x @ p.w_in + p.b_in
+    h = x @ p["w_in"] + p["b_in"]
     for i in rows:
         h[i] = mask_embed
-    h0 = h + p.e_pos
-    n1, z1, i1 = ln(h0, p.ln1_g, p.ln1_b)
-    q, k, v = n1 @ p.w_q, n1 @ p.w_k, n1 @ p.w_v
-    root = math.sqrt(p.w_q.shape[1])
+    h0 = h + p["e_pos"]
+    n1, z1, i1 = ln(h0, p["ln1_g"], p["ln1_b"])
+    q, k, v = n1 @ p["w_q"], n1 @ p["w_k"], n1 @ p["w_v"]
+    root = math.sqrt(p["w_q"].shape[1])
     s = q @ k.T / root
     e = np.exp(s - s.max(axis=1, keepdims=True))
     att = e / e.sum(axis=1, keepdims=True)
     ctx = att @ v
-    h1 = h0 + ctx @ p.w_o + p.b_o
-    n2, z2, i2 = ln(h1, p.ln2_g, p.ln2_b)
-    f1 = n2 @ p.w_f1 + p.b_f1
+    h1 = h0 + ctx @ p["w_o"] + p["b_o"]
+    n2, z2, i2 = ln(h1, p["ln2_g"], p["ln2_b"])
+    f1 = n2 @ p["w_f1"] + p["b_f1"]
     t = np.tanh(c * (f1 + a * f1 ** 3))
     g1 = 0.5 * f1 * (1.0 + t)
 
     g = {"w_f2": g1.T @ grad_out, "b_f2": grad_out.sum(axis=0)}
-    df1 = (grad_out @ p.w_f2.T) * (0.5 * (1.0 + t)
-                                    + 0.5 * f1 * (1.0 - t ** 2) * c * (1.0 + 3.0 * a * f1 ** 2))
+    df1 = (grad_out @ p["w_f2"].T) * (0.5 * (1.0 + t)
+                                       + 0.5 * f1 * (1.0 - t ** 2) * c * (1.0 + 3.0 * a * f1 ** 2))
     g["w_f1"], g["b_f1"] = n2.T @ df1, df1.sum(axis=0)
-    dx2, g["ln2_g"], g["ln2_b"] = ln_back(df1 @ p.w_f1.T, p.ln2_g, z2, i2)
+    dx2, g["ln2_g"], g["ln2_b"] = ln_back(df1 @ p["w_f1"].T, p["ln2_g"], z2, i2)
     dh1 = grad_out + dx2
     g["w_o"], g["b_o"] = ctx.T @ dh1, dh1.sum(axis=0)
-    dctx = dh1 @ p.w_o.T
+    dctx = dh1 @ p["w_o"].T
     datt = dctx @ v.T
     dv = att.T @ dctx
     ds = att * (datt - (datt * att).sum(axis=1, keepdims=True)) / root
     dq, dk = ds @ k, ds.T @ q
     g["w_q"], g["w_k"], g["w_v"] = n1.T @ dq, n1.T @ dk, n1.T @ dv
-    dx1, g["ln1_g"], g["ln1_b"] = ln_back(dq @ p.w_q.T + dk @ p.w_k.T + dv @ p.w_v.T,
-                                          p.ln1_g, z1, i1)
+    dx1, g["ln1_g"], g["ln1_b"] = ln_back(dq @ p["w_q"].T + dk @ p["w_k"].T + dv @ p["w_v"].T,
+                                          p["ln1_g"], z1, i1)
     dh0 = dh1 + dx1
     g["e_pos"] = dh0.copy()
     grad_me = dh0[rows].sum(axis=0) if rows else None
     dh0[rows] = 0.0
     g["w_in"], g["b_in"] = x.T @ dh0, dh0.sum(axis=0)
-    return g, dh0 @ p.w_in.T, grad_me
+    return g, dh0 @ p["w_in"].T, grad_me
 
 
 def assert_rel_close(got, want, tol=1e-12):
@@ -120,13 +130,14 @@ def assert_rel_close(got, want, tol=1e-12):
 
 class TestForward:
     def test_zero_input_zero_weights_passes_positional_rows_through(self):
-        p = EncoderParams.zeros(TOY)
-        p.ln1_g[:] = 1.0
-        p.ln2_g[:] = 1.0
-        p.e_pos[:] = np.random.default_rng(1).normal(size=p.e_pos.shape)
+        p = Params({name: np.zeros_like(t) for name, t in toy_params().items()})
+        p["encoder.ln1_g"][:] = 1.0
+        p["encoder.ln2_g"][:] = 1.0
+        e_pos = p["encoder.e_pos"]
+        e_pos[:] = np.random.default_rng(1).normal(size=e_pos.shape)
         emb, _ = encode_forward(np.zeros((4, 6)), p)
-        np.testing.assert_allclose(emb.per_frame, p.e_pos, atol=1e-12)
-        np.testing.assert_allclose(emb.mean, p.e_pos.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(emb.per_frame, e_pos, atol=1e-12)
+        np.testing.assert_allclose(emb.mean, e_pos.mean(axis=0), atol=1e-12)
 
     def test_full_mask_output_independent_of_features(self):
         p = toy_params(2)
@@ -170,8 +181,8 @@ class TestForward:
         emb, _ = encode_forward(x, p)
 
         perm = [2, 0, 3, 1]
-        p_perm = p.copy()
-        p_perm.e_pos = p.e_pos[perm]
+        p_perm = Params(p)
+        p_perm["encoder.e_pos"] = p["encoder.e_pos"][perm]
         emb_perm, _ = encode_forward(x[perm], p_perm)
         np.testing.assert_allclose(emb_perm.per_frame, emb.per_frame[perm], atol=1e-10)
 
@@ -196,8 +207,8 @@ class TestBackward:
         _, cache = encode_forward(np.random.default_rng(21).normal(size=(4, 6)), p)
         grads, gx, _ = encode_backward(np.zeros((4, 8)), cache)
         assert np.array_equal(gx, np.zeros((4, 6)))
-        for name in EncoderParams.TENSOR_FIELDS:
-            assert not np.any(getattr(grads, name))
+        for name in p:
+            assert not np.any(grads[name])
 
     def test_backward_is_linear_in_grad_out(self):
         p = toy_params(22)
@@ -207,10 +218,8 @@ class TestBackward:
         g1, gx1, _ = encode_backward(go, cache)
         g2, gx2, _ = encode_backward(2.0 * go, cache)
         np.testing.assert_allclose(gx2, 2.0 * gx1, atol=1e-12)
-        for name in EncoderParams.TENSOR_FIELDS:
-            np.testing.assert_allclose(
-                getattr(g2, name), 2.0 * getattr(g1, name), atol=1e-12
-            )
+        for name in p:
+            np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
 
     def test_finite_difference_check_sum_loss(self):
         p = toy_params(25)
@@ -228,8 +237,8 @@ class TestBackward:
         _, cache = encode_forward(x, p, mask=mask, mask_embed=me)
         grads, _, grad_me = encode_backward(w, cache)
 
-        tensors = [getattr(p, n) for n in EncoderParams.TENSOR_FIELDS]
-        analytic = [getattr(grads, n) for n in EncoderParams.TENSOR_FIELDS]
+        tensors = list(p.values())
+        analytic = [grads[n] for n in p]
         report = finite_diff_check(loss, tensors, analytic, step=1e-5)
         assert report.max_rel_error < 1e-5, report
 
@@ -296,8 +305,8 @@ class TestBatched:
         _, cache = encode_forward(x[0], p, mask=(1, 2), mask_embed=me)
         grads, gx, gme = encode_backward(go, cache)
         want, want_x, want_me = oracle_backward(x[0], p, go, mask=(1, 2), mask_embed=me)
-        for name in EncoderParams.TENSOR_FIELDS:
-            assert_rel_close(getattr(grads, name), want[name])
+        for name in p:
+            assert_rel_close(grads[name], want[name[len("encoder."):]])
         assert_rel_close(gx, want_x)
         assert_rel_close(gme, want_me)
 
@@ -308,8 +317,9 @@ class TestBatched:
         grads, gx, gme = encode_backward(go, cache)
         per_video = [oracle_backward(x[b], p, go[b], mask=MASKS[b] or (), mask_embed=me)
                      for b in range(5)]
-        for name in EncoderParams.TENSOR_FIELDS:
-            assert_rel_close(getattr(grads, name), sum(g[name] for g, _, _ in per_video))
+        for name in p:
+            short = name[len("encoder."):]
+            assert_rel_close(grads[name], sum(g[short] for g, _, _ in per_video))
         assert_rel_close(gx, np.stack([gxb for _, gxb, _ in per_video]))
         assert_rel_close(gme, sum(m for _, _, m in per_video if m is not None))
 

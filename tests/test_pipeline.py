@@ -11,7 +11,7 @@ from dkph import encoder, pipeline, serial, synth
 from dkph.codes import pack_bits
 from dkph.config import RunConfig
 from dkph.encoder import EncoderConfig
-from dkph.student import StudentParams
+from dkph.student import init_student
 from test_student import oracle_student
 
 TINY = dict(num_classes=4, videos_per_class=10, frames=4, feat_dim=6, model_dim=8,
@@ -22,7 +22,7 @@ TINY = dict(num_classes=4, videos_per_class=10, frames=4, feat_dim=6, model_dim=
 def test_encode_split_equals_per_video_oracle(monkeypatch):
     monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
     cfg = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
-    params = StudentParams.init(cfg, np.random.default_rng(0), code_bits=8)
+    params = init_student(cfg, np.random.default_rng(0), code_bits=8)
     feats = np.random.default_rng(1).normal(size=(7, 4, 6))
     want = pack_bits(np.stack([oracle_student(x, params)[2] for x in feats]).astype(np.int8))
     np.testing.assert_array_equal(pipeline.encode_split(feats, params), want)
@@ -118,7 +118,7 @@ def test_encode_stage_narrows_the_checkpoint_to_the_features_dtype(tiny_run, tmp
     dtypes = []
 
     def recorded(features, params):
-        dtypes.append((features.dtype, {a.dtype for a in params.as_dict().values()}))
+        dtypes.append((features.dtype, {a.dtype for a in params.values()}))
         return encode(features, params)
 
     monkeypatch.setattr(pipeline, "encode_split", recorded)

@@ -121,15 +121,15 @@ def test_integer_and_float64_features_compute_in_float64(dtype):
                         epochs=1, batch_size=3, seed=1)
     for got, want in ((t.params, t64.params), (s.params, s64.params)):
         assert float_dtypes(got) == {np.dtype(np.float64)}
-        for name, arr in got.as_dict().items():
-            np.testing.assert_array_equal(arr, want.as_dict()[name])
+        for name, arr in got.items():
+            np.testing.assert_array_equal(arr, want[name])
 
 
 def test_cast_params_to_own_dtype_shares_every_tensor():
     p = toy_student(2)
     same = cast_params(p, np.float64)
-    for name, arr in same.as_dict().items():
-        assert np.shares_memory(arr, p.as_dict()[name]), name
+    for name, arr in same.items():
+        assert np.shares_memory(arr, p[name]), name
 
 
 def test_float32_batch_gradients_agree_with_float64():
@@ -147,8 +147,8 @@ def test_float32_batch_gradients_agree_with_float64():
                                anchor_of, binarize="relaxed")
     for name in l64:
         assert abs(l32[name] - l64[name]) <= AGREEMENT_TOL * abs(l64[name]), name
-    for name, want in g64.as_dict().items():
-        got = g32.as_dict()[name]
+    for name, want in g64.items():
+        got = g32[name]
         assert got.dtype == np.float32
         err = np.abs(got - want).max()
         assert err <= AGREEMENT_TOL * np.abs(want).max(), (name, err)
@@ -165,5 +165,5 @@ def test_float64_anchor_centres_are_narrowed_to_the_student_dtype():
     l32, g32 = batch_gradients(feats, batch, pairs, p32, LossWeights(),
                                lambda v: anchor_of(v).astype(np.float32))
     assert l64 == l32
-    for name, arr in g32.as_dict().items():
-        np.testing.assert_array_equal(g64.as_dict()[name], arr)
+    for name, arr in g32.items():
+        np.testing.assert_array_equal(g64[name], arr)

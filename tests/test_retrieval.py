@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkph import retrieval
+from dkph import codes, retrieval
 from dkph.codes import BinaryCode, pack_bits
 from dkph.exceptions import ShapeError
 from dkph.retrieval import CodeIndex, MapScore, hamming, map_at_k, pr_curve, query_topk
@@ -107,6 +107,18 @@ class TestQueryTopk:
         idx = CodeIndex.from_bits(np.ones((3, 8), dtype=np.int8))
         with pytest.raises(ValueError):
             query_topk(idx, BinaryCode(np.ones(8, dtype=np.int8)), k=4)
+
+    def test_query_code_is_packed_once_at_construction(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        bits = random_bits(rng, 6, 13)
+        idx = CodeIndex.from_bits(bits)
+        q = BinaryCode(bits[2])
+        calls = []
+        monkeypatch.setattr(codes, "pack_bits", lambda b: calls.append(b))
+        assert q.packed is q.packed
+        np.testing.assert_array_equal(q.packed, np.packbits(bits[2] > 0, bitorder="little"))
+        assert query_topk(idx, q, k=1).ids.tolist() == [2]
+        assert calls == []
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from dkph import serial
+from dkph.encoder import EncoderConfig, cast_params
+from dkph.student import init_student
+from dkph.teacher import init_teacher
 
 
 class TestCheckpoint:
@@ -20,6 +23,19 @@ class TestCheckpoint:
         assert set(back) == set(mats)
         for name in mats:
             np.testing.assert_array_equal(back[name], np.atleast_2d(mats[name]))
+
+    @pytest.mark.parametrize("init", [init_teacher, init_student])
+    def test_model_roundtrip_restores_the_init_dict(self, tmp_path, init):
+        # checkpoints store every tensor 2-D; cast_params restores the shapes
+        cfg = EncoderConfig(frame_count=3, input_dim=5, model_dim=4)
+        params = init(cfg, np.random.default_rng(1), code_bits=6)
+        path = tmp_path / "model.ckpt"
+        serial.save_checkpoint(path, params)
+        back = cast_params(serial.load_checkpoint(path), np.float64)
+        assert list(back) == list(params)
+        for name, arr in params.items():
+            assert back[name].shape == arr.shape, name
+            np.testing.assert_array_equal(back[name], arr)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "one.ckpt"

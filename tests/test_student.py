@@ -9,22 +9,21 @@ from dkph import encoder
 from dkph.codes import unpack_bits, pack_bits
 from dkph.encoder import EncoderConfig
 from dkph.graph import PairSample, SignedGraph, sample_pairs
-from dkph.gradcheck import student_gradient_check
+from dkph.gradcheck import student_gradient_check, teacher_gradient_check
 from dkph.optim import Adam
 from dkph.student import (
     LossWeights,
-    StudentParams,
     PROBE_MODES,
     batch_gradients,
-    bsim_loss,
+    init_student,
     probe_reconstruction,
     student_forward,
     student_recon_loss,
     student_step,
     train_student,
-    tsim_loss,
     write_training_log,
 )
+from dkph.teacher import init_teacher
 from test_encoder import assert_rel_close, oracle_backward, oracle_forward
 
 TOY = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
@@ -32,20 +31,20 @@ K = 8
 
 
 def toy_student(seed=0):
-    return StudentParams.init(TOY, np.random.default_rng(seed), code_bits=K)
+    return init_student(TOY, np.random.default_rng(seed), code_bits=K)
 
 
 class TestForward:
     def test_zero_hash_layer_gives_all_plus_one_by_tie_rule(self):
         p = toy_student(1)
-        p.w_hash[:] = 0.0
-        p.b_hash[:] = 0.0
+        p["w_hash"][:] = 0.0
+        p["b_hash"][:] = 0.0
         fwd = student_forward(np.random.default_rng(2).normal(size=(4, 6)), p)
         assert np.all(fwd.code == 1.0)
 
     def test_zero_temporal_layer_makes_all_frames_reconstruct_identically(self):
         p = toy_student(3)
-        p.w_temp[:] = 0.0
+        p["w_temp"][:] = 0.0
         fwd = student_forward(np.random.default_rng(4).normal(size=(4, 6)), p)
         for m in range(1, 4):
             np.testing.assert_array_equal(fwd.recon[m], fwd.recon[0])
@@ -55,11 +54,11 @@ class TestForward:
         x = np.random.default_rng(6).normal(size=(4, 6))
         fwd = student_forward(x, p)
 
-        frames = oracle_forward(x, p.encoder)
-        t_hat = frames.reshape(-1) @ p.w_hash + p.b_hash
+        frames = oracle_forward(x, p)
+        t_hat = frames.reshape(-1) @ p["w_hash"] + p["b_hash"]
         code = np.where(np.tanh(t_hat) >= 0, 1.0, -1.0)
-        latent = frames @ p.w_temp + p.b_temp
-        recon = (latent + code) @ p.w_dec + p.b_dec
+        latent = frames @ p["w_temp"] + p["b_temp"]
+        recon = (latent + code) @ p["w_dec"] + p["b_dec"]
         np.testing.assert_array_equal(fwd.code, code)
         np.testing.assert_allclose(fwd.latent, latent, atol=1e-12)
         np.testing.assert_allclose(fwd.recon, recon, atol=1e-12)
@@ -79,8 +78,8 @@ class TestForward:
         p = toy_student(9)
         x = np.random.default_rng(10).normal(size=(4, 6))
         a = student_forward(x, p)
-        p.w_hash *= 3.0
-        p.b_hash *= 3.0
+        p["w_hash"] *= 3.0
+        p["b_hash"] *= 3.0
         b = student_forward(x, p)
         assert np.array_equal(a.code, b.code)
         assert np.array_equal(a.recon, b.recon)
@@ -105,6 +104,48 @@ class TestReconLoss:
                 for d in range(6):
                     total += (x[i, m, d] - recon[i, m, d]) ** 2
         assert student_recon_loss(x, recon) == pytest.approx(total / 72, rel=1e-13)
+
+
+def bsim_loss(pairs: list[PairSample], codes: dict[int, np.ndarray]) -> float:
+    """Pairwise code-similarity loss on real-valued code relaxations.
+
+    Mean over pairs of |label| * (label - <c_i, c_j>/K)^2. Hard {-1,+1}
+    codes are valid inputs; training feeds tanh(t_hat) so the term stays
+    differentiable. A per-pair loop, the oracle of ``batch_gradients``.
+    """
+    if not pairs:
+        raise ValueError("bsim needs at least one pair")
+    total = 0.0
+    for s in pairs:
+        ci, cj = codes[s.i], codes[s.j]
+        sim = float(ci @ cj) / ci.size
+        total += abs(s.label) * (s.label - sim) ** 2
+    return total / len(pairs)
+
+
+def tsim_loss(pairs: list[PairSample], means: dict[int, np.ndarray],
+              anchor_of, eta: float, beta: float) -> float:
+    """Embedding-alignment loss against frozen teacher anchor centers.
+
+    Every sampled pair pulls the anchor video's mean embedding toward its
+    own 1-NN teacher center; hard negatives add a hinge pushing it closer
+    to that center than to the partner's center by margin beta. For
+    positive pairs the hinge coefficient |label|*(1-label) vanishes. A
+    per-pair loop, the oracle of ``batch_gradients``.
+    """
+    if not pairs:
+        raise ValueError("tsim needs at least one pair")
+    total = 0.0
+    for s in pairs:
+        ti = means[s.i]
+        pull = float(((ti - anchor_of(s.i)) ** 2).sum())
+        coeff = abs(s.label) * (1 - s.label)
+        term = pull
+        if coeff:
+            push = float(((ti - anchor_of(s.j)) ** 2).sum())
+            term += eta * coeff * max(0.0, pull - push + beta)
+        total += term
+    return total / len(pairs)
 
 
 class TestBsimLoss:
@@ -201,25 +242,34 @@ class TestStep:
         params_b = toy_student(11)
         losses, grads = batch_gradients(feats, [0, 1, 2], [], params_b, w0, None)
         assert losses["total"] == parts["recon"]
-        Adam(lr=1e-3).step(params_b.as_dict(), grads.as_dict())
-        for name, arr in params_a.as_dict().items():
-            np.testing.assert_array_equal(arr, params_b.as_dict()[name])
+        Adam(lr=1e-3).step(params_b, grads)
+        for name, arr in params_a.items():
+            np.testing.assert_array_equal(arr, params_b[name])
 
     def test_step_returns_all_components_and_updates_params(self):
         feats, graph, anchor_of = two_class_setup()
         params = toy_student(12)
-        before = {k: v.copy() for k, v in params.as_dict().items()}
+        before = {k: v.copy() for k, v in params.items()}
         parts = student_step(feats, [0, 1, 2, 3], params, graph, anchor_of,
                              LossWeights(), Adam(), np.random.default_rng(1))
         assert set(parts) == {"recon", "bsim", "tsim", "total"}
         assert parts["total"] == pytest.approx(
             parts["recon"] + 0.11 * parts["bsim"] + 0.9 * parts["tsim"])
-        changed = any(not np.array_equal(before[k], v) for k, v in params.as_dict().items())
+        changed = any(not np.array_equal(before[k], v) for k, v in params.items())
         assert changed
 
     def test_full_loss_gradient_check_toy(self):
         report = student_gradient_check(seed=0)
         assert report.max_rel_error < 1e-4, report
+
+    def test_gradient_checks_sweep_every_tensor_of_the_init_dict(self):
+        # the gradcheck defaults: 4 frames, 6 features, model width 8, 8 bits
+        cfg = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=16)
+        rng = np.random.default_rng(0)
+        for check, init, want in ((teacher_gradient_check, init_teacher, 798),
+                                  (student_gradient_check, init_student, 1054)):
+            size = sum(t.size for t in init(cfg, rng, code_bits=8).values())
+            assert check(seed=0).param_count == size == want, check.__name__
 
     def test_training_descends_and_is_deterministic(self):
         feats, graph, anchor_of = two_class_setup()
@@ -229,8 +279,8 @@ class TestStep:
         b = train_student(feats, TOY, graph, anchor_of, w, code_bits=K,
                           epochs=12, batch_size=3, seed=5)
         assert a.history[-1]["total"] < a.history[0]["total"]
-        for name, arr in a.params.as_dict().items():
-            np.testing.assert_array_equal(arr, b.params.as_dict()[name])
+        for name, arr in a.params.items():
+            np.testing.assert_array_equal(arr, b.params[name])
         assert a.history == b.history
 
     def test_training_log_lines(self, tmp_path):
@@ -243,16 +293,16 @@ class TestStep:
 
 def oracle_student(x, p):
     """Straight-line hard forward of one video: frames, act, code, latent, recon."""
-    frames = oracle_forward(x, p.encoder)
-    act = np.tanh(frames.reshape(-1) @ p.w_hash + p.b_hash)
+    frames = oracle_forward(x, p)
+    act = np.tanh(frames.reshape(-1) @ p["w_hash"] + p["b_hash"])
     code = np.where(act >= 0, 1.0, -1.0)
-    latent = frames @ p.w_temp + p.b_temp
-    return frames, act, code, latent, (latent + code) @ p.w_dec + p.b_dec
+    latent = frames @ p["w_temp"] + p["b_temp"]
+    return frames, act, code, latent, (latent + code) @ p["w_dec"] + p["b_dec"]
 
 
 def oracle_batch_gradients(features, batch, pairs, p, w, anchor_of):
     """Per-video, per-pair loops over the straight-line oracles."""
-    k = p.code_bits
+    k = p["w_hash"].shape[1]
     m, d_in = features.shape[1:]
     need = sorted(set(batch) | {s.i for s in pairs} | {s.j for s in pairs})
     fw = {v: oracle_student(features[v], p) for v in need}
@@ -260,7 +310,7 @@ def oracle_batch_gradients(features, batch, pairs, p, w, anchor_of):
     rs = 1.0 / (len(batch) * m * d_in)
     l_recon = rs * sum(((fw[v][4] - features[v]) ** 2).sum() for v in batch)
     d_act = {v: np.zeros(k) for v in need}
-    d_mean = {v: np.zeros(p.w_temp.shape[0]) for v in need}
+    d_mean = {v: np.zeros(p["w_temp"].shape[0]) for v in need}
     l_bsim = l_tsim = 0.0
     n = len(pairs)
     for s in pairs:
@@ -291,16 +341,16 @@ def oracle_batch_gradients(features, batch, pairs, p, w, anchor_of):
             d_recon = 2.0 * rs * (recon - features[v])
             g["w_dec"] += (latent + code).T @ d_recon
             g["b_dec"] += d_recon.sum(axis=0)
-            d_mix = d_recon @ p.w_dec.T
+            d_mix = d_recon @ p["w_dec"].T
             g["w_temp"] += frames.T @ d_mix
             g["b_temp"] += d_mix.sum(axis=0)
-            d_frames += d_mix @ p.w_temp.T
+            d_frames += d_mix @ p["w_temp"].T
             d_code += d_mix.sum(axis=0)
         d_that = (d_code + d_act[v]) * (1.0 - act ** 2)
         g["w_hash"] += np.outer(frames.reshape(-1), d_that)
         g["b_hash"] += d_that
-        d_frames += (p.w_hash @ d_that).reshape(frames.shape) + d_mean[v] / m
-        enc, _, _ = oracle_backward(features[v], p.encoder, d_frames)
+        d_frames += (p["w_hash"] @ d_that).reshape(frames.shape) + d_mean[v] / m
+        enc, _, _ = oracle_backward(features[v], p, d_frames)
         for name, grad in enc.items():
             g[f"encoder.{name}"] += grad
     losses = {"recon": l_recon, "bsim": l_bsim / n, "tsim": l_tsim / n}
@@ -332,10 +382,24 @@ class TestBatched:
         want_losses, want = oracle_batch_gradients(feats, batch, pairs, p, w, anchor_of)
         for name in ("recon", "bsim", "tsim"):
             assert losses[name] == pytest.approx(want_losses[name], rel=1e-12)
-        got = grads.as_dict()
-        assert set(got) == set(want)
-        for name, g in got.items():
+        assert set(grads) == set(want)
+        for name, g in grads.items():
             assert_rel_close(g, want[name])
+
+    @pytest.mark.parametrize("binarize", ["hard", "relaxed"])
+    def test_pair_losses_equal_per_pair_loops(self, binarize):
+        feats, graph, anchor_of = two_class_setup(27)
+        p = toy_student(28)
+        w = LossWeights()
+        pairs = sample_pairs(graph, [0, 1, 3], count=8, seed=29)
+        losses, _ = batch_gradients(feats, [0, 1, 3], pairs, p, w, anchor_of,
+                                    binarize=binarize)
+        fwd = {v: student_forward(feats[v], p, binarize=binarize) for v in range(len(feats))}
+        acts = {v: f.act for v, f in fwd.items()}
+        means = {v: f.embeddings.mean for v, f in fwd.items()}
+        assert losses["bsim"] == pytest.approx(bsim_loss(pairs, acts), rel=1e-12)
+        assert losses["tsim"] == pytest.approx(
+            tsim_loss(pairs, means, anchor_of, eta=w.eta, beta=w.beta), rel=1e-12)
 
     @pytest.mark.parametrize("mode", PROBE_MODES)
     def test_probe_reconstruction_equals_per_video_oracle(self, monkeypatch, mode):
@@ -348,6 +412,6 @@ class TestBatched:
             mix = {"intact": latent + code, "drop_code": latent,
                    "drop_latent": np.tile(code, (4, 1)),
                    "mean_latent": np.tile(latent.mean(axis=0) + code, (4, 1))}[mode]
-            total += ((x - (mix @ p.w_dec + p.b_dec)) ** 2).mean()
+            total += ((x - (mix @ p["w_dec"] + p["b_dec"])) ** 2).mean()
         assert probe_reconstruction(feats, p, mode) == pytest.approx(total / len(feats),
                                                                      rel=1e-12)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from dkph import encoder
-from dkph.encoder import EncoderConfig, EncoderParams
+from dkph.encoder import EncoderConfig
 from dkph.exceptions import TrainingError
 from dkph.numerics import finite_diff_check
 from dkph.teacher import (
-    TeacherParams,
     draw_mask,
+    init_teacher,
     masked_eval_loss,
     teacher_backward,
     teacher_forward,
@@ -24,21 +24,21 @@ BITS = 16
 
 
 def toy_teacher(seed=0):
-    return TeacherParams.init(TOY, np.random.default_rng(seed), code_bits=BITS)
+    return init_teacher(TOY, np.random.default_rng(seed), code_bits=BITS)
 
 
 class TestForward:
     def test_positive_hash_outputs_give_all_plus_one_codes(self):
         p = toy_teacher(1)
-        p.w_hash[:] = 0.0
-        p.b_hash[:] = 0.5
+        p["w_hash"][:] = 0.0
+        p["b_hash"][:] = 0.5
         fwd = teacher_forward(np.random.default_rng(2).normal(size=(4, 6)), p, mask={0})
         assert np.all(fwd.frame_codes == 1.0)
 
     def test_zero_decoder_reconstruction_is_zero_and_loss_is_mean_square(self):
         p = toy_teacher(3)
-        p.w_dec[:] = 0.0
-        p.b_dec[:] = 0.0
+        p["w_dec"][:] = 0.0
+        p["b_dec"][:] = 0.0
         x = np.random.default_rng(4).normal(size=(4, 6))
         mask = (1, 3)
         fwd = teacher_forward(x, p, mask=mask)
@@ -52,10 +52,10 @@ class TestForward:
         mask = (2,)
         fwd = teacher_forward(x, p, mask=mask)
 
-        frames = oracle_forward(x, p.encoder, mask=mask, mask_embed=p.mask_embed)
-        z = frames @ p.w_hash + p.b_hash
+        frames = oracle_forward(x, p, mask=mask, mask_embed=p["mask_embed"])
+        z = frames @ p["w_hash"] + p["b_hash"]
         codes = np.where(np.tanh(z) >= 0, 1.0, -1.0)
-        recon = codes @ p.w_dec + p.b_dec
+        recon = codes @ p["w_dec"] + p["b_dec"]
         np.testing.assert_array_equal(fwd.frame_codes, codes)
         np.testing.assert_allclose(fwd.recon, recon, atol=1e-12)
 
@@ -72,8 +72,8 @@ class TestForward:
         p = toy_teacher(9)
         x = np.random.default_rng(10).normal(size=(4, 6))
         fwd_a = teacher_forward(x, p, mask={1})
-        p.w_hash *= 2.0
-        p.b_hash *= 2.0
+        p["w_hash"] *= 2.0
+        p["b_hash"] *= 2.0
         fwd_b = teacher_forward(x, p, mask={1})
         assert np.array_equal(fwd_a.frame_codes, fwd_b.frame_codes)
         assert np.array_equal(fwd_a.recon, fwd_b.recon)
@@ -149,12 +149,9 @@ class TestBackward:
         fwd = teacher_forward(x, p, mask=mask, binarize="relaxed")
         grads = teacher_backward(x, fwd, p)
 
-        names = [f"encoder.{n}" for n in EncoderParams.TENSOR_FIELDS] + list(
-            TeacherParams.EXTRA_FIELDS
-        )
-        pd, gd = p.as_dict(), grads.as_dict()
+        names = list(p)
         report = finite_diff_check(
-            loss, [pd[n] for n in names], [gd[n] for n in names], step=1e-5
+            loss, [p[n] for n in names], [grads[n] for n in names], step=1e-5
         )
         assert report.max_rel_error < 1e-5, (report, names[report.worst_index[0]])
 
@@ -169,17 +166,17 @@ class TestTraining:
         feats = self.make_features()
         result = train_teacher(feats, TOY, epochs=0, code_bits=BITS, seed=42, batch_size=4)
         init_ss = np.random.SeedSequence(42).spawn(3)[0]
-        fresh = TeacherParams.init(TOY, np.random.default_rng(init_ss), BITS)
-        for name, arr in result.params.as_dict().items():
-            np.testing.assert_array_equal(arr, fresh.as_dict()[name])
+        fresh = init_teacher(TOY, np.random.default_rng(init_ss), BITS)
+        for name, arr in result.params.items():
+            np.testing.assert_array_equal(arr, fresh[name])
         assert result.eval_before == result.eval_after
 
     def test_training_is_deterministic_under_seed(self):
         feats = self.make_features()
         a = train_teacher(feats, TOY, epochs=3, code_bits=BITS, seed=7, batch_size=4)
         b = train_teacher(feats, TOY, epochs=3, code_bits=BITS, seed=7, batch_size=4)
-        for name, arr in a.params.as_dict().items():
-            np.testing.assert_array_equal(arr, b.params.as_dict()[name])
+        for name, arr in a.params.items():
+            np.testing.assert_array_equal(arr, b.params[name])
         assert a.epoch_losses == b.epoch_losses
 
     def test_loss_does_not_increase_over_training(self):
@@ -227,18 +224,18 @@ class TestTraining:
 def oracle_teacher(x, p, mask, binarize="hard"):
     """Straight-line masked loss and gradients of one video, from the
     encoder oracles; straight-through past the sign."""
-    frames = oracle_forward(x, p.encoder, mask=mask, mask_embed=p.mask_embed)
-    act = np.tanh(frames @ p.w_hash + p.b_hash)
+    frames = oracle_forward(x, p, mask=mask, mask_embed=p["mask_embed"])
+    act = np.tanh(frames @ p["w_hash"] + p["b_hash"])
     codes = np.where(act >= 0, 1.0, -1.0) if binarize == "hard" else act
-    recon = codes @ p.w_dec + p.b_dec
+    recon = codes @ p["w_dec"] + p["b_dec"]
     rows = list(mask)
     scale = x.shape[1] * len(rows)
     loss = ((x[rows] - recon[rows]) ** 2).sum() / scale
     d_recon = np.zeros_like(recon)
     d_recon[rows] = 2.0 * (recon[rows] - x[rows]) / scale
-    d_z = (d_recon @ p.w_dec.T) * (1.0 - act ** 2)
-    enc, _, d_me = oracle_backward(x, p.encoder, d_z @ p.w_hash.T, mask=mask,
-                                   mask_embed=p.mask_embed)
+    d_z = (d_recon @ p["w_dec"].T) * (1.0 - act ** 2)
+    enc, _, d_me = oracle_backward(x, p, d_z @ p["w_hash"].T, mask=mask,
+                                   mask_embed=p["mask_embed"])
     grads = {f"encoder.{n}": g for n, g in enc.items()}
     grads.update(mask_embed=d_me, w_hash=frames.T @ d_z, b_hash=d_z.sum(axis=0),
                  w_dec=codes.T @ d_recon, b_dec=d_recon.sum(axis=0))
@@ -255,7 +252,7 @@ class TestBatched:
         fwd = teacher_forward(x, p, mask=BATCH_MASKS)
         assert fwd.recon.shape == (3, 4, 6) and fwd.frame_codes.shape == (3, 4, BITS)
         losses = teacher_recon_loss(x, fwd.recon, BATCH_MASKS)
-        grads = teacher_backward(x, fwd, p).as_dict()
+        grads = teacher_backward(x, fwd, p)
         per_video = [oracle_teacher(x[b], p, BATCH_MASKS[b]) for b in range(3)]
         np.testing.assert_allclose(losses, [loss for loss, _ in per_video], rtol=1e-12)
         for name, g in grads.items():
@@ -270,9 +267,9 @@ class TestBatched:
             return float(teacher_recon_loss(x, fwd.recon, BATCH_MASKS).sum())
 
         fwd = teacher_forward(x, p, mask=BATCH_MASKS, binarize="relaxed")
-        pd, gd = p.as_dict(), teacher_backward(x, fwd, p).as_dict()
-        names = list(pd)
-        report = finite_diff_check(loss, [pd[n] for n in names], [gd[n] for n in names],
+        grads = teacher_backward(x, fwd, p)
+        names = list(p)
+        report = finite_diff_check(loss, [p[n] for n in names], [grads[n] for n in names],
                                    step=1e-5)
         assert report.max_rel_error < 1e-4, (report, names[report.worst_index[0]])
 
@@ -297,6 +294,6 @@ class TestBatched:
         a = train_teacher(feats, TOY, epochs=2, code_bits=BITS, seed=9, batch_size=8)
         monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
         b = train_teacher(feats, TOY, epochs=2, code_bits=BITS, seed=9, batch_size=8)
-        for name, arr in a.params.as_dict().items():
-            assert_rel_close(b.params.as_dict()[name], arr, tol=1e-9)
+        for name, arr in a.params.items():
+            assert_rel_close(b.params[name], arr, tol=1e-9)
         np.testing.assert_allclose(b.epoch_losses, a.epoch_losses, rtol=1e-12)
