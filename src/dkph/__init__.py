@@ -10,7 +10,7 @@ backward pass is hand-written and gated by finite-difference checks.
 
 from .codes import BinaryCode, pack_bits, unpack_bits
 from .config import RunConfig
-from .encoder import EncoderConfig, Params, VisualEmbeddings, encode_backward, encode_forward, init_encoder
+from .encoder import EncoderConfig, Params, encode_backward, encode_forward, init_encoder
 from .graph import (
     AnchorSet,
     GaussianThresholds,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorSet", "BinaryCode", "CodeIndex", "EncoderConfig", "GaussianThresholds",
     "GradCheckReport", "LossWeights", "PairSample", "Params", "RankedList", "RunConfig",
-    "SignedGraph", "SparseAffinity", "SynthConfig", "VisualEmbeddings", "ablation_suite",
+    "SignedGraph", "SparseAffinity", "SynthConfig", "ablation_suite",
     "adjacency_row", "build_affinity", "build_signed_graph", "encode_backward",
     "encode_forward", "finite_diff_check", "generate_synthetic", "hamming",
     "init_encoder", "init_student", "init_teacher", "kmeans", "map_at_k", "pack_bits",

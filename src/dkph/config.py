@@ -63,16 +63,23 @@ class RunConfig:
     UNHASHED = ("work_dir",)
 
     def __post_init__(self):
-        n_train = self.num_classes * int(round(SPLIT_FRACTIONS[0] * self.videos_per_class))
+        per_class = [int(round(f * self.videos_per_class)) for f in SPLIT_FRACTIONS]
+        n_train = self.num_classes * per_class[0]
+        positive = ("num_classes", "frames", "feat_dim", "model_dim", "teacher_bits",
+                    "batch_size")
+        non_negative = ("intra_class_noise", "temporal_drift", "ffn_dim", "teacher_epochs",
+                        "student_epochs", "learn_rate", "bandwidth", "eta", "beta",
+                        "gamma1", "gamma2")
         checks = (
+            *[(key, getattr(self, key) >= 1, "must be >= 1") for key in positive],
+            *[(key, getattr(self, key) >= 0, "must be >= 0") for key in non_negative],
+            ("videos_per_class", min(per_class) >= 1 and sum(per_class) < self.videos_per_class,
+             "must give each class at least one train, query and database video"),
             ("num_anchors", self.num_anchors <= n_train,
              f"more anchors than the {n_train} training videos "
              f"(num_classes x round({SPLIT_FRACTIONS[0]} x videos_per_class))"),
             ("anchor_neighbors", 1 <= self.anchor_neighbors <= self.num_anchors,
              "must lie in [1, num_anchors]"),
-            ("batch_size", self.batch_size >= 1, "must be >= 1"),
-            ("teacher_epochs", self.teacher_epochs >= 0, "must be >= 0"),
-            ("student_epochs", self.student_epochs >= 0, "must be >= 0"),
             ("code_bits", len(self.code_bits) > 0 and all(b > 0 for b in self.code_bits),
              "must be a nonempty list of positive widths"),
             ("mask_ratio", 0.0 < self.mask_ratio < 1.0, "must lie strictly between 0 and 1"),

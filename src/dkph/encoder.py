@@ -1,7 +1,7 @@
-"""Single-block, single-head transformer encoder with explicit backward.
+"""One-block, one-head transformer encoder with explicit backward.
 
-Maps an M x D matrix of per-frame features to M visual embeddings of width
-``model_dim``. Architecture, per video:
+Maps each video's M x D matrix of per-frame features to M visual embeddings
+of width ``model_dim``. Architecture, per video:
 
     h   = proj(x)                      # D -> model_dim, per frame
     h   = mask_embed at masked rows    # cloze mode only; replaces content
@@ -9,18 +9,17 @@ Maps an M x D matrix of per-frame features to M visual embeddings of width
     h1  = h0 + W_o(softmax(Q K^T / sqrt(d)) V)     on LN(h0)
     out = h1 + FFN(LN(h1))             # FFN = W2 gelu(W1 .)
 
-Pre-norm residuals; attention rows are a probability simplex; the embedding
-mean is the plain row average. Forward caches every intermediate needed by
-:func:`encode_backward`, and the backward is verified against central finite
-differences in the test suite.
+Pre-norm residuals; attention rows are a probability simplex. Forward caches
+every intermediate needed by :func:`encode_backward`, and the backward is
+verified against central finite differences in the test suite.
 
-Batches. Both passes run on a (B, M, D) batch of videos: the per-frame
-layers as one matrix product over all B * M rows, attention as B stacked
-M x M products. The backward returns parameter gradients summed over the
-batch. A 2-D (M, D) input is a batch of one, squeezed on return. For a batch,
-``mask`` is a sequence of B frame-index sets (None or empty: unmasked);
-for one video it is a single set. Callers run large sets of videos in
-blocks of :data:`BLOCK_VIDEOS` (see :func:`blocks`).
+Batches. Both passes take only a (B, M, D) batch of videos (one video is a
+batch of one): the per-frame layers run as one matrix product over all
+B * M rows, attention as B stacked M x M products. ``masked`` is a (B, M)
+bool array, True at the masked frames. The backward returns parameter
+gradients summed over the batch. Callers run large sets of videos in blocks
+of :data:`BLOCK_VIDEOS` (see :func:`blocks`) and take frame means where they
+need them.
 
 Parameters. A model's parameters are one flat dict (:class:`Params`) keyed
 by checkpoint name: the encoder's ``encoder.*`` tensors, then the head's.
@@ -120,25 +119,12 @@ def cast_params(params, dtype) -> Params:
 
 
 @dataclass
-class VisualEmbeddings:
-    """Per-frame encoder outputs plus their row average."""
-
-    per_frame: np.ndarray  # (M, model_dim), or (B, M, model_dim)
-    mean: np.ndarray       # (model_dim,), or (B, model_dim)
-
-    @classmethod
-    def from_frames(cls, per_frame: np.ndarray) -> "VisualEmbeddings":
-        return cls(per_frame=per_frame, mean=per_frame.mean(axis=-2))
-
-
-@dataclass
 class EncoderCache:
     """Forward intermediates. Row arrays are flat, (B * M, width); q, k, v
-    are (B, M, model_dim); attn has the input's leading shape."""
+    are (B, M, model_dim) and attn is (B, M, M)."""
 
     params: Params
     version: int
-    single: bool
     x: np.ndarray
     masked: np.ndarray     # (B, M) bool
     ln1: tuple
@@ -195,46 +181,37 @@ def _gelu_backward(dy, x, t):
     return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
 
-def _mask_rows(mask, batch: int, m_frames: int) -> np.ndarray:
-    """The (B, M) boolean mask of B per-video index sets (None: no mask)."""
-    masks = mask if mask is not None else [None] * batch
-    if len(masks) != batch:
-        raise ShapeError(f"expected {batch} masks, got {len(masks)}")
-    masked = np.zeros((batch, m_frames), dtype=bool)
-    for row, mk in enumerate(masks):
-        idx = [int(i) for i in mk] if mk else []
-        if idx and (min(idx) < 0 or max(idx) >= m_frames):
-            raise ShapeError(f"mask indices out of range for M={m_frames}")
-        masked[row, idx] = True
-    return masked
+def check_mask(masked, shape: tuple) -> None:
+    """Raise ShapeError unless ``masked`` is a bool array of ``shape``."""
+    if not (isinstance(masked, np.ndarray) and masked.dtype == bool and masked.shape == shape):
+        got = (masked.dtype, masked.shape) if isinstance(masked, np.ndarray) else type(masked)
+        raise ShapeError(f"expected a bool mask of shape {shape}, got {got}")
 
 
 def encode_forward(
     x: np.ndarray,
     params: Params,
-    mask=None,
+    masked: np.ndarray | None = None,
     mask_embed: np.ndarray | None = None,
-) -> tuple[VisualEmbeddings, EncoderCache]:
-    """Run the block on one video (M, D) or a batch (B, M, D).
+) -> tuple[np.ndarray, EncoderCache]:
+    """Run the block on a batch (B, M, D); returns the (B, M, model_dim)
+    per-frame outputs and the cache for :func:`encode_backward`.
 
-    ``mask`` is an optional set of frame indices, or for a batch a sequence
-    of B such sets; masked frames have their projected content replaced by
-    ``mask_embed`` before the positional rows are added, so no feature
-    content leaks through. Attention still runs over all M positions.
-    Only the ``encoder.*`` tensors of ``params`` are read.
+    ``masked`` is an optional (B, M) bool array; masked frames have their
+    projected content replaced by ``mask_embed`` before the positional rows
+    are added, so no feature content leaks through. Attention still runs
+    over all M positions. Only the ``encoder.*`` tensors of ``params`` are
+    read.
     """
     p = _tensors(params)
     x = np.asarray(x, dtype=p["w_in"].dtype)
-    single = x.ndim == 2
-    if single:
-        x, mask = x[None], [mask]
     m_frames, d_in = p["e_pos"].shape[0], p["w_in"].shape[0]
     if x.ndim != 3 or x.shape[1:] != (m_frames, d_in):
-        shape = x.shape[1:] if single else x.shape
-        raise ShapeError(f"expected features of shape (B, {m_frames}, {d_in}) "
-                         f"or ({m_frames}, {d_in}), got {shape}")
+        raise ShapeError(f"expected features of shape (B, {m_frames}, {d_in}), got {x.shape}")
     b = x.shape[0]
-    masked = _mask_rows(mask, b, m_frames)
+    if masked is None:
+        masked = np.zeros((b, m_frames), dtype=bool)
+    check_mask(masked, (b, m_frames))
     rows = masked.reshape(-1)
     if rows.any() and mask_embed is None:
         raise ValueError("mask given but no mask embedding")
@@ -263,23 +240,23 @@ def encode_forward(
     out = (h1 + g1 @ p["w_f2"] + p["b_f2"]).reshape(b, m_frames, d)
 
     cache = EncoderCache(
-        params=params, version=params.version, single=single, x=xf, masked=masked,
-        ln1=ln1, n1=n1, q=q, k=k, v=v, attn=attn[0] if single else attn, ctx=ctx,
+        params=params, version=params.version, x=xf, masked=masked,
+        ln1=ln1, n1=n1, q=q, k=k, v=v, attn=attn, ctx=ctx,
         ln2=ln2, n2=n2, f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
     )
-    return VisualEmbeddings.from_frames(out[0] if single else out), cache
+    return out, cache
 
 
 def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
-    """Gradients of a scalar loss w.r.t. params, input, and mask embedding.
+    """Gradients of a scalar loss w.r.t. params and mask embedding.
 
-    ``grad_out`` is the loss gradient w.r.t. the per-frame outputs, shaped
-    like them; a gradient on the embedding *mean* must be folded in by the
-    caller (add grad_mean / M to every row). Returns
-    ``(param_grads, grad_x, grad_mask_embed)``: parameter gradients summed
-    over the batch, grad_x shaped like the input, and grad_mask_embed None
-    when no frame was masked. The parameter gradients are keyed like the
-    parameters, ``encoder.w_in`` ... ``encoder.b_f2``.
+    ``grad_out`` is the loss gradient w.r.t. the (B, M, model_dim) per-frame
+    outputs; a gradient on a frame *mean* must be folded in by the caller
+    (add grad_mean / M to every row). Returns
+    ``(param_grads, grad_mask_embed)``: parameter gradients summed over the
+    batch, and grad_mask_embed None when no frame was masked. The parameter
+    gradients are keyed like the parameters, ``encoder.w_in`` ...
+    ``encoder.b_f2``.
     """
     version = cache.params.version
     if cache.version != version:
@@ -289,7 +266,7 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     p = _tensors(cache.params)
     b, m_frames = cache.masked.shape
     d = p["w_in"].shape[1]
-    out_shape = (m_frames, d) if cache.single else (b, m_frames, d)
+    out_shape = (b, m_frames, d)
     grad_out = np.asarray(grad_out, dtype=p["w_in"].dtype)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {out_shape}")
@@ -308,7 +285,7 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     w_o = cache.ctx.T @ d_h1
     b_o = d_h1.sum(axis=0)
     d_ctx = (d_h1 @ p["w_o"].T).reshape(b, m_frames, d)
-    attn = cache.attn.reshape(b, m_frames, m_frames)
+    attn = cache.attn
     d_attn = d_ctx @ cache.v.transpose(0, 2, 1)
     d_v = (attn.transpose(0, 2, 1) @ d_ctx).reshape(-1, d)
     inner = (d_attn * attn).sum(axis=2, keepdims=True)
@@ -332,11 +309,9 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
         d_h0[rows] = 0.0
     w_in = cache.x.T @ d_h0
     b_in = d_h0.sum(axis=0)
-    grad_x = (d_h0 @ p["w_in"].T).reshape(b, m_frames, -1)
     grads = dict(
         w_in=w_in, b_in=b_in, e_pos=e_pos, w_q=w_q, w_k=w_k, w_v=w_v,
         w_o=w_o, b_o=b_o, ln1_g=ln1_g, ln1_b=ln1_b, ln2_g=ln2_g, ln2_b=ln2_b,
         w_f1=w_f1, b_f1=b_f1, w_f2=w_f2, b_f2=b_f2,
     )
-    return ({_PREFIX + name: g for name, g in grads.items()},
-            grad_x[0] if cache.single else grad_x, grad_mask_embed)
+    return {_PREFIX + name: g for name, g in grads.items()}, grad_mask_embed

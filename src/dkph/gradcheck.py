@@ -61,17 +61,19 @@ def student_gradient_check(n_videos: int = 6, frames: int = 4, feat_dim: int = 6
 def teacher_gradient_check(frames: int = 4, feat_dim: int = 6, model_dim: int = 8,
                            code_bits: int = 8, seed: int = 0,
                            step: float = 1e-5) -> GradCheckReport:
-    """Check the masked-reconstruction gradient for every teacher tensor."""
+    """Check the masked-reconstruction gradient for every teacher tensor, on
+    a batch of one video with its first and last frames masked."""
     rng = np.random.default_rng(seed)
     cfg = EncoderConfig(frame_count=frames, input_dim=feat_dim,
                         model_dim=model_dim, ffn_dim=2 * model_dim)
-    x = rng.normal(size=(frames, feat_dim))
+    x = rng.normal(size=(1, frames, feat_dim))
     params = init_teacher(cfg, rng, code_bits)
-    mask = (0, frames - 1)
+    mask = np.zeros((1, frames), dtype=bool)
+    mask[0, [0, frames - 1]] = True
 
     def loss(_):
         fwd = teacher_forward(x, params, mask=mask, binarize="relaxed")
-        return teacher_recon_loss(x, fwd.recon, mask)
+        return float(teacher_recon_loss(x, fwd.recon, mask)[0])
 
     fwd = teacher_forward(x, params, mask=mask, binarize="relaxed")
     grads = teacher_backward(x, fwd, params)

@@ -37,3 +37,10 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * g * g
             p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+def add_grads(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
+    """Add one block's gradients into ``total``, keyed alike; a name not yet
+    in ``total`` takes the block's array as it is."""
+    for name, g in part.items():
+        total[name] = total[name] + g if name in total else g

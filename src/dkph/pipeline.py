@@ -32,7 +32,6 @@ from .config import RunConfig
 from .encoder import Params, blocks, cast_params, encode_forward
 from .exceptions import PipelineError
 from .graph import (
-    AnchorSet,
     SignedGraph,
     build_affinity,
     build_signed_graph,
@@ -155,7 +154,7 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
                 f.write(f"epoch={epoch} recon={loss:.10g}\n")
             f.write(f"eval_after={result.eval_after:.10g}\n")
         means = np.concatenate([
-            encode_forward(train.features[blk], result.params)[0].mean
+            encode_forward(train.features[blk], result.params)[0].mean(axis=1)
             for blk in blocks(len(train.features))
         ])
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
@@ -185,14 +184,15 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
     _run_stage(run_dir, "graph", cfg, ["graph.bin", "anchors.ckpt"], fn)
 
 
-def load_graph_artifacts(run_dir: Path) -> tuple[SignedGraph, AnchorSet, float]:
-    positives, negatives, header = serial.load_graph(run_dir / "graph.bin")
-    graph = SignedGraph(positives=positives, negatives=negatives)
+def load_graph_artifacts(run_dir: Path):
+    """The signed graph, and ``anchor_of``: training video -> its teacher
+    anchor centre."""
+    positives, negatives, _ = serial.load_graph(run_dir / "graph.bin")
     blob = serial.load_checkpoint(run_dir / "anchors.ckpt")
-    anchors = AnchorSet(centers=blob["centers"],
-                        assignments=blob["assignments"].reshape(-1).astype(np.int64),
-                        inertia=0.0)
-    return graph, anchors, header["alpha"]
+    centers = blob["centers"]
+    assignments = blob["assignments"].reshape(-1).astype(np.int64)
+    graph = SignedGraph(positives=positives, negatives=negatives)
+    return graph, lambda v: centers[assignments[v]]
 
 
 def stage_student(cfg: RunConfig, run_dir: Path, bits: int) -> None:
@@ -200,8 +200,7 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int) -> None:
 
     def fn():
         train = load_split(run_dir / "data", "train")
-        graph, anchors, _ = load_graph_artifacts(run_dir)
-        anchor_of = lambda v: anchors.centers[anchors.assignments[v]]
+        graph, anchor_of = load_graph_artifacts(run_dir)
         result = train_student(train.features, cfg.encoder_config(), graph, anchor_of,
                                cfg.loss_weights(), code_bits=bits,
                                epochs=cfg.student_epochs, batch_size=cfg.batch_size,
@@ -354,8 +353,7 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
 
     splits = load_dataset_splits(run_dir / "data")
     train = splits["train"]
-    graph, anchors, _ = load_graph_artifacts(run_dir)
-    anchor_of = lambda v: anchors.centers[anchors.assignments[v]]
+    graph, anchor_of = load_graph_artifacts(run_dir)
 
     results: dict = {"bits": bits, "map": {}, "recon_error": {}}
     results["map"]["full"] = json.loads(

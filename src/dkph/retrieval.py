@@ -34,7 +34,6 @@ import numpy as np
 
 from .codes import BinaryCode, pack_bits, require_same_length
 from .exceptions import ShapeError
-from . import serial
 
 # Byte budget of one (B, n_db) int64 work buffer of a block of query rows.
 BLOCK_BYTES = 1 << 20
@@ -120,20 +119,6 @@ class CodeIndex:
         bits = np.asarray(bits)
         ids = np.arange(bits.shape[0]) if ids is None else ids
         return cls(packed=pack_bits(bits), ids=ids, k=bits.shape[1], labels=labels)
-
-    def save(self, codes_path, labels_path=None) -> None:
-        serial.save_codes(codes_path, self.packed, self.k)
-        if labels_path is not None:
-            if self.labels is None:
-                raise ValueError("index has no labels to save")
-            serial.save_labels(labels_path, self.labels)
-
-    @classmethod
-    def load(cls, codes_path, labels_path=None, ids=None) -> "CodeIndex":
-        packed, k = serial.load_codes(codes_path)
-        labels = serial.load_labels(labels_path) if labels_path else None
-        ids = np.arange(packed.shape[0]) if ids is None else ids
-        return cls(packed=packed, ids=ids, k=k, labels=labels)
 
 
 @dataclass

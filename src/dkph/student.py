@@ -22,11 +22,10 @@ gradient is exact. The "relaxed" forward mode bypasses the sign everywhere,
 making the entire objective smooth for finite-difference verification; the
 sign layer itself is the one piece finite differences cannot see.
 
-Batches. ``student_forward`` takes one video (M, D) or a batch (B, M, D),
-as the encoder does; for a batch every output gains a leading B axis (the
-code is (B, K)). ``batch_gradients``, ``probe_reconstruction`` and the
-pipeline's encoding run the videos they need in blocks of
-``encoder.BLOCK_VIDEOS``; the student never masks frames.
+Batches. ``student_forward`` takes a (B, M, D) batch, as the encoder does;
+every output has a leading B axis (the code is (B, K)). ``batch_gradients``,
+``probe_reconstruction`` and the pipeline's encoding run the videos they need
+in blocks of ``encoder.BLOCK_VIDEOS``; the student never masks frames.
 
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does; the anchor centres, pair labels and gradient buffers of
@@ -46,7 +45,6 @@ from .codes import sign_pm1
 from .encoder import (
     EncoderConfig,
     Params,
-    VisualEmbeddings,
     blocks,
     cast_params,
     encode_backward,
@@ -56,7 +54,7 @@ from .encoder import (
 from .encoder import _uniform
 from .exceptions import TrainingError
 from .graph import PairSample, SignedGraph, sample_pairs
-from .optim import Adam
+from .optim import Adam, add_grads
 
 
 @dataclass
@@ -94,19 +92,18 @@ def init_student(cfg: EncoderConfig, rng: np.random.Generator, code_bits: int) -
 
 @dataclass
 class StudentForward:
-    code: np.ndarray      # (K,) hard {-1,+1}, or tanh values in relaxed mode; (B, K) for a batch
-    act: np.ndarray       # (K,) tanh(t_hat)
-    latent: np.ndarray    # (M, K)
-    recon: np.ndarray     # (M, D)
-    embeddings: VisualEmbeddings
+    code: np.ndarray      # (B, K) hard {-1,+1}, or tanh values in relaxed mode
+    act: np.ndarray       # (B, K) tanh(t_hat)
+    latent: np.ndarray    # (B, M, K)
+    recon: np.ndarray     # (B, M, D)
+    frames: np.ndarray    # (B, M, model_dim) encoder outputs
     enc_cache: object
 
 
 def student_forward(x: np.ndarray, params: Params,
                     binarize: str = "hard") -> StudentForward:
-    emb, cache = encode_forward(x, params)
-    frames = emb.per_frame
-    t_hat = frames.reshape(*frames.shape[:-2], -1) @ params["w_hash"] + params["b_hash"]
+    frames, cache = encode_forward(x, params)
+    t_hat = frames.reshape(len(frames), -1) @ params["w_hash"] + params["b_hash"]
     act = np.tanh(t_hat)
     if binarize == "hard":
         code = sign_pm1(act)
@@ -115,9 +112,9 @@ def student_forward(x: np.ndarray, params: Params,
     else:
         raise ValueError(f"unknown binarize mode {binarize!r}")
     latent = frames @ params["w_temp"] + params["b_temp"]
-    recon = (latent + code[..., None, :]) @ params["w_dec"] + params["b_dec"]
+    recon = (latent + code[:, None, :]) @ params["w_dec"] + params["b_dec"]
     return StudentForward(code=code, act=act, latent=latent, recon=recon,
-                          embeddings=emb, enc_cache=cache)
+                          frames=frames, enc_cache=cache)
 
 
 def student_recon_loss(x: np.ndarray, recon: np.ndarray) -> float:
@@ -165,7 +162,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
         n = len(pairs)
         g1, g2 = weights.gamma1, weights.gamma2
         act = np.concatenate([fwd.act for _, fwd in fwds])
-        means = np.concatenate([fwd.embeddings.mean for _, fwd in fwds])
+        means = np.concatenate([fwd.frames.mean(axis=1) for _, fwd in fwds])
         i = np.array([row[s.i] for s in pairs])
         j = np.array([row[s.j] for s in pairs])
         label = np.array([s.label for s in pairs], dtype=dtype)
@@ -190,7 +187,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
 
     grads: dict[str, np.ndarray] = {}
     for blk, fwd in fwds:
-        frames = fwd.embeddings.per_frame
+        frames = fwd.frames
         d_recon = np.where(in_batch[blk, None, None], 2.0 * recon_scale * (fwd.recon - x[blk]), 0.0)
         d_mix = d_recon @ params["w_dec"].T
         # straight-through into the code, plus the pair terms on tanh(t_hat)
@@ -198,7 +195,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
         d_frames = (d_mix @ params["w_temp"].T
                     + (d_that @ params["w_hash"].T).reshape(frames.shape)
                     + d_mean[blk, None, :] / m_frames)
-        part, _, _ = encode_backward(d_frames, fwd.enc_cache)
+        part, _ = encode_backward(d_frames, fwd.enc_cache)
         mix = fwd.latent + fwd.code[:, None, :]
         part.update(
             w_dec=mix.reshape(-1, k).T @ d_recon.reshape(-1, d_in),
@@ -208,8 +205,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
             w_hash=frames.reshape(len(frames), -1).T @ d_that,
             b_hash=d_that.sum(axis=0),
         )
-        for name, g in part.items():
-            grads[name] = grads[name] + g if name in grads else g
+        add_grads(grads, part)
 
     total = l_recon + weights.gamma1 * l_bsim + weights.gamma2 * l_tsim
     losses = {"recon": l_recon, "bsim": l_bsim, "tsim": l_tsim, "total": total}

@@ -108,7 +108,7 @@ def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
     bounds = np.cumsum((0,) + counts)
     splits = []
     for si, rows in enumerate((train_rows, query_rows, db_rows)):
-        rows = np.array(rows)
+        rows = np.array(rows, dtype=np.int64)  # an empty split still indexes
         splits.append(Split(features=features[rows], labels=labels[rows],
                             ids=np.arange(bounds[si], bounds[si + 1])))
     assert len(order) == c * v

@@ -17,11 +17,11 @@ reproduces the baseline whose failure mode motivates the student: bitwise
 frame-code means can land on exact zero, which {-1,+1} codes cannot
 represent; the tie rule resolves those to +1 and the tie count is reported.
 
-Batches. The forward, the loss and the backward take one video (M, D) or a
-batch (B, M, D), as the encoder does: for a batch ``mask`` is a sequence of
-B frame-index sets, the loss is one value per video, and the backward
-returns the gradient of the summed per-video losses. Training and
-evaluation run in blocks of ``encoder.BLOCK_VIDEOS`` videos.
+Batches. The forward, the loss and the backward take a (B, M, D) batch, as
+the encoder does: ``mask`` is a (B, M) bool array with at least one True per
+row, the loss is one value per video, and the backward returns the gradient
+of the summed per-video losses. Training and evaluation run in blocks of
+``encoder.BLOCK_VIDEOS`` videos.
 
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does, and the loss in the dtype of the reconstruction.
@@ -40,16 +40,16 @@ from .codes import BinaryCode, sign_pm1
 from .encoder import (
     EncoderConfig,
     Params,
-    VisualEmbeddings,
     blocks,
     cast_params,
+    check_mask,
     encode_backward,
     encode_forward,
     init_encoder,
 )
-from .encoder import _mask_rows, _uniform
+from .encoder import _uniform
 from .exceptions import ShapeError, TrainingError
-from .optim import Adam
+from .optim import Adam, add_grads
 
 DEFAULT_TEACHER_BITS = 128
 DEFAULT_MASK_RATIO = 0.15
@@ -73,22 +73,22 @@ def init_teacher(cfg: EncoderConfig, rng: np.random.Generator,
 
 @dataclass
 class TeacherForward:
-    frame_codes: np.ndarray   # (..., M, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
-    recon: np.ndarray         # (..., M, input_dim)
-    embeddings: VisualEmbeddings
+    frame_codes: np.ndarray   # (B, M, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
+    recon: np.ndarray         # (B, M, input_dim)
+    frames: np.ndarray        # (B, M, model_dim) encoder outputs
     act: np.ndarray           # tanh(pre-binarization)
     enc_cache: object
 
 
-def teacher_forward(x: np.ndarray, params: Params, mask=None,
+def teacher_forward(x: np.ndarray, params: Params, mask: np.ndarray | None = None,
                     binarize: str = "hard") -> TeacherForward:
     """Encode, hash each frame, decode from codes only.
 
     ``binarize="relaxed"`` skips the sign so the whole pass is smooth; used
     by the gradient checker.
     """
-    emb, cache = encode_forward(x, params, mask=mask, mask_embed=params["mask_embed"])
-    z = emb.per_frame @ params["w_hash"] + params["b_hash"]
+    frames, cache = encode_forward(x, params, masked=mask, mask_embed=params["mask_embed"])
+    z = frames @ params["w_hash"] + params["b_hash"]
     act = np.tanh(z)
     if binarize == "hard":
         codes = sign_pm1(act)
@@ -97,32 +97,22 @@ def teacher_forward(x: np.ndarray, params: Params, mask=None,
     else:
         raise ValueError(f"unknown binarize mode {binarize!r}")
     recon = codes @ params["w_dec"] + params["b_dec"]
-    return TeacherForward(frame_codes=codes, recon=recon, embeddings=emb,
+    return TeacherForward(frame_codes=codes, recon=recon, frames=frames,
                           act=act, enc_cache=cache)
 
 
-def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask):
-    """Squared error on masked positions, averaged over D * |mask| scalars.
-
-    A float for one video; for a batch, one loss per video (``mask`` is a
-    sequence of B index sets), in the dtype of ``recon``.
-    """
+def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Squared error on masked positions, averaged over D * |mask| scalars:
+    one loss per video of a (B, M, D) batch, in the dtype of ``recon``."""
     x = np.asarray(x, dtype=recon.dtype)
-    if x.shape != recon.shape:
-        raise ShapeError(f"shapes differ: {x.shape} vs {recon.shape}")
-    if x.ndim == 2:
-        return float(_video_losses(x[None], recon[None], [mask])[0])
-    return _video_losses(x, recon, mask)
-
-
-def _video_losses(x: np.ndarray, recon: np.ndarray, masks) -> np.ndarray:
-    """Masked loss of each video of a (B, M, D) batch."""
-    rows = _mask_rows(masks, x.shape[0], x.shape[1])
-    if not rows.any(axis=1).all():
+    if x.shape != recon.shape or x.ndim != 3:
+        raise ShapeError(f"expected equal (B, M, D) shapes, got {x.shape} and {recon.shape}")
+    check_mask(mask, x.shape[:2])
+    if not mask.any(axis=1).all():
         raise ValueError("teacher reconstruction loss needs a nonempty mask")
     diff = x - recon
-    per_frame = np.where(rows, (diff * diff).sum(axis=2), 0.0)
-    return per_frame.sum(axis=1) / (x.shape[2] * rows.sum(axis=1)).astype(x.dtype)
+    per_frame = np.where(mask, (diff * diff).sum(axis=2), 0.0)
+    return per_frame.sum(axis=1) / (x.shape[2] * mask.sum(axis=1)).astype(x.dtype)
 
 
 def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict:
@@ -146,11 +136,11 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict
     d_recon = (2.0 * scale.reshape(-1, 1)) * (fwd.recon - x).reshape(-1, d_in)
     codes = fwd.frame_codes.reshape(-1, bits)
     act = fwd.act.reshape(-1, bits)
-    frames = fwd.embeddings.per_frame.reshape(b * m_frames, -1)
+    frames = fwd.frames.reshape(b * m_frames, -1)
     d_z = (d_recon @ params["w_dec"].T) * (1.0 - act * act)
     d_frames = d_z @ params["w_hash"].T
 
-    grads, _, d_me = encode_backward(d_frames.reshape(fwd.embeddings.per_frame.shape), cache)
+    grads, d_me = encode_backward(d_frames.reshape(fwd.frames.shape), cache)
     grads.update(
         mask_embed=d_me,
         w_hash=frames.T @ d_z,
@@ -178,10 +168,13 @@ def video_code_from_frames(frame_codes: np.ndarray, tie_rule: str = "plus_one"):
 
 
 def draw_mask(rng: np.random.Generator, frame_count: int,
-              ratio: float = DEFAULT_MASK_RATIO) -> tuple[int, ...]:
-    """At least one frame, otherwise round(ratio * M), chosen uniformly."""
+              ratio: float = DEFAULT_MASK_RATIO) -> np.ndarray:
+    """A bool row over the M frames, True at the masked ones: at least one
+    frame, otherwise round(ratio * M), chosen uniformly."""
     count = max(1, int(round(ratio * frame_count)))
-    return tuple(sorted(rng.choice(frame_count, size=count, replace=False).tolist()))
+    row = np.zeros(frame_count, dtype=bool)
+    row[rng.choice(frame_count, size=count, replace=False)] = True
+    return row
 
 
 @dataclass
@@ -190,11 +183,11 @@ class TeacherTrainResult:
     epoch_losses: list[float]  # mean training-batch loss per epoch
     eval_before: float         # fixed-mask loss at initialization
     eval_after: float
-    eval_masks: list[tuple[int, ...]]
+    eval_masks: np.ndarray     # (N, M) bool
 
 
-def masked_eval_loss(features: np.ndarray, params: Params, masks) -> float:
-    """Mean masked-reconstruction loss over a dataset with fixed masks."""
+def masked_eval_loss(features: np.ndarray, params: Params, masks: np.ndarray) -> float:
+    """Mean masked-reconstruction loss over a dataset with fixed (N, M) masks."""
     features = np.asarray(features)
     total = 0.0
     for blk in blocks(len(features)):
@@ -225,7 +218,7 @@ def train_teacher(features: np.ndarray, cfg: EncoderConfig, *,
     init_ss, train_ss, eval_ss = np.random.SeedSequence(seed).spawn(3)
     params = cast_params(init_teacher(cfg, np.random.default_rng(init_ss), code_bits), dtype)
     eval_rng = np.random.default_rng(eval_ss)
-    eval_masks = [draw_mask(eval_rng, cfg.frame_count, mask_ratio) for _ in range(n)]
+    eval_masks = np.stack([draw_mask(eval_rng, cfg.frame_count, mask_ratio) for _ in range(n)])
     eval_before = masked_eval_loss(features, params, eval_masks)
 
     opt = Adam(lr=learn_rate)
@@ -236,15 +229,14 @@ def train_teacher(features: np.ndarray, cfg: EncoderConfig, *,
         epoch_total = 0.0
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            masks = [draw_mask(rng, cfg.frame_count, mask_ratio) for _ in batch]
+            masks = np.stack([draw_mask(rng, cfg.frame_count, mask_ratio) for _ in batch])
             grads: dict[str, np.ndarray] = {}
             batch_loss = 0.0
             for blk in blocks(len(batch)):
                 x = features[batch[blk]]
                 fwd = teacher_forward(x, params, mask=masks[blk])
                 batch_loss += float(teacher_recon_loss(x, fwd.recon, masks[blk]).sum())
-                for name, g in teacher_backward(x, fwd, params).items():
-                    grads[name] = grads[name] + g if name in grads else g
+                add_grads(grads, teacher_backward(x, fwd, params))
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"teacher loss non-finite at epoch {epoch}", epoch)
             scale = 1.0 / len(batch)

@@ -64,3 +64,44 @@ def test_default_and_benchmark_workload_configs_accepted(monkeypatch):
     for name in ("train", "wide", "retrieval"):
         workloads.run_config(name, seed=1)
     workloads.run_config("train", seed=1, smoke=True)
+
+
+# Each rule: a value at its edge that is accepted, and one past it that is
+# rejected naming the key. The other values keep every other rule satisfied.
+RANGE_RULES = [
+    ("num_classes", 1, 0),
+    ("videos_per_class", 6, 5),  # round(0.1 x 5) = 0 query videos per class
+    ("frames", 1, 0),
+    ("feat_dim", 1, 0),
+    ("model_dim", 1, 0),
+    ("ffn_dim", 0, -1),
+    ("teacher_bits", 1, 0),
+    ("intra_class_noise", 0.0, -0.1),
+    ("temporal_drift", 0.0, -0.1),
+    ("learn_rate", 0.0, -1.0),
+    ("bandwidth", 0.0, -0.5),
+    ("gamma1", 0.0, -0.1),
+    ("gamma2", 0.0, -0.1),
+    ("eta", 0.0, -0.1),
+    ("beta", 0.0, -0.1),
+]
+
+
+@pytest.mark.parametrize("key, edge, bad", RANGE_RULES, ids=[r[0] for r in RANGE_RULES])
+def test_range_rule(key, edge, bad):
+    small = dict(num_anchors=1, anchor_neighbors=1)
+    RunConfig(**small, **{key: edge})
+    with pytest.raises(ConfigError, match=f"^{key} = "):
+        RunConfig(**small, **{key: bad})
+
+
+def test_save_then_load_gives_an_equal_config_and_hash(tmp_path):
+    cfg = RunConfig(learn_rate=1.0 / 3.0, intra_class_noise=0.1 + 0.2, bandwidth=1e-7,
+                    code_bits=(8, 24, 40), num_classes=3, num_anchors=7, anchor_neighbors=4,
+                    work_dir=str(tmp_path / "work"))
+    path = tmp_path / "run.cfg"
+    cfg.save(path)
+    loaded = RunConfig.load(path)
+    assert loaded == cfg
+    assert loaded.config_hash() == cfg.config_hash()
+    assert isinstance(loaded.code_bits, tuple) and isinstance(loaded.learn_rate, float)

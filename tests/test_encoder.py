@@ -135,107 +135,101 @@ class TestForward:
         p["encoder.ln2_g"][:] = 1.0
         e_pos = p["encoder.e_pos"]
         e_pos[:] = np.random.default_rng(1).normal(size=e_pos.shape)
-        emb, _ = encode_forward(np.zeros((4, 6)), p)
-        np.testing.assert_allclose(emb.per_frame, e_pos, atol=1e-12)
-        np.testing.assert_allclose(emb.mean, e_pos.mean(axis=0), atol=1e-12)
+        frames, _ = encode_forward(np.zeros((1, 4, 6)), p)
+        np.testing.assert_allclose(frames[0], e_pos, atol=1e-12)
 
     def test_full_mask_output_independent_of_features(self):
         p = toy_params(2)
         me = np.random.default_rng(3).normal(size=8)
         rng = np.random.default_rng(4)
-        emb_a, _ = encode_forward(rng.normal(size=(4, 6)), p, mask=range(4), mask_embed=me)
-        emb_b, _ = encode_forward(rng.normal(size=(4, 6)), p, mask=range(4), mask_embed=me)
-        np.testing.assert_array_equal(emb_a.per_frame, emb_b.per_frame)
+        masked = np.ones((1, 4), dtype=bool)
+        frames_a, _ = encode_forward(rng.normal(size=(1, 4, 6)), p, masked=masked, mask_embed=me)
+        frames_b, _ = encode_forward(rng.normal(size=(1, 4, 6)), p, masked=masked, mask_embed=me)
+        np.testing.assert_array_equal(frames_a, frames_b)
 
     def test_matches_straight_line_oracle(self):
         p = toy_params(5)
-        x = np.random.default_rng(6).normal(size=(4, 6))
-        emb, _ = encode_forward(x, p)
-        np.testing.assert_allclose(emb.per_frame, oracle_forward(x, p), atol=1e-12)
+        x = np.random.default_rng(6).normal(size=(1, 4, 6))
+        frames, _ = encode_forward(x, p)
+        np.testing.assert_allclose(frames[0], oracle_forward(x[0], p), atol=1e-12)
 
     def test_masked_matches_oracle(self):
         p = toy_params(7)
         me = np.random.default_rng(8).normal(size=8)
-        x = np.random.default_rng(9).normal(size=(4, 6))
-        emb, _ = encode_forward(x, p, mask={1, 3}, mask_embed=me)
+        x = np.random.default_rng(9).normal(size=(1, 4, 6))
+        frames, _ = encode_forward(x, p, masked=np.array([[False, True, False, True]]),
+                                   mask_embed=me)
         np.testing.assert_allclose(
-            emb.per_frame, oracle_forward(x, p, mask=(1, 3), mask_embed=me), atol=1e-12
+            frames[0], oracle_forward(x[0], p, mask=(1, 3), mask_embed=me), atol=1e-12
         )
-
-    def test_mean_is_row_average(self):
-        p = toy_params(10)
-        x = np.random.default_rng(11).normal(size=(4, 6))
-        emb, _ = encode_forward(x, p)
-        np.testing.assert_allclose(emb.mean, emb.per_frame.mean(axis=0), atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         p = toy_params(12)
-        x = np.random.default_rng(13).normal(size=(4, 6))
+        x = np.random.default_rng(13).normal(size=(1, 4, 6))
         _, cache = encode_forward(x, p)
         assert np.all(cache.attn >= 0)
-        np.testing.assert_allclose(cache.attn.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(cache.attn.sum(axis=2), 1.0, atol=1e-12)
 
     def test_permutation_equivariance_with_matched_positional_rows(self):
         p = toy_params(14)
-        x = np.random.default_rng(15).normal(size=(4, 6))
-        emb, _ = encode_forward(x, p)
+        x = np.random.default_rng(15).normal(size=(1, 4, 6))
+        frames, _ = encode_forward(x, p)
 
         perm = [2, 0, 3, 1]
         p_perm = Params(p)
         p_perm["encoder.e_pos"] = p["encoder.e_pos"][perm]
-        emb_perm, _ = encode_forward(x[perm], p_perm)
-        np.testing.assert_allclose(emb_perm.per_frame, emb.per_frame[perm], atol=1e-10)
+        frames_perm, _ = encode_forward(x[:, perm], p_perm)
+        np.testing.assert_allclose(frames_perm[0], frames[0][perm], atol=1e-10)
 
     def test_bit_identical_across_runs(self):
-        a, _ = encode_forward(np.random.default_rng(16).normal(size=(4, 6)), toy_params(16))
-        b, _ = encode_forward(np.random.default_rng(16).normal(size=(4, 6)), toy_params(16))
-        assert np.array_equal(a.per_frame, b.per_frame)
+        a, _ = encode_forward(np.random.default_rng(16).normal(size=(1, 4, 6)), toy_params(16))
+        b, _ = encode_forward(np.random.default_rng(16).normal(size=(1, 4, 6)), toy_params(16))
+        assert np.array_equal(a, b)
 
     def test_shape_errors(self):
         p = toy_params(0)
         with pytest.raises(ShapeError):
-            encode_forward(np.zeros((5, 6)), p)
+            encode_forward(np.zeros((1, 5, 6)), p)
         with pytest.raises(ShapeError):
-            encode_forward(np.zeros((4, 6)), p, mask={4}, mask_embed=np.zeros(8))
-        with pytest.raises(ValueError):
-            encode_forward(np.zeros((4, 6)), p, mask={0})  # no embedding given
+            encode_forward(np.zeros((1, 4, 6)), p, masked=np.zeros((1, 5), dtype=bool),
+                           mask_embed=np.zeros(8))
+        with pytest.raises(ValueError):  # no embedding given
+            encode_forward(np.zeros((1, 4, 6)), p, masked=np.array([[True, False, False, False]]))
 
 
 class TestBackward:
     def test_zero_grad_out_gives_zero_grads(self):
         p = toy_params(20)
-        _, cache = encode_forward(np.random.default_rng(21).normal(size=(4, 6)), p)
-        grads, gx, _ = encode_backward(np.zeros((4, 8)), cache)
-        assert np.array_equal(gx, np.zeros((4, 6)))
+        _, cache = encode_forward(np.random.default_rng(21).normal(size=(1, 4, 6)), p)
+        grads, _ = encode_backward(np.zeros((1, 4, 8)), cache)
         for name in p:
             assert not np.any(grads[name])
 
     def test_backward_is_linear_in_grad_out(self):
         p = toy_params(22)
-        x = np.random.default_rng(23).normal(size=(4, 6))
+        x = np.random.default_rng(23).normal(size=(1, 4, 6))
         _, cache = encode_forward(x, p)
-        go = np.random.default_rng(24).normal(size=(4, 8))
-        g1, gx1, _ = encode_backward(go, cache)
-        g2, gx2, _ = encode_backward(2.0 * go, cache)
-        np.testing.assert_allclose(gx2, 2.0 * gx1, atol=1e-12)
+        go = np.random.default_rng(24).normal(size=(1, 4, 8))
+        g1, _ = encode_backward(go, cache)
+        g2, _ = encode_backward(2.0 * go, cache)
         for name in p:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
 
     def test_finite_difference_check_sum_loss(self):
         p = toy_params(25)
-        x = np.random.default_rng(26).normal(size=(4, 6))
+        x = np.random.default_rng(26).normal(size=(1, 4, 6))
         me = np.random.default_rng(27).normal(size=8)
-        mask = (1,)
+        masked = np.array([[False, True, False, False]])
 
         # weighted sum keeps the loss sensitive to every output entry
-        w = np.random.default_rng(28).normal(size=(4, 8))
+        w = np.random.default_rng(28).normal(size=(1, 4, 8))
 
         def loss(_):
-            emb, _c = encode_forward(x, p, mask=mask, mask_embed=me)
-            return float((w * emb.per_frame).sum())
+            frames, _c = encode_forward(x, p, masked=masked, mask_embed=me)
+            return float((w * frames).sum())
 
-        _, cache = encode_forward(x, p, mask=mask, mask_embed=me)
-        grads, _, grad_me = encode_backward(w, cache)
+        _, cache = encode_forward(x, p, masked=masked, mask_embed=me)
+        grads, grad_me = encode_backward(w, cache)
 
         tensors = list(p.values())
         analytic = [grads[n] for n in p]
@@ -247,40 +241,25 @@ class TestBackward:
         )
         assert report_me.max_rel_error < 1e-5
 
-    def test_finite_difference_check_input_gradient(self):
-        # unmasked: masked rows would have structurally zero input gradient,
-        # which the 1e-8 relative-error floor turns into pure noise
-        p = toy_params(25)
-        x = np.random.default_rng(26).normal(size=(4, 6))
-        w = np.random.default_rng(28).normal(size=(4, 8))
-
-        def loss(_):
-            emb, _c = encode_forward(x, p)
-            return float((w * emb.per_frame).sum())
-
-        _, cache = encode_forward(x, p)
-        _, grad_x, _ = encode_backward(w, cache)
-        report = finite_diff_check(lambda _: loss(None), [x], [grad_x], step=1e-5)
-        assert report.max_rel_error < 1e-5
-
     def test_masked_rows_pass_no_gradient_to_input(self):
         p = toy_params(29)
-        x = np.random.default_rng(30).normal(size=(4, 6))
+        x = np.random.default_rng(30).normal(size=(1, 4, 6))
         me = np.zeros(8)
-        _, cache = encode_forward(x, p, mask={0, 2}, mask_embed=me)
-        _, gx, gme = encode_backward(np.ones((4, 8)), cache)
-        assert np.array_equal(gx[[0, 2]], np.zeros((2, 6)))
+        _, cache = encode_forward(x, p, masked=np.array([[True, False, True, False]]),
+                                  mask_embed=me)
+        _, gme = encode_backward(np.ones((1, 4, 8)), cache)
         assert gme is not None and gme.shape == (8,)
 
     def test_stale_cache_rejected(self):
         p = toy_params(31)
-        _, cache = encode_forward(np.zeros((4, 6)), p)
+        _, cache = encode_forward(np.zeros((1, 4, 6)), p)
         p.version += 1
         with pytest.raises(StaleCacheError):
-            encode_backward(np.zeros((4, 8)), cache)
+            encode_backward(np.zeros((1, 4, 8)), cache)
 
 
 MASKS = [(0,), (), (1, 3), None, (0, 1, 2, 3)]
+MASKED = np.array([[i in (mk or ()) for i in range(4)] for mk in MASKS])  # (5, 4) bool
 
 
 class TestBatched:
@@ -290,53 +269,51 @@ class TestBatched:
 
     def test_forward_equals_stacked_per_video_oracle(self):
         p, x, me = self.batch(40)
-        emb, cache = encode_forward(x, p, mask=MASKS, mask_embed=me)
+        frames, cache = encode_forward(x, p, masked=MASKED, mask_embed=me)
         want = np.stack([oracle_forward(x[b], p, mask=MASKS[b] or (), mask_embed=me)
                          for b in range(5)])
-        assert emb.per_frame.shape == (5, 4, 8) and emb.mean.shape == (5, 8)
-        np.testing.assert_allclose(emb.per_frame, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(emb.mean, want.mean(axis=1), rtol=0, atol=1e-12)
+        assert frames.shape == (5, 4, 8)
+        np.testing.assert_allclose(frames, want, rtol=0, atol=1e-12)
         assert cache.attn.shape == (5, 4, 4)
         np.testing.assert_allclose(cache.attn.sum(axis=2), 1.0, atol=1e-12)
 
     def test_oracle_backward_matches_single_video_library(self):
         p, x, me = self.batch(41)
         go = np.random.default_rng(42).normal(size=(4, 8))
-        _, cache = encode_forward(x[0], p, mask=(1, 2), mask_embed=me)
-        grads, gx, gme = encode_backward(go, cache)
-        want, want_x, want_me = oracle_backward(x[0], p, go, mask=(1, 2), mask_embed=me)
+        _, cache = encode_forward(x[:1], p, masked=np.array([[False, True, True, False]]),
+                                  mask_embed=me)
+        grads, gme = encode_backward(go[None], cache)
+        want, _, want_me = oracle_backward(x[0], p, go, mask=(1, 2), mask_embed=me)
         for name in p:
             assert_rel_close(grads[name], want[name[len("encoder."):]])
-        assert_rel_close(gx, want_x)
         assert_rel_close(gme, want_me)
 
     def test_backward_equals_summed_per_video_oracle(self):
         p, x, me = self.batch(43)
         go = np.random.default_rng(44).normal(size=(5, 4, 8))
-        _, cache = encode_forward(x, p, mask=MASKS, mask_embed=me)
-        grads, gx, gme = encode_backward(go, cache)
+        _, cache = encode_forward(x, p, masked=MASKED, mask_embed=me)
+        grads, gme = encode_backward(go, cache)
         per_video = [oracle_backward(x[b], p, go[b], mask=MASKS[b] or (), mask_embed=me)
                      for b in range(5)]
         for name in p:
             short = name[len("encoder."):]
             assert_rel_close(grads[name], sum(g[short] for g, _, _ in per_video))
-        assert_rel_close(gx, np.stack([gxb for _, gxb, _ in per_video]))
         assert_rel_close(gme, sum(m for _, _, m in per_video if m is not None))
 
     def test_unmasked_batch_has_no_mask_embedding_gradient(self):
         p, x, _ = self.batch(45)
         _, cache = encode_forward(x, p)
-        _, gx, gme = encode_backward(np.ones((5, 4, 8)), cache)
-        assert gme is None and gx.shape == (5, 4, 6)
+        _, gme = encode_backward(np.ones((5, 4, 8)), cache)
+        assert gme is None
 
     def test_batch_shape_errors(self):
         p, x, me = self.batch(46)
         with pytest.raises(ShapeError):
             encode_forward(np.zeros((5, 3, 6)), p)
         with pytest.raises(ShapeError):
-            encode_forward(x, p, mask=MASKS[:4], mask_embed=me)
+            encode_forward(x, p, masked=MASKED[:4], mask_embed=me)
         with pytest.raises(ValueError):
-            encode_forward(x, p, mask=MASKS)  # no embedding given
+            encode_forward(x, p, masked=MASKED)  # no embedding given
         _, cache = encode_forward(x, p)
         with pytest.raises(ShapeError):
             encode_backward(np.zeros((4, 8)), cache)
@@ -345,3 +322,14 @@ class TestBatched:
         monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
         assert encoder.blocks(7) == [slice(0, 3), slice(3, 6), slice(6, 7)]
         assert encoder.blocks(0) == []
+
+
+def test_only_batches_and_bool_masks_are_accepted():
+    p = toy_params(47)
+    with pytest.raises(ShapeError):  # one video must be a batch of one
+        encode_forward(np.zeros((4, 6)), p)
+    with pytest.raises(ShapeError):  # frame indices are not a mask
+        encode_forward(np.zeros((1, 4, 6)), p, masked=np.array([[1, 3]]), mask_embed=np.zeros(8))
+    with pytest.raises(ShapeError):
+        encode_forward(np.zeros((1, 4, 6)), p, masked=np.ones((1, 4), dtype=np.int64),
+                       mask_embed=np.zeros(8))

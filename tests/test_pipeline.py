@@ -12,6 +12,7 @@ from dkph.codes import pack_bits
 from dkph.config import RunConfig
 from dkph.encoder import EncoderConfig
 from dkph.student import init_student
+from test_encoder import assert_rel_close, oracle_forward
 from test_student import oracle_student
 
 TINY = dict(num_classes=4, videos_per_class=10, frames=4, feat_dim=6, model_dim=8,
@@ -124,6 +125,31 @@ def test_encode_stage_narrows_the_checkpoint_to_the_features_dtype(tiny_run, tmp
     monkeypatch.setattr(pipeline, "encode_split", recorded)
     pipeline.stage_encode(cfg, run_dir, 16)
     assert dtypes == [(np.float32, {np.dtype(np.float32)})] * 2
+
+
+def test_teacher_embeddings_are_frame_means_of_the_teacher_encoder(tiny_run):
+    # the stage computes in float32; the oracle in float64 from the same values
+    _, _, first = tiny_run
+    params = encoder.cast_params(serial.load_checkpoint(first.run_dir / "teacher.ckpt"),
+                                 np.float64)
+    train = synth.load_split(first.run_dir / "data", "train").features.astype(np.float64)
+    want = np.stack([oracle_forward(x, params).mean(axis=0) for x in train])
+    got = serial.load_features(first.run_dir / "embeddings.features")
+    assert got.shape == (len(train), 1, want.shape[1])
+    assert_rel_close(got[:, 0, :], want, tol=2**10 * np.finfo(np.float32).eps)
+
+
+def test_graph_artifacts_give_the_graph_and_each_video_anchor_centre(tiny_run):
+    _, _, first = tiny_run
+    graph, anchor_of = pipeline.load_graph_artifacts(first.run_dir)
+    positives, negatives, _ = serial.load_graph(first.run_dir / "graph.bin")
+    blob = serial.load_checkpoint(first.run_dir / "anchors.ckpt")
+    assignments = blob["assignments"].reshape(-1)
+    assert len(graph.positives) == len(assignments) == len(positives)
+    for v in range(len(assignments)):
+        np.testing.assert_array_equal(graph.positives[v], positives[v])
+        np.testing.assert_array_equal(graph.negatives[v], negatives[v])
+        np.testing.assert_array_equal(anchor_of(v), blob["centers"][int(assignments[v])])
 
 
 def test_meta_records_carry_the_code_version(tiny_run):

@@ -39,35 +39,35 @@ class TestForward:
         p = toy_student(1)
         p["w_hash"][:] = 0.0
         p["b_hash"][:] = 0.0
-        fwd = student_forward(np.random.default_rng(2).normal(size=(4, 6)), p)
+        fwd = student_forward(np.random.default_rng(2).normal(size=(1, 4, 6)), p)
         assert np.all(fwd.code == 1.0)
 
     def test_zero_temporal_layer_makes_all_frames_reconstruct_identically(self):
         p = toy_student(3)
         p["w_temp"][:] = 0.0
-        fwd = student_forward(np.random.default_rng(4).normal(size=(4, 6)), p)
+        fwd = student_forward(np.random.default_rng(4).normal(size=(1, 4, 6)), p)
         for m in range(1, 4):
-            np.testing.assert_array_equal(fwd.recon[m], fwd.recon[0])
+            np.testing.assert_array_equal(fwd.recon[0, m], fwd.recon[0, 0])
 
     def test_matches_straight_line_oracle(self):
         p = toy_student(5)
-        x = np.random.default_rng(6).normal(size=(4, 6))
+        x = np.random.default_rng(6).normal(size=(1, 4, 6))
         fwd = student_forward(x, p)
 
-        frames = oracle_forward(x, p)
+        frames = oracle_forward(x[0], p)
         t_hat = frames.reshape(-1) @ p["w_hash"] + p["b_hash"]
         code = np.where(np.tanh(t_hat) >= 0, 1.0, -1.0)
         latent = frames @ p["w_temp"] + p["b_temp"]
         recon = (latent + code) @ p["w_dec"] + p["b_dec"]
-        np.testing.assert_array_equal(fwd.code, code)
-        np.testing.assert_allclose(fwd.latent, latent, atol=1e-12)
-        np.testing.assert_allclose(fwd.recon, recon, atol=1e-12)
+        np.testing.assert_array_equal(fwd.code[0], code)
+        np.testing.assert_allclose(fwd.latent[0], latent, atol=1e-12)
+        np.testing.assert_allclose(fwd.recon[0], recon, atol=1e-12)
 
     def test_codes_always_pm_one_and_pack_roundtrip(self):
         p = toy_student(7)
         rng = np.random.default_rng(8)
         for _ in range(50):
-            fwd = student_forward(rng.normal(size=(4, 6)) * 5, p)
+            fwd = student_forward(rng.normal(size=(1, 4, 6)) * 5, p)
             assert np.all(np.abs(fwd.code) == 1.0)
             bits = fwd.code.astype(np.int8)
             assert np.array_equal(unpack_bits(pack_bits(bits), K), bits)
@@ -76,7 +76,7 @@ class TestForward:
         # recon-only invariance: scaling the hash head flips no signs, so
         # codes and reconstruction are bit-identical
         p = toy_student(9)
-        x = np.random.default_rng(10).normal(size=(4, 6))
+        x = np.random.default_rng(10).normal(size=(1, 4, 6))
         a = student_forward(x, p)
         p["w_hash"] *= 3.0
         p["b_hash"] *= 3.0
@@ -394,9 +394,10 @@ class TestBatched:
         pairs = sample_pairs(graph, [0, 1, 3], count=8, seed=29)
         losses, _ = batch_gradients(feats, [0, 1, 3], pairs, p, w, anchor_of,
                                     binarize=binarize)
-        fwd = {v: student_forward(feats[v], p, binarize=binarize) for v in range(len(feats))}
-        acts = {v: f.act for v, f in fwd.items()}
-        means = {v: f.embeddings.mean for v, f in fwd.items()}
+        fwd = {v: student_forward(feats[v:v + 1], p, binarize=binarize)
+               for v in range(len(feats))}
+        acts = {v: f.act[0] for v, f in fwd.items()}
+        means = {v: f.frames[0].mean(axis=0) for v, f in fwd.items()}
         assert losses["bsim"] == pytest.approx(bsim_loss(pairs, acts), rel=1e-12)
         assert losses["tsim"] == pytest.approx(
             tsim_loss(pairs, means, anchor_of, eta=w.eta, beta=w.beta), rel=1e-12)

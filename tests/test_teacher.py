@@ -27,85 +27,94 @@ def toy_teacher(seed=0):
     return init_teacher(TOY, np.random.default_rng(seed), code_bits=BITS)
 
 
+def bool_masks(masks, m_frames=4):
+    """The (B, M) bool mask of B frame-index sets."""
+    return np.array([[i in mk for i in range(m_frames)] for mk in masks])
+
+
 class TestForward:
     def test_positive_hash_outputs_give_all_plus_one_codes(self):
         p = toy_teacher(1)
         p["w_hash"][:] = 0.0
         p["b_hash"][:] = 0.5
-        fwd = teacher_forward(np.random.default_rng(2).normal(size=(4, 6)), p, mask={0})
+        fwd = teacher_forward(np.random.default_rng(2).normal(size=(1, 4, 6)), p,
+                              mask=bool_masks([{0}]))
         assert np.all(fwd.frame_codes == 1.0)
 
     def test_zero_decoder_reconstruction_is_zero_and_loss_is_mean_square(self):
         p = toy_teacher(3)
         p["w_dec"][:] = 0.0
         p["b_dec"][:] = 0.0
-        x = np.random.default_rng(4).normal(size=(4, 6))
+        x = np.random.default_rng(4).normal(size=(1, 4, 6))
         mask = (1, 3)
-        fwd = teacher_forward(x, p, mask=mask)
-        assert np.array_equal(fwd.recon, np.zeros((4, 6)))
-        expected = (x[list(mask)] ** 2).sum() / (6 * 2)
-        assert teacher_recon_loss(x, fwd.recon, mask) == pytest.approx(expected, rel=1e-15)
+        fwd = teacher_forward(x, p, mask=bool_masks([mask]))
+        assert np.array_equal(fwd.recon, np.zeros((1, 4, 6)))
+        expected = (x[0][list(mask)] ** 2).sum() / (6 * 2)
+        assert teacher_recon_loss(x, fwd.recon, bool_masks([mask]))[0] == pytest.approx(
+            expected, rel=1e-15)
 
     def test_matches_straight_line_oracle(self):
         p = toy_teacher(5)
-        x = np.random.default_rng(6).normal(size=(4, 6))
+        x = np.random.default_rng(6).normal(size=(1, 4, 6))
         mask = (2,)
-        fwd = teacher_forward(x, p, mask=mask)
+        fwd = teacher_forward(x, p, mask=bool_masks([mask]))
 
-        frames = oracle_forward(x, p, mask=mask, mask_embed=p["mask_embed"])
+        frames = oracle_forward(x[0], p, mask=mask, mask_embed=p["mask_embed"])
         z = frames @ p["w_hash"] + p["b_hash"]
         codes = np.where(np.tanh(z) >= 0, 1.0, -1.0)
         recon = codes @ p["w_dec"] + p["b_dec"]
-        np.testing.assert_array_equal(fwd.frame_codes, codes)
-        np.testing.assert_allclose(fwd.recon, recon, atol=1e-12)
+        np.testing.assert_array_equal(fwd.frame_codes[0], codes)
+        np.testing.assert_allclose(fwd.recon[0], recon, atol=1e-12)
 
     def test_codes_always_exactly_pm_one(self):
         p = toy_teacher(7)
         rng = np.random.default_rng(8)
         for _ in range(50):
-            fwd = teacher_forward(rng.normal(size=(4, 6)) * 10, p, mask={0})
+            fwd = teacher_forward(rng.normal(size=(1, 4, 6)) * 10, p, mask=bool_masks([{0}]))
             assert np.all(np.abs(fwd.frame_codes) == 1.0)
 
     def test_decoder_sees_codes_only(self):
         # scaling the hash layer perturbs activations but flips no signs,
         # so the reconstruction must be bit-identical
         p = toy_teacher(9)
-        x = np.random.default_rng(10).normal(size=(4, 6))
-        fwd_a = teacher_forward(x, p, mask={1})
+        x = np.random.default_rng(10).normal(size=(1, 4, 6))
+        fwd_a = teacher_forward(x, p, mask=bool_masks([{1}]))
         p["w_hash"] *= 2.0
         p["b_hash"] *= 2.0
-        fwd_b = teacher_forward(x, p, mask={1})
+        fwd_b = teacher_forward(x, p, mask=bool_masks([{1}]))
         assert np.array_equal(fwd_a.frame_codes, fwd_b.frame_codes)
         assert np.array_equal(fwd_a.recon, fwd_b.recon)
 
 
 class TestReconLoss:
     def test_perfect_reconstruction_is_zero(self):
-        x = np.random.default_rng(0).normal(size=(4, 6))
-        assert teacher_recon_loss(x, x.copy(), (0, 2)) == 0.0
+        x = np.random.default_rng(0).normal(size=(1, 4, 6))
+        assert teacher_recon_loss(x, x.copy(), bool_masks([(0, 2)]))[0] == 0.0
 
     def test_constant_offset_gives_offset_squared(self):
-        x = np.random.default_rng(1).normal(size=(4, 6))
-        assert teacher_recon_loss(x, x + 1.0, (0,)) == pytest.approx(1.0, rel=1e-12)
-        assert teacher_recon_loss(x, x - 0.5, (1, 2, 3)) == pytest.approx(0.25, rel=1e-12)
+        x = np.random.default_rng(1).normal(size=(1, 4, 6))
+        assert teacher_recon_loss(x, x + 1.0, bool_masks([(0,)]))[0] == pytest.approx(
+            1.0, rel=1e-12)
+        assert teacher_recon_loss(x, x - 0.5, bool_masks([(1, 2, 3)]))[0] == pytest.approx(
+            0.25, rel=1e-12)
 
     def test_matches_scalar_summation_oracle(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(5, 3))
-        recon = rng.normal(size=(5, 3))
+        x = rng.normal(size=(1, 5, 3))
+        recon = rng.normal(size=(1, 5, 3))
         mask = (0, 4)
         total = 0.0
         for m in mask:
             for j in range(3):
-                total += (x[m, j] - recon[m, j]) ** 2
-        assert teacher_recon_loss(x, recon, mask) == pytest.approx(
+                total += (x[0, m, j] - recon[0, m, j]) ** 2
+        assert teacher_recon_loss(x, recon, bool_masks([mask], 5))[0] == pytest.approx(
             total / (3 * 2), rel=1e-14
         )
 
     def test_empty_mask_rejected(self):
-        x = np.zeros((4, 6))
+        x = np.zeros((1, 4, 6))
         with pytest.raises(ValueError):
-            teacher_recon_loss(x, x, ())
+            teacher_recon_loss(x, x, bool_masks([()]))
 
 
 class TestVideoCodeFromFrames:
@@ -139,12 +148,12 @@ class TestVideoCodeFromFrames:
 class TestBackward:
     def test_full_gradient_check_relaxed_mode(self):
         p = toy_teacher(11)
-        x = np.random.default_rng(12).normal(size=(4, 6))
-        mask = (0, 3)
+        x = np.random.default_rng(12).normal(size=(1, 4, 6))
+        mask = bool_masks([(0, 3)])
 
         def loss(_):
             fwd = teacher_forward(x, p, mask=mask, binarize="relaxed")
-            return teacher_recon_loss(x, fwd.recon, mask)
+            return float(teacher_recon_loss(x, fwd.recon, mask)[0])
 
         fwd = teacher_forward(x, p, mask=mask, binarize="relaxed")
         grads = teacher_backward(x, fwd, p)
@@ -209,13 +218,22 @@ class TestTraining:
         rng = np.random.default_rng(0)
         for m in (1, 4, 25):
             mask = draw_mask(rng, m, ratio=0.15)
-            assert 1 <= len(mask) <= m
-            assert all(0 <= i < m for i in mask)
+            assert mask.shape == (m,) and mask.dtype == bool
+            assert 1 <= mask.sum() <= m
+
+    def test_draw_mask_marks_the_frames_rng_choice_draws(self):
+        # the same single rng.choice call as before, so seeded streams stay put
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for m in (4, 25):
+            mask = draw_mask(a, m, ratio=0.15)
+            chosen = b.choice(m, size=max(1, round(0.15 * m)), replace=False)
+            np.testing.assert_array_equal(np.flatnonzero(mask), np.sort(chosen))
+        assert a.random() == b.random()
 
     def test_eval_loss_uses_fixed_masks(self):
         feats = self.make_features()
         p = toy_teacher(0)
-        masks = [(0,)] * len(feats)
+        masks = bool_masks([(0,)] * len(feats))
         a = masked_eval_loss(feats, p, masks)
         b = masked_eval_loss(feats, p, masks)
         assert a == b
@@ -249,9 +267,9 @@ class TestBatched:
     def test_forward_loss_and_backward_equal_per_video_oracle(self):
         p = toy_teacher(30)
         x = np.random.default_rng(31).normal(size=(3, 4, 6))
-        fwd = teacher_forward(x, p, mask=BATCH_MASKS)
+        fwd = teacher_forward(x, p, mask=bool_masks(BATCH_MASKS))
         assert fwd.recon.shape == (3, 4, 6) and fwd.frame_codes.shape == (3, 4, BITS)
-        losses = teacher_recon_loss(x, fwd.recon, BATCH_MASKS)
+        losses = teacher_recon_loss(x, fwd.recon, bool_masks(BATCH_MASKS))
         grads = teacher_backward(x, fwd, p)
         per_video = [oracle_teacher(x[b], p, BATCH_MASKS[b]) for b in range(3)]
         np.testing.assert_allclose(losses, [loss for loss, _ in per_video], rtol=1e-12)
@@ -263,10 +281,10 @@ class TestBatched:
         x = np.random.default_rng(33).normal(size=(3, 4, 6))
 
         def loss(_):
-            fwd = teacher_forward(x, p, mask=BATCH_MASKS, binarize="relaxed")
-            return float(teacher_recon_loss(x, fwd.recon, BATCH_MASKS).sum())
+            fwd = teacher_forward(x, p, mask=bool_masks(BATCH_MASKS), binarize="relaxed")
+            return float(teacher_recon_loss(x, fwd.recon, bool_masks(BATCH_MASKS)).sum())
 
-        fwd = teacher_forward(x, p, mask=BATCH_MASKS, binarize="relaxed")
+        fwd = teacher_forward(x, p, mask=bool_masks(BATCH_MASKS), binarize="relaxed")
         grads = teacher_backward(x, fwd, p)
         names = list(p)
         report = finite_diff_check(loss, [p[n] for n in names], [grads[n] for n in names],
@@ -276,7 +294,7 @@ class TestBatched:
     def test_backward_rejects_an_unmasked_video(self):
         p = toy_teacher(34)
         x = np.random.default_rng(35).normal(size=(2, 4, 6))
-        fwd = teacher_forward(x, p, mask=[(0,), ()])
+        fwd = teacher_forward(x, p, mask=bool_masks([(0,), ()]))
         with pytest.raises(ValueError):
             teacher_backward(x, fwd, p)
 
@@ -286,7 +304,7 @@ class TestBatched:
         p = toy_teacher(36)
         masks = [(0,), (1,), (2, 3), (0, 3), (1, 2)]
         want = np.mean([oracle_teacher(x, p, m)[0] for x, m in zip(feats, masks)])
-        assert masked_eval_loss(feats, p, masks) == pytest.approx(want, rel=1e-12)
+        assert masked_eval_loss(feats, p, bool_masks(masks)) == pytest.approx(want, rel=1e-12)
 
     def test_training_in_small_blocks_matches_default_blocks(self, monkeypatch):
         # same masks in the same order, so blocking only reorders float sums
