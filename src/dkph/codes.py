@@ -25,6 +25,16 @@ def sign_pm1(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, one, -one)
 
 
+def binarize_tanh(act: np.ndarray, mode: str) -> np.ndarray:
+    """The codes of ``act = tanh(z)``: its sign under ``mode="hard"``, ``act``
+    itself under ``"relaxed"``, the smooth pass the gradient checker uses."""
+    if mode == "hard":
+        return sign_pm1(act)
+    if mode == "relaxed":
+        return act
+    raise ValueError(f"unknown binarize mode {mode!r}")
+
+
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack rows of {-1,+1} values into uint8 rows of ceil(K/8) bytes."""
     b = np.asarray(bits)

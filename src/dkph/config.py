@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .encoder import EncoderConfig
 from .exceptions import ConfigError
+from .retrieval import MAP_KS
 from .student import LossWeights
 from .synth import SPLIT_FRACTIONS, SynthConfig
 
@@ -65,6 +66,7 @@ class RunConfig:
     def __post_init__(self):
         per_class = [int(round(f * self.videos_per_class)) for f in SPLIT_FRACTIONS]
         n_train = self.num_classes * per_class[0]
+        n_database = self.num_classes * (self.videos_per_class - sum(per_class))
         positive = ("num_classes", "frames", "feat_dim", "model_dim", "teacher_bits",
                     "batch_size")
         non_negative = ("intra_class_noise", "temporal_drift", "ffn_dim", "teacher_epochs",
@@ -75,6 +77,8 @@ class RunConfig:
             *[(key, getattr(self, key) >= 0, "must be >= 0") for key in non_negative],
             ("videos_per_class", min(per_class) >= 1 and sum(per_class) < self.videos_per_class,
              "must give each class at least one train, query and database video"),
+            ("videos_per_class", n_database >= min(MAP_KS),
+             f"{n_database} database videos, fewer than the smallest mAP cutoff {min(MAP_KS)}"),
             ("num_anchors", self.num_anchors <= n_train,
              f"more anchors than the {n_train} training videos "
              f"(num_classes x round({SPLIT_FRACTIONS[0]} x videos_per_class))"),

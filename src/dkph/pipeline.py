@@ -15,13 +15,19 @@ Stage artifacts
     encode_K   query_K.codes, database_K.codes
     eval_K     metrics_K.json
     report.txt regenerated deterministically from the above on every run
+    student_V_K, encode_V_K, eval_V_K
+               as student_K, encode_K and eval_K with V_K in place of K, for
+               each ablation variant V other than "full", at the first width
+    ablation.txt  the variants' mAP and stream probes of student_K.ckpt,
+               regenerated on every ablation_suite call
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +44,16 @@ from .graph import (
     default_bandwidth,
     kmeans,
 )
-from .retrieval import CodeIndex, map_at_k, pr_curve
+from .retrieval import MAP_KS, CodeIndex, map_at_k, pr_curve
 from .student import (
+    PROBE_MODES,
     probe_reconstruction,
     student_forward,
     train_student,
     write_training_log,
 )
-from .synth import generate_synthetic, load_dataset_splits, load_split, load_split_labels
+from .synth import generate_synthetic, load_split, load_split_labels
 from .teacher import train_teacher
-
-MAP_KS = (5, 20, 60, 100)
 
 # Written into every meta record. Bump it whenever the code changes what a
 # stage produces for the same config, so that old artifacts are rebuilt;
@@ -77,10 +82,10 @@ def _meta_path(run_dir: Path, stage: str) -> Path:
 
 
 def stage_completed(run_dir: Path, stage: str, cfg: RunConfig) -> bool:
-    meta = _meta_path(run_dir, stage)
-    if not meta.exists():
+    try:
+        record = json.loads(_meta_path(run_dir, stage).read_text())
+    except (OSError, ValueError):  # missing, or damaged outside the pipeline
         return False
-    record = json.loads(meta.read_text())
     if record.get("config_hash") != cfg.config_hash():
         return False
     if record.get("code_version") != CODE_VERSION:
@@ -92,6 +97,9 @@ def _run_stage(run_dir: Path, stage: str, cfg: RunConfig, outputs: list[str], fn
     """Execute ``fn`` unless the stage is already complete; record timing."""
     if stage_completed(run_dir, stage, cfg):
         return
+    # no record may outlive a run of fn() that fails half way through its outputs
+    path = _meta_path(run_dir, stage)
+    path.unlink(missing_ok=True)
     start = time.perf_counter()
     try:
         fn()
@@ -104,9 +112,10 @@ def _run_stage(run_dir: Path, stage: str, cfg: RunConfig, outputs: list[str], fn
             raise PipelineError(stage, f"expected output {out} was not produced")
     meta = {"stage": stage, "config_hash": cfg.config_hash(), "code_version": CODE_VERSION,
             "wall_time_s": round(time.perf_counter() - start, 3), "outputs": outputs}
-    path = _meta_path(run_dir, stage)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(meta, sort_keys=True) + "\n")
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
+    os.replace(tmp, path)  # a crash leaves either no record or a whole one
 
 
 def _require(run_dir: Path, stage: str, cfg: RunConfig, needed_by: str) -> None:
@@ -195,21 +204,35 @@ def load_graph_artifacts(run_dir: Path):
     return graph, lambda v: centers[assignments[v]]
 
 
-def stage_student(cfg: RunConfig, run_dir: Path, bits: int) -> None:
-    _require(run_dir, "graph", cfg, needed_by=f"student_{bits}")
+# Each ablation variant and the loss weights it sets to zero; "no_dual" keeps
+# every weight and trains without the temporal head.
+ABLATION_VARIANTS = {"full": (), "recon_only": ("gamma1", "gamma2"), "no_bsim": ("gamma1",),
+                     "no_tsim": ("gamma2",), "no_dual": ()}
+
+
+def _tag(bits: int, variant: str) -> str:
+    """Names a width's model in its stages and artifacts: the width for the
+    full model, <variant>_<width> for an ablation variant."""
+    return str(bits) if variant == "full" else f"{variant}_{bits}"
+
+
+def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:
+    tag = _tag(bits, variant)
+    _require(run_dir, "graph", cfg, needed_by=f"student_{tag}")
 
     def fn():
         train = load_split(run_dir / "data", "train")
         graph, anchor_of = load_graph_artifacts(run_dir)
+        weights = replace(cfg.loss_weights(), **dict.fromkeys(ABLATION_VARIANTS[variant], 0.0))
         result = train_student(train.features, cfg.encoder_config(), graph, anchor_of,
-                               cfg.loss_weights(), code_bits=bits,
+                               weights, code_bits=bits,
                                epochs=cfg.student_epochs, batch_size=cfg.batch_size,
-                               seed=cfg.train_seed)
-        serial.save_checkpoint(run_dir / f"student_{bits}.ckpt", result.params)
-        write_training_log(run_dir / f"student_{bits}_log.txt", result.history)
+                               seed=cfg.train_seed, dual_stream=variant != "no_dual")
+        serial.save_checkpoint(run_dir / f"student_{tag}.ckpt", result.params)
+        write_training_log(run_dir / f"student_{tag}_log.txt", result.history)
 
-    _run_stage(run_dir, f"student_{bits}", cfg,
-               [f"student_{bits}.ckpt", f"student_{bits}_log.txt"], fn)
+    _run_stage(run_dir, f"student_{tag}", cfg,
+               [f"student_{tag}.ckpt", f"student_{tag}_log.txt"], fn)
 
 
 def encode_split(features: np.ndarray, params: Params) -> np.ndarray:
@@ -219,27 +242,27 @@ def encode_split(features: np.ndarray, params: Params) -> np.ndarray:
     return pack_bits(bits.astype(np.int8))
 
 
-def stage_encode(cfg: RunConfig, run_dir: Path, bits: int) -> None:
-    _require(run_dir, f"student_{bits}", cfg, needed_by=f"encode_{bits}")
+def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:
+    tag = _tag(bits, variant)
+    _require(run_dir, f"student_{tag}", cfg, needed_by=f"encode_{tag}")
 
     def fn():
         features = {name: load_split(run_dir / "data", name).features
                     for name in ("query", "database")}
-        params = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
+        params = cast_params(serial.load_checkpoint(run_dir / f"student_{tag}.ckpt"),
                              features["query"].dtype)
         for name, x in features.items():
-            serial.save_codes(run_dir / f"{name}_{bits}.codes", encode_split(x, params), bits)
+            serial.save_codes(run_dir / f"{name}_{tag}.codes", encode_split(x, params), bits)
 
-    _run_stage(run_dir, f"encode_{bits}", cfg,
-               [f"query_{bits}.codes", f"database_{bits}.codes"], fn)
+    _run_stage(run_dir, f"encode_{tag}", cfg,
+               [f"query_{tag}.codes", f"database_{tag}.codes"], fn)
 
 
-def _map_scores(run_dir: Path, tag: str, bits: int, splits) -> tuple[dict, np.ndarray, CodeIndex]:
-    """mAP@k for each of MAP_KS that the database holds, of query_<tag>.codes
-    against database_<tag>.codes; also the query bits and the index.
-
-    ``splits`` maps "query" and "database" to objects with labels and ids.
-    """
+def evaluate_codes(run_dir: Path, bits: int, variant: str = "full") -> dict:
+    """mAP@k for each of MAP_KS that the database holds, and the PR curve, of
+    a width's query codes against its database codes."""
+    tag = _tag(bits, variant)
+    splits = load_split_labels(run_dir / "data")
     query, db = splits["query"], splits["database"]
     q_packed, _ = serial.load_codes(run_dir / f"query_{tag}.codes")
     d_packed, _ = serial.load_codes(run_dir / f"database_{tag}.codes")
@@ -247,26 +270,27 @@ def _map_scores(run_dir: Path, tag: str, bits: int, splits) -> tuple[dict, np.nd
     q_bits = unpack_bits(q_packed, bits)
     maps = {str(k): map_at_k(q_bits, query.labels, idx, k=k, query_ids=query.ids).value
             for k in MAP_KS if k <= idx.n}
-    return maps, q_bits, idx
-
-
-def evaluate_codes(run_dir: Path, bits: int) -> dict:
-    splits = load_split_labels(run_dir / "data")
-    maps, q_bits, idx = _map_scores(run_dir, str(bits), bits, splits)
-    query = splits["query"]
     return {"bits": bits, "map": maps,
             "pr": pr_curve(q_bits, query.labels, idx, query_ids=query.ids)}
 
 
-def stage_eval(cfg: RunConfig, run_dir: Path, bits: int) -> None:
-    _require(run_dir, f"encode_{bits}", cfg, needed_by=f"eval_{bits}")
+def stage_eval(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:
+    tag = _tag(bits, variant)
+    _require(run_dir, f"encode_{tag}", cfg, needed_by=f"eval_{tag}")
 
     def fn():
-        metrics = evaluate_codes(run_dir, bits)
-        (run_dir / f"metrics_{bits}.json").write_text(
+        metrics = evaluate_codes(run_dir, bits, variant)
+        (run_dir / f"metrics_{tag}.json").write_text(
             json.dumps(metrics, sort_keys=True) + "\n")
 
-    _run_stage(run_dir, f"eval_{bits}", cfg, [f"metrics_{bits}.json"], fn)
+    _run_stage(run_dir, f"eval_{tag}", cfg, [f"metrics_{tag}.json"], fn)
+
+
+def _model_stages(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:
+    """Train, encode and evaluate one width's model."""
+    stage_student(cfg, run_dir, bits, variant)
+    stage_encode(cfg, run_dir, bits, variant)
+    stage_eval(cfg, run_dir, bits, variant)
 
 
 # -- report + end-to-end ---------------------------------------------------
@@ -312,32 +336,14 @@ def run_pipeline(cfg: RunConfig, work_dir=None) -> PipelineReport:
     stage_teacher(cfg, run_dir)
     stage_graph(cfg, run_dir)
     for bits in cfg.code_bits:
-        stage_student(cfg, run_dir, bits)
-        stage_encode(cfg, run_dir, bits)
-        stage_eval(cfg, run_dir, bits)
+        _model_stages(cfg, run_dir, bits)
     return build_report(cfg, run_dir)
 
 
-# -- ablations -------------------------------------------------------------
-
-ABLATION_VARIANTS = ("full", "recon_only", "no_bsim", "no_tsim", "no_dual")
-
-
-def _variant_weights(cfg: RunConfig, variant: str):
-    w = cfg.loss_weights()
-    if variant == "recon_only":
-        w.gamma1 = 0.0
-        w.gamma2 = 0.0
-    elif variant == "no_bsim":
-        w.gamma1 = 0.0
-    elif variant == "no_tsim":
-        w.gamma2 = 0.0
-    return w
-
-
 def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
-    """Retrain loss/structure variants at the first code width and probe the
-    trained full model's reconstruction with each stream removed.
+    """Train, encode and evaluate every ablation variant at the first code
+    width, and probe the trained full model's reconstruction with each stream
+    removed.
 
     Returns a dict and writes ablation.txt next to the run report.
     """
@@ -347,56 +353,27 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
     stage_data(cfg, run_dir)
     stage_teacher(cfg, run_dir)
     stage_graph(cfg, run_dir)
-    stage_student(cfg, run_dir, bits)
-    stage_encode(cfg, run_dir, bits)
-    stage_eval(cfg, run_dir, bits)
-
-    splits = load_dataset_splits(run_dir / "data")
-    train = splits["train"]
-    graph, anchor_of = load_graph_artifacts(run_dir)
-
     results: dict = {"bits": bits, "map": {}, "recon_error": {}}
-    results["map"]["full"] = json.loads(
-        (run_dir / f"metrics_{bits}.json").read_text())["map"]
-
-    for variant in ABLATION_VARIANTS[1:]:
-        stage = f"ablate_{variant}_{bits}"
-
-        def fn(variant=variant, stage=stage):
-            result = train_student(
-                train.features, cfg.encoder_config(), graph, anchor_of,
-                _variant_weights(cfg, variant), code_bits=bits,
-                epochs=cfg.student_epochs, batch_size=cfg.batch_size,
-                seed=cfg.train_seed, dual_stream=(variant != "no_dual"))
-            serial.save_checkpoint(run_dir / f"{stage}.ckpt", result.params)
-            for name in ("query", "database"):
-                packed = encode_split(splits[name].features, result.params)
-                serial.save_codes(run_dir / f"{name}_{stage}.codes", packed, bits)
-
-        _run_stage(run_dir, stage, cfg,
-                   [f"{stage}.ckpt", f"query_{stage}.codes", f"database_{stage}.codes"], fn)
-
-        results["map"][variant] = _map_scores(run_dir, stage, bits, splits)[0]
-
-    # information decomposition on the trained full model, database split
-    db_features = splits["database"].features
-    full = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
-                       db_features.dtype)
-    for mode in ("intact", "drop_code", "drop_latent", "mean_latent"):
-        results["recon_error"][mode] = probe_reconstruction(db_features, full, mode)
-
     lines = ["dkph ablation report", f"config_hash = {cfg.config_hash()}",
              f"bits = {bits}"]
     for variant in ABLATION_VARIANTS:
-        for k in sorted(int(x) for x in results["map"][variant]):
-            lines.append(f"map variant={variant} k={k} = "
-                         f"{results['map'][variant][str(k)]:.10g}")
-    for mode in ("intact", "drop_code", "drop_latent", "mean_latent"):
-        lines.append(f"recon_error mode={mode} = {results['recon_error'][mode]:.10g}")
-    intact = results["recon_error"]["intact"]
-    lines.append(f"recon_error drop_latent_over_drop_code = "
-                 f"{results['recon_error']['drop_latent'] / results['recon_error']['drop_code']:.10g}")
-    lines.append(f"recon_error mean_latent_increase = "
-                 f"{(results['recon_error']['mean_latent'] - intact) / intact:.10g}")
+        _model_stages(cfg, run_dir, bits, variant)
+        maps = json.loads((run_dir / f"metrics_{_tag(bits, variant)}.json").read_text())["map"]
+        results["map"][variant] = maps
+        for k in sorted(int(x) for x in maps):
+            lines.append(f"map variant={variant} k={k} = {maps[str(k)]:.10g}")
+
+    # information decomposition on the trained full model, database split
+    db_features = load_split(run_dir / "data", "database").features
+    full = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
+                       db_features.dtype)
+    error = results["recon_error"]
+    for mode in PROBE_MODES:
+        error[mode] = probe_reconstruction(db_features, full, mode)
+        lines.append(f"recon_error mode={mode} = {error[mode]:.10g}")
+    lines.append("recon_error drop_latent_over_drop_code = "
+                 f"{error['drop_latent'] / error['drop_code']:.10g}")
+    lines.append("recon_error mean_latent_increase = "
+                 f"{(error['mean_latent'] - error['intact']) / error['intact']:.10g}")
     (run_dir / "ablation.txt").write_text("\n".join(lines) + "\n")
     return results

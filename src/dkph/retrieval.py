@@ -35,6 +35,9 @@ import numpy as np
 from .codes import BinaryCode, pack_bits, require_same_length
 from .exceptions import ShapeError
 
+# Cutoffs of the reported mAP@k; RunConfig asks for min(MAP_KS) database videos.
+MAP_KS = (5, 20, 60, 100)
+
 # Byte budget of one (B, n_db) int64 work buffer of a block of query rows.
 BLOCK_BYTES = 1 << 20
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import sign_pm1
+from .codes import binarize_tanh
 from .encoder import (
     EncoderConfig,
     Params,
@@ -105,12 +105,7 @@ def student_forward(x: np.ndarray, params: Params,
     frames, cache = encode_forward(x, params)
     t_hat = frames.reshape(len(frames), -1) @ params["w_hash"] + params["b_hash"]
     act = np.tanh(t_hat)
-    if binarize == "hard":
-        code = sign_pm1(act)
-    elif binarize == "relaxed":
-        code = act
-    else:
-        raise ValueError(f"unknown binarize mode {binarize!r}")
+    code = binarize_tanh(act, binarize)
     latent = frames @ params["w_temp"] + params["b_temp"]
     recon = (latent + code[:, None, :]) @ params["w_dec"] + params["b_dec"]
     return StudentForward(code=code, act=act, latent=latent, recon=recon,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import BinaryCode, sign_pm1
+from .codes import BinaryCode, binarize_tanh, sign_pm1
 from .encoder import (
     EncoderConfig,
     Params,
@@ -90,12 +90,7 @@ def teacher_forward(x: np.ndarray, params: Params, mask: np.ndarray | None = Non
     frames, cache = encode_forward(x, params, masked=mask, mask_embed=params["mask_embed"])
     z = frames @ params["w_hash"] + params["b_hash"]
     act = np.tanh(z)
-    if binarize == "hard":
-        codes = sign_pm1(act)
-    elif binarize == "relaxed":
-        codes = act
-    else:
-        raise ValueError(f"unknown binarize mode {binarize!r}")
+    codes = binarize_tanh(act, binarize)
     recon = codes @ params["w_dec"] + params["b_dec"]
     return TeacherForward(frame_codes=codes, recon=recon, frames=frames,
                           act=act, enc_cache=cache)

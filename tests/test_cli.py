@@ -1,5 +1,7 @@
 """CLI exit codes and outputs on a tiny configuration."""
 
+import json
+
 import pytest
 
 from dkph import cli, serial
@@ -26,6 +28,16 @@ def test_build_graph_before_teacher_fails_naming_the_stage(tiny, capsys):
     err = capsys.readouterr().err
     assert "prerequisite stage 'teacher' has not run" in err
     assert not (run_layout(cfg) / "graph.bin").exists()
+
+
+def test_a_damaged_stage_record_reruns_the_stage(tiny):
+    cfg, args = tiny
+    assert cli.main(["synth-data", *args]) == 0
+    meta = run_layout(cfg) / "meta" / "data.json"
+    meta.write_bytes(meta.read_bytes()[:20])
+    assert cli.main(["synth-data", *args]) == 0
+    assert json.loads(meta.read_text())["stage"] == "data"
+    assert [p.name for p in meta.parent.iterdir()] == ["data.json"]
 
 
 def test_data_teacher_graph_in_order_write_the_graph(tiny):

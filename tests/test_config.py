@@ -6,6 +6,7 @@ import pytest
 
 from dkph.config import RunConfig
 from dkph.exceptions import ConfigError
+from dkph.retrieval import MAP_KS
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -20,6 +21,15 @@ def test_num_anchors_at_most_the_training_videos():
     RunConfig(num_classes=3, videos_per_class=10, num_anchors=15, anchor_neighbors=2)
     rejects("num_anchors", num_classes=3, videos_per_class=10, num_anchors=16,
             anchor_neighbors=2)
+
+
+def test_database_holds_at_least_the_smallest_map_cutoff():
+    # 1 class: v - round(0.5 v) - round(0.1 v) database videos, 5 at v = 12
+    # and 4 at v = 10, against min(MAP_KS) = 5
+    assert min(MAP_KS) == 5
+    small = dict(num_classes=1, num_anchors=5, anchor_neighbors=2)
+    RunConfig(videos_per_class=12, **small)
+    rejects("videos_per_class", videos_per_class=10, **small)
 
 
 def test_anchor_neighbors_between_one_and_num_anchors():

@@ -1,4 +1,4 @@
-"""Pipeline: batched encoding, rerun stability and the stage cache."""
+"""Pipeline: batched encoding, rerun stability, the stage cache and the ablation."""
 
 import json
 import shutil
@@ -11,6 +11,7 @@ from dkph import encoder, pipeline, serial, synth
 from dkph.codes import pack_bits
 from dkph.config import RunConfig
 from dkph.encoder import EncoderConfig
+from dkph.exceptions import PipelineError
 from dkph.student import init_student
 from test_encoder import assert_rel_close, oracle_forward
 from test_student import oracle_student
@@ -111,6 +112,30 @@ def test_training_and_encoding_stages_read_only_their_splits(tiny_run, tmp_path,
     assert pipeline.stage_completed(run_dir, stage, cfg)
 
 
+def test_a_stage_that_fails_while_rerunning_leaves_no_record(tiny_run, tmp_path, monkeypatch):
+    cfg, _, first = tiny_run
+    run_dir = tmp_path / first.run_dir.name
+    shutil.copytree(first.run_dir, run_dir)
+    (run_dir / "data" / "query.labels").unlink()
+
+    def disk_full(path, labels):
+        Path(path).write_bytes(b"")  # every output exists, one of them cut short
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(serial, "save_labels", disk_full)
+    with pytest.raises(PipelineError, match="no space left on device"):
+        pipeline.stage_data(cfg, run_dir)
+    assert not (run_dir / "meta" / "data.json").exists()
+    assert not pipeline.stage_completed(run_dir, "data", cfg)
+
+
+def test_variant_encode_before_its_student_fails_naming_it(tiny_run):
+    cfg, _, first = tiny_run
+    with pytest.raises(PipelineError, match="prerequisite stage 'student_no_bsim_16'"):
+        pipeline.stage_encode(cfg, first.run_dir, 16, "no_bsim")
+    assert not (first.run_dir / "query_no_bsim_16.codes").exists()
+
+
 def test_encode_stage_narrows_the_checkpoint_to_the_features_dtype(tiny_run, tmp_path,
                                                                    monkeypatch):
     cfg, _, first = tiny_run
@@ -184,3 +209,35 @@ def test_meta_without_code_version_is_stale(tiny_run):
     finally:
         record["code_version"] = pipeline.CODE_VERSION
         path.write_text(json.dumps(record, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="module")
+def tiny_ablation(tmp_path_factory):
+    cfg = RunConfig(**TINY)
+    work = tmp_path_factory.mktemp("ablation")
+    results = pipeline.ablation_suite(cfg, work)
+    return cfg, pipeline.run_layout(cfg, work), results
+
+
+def test_ablation_rerun_reproduces_its_report_and_executes_no_stage(tiny_ablation):
+    cfg, run_dir, _ = tiny_ablation
+    bits = cfg.code_bits[0]
+    tags = [str(bits)] + [f"{v}_{bits}" for v in pipeline.ABLATION_VARIANTS if v != "full"]
+    text = (run_dir / "ablation.txt").read_bytes()
+    before = _meta(run_dir)
+    assert set(before) == {"data", "teacher", "graph"} | {
+        f"{stage}_{tag}" for stage in ("student", "encode", "eval") for tag in tags}
+    pipeline.ablation_suite(cfg, run_dir.parent)
+    assert (run_dir / "ablation.txt").read_bytes() == text
+    assert _meta(run_dir) == before
+
+
+def test_ablation_full_rows_are_the_full_model_metrics(tiny_ablation):
+    cfg, run_dir, results = tiny_ablation
+    bits = cfg.code_bits[0]
+    want = json.loads((run_dir / f"metrics_{bits}.json").read_text())["map"]
+    assert results["map"]["full"] == want
+    rows = [line.split(" = ") for line in (run_dir / "ablation.txt").read_text().splitlines()
+            if line.startswith("map variant=full ")]
+    assert dict(rows) == \
+        {f"map variant=full k={k}": f"{v:.10g}" for k, v in want.items()}

@@ -23,7 +23,7 @@ from dkph.student import (
     train_student,
     write_training_log,
 )
-from dkph.teacher import init_teacher
+from dkph.teacher import init_teacher, teacher_forward
 from test_encoder import assert_rel_close, oracle_backward, oracle_forward
 
 TOY = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
@@ -71,6 +71,14 @@ class TestForward:
             assert np.all(np.abs(fwd.code) == 1.0)
             bits = fwd.code.astype(np.int8)
             assert np.array_equal(unpack_bits(pack_bits(bits), K), bits)
+
+    def test_teacher_and_student_reject_an_unknown_binarize_mode(self):
+        x = np.random.default_rng(11).normal(size=(1, 4, 6))
+        with pytest.raises(ValueError, match="unknown binarize mode 'soft'"):
+            student_forward(x, toy_student(11), binarize="soft")
+        teacher = init_teacher(TOY, np.random.default_rng(12), K)
+        with pytest.raises(ValueError, match="unknown binarize mode 'soft'"):
+            teacher_forward(x, teacher, mask=np.ones((1, 4), dtype=bool), binarize="soft")
 
     def test_sign_preserving_perturbation_leaves_hard_path_unchanged(self):
         # recon-only invariance: scaling the hash head flips no signs, so
