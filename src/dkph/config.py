@@ -84,8 +84,9 @@ class RunConfig:
              f"(num_classes x round({SPLIT_FRACTIONS[0]} x videos_per_class))"),
             ("anchor_neighbors", 1 <= self.anchor_neighbors <= self.num_anchors,
              "must lie in [1, num_anchors]"),
-            ("code_bits", len(self.code_bits) > 0 and all(b > 0 for b in self.code_bits),
-             "must be a nonempty list of positive widths"),
+            ("code_bits", 0 < len(set(self.code_bits)) == len(self.code_bits)
+             and all(b > 0 for b in self.code_bits),
+             "must be a nonempty list of distinct positive widths"),
             ("mask_ratio", 0.0 < self.mask_ratio < 1.0, "must lie strictly between 0 and 1"),
         )
         for key, ok, why in checks:

@@ -30,9 +30,8 @@ Precision. Both passes compute in the dtype of the parameters and cast
 their inputs to it; no dtype is fixed here. Trainers build parameters in
 ``np.result_type(features, np.float32)``: float32 for the float32 features
 the feature files hold, float64 for float64 or int64 features, which is
-what the finite-difference checks use. :func:`cast_params` narrows a
-float64 initialization or checkpoint to the features' dtype, and gives a
-checkpoint's 2-D tensors their model shapes back.
+what the finite-difference checks use. :func:`cast_params` casts an
+initialization or a checkpoint to the features' dtype.
 """
 
 from __future__ import annotations
@@ -103,19 +102,11 @@ def init_encoder(cfg: EncoderConfig, rng: np.random.Generator) -> Params:
 
 def cast_params(params, dtype) -> Params:
     """``params`` (an init dict or a loaded checkpoint) with every tensor in
-    ``dtype`` and in its model shape.
-
-    Checkpoints store every tensor 2-D: tensors named ``w_*`` and ``e_pos``
-    keep 2-D, every other tensor becomes 1-D. Tensors already in ``dtype``
-    are shared, not copied, so a float64 set cast to float64 is the same
-    numbers. The version restarts at 0.
+    ``dtype``. Tensors already in ``dtype`` are shared, not copied, so a
+    float64 set cast to float64 is the same numbers. The version restarts
+    at 0.
     """
-    out = Params()
-    for name, t in params.items():
-        t = np.asarray(t).astype(dtype, copy=False)
-        short = name.rpartition(".")[2]
-        out[name] = t if short.startswith("w_") or short == "e_pos" else t.reshape(-1)
-    return out
+    return Params({name: np.asarray(t).astype(dtype, copy=False) for name, t in params.items()})
 
 
 @dataclass

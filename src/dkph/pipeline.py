@@ -61,7 +61,9 @@ from .teacher import train_teacher
 # encoder passes sum floats in another order (results move in the last ulp).
 # Version 3: teacher, student and encoding compute in float32, the precision
 # of the feature files, instead of widening them to float64.
-CODE_VERSION = 3
+# Version 4: every binary artifact is one container of named arrays, each
+# stored in its own dtype and shape (see ``serial``).
+CODE_VERSION = 4
 
 
 @dataclass
@@ -187,7 +189,7 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
                           lambda1=cfg.lambda1, lambda2=cfg.lambda2, seed=cfg.train_seed)
         serial.save_checkpoint(run_dir / "anchors.ckpt", {
             "centers": anchors.centers,
-            "assignments": anchors.assignments.astype(np.float64)[None, :],
+            "assignments": anchors.assignments,
         })
 
     _run_stage(run_dir, "graph", cfg, ["graph.bin", "anchors.ckpt"], fn)
@@ -198,8 +200,7 @@ def load_graph_artifacts(run_dir: Path):
     anchor centre."""
     positives, negatives, _ = serial.load_graph(run_dir / "graph.bin")
     blob = serial.load_checkpoint(run_dir / "anchors.ckpt")
-    centers = blob["centers"]
-    assignments = blob["assignments"].reshape(-1).astype(np.int64)
+    centers, assignments = blob["centers"], blob["assignments"]
     graph = SignedGraph(positives=positives, negatives=negatives)
     return graph, lambda v: centers[assignments[v]]
 
@@ -353,7 +354,7 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
     stage_data(cfg, run_dir)
     stage_teacher(cfg, run_dir)
     stage_graph(cfg, run_dir)
-    results: dict = {"bits": bits, "map": {}, "recon_error": {}}
+    results: dict = {"bits": bits, "map": {}}
     lines = ["dkph ablation report", f"config_hash = {cfg.config_hash()}",
              f"bits = {bits}"]
     for variant in ABLATION_VARIANTS:
@@ -367,9 +368,8 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
     db_features = load_split(run_dir / "data", "database").features
     full = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
                        db_features.dtype)
-    error = results["recon_error"]
+    results["recon_error"] = error = probe_reconstruction(db_features, full)
     for mode in PROBE_MODES:
-        error[mode] = probe_reconstruction(db_features, full, mode)
         lines.append(f"recon_error mode={mode} = {error[mode]:.10g}")
     lines.append("recon_error drop_latent_over_drop_code = "
                  f"{error['drop_latent'] / error['drop_code']:.10g}")

@@ -1,79 +1,103 @@
-"""Versioned little-endian binary file formats.
+"""Versioned little-endian binary artifacts: one container of named arrays.
 
-All multi-byte integers are little-endian. Four artifact kinds:
+:func:`save_arrays` writes every binary artifact and :func:`load_arrays`
+reads it back, each array in exactly its saved dtype (one of
+:data:`DTYPES`) and shape, in memory of its own. Layout, little-endian:
 
-checkpoint  magic b"DKPM": named float64 matrices
-            (count, then per matrix: name_len u32, name utf-8, rows u32,
-             cols u32, rows*cols float64)
-features    magic b"DKPH": N u32, M u32, D u32, then N*M*D float32 row-major
-codes       magic b"DKPC": n u32, K u32, then n packed rows of ceil(K/8) bytes
-graph       magic b"DKPG": N u32, N_c u32, p u32, alpha f64, lambda1 f64,
-            lambda2 f64, seed u64, then per video: index u32, pos_count u32,
-            pos indices u32..., neg_count u32, neg indices u32...
+    magic b"DKPA", version u32, count u32, then per array: name_len u32,
+    dtype 2 ASCII bytes, ndim u8, name utf-8, shape u64 x ndim, C-order data
+
+checkpoint  each model tensor under its checkpoint name
+features    "features": (N, M, D) float32
+codes       "packed": (n, ceil(K/8)) uint8 rows; "k": int64
+graph       for s in pos, neg: "s_offsets" (N + 1,) int64 and "s_indices"
+            uint32, video i's row being s_indices[s_offsets[i]:s_offsets[i+1]];
+            "n_centers", "p", "seed": int64; "alpha", "lambda1", "lambda2":
+            float64
 
 Labels are a plain text sidecar: one integer per line, aligned with ids.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
-VERSION = 1
+MAGIC = b"DKPA"
+VERSION = 2
+DTYPES = ("i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f4", "f8")
 
-_MAGIC_CKPT = b"DKPM"
-_MAGIC_FEAT = b"DKPH"
-_MAGIC_CODE = b"DKPC"
-_MAGIC_GRAPH = b"DKPG"
-
-
-def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise EOFError(f"truncated file: wanted {n} bytes, got {len(data)}")
-    return data
+_ENTRY = struct.Struct("<I2sB")  # name_len, dtype, ndim
+_BY_CODE = {code.encode(): np.dtype("<" + code) for code in DTYPES}
 
 
-def _check_header(f, magic: bytes, kind: str) -> None:
-    got = _read_exact(f, 4)
-    if got != magic:
-        raise ValueError(f"not a {kind} file (magic {got!r})")
-    (version,) = struct.unpack("<I", _read_exact(f, 4))
-    if version != VERSION:
-        raise ValueError(f"unsupported {kind} version {version}")
+def save_arrays(path, arrays: dict) -> None:
+    """Write ``arrays`` (name -> array) as one container file."""
+    chunks = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
+    for name, value in arrays.items():
+        a = np.asarray(value)
+        code = a.dtype.str[1:]
+        if code not in DTYPES:
+            raise ValueError(f"array {name!r}: dtype {a.dtype} is not one of {DTYPES}")
+        a = a.astype("<" + code, order="C", copy=False)
+        raw = name.encode("utf-8")
+        chunks += [_ENTRY.pack(len(raw), code.encode(), a.ndim), raw,
+                   struct.pack(f"<{a.ndim}Q", *a.shape), a.data]
+    with open(path, "wb") as f:
+        f.writelines(chunks)
+
+
+def load_arrays(path) -> dict[str, np.ndarray]:
+    """Every array of a container file, by name, in saved order.
+
+    Raises EOFError on a file cut short, ValueError on anything else that
+    :func:`save_arrays` does not write.
+    """
+    out: dict[str, np.ndarray] = {}
+    with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            data = f.read(n)
+            if len(data) != n:
+                raise EOFError(f"{path}: truncated file: wanted {n} bytes, got {len(data)}")
+            return data
+
+        magic = read(4)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: not a dkph array file (magic {magic!r})")
+        version, count = struct.unpack("<II", read(8))
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        for _ in range(count):
+            name_len, code, ndim = _ENTRY.unpack(read(_ENTRY.size))
+            dtype = _BY_CODE.get(code)
+            if dtype is None:
+                raise ValueError(f"{path}: dtype {code!r} is not one of {DTYPES}")
+            name = read(name_len).decode("utf-8")
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
+            size = math.prod(shape)
+            # one read and one copy per array, so that every loaded array owns
+            # its memory: views into a shared buffer slowed perfbench's train run
+            data = np.frombuffer(read(size * dtype.itemsize), dtype, size)
+            out[name] = data.reshape(shape).copy()
+        if f.read(1):
+            raise ValueError(f"{path}: bytes after the last array")
+    return out
+
+
+def _load_kind(path, kind: str, names: tuple) -> dict[str, np.ndarray]:
+    arrays = load_arrays(path)
+    if sorted(arrays) != sorted(names):
+        raise ValueError(f"{path}: not a {kind} file (arrays {sorted(arrays)})")
+    return arrays
 
 
 # -- checkpoints ---------------------------------------------------------
 
 
-def save_checkpoint(path, matrices: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    with open(path, "wb") as f:
-        f.write(_MAGIC_CKPT)
-        f.write(struct.pack("<II", VERSION, len(matrices)))
-        for name, mat in matrices.items():
-            m = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<II", m.shape[0], m.shape[1]))
-            f.write(m.astype("<f8").tobytes(order="C"))
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as f:
-        _check_header(f, _MAGIC_CKPT, "checkpoint")
-        (count,) = struct.unpack("<I", _read_exact(f, 4))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, name_len).decode("utf-8")
-            rows, cols = struct.unpack("<II", _read_exact(f, 8))
-            data = np.frombuffer(_read_exact(f, rows * cols * 8), dtype="<f8")
-            out[name] = data.reshape(rows, cols).astype(np.float64)
-    return out
+save_checkpoint = save_arrays  # tensors by checkpoint name, any dtype and shape
+load_checkpoint = load_arrays
 
 
 # -- frame features ------------------------------------------------------
@@ -84,11 +108,7 @@ def save_features(path, features: np.ndarray) -> None:
     x = np.asarray(features)
     if x.ndim != 3:
         raise ValueError(f"features must be (N, M, D), got shape {x.shape}")
-    n, m, d = x.shape
-    with open(path, "wb") as f:
-        f.write(_MAGIC_FEAT)
-        f.write(struct.pack("<IIII", VERSION, n, m, d))
-        f.write(x.astype("<f4").tobytes(order="C"))
+    save_arrays(path, {"features": x.astype(np.float32, copy=False)})
 
 
 def load_features(path) -> np.ndarray:
@@ -98,11 +118,7 @@ def load_features(path) -> np.ndarray:
     ``encoder``), so float32 features train and encode in float32; widening
     here would add no precision.
     """
-    with open(path, "rb") as f:
-        _check_header(f, _MAGIC_FEAT, "features")
-        n, m, d = struct.unpack("<III", _read_exact(f, 12))
-        data = np.frombuffer(_read_exact(f, n * m * d * 4), dtype="<f4")
-    return data.reshape(n, m, d).astype(np.float32)
+    return _load_kind(path, "features", ("features",))["features"]
 
 
 # -- packed codes --------------------------------------------------------
@@ -113,19 +129,12 @@ def save_codes(path, packed: np.ndarray, k: int) -> None:
     p = np.asarray(packed, dtype=np.uint8)
     if p.ndim != 2 or p.shape[1] != (k + 7) // 8:
         raise ValueError(f"packed shape {p.shape} inconsistent with K={k}")
-    with open(path, "wb") as f:
-        f.write(_MAGIC_CODE)
-        f.write(struct.pack("<III", VERSION, p.shape[0], k))
-        f.write(p.tobytes(order="C"))
+    save_arrays(path, {"packed": p, "k": np.int64(k)})
 
 
 def load_codes(path) -> tuple[np.ndarray, int]:
-    with open(path, "rb") as f:
-        _check_header(f, _MAGIC_CODE, "codes")
-        n, k = struct.unpack("<II", _read_exact(f, 8))
-        row_bytes = (k + 7) // 8
-        data = np.frombuffer(_read_exact(f, n * row_bytes), dtype=np.uint8)
-    return data.reshape(n, row_bytes).copy(), k
+    arrays = _load_kind(path, "codes", ("packed", "k"))
+    return arrays["packed"], int(arrays["k"])
 
 
 # -- labels --------------------------------------------------------------
@@ -144,40 +153,45 @@ def load_labels(path) -> np.ndarray:
 
 # -- signed graph --------------------------------------------------------
 
+_GRAPH_HEADER = ("n_centers", "p", "seed", "alpha", "lambda1", "lambda2")
+
+
+def _pack_rows(side: str, rows) -> dict[str, np.ndarray]:
+    """Offsets and concatenated uint32 indices of per-video index lists."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    indices = np.concatenate([np.zeros(0, np.uint32), *rows]).astype(np.uint32)
+    return {f"{side}_offsets": offsets, f"{side}_indices": indices}
+
+
+def _unpack_rows(path, arrays: dict, side: str) -> list[np.ndarray]:
+    offsets, indices = arrays[f"{side}_offsets"], arrays[f"{side}_indices"]
+    bounds = offsets.tolist()
+    if bounds[:1] != [0] or bounds[-1] != indices.size or np.any(np.diff(offsets) < 0):
+        raise ValueError(f"{path}: graph offsets do not index the graph's rows")
+    # a row per video that owns its memory, as every loaded array does
+    return [indices[lo:hi].astype(np.int64) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
 
 def save_graph(path, positives, negatives, *, n_centers: int, p: int,
                alpha: float, lambda1: float, lambda2: float, seed: int) -> None:
     """positives/negatives: per-video index lists (len N each)."""
     if len(positives) != len(negatives):
         raise ValueError("positives/negatives length mismatch")
-    n = len(positives)
-    with open(path, "wb") as f:
-        f.write(_MAGIC_GRAPH)
-        f.write(struct.pack("<IIII", VERSION, n, n_centers, p))
-        f.write(struct.pack("<dddQ", alpha, lambda1, lambda2, seed))
-        for i in range(n):
-            pos = np.asarray(positives[i], dtype="<u4")
-            neg = np.asarray(negatives[i], dtype="<u4")
-            f.write(struct.pack("<II", i, pos.size))
-            f.write(pos.tobytes())
-            f.write(struct.pack("<I", neg.size))
-            f.write(neg.tobytes())
+    save_arrays(path, {**_pack_rows("pos", positives), **_pack_rows("neg", negatives),
+                       "n_centers": np.int64(n_centers), "p": np.int64(p),
+                       "seed": np.int64(seed), "alpha": np.float64(alpha),
+                       "lambda1": np.float64(lambda1), "lambda2": np.float64(lambda2)})
 
 
 def load_graph(path):
     """Returns (positives, negatives, header dict)."""
-    with open(path, "rb") as f:
-        _check_header(f, _MAGIC_GRAPH, "graph")
-        n, n_centers, p = struct.unpack("<III", _read_exact(f, 12))
-        alpha, lambda1, lambda2, seed = struct.unpack("<dddQ", _read_exact(f, 32))
-        positives, negatives = [], []
-        for i in range(n):
-            idx, npos = struct.unpack("<II", _read_exact(f, 8))
-            if idx != i:
-                raise ValueError(f"graph record out of order: expected {i}, got {idx}")
-            positives.append(np.frombuffer(_read_exact(f, 4 * npos), dtype="<u4").astype(np.int64))
-            (nneg,) = struct.unpack("<I", _read_exact(f, 4))
-            negatives.append(np.frombuffer(_read_exact(f, 4 * nneg), dtype="<u4").astype(np.int64))
-    header = dict(n=n, n_centers=n_centers, p=p, alpha=alpha,
-                  lambda1=lambda1, lambda2=lambda2, seed=seed)
-    return positives, negatives, header
+    arrays = _load_kind(path, "graph", ("pos_offsets", "pos_indices", "neg_offsets",
+                                        "neg_indices", *_GRAPH_HEADER))
+    positives = _unpack_rows(path, arrays, "pos")
+    negatives = _unpack_rows(path, arrays, "neg")
+    if len(positives) != len(negatives):
+        raise ValueError(f"{path}: positives/negatives length mismatch")
+    # item() gives the int64 fields as Python ints and the float64 ones as floats
+    return positives, negatives, dict(n=len(positives), **{
+        name: arrays[name].item() for name in _GRAPH_HEADER})

@@ -209,18 +209,17 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
 
 def student_step(features: np.ndarray, batch, params: Params,
                  graph: SignedGraph, anchor_of, weights: LossWeights,
-                 opt: Adam, pair_rng, pair_count: int | None = None,
-                 freeze: tuple = ()) -> dict:
+                 opt: Adam, pair_rng, freeze: tuple = ()) -> dict:
     """One Adam update of the weighted objective; returns the loss breakdown.
 
-    With gamma1 = gamma2 = 0 no pairs are sampled and the update is exactly
-    the reconstruction-only gradient step. Tensors named in ``freeze`` keep
-    their current values (used by architecture ablations).
+    One pair is sampled per video of ``batch``. With gamma1 = gamma2 = 0 no
+    pairs are sampled and the update is exactly the reconstruction-only
+    gradient step. Tensors named in ``freeze`` keep their current values
+    (used by architecture ablations).
     """
     pairs: list[PairSample] = []
     if weights.gamma1 or weights.gamma2:
-        count = pair_count if pair_count is not None else len(batch)
-        pairs = sample_pairs(graph, batch, count=count, seed=pair_rng)
+        pairs = sample_pairs(graph, batch, count=len(batch), seed=pair_rng)
     losses, grads = batch_gradients(features, batch, pairs, params, weights, anchor_of)
     if not np.isfinite(losses["total"]):
         raise TrainingError("student loss non-finite", epoch=-1)
@@ -285,34 +284,30 @@ def train_student(features: np.ndarray, cfg: EncoderConfig, graph: SignedGraph,
 PROBE_MODES = ("intact", "drop_code", "drop_latent", "mean_latent")
 
 
-def probe_reconstruction(features: np.ndarray, params: Params,
-                         mode: str = "intact") -> float:
-    """Reconstruction error with one stream ablated at evaluation time.
+def probe_reconstruction(features: np.ndarray, params: Params) -> dict[str, float]:
+    """Reconstruction error under each of PROBE_MODES, each with one stream
+    ablated at evaluation time, from one forward per block of videos.
 
     intact        decoder(l + b)       the trained path
     drop_code     decoder(l)           code contribution removed
     drop_latent   decoder(b)           temporal detail removed
     mean_latent   decoder(mean_m l + b)  latents frozen to their per-video mean
     """
-    if mode not in PROBE_MODES:
-        raise ValueError(f"unknown probe mode {mode!r}")
     features = np.asarray(features)
-    total = 0.0
+    totals = dict.fromkeys(PROBE_MODES, 0.0)
     for blk in blocks(features.shape[0]):
         x = features[blk]
         fwd = student_forward(x, params)
         code = fwd.code[:, None, :]
-        if mode == "intact":
-            mix = fwd.latent + code
-        elif mode == "drop_code":
-            mix = fwd.latent
-        elif mode == "drop_latent":
-            mix = np.broadcast_to(code, fwd.latent.shape)
-        else:
-            mix = np.broadcast_to(fwd.latent.mean(axis=1, keepdims=True) + code,
-                                  fwd.latent.shape)
-        total += student_recon_loss(x, mix @ params["w_dec"] + params["b_dec"]) * len(x)
-    return total / features.shape[0]
+        shape = fwd.latent.shape
+        mixes = {"intact": fwd.latent + code,
+                 "drop_code": fwd.latent,
+                 "drop_latent": np.broadcast_to(code, shape),
+                 "mean_latent": np.broadcast_to(fwd.latent.mean(axis=1, keepdims=True) + code,
+                                                shape)}
+        for mode, mix in mixes.items():
+            totals[mode] += student_recon_loss(x, mix @ params["w_dec"] + params["b_dec"]) * len(x)
+    return {mode: total / features.shape[0] for mode, total in totals.items()}
 
 
 def write_training_log(path, history: list[dict]) -> None:

@@ -103,7 +103,6 @@ def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
         query_rows.extend(block[n_train:n_train + n_query])
         db_rows.extend(block[n_train + n_query:])
 
-    order = train_rows + query_rows + db_rows
     counts = (len(train_rows), len(query_rows), len(db_rows))
     bounds = np.cumsum((0,) + counts)
     splits = []
@@ -111,17 +110,16 @@ def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
         rows = np.array(rows, dtype=np.int64)  # an empty split still indexes
         splits.append(Split(features=features[rows], labels=labels[rows],
                             ids=np.arange(bounds[si], bounds[si + 1])))
-    assert len(order) == c * v
     return SynthDataset(train=splits[0], query=splits[1], database=splits[2],
                         prototypes=prototypes, prototype_accuracy=accuracy)
 
 
-def load_split(data_dir, name: str, id_offset: int = 0) -> Split:
+def load_split(data_dir, name: str) -> Split:
+    """One split on its own, its ids numbered from 0."""
     data_dir = Path(data_dir)
     features = serial.load_features(data_dir / f"{name}.features")
     labels = serial.load_labels(data_dir / f"{name}.labels")
-    return Split(features=features, labels=labels,
-                 ids=np.arange(id_offset, id_offset + features.shape[0]))
+    return Split(features=features, labels=labels, ids=np.arange(features.shape[0]))
 
 
 def load_dataset_splits(data_dir) -> dict[str, Split]:
@@ -129,7 +127,8 @@ def load_dataset_splits(data_dir) -> dict[str, Split]:
     out: dict[str, Split] = {}
     offset = 0
     for name in ("train", "query", "database"):
-        split = load_split(data_dir, name, id_offset=offset)
+        split = load_split(data_dir, name)
+        split.ids += offset
         offset += split.ids.size
         out[name] = split
     return out

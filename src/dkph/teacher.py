@@ -146,14 +146,12 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict
     return grads
 
 
-def video_code_from_frames(frame_codes: np.ndarray, tie_rule: str = "plus_one"):
+def video_code_from_frames(frame_codes: np.ndarray):
     """Average frame codes bitwise, then re-sign; ties resolve to +1.
 
     Returns ``(BinaryCode, tie_count)`` where tie_count is the number of
     bits whose frame votes cancelled exactly.
     """
-    if tie_rule != "plus_one":
-        raise ValueError(f"unknown tie rule {tie_rule!r}")
     fc = np.asarray(frame_codes, dtype=np.float64)
     if not np.all(np.abs(fc) == 1):
         raise ValueError("frame codes must be in {-1,+1}")

@@ -94,6 +94,7 @@ RANGE_RULES = [
     ("gamma2", 0.0, -0.1),
     ("eta", 0.0, -0.1),
     ("beta", 0.0, -0.1),
+    ("code_bits", (16, 32), (16, 16)),
 ]
 
 

@@ -13,6 +13,7 @@ from dkph.config import RunConfig
 from dkph.encoder import EncoderConfig
 from dkph.exceptions import PipelineError
 from dkph.student import init_student
+from dkph.teacher import init_teacher
 from test_encoder import assert_rel_close, oracle_forward
 from test_student import oracle_student
 
@@ -175,6 +176,51 @@ def test_graph_artifacts_give_the_graph_and_each_video_anchor_centre(tiny_run):
         np.testing.assert_array_equal(graph.positives[v], positives[v])
         np.testing.assert_array_equal(graph.negatives[v], negatives[v])
         np.testing.assert_array_equal(anchor_of(v), blob["centers"][int(assignments[v])])
+
+
+def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):
+    cfg, _, first = tiny_run
+    run_dir = first.run_dir
+    count = {name: serial.load_labels(run_dir / "data" / f"{name}.labels").size
+             for name in ("train", "query", "database")}
+    enc, rng = cfg.encoder_config(), np.random.default_rng(0)
+    inits = {"teacher": init_teacher(enc, rng, cfg.teacher_bits),
+             **{f"student_{bits}": init_student(enc, rng, bits) for bits in cfg.code_bits}}
+    outputs = sorted({out for record in _meta(run_dir).values() for out in record["outputs"]})
+    loaded = set()
+    for out in outputs:
+        path = run_dir / out
+        if path.suffix == ".features":
+            x = serial.load_features(path)
+            want = (count["train"], 1, cfg.model_dim) if path.stem == "embeddings" else \
+                (count[path.stem], cfg.frames, cfg.feat_dim)
+            assert (x.dtype, x.shape) == (np.float32, want), out
+        elif path.suffix == ".codes":
+            packed, k = serial.load_codes(path)
+            split, _, bits = path.stem.rpartition("_")
+            assert k == int(bits), out
+            n = count[split.partition("_")[0]]
+            assert (packed.dtype, packed.shape) == (np.uint8, (n, (k + 7) // 8)), out
+        elif path.name == "anchors.ckpt":
+            blob = serial.load_checkpoint(path)
+            assert blob["centers"].shape == (cfg.num_anchors, cfg.model_dim)
+            assignments = blob["assignments"]
+            assert (assignments.dtype, assignments.shape) == (np.int64, (count["train"],))
+        elif path.suffix == ".ckpt":
+            params = serial.load_checkpoint(path)
+            init = inits[path.stem if path.stem == "teacher" else
+                         "student_" + path.stem.rpartition("_")[2]]
+            assert [(n, a.shape) for n, a in params.items()] == \
+                [(n, a.shape) for n, a in init.items()], out
+            assert {a.dtype for a in params.values()} == {np.dtype(np.float32)}, out
+        elif path.suffix == ".bin":
+            positives, negatives, header = serial.load_graph(path)
+            assert len(positives) == len(negatives) == header["n"] == count["train"]
+        else:
+            assert path.suffix in (".labels", ".json", ".txt"), out
+            continue
+        loaded.add(path.suffix)
+    assert loaded == {".features", ".codes", ".ckpt", ".bin"}
 
 
 def test_meta_records_carry_the_code_version(tiny_run):

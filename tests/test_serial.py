@@ -4,11 +4,88 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dkph import serial
-from dkph.encoder import EncoderConfig, cast_params
+from dkph.encoder import EncoderConfig
 from dkph.student import init_student
 from dkph.teacher import init_teacher
+
+
+def write_read(path, arrays):
+    serial.save_arrays(path, arrays)
+    return serial.load_arrays(path)
+
+
+def assert_same_arrays(back, arrays):
+    assert list(back) == list(arrays)
+    for name, a in arrays.items():
+        assert back[name].dtype == a.dtype, name
+        assert back[name].shape == a.shape, name
+        assert back[name].tobytes() == a.tobytes(), name  # bitwise, NaN payloads too
+        assert back[name].flags.owndata, name
+
+
+ALLOWED = st.sampled_from(serial.DTYPES).map(lambda code: np.dtype("<" + code))
+ARRAYS = hnp.arrays(ALLOWED, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+
+
+class TestContainer:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays=st.dictionaries(st.text(max_size=6), ARRAYS, max_size=4))
+    def test_roundtrip_keeps_every_dtype_and_shape(self, tmp_path, arrays):
+        assert_same_arrays(write_read(tmp_path / "a.bin", arrays), arrays)
+
+    def test_every_allowed_dtype_as_scalar_and_empty(self, tmp_path):
+        arrays = {}
+        for code in serial.DTYPES:
+            arrays[f"{code}_scalar"] = np.array(7, dtype="<" + code)
+            arrays[f"{code}_empty"] = np.zeros((3, 0), dtype="<" + code)
+        assert_same_arrays(write_read(tmp_path / "a.bin", arrays), arrays)
+
+    def test_truncation_at_every_byte_raises_eof(self, tmp_path):
+        path = tmp_path / "a.bin"
+        serial.save_arrays(path, {"m": np.arange(6.0).reshape(2, 3), "s": np.int64(3),
+                                  "e": np.zeros(0, np.uint8), "é": np.ones(2, np.float32)})
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(EOFError):
+                serial.load_arrays(path)
+
+    def test_wrong_magic_version_or_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "a.bin"
+        serial.save_arrays(path, {"m": np.zeros(2)})
+        raw = path.read_bytes()
+        bad_version = raw[:4] + struct.pack("<I", serial.VERSION + 1) + raw[8:]
+        for bad in (b"XXXX" + raw[4:], bad_version, raw + b"\0"):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError):
+                serial.load_arrays(path)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float16, np.complex128, object, "U3"])
+    def test_save_refuses_a_dtype_outside_the_allow_list(self, tmp_path, dtype):
+        path = tmp_path / "a.bin"
+        with pytest.raises(ValueError, match="dtype"):
+            serial.save_arrays(path, {"x": np.zeros(2, dtype=dtype)})
+        assert not path.exists()
+
+    def test_load_refuses_a_dtype_outside_the_allow_list(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(serial.MAGIC + struct.pack("<II", serial.VERSION, 1)
+                         + struct.pack("<I2sB", 1, b"b1", 1) + b"x"
+                         + struct.pack("<Q", 2) + b"\x01\x00")
+        with pytest.raises(ValueError, match="dtype"):
+            serial.load_arrays(path)
+
+    def test_a_kind_loader_refuses_another_kind(self, tmp_path):
+        path = tmp_path / "x.codes"
+        serial.save_codes(path, np.zeros((2, 1), dtype=np.uint8), k=8)
+        with pytest.raises(ValueError, match="not a features file"):
+            serial.load_features(path)
 
 
 class TestCheckpoint:
@@ -26,26 +103,14 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("init", [init_teacher, init_student])
     def test_model_roundtrip_restores_the_init_dict(self, tmp_path, init):
-        # checkpoints store every tensor 2-D; cast_params restores the shapes
+        # every tensor comes back in its own shape and dtype, no cast needed
         cfg = EncoderConfig(frame_count=3, input_dim=5, model_dim=4)
         params = init(cfg, np.random.default_rng(1), code_bits=6)
         path = tmp_path / "model.ckpt"
-        serial.save_checkpoint(path, params)
-        back = cast_params(serial.load_checkpoint(path), np.float64)
-        assert list(back) == list(params)
-        for name, arr in params.items():
-            assert back[name].shape == arr.shape, name
-            np.testing.assert_array_equal(back[name], arr)
-
-    def test_header_layout(self, tmp_path):
-        path = tmp_path / "one.ckpt"
-        serial.save_checkpoint(path, {"m": np.zeros((2, 2))})
-        raw = path.read_bytes()
-        assert raw[:4] == b"DKPM"
-        version, count = struct.unpack("<II", raw[4:12])
-        assert version == 1 and count == 1
-        name_len = struct.unpack("<I", raw[12:16])[0]
-        assert raw[16:16 + name_len] == b"m"
+        for dtype in (np.float64, np.float32):
+            want = {name: arr.astype(dtype) for name, arr in params.items()}
+            serial.save_checkpoint(path, want)
+            assert_same_arrays(serial.load_checkpoint(path), want)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -68,15 +133,6 @@ class TestFeatures:
         path = tmp_path / "x.feat"
         serial.save_features(path, np.ones((2, 3, 4)))
         assert serial.load_features(path).dtype == np.float32
-
-    def test_header_carries_magic_and_dims(self, tmp_path):
-        path = tmp_path / "x.feat"
-        serial.save_features(path, np.zeros((7, 2, 9)))
-        raw = path.read_bytes()
-        assert raw[:4] == b"DKPH"
-        version, n, m, d = struct.unpack("<IIII", raw[4:20])
-        assert (version, n, m, d) == (1, 7, 2, 9)
-        assert len(raw) == 20 + 7 * 2 * 9 * 4
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "x.feat"
@@ -121,8 +177,16 @@ class TestGraphFile:
         for a, b in zip(neg, rneg):
             np.testing.assert_array_equal(a, b)
 
-    def test_magic(self, tmp_path):
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_empty_rows_and_an_exact_header_roundtrip(self, tmp_path, n):
+        # no edges at all; header values a 32-bit field would round
+        header = dict(n_centers=2**40 + 1, p=3, alpha=0.1 + 0.2, lambda1=1e-300,
+                      lambda2=2.0 / 3.0, seed=2**63 - 1)
         path = tmp_path / "graph.bin"
-        serial.save_graph(path, [np.array([0])], [np.array([0])], n_centers=1,
-                          p=1, alpha=1.0, lambda1=1.0, lambda2=1.0, seed=0)
-        assert path.read_bytes()[:4] == b"DKPG"
+        serial.save_graph(path, [[]] * n, [[]] * n, **header)
+        rpos, rneg, back = serial.load_graph(path)
+        assert back == dict(n=n, **header)
+        assert {key: type(v) for key, v in back.items()} == \
+            {key: type(v) for key, v in dict(n=n, **header).items()}
+        assert len(rpos) == len(rneg) == n
+        assert all(r.size == 0 and r.dtype == np.int64 for r in rpos + rneg)

@@ -5,7 +5,7 @@ import pytest
 
 from collections import defaultdict
 
-from dkph import encoder
+from dkph import encoder, student
 from dkph.codes import unpack_bits, pack_bits
 from dkph.encoder import EncoderConfig
 from dkph.graph import PairSample, SignedGraph, sample_pairs
@@ -422,5 +422,20 @@ class TestBatched:
                    "drop_latent": np.tile(code, (4, 1)),
                    "mean_latent": np.tile(latent.mean(axis=0) + code, (4, 1))}[mode]
             total += ((x - (mix @ p["w_dec"] + p["b_dec"])) ** 2).mean()
-        assert probe_reconstruction(feats, p, mode) == pytest.approx(total / len(feats),
+        assert probe_reconstruction(feats, p)[mode] == pytest.approx(total / len(feats),
                                                                      rel=1e-12)
+
+    def test_probe_reconstruction_runs_one_forward_per_block(self, monkeypatch):
+        # 5 videos in blocks of 2: every mode from the same 3 forwards
+        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 2)
+        calls = []
+
+        def counted(x, params, binarize="hard"):
+            calls.append(len(x))
+            return student_forward(x, params, binarize)
+
+        monkeypatch.setattr(student, "student_forward", counted)
+        feats, _, _ = two_class_setup(25)
+        errors = probe_reconstruction(feats[:5], toy_student(26))
+        assert list(errors) == list(PROBE_MODES)
+        assert calls == [2, 2, 1]
