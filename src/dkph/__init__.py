@@ -10,7 +10,7 @@ backward pass is hand-written and gated by finite-difference checks.
 
 from .codes import BinaryCode, pack_bits, unpack_bits
 from .config import RunConfig
-from .encoder import EncoderConfig, Params, encode_backward, encode_forward, init_encoder
+from .encoder import Params, encode_backward, encode_forward, init_encoder
 from .graph import (
     AnchorSet,
     GaussianThresholds,
@@ -28,8 +28,8 @@ from .graph import (
 from .numerics import GradCheckReport, finite_diff_check
 from .pipeline import ablation_suite, run_pipeline
 from .retrieval import CodeIndex, RankedList, hamming, map_at_k, pr_curve, query_topk
-from .student import LossWeights, init_student, student_forward, student_recon_loss, train_student
-from .synth import SynthConfig, generate_synthetic
+from .student import init_student, student_forward, student_recon_loss, train_student
+from .synth import generate_synthetic
 from .teacher import (
     init_teacher,
     teacher_forward,
@@ -41,9 +41,9 @@ from .teacher import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet", "BinaryCode", "CodeIndex", "EncoderConfig", "GaussianThresholds",
-    "GradCheckReport", "LossWeights", "PairSample", "Params", "RankedList", "RunConfig",
-    "SignedGraph", "SparseAffinity", "SynthConfig", "ablation_suite",
+    "AnchorSet", "BinaryCode", "CodeIndex", "GaussianThresholds", "GradCheckReport",
+    "PairSample", "Params", "RankedList", "RunConfig", "SignedGraph", "SparseAffinity",
+    "ablation_suite",
     "adjacency_row", "build_affinity", "build_signed_graph", "encode_backward",
     "encode_forward", "finite_diff_check", "generate_synthetic", "hamming",
     "init_encoder", "init_student", "init_teacher", "kmeans", "map_at_k", "pack_bits",

@@ -41,6 +41,8 @@ def main(argv=None) -> int:
     g.add_argument("--tolerance", type=float, default=1e-4)
 
     args = parser.parse_args(argv)
+    if args.command == "gradcheck" and not args.step > 0:
+        g.error(f"--step must be positive, got {args.step:g}")
     try:
         return _dispatch(args)
     except (ConfigError, PipelineError) as err:

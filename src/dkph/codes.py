@@ -36,26 +36,17 @@ def binarize_tanh(act: np.ndarray, mode: str) -> np.ndarray:
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack rows of {-1,+1} values into uint8 rows of ceil(K/8) bytes."""
+    """Pack (N, K) rows of {-1,+1} values into (N, ceil(K/8)) uint8 rows."""
     b = np.asarray(bits)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b.reshape(1, -1)
     if not np.all(np.abs(b) == 1):
         raise ValueError("pack_bits expects entries in {-1,+1}")
-    packed = np.packbits((b > 0).astype(np.uint8), axis=1, bitorder="little")
-    return packed[0] if squeeze else packed
+    return np.packbits((b > 0).astype(np.uint8), axis=1, bitorder="little")
 
 
 def unpack_bits(packed: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of pack_bits; returns int8 rows of {-1,+1} of length k."""
-    p = np.asarray(packed, dtype=np.uint8)
-    squeeze = p.ndim == 1
-    if squeeze:
-        p = p.reshape(1, -1)
-    raw = np.unpackbits(p, axis=1, count=k, bitorder="little")
-    bits = np.where(raw > 0, 1, -1).astype(np.int8)
-    return bits[0] if squeeze else bits
+    """Inverse of pack_bits; returns (N, k) int8 rows of {-1,+1}."""
+    raw = np.unpackbits(np.asarray(packed, dtype=np.uint8), axis=1, count=k, bitorder="little")
+    return np.where(raw > 0, 1, -1).astype(np.int8)
 
 
 @dataclass
@@ -70,7 +61,7 @@ class BinaryCode:
         self.bits = np.asarray(self.bits, dtype=np.int8).reshape(-1)
         if not np.all(np.abs(self.bits) == 1):
             raise ValueError("BinaryCode entries must be -1 or +1")
-        self.packed = pack_bits(self.bits)
+        self.packed = pack_bits(self.bits[None])[0]
 
     @property
     def k(self) -> int:

@@ -1,5 +1,10 @@
 """Flat key=value run configuration with a content hash.
 
+:class:`RunConfig` is the one configuration type: the corpus generator,
+the encoder, teacher and student, the graph stage and the optimizer all
+read their hyperparameters from it, and its field defaults are the only
+defaults of those values.
+
 The file format is deliberately rigid: one ``key = value`` per line, ``#``
 comments, and *unknown keys are errors* - a silently ignored typo in a
 hyperparameter name is the main reproducibility hazard.
@@ -9,20 +14,20 @@ moving a work directory does not invalidate its artifacts.
 
 Values are range-checked when a config is built: a value that would only
 fail deep inside a stage (more anchors than training videos, say) raises
-ConfigError naming its key.
+ConfigError naming its key, as does a non-finite float.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .encoder import EncoderConfig
 from .exceptions import ConfigError
 from .retrieval import MAP_KS
-from .student import LossWeights
-from .synth import SPLIT_FRACTIONS, SynthConfig
+
+SPLIT_FRACTIONS = (0.5, 0.1)  # train, query; the rest is the database
 
 
 @dataclass
@@ -54,10 +59,10 @@ class RunConfig:
     lambda1: float = 2.0
     lambda2: float = 1.0
     # loss weights
-    eta: float = 0.1
-    beta: float = 1.0
-    gamma1: float = 0.11
-    gamma2: float = 0.9
+    eta: float = 0.1            # hinge weight inside tsim
+    beta: float = 1.0           # hinge margin of tsim
+    gamma1: float = 0.11        # weight of the code-similarity loss (bsim)
+    gamma2: float = 0.9         # weight of the embedding-alignment loss (tsim)
     # workspace paths (excluded from the config hash)
     work_dir: str = "work"
 
@@ -72,7 +77,9 @@ class RunConfig:
         non_negative = ("intra_class_noise", "temporal_drift", "ffn_dim", "teacher_epochs",
                         "student_epochs", "learn_rate", "bandwidth", "eta", "beta",
                         "gamma1", "gamma2")
+        floats = [f.name for f in fields(self) if f.type in ("float", float)]
         checks = (
+            *[(key, math.isfinite(getattr(self, key)), "must be finite") for key in floats],
             *[(key, getattr(self, key) >= 1, "must be >= 1") for key in positive],
             *[(key, getattr(self, key) >= 0, "must be >= 0") for key in non_negative],
             ("videos_per_class", min(per_class) >= 1 and sum(per_class) < self.videos_per_class,
@@ -93,22 +100,6 @@ class RunConfig:
             if not ok:
                 raise ConfigError(f"{key} = {_format_value(getattr(self, key))}: {why}")
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(gamma1=self.gamma1, gamma2=self.gamma2, eta=self.eta,
-                           beta=self.beta, learn_rate=self.learn_rate)
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(frame_count=self.frames, input_dim=self.feat_dim,
-                             model_dim=self.model_dim,
-                             ffn_dim=self.ffn_dim if self.ffn_dim else None)
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(num_classes=self.num_classes,
-                           videos_per_class=self.videos_per_class,
-                           frames=self.frames, feat_dim=self.feat_dim,
-                           intra_class_noise=self.intra_class_noise,
-                           temporal_drift=self.temporal_drift, seed=self.data_seed)
-
     def canonical_text(self, include_paths: bool = True) -> str:
         lines = []
         for f in sorted(fields(self), key=lambda f: f.name):
@@ -125,7 +116,12 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_text(Path(path).read_text(), source=str(path))
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as err:
+            reason = getattr(err, "strerror", None) or err
+            raise ConfigError(f"cannot read config {path}: {reason}") from None
+        return cls.from_text(text, source=str(path))
 
     @classmethod
     def from_text(cls, text: str, source: str = "<string>") -> "RunConfig":

@@ -21,6 +21,10 @@ gradients summed over the batch. Callers run large sets of videos in blocks
 of :data:`BLOCK_VIDEOS` (see :func:`blocks`) and take frame means where they
 need them.
 
+Sizes. :func:`init_encoder` reads ``frames``, ``feat_dim``, ``model_dim``
+and ``ffn_dim`` from a :class:`RunConfig`; ``ffn_dim = 0`` means
+2 * ``model_dim``.
+
 Parameters. A model's parameters are one flat dict (:class:`Params`) keyed
 by checkpoint name: the encoder's ``encoder.*`` tensors, then the head's.
 Both passes read only the ``encoder.*`` keys; the backward returns its
@@ -41,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .exceptions import ShapeError, StaleCacheError
 
 _LN_EPS = 1e-5
@@ -48,21 +53,6 @@ BLOCK_VIDEOS = 64  # videos per pass; bounds the forward cache at any N
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _PREFIX = "encoder."
-
-
-@dataclass
-class EncoderConfig:
-    frame_count: int
-    input_dim: int
-    model_dim: int = 256
-    ffn_dim: int | None = None
-
-    def __post_init__(self):
-        if self.ffn_dim is None:
-            self.ffn_dim = 2 * self.model_dim
-        for name in ("frame_count", "input_dim", "model_dim", "ffn_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -77,9 +67,10 @@ class Params(dict):
     version = 0
 
 
-def init_encoder(cfg: EncoderConfig, rng: np.random.Generator) -> Params:
+def init_encoder(cfg: RunConfig, rng: np.random.Generator) -> Params:
     """The encoder's tensors, under ``encoder.*`` keys; heads extend the dict."""
-    m, d_in, d, f = cfg.frame_count, cfg.input_dim, cfg.model_dim, cfg.ffn_dim
+    m, d_in, d = cfg.frames, cfg.feat_dim, cfg.model_dim
+    f = cfg.ffn_dim or 2 * d
     return Params({
         "encoder.w_in": _uniform(rng, (d_in, d), d_in),
         "encoder.b_in": _uniform(rng, d, d_in),

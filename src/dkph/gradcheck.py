@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import EncoderConfig
+from .config import RunConfig
 from .graph import build_affinity, build_signed_graph, default_bandwidth, kmeans, sample_pairs
 from .numerics import GradCheckReport, finite_diff_check
-from .student import LossWeights, batch_gradients, init_student
+from .student import batch_gradients, init_student
 from .teacher import init_teacher, teacher_backward, teacher_forward, teacher_recon_loss
 
 
@@ -30,11 +30,9 @@ def student_gradient_check(n_videos: int = 6, frames: int = 4, feat_dim: int = 6
     toy features, then stay frozen while the parameters are swept.
     """
     rng = np.random.default_rng(seed)
-    cfg = EncoderConfig(frame_count=frames, input_dim=feat_dim,
-                        model_dim=model_dim, ffn_dim=2 * model_dim)
+    cfg = RunConfig(frames=frames, feat_dim=feat_dim, model_dim=model_dim)
     features = rng.normal(size=(n_videos, frames, feat_dim))
     params = init_student(cfg, rng, code_bits)
-    weights = LossWeights()
 
     # frozen supervision: anchors and signed pairs over the raw feature means
     points = features.mean(axis=1) @ rng.normal(size=(feat_dim, model_dim))
@@ -49,11 +47,11 @@ def student_gradient_check(n_videos: int = 6, frames: int = 4, feat_dim: int = 6
     batch = list(range(n_videos))
 
     def loss(_):
-        losses, _g = batch_gradients(features, batch, pairs, params, weights,
+        losses, _g = batch_gradients(features, batch, pairs, params, cfg,
                                      anchor_of, binarize="relaxed")
         return losses["total"]
 
-    _, grads = batch_gradients(features, batch, pairs, params, weights,
+    _, grads = batch_gradients(features, batch, pairs, params, cfg,
                                anchor_of, binarize="relaxed")
     return finite_diff_check(loss, list(params.values()), [grads[n] for n in params], step=step)
 
@@ -64,10 +62,10 @@ def teacher_gradient_check(frames: int = 4, feat_dim: int = 6, model_dim: int = 
     """Check the masked-reconstruction gradient for every teacher tensor, on
     a batch of one video with its first and last frames masked."""
     rng = np.random.default_rng(seed)
-    cfg = EncoderConfig(frame_count=frames, input_dim=feat_dim,
-                        model_dim=model_dim, ffn_dim=2 * model_dim)
+    cfg = RunConfig(frames=frames, feat_dim=feat_dim, model_dim=model_dim,
+                    teacher_bits=code_bits)
     x = rng.normal(size=(1, frames, feat_dim))
-    params = init_teacher(cfg, rng, code_bits)
+    params = init_teacher(cfg, rng)
     mask = np.zeros((1, frames), dtype=bool)
     mask[0, [0, frames - 1]] = True
 

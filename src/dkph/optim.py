@@ -1,20 +1,22 @@
 """Adam optimizer over named parameter dictionaries.
 
 Parameters are updated in place, so every holder of a model's parameter
-dict sees the step.
+dict sees the step. The learning rate, ``RunConfig.learn_rate``, is the
+one setting; the moment decays and the epsilon are fixed constants.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, lr: float = 5e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -23,7 +25,7 @@ class Adam:
         """One adaptive-moment update. A tensor without a gradient is skipped,
         moments included, so a frozen tensor stays fixed."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for name, p in params.items():
@@ -36,7 +38,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
 
 
 def add_grads(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:

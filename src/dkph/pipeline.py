@@ -131,7 +131,7 @@ def _require(run_dir: Path, stage: str, cfg: RunConfig, needed_by: str) -> None:
 
 def stage_data(cfg: RunConfig, run_dir: Path) -> None:
     def fn():
-        dataset = generate_synthetic(cfg.synth_config())
+        dataset = generate_synthetic(cfg)
         data_dir = run_dir / "data"
         data_dir.mkdir(parents=True, exist_ok=True)
         for name, split in dataset.splits.items():
@@ -154,10 +154,7 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
 
     def fn():
         train = load_split(run_dir / "data", "train")
-        result = train_teacher(train.features, cfg.encoder_config(),
-                               epochs=cfg.teacher_epochs, code_bits=cfg.teacher_bits,
-                               batch_size=cfg.batch_size, learn_rate=cfg.learn_rate,
-                               mask_ratio=cfg.mask_ratio, seed=cfg.train_seed)
+        result = train_teacher(train.features, cfg)
         serial.save_checkpoint(run_dir / "teacher.ckpt", result.params)
         with open(run_dir / "teacher_log.txt", "w") as f:
             f.write(f"eval_before={result.eval_before:.10g}\n")
@@ -224,11 +221,9 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
     def fn():
         train = load_split(run_dir / "data", "train")
         graph, anchor_of = load_graph_artifacts(run_dir)
-        weights = replace(cfg.loss_weights(), **dict.fromkeys(ABLATION_VARIANTS[variant], 0.0))
-        result = train_student(train.features, cfg.encoder_config(), graph, anchor_of,
-                               weights, code_bits=bits,
-                               epochs=cfg.student_epochs, batch_size=cfg.batch_size,
-                               seed=cfg.train_seed, dual_stream=variant != "no_dual")
+        variant_cfg = replace(cfg, **dict.fromkeys(ABLATION_VARIANTS[variant], 0.0))
+        result = train_student(train.features, variant_cfg, graph, anchor_of, code_bits=bits,
+                               dual_stream=variant != "no_dual")
         serial.save_checkpoint(run_dir / f"student_{tag}.ckpt", result.params)
         write_training_log(run_dir / f"student_{tag}_log.txt", result.history)
 

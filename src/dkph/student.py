@@ -22,6 +22,11 @@ gradient is exact. The "relaxed" forward mode bypasses the sign everywhere,
 making the entire objective smooth for finite-difference verification; the
 sign layer itself is the one piece finite differences cannot see.
 
+Settings. The loss weights (``gamma1``, ``gamma2``, ``eta``, ``beta``), the
+sizes and the training schedule are read from a :class:`RunConfig`, whose
+defaults are the only ones; an ablation variant is that config with some
+weights set to zero.
+
 Batches. ``student_forward`` takes a (B, M, D) batch, as the encoder does;
 every output has a leading B axis (the code is (B, K)). ``batch_gradients``,
 ``probe_reconstruction`` and the pipeline's encoding run the videos they need
@@ -42,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import binarize_tanh
+from .config import RunConfig
 from .encoder import (
-    EncoderConfig,
     Params,
     blocks,
     cast_params,
@@ -57,35 +62,19 @@ from .graph import PairSample, SignedGraph, sample_pairs
 from .optim import Adam, add_grads
 
 
-@dataclass
-class LossWeights:
-    """Scalar hyperparameters of the training objective."""
-
-    gamma1: float = 0.11     # weight of the code-similarity loss
-    gamma2: float = 0.9      # weight of the embedding-alignment loss
-    eta: float = 0.1         # hinge weight inside tsim
-    beta: float = 1.0        # hinge margin
-    learn_rate: float = 5e-4
-
-    def __post_init__(self):
-        for name in ("gamma1", "gamma2", "eta", "beta", "learn_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-def init_student(cfg: EncoderConfig, rng: np.random.Generator, code_bits: int) -> Params:
+def init_student(cfg: RunConfig, rng: np.random.Generator, code_bits: int) -> Params:
     """The encoder's tensors, then the hash head over all M frames (``w_hash``,
     ``b_hash``), the temporal head and the decoder, both shared across frames
     (``w_temp``, ``b_temp``, ``w_dec``, ``b_dec``), in checkpoint order."""
-    d, m = cfg.model_dim, cfg.frame_count
+    d, m = cfg.model_dim, cfg.frames
     params = init_encoder(cfg, rng)
     params.update(
         w_hash=_uniform(rng, (m * d, code_bits), m * d),
         b_hash=_uniform(rng, code_bits, m * d),
         w_temp=_uniform(rng, (d, code_bits), d),
         b_temp=_uniform(rng, code_bits, d),
-        w_dec=_uniform(rng, (code_bits, cfg.input_dim), code_bits),
-        b_dec=_uniform(rng, cfg.input_dim, code_bits),
+        w_dec=_uniform(rng, (code_bits, cfg.feat_dim), code_bits),
+        b_dec=_uniform(rng, cfg.feat_dim, code_bits),
     )
     return params
 
@@ -120,9 +109,10 @@ def student_recon_loss(x: np.ndarray, recon: np.ndarray) -> float:
 
 
 def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
-                    params: Params, weights: LossWeights, anchor_of=None,
+                    params: Params, cfg: RunConfig, anchor_of=None,
                     binarize: str = "hard"):
-    """Losses and gradients of recon + gamma1*bsim + gamma2*tsim.
+    """Losses and gradients of recon + gamma1*bsim + gamma2*tsim, with the
+    weights (and tsim's hinge weight ``eta`` and margin ``beta``) of ``cfg``.
 
     One forward and one backward per distinct video, in blocks:
     reconstruction covers ``batch``, the pair losses cover the videos named
@@ -155,7 +145,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
     l_tsim = 0.0
     if pairs:
         n = len(pairs)
-        g1, g2 = weights.gamma1, weights.gamma2
+        g1, g2 = cfg.gamma1, cfg.gamma2
         act = np.concatenate([fwd.act for _, fwd in fwds])
         means = np.concatenate([fwd.frames.mean(axis=1) for _, fwd in fwds])
         i = np.array([row[s.i] for s in pairs])
@@ -174,9 +164,9 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
         delta_i = ti - np.stack([anchor_of(s.i) for s in pairs]).astype(dtype, copy=False)
         delta_j = ti - np.stack([anchor_of(s.j) for s in pairs]).astype(dtype, copy=False)
         pull = (delta_i * delta_i).sum(axis=1)
-        hinge = pull - (delta_j * delta_j).sum(axis=1) + weights.beta
+        hinge = pull - (delta_j * delta_j).sum(axis=1) + cfg.beta
         coeff = weight * (1 - label)
-        push = np.where((coeff != 0) & (hinge > 0.0), weights.eta * coeff, 0.0)
+        push = np.where((coeff != 0) & (hinge > 0.0), cfg.eta * coeff, 0.0)
         l_tsim = float((pull + push * hinge).sum()) / n
         np.add.at(d_mean, i, (g2 * 2.0 / n) * (delta_i + push[:, None] * (delta_i - delta_j)))
 
@@ -202,13 +192,13 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
         )
         add_grads(grads, part)
 
-    total = l_recon + weights.gamma1 * l_bsim + weights.gamma2 * l_tsim
+    total = l_recon + cfg.gamma1 * l_bsim + cfg.gamma2 * l_tsim
     losses = {"recon": l_recon, "bsim": l_bsim, "tsim": l_tsim, "total": total}
     return losses, grads
 
 
 def student_step(features: np.ndarray, batch, params: Params,
-                 graph: SignedGraph, anchor_of, weights: LossWeights,
+                 graph: SignedGraph, anchor_of, cfg: RunConfig,
                  opt: Adam, pair_rng, freeze: tuple = ()) -> dict:
     """One Adam update of the weighted objective; returns the loss breakdown.
 
@@ -218,9 +208,9 @@ def student_step(features: np.ndarray, batch, params: Params,
     (used by architecture ablations).
     """
     pairs: list[PairSample] = []
-    if weights.gamma1 or weights.gamma2:
+    if cfg.gamma1 or cfg.gamma2:
         pairs = sample_pairs(graph, batch, count=len(batch), seed=pair_rng)
-    losses, grads = batch_gradients(features, batch, pairs, params, weights, anchor_of)
+    losses, grads = batch_gradients(features, batch, pairs, params, cfg, anchor_of)
     if not np.isfinite(losses["total"]):
         raise TrainingError("student loss non-finite", epoch=-1)
     for name in freeze:
@@ -236,11 +226,12 @@ class StudentTrainResult:
     history: list[dict]  # one row per epoch: epoch, recon, bsim, tsim, total
 
 
-def train_student(features: np.ndarray, cfg: EncoderConfig, graph: SignedGraph,
-                  anchor_of, weights: LossWeights, *, code_bits: int,
-                  epochs: int, batch_size: int = 256, seed: int = 0,
+def train_student(features: np.ndarray, cfg: RunConfig, graph: SignedGraph,
+                  anchor_of, *, code_bits: int,
                   dual_stream: bool = True) -> StudentTrainResult:
-    """Train the student against a frozen graph and teacher anchors.
+    """Train the student against a frozen graph and teacher anchors, for
+    ``cfg.student_epochs`` epochs of ``cfg.batch_size`` videos at
+    ``cfg.learn_rate``, deterministic under ``cfg.train_seed``.
 
     ``dual_stream=False`` removes the temporal head: its tensors start at
     zero and stay frozen, so the decoder reconstructs from the code alone.
@@ -249,19 +240,19 @@ def train_student(features: np.ndarray, cfg: EncoderConfig, graph: SignedGraph,
     features = np.asarray(features)
     dtype = np.result_type(features, np.float32)
     features = features.astype(dtype, copy=False)
-    n = features.shape[0]
-    init_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
+    n, batch_size = features.shape[0], cfg.batch_size
+    init_ss, train_ss = np.random.SeedSequence(cfg.train_seed).spawn(2)
     params = cast_params(init_student(cfg, np.random.default_rng(init_ss), code_bits), dtype)
     freeze: tuple = ()
     if not dual_stream:
         params["w_temp"][:] = 0.0
         params["b_temp"][:] = 0.0
         freeze = ("w_temp", "b_temp")
-    opt = Adam(lr=weights.learn_rate)
+    opt = Adam(cfg.learn_rate)
     rng = np.random.default_rng(train_ss)
 
     history: list[dict] = []
-    for epoch in range(epochs):
+    for epoch in range(cfg.student_epochs):
         order = rng.permutation(n)
         sums = {"recon": 0.0, "bsim": 0.0, "tsim": 0.0, "total": 0.0}
         batches = 0
@@ -269,7 +260,7 @@ def train_student(features: np.ndarray, cfg: EncoderConfig, graph: SignedGraph,
             batch = order[start:start + batch_size].tolist()
             try:
                 parts = student_step(features, batch, params, graph, anchor_of,
-                                     weights, opt, rng, freeze=freeze)
+                                     cfg, opt, rng, freeze=freeze)
             except TrainingError as err:
                 raise TrainingError(f"student loss non-finite at epoch {epoch}", epoch) from err
             for key in sums:

@@ -6,9 +6,15 @@ low-frequency drift across frames (three Fourier modes), scaled by
 noise of scale ``intra_class_noise``. Frames within a video are therefore
 strongly correlated (like real video) while classes stay separable.
 
+:func:`generate_synthetic` reads the corpus keys of a :class:`RunConfig`
+(``num_classes``, ``videos_per_class``, ``frames``, ``feat_dim``,
+``intra_class_noise``, ``temporal_drift`` and ``data_seed``), which has
+already range-checked them.
+
 Videos are split per class into train / query / database partitions
-(50/10/40 by default) and carry globally unique ids in concatenation order
-[train; query; database], so indices stay stable on disk.
+(50/10/40, ``config.SPLIT_FRACTIONS``) and carry globally unique ids in
+concatenation order [train; query; database], so indices stay stable on
+disk.
 """
 
 from __future__ import annotations
@@ -20,26 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import serial
-
-SPLIT_FRACTIONS = (0.5, 0.1)  # train, query; the rest is the database
-
-
-@dataclass
-class SynthConfig:
-    num_classes: int = 10
-    videos_per_class: int = 40
-    frames: int = 25
-    feat_dim: int = 64
-    intra_class_noise: float = 0.3
-    temporal_drift: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("num_classes", "videos_per_class", "frames", "feat_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.intra_class_noise < 0 or self.temporal_drift < 0:
-            raise ValueError("noise parameters must be non-negative")
+from .config import SPLIT_FRACTIONS, RunConfig
 
 
 @dataclass
@@ -73,8 +60,8 @@ def _smooth_drift(rng: np.random.Generator, frames: int, dim: int) -> np.ndarray
     return path / np.sqrt(6.0)
 
 
-def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
-    rng = np.random.default_rng(cfg.seed)
+def generate_synthetic(cfg: RunConfig) -> SynthDataset:
+    rng = np.random.default_rng(cfg.data_seed)
     c, v, m, d = cfg.num_classes, cfg.videos_per_class, cfg.frames, cfg.feat_dim
 
     prototypes = np.empty((c, m, d))

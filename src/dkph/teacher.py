@@ -1,7 +1,7 @@
 """Teacher model: masked-frame reconstruction over frame-level binary codes.
 
 The teacher encodes M frames, hashes each frame embedding to a fixed-width
-binary code (128 bits by default), and reconstructs the original frame
+binary code of ``teacher_bits`` bits, and reconstructs the original frame
 features from the codes alone. Training masks a fraction of the frames
 (cloze style) and scores reconstruction on the masked positions only, so
 the codes must carry inter-frame context.
@@ -16,6 +16,11 @@ Averaging the frame codes into one video code (`video_code_from_frames`)
 reproduces the baseline whose failure mode motivates the student: bitwise
 frame-code means can land on exact zero, which {-1,+1} codes cannot
 represent; the tie rule resolves those to +1 and the tie count is reported.
+
+Settings. :func:`init_teacher` and :func:`train_teacher` read their
+sizes and training hyperparameters from a :class:`RunConfig`, whose
+defaults are the only ones (``teacher_bits``, ``mask_ratio``,
+``teacher_epochs``, ``batch_size``, ``learn_rate``, ``train_seed``).
 
 Batches. The forward, the loss and the backward take a (B, M, D) batch, as
 the encoder does: ``mask`` is a (B, M) bool array with at least one True per
@@ -37,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import BinaryCode, binarize_tanh, sign_pm1
+from .config import RunConfig
 from .encoder import (
-    EncoderConfig,
     Params,
     blocks,
     cast_params,
@@ -51,22 +56,18 @@ from .encoder import _uniform
 from .exceptions import ShapeError, TrainingError
 from .optim import Adam, add_grads
 
-DEFAULT_TEACHER_BITS = 128
-DEFAULT_MASK_RATIO = 0.15
 
-
-def init_teacher(cfg: EncoderConfig, rng: np.random.Generator,
-                 code_bits: int = DEFAULT_TEACHER_BITS) -> Params:
+def init_teacher(cfg: RunConfig, rng: np.random.Generator) -> Params:
     """The encoder's tensors, then ``mask_embed``, the hash head (``w_hash``,
     ``b_hash``) and the decoder (``w_dec``, ``b_dec``), in checkpoint order."""
-    d = cfg.model_dim
+    d, bits = cfg.model_dim, cfg.teacher_bits
     params = init_encoder(cfg, rng)
     params.update(
         mask_embed=_uniform(rng, d, d),
-        w_hash=_uniform(rng, (d, code_bits), d),
-        b_hash=_uniform(rng, code_bits, d),
-        w_dec=_uniform(rng, (code_bits, cfg.input_dim), code_bits),
-        b_dec=_uniform(rng, cfg.input_dim, code_bits),
+        w_hash=_uniform(rng, (d, bits), d),
+        b_hash=_uniform(rng, bits, d),
+        w_dec=_uniform(rng, (bits, cfg.feat_dim), bits),
+        b_dec=_uniform(rng, cfg.feat_dim, bits),
     )
     return params
 
@@ -74,7 +75,7 @@ def init_teacher(cfg: EncoderConfig, rng: np.random.Generator,
 @dataclass
 class TeacherForward:
     frame_codes: np.ndarray   # (B, M, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
-    recon: np.ndarray         # (B, M, input_dim)
+    recon: np.ndarray         # (B, M, feat_dim)
     frames: np.ndarray        # (B, M, model_dim) encoder outputs
     act: np.ndarray           # tanh(pre-binarization)
     enc_cache: object
@@ -160,8 +161,7 @@ def video_code_from_frames(frame_codes: np.ndarray):
     return BinaryCode(sign_pm1(sums).astype(np.int8)), tie_count
 
 
-def draw_mask(rng: np.random.Generator, frame_count: int,
-              ratio: float = DEFAULT_MASK_RATIO) -> np.ndarray:
+def draw_mask(rng: np.random.Generator, frame_count: int, ratio: float) -> np.ndarray:
     """A bool row over the M frames, True at the masked ones: at least one
     frame, otherwise round(ratio * M), chosen uniformly."""
     count = max(1, int(round(ratio * frame_count)))
@@ -189,40 +189,38 @@ def masked_eval_loss(features: np.ndarray, params: Params, masks: np.ndarray) ->
     return total / len(features)
 
 
-def train_teacher(features: np.ndarray, cfg: EncoderConfig, *,
-                  epochs: int, code_bits: int = DEFAULT_TEACHER_BITS,
-                  batch_size: int = 256, learn_rate: float = 5e-4,
-                  mask_ratio: float = DEFAULT_MASK_RATIO,
-                  seed: int = 0) -> TeacherTrainResult:
-    """Adam warm-up of the teacher on (N, M, D) features.
+def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
+    """Adam warm-up of the teacher on (N, M, D) features, for
+    ``cfg.teacher_epochs`` epochs of ``cfg.batch_size`` videos, masking
+    ``cfg.mask_ratio`` of the frames.
 
-    Deterministic under ``seed``; raises TrainingError with the epoch index
-    if the loss goes non-finite. ``epochs=0`` returns the freshly
-    initialized parameters untouched. Parameters and all the math are in
-    ``np.result_type(features, np.float32)``.
+    Deterministic under ``cfg.train_seed``; raises TrainingError with the
+    epoch index if the loss goes non-finite. ``teacher_epochs = 0`` returns
+    the freshly initialized parameters untouched. Parameters and all the
+    math are in ``np.result_type(features, np.float32)``.
     """
     features = np.asarray(features)
     if features.ndim != 3 or features.shape[0] == 0:
         raise ValueError("features must be a nonempty (N, M, D) array")
     dtype = np.result_type(features, np.float32)
     features = features.astype(dtype, copy=False)
-    n = features.shape[0]
+    n, batch_size = features.shape[0], cfg.batch_size
 
-    init_ss, train_ss, eval_ss = np.random.SeedSequence(seed).spawn(3)
-    params = cast_params(init_teacher(cfg, np.random.default_rng(init_ss), code_bits), dtype)
+    init_ss, train_ss, eval_ss = np.random.SeedSequence(cfg.train_seed).spawn(3)
+    params = cast_params(init_teacher(cfg, np.random.default_rng(init_ss)), dtype)
     eval_rng = np.random.default_rng(eval_ss)
-    eval_masks = np.stack([draw_mask(eval_rng, cfg.frame_count, mask_ratio) for _ in range(n)])
+    eval_masks = np.stack([draw_mask(eval_rng, cfg.frames, cfg.mask_ratio) for _ in range(n)])
     eval_before = masked_eval_loss(features, params, eval_masks)
 
-    opt = Adam(lr=learn_rate)
+    opt = Adam(cfg.learn_rate)
     rng = np.random.default_rng(train_ss)
     epoch_losses: list[float] = []
-    for epoch in range(epochs):
+    for epoch in range(cfg.teacher_epochs):
         order = rng.permutation(n)
         epoch_total = 0.0
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            masks = np.stack([draw_mask(rng, cfg.frame_count, mask_ratio) for _ in batch])
+            masks = np.stack([draw_mask(rng, cfg.frames, cfg.mask_ratio) for _ in batch])
             grads: dict[str, np.ndarray] = {}
             batch_loss = 0.0
             for blk in blocks(len(batch)):

@@ -49,6 +49,23 @@ def test_data_teacher_graph_in_order_write_the_graph(tiny):
     assert header["n_centers"] == 6 and header["p"] == 3
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"], ids=["missing", "binary"])
+def test_an_unreadable_config_file_exits_2_naming_the_path(tmp_path, capsys, content):
+    path = tmp_path / "run.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main(["synth-data", "--config", str(path)]) == 2
+    assert f"error: cannot read config {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-5"])
+def test_gradcheck_rejects_a_non_positive_step(capsys, step):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gradcheck", f"--step={step}"])
+    assert exc.value.code == 2
+    assert "--step must be positive" in capsys.readouterr().err
+
+
 def test_gradcheck_passes_at_default_tolerance(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Run configuration: range checks at construction."""
 
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,10 +97,17 @@ RANGE_RULES = [
     ("eta", 0.0, -0.1),
     ("beta", 0.0, -0.1),
     ("code_bits", (16, 32), (16, 16)),
+    # every float key: the largest finite value is accepted, inf is not
+    *[(key, sys.float_info.max, math.inf)
+      for key in ("intra_class_noise", "temporal_drift", "learn_rate", "bandwidth",
+                  "lambda1", "lambda2", "gamma1", "gamma2", "eta", "beta")],
+    ("mask_ratio", 0.5, math.inf),
 ]
 
 
-@pytest.mark.parametrize("key, edge, bad", RANGE_RULES, ids=[r[0] for r in RANGE_RULES])
+@pytest.mark.parametrize("key, edge, bad", RANGE_RULES,
+                         ids=[key if bad != math.inf else f"{key}-inf"
+                              for key, _, bad in RANGE_RULES])
 def test_range_rule(key, edge, bad):
     small = dict(num_anchors=1, anchor_neighbors=1)
     RunConfig(**small, **{key: edge})

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dkph import encoder
+from dkph.config import RunConfig
 from dkph.encoder import (
-    EncoderConfig,
     Params,
     encode_backward,
     encode_forward,
@@ -16,7 +16,7 @@ from dkph.encoder import (
 from dkph.exceptions import ShapeError, StaleCacheError
 from dkph.numerics import finite_diff_check
 
-TOY = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
+TOY = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12)
 
 
 def toy_params(seed=0):

@@ -10,7 +10,6 @@ import pytest
 from dkph import encoder, pipeline, serial, synth
 from dkph.codes import pack_bits
 from dkph.config import RunConfig
-from dkph.encoder import EncoderConfig
 from dkph.exceptions import PipelineError
 from dkph.student import init_student
 from dkph.teacher import init_teacher
@@ -24,7 +23,7 @@ TINY = dict(num_classes=4, videos_per_class=10, frames=4, feat_dim=6, model_dim=
 
 def test_encode_split_equals_per_video_oracle(monkeypatch):
     monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
-    cfg = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
+    cfg = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12)
     params = init_student(cfg, np.random.default_rng(0), code_bits=8)
     feats = np.random.default_rng(1).normal(size=(7, 4, 6))
     want = pack_bits(np.stack([oracle_student(x, params)[2] for x in feats]).astype(np.int8))
@@ -183,9 +182,9 @@ def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):
     run_dir = first.run_dir
     count = {name: serial.load_labels(run_dir / "data" / f"{name}.labels").size
              for name in ("train", "query", "database")}
-    enc, rng = cfg.encoder_config(), np.random.default_rng(0)
-    inits = {"teacher": init_teacher(enc, rng, cfg.teacher_bits),
-             **{f"student_{bits}": init_student(enc, rng, bits) for bits in cfg.code_bits}}
+    rng = np.random.default_rng(0)
+    inits = {"teacher": init_teacher(cfg, rng),
+             **{f"student_{bits}": init_student(cfg, rng, bits) for bits in cfg.code_bits}}
     outputs = sorted({out for record in _meta(run_dir).values() for out in record["outputs"]})
     loaded = set()
     for out in outputs:

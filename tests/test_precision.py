@@ -13,7 +13,7 @@ import pytest
 from dkph import optim, pipeline, student, teacher
 from dkph.encoder import cast_params
 from dkph.graph import sample_pairs
-from dkph.student import LossWeights, batch_gradients, train_student
+from dkph.student import batch_gradients, train_student
 from dkph.teacher import masked_eval_loss, train_teacher
 from test_student import TOY, K, toy_student, two_class_setup
 
@@ -85,7 +85,8 @@ def test_teacher_training_and_eval_stay_float32(record):
     feats, _, _ = float32_features()
     seen = record((teacher, "teacher_forward"), (teacher, "teacher_backward"),
                   (teacher, "teacher_recon_loss"))
-    result = train_teacher(feats, TOY, epochs=2, code_bits=16, batch_size=4, seed=0)
+    result = train_teacher(feats, dataclasses.replace(TOY, teacher_epochs=2, teacher_bits=16,
+                                                      batch_size=4, train_seed=0))
     assert float_dtypes(result.params) == {np.dtype(np.float32)}
     masked_eval_loss(feats, result.params, result.eval_masks)
     assert set(seen) == {"teacher_forward", "teacher_backward", "teacher_recon_loss",
@@ -99,8 +100,8 @@ def test_student_training_and_encoding_stay_float32(record):
     assert anchor_of(0).dtype == np.float64
     seen = record((student, "student_forward"), (student, "batch_gradients"),
                   (pipeline, "student_forward"))
-    result = train_student(feats, TOY, graph, anchor_of, LossWeights(), code_bits=K,
-                           epochs=2, batch_size=3, seed=0)
+    cfg = dataclasses.replace(TOY, student_epochs=2, batch_size=3, train_seed=0)
+    result = train_student(feats, cfg, graph, anchor_of, code_bits=K)
     assert float_dtypes(result.params) == {np.dtype(np.float32)}
     pipeline.encode_split(feats, result.params)
     assert set(seen) == {"student_forward", "batch_gradients",
@@ -113,12 +114,13 @@ def test_integer_and_float64_features_compute_in_float64(dtype):
     feats, graph, anchor_of = two_class_setup(4)
     feats = np.round(3 * feats).astype(dtype)
     wide = feats.astype(np.float64)
-    t = train_teacher(feats, TOY, epochs=1, code_bits=16, batch_size=4, seed=1)
-    t64 = train_teacher(wide, TOY, epochs=1, code_bits=16, batch_size=4, seed=1)
-    s = train_student(feats, TOY, graph, anchor_of, LossWeights(), code_bits=K,
-                      epochs=1, batch_size=3, seed=1)
-    s64 = train_student(wide, TOY, graph, anchor_of, LossWeights(), code_bits=K,
-                        epochs=1, batch_size=3, seed=1)
+    teacher_cfg = dataclasses.replace(TOY, teacher_epochs=1, teacher_bits=16, batch_size=4,
+                                      train_seed=1)
+    student_cfg = dataclasses.replace(TOY, student_epochs=1, batch_size=3, train_seed=1)
+    t = train_teacher(feats, teacher_cfg)
+    t64 = train_teacher(wide, teacher_cfg)
+    s = train_student(feats, student_cfg, graph, anchor_of, code_bits=K)
+    s64 = train_student(wide, student_cfg, graph, anchor_of, code_bits=K)
     for got, want in ((t.params, t64.params), (s.params, s64.params)):
         assert float_dtypes(got) == {np.dtype(np.float64)}
         for name, arr in got.items():
@@ -140,10 +142,8 @@ def test_float32_batch_gradients_agree_with_float64():
     p64 = cast_params(p32, np.float64)  # the same values, widened exactly
     batch = [0, 1, 2, 3, 4, 5]
     pairs = sample_pairs(graph, batch, count=8, seed=7)
-    weights = LossWeights()
-    l32, g32 = batch_gradients(feats, batch, pairs, p32, weights, anchor_of,
-                               binarize="relaxed")
-    l64, g64 = batch_gradients(feats.astype(np.float64), batch, pairs, p64, weights,
+    l32, g32 = batch_gradients(feats, batch, pairs, p32, TOY, anchor_of, binarize="relaxed")
+    l64, g64 = batch_gradients(feats.astype(np.float64), batch, pairs, p64, TOY,
                                anchor_of, binarize="relaxed")
     for name in l64:
         assert abs(l32[name] - l64[name]) <= AGREEMENT_TOL * abs(l64[name]), name
@@ -161,8 +161,8 @@ def test_float64_anchor_centres_are_narrowed_to_the_student_dtype():
     p32 = cast_params(toy_student(8), np.float32)
     batch = [0, 1, 2, 3, 4, 5]
     pairs = sample_pairs(graph, batch, count=8, seed=9)
-    l64, g64 = batch_gradients(feats, batch, pairs, p32, LossWeights(), anchor_of)
-    l32, g32 = batch_gradients(feats, batch, pairs, p32, LossWeights(),
+    l64, g64 = batch_gradients(feats, batch, pairs, p32, TOY, anchor_of)
+    l32, g32 = batch_gradients(feats, batch, pairs, p32, TOY,
                                lambda v: anchor_of(v).astype(np.float32))
     assert l64 == l32
     for name, arr in g32.items():

@@ -303,8 +303,8 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 def oracle_rank_all(idx, query_row, exclude_id=None):
     """Byte-table popcounts of one query against every database row, the
     row sharing the query's id dropped, then a stable (distance, id) sort."""
-    packed_q = pack_bits(np.asarray(query_row).astype(np.int8))
-    dists = _POPCOUNT[np.bitwise_xor(idx.packed, packed_q[None, :])].sum(axis=1).astype(np.int64)
+    packed_q = pack_bits(np.asarray(query_row).astype(np.int8)[None])
+    dists = _POPCOUNT[np.bitwise_xor(idx.packed, packed_q)].sum(axis=1).astype(np.int64)
     ids = idx.ids
     labels = idx.labels
     if exclude_id is not None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dkph import serial
-from dkph.encoder import EncoderConfig
+from dkph.config import RunConfig
 from dkph.student import init_student
 from dkph.teacher import init_teacher
 
@@ -104,8 +104,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("init", [init_teacher, init_student])
     def test_model_roundtrip_restores_the_init_dict(self, tmp_path, init):
         # every tensor comes back in its own shape and dtype, no cast needed
-        cfg = EncoderConfig(frame_count=3, input_dim=5, model_dim=4)
-        params = init(cfg, np.random.default_rng(1), code_bits=6)
+        cfg = RunConfig(frames=3, feat_dim=5, model_dim=4, teacher_bits=6)
+        rng = np.random.default_rng(1)
+        params = init(cfg, rng) if init is init_teacher else init(cfg, rng, 6)
         path = tmp_path / "model.ckpt"
         for dtype in (np.float64, np.float32):
             want = {name: arr.astype(dtype) for name, arr in params.items()}

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from collections import defaultdict
+from dataclasses import replace
 
 from dkph import encoder, student
 from dkph.codes import unpack_bits, pack_bits
-from dkph.encoder import EncoderConfig
+from dkph.config import RunConfig
 from dkph.graph import PairSample, SignedGraph, sample_pairs
 from dkph.gradcheck import student_gradient_check, teacher_gradient_check
 from dkph.optim import Adam
 from dkph.student import (
-    LossWeights,
     PROBE_MODES,
     batch_gradients,
     init_student,
@@ -26,7 +26,7 @@ from dkph.student import (
 from dkph.teacher import init_teacher, teacher_forward
 from test_encoder import assert_rel_close, oracle_backward, oracle_forward
 
-TOY = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
+TOY = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12)
 K = 8
 
 
@@ -76,7 +76,7 @@ class TestForward:
         x = np.random.default_rng(11).normal(size=(1, 4, 6))
         with pytest.raises(ValueError, match="unknown binarize mode 'soft'"):
             student_forward(x, toy_student(11), binarize="soft")
-        teacher = init_teacher(TOY, np.random.default_rng(12), K)
+        teacher = init_teacher(replace(TOY, teacher_bits=K), np.random.default_rng(12))
         with pytest.raises(ValueError, match="unknown binarize mode 'soft'"):
             teacher_forward(x, teacher, mask=np.ones((1, 4), dtype=bool), binarize="soft")
 
@@ -236,7 +236,7 @@ def two_class_setup(seed=0):
 class TestStep:
     def test_zero_gamma_step_is_reconstruction_only_bit_exact(self):
         feats, graph, anchor_of = two_class_setup()
-        w0 = LossWeights(gamma1=0.0, gamma2=0.0)
+        w0 = replace(TOY, gamma1=0.0, gamma2=0.0)
 
         params_a = toy_student(11)
         rng_a = np.random.default_rng(0)
@@ -259,7 +259,7 @@ class TestStep:
         params = toy_student(12)
         before = {k: v.copy() for k, v in params.items()}
         parts = student_step(feats, [0, 1, 2, 3], params, graph, anchor_of,
-                             LossWeights(), Adam(), np.random.default_rng(1))
+                             TOY, Adam(TOY.learn_rate), np.random.default_rng(1))
         assert set(parts) == {"recon", "bsim", "tsim", "total"}
         assert parts["total"] == pytest.approx(
             parts["recon"] + 0.11 * parts["bsim"] + 0.9 * parts["tsim"])
@@ -272,20 +272,18 @@ class TestStep:
 
     def test_gradient_checks_sweep_every_tensor_of_the_init_dict(self):
         # the gradcheck defaults: 4 frames, 6 features, model width 8, 8 bits
-        cfg = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=16)
+        cfg = RunConfig(frames=4, feat_dim=6, model_dim=8, teacher_bits=8)
         rng = np.random.default_rng(0)
-        for check, init, want in ((teacher_gradient_check, init_teacher, 798),
-                                  (student_gradient_check, init_student, 1054)):
-            size = sum(t.size for t in init(cfg, rng, code_bits=8).values())
+        for check, params, want in ((teacher_gradient_check, init_teacher(cfg, rng), 798),
+                                    (student_gradient_check, init_student(cfg, rng, 8), 1054)):
+            size = sum(t.size for t in params.values())
             assert check(seed=0).param_count == size == want, check.__name__
 
     def test_training_descends_and_is_deterministic(self):
         feats, graph, anchor_of = two_class_setup()
-        w = LossWeights(learn_rate=2e-3)
-        a = train_student(feats, TOY, graph, anchor_of, w, code_bits=K,
-                          epochs=12, batch_size=3, seed=5)
-        b = train_student(feats, TOY, graph, anchor_of, w, code_bits=K,
-                          epochs=12, batch_size=3, seed=5)
+        cfg = replace(TOY, learn_rate=2e-3, student_epochs=12, batch_size=3, train_seed=5)
+        a = train_student(feats, cfg, graph, anchor_of, code_bits=K)
+        b = train_student(feats, cfg, graph, anchor_of, code_bits=K)
         assert a.history[-1]["total"] < a.history[0]["total"]
         for name, arr in a.params.items():
             np.testing.assert_array_equal(arr, b.params[name])
@@ -382,12 +380,11 @@ class TestBatched:
         monkeypatch.setattr(encoder, "BLOCK_VIDEOS", block)
         feats, graph, anchor_of = two_class_setup(22)
         p = toy_student(23)
-        w = LossWeights()
         batch = [0, 1, 3]
         pairs = sample_pairs(graph, batch, count=8, seed=24)
         assert {s.j for s in pairs} - set(batch)
-        losses, grads = batch_gradients(feats, batch, pairs, p, w, anchor_of)
-        want_losses, want = oracle_batch_gradients(feats, batch, pairs, p, w, anchor_of)
+        losses, grads = batch_gradients(feats, batch, pairs, p, TOY, anchor_of)
+        want_losses, want = oracle_batch_gradients(feats, batch, pairs, p, TOY, anchor_of)
         for name in ("recon", "bsim", "tsim"):
             assert losses[name] == pytest.approx(want_losses[name], rel=1e-12)
         assert set(grads) == set(want)
@@ -398,9 +395,8 @@ class TestBatched:
     def test_pair_losses_equal_per_pair_loops(self, binarize):
         feats, graph, anchor_of = two_class_setup(27)
         p = toy_student(28)
-        w = LossWeights()
         pairs = sample_pairs(graph, [0, 1, 3], count=8, seed=29)
-        losses, _ = batch_gradients(feats, [0, 1, 3], pairs, p, w, anchor_of,
+        losses, _ = batch_gradients(feats, [0, 1, 3], pairs, p, TOY, anchor_of,
                                     binarize=binarize)
         fwd = {v: student_forward(feats[v:v + 1], p, binarize=binarize)
                for v in range(len(feats))}
@@ -408,7 +404,7 @@ class TestBatched:
         means = {v: f.frames[0].mean(axis=0) for v, f in fwd.items()}
         assert losses["bsim"] == pytest.approx(bsim_loss(pairs, acts), rel=1e-12)
         assert losses["tsim"] == pytest.approx(
-            tsim_loss(pairs, means, anchor_of, eta=w.eta, beta=w.beta), rel=1e-12)
+            tsim_loss(pairs, means, anchor_of, eta=TOY.eta, beta=TOY.beta), rel=1e-12)
 
     @pytest.mark.parametrize("mode", PROBE_MODES)
     def test_probe_reconstruction_equals_per_video_oracle(self, monkeypatch, mode):

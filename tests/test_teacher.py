@@ -1,10 +1,12 @@
 """Teacher model: cloze forward/backward, code averaging, warm-up training."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dkph import encoder
-from dkph.encoder import EncoderConfig
+from dkph.config import RunConfig
 from dkph.exceptions import TrainingError
 from dkph.numerics import finite_diff_check
 from dkph.teacher import (
@@ -19,12 +21,12 @@ from dkph.teacher import (
 )
 from test_encoder import assert_rel_close, oracle_backward, oracle_forward
 
-TOY = EncoderConfig(frame_count=4, input_dim=6, model_dim=8, ffn_dim=12)
 BITS = 16
+TOY = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12, teacher_bits=BITS)
 
 
 def toy_teacher(seed=0):
-    return init_teacher(TOY, np.random.default_rng(seed), code_bits=BITS)
+    return init_teacher(TOY, np.random.default_rng(seed))
 
 
 def bool_masks(masks, m_frames=4):
@@ -173,24 +175,24 @@ class TestTraining:
 
     def test_zero_epochs_returns_initialized_params(self):
         feats = self.make_features()
-        result = train_teacher(feats, TOY, epochs=0, code_bits=BITS, seed=42, batch_size=4)
+        result = train_teacher(feats, replace(TOY, teacher_epochs=0, train_seed=42, batch_size=4))
         init_ss = np.random.SeedSequence(42).spawn(3)[0]
-        fresh = init_teacher(TOY, np.random.default_rng(init_ss), BITS)
+        fresh = init_teacher(TOY, np.random.default_rng(init_ss))
         for name, arr in result.params.items():
             np.testing.assert_array_equal(arr, fresh[name])
         assert result.eval_before == result.eval_after
 
     def test_training_is_deterministic_under_seed(self):
         feats = self.make_features()
-        a = train_teacher(feats, TOY, epochs=3, code_bits=BITS, seed=7, batch_size=4)
-        b = train_teacher(feats, TOY, epochs=3, code_bits=BITS, seed=7, batch_size=4)
+        a = train_teacher(feats, replace(TOY, teacher_epochs=3, train_seed=7, batch_size=4))
+        b = train_teacher(feats, replace(TOY, teacher_epochs=3, train_seed=7, batch_size=4))
         for name, arr in a.params.items():
             np.testing.assert_array_equal(arr, b.params[name])
         assert a.epoch_losses == b.epoch_losses
 
     def test_loss_does_not_increase_over_training(self):
         feats = self.make_features(n=20, seed=1)
-        result = train_teacher(feats, TOY, epochs=10, code_bits=BITS, seed=3, batch_size=5)
+        result = train_teacher(feats, replace(TOY, teacher_epochs=10, train_seed=3, batch_size=5))
         assert result.eval_after <= result.eval_before
 
     def test_masked_loss_halves_on_toy_corpus(self):
@@ -200,7 +202,7 @@ class TestTraining:
         base = rng.normal(size=(10, 1, 6))
         protos = base + 0.3 * rng.normal(size=(10, 4, 6))
         feats = protos[rng.integers(0, 10, 200)] + 0.2 * rng.normal(size=(200, 4, 6))
-        result = train_teacher(feats, TOY, epochs=50, code_bits=BITS, seed=5, batch_size=8)
+        result = train_teacher(feats, replace(TOY, teacher_epochs=50, train_seed=5, batch_size=8))
         assert result.eval_after <= 0.5 * result.eval_before, (
             result.eval_before, result.eval_after,
         )
@@ -211,13 +213,13 @@ class TestTraining:
         feats = self.make_features()
         feats[0, :, 0] = np.nan
         with pytest.raises(TrainingError) as exc:
-            train_teacher(feats, TOY, epochs=2, code_bits=BITS, seed=0, batch_size=4)
+            train_teacher(feats, replace(TOY, teacher_epochs=2, train_seed=0, batch_size=4))
         assert exc.value.epoch == 0
 
     def test_draw_mask_bounds(self):
         rng = np.random.default_rng(0)
         for m in (1, 4, 25):
-            mask = draw_mask(rng, m, ratio=0.15)
+            mask = draw_mask(rng, m, 0.15)
             assert mask.shape == (m,) and mask.dtype == bool
             assert 1 <= mask.sum() <= m
 
@@ -225,7 +227,7 @@ class TestTraining:
         # the same single rng.choice call as before, so seeded streams stay put
         a, b = np.random.default_rng(3), np.random.default_rng(3)
         for m in (4, 25):
-            mask = draw_mask(a, m, ratio=0.15)
+            mask = draw_mask(a, m, 0.15)
             chosen = b.choice(m, size=max(1, round(0.15 * m)), replace=False)
             np.testing.assert_array_equal(np.flatnonzero(mask), np.sort(chosen))
         assert a.random() == b.random()
@@ -309,9 +311,9 @@ class TestBatched:
     def test_training_in_small_blocks_matches_default_blocks(self, monkeypatch):
         # same masks in the same order, so blocking only reorders float sums
         feats = TestTraining().make_features(n=12)
-        a = train_teacher(feats, TOY, epochs=2, code_bits=BITS, seed=9, batch_size=8)
+        a = train_teacher(feats, replace(TOY, teacher_epochs=2, train_seed=9, batch_size=8))
         monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
-        b = train_teacher(feats, TOY, epochs=2, code_bits=BITS, seed=9, batch_size=8)
+        b = train_teacher(feats, replace(TOY, teacher_epochs=2, train_seed=9, batch_size=8))
         for name, arr in a.params.items():
             assert_rel_close(b.params[name], arr, tol=1e-9)
         np.testing.assert_allclose(b.epoch_losses, a.epoch_losses, rtol=1e-12)
