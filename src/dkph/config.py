@@ -76,7 +76,7 @@ class RunConfig:
                     "batch_size")
         non_negative = ("intra_class_noise", "temporal_drift", "ffn_dim", "teacher_epochs",
                         "student_epochs", "learn_rate", "bandwidth", "eta", "beta",
-                        "gamma1", "gamma2")
+                        "gamma1", "gamma2", "lambda1")
         floats = [f.name for f in fields(self) if f.type in ("float", float)]
         checks = (
             *[(key, math.isfinite(getattr(self, key)), "must be finite") for key in floats],
@@ -95,6 +95,8 @@ class RunConfig:
              and all(b > 0 for b in self.code_bits),
              "must be a nonempty list of distinct positive widths"),
             ("mask_ratio", 0.0 < self.mask_ratio < 1.0, "must lie strictly between 0 and 1"),
+            # at 0 the negative band (mu - lambda2 * eps, mu) of every row is empty
+            ("lambda2", self.lambda2 > 0, "must be > 0"),
         )
         for key, ok, why in checks:
             if not ok:

@@ -20,12 +20,35 @@ Stage artifacts
                each ablation variant V other than "full", at the first width
     ablation.txt  the variants' mAP and stream probes of student_K.ckpt,
                regenerated on every ablation_suite call
+
+A stage's meta record also carries its cost in the process that ran it:
+``minor_faults``, the page faults taken during the stage, and
+``peak_rss_kb``, the process's peak resident set afterwards (both from
+``getrusage``, whose peak is in kilobytes on Linux; ``report.txt`` shows
+neither).
+
+Memory
+    The encoder passes allocate multi-MB temporaries for every block of
+    videos. Left to itself, glibc raises its mmap threshold to the largest
+    block freed so far (about 3 MB here) and trims the heap top whenever
+    more than twice that is free, so every block returns its memory to the
+    kernel and page-faults it back in. Before each stage, ``_keep_freed_heap``
+    sets both thresholds once for the process with ``mallopt``: arrays up to
+    32 MiB come from the heap, and up to 256 MiB of freed heap stays in the
+    process. Both must be set, because setting either one turns off glibc's
+    dynamic thresholds, and a trim threshold alone would leave every array
+    of 128 KiB or more mmapped. The setting is process-wide and changes no
+    result. Off glibc, where there is no ``mallopt``, it does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+import logging
 import os
+import resource
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -55,6 +78,8 @@ from .student import (
 from .synth import generate_synthetic, load_split, load_split_labels
 from .teacher import train_teacher
 
+logger = logging.getLogger(__name__)
+
 # Written into every meta record. Bump it whenever the code changes what a
 # stage produces for the same config, so that old artifacts are rebuilt;
 # records without the field count as version 1. Version 2: the batched
@@ -64,6 +89,9 @@ from .teacher import train_teacher
 # Version 4: every binary artifact is one container of named arrays, each
 # stored in its own dtype and shape (see ``serial``).
 CODE_VERSION = 4
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 @dataclass
@@ -95,13 +123,31 @@ def stage_completed(run_dir: Path, stage: str, cfg: RunConfig) -> bool:
     return all((run_dir / out).exists() for out in record["outputs"])
 
 
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Keep freed heap in the process, once per process (module docstring, Memory).
+    True when the allocator took both settings."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt: not glibc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    trim_set = mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    return bool(mmap_set and trim_set)
+
+
 def _run_stage(run_dir: Path, stage: str, cfg: RunConfig, outputs: list[str], fn) -> None:
-    """Execute ``fn`` unless the stage is already complete; record timing."""
+    """Execute ``fn`` unless the stage is already complete; record its wall
+    time, minor page faults and the peak RSS after it."""
     if stage_completed(run_dir, stage, cfg):
         return
     # no record may outlive a run of fn() that fails half way through its outputs
     path = _meta_path(run_dir, stage)
     path.unlink(missing_ok=True)
+    _keep_freed_heap()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     try:
         fn()
@@ -109,11 +155,14 @@ def _run_stage(run_dir: Path, stage: str, cfg: RunConfig, outputs: list[str], fn
         raise
     except Exception as err:
         raise PipelineError(stage, f"{type(err).__name__}: {err}") from err
+    wall_time_s = round(time.perf_counter() - start, 3)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     for out in outputs:
         if not (run_dir / out).exists():
             raise PipelineError(stage, f"expected output {out} was not produced")
     meta = {"stage": stage, "config_hash": cfg.config_hash(), "code_version": CODE_VERSION,
-            "wall_time_s": round(time.perf_counter() - start, 3), "outputs": outputs}
+            "wall_time_s": wall_time_s, "outputs": outputs,
+            "minor_faults": usage.ru_minflt - faults, "peak_rss_kb": usage.ru_maxrss}
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
@@ -181,6 +230,11 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
         alpha = cfg.bandwidth if cfg.bandwidth > 0 else default_bandwidth(means, anchors, p)
         z = build_affinity(means, anchors, p=p, alpha=alpha)
         graph = build_signed_graph(z, cfg.lambda1, cfg.lambda2)
+        # without edges of one sign, every pair the student draws has the other
+        for sign, edges in (("positive", graph.positives), ("negative", graph.negatives)):
+            if not any(e.size for e in edges):
+                logger.warning("stage 'graph': the signed graph has no %s edges "
+                               "(lambda1 = %r, lambda2 = %r)", sign, cfg.lambda1, cfg.lambda2)
         serial.save_graph(run_dir / "graph.bin", graph.positives, graph.negatives,
                           n_centers=cfg.num_anchors, p=p, alpha=alpha,
                           lambda1=cfg.lambda1, lambda2=cfg.lambda2, seed=cfg.train_seed)

@@ -1,6 +1,7 @@
 """CLI exit codes and outputs on a tiny configuration."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -112,3 +113,15 @@ def test_ablate_prints_the_ablation_report(tiny, capsys):
     out = capsys.readouterr().out
     ablation = (run_layout(cfg) / "ablation.txt").read_text()
     assert ablation.startswith("dkph ablation report\n") and ablation in out
+
+
+def test_a_graph_without_positive_edges_is_reported_naming_the_sign(tiny, tmp_path, caplog):
+    cfg, _ = tiny
+    cfg = replace(cfg, lambda1=1e6)  # no affinity lies a million deviations above its row mean
+    path = tmp_path / "strict.cfg"
+    cfg.save(path)
+    run_through(["--config", str(path)], "build-graph")
+    assert "the signed graph has no positive edges" in caplog.text
+    assert "no negative edges" not in caplog.text
+    positives, negatives, _ = serial.load_graph(run_layout(cfg) / "graph.bin")
+    assert sum(p.size for p in positives) == 0 < sum(n.size for n in negatives)

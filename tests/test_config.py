@@ -94,6 +94,8 @@ RANGE_RULES = [
     ("bandwidth", 0.0, -0.5),
     ("gamma1", 0.0, -0.1),
     ("gamma2", 0.0, -0.1),
+    ("lambda1", 0.0, -0.1),
+    ("lambda2", 1e-9, 0.0),  # at 0 no row has a negative band
     ("eta", 0.0, -0.1),
     ("beta", 0.0, -0.1),
     ("code_bits", (16, 32), (16, 16)),

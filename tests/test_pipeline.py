@@ -1,7 +1,10 @@
 """Pipeline: batched encoding, rerun stability, the stage cache and the ablation."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +228,46 @@ def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):
 def test_meta_records_carry_the_code_version(tiny_run):
     _, _, first = tiny_run
     assert {m["code_version"] for m in _meta(first.run_dir).values()} == {pipeline.CODE_VERSION}
+
+
+def test_meta_records_carry_the_stage_faults_and_peak_rss(tiny_run):
+    _, _, first = tiny_run
+    for record in _meta(first.run_dir).values():
+        for key in ("minor_faults", "peak_rss_kb"):
+            assert type(record[key]) is int and record[key] >= 0, (record["stage"], key)
+
+
+# Six (1600, 512) float32 temporaries per burst, the size of an encoder block's
+# activations; prints whether the policy took, the minor faults of five warm
+# bursts and the pages they touched.
+ALLOCATOR_PROBE = """
+import resource
+import numpy as np
+from dkph import pipeline
+
+def burst():
+    arrays = [np.full((1600, 512), 1.0, np.float32) for _ in range(6)]
+    return sum(a.nbytes for a in arrays)
+
+took = pipeline._keep_freed_heap()
+burst()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+pages = sum(burst() for _ in range(5)) // resource.getpagesize()
+print(took, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, pages)
+"""
+
+
+def test_stage_allocator_policy_keeps_freed_blocks_in_the_process():
+    # a fresh interpreter, so that no other test's heap state counts
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", ALLOCATOR_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    took, faults, pages = out[0] == "True", int(out[1]), int(out[2])
+    if not took:
+        pytest.skip("the C library has no mallopt that takes the thresholds")
+    assert faults < 0.01 * pages, (faults, pages)
 
 
 def test_stale_code_version_reruns_the_stage(tiny_run):
