@@ -13,21 +13,17 @@ from .config import RunConfig
 from .encoder import Params, encode_backward, encode_forward, init_encoder
 from .graph import (
     AnchorSet,
-    GaussianThresholds,
     PairSample,
     SignedGraph,
     SparseAffinity,
-    adjacency_row,
     build_affinity,
     build_signed_graph,
     kmeans,
-    row_thresholds,
     sample_pairs,
-    sign_row,
 )
 from .numerics import GradCheckReport, finite_diff_check
 from .pipeline import ablation_suite, run_pipeline
-from .retrieval import CodeIndex, RankedList, hamming, map_at_k, pr_curve, query_topk
+from .retrieval import CodeIndex, RankedList, map_at_k, pr_curve, query_topk
 from .student import init_student, student_forward, student_recon_loss, train_student
 from .synth import generate_synthetic
 from .teacher import (
@@ -41,14 +37,12 @@ from .teacher import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet", "BinaryCode", "CodeIndex", "GaussianThresholds", "GradCheckReport",
-    "PairSample", "Params", "RankedList", "RunConfig", "SignedGraph", "SparseAffinity",
-    "ablation_suite",
-    "adjacency_row", "build_affinity", "build_signed_graph", "encode_backward",
-    "encode_forward", "finite_diff_check", "generate_synthetic", "hamming",
-    "init_encoder", "init_student", "init_teacher", "kmeans", "map_at_k", "pack_bits",
-    "pr_curve", "query_topk", "row_thresholds", "run_pipeline", "sample_pairs",
-    "sign_row", "student_forward", "student_recon_loss", "teacher_forward",
-    "teacher_recon_loss", "train_student", "train_teacher", "unpack_bits",
-    "video_code_from_frames",
+    "AnchorSet", "BinaryCode", "CodeIndex", "GradCheckReport", "PairSample", "Params",
+    "RankedList", "RunConfig", "SignedGraph", "SparseAffinity", "ablation_suite",
+    "build_affinity", "build_signed_graph", "encode_backward", "encode_forward",
+    "finite_diff_check", "generate_synthetic", "init_encoder", "init_student",
+    "init_teacher", "kmeans", "map_at_k", "pack_bits", "pr_curve", "query_topk",
+    "run_pipeline", "sample_pairs", "student_forward", "student_recon_loss",
+    "teacher_forward", "teacher_recon_loss", "train_student", "train_teacher",
+    "unpack_bits", "video_code_from_frames",
 ]

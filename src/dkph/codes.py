@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ShapeError
-
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
     """Sign with the tie rule sign(0) = +1, so outputs are exactly {-1,+1}.
@@ -69,9 +67,3 @@ class BinaryCode:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BinaryCode) and np.array_equal(self.bits, other.bits)
-
-
-def require_same_length(a: BinaryCode, b: BinaryCode) -> int:
-    if a.k != b.k:
-        raise ShapeError(f"code lengths differ: {a.k} vs {b.k}")
-    return a.k

@@ -3,15 +3,16 @@
 Pipeline: k-means anchors over the N video embeddings, sparse affinity Z
 (each video keeps softmax weights over its p nearest centers), rows of the
 normalized anchor-graph adjacency A = Z diag(Z^T 1)^-1 Z^T (Liu, Wang,
-Kumar and Chang, "Hashing with Graphs", ICML 2011), per-row mean/std
-thresholds PT = mu + lambda1*eps and NT = mu - lambda2*eps, and a signed
-sparse graph:
+Kumar and Chang, "Hashing with Graphs", ICML 2011), and a signed sparse
+graph. ``_label_row`` is the one labelling rule: with the per-row mean mu_i
+and population std eps_i, PT_i = mu_i + lambda1*eps_i and
+NT_i = mu_i - lambda2*eps_i,
 
     +1  if A_ij >= PT_i
     -1  if NT_i < A_ij < mu_i      (hard negatives: just below the mean)
-     0  otherwise
+     0  otherwise, and always for j = i
 
-Thresholds are computed over the *nonzero* off-diagonal entries of the row;
+mu_i and eps_i are taken over the *nonzero* off-diagonal entries of the row;
 with sparse Z most pairs share no anchor and sit at exactly 0, and folding
 those zeros in would collapse the mean. A row with fewer than two such
 entries gets no edges; videos without any edge are the graph's isolated
@@ -42,6 +43,9 @@ logger = logging.getLogger(__name__)
 # of A is (B, N) and a block of k-means differences is (B, N_c, d).
 BLOCK_BYTES = 1 << 20
 
+# Lloyd iterations of kmeans before it stops short of an assignment fixpoint.
+KMEANS_ITERS = 100
+
 
 def _block_rows(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // max(1, row_bytes))
@@ -51,15 +55,14 @@ def _block_rows(row_bytes: int) -> int:
 class AnchorSet:
     centers: np.ndarray       # (N_c, d)
     assignments: np.ndarray   # (N,) nearest-center index per point
-    inertia: float
 
 
-def kmeans(points: np.ndarray, n_centers: int, seed: int = 0, max_iters: int = 100) -> AnchorSet:
+def kmeans(points: np.ndarray, n_centers: int, seed: int = 0) -> AnchorSet:
     """Lloyd's algorithm with k-means++ seeding.
 
     Empty clusters are re-seeded to the point currently farthest from its
     center, which never increases the inertia. Stops at an assignment
-    fixpoint or after ``max_iters``.
+    fixpoint or after ``KMEANS_ITERS`` iterations.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -69,7 +72,7 @@ def kmeans(points: np.ndarray, n_centers: int, seed: int = 0, max_iters: int = 1
 
     centers = _kmeans_pp_init(pts, n_centers, rng)
     assignments = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_ITERS):
         d2 = _sq_dists(pts, centers)
         new_assign = d2.argmin(axis=1)
         # re-seed empty clusters from the worst-served points
@@ -90,10 +93,7 @@ def kmeans(points: np.ndarray, n_centers: int, seed: int = 0, max_iters: int = 1
             members = pts[assignments == c]
             if members.size:
                 centers[c] = members.mean(axis=0)
-    d2 = _sq_dists(pts, centers)
-    final_assign = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), final_assign].sum())
-    return AnchorSet(centers=centers, assignments=final_assign, inertia=inertia)
+    return AnchorSet(centers=centers, assignments=_sq_dists(pts, centers).argmin(axis=1))
 
 
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -130,7 +130,6 @@ class SparseAffinity:
 
     center_idx: np.ndarray    # (N, p) selected center per slot
     weights: np.ndarray       # (N, p) softmax weights, nonnegative
-    alpha: float
     n_centers: int
     center_mass: np.ndarray = field(init=False)      # (N_c,) column sums of Z
 
@@ -173,7 +172,7 @@ def build_affinity(points: np.ndarray, anchors: AnchorSet, p: int, alpha: float)
     logits = -(sel - sel.min(axis=1, keepdims=True)) / alpha
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
-    return SparseAffinity(center_idx=nearest, weights=w, alpha=alpha, n_centers=n_centers)
+    return SparseAffinity(center_idx=nearest, weights=w, n_centers=n_centers)
 
 
 def _adjacency_blocks(z: SparseAffinity, start: int, stop: int):
@@ -217,49 +216,18 @@ def adjacency_row(i: int, z: SparseAffinity) -> tuple[np.ndarray, np.ndarray]:
     return idx, acc[0, idx]
 
 
-@dataclass
-class GaussianThresholds:
-    """Per-row positive/negative cutoffs; a row with support < 2 has none
-    and gets no edges."""
-
-    mu: float
-    eps: float
-    pt: float
-    nt: float
-    support_count: int
-
-    @property
-    def isolated(self) -> bool:
-        return self.support_count < 2
-
-
-def row_thresholds(row_idx: np.ndarray, row_vals: np.ndarray, i: int,
-                   lambda1: float, lambda2: float) -> GaussianThresholds:
-    """Mean/population-std thresholds over the nonzero off-diagonal entries."""
-    keep = (row_idx != i) & (row_vals != 0.0)
-    vals = row_vals[keep]
-    if vals.size < 2:
-        return GaussianThresholds(mu=0.0, eps=0.0, pt=0.0, nt=0.0, support_count=int(vals.size))
-    mu = float(vals.mean())
-    eps = float(vals.std())  # population std
-    return GaussianThresholds(mu=mu, eps=eps, pt=mu + lambda1 * eps,
-                              nt=mu - lambda2 * eps, support_count=int(vals.size))
-
-
-def sign_row(row_idx: np.ndarray, row_vals: np.ndarray, i: int,
-             th: GaussianThresholds) -> tuple[np.ndarray, np.ndarray]:
-    """Label row entries per the threshold rule; the self entry is forced 0.
-
-    Returns (positive indices, negative indices); everything else is
-    implicitly 0.
-    """
-    if th.isolated:
+def _label_row(row_idx: np.ndarray, row_vals: np.ndarray, i: int,
+               lambda1: float, lambda2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) neighbours of video i by the threshold rule (module
+    docstring) over its row of A, given as video indices and values."""
+    off = row_idx != i
+    idx, vals = row_idx[off], row_vals[off]
+    support = vals[vals != 0.0]
+    if support.size < 2:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    keep = row_idx != i
-    idx, vals = row_idx[keep], row_vals[keep]
-    pos = idx[vals >= th.pt]
-    neg = idx[(th.nt < vals) & (vals < th.mu)]
-    return pos, neg
+    mu = float(support.mean())
+    eps = float(support.std())  # population std
+    return idx[vals >= mu + lambda1 * eps], idx[(mu - lambda2 * eps < vals) & (vals < mu)]
 
 
 @dataclass
@@ -284,9 +252,7 @@ def build_signed_graph(z: SparseAffinity, lambda1: float, lambda2: float) -> Sig
     for lo, acc, support in _adjacency_blocks(z, 0, z.n):
         for r in range(acc.shape[0]):
             idx = np.flatnonzero(support[r])
-            vals = acc[r, idx]
-            th = row_thresholds(idx, vals, lo + r, lambda1, lambda2)
-            pos, neg = sign_row(idx, vals, lo + r, th)
+            pos, neg = _label_row(idx, acc[r, idx], lo + r, lambda1, lambda2)
             positives.append(pos)
             negatives.append(neg)
     return SignedGraph(positives=positives, negatives=negatives)

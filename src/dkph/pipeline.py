@@ -88,7 +88,9 @@ logger = logging.getLogger(__name__)
 # of the feature files, instead of widening them to float64.
 # Version 4: every binary artifact is one container of named arrays, each
 # stored in its own dtype and shape (see ``serial``).
-CODE_VERSION = 4
+# Version 5: graph.bin holds only the signed edges, without the six header
+# scalars (n_centers, p, seed, alpha, lambda1, lambda2).
+CODE_VERSION = 5
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -116,11 +118,14 @@ def stage_completed(run_dir: Path, stage: str, cfg: RunConfig) -> bool:
         record = json.loads(_meta_path(run_dir, stage).read_text())
     except (OSError, ValueError):  # missing, or damaged outside the pipeline
         return False
+    outputs = record.get("outputs") if isinstance(record, dict) else None
+    if not isinstance(outputs, list) or not all(isinstance(out, str) for out in outputs):
+        return False  # valid JSON, but not a stage record
     if record.get("config_hash") != cfg.config_hash():
         return False
     if record.get("code_version") != CODE_VERSION:
         return False
-    return all((run_dir / out).exists() for out in record["outputs"])
+    return all((run_dir / out).exists() for out in outputs)
 
 
 @functools.cache
@@ -235,9 +240,7 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
             if not any(e.size for e in edges):
                 logger.warning("stage 'graph': the signed graph has no %s edges "
                                "(lambda1 = %r, lambda2 = %r)", sign, cfg.lambda1, cfg.lambda2)
-        serial.save_graph(run_dir / "graph.bin", graph.positives, graph.negatives,
-                          n_centers=cfg.num_anchors, p=p, alpha=alpha,
-                          lambda1=cfg.lambda1, lambda2=cfg.lambda2, seed=cfg.train_seed)
+        serial.save_graph(run_dir / "graph.bin", graph.positives, graph.negatives)
         serial.save_checkpoint(run_dir / "anchors.ckpt", {
             "centers": anchors.centers,
             "assignments": anchors.assignments,
@@ -249,7 +252,7 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
 def load_graph_artifacts(run_dir: Path):
     """The signed graph, and ``anchor_of``: training video -> its teacher
     anchor centre."""
-    positives, negatives, _ = serial.load_graph(run_dir / "graph.bin")
+    positives, negatives = serial.load_graph(run_dir / "graph.bin")
     blob = serial.load_checkpoint(run_dir / "anchors.ckpt")
     centers, assignments = blob["centers"], blob["assignments"]
     graph = SignedGraph(positives=positives, negatives=negatives)

@@ -18,9 +18,10 @@ sweep ranks nothing and reads per-query histograms of distance 0..K.
 Evaluation conventions:
   * AP@k divides by min(R, k), where R is the number of relevant items in
     the database, so a perfect ranking always scores 1.
-  * A query sharing an id with a database item is excluded from its own
-    results (test partitions are commonly used as both query set and
-    database, and trivial rank-1 self hits would inflate every metric).
+  * Given query ids, a query sharing an id with a database item is excluded
+    from its own results (test partitions are commonly used as both query
+    set and database, and trivial rank-1 self hits would inflate every
+    metric). Without query ids nothing is excluded.
   * Queries with zero relevant items are skipped and counted, not scored.
   * Precision at a Hamming radius that retrieves nothing is undefined and
     skipped rather than pinned to 0 or 1.
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import BinaryCode, pack_bits, require_same_length
+from .codes import BinaryCode, pack_bits
 from .exceptions import ShapeError
 
 # Cutoffs of the reported mAP@k; RunConfig asks for min(MAP_KS) database videos.
@@ -48,12 +49,6 @@ def _as_words(packed: np.ndarray) -> np.ndarray:
     padded = np.zeros((n, -(-n_bytes // 8) * 8), dtype=np.uint8)
     padded[:, :n_bytes] = packed
     return padded.view(np.uint64)
-
-
-def hamming(a: BinaryCode, b: BinaryCode) -> int:
-    """Number of differing bits, computed on the packed bytes."""
-    require_same_length(a, b)
-    return int(np.bitwise_count(np.bitwise_xor(a.packed, b.packed)).sum())
 
 
 def packed_distances(db_words: np.ndarray, q_words: np.ndarray) -> np.ndarray:
@@ -170,7 +165,7 @@ class MapScore:
     skipped: int   # queries with zero relevant items
 
 
-def _queries(query_bits, query_labels, query_ids, idx: CodeIndex, exclude_self: bool):
+def _queries(query_bits, query_labels, query_ids, idx: CodeIndex):
     """Checked query set: (packed words, labels, own database row or -1)."""
     if idx.labels is None:
         raise ValueError("index has no labels")
@@ -191,8 +186,7 @@ def _queries(query_bits, query_labels, query_ids, idx: CodeIndex, exclude_self: 
         if query_ids.shape != (nq,):
             raise ShapeError(f"query_ids has shape {query_ids.shape}, "
                              f"expected one id per query ({nq},)")
-        if exclude_self:
-            own = idx._rows_of(query_ids)
+        own = idx._rows_of(query_ids)
     return _as_words(pack_bits(query_bits)), query_labels, own
 
 
@@ -220,13 +214,13 @@ def _live_blocks(idx: CodeIndex, q_words, q_labels, own):
 
 
 def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,
-             query_ids=None, exclude_self: bool = True) -> MapScore:
+             query_ids=None) -> MapScore:
     """Mean average precision over the top-k ranked results.
 
     query_bits: (nq, K) over {-1,+1}; query_ids enables self-exclusion when
     the query set overlaps the database.
     """
-    q_words, q_labels, own = _queries(query_bits, query_labels, query_ids, idx, exclude_self)
+    q_words, q_labels, own = _queries(query_bits, query_labels, query_ids, idx)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     aps = []
@@ -255,14 +249,14 @@ def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,
 
 
 def pr_curve(query_bits: np.ndarray, query_labels, idx: CodeIndex,
-             query_ids=None, exclude_self: bool = True) -> list[tuple[float, float]]:
+             query_ids=None) -> list[tuple[float, float]]:
     """Precision-recall points swept over Hamming radius r = 0..K.
 
     Recall averages over every query with at least one relevant item;
     precision averages over queries that retrieved something at radius r.
     Radii where no query retrieves anything yield no point.
     """
-    q_words, q_labels, own = _queries(query_bits, query_labels, query_ids, idx, exclude_self)
+    q_words, q_labels, own = _queries(query_bits, query_labels, query_ids, idx)
     bins = idx.k + 2   # distances 0..K, then K + 1 for excluded own rows
     retrieved, hits, totals = [], [], []
     for dist, rel, r_total, _, _ in _live_blocks(idx, q_words, q_labels, own):

@@ -11,9 +11,7 @@ checkpoint  each model tensor under its checkpoint name
 features    "features": (N, M, D) float32
 codes       "packed": (n, ceil(K/8)) uint8 rows; "k": int64
 graph       for s in pos, neg: "s_offsets" (N + 1,) int64 and "s_indices"
-            uint32, video i's row being s_indices[s_offsets[i]:s_offsets[i+1]];
-            "n_centers", "p", "seed": int64; "alpha", "lambda1", "lambda2":
-            float64
+            uint32, video i's row being s_indices[s_offsets[i]:s_offsets[i+1]]
 
 Labels are a plain text sidecar: one integer per line, aligned with ids.
 """
@@ -21,6 +19,7 @@ Labels are a plain text sidecar: one integer per line, aligned with ids.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -57,11 +56,15 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
+        left = os.fstat(f.fileno()).st_size
+
         def read(n: int) -> bytes:
-            data = f.read(n)
-            if len(data) != n:
-                raise EOFError(f"{path}: truncated file: wanted {n} bytes, got {len(data)}")
-            return data
+            # checked before reading, so a damaged size field asks for nothing
+            nonlocal left
+            if n > left:
+                raise EOFError(f"{path}: truncated file: wanted {n} bytes, {left} left")
+            left -= n
+            return f.read(n)
 
         magic = read(4)
         if magic != MAGIC:
@@ -153,8 +156,6 @@ def load_labels(path) -> np.ndarray:
 
 # -- signed graph --------------------------------------------------------
 
-_GRAPH_HEADER = ("n_centers", "p", "seed", "alpha", "lambda1", "lambda2")
-
 
 def _pack_rows(side: str, rows) -> dict[str, np.ndarray]:
     """Offsets and concatenated uint32 indices of per-video index lists."""
@@ -173,25 +174,19 @@ def _unpack_rows(path, arrays: dict, side: str) -> list[np.ndarray]:
     return [indices[lo:hi].astype(np.int64) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def save_graph(path, positives, negatives, *, n_centers: int, p: int,
-               alpha: float, lambda1: float, lambda2: float, seed: int) -> None:
+def save_graph(path, positives, negatives) -> None:
     """positives/negatives: per-video index lists (len N each)."""
     if len(positives) != len(negatives):
         raise ValueError("positives/negatives length mismatch")
-    save_arrays(path, {**_pack_rows("pos", positives), **_pack_rows("neg", negatives),
-                       "n_centers": np.int64(n_centers), "p": np.int64(p),
-                       "seed": np.int64(seed), "alpha": np.float64(alpha),
-                       "lambda1": np.float64(lambda1), "lambda2": np.float64(lambda2)})
+    save_arrays(path, {**_pack_rows("pos", positives), **_pack_rows("neg", negatives)})
 
 
-def load_graph(path):
-    """Returns (positives, negatives, header dict)."""
+def load_graph(path) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Returns (positives, negatives), one int64 index array per video."""
     arrays = _load_kind(path, "graph", ("pos_offsets", "pos_indices", "neg_offsets",
-                                        "neg_indices", *_GRAPH_HEADER))
+                                        "neg_indices"))
     positives = _unpack_rows(path, arrays, "pos")
     negatives = _unpack_rows(path, arrays, "neg")
     if len(positives) != len(negatives):
         raise ValueError(f"{path}: positives/negatives length mismatch")
-    # item() gives the int64 fields as Python ints and the float64 ones as floats
-    return positives, negatives, dict(n=len(positives), **{
-        name: arrays[name].item() for name in _GRAPH_HEADER})
+    return positives, negatives

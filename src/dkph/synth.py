@@ -41,7 +41,6 @@ class SynthDataset:
     train: Split
     query: Split
     database: Split
-    prototypes: np.ndarray        # (C, M, D)
     prototype_accuracy: float     # nearest-prototype classification on all videos
 
     @property
@@ -98,7 +97,7 @@ def generate_synthetic(cfg: RunConfig) -> SynthDataset:
         splits.append(Split(features=features[rows], labels=labels[rows],
                             ids=np.arange(bounds[si], bounds[si + 1])))
     return SynthDataset(train=splits[0], query=splits[1], database=splits[2],
-                        prototypes=prototypes, prototype_accuracy=accuracy)
+                        prototype_accuracy=accuracy)
 
 
 def load_split(data_dir, name: str) -> Split:
@@ -109,18 +108,6 @@ def load_split(data_dir, name: str) -> Split:
     return Split(features=features, labels=labels, ids=np.arange(features.shape[0]))
 
 
-def load_dataset_splits(data_dir) -> dict[str, Split]:
-    """Load all three splits with the canonical global id numbering."""
-    out: dict[str, Split] = {}
-    offset = 0
-    for name in ("train", "query", "database"):
-        split = load_split(data_dir, name)
-        split.ids += offset
-        offset += split.ids.size
-        out[name] = split
-    return out
-
-
 class SplitLabels(NamedTuple):
     labels: np.ndarray    # (n,) class ids
     ids: np.ndarray       # (n,) global video ids
@@ -128,7 +115,7 @@ class SplitLabels(NamedTuple):
 
 def load_split_labels(data_dir) -> dict[str, SplitLabels]:
     """Labels and global ids of all three splits from the label files alone
-    (no features), numbered as load_dataset_splits numbers them."""
+    (no features); the ids run on across [train; query; database]."""
     out: dict[str, SplitLabels] = {}
     offset = 0
     for name in ("train", "query", "database"):
@@ -136,3 +123,12 @@ def load_split_labels(data_dir) -> dict[str, SplitLabels]:
         out[name] = SplitLabels(labels, np.arange(offset, offset + labels.size))
         offset += labels.size
     return out
+
+
+def load_dataset_splits(data_dir) -> dict[str, Split]:
+    """All three splits with their features, numbered as load_split_labels
+    numbers them."""
+    data_dir = Path(data_dir)
+    return {name: Split(serial.load_features(data_dir / f"{name}.features"),
+                        split.labels, split.ids)
+            for name, split in load_split_labels(data_dir).items()}

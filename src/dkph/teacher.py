@@ -176,7 +176,6 @@ class TeacherTrainResult:
     epoch_losses: list[float]  # mean training-batch loss per epoch
     eval_before: float         # fixed-mask loss at initialization
     eval_after: float
-    eval_masks: np.ndarray     # (N, M) bool
 
 
 def masked_eval_loss(features: np.ndarray, params: Params, masks: np.ndarray) -> float:
@@ -238,5 +237,4 @@ def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
 
     eval_after = masked_eval_loss(features, params, eval_masks)
     return TeacherTrainResult(params=params, epoch_losses=epoch_losses,
-                              eval_before=eval_before, eval_after=eval_after,
-                              eval_masks=eval_masks)
+                              eval_before=eval_before, eval_after=eval_after)

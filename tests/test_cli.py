@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from dkph import cli, serial
+from dkph import cli, pipeline, serial
 from dkph.config import RunConfig
 from dkph.pipeline import run_layout
 
@@ -35,19 +35,25 @@ def test_a_damaged_stage_record_reruns_the_stage(tiny):
     cfg, args = tiny
     assert cli.main(["synth-data", *args]) == 0
     meta = run_layout(cfg) / "meta" / "data.json"
-    meta.write_bytes(meta.read_bytes()[:20])
-    assert cli.main(["synth-data", *args]) == 0
-    assert json.loads(meta.read_text())["stage"] == "data"
-    assert [p.name for p in meta.parent.iterdir()] == ["data.json"]
+    # cut short, and valid JSON that is not an object with a list of output names
+    header = {"config_hash": cfg.config_hash(), "code_version": pipeline.CODE_VERSION}
+    records = [meta.read_bytes()[:20], b"[1, 2]", b"5", b"null", json.dumps(header).encode(),
+               *(json.dumps({**header, "outputs": outputs}).encode() for outputs in ("x", [5]))]
+    for record in records:
+        meta.write_bytes(record)
+        assert cli.main(["synth-data", *args]) == 0, record
+        assert json.loads(meta.read_text())["stage"] == "data"
+        assert [p.name for p in meta.parent.iterdir()] == ["data.json"]
 
 
 def test_data_teacher_graph_in_order_write_the_graph(tiny):
     cfg, args = tiny
     for command in ("synth-data", "train-teacher", "build-graph"):
         assert cli.main([command, *args]) == 0
-    positives, negatives, header = serial.load_graph(run_layout(cfg) / "graph.bin")
-    assert header["n"] == len(positives) == len(negatives) == 150
-    assert header["n_centers"] == 6 and header["p"] == 3
+    positives, negatives = serial.load_graph(run_layout(cfg) / "graph.bin")
+    assert len(positives) == len(negatives) == 150
+    centers = serial.load_checkpoint(run_layout(cfg) / "anchors.ckpt")["centers"]
+    assert centers.shape == (6, cfg.model_dim)
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"], ids=["missing", "binary"])
@@ -123,5 +129,5 @@ def test_a_graph_without_positive_edges_is_reported_naming_the_sign(tiny, tmp_pa
     run_through(["--config", str(path)], "build-graph")
     assert "the signed graph has no positive edges" in caplog.text
     assert "no negative edges" not in caplog.text
-    positives, negatives, _ = serial.load_graph(run_layout(cfg) / "graph.bin")
+    positives, negatives = serial.load_graph(run_layout(cfg) / "graph.bin")
     assert sum(p.size for p in positives) == 0 < sum(n.size for n in negatives)

@@ -1,4 +1,4 @@
-"""Anchor graph: k-means, sparse affinity, streaming adjacency, thresholds."""
+"""Anchor graph: k-means, sparse affinity, streaming adjacency, row labels."""
 
 import logging
 import math
@@ -12,17 +12,15 @@ from dkph import graph
 from dkph.exceptions import DegenerateAnchorError, SamplingError
 from dkph.graph import (
     AnchorSet,
-    GaussianThresholds,
     SignedGraph,
     SparseAffinity,
+    _label_row,
     adjacency_row,
     build_affinity,
     build_signed_graph,
     default_bandwidth,
     kmeans,
-    row_thresholds,
     sample_pairs,
-    sign_row,
 )
 
 
@@ -46,6 +44,12 @@ def dense_adjacency(z_dense):
 def brute_force_labels(vals, pt, nt, mu):
     """The two-line labeler from the threshold rule, entry by entry."""
     return [1 if v >= pt else (-1 if nt < v < mu else 0) for v in vals]
+
+
+def inertia(points, anchors):
+    """Sum of squared distances of the points to their assigned centres."""
+    diff = points - anchors.centers[anchors.assignments]
+    return float((diff * diff).sum())
 
 
 def oracle_adjacency_row(i, z):
@@ -118,7 +122,7 @@ class TestKmeans:
     def test_each_point_its_own_center_when_nc_equals_n(self):
         pts = np.random.default_rng(0).normal(size=(8, 3))
         out = kmeans(pts, 8, seed=1)
-        assert out.inertia == pytest.approx(0.0, abs=1e-20)
+        assert inertia(pts, out) == pytest.approx(0.0, abs=1e-20)
         assert sorted(out.assignments.tolist()) == list(range(8))
 
     def test_two_separated_blobs_recover_blob_means(self):
@@ -137,20 +141,21 @@ class TestKmeans:
     def test_duplicate_points_reseed_keeps_zero_inertia(self):
         pts = np.tile([1.0, 2.0], (6, 1))
         out = kmeans(pts, 2, seed=4)
-        assert out.inertia == 0.0
+        assert inertia(pts, out) == 0.0
         np.testing.assert_allclose(out.centers, np.tile([1.0, 2.0], (2, 1)))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 4)
 
-    def test_inertia_non_increasing(self):
+    def test_inertia_non_increasing(self, monkeypatch):
         pts = np.random.default_rng(5).normal(size=(60, 4))
         prev = math.inf
         for iters in (1, 2, 5, 20):
-            out = kmeans(pts, 6, seed=6, max_iters=iters)
-            assert out.inertia <= prev + 1e-12
-            prev = out.inertia
+            monkeypatch.setattr(graph, "KMEANS_ITERS", iters)
+            now = inertia(pts, kmeans(pts, 6, seed=6))
+            assert now <= prev + 1e-12
+            prev = now
 
     def test_blocked_sq_dists_equal_plain_broadcast(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -177,7 +182,7 @@ class TestAffinity:
 
     def test_equidistant_centers_split_evenly_for_any_alpha(self):
         anchors = AnchorSet(centers=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                            assignments=np.zeros(1, dtype=np.int64), inertia=0.0)
+                            assignments=np.zeros(1, dtype=np.int64))
         for alpha in (0.1, 1.0, 17.0):
             z = build_affinity(np.array([[0.0, 3.0]]), anchors, p=2, alpha=alpha)
             np.testing.assert_allclose(z.weights, [[0.5, 0.5]], atol=1e-15)
@@ -203,7 +208,7 @@ class TestAffinity:
     def test_parameter_validation(self):
         pts = np.zeros((4, 2))
         anchors = AnchorSet(centers=np.zeros((2, 2)),
-                            assignments=np.zeros(4, dtype=np.int64), inertia=0.0)
+                            assignments=np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError):
             build_affinity(pts, anchors, p=3, alpha=1.0)
         with pytest.raises(ValueError):
@@ -214,7 +219,7 @@ class TestAdjacencyRow:
     def test_single_video_row_is_one(self):
         pts = np.array([[1.0, 2.0]])
         anchors = AnchorSet(centers=np.array([[0.0, 0.0], [5.0, 5.0]]),
-                            assignments=np.zeros(1, dtype=np.int64), inertia=0.0)
+                            assignments=np.zeros(1, dtype=np.int64))
         z = build_affinity(pts, anchors, p=2, alpha=1.0)
         idx, vals = adjacency_row(0, z)
         assert idx.tolist() == [0]
@@ -254,67 +259,83 @@ class TestAdjacencyRow:
         assert exc.value.center == bad
 
 
+# Rows whose mean and std are exact in binary: the support [0.25, 0.75] has
+# mu = 0.5 and eps = 0.25, so PT = 0.5 + 0.25 * lambda1 and
+# NT = 0.5 - 0.25 * lambda2 land on entries for integer lambdas.
+
+
 class TestThresholds:
     def test_two_point_hand_case(self):
-        idx = np.array([1, 2])
-        vals = np.array([0.1, 0.3])
-        th = row_thresholds(idx, vals, i=0, lambda1=2.0, lambda2=1.0)
-        assert th.mu == pytest.approx(0.2)
-        assert th.eps == pytest.approx(0.1)
-        assert th.pt == pytest.approx(0.4)
-        assert th.nt == pytest.approx(0.1)
+        # lambda1 = lambda2 = 1: PT = 0.75 and NT = 0.25, both entries of the row
+        pos, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                              lambda1=1.0, lambda2=1.0)
+        assert pos.tolist() == [2] and neg.size == 0
+        pos, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                              lambda1=1.0, lambda2=2.0)  # NT = 0
+        assert pos.tolist() == [2] and neg.tolist() == [1]
 
     def test_constant_row_collapses_thresholds_and_labels_all_positive(self):
         idx = np.array([0, 1, 2, 3])
         vals = np.array([0.25, 0.25, 0.25, 0.25])
-        th = row_thresholds(idx, vals, i=0, lambda1=2.0, lambda2=1.0)
-        assert th.pt == th.nt == th.mu == 0.25
-        assert th.eps == 0.0
-        pos, neg = sign_row(idx, vals, i=0, th=th)
+        pos, neg = _label_row(idx, vals, i=0, lambda1=2.0, lambda2=1.0)
         assert pos.tolist() == [1, 2, 3]  # self entry stripped
         assert neg.size == 0
 
     def test_self_and_zero_entries_excluded_from_support(self):
+        # support {0.25, 0.75}: PT = 0.75 and NT = 0.375. Counting the self
+        # entry 0.9 would lift PT above 0.75; counting the zero would lower
+        # mu to 1/3 and NT below 0.25, making 0.25 a negative.
         idx = np.array([0, 1, 2, 3])
-        vals = np.array([0.9, 0.1, 0.0, 0.3])
-        th = row_thresholds(idx, vals, i=0, lambda1=1.0, lambda2=1.0)
-        assert th.support_count == 2
-        assert th.mu == pytest.approx(0.2)
+        vals = np.array([0.9, 0.25, 0.0, 0.75])
+        pos, neg = _label_row(idx, vals, i=0, lambda1=1.0, lambda2=0.5)
+        assert pos.tolist() == [3] and neg.size == 0
 
     def test_isolated_rows_flagged(self):
-        th = row_thresholds(np.array([0, 5]), np.array([0.5, 0.2]), i=0,
-                            lambda1=2.0, lambda2=1.0)
-        assert th.isolated and th.support_count == 1
+        # one off-diagonal support entry: the row gets no edges
+        for vals in ([0.5, 0.2], [0.5, 0.2, 0.0]):
+            idx = np.arange(len(vals))
+            pos, neg = _label_row(idx, np.array(vals), i=0, lambda1=0.0, lambda2=9.0)
+            assert pos.size == 0 and neg.size == 0
+            assert pos.dtype == neg.dtype == np.int64
 
     def test_ordering_invariant(self):
-        th = row_thresholds(np.array([1, 2, 3]), np.array([0.1, 0.5, 0.3]), i=0,
-                            lambda1=1.5, lambda2=0.5)
-        assert th.nt <= th.mu <= th.pt
+        # NT <= mu <= PT: every positive lies above every negative
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            vals = rng.random(10)
+            pos, neg = _label_row(np.arange(1, 11), vals, i=0, lambda1=1.5, lambda2=0.5)
+            if pos.size and neg.size:
+                assert vals[pos - 1].min() > vals[neg - 1].max()
 
 
 class TestSignRow:
     def test_boundary_at_pt_is_positive(self):
-        th = GaussianThresholds(mu=0.2, eps=0.1, pt=0.4, nt=0.1, support_count=5)
-        pos, neg = sign_row(np.array([1]), np.array([0.4]), i=0, th=th)
-        assert pos.tolist() == [1] and neg.size == 0
+        pos, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                              lambda1=1.0, lambda2=0.0)  # PT = 0.75
+        assert pos.tolist() == [2] and neg.size == 0
+        pos, _ = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                            lambda1=1.5, lambda2=0.0)  # PT = 0.875
+        assert pos.size == 0
 
     def test_boundary_at_mu_is_zero(self):
-        th = GaussianThresholds(mu=0.2, eps=0.1, pt=0.4, nt=0.1, support_count=5)
-        pos, neg = sign_row(np.array([1]), np.array([0.2]), i=0, th=th)
-        assert pos.size == 0 and neg.size == 0
+        # mu = 1.5 / 3 = 0.5 exactly, and the entry at mu is neither sign
+        pos, neg = _label_row(np.array([1, 2, 3]), np.array([0.25, 0.5, 0.75]), i=0,
+                              lambda1=0.5, lambda2=9.0)
+        assert pos.tolist() == [3] and neg.tolist() == [1]
 
     def test_boundary_at_nt_is_zero(self):
-        th = GaussianThresholds(mu=0.2, eps=0.1, pt=0.4, nt=0.1, support_count=5)
-        pos, neg = sign_row(np.array([1]), np.array([0.1]), i=0, th=th)
+        pos, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                              lambda1=9.0, lambda2=1.0)  # NT = 0.25
         assert pos.size == 0 and neg.size == 0
+        _, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                            lambda1=9.0, lambda2=1.5)  # NT = 0.125
+        assert neg.tolist() == [1]
 
     def test_spec_style_hand_row(self):
+        # mu = 0.2375, eps ~= 0.16724: PT ~= 0.572, NT ~= 0.070
         idx = np.array([1, 2, 3, 4])
         vals = np.array([0.5, 0.25, 0.15, 0.05])
-        th = row_thresholds(idx, vals, i=0, lambda1=2.0, lambda2=1.0)
-        assert th.mu == pytest.approx(0.2375)
-        assert th.eps == pytest.approx(0.16724, abs=1e-4)
-        pos, neg = sign_row(idx, vals, i=0, th=th)
+        pos, neg = _label_row(idx, vals, i=0, lambda1=2.0, lambda2=1.0)
         assert pos.size == 0
         assert neg.tolist() == [3]  # only 0.15 sits in (NT, mu)
 
@@ -325,9 +346,9 @@ class TestSignRow:
             vals = rng.random(n)
             idx = np.arange(1, n + 1)
             l1, l2 = rng.random() * 3, rng.random() * 2
-            th = row_thresholds(idx, vals, i=0, lambda1=l1, lambda2=l2)
-            pos, neg = sign_row(idx, vals, i=0, th=th)
-            expected = brute_force_labels(vals, th.pt, th.nt, th.mu)
+            mu, eps = float(vals.mean()), float(vals.std())
+            pos, neg = _label_row(idx, vals, i=0, lambda1=l1, lambda2=l2)
+            expected = brute_force_labels(vals, mu + l1 * eps, mu - l2 * eps, mu)
             got = np.zeros(n, dtype=int)
             got[np.isin(idx, pos)] = 1
             got[np.isin(idx, neg)] = -1
@@ -339,8 +360,7 @@ class TestSignRow:
         idx = np.arange(1, 21)
         prev = 21
         for l1 in (0.0, 0.5, 1.0, 2.0, 4.0):
-            th = row_thresholds(idx, vals, i=0, lambda1=l1, lambda2=1.0)
-            pos, _ = sign_row(idx, vals, i=0, th=th)
+            pos, _ = _label_row(idx, vals, i=0, lambda1=l1, lambda2=1.0)
             assert pos.size <= prev
             prev = pos.size
 
@@ -404,8 +424,7 @@ class TestBuildSignedGraph:
         g = build_signed_graph(z, lambda1=1.0, lambda2=1.0)
         for i in range(30):
             idx, vals = adjacency_row(i, z)
-            th = row_thresholds(idx, vals, i, 1.0, 1.0)
-            pos, neg = sign_row(idx, vals, i, th)
+            pos, neg = _label_row(idx, vals, i, 1.0, 1.0)
             np.testing.assert_array_equal(g.positives[i], pos)
             np.testing.assert_array_equal(g.negatives[i], neg)
             assert i not in g.positives[i] and i not in g.negatives[i]
@@ -461,7 +480,7 @@ class TestBlockKernelAgainstOracle:
     def test_constant_rows_label_every_neighbour_positive(self, p):
         n = 8  # every entry is exactly 1/8, so the mean is too
         z = SparseAffinity(center_idx=np.tile(np.arange(p), (n, 1)),
-                           weights=np.full((n, p), 1.0 / p), alpha=1.0, n_centers=p)
+                           weights=np.full((n, p), 1.0 / p), n_centers=p)
         g = assert_graph_matches_oracle(z, 2.0, 1.0)
         for i in range(n):
             assert g.positives[i].tolist() == [j for j in range(n) if j != i]

@@ -63,9 +63,14 @@ def test_split_labels_number_ids_like_the_full_splits(tiny_run):
     full = synth.load_dataset_splits(first.run_dir / "data")
     labels = synth.load_split_labels(first.run_dir / "data")
     assert list(labels) == list(full) == ["train", "query", "database"]
+    start = 0
     for name, split in full.items():
+        alone = synth.load_split(first.run_dir / "data", name)
+        np.testing.assert_array_equal(split.features, alone.features)
         np.testing.assert_array_equal(labels[name].labels, split.labels)
         np.testing.assert_array_equal(labels[name].ids, split.ids)
+        np.testing.assert_array_equal(split.ids, start + alone.ids)
+        start += split.ids.size
 
 
 def test_evaluate_codes_reads_no_features(tiny_run, monkeypatch):
@@ -170,7 +175,7 @@ def test_teacher_embeddings_are_frame_means_of_the_teacher_encoder(tiny_run):
 def test_graph_artifacts_give_the_graph_and_each_video_anchor_centre(tiny_run):
     _, _, first = tiny_run
     graph, anchor_of = pipeline.load_graph_artifacts(first.run_dir)
-    positives, negatives, _ = serial.load_graph(first.run_dir / "graph.bin")
+    positives, negatives = serial.load_graph(first.run_dir / "graph.bin")
     blob = serial.load_checkpoint(first.run_dir / "anchors.ckpt")
     assignments = blob["assignments"].reshape(-1)
     assert len(graph.positives) == len(assignments) == len(positives)
@@ -216,8 +221,8 @@ def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):
                 [(n, a.shape) for n, a in init.items()], out
             assert {a.dtype for a in params.values()} == {np.dtype(np.float32)}, out
         elif path.suffix == ".bin":
-            positives, negatives, header = serial.load_graph(path)
-            assert len(positives) == len(negatives) == header["n"] == count["train"]
+            positives, negatives = serial.load_graph(path)
+            assert len(positives) == len(negatives) == count["train"]
         else:
             assert path.suffix in (".labels", ".json", ".txt"), out
             continue

@@ -88,7 +88,7 @@ def test_teacher_training_and_eval_stay_float32(record):
     result = train_teacher(feats, dataclasses.replace(TOY, teacher_epochs=2, teacher_bits=16,
                                                       batch_size=4, train_seed=0))
     assert float_dtypes(result.params) == {np.dtype(np.float32)}
-    masked_eval_loss(feats, result.params, result.eval_masks)
+    masked_eval_loss(feats, result.params, np.ones(feats.shape[:2], dtype=bool))
     assert set(seen) == {"teacher_forward", "teacher_backward", "teacher_recon_loss",
                          "Adam.params", "Adam.grads", "Adam.moments"}
     assert seen == {name: {np.dtype(np.float32)} for name in seen}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dkph import codes, retrieval
 from dkph.codes import BinaryCode, pack_bits
 from dkph.exceptions import ShapeError
-from dkph.retrieval import CodeIndex, MapScore, hamming, map_at_k, pr_curve, query_topk
+from dkph.retrieval import CodeIndex, MapScore, map_at_k, pr_curve, query_topk
 
 
 def random_bits(rng, n, k):
@@ -36,37 +36,44 @@ def oracle_ap_at_k(rel_in_rank_order, k):
     return total / min(r_total, k)
 
 
+def distance(a, b):
+    """Hamming distance of two codes through the packed kernel."""
+    return int(retrieval.packed_distances(CodeIndex.from_bits(a.bits[None]).words,
+                                          CodeIndex.from_bits(b.bits[None]).words)[0, 0])
+
+
 class TestHamming:
     def test_identical_codes(self):
         a = BinaryCode(np.array([1, -1, 1, 1, -1, 1, -1, -1], dtype=np.int8))
-        assert hamming(a, a) == 0
+        assert distance(a, a) == 0
 
     def test_complement_is_k(self):
         for k in (1, 8, 13, 64):
             bits = np.where(np.random.default_rng(k).random(k) > 0.5, 1, -1).astype(np.int8)
-            assert hamming(BinaryCode(bits), BinaryCode(-bits)) == k
+            assert distance(BinaryCode(bits), BinaryCode(-bits)) == k
 
     def test_hand_case_k8(self):
         a = BinaryCode(np.array([1, 1, -1, -1, 1, -1, 1, 1], dtype=np.int8))
         b = BinaryCode(np.array([1, -1, -1, 1, 1, -1, -1, 1], dtype=np.int8))
-        assert hamming(a, b) == 3
+        assert distance(a, b) == 3
         assert oracle_hamming(a.bits, b.bits) == 3
+        assert query_topk(CodeIndex.from_bits(b.bits[None]), a, k=1).distances.tolist() == [3]
 
     def test_length_mismatch(self):
+        idx = CodeIndex.from_bits(np.ones((2, 16), dtype=np.int8))
         with pytest.raises(ShapeError):
-            hamming(BinaryCode(np.ones(8, dtype=np.int8)),
-                    BinaryCode(np.ones(16, dtype=np.int8)))
+            query_topk(idx, BinaryCode(np.ones(8, dtype=np.int8)), k=1)
 
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_metric_properties(self, k, seed):
         rng = np.random.default_rng(seed)
         a, b, c = (BinaryCode(row) for row in random_bits(rng, 3, k))
-        assert hamming(a, b) == hamming(b, a)
-        assert hamming(a, a) == 0
-        assert (hamming(a, b) == 0) == np.array_equal(a.bits, b.bits)
-        assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
-        assert hamming(a, b) == oracle_hamming(a.bits, b.bits)
+        assert distance(a, b) == distance(b, a)
+        assert distance(a, a) == 0
+        assert (distance(a, b) == 0) == np.array_equal(a.bits, b.bits)
+        assert distance(a, c) <= distance(a, b) + distance(b, c)
+        assert distance(a, b) == oracle_hamming(a.bits, b.bits)
 
 
 class TestQueryTopk:
@@ -315,12 +322,12 @@ def oracle_rank_all(idx, query_row, exclude_id=None):
     return ids[order], dists[order], (labels[order] if labels is not None else None)
 
 
-def oracle_map_at_k(query_bits, query_labels, idx, k, query_ids=None, exclude_self=True):
+def oracle_map_at_k(query_bits, query_labels, idx, k, query_ids=None):
     ap_sum = 0.0
     evaluated = 0
     skipped = 0
     for qi in range(query_bits.shape[0]):
-        exclude = query_ids[qi] if (exclude_self and query_ids is not None) else None
+        exclude = query_ids[qi] if query_ids is not None else None
         _, _, labels = oracle_rank_all(idx, query_bits[qi], exclude)
         rel = labels == query_labels[qi]
         r_total = int(rel.sum())
@@ -338,10 +345,10 @@ def oracle_map_at_k(query_bits, query_labels, idx, k, query_ids=None, exclude_se
     return MapScore(value=ap_sum / evaluated, evaluated=evaluated, skipped=skipped)
 
 
-def oracle_pr_curve(query_bits, query_labels, idx, query_ids=None, exclude_self=True):
+def oracle_pr_curve(query_bits, query_labels, idx, query_ids=None):
     per_query = []
     for qi in range(query_bits.shape[0]):
-        exclude = query_ids[qi] if (exclude_self and query_ids is not None) else None
+        exclude = query_ids[qi] if query_ids is not None else None
         _, dists, labels = oracle_rank_all(idx, query_bits[qi], exclude)
         rel = labels == query_labels[qi]
         if rel.sum() == 0:
@@ -391,26 +398,28 @@ class TestAgainstOracle:
            st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_map_pr_and_topk_match_oracle(self, k_bits, n, nq, n_classes, all_equal,
-                                          exclude_self, block_rows, seed):
+                                          with_ids, block_rows, seed):
         rng = np.random.default_rng(seed)
         idx, q_bits, q_labels, q_ids = oracle_case(rng, k_bits, n, nq, n_classes, all_equal)
+        # without query ids, member queries keep their own row in the results
+        q_ids = q_ids if with_ids else None
         with pytest.MonkeyPatch.context() as mp:
             # blocks of block_rows queries; the last one is ragged unless it divides nq
             mp.setattr(retrieval, "BLOCK_BYTES", block_rows * 8 * n)
             for k in sorted({1, 2, 5, max(1, n - 1), n, n + 1, n + 7}):
-                want = oracle_map_at_k(q_bits, q_labels, idx, k, q_ids, exclude_self)
+                want = oracle_map_at_k(q_bits, q_labels, idx, k, q_ids)
                 if want is None:
                     with pytest.raises(ValueError, match="no evaluable queries"):
-                        map_at_k(q_bits, q_labels, idx, k, q_ids, exclude_self)
+                        map_at_k(q_bits, q_labels, idx, k, q_ids)
                     continue
-                got = map_at_k(q_bits, q_labels, idx, k, q_ids, exclude_self)
+                got = map_at_k(q_bits, q_labels, idx, k, q_ids)
                 assert (got.value, got.evaluated, got.skipped) == \
                     (want.value, want.evaluated, want.skipped)
-            assert pr_curve(q_bits, q_labels, idx, q_ids, exclude_self) == \
-                oracle_pr_curve(q_bits, q_labels, idx, q_ids, exclude_self)
+            assert pr_curve(q_bits, q_labels, idx, q_ids) == \
+                oracle_pr_curve(q_bits, q_labels, idx, q_ids)
 
         for qi in range(nq):
-            exclude = q_ids[qi] if exclude_self else None
+            exclude = q_ids[qi] if with_ids else None
             ids, dists, _ = oracle_rank_all(idx, q_bits[qi], exclude)
             code = BinaryCode(q_bits[qi])
             for k in sorted({0, min(1, ids.size), ids.size // 2, ids.size}):

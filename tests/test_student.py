@@ -9,6 +9,7 @@ from dataclasses import replace
 from dkph import encoder, student
 from dkph.codes import unpack_bits, pack_bits
 from dkph.config import RunConfig
+from dkph.exceptions import TrainingError
 from dkph.graph import PairSample, SignedGraph, sample_pairs
 from dkph.gradcheck import student_gradient_check, teacher_gradient_check
 from dkph.optim import Adam
@@ -288,6 +289,15 @@ class TestStep:
         for name, arr in a.params.items():
             np.testing.assert_array_equal(arr, b.params[name])
         assert a.history == b.history
+
+    def test_nan_features_raise_training_error_with_epoch(self):
+        # every frame of video 0 is poisoned, and each epoch's batches cover it
+        feats, graph, anchor_of = two_class_setup()
+        feats[0, :, 0] = np.nan
+        cfg = replace(TOY, student_epochs=2, batch_size=3, train_seed=0)
+        with pytest.raises(TrainingError) as exc:
+            train_student(feats, cfg, graph, anchor_of, code_bits=K)
+        assert exc.value.epoch == 0
 
     def test_training_log_lines(self, tmp_path):
         history = [{"epoch": 0, "recon": 1.0, "bsim": 0.5, "tsim": 0.25, "total": 1.28}]
