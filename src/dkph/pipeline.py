@@ -8,7 +8,8 @@ reproduce the previous report byte for byte (wall times are recorded when
 a stage first executes and re-read afterwards).
 
 Stage artifacts
-    data       {train,query,database}.{features,labels} + dataset.json
+    data       {train,query,database}.{features,labels} + dataset.json,
+               and config.cfg (the run's RunConfig, loadable with RunConfig.load)
     teacher    teacher.ckpt, teacher_log.txt, embeddings.features
     graph      graph.bin, anchors.ckpt
     student_K  student_K.ckpt, student_K_log.txt
@@ -197,9 +198,10 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
                    "database": int(dataset.database.ids.size),
                    "prototype_accuracy": dataset.prototype_accuracy}
         (data_dir / "dataset.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
+        cfg.save(run_dir / "config.cfg")
 
     outputs = [f"data/{n}.{kind}" for n in ("train", "query", "database")
-               for kind in ("features", "labels")] + ["data/dataset.json"]
+               for kind in ("features", "labels")] + ["data/dataset.json", "config.cfg"]
     _run_stage(run_dir, "data", cfg, outputs, fn)
 
 

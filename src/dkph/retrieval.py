@@ -8,12 +8,17 @@ bits are zero in both operands, so they never count.
 ``map_at_k`` and ``pr_curve`` pack their queries once and compute one
 (queries x database) distance matrix per call, in blocks of query rows
 sized so that one (B, n_db) int64 buffer fits BLOCK_BYTES; everything else
-derives from it. Results are ranked by the single int64 key
+derives from it. Results are ranked by the single key
 ``distance * n + rank_of_id``, where ``rank_of_id`` is an item's position in
 ascending id order: keys are unique, so ties (equal distance) break toward
 the lower id and every ranked list is deterministic without a stable sort.
-mAP@k takes an argpartition top-k and sorts only those k items; the PR
-sweep ranks nothing and reads per-query histograms of distance 0..K.
+A key also names its item, as ``rank_of_id = key % n`` and
+``distance = key // n``, so ranking partitions the key values themselves
+(``np.partition``, then a sort of the k smallest) and never their
+positions. Keys are int32 when every key fits, that is when
+(K + 2) * n <= 2**31 - 1 (the largest distance is K + 1, an excluded own
+row), and int64 otherwise; the index picks the dtype once. The PR sweep
+ranks nothing and reads per-query histograms of distance 0..K.
 
 Evaluation conventions:
   * AP@k divides by min(R, k), where R is the number of relevant items in
@@ -41,6 +46,11 @@ MAP_KS = (5, 20, 60, 100)
 
 # Byte budget of one (B, n_db) int64 work buffer of a block of query rows.
 BLOCK_BYTES = 1 << 20
+
+
+def _key_dtype(k: int, n: int) -> type:
+    """int32 when every ranking key of n k-bit codes fits it, else int64."""
+    return np.int32 if (k + 2) * n <= np.iinfo(np.int32).max else np.int64
 
 
 def _as_words(packed: np.ndarray) -> np.ndarray:
@@ -72,8 +82,9 @@ class CodeIndex:
     k: int
     labels: np.ndarray | None = None  # (n,) semantic labels, optional
     # derived once: the packed rows as uint64 words; each row's position in
-    # ascending id order (the tie-breaking part of the ranking key); the rows
-    # in that order and their ids (to find a row by id)
+    # ascending id order (the tie-breaking part of the ranking key), in the
+    # key dtype of _key_dtype(k, n); the rows in that order and their ids
+    # (to find a row by id)
     words: np.ndarray = field(init=False, repr=False)
     rank_of_id: np.ndarray = field(init=False, repr=False)
     _id_order: np.ndarray = field(init=False, repr=False)
@@ -95,7 +106,7 @@ class CodeIndex:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.size != self.ids.size:
                 raise ShapeError("labels and ids differ in count")
-        self.rank_of_id = np.empty(self.n, dtype=np.int64)
+        self.rank_of_id = np.empty(self.n, dtype=_key_dtype(self.k, self.n))
         self.rank_of_id[self._id_order] = np.arange(self.n)
         self.words = _as_words(self.packed)
 
@@ -127,13 +138,21 @@ class RankedList:
     distances: np.ndarray
 
 
-def _ranked(key: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the k smallest keys of each row, in ascending key order."""
-    if k >= key.shape[1]:
-        return np.argsort(key, axis=1)
-    top = np.argpartition(key, k - 1, axis=1)[:, :k]
-    rows = np.arange(key.shape[0])[:, None]
-    return top[rows, np.argsort(key[rows, top], axis=1)]
+def _keys(idx: CodeIndex, dist: np.ndarray) -> np.ndarray:
+    """Ranking keys ``dist * n + rank_of_id`` in the index's key dtype; may reuse dist."""
+    key = dist.astype(idx.rank_of_id.dtype, copy=False)
+    key *= idx.n
+    key += idx.rank_of_id
+    return key
+
+
+def _top_keys(key: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest keys along the last axis, ascending (all of them if k >= n)."""
+    if k >= key.shape[-1]:
+        return np.sort(key, axis=-1)
+    top = np.partition(key, k - 1, axis=-1)[..., :k]
+    top.sort(axis=-1)
+    return top
 
 
 def query_topk(idx: CodeIndex, query: BinaryCode, k: int, exclude_id=None) -> RankedList:
@@ -148,14 +167,8 @@ def query_topk(idx: CodeIndex, query: BinaryCode, k: int, exclude_id=None) -> Ra
         size -= np.count_nonzero(own)
     if not 0 <= k <= size:
         raise ValueError(f"k={k} outside 0..{size}, the database size after exclusion")
-    key = dist * idx.n
-    key += idx.rank_of_id
-    if k < idx.n:
-        top = np.argpartition(key, k - 1)[:k]
-        top = top[np.argsort(key[top])]
-    else:
-        top = np.argsort(key)
-    return RankedList(ids=idx.ids[top], distances=dist[top])
+    distances, rank = np.divmod(_top_keys(_keys(idx, dist), k), idx.n)
+    return RankedList(ids=idx._sorted_ids[rank], distances=distances.astype(np.int64))
 
 
 @dataclass
@@ -225,14 +238,12 @@ def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,
         raise ValueError(f"k must be >= 1, got {k}")
     aps = []
     skipped = 0
-    for key, rel, r_total, has_own, n_skipped in _live_blocks(idx, q_words, q_labels, own):
+    for dist, rel, r_total, has_own, n_skipped in _live_blocks(idx, q_words, q_labels, own):
         skipped += n_skipped
         if not r_total.size:
             continue
-        key *= idx.n
-        key += idx.rank_of_id
-        top = _ranked(key, k)
-        hit = rel[np.arange(top.shape[0])[:, None], top]
+        top = _top_keys(_keys(idx, dist), k)
+        hit = rel[np.arange(top.shape[0])[:, None], idx._id_order[top % idx.n]]
         terms = np.cumsum(hit, axis=1) / np.arange(1, top.shape[1] + 1) * hit
         sums = terms.sum(axis=1)
         if top.shape[1] == idx.n:

@@ -224,10 +224,18 @@ def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):
             positives, negatives = serial.load_graph(path)
             assert len(positives) == len(negatives) == count["train"]
         else:
-            assert path.suffix in (".labels", ".json", ".txt"), out
+            assert path.suffix in (".labels", ".json", ".txt", ".cfg"), out
             continue
         loaded.add(path.suffix)
     assert loaded == {".features", ".codes", ".ckpt", ".bin"}
+
+
+def test_the_run_dir_names_its_own_config(tiny_run):
+    cfg, _, first = tiny_run
+    assert "config.cfg" in _meta(first.run_dir)["data"]["outputs"]
+    saved = RunConfig.load(first.run_dir / "config.cfg")
+    assert saved.config_hash() == first.config_hash == cfg.config_hash()
+    assert saved == cfg
 
 
 def test_meta_records_carry_the_code_version(tiny_run):

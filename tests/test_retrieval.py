@@ -132,6 +132,38 @@ class TestQueryTopk:
             CodeIndex.from_bits(np.ones((2, 8), dtype=np.int8), ids=[1, 1])
 
 
+class TestTopKeys:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    # a large row too: on small ones, np.partition may leave the k smallest sorted
+    @pytest.mark.parametrize("shape", [(11,), (5, 11), (2000,), (3, 2000)],
+                             ids=["1-D", "2-D", "1-D-large", "2-D-large"])
+    def test_equals_the_argsort_ranking(self, shape, dtype):
+        rng = np.random.default_rng(12)
+        n = shape[-1]
+        ids = rng.permutation(20 * n)[:n] * 3 - 10 * n   # shuffled, non-contiguous
+        id_order = np.argsort(ids)
+        rank_of_id = np.argsort(id_order)
+        dist = rng.integers(0, 4, shape)                 # many ties
+        key = (dist * n + rank_of_id).astype(dtype)
+        order = np.argsort(key, axis=-1)
+        for k in sorted({0, 1, n // 2, n - 1, n, n + 3}):
+            top = retrieval._top_keys(key, k)
+            assert top.dtype == dtype
+            assert top.tolist() == np.take_along_axis(key, order, -1)[..., :k].tolist()
+            # each key names its item: ids in rank order and their distances
+            assert ids[id_order[top % n]].tolist() == ids[order[..., :k]].tolist()
+            assert (top // n).tolist() == \
+                np.take_along_axis(dist, order[..., :k], -1).tolist()
+
+    def test_key_dtype_is_int32_while_every_key_fits(self):
+        limit = 2**31 - 1   # (K + 2) * n bounds every key, own-row exclusion included
+        assert retrieval._key_dtype(limit - 2, 1) is np.int32
+        assert retrieval._key_dtype(limit - 1, 1) is np.int64
+        assert retrieval._key_dtype(62, 2**25 - 1) is np.int32   # 2**31 - 64
+        assert retrieval._key_dtype(62, 2**25) is np.int64       # 2**31
+        assert retrieval._key_dtype(64, 3000) is np.int32
+
+
 def index_with_ranks(query, rel_pattern, k_bits=16):
     """Database where item i sits at Hamming distance i+1 from the query,
     labeled 1 when rel_pattern[i] else 0 (query label is 1)."""
@@ -171,17 +203,49 @@ class TestMapAtK:
         out = map_at_k(queries, [1, 7], idx, k=2)  # label 7 has no matches
         assert out.evaluated == 1 and out.skipped == 1
 
+    @staticmethod
+    def invariance_case(rng):
+        """120 12-bit codes (many distance ties) under shuffled, non-contiguous
+        ids; half the queries are database members, named by their ids, and
+        one fresh query's class 4 has no database item."""
+        n = 120
+        bits = random_bits(rng, n, 12)
+        ids = rng.permutation(10 * n)[:n] * 7 - 3 * n
+        labels = rng.integers(0, 4, n)
+        rows = rng.integers(0, n, 8)
+        queries = np.concatenate([bits[rows[:4]], random_bits(rng, 4, 12)])
+        qlabels = np.concatenate([labels[rows[:4]], [4], rng.integers(0, 4, 3)])
+        qids = np.concatenate([ids[rows[:4]], 10**6 + np.arange(4)])
+        return bits, ids, labels, queries, qlabels, qids
+
+    @staticmethod
+    def every_result(bits, ids, labels, queries, qlabels, qids):
+        """Every mAP@k the database holds, the PR curve, and each query's
+        top-k (ids, distances): ties break by id, so all of it is exact."""
+        idx = CodeIndex.from_bits(bits, ids=ids, labels=labels)
+        maps = [(k, map_at_k(queries, qlabels, idx, k, qids)) for k in retrieval.MAP_KS
+                if k <= idx.n]
+        assert [k for k, _ in maps] == list(retrieval.MAP_KS)
+        topk = [query_topk(idx, BinaryCode(q), 30, exclude_id=i) for q, i in zip(queries, qids)]
+        return (maps, pr_curve(queries, qlabels, idx, qids),
+                [(r.ids.tolist(), r.distances.tolist()) for r in topk])
+
     def test_database_permutation_invariance(self):
         rng = np.random.default_rng(3)
-        bits = random_bits(rng, 20, 12)
-        labels = rng.integers(0, 3, 20)
-        queries = random_bits(rng, 6, 12)
-        qlabels = rng.integers(0, 3, 6)
-        idx = CodeIndex.from_bits(bits, ids=np.arange(20), labels=labels)
-        base = map_at_k(queries, qlabels, idx, k=5).value
-        perm = rng.permutation(20)
-        idx_p = CodeIndex.from_bits(bits[perm], ids=np.arange(20)[perm], labels=labels[perm])
-        assert map_at_k(queries, qlabels, idx_p, k=5).value == pytest.approx(base, abs=1e-12)
+        bits, ids, labels, queries, qlabels, qids = self.invariance_case(rng)
+        base = self.every_result(bits, ids, labels, queries, qlabels, qids)
+        for _ in range(3):
+            perm = rng.permutation(ids.size)
+            assert self.every_result(bits[perm], ids[perm], labels[perm],
+                                     queries, qlabels, qids) == base
+
+    def test_renaming_the_classes_by_a_bijection_changes_no_number(self):
+        rng = np.random.default_rng(13)
+        bits, ids, labels, queries, qlabels, qids = self.invariance_case(rng)
+        base = self.every_result(bits, ids, labels, queries, qlabels, qids)
+        rename = rng.permutation(50)[:5] * 11 - 200
+        assert self.every_result(bits, ids, rename[labels], queries, rename[qlabels],
+                                 qids) == base
 
     def test_self_exclusion_drops_trivial_hit(self):
         rng = np.random.default_rng(4)
@@ -392,42 +456,59 @@ def oracle_case(rng, k_bits, n, nq, n_classes, all_equal):
     return idx, q_bits, q_labels, q_ids
 
 
-class TestAgainstOracle:
-    @given(st.sampled_from(WIDTHS), st.integers(1, 30), st.integers(1, 17),
-           st.integers(1, 4), st.booleans(), st.booleans(), st.integers(1, 6),
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=80, deadline=None)
-    def test_map_pr_and_topk_match_oracle(self, k_bits, n, nq, n_classes, all_equal,
-                                          with_ids, block_rows, seed):
-        rng = np.random.default_rng(seed)
-        idx, q_bits, q_labels, q_ids = oracle_case(rng, k_bits, n, nq, n_classes, all_equal)
-        # without query ids, member queries keep their own row in the results
-        q_ids = q_ids if with_ids else None
-        with pytest.MonkeyPatch.context() as mp:
-            # blocks of block_rows queries; the last one is ragged unless it divides nq
-            mp.setattr(retrieval, "BLOCK_BYTES", block_rows * 8 * n)
-            for k in sorted({1, 2, 5, max(1, n - 1), n, n + 1, n + 7}):
-                want = oracle_map_at_k(q_bits, q_labels, idx, k, q_ids)
-                if want is None:
-                    with pytest.raises(ValueError, match="no evaluable queries"):
-                        map_at_k(q_bits, q_labels, idx, k, q_ids)
-                    continue
-                got = map_at_k(q_bits, q_labels, idx, k, q_ids)
-                assert (got.value, got.evaluated, got.skipped) == \
-                    (want.value, want.evaluated, want.skipped)
-            assert pr_curve(q_bits, q_labels, idx, q_ids) == \
-                oracle_pr_curve(q_bits, q_labels, idx, q_ids)
+def check_against_oracle(k_bits, n, nq, n_classes, all_equal, with_ids, block_rows, seed):
+    """map_at_k, pr_curve and query_topk on one oracle_case equal the
+    oracles exactly; returns the case's index."""
+    rng = np.random.default_rng(seed)
+    idx, q_bits, q_labels, q_ids = oracle_case(rng, k_bits, n, nq, n_classes, all_equal)
+    # without query ids, member queries keep their own row in the results
+    q_ids = q_ids if with_ids else None
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of block_rows queries; the last one is ragged unless it divides nq
+        mp.setattr(retrieval, "BLOCK_BYTES", block_rows * 8 * n)
+        for k in sorted({1, 2, 5, max(1, n - 1), n, n + 1, n + 7}):
+            want = oracle_map_at_k(q_bits, q_labels, idx, k, q_ids)
+            if want is None:
+                with pytest.raises(ValueError, match="no evaluable queries"):
+                    map_at_k(q_bits, q_labels, idx, k, q_ids)
+                continue
+            got = map_at_k(q_bits, q_labels, idx, k, q_ids)
+            assert (got.value, got.evaluated, got.skipped) == \
+                (want.value, want.evaluated, want.skipped)
+        assert pr_curve(q_bits, q_labels, idx, q_ids) == \
+            oracle_pr_curve(q_bits, q_labels, idx, q_ids)
 
-        for qi in range(nq):
-            exclude = q_ids[qi] if with_ids else None
-            ids, dists, _ = oracle_rank_all(idx, q_bits[qi], exclude)
-            code = BinaryCode(q_bits[qi])
-            for k in sorted({0, min(1, ids.size), ids.size // 2, ids.size}):
-                got = query_topk(idx, code, k, exclude_id=exclude)
-                assert got.ids.tolist() == ids[:k].tolist()
-                assert got.distances.tolist() == dists[:k].tolist()
-            with pytest.raises(ValueError):
-                query_topk(idx, code, ids.size + 1, exclude_id=exclude)
+    for qi in range(nq):
+        exclude = q_ids[qi] if with_ids else None
+        ids, dists, _ = oracle_rank_all(idx, q_bits[qi], exclude)
+        code = BinaryCode(q_bits[qi])
+        for k in sorted({0, min(1, ids.size), ids.size // 2, ids.size}):
+            got = query_topk(idx, code, k, exclude_id=exclude)
+            assert got.ids.tolist() == ids[:k].tolist()
+            assert got.distances.tolist() == dists[:k].tolist()
+        with pytest.raises(ValueError):
+            query_topk(idx, code, ids.size + 1, exclude_id=exclude)
+    return idx
+
+
+# (k_bits, n, nq, n_classes, all_equal, with_ids, block_rows, seed)
+ORACLE_CASES = st.tuples(st.sampled_from(WIDTHS), st.integers(1, 30), st.integers(1, 17),
+                         st.integers(1, 4), st.booleans(), st.booleans(), st.integers(1, 6),
+                         st.integers(0, 2**32 - 1))
+
+
+class TestAgainstOracle:
+    @given(ORACLE_CASES)
+    @settings(max_examples=80, deadline=None)
+    def test_map_pr_and_topk_match_oracle(self, case):
+        assert check_against_oracle(*case).rank_of_id.dtype == np.int32
+
+    @given(ORACLE_CASES)
+    @settings(max_examples=25, deadline=None)
+    def test_int64_keys_match_oracle(self, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "_key_dtype", lambda k, n: np.int64)
+            assert check_against_oracle(*case).rank_of_id.dtype == np.int64
 
     def test_ragged_query_blocks_one_distance_matrix_each(self, monkeypatch):
         rng = np.random.default_rng(10)
