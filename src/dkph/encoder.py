@@ -21,6 +21,15 @@ gradients summed over the batch. Callers run large sets of videos in blocks
 of :data:`BLOCK_VIDEOS` (see :func:`blocks`) and take frame means where they
 need them.
 
+Selected rows. ``at`` is an optional (B, M) bool array naming the frames
+whose outputs the caller reads (the cloze teacher reads only its masked
+frames). The input projection, LayerNorm 1, K and V still run on every
+frame, because every frame is attended to; the query, W_o, LayerNorm 2 and
+the FFN run on the selected rows only, and the output is an
+(n_selected, model_dim) array in ``x[at]`` order. The backward then takes a
+gradient for those rows only. Without ``at`` the same statements run over
+all rows and the output is (B, M, model_dim).
+
 Sizes. :func:`init_encoder` reads ``frames``, ``feat_dim``, ``model_dim``
 and ``ffn_dim`` from a :class:`RunConfig`; ``ffn_dim = 0`` means
 2 * ``model_dim``.
@@ -102,13 +111,17 @@ def cast_params(params, dtype) -> Params:
 
 @dataclass
 class EncoderCache:
-    """Forward intermediates. Row arrays are flat, (B * M, width); q, k, v
-    are (B, M, model_dim) and attn is (B, M, M)."""
+    """Forward intermediates. ``x``, ``ln1`` and ``n1`` are flat, (B * M,
+    width); ``ctx`` and the rows after attention (``ln2`` to ``g1``) hold the
+    selected rows only, (n_selected, width); q, k, v are (B, M, model_dim)
+    and attn is (B, M, M). With a selector, q is zero at unselected frames,
+    so their attn rows are meaningless; nothing reads them."""
 
     params: Params
     version: int
     x: np.ndarray
     masked: np.ndarray     # (B, M) bool
+    at: np.ndarray | slice  # flat (B * M,) bool selector, or slice(None) for every row
     ln1: tuple
     n1: np.ndarray
     q: np.ndarray
@@ -163,6 +176,16 @@ def _gelu_backward(dy, x, t):
     return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
 
+def _scatter(rows: np.ndarray, at, n: int) -> np.ndarray:
+    """``rows`` placed at the ``at`` rows of an (n, width) array, zero
+    elsewhere; ``rows`` itself when ``at`` selects every row."""
+    if isinstance(at, slice):
+        return rows
+    full = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
+    full[at] = rows
+    return full
+
+
 def check_mask(masked, shape: tuple) -> None:
     """Raise ShapeError unless ``masked`` is a bool array of ``shape``."""
     if not (isinstance(masked, np.ndarray) and masked.dtype == bool and masked.shape == shape):
@@ -175,6 +198,7 @@ def encode_forward(
     params: Params,
     masked: np.ndarray | None = None,
     mask_embed: np.ndarray | None = None,
+    at: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EncoderCache]:
     """Run the block on a batch (B, M, D); returns the (B, M, model_dim)
     per-frame outputs and the cache for :func:`encode_backward`.
@@ -182,8 +206,10 @@ def encode_forward(
     ``masked`` is an optional (B, M) bool array; masked frames have their
     projected content replaced by ``mask_embed`` before the positional rows
     are added, so no feature content leaks through. Attention still runs
-    over all M positions. Only the ``encoder.*`` tensors of ``params`` are
-    read.
+    over all M positions. ``at`` is an optional (B, M) bool array; when
+    given, only the selected frames' outputs are computed and returned, as
+    an (n_selected, model_dim) array in ``x[at]`` order (module docstring,
+    Selected rows). Only the ``encoder.*`` tensors of ``params`` are read.
     """
     p = _tensors(params)
     x = np.asarray(x, dtype=p["w_in"].dtype)
@@ -197,6 +223,9 @@ def encode_forward(
     rows = masked.reshape(-1)
     if rows.any() and mask_embed is None:
         raise ValueError("mask given but no mask embedding")
+    if at is not None:
+        check_mask(at, (b, m_frames))
+    sel = slice(None) if at is None else at.reshape(-1)
 
     xf = x.reshape(b * m_frames, d_in)
     h_proj = xf @ p["w_in"] + p["b_in"]
@@ -206,34 +235,35 @@ def encode_forward(
     h0 = (h_proj.reshape(b, m_frames, d) + p["e_pos"]).reshape(-1, d)
 
     n1, ln1 = _ln_forward(h0, p["ln1_g"], p["ln1_b"])
-    q = (n1 @ p["w_q"]).reshape(b, m_frames, d)
+    q = _scatter(n1[sel] @ p["w_q"], sel, len(n1)).reshape(b, m_frames, d)
     k = (n1 @ p["w_k"]).reshape(b, m_frames, d)
     v = (n1 @ p["w_v"]).reshape(b, m_frames, d)
     scores = (q @ k.transpose(0, 2, 1)) / math.sqrt(d)
     scores -= scores.max(axis=2, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=2, keepdims=True)
-    ctx = (attn @ v).reshape(-1, d)
-    h1 = h0 + ctx @ p["w_o"] + p["b_o"]
+    ctx = (attn @ v).reshape(-1, d)[sel]
+    h1 = h0[sel] + ctx @ p["w_o"] + p["b_o"]
 
     n2, ln2 = _ln_forward(h1, p["ln2_g"], p["ln2_b"])
     f1_pre = n2 @ p["w_f1"] + p["b_f1"]
     g1, gelu_t = _gelu_forward(f1_pre)
-    out = (h1 + g1 @ p["w_f2"] + p["b_f2"]).reshape(b, m_frames, d)
+    out = h1 + g1 @ p["w_f2"] + p["b_f2"]
 
     cache = EncoderCache(
-        params=params, version=params.version, x=xf, masked=masked,
+        params=params, version=params.version, x=xf, masked=masked, at=sel,
         ln1=ln1, n1=n1, q=q, k=k, v=v, attn=attn, ctx=ctx,
         ln2=ln2, n2=n2, f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
     )
-    return out, cache
+    return (out.reshape(b, m_frames, d) if at is None else out), cache
 
 
 def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     """Gradients of a scalar loss w.r.t. params and mask embedding.
 
-    ``grad_out`` is the loss gradient w.r.t. the (B, M, model_dim) per-frame
-    outputs; a gradient on a frame *mean* must be folded in by the caller
+    ``grad_out`` is the loss gradient w.r.t. the outputs of the forward:
+    (B, M, model_dim), or (n_selected, model_dim) when the forward was given
+    ``at``. A gradient on a frame *mean* must be folded in by the caller
     (add grad_mean / M to every row). Returns
     ``(param_grads, grad_mask_embed)``: parameter gradients summed over the
     batch, and grad_mask_embed None when no frame was masked. The parameter
@@ -247,14 +277,15 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
         )
     p = _tensors(cache.params)
     b, m_frames = cache.masked.shape
-    d = p["w_in"].shape[1]
-    out_shape = (b, m_frames, d)
+    n, d = b * m_frames, p["w_in"].shape[1]
+    sel = cache.at
+    out_shape = (b, m_frames, d) if isinstance(sel, slice) else cache.n2.shape
     grad_out = np.asarray(grad_out, dtype=p["w_in"].dtype)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {out_shape}")
-    grad_out = grad_out.reshape(b * m_frames, d)
+    grad_out = grad_out.reshape(-1, d)
 
-    # out = h1 + g1 @ w_f2 + b_f2
+    # out = h1 + g1 @ w_f2 + b_f2, on the selected rows
     w_f2 = cache.g1.T @ grad_out
     b_f2 = grad_out.sum(axis=0)
     d_f1 = _gelu_backward(grad_out @ p["w_f2"].T, cache.f1_pre, cache.gelu_t)
@@ -263,24 +294,26 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     dx2, ln2_g, ln2_b = _ln_backward(d_f1 @ p["w_f1"].T, p["ln2_g"], cache.ln2)
     d_h1 = grad_out + dx2
 
-    # h1 = h0 + ctx @ w_o + b_o
+    # h1 = h0 + ctx @ w_o + b_o; d_ctx, and with it d_scores and d_q, are
+    # zero at unselected rows
     w_o = cache.ctx.T @ d_h1
     b_o = d_h1.sum(axis=0)
-    d_ctx = (d_h1 @ p["w_o"].T).reshape(b, m_frames, d)
+    d_ctx = _scatter(d_h1 @ p["w_o"].T, sel, n).reshape(b, m_frames, d)
     attn = cache.attn
     d_attn = d_ctx @ cache.v.transpose(0, 2, 1)
     d_v = (attn.transpose(0, 2, 1) @ d_ctx).reshape(-1, d)
     inner = (d_attn * attn).sum(axis=2, keepdims=True)
     d_scores = attn * (d_attn - inner)
     inv_sqrt = 1.0 / math.sqrt(d)
-    d_q = ((d_scores @ cache.k) * inv_sqrt).reshape(-1, d)
+    d_q = ((d_scores @ cache.k) * inv_sqrt).reshape(-1, d)[sel]
     d_k = ((d_scores.transpose(0, 2, 1) @ cache.q) * inv_sqrt).reshape(-1, d)
-    w_q = cache.n1.T @ d_q
-    w_k = cache.n1.T @ d_k
-    w_v = cache.n1.T @ d_v
-    d_n1 = d_q @ p["w_q"].T + d_k @ p["w_k"].T + d_v @ p["w_v"].T
-    dx1, ln1_g, ln1_b = _ln_backward(d_n1, p["ln1_g"], cache.ln1)
-    d_h0 = d_h1 + dx1
+    n1 = cache.n1
+    w_q = n1[sel].T @ d_q
+    w_k = n1.T @ d_k
+    w_v = n1.T @ d_v
+    d_n1 = _scatter(d_q @ p["w_q"].T, sel, n) + d_k @ p["w_k"].T + d_v @ p["w_v"].T
+    d_h0, ln1_g, ln1_b = _ln_backward(d_n1, p["ln1_g"], cache.ln1)
+    d_h0[sel] += d_h1
 
     # h0 = (proj with mask rows replaced) + e_pos
     e_pos = d_h0.reshape(b, m_frames, d).sum(axis=0)

@@ -60,18 +60,22 @@ def teacher_gradient_check(frames: int = 4, feat_dim: int = 6, model_dim: int = 
                            code_bits: int = 8, seed: int = 0,
                            step: float = 1e-5) -> GradCheckReport:
     """Check the masked-reconstruction gradient for every teacher tensor, on
-    a batch of one video with its first and last frames masked."""
+    a batch of two videos with different masked counts: the first frame of
+    one, the first and last two frames of the other. The summed loss thus
+    runs through the gather of masked rows and the scatter of their
+    gradients across videos."""
     rng = np.random.default_rng(seed)
     cfg = RunConfig(frames=frames, feat_dim=feat_dim, model_dim=model_dim,
                     teacher_bits=code_bits)
-    x = rng.normal(size=(1, frames, feat_dim))
+    x = rng.normal(size=(2, frames, feat_dim))
     params = init_teacher(cfg, rng)
-    mask = np.zeros((1, frames), dtype=bool)
-    mask[0, [0, frames - 1]] = True
+    mask = np.zeros((2, frames), dtype=bool)
+    mask[0, 0] = True
+    mask[1, [0, frames - 2, frames - 1]] = True
 
     def loss(_):
         fwd = teacher_forward(x, params, mask=mask, binarize="relaxed")
-        return float(teacher_recon_loss(x, fwd.recon, mask)[0])
+        return float(teacher_recon_loss(x, fwd.recon, mask).sum())
 
     fwd = teacher_forward(x, params, mask=mask, binarize="relaxed")
     grads = teacher_backward(x, fwd, params)

@@ -9,7 +9,8 @@ a stage first executes and re-read afterwards).
 
 Stage artifacts
     data       {train,query,database}.{features,labels} + dataset.json,
-               and config.cfg (the run's RunConfig, loadable with RunConfig.load)
+               and config.cfg (the run's RunConfig, loadable with RunConfig.load,
+               with work_dir the absolute path of the run's parent directory)
     teacher    teacher.ckpt, teacher_log.txt, embeddings.features
     graph      graph.bin, anchors.ckpt
     student_K  student_K.ckpt, student_K_log.txt
@@ -91,7 +92,10 @@ logger = logging.getLogger(__name__)
 # stored in its own dtype and shape (see ``serial``).
 # Version 5: graph.bin holds only the signed edges, without the six header
 # scalars (n_centers, p, seed, alpha, lambda1, lambda2).
-CODE_VERSION = 5
+# Version 6: the teacher runs its rows after attention, hash head and
+# decoder on the masked frames only, so its weight gradients sum over fewer
+# rows in another float order (teacher.ckpt moves at float32-ulp level).
+CODE_VERSION = 6
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -198,7 +202,8 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
                    "database": int(dataset.database.ids.size),
                    "prototype_accuracy": dataset.prototype_accuracy}
         (data_dir / "dataset.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
-        cfg.save(run_dir / "config.cfg")
+        # the run's own work directory, so that loading this file finds the run
+        replace(cfg, work_dir=str(run_dir.parent.resolve())).save(run_dir / "config.cfg")
 
     outputs = [f"data/{n}.{kind}" for n in ("train", "query", "database")
                for kind in ("features", "labels")] + ["data/dataset.json", "config.cfg"]

@@ -28,6 +28,13 @@ row, the loss is one value per video, and the backward returns the gradient
 of the summed per-video losses. Training and evaluation run in blocks of
 ``encoder.BLOCK_VIDEOS`` videos.
 
+Masked rows only. The loss reads the masked frames alone, so the forward
+passes the mask to the encoder as its output-row selector (``at``): the
+encoder's rows after attention, the hash head and the decoder run on the
+masked frames only, and ``frame_codes``, ``act``, ``frames`` and ``recon``
+are (n_masked, width) arrays in ``x[mask]`` order. Attention still reads
+every frame.
+
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does, and the loss in the dtype of the reconstruction.
 :func:`train_teacher` builds its parameters in
@@ -74,21 +81,25 @@ def init_teacher(cfg: RunConfig, rng: np.random.Generator) -> Params:
 
 @dataclass
 class TeacherForward:
-    frame_codes: np.ndarray   # (B, M, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
-    recon: np.ndarray         # (B, M, feat_dim)
-    frames: np.ndarray        # (B, M, model_dim) encoder outputs
+    """Rows in ``x[mask]`` order, or (B, M, width) arrays when the forward
+    had no mask."""
+
+    frame_codes: np.ndarray   # (n_masked, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
+    recon: np.ndarray         # (n_masked, feat_dim)
+    frames: np.ndarray        # (n_masked, model_dim) encoder outputs
     act: np.ndarray           # tanh(pre-binarization)
     enc_cache: object
 
 
 def teacher_forward(x: np.ndarray, params: Params, mask: np.ndarray | None = None,
                     binarize: str = "hard") -> TeacherForward:
-    """Encode, hash each frame, decode from codes only.
+    """Encode, hash each masked frame, decode from codes only.
 
     ``binarize="relaxed"`` skips the sign so the whole pass is smooth; used
     by the gradient checker.
     """
-    frames, cache = encode_forward(x, params, masked=mask, mask_embed=params["mask_embed"])
+    frames, cache = encode_forward(x, params, masked=mask, mask_embed=params["mask_embed"],
+                                   at=mask)
     z = frames @ params["w_hash"] + params["b_hash"]
     act = np.tanh(z)
     codes = binarize_tanh(act, binarize)
@@ -99,15 +110,20 @@ def teacher_forward(x: np.ndarray, params: Params, mask: np.ndarray | None = Non
 
 def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Squared error on masked positions, averaged over D * |mask| scalars:
-    one loss per video of a (B, M, D) batch, in the dtype of ``recon``."""
+    one loss per video of a (B, M, D) batch, in the dtype of ``recon``.
+    ``recon`` holds the masked rows, (n_masked, D) in ``x[mask]`` order."""
     x = np.asarray(x, dtype=recon.dtype)
-    if x.shape != recon.shape or x.ndim != 3:
-        raise ShapeError(f"expected equal (B, M, D) shapes, got {x.shape} and {recon.shape}")
+    if x.ndim != 3:
+        raise ShapeError(f"expected a (B, M, D) batch, got {x.shape}")
     check_mask(mask, x.shape[:2])
     if not mask.any(axis=1).all():
         raise ValueError("teacher reconstruction loss needs a nonempty mask")
-    diff = x - recon
-    per_frame = np.where(mask, (diff * diff).sum(axis=2), 0.0)
+    target = x[mask]
+    if recon.shape != target.shape:
+        raise ShapeError(f"expected the {target.shape} masked rows, got {recon.shape}")
+    diff = target - recon
+    per_frame = np.zeros(mask.shape, dtype=x.dtype)
+    per_frame[mask] = (diff * diff).sum(axis=1)
     return per_frame.sum(axis=1) / (x.shape[2] * mask.sum(axis=1)).astype(x.dtype)
 
 
@@ -118,30 +134,27 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict
     Straight-through: d(code)/d(pre-activation) is taken as tanh', whether
     the forward binarized or not.
     """
-    cache = fwd.enc_cache
-    if not cache.masked.any(axis=1).all():
+    mask = fwd.enc_cache.masked
+    if not mask.any(axis=1).all():
         raise ValueError("teacher backward needs the masked forward")
     x = np.asarray(x, dtype=fwd.recon.dtype)
-    if x.shape != fwd.recon.shape:
-        raise ShapeError(f"shapes differ: {x.shape} vs {fwd.recon.shape}")
-    b, m_frames = cache.masked.shape
-    d_in, bits = x.shape[-1], params["w_hash"].shape[1]
-    rows = cache.masked.astype(x.dtype)
-    scale = rows / (d_in * rows.sum(axis=1, keepdims=True))
+    target = x[mask]
+    if target.shape != fwd.recon.shape:
+        raise ShapeError(f"shapes differ: {target.shape} vs {fwd.recon.shape}")
+    d_in = x.shape[-1]
+    count = mask.sum(axis=1)
+    scale = np.repeat(1.0 / (d_in * count.astype(x.dtype)), count)  # per masked row
 
-    d_recon = (2.0 * scale.reshape(-1, 1)) * (fwd.recon - x).reshape(-1, d_in)
-    codes = fwd.frame_codes.reshape(-1, bits)
-    act = fwd.act.reshape(-1, bits)
-    frames = fwd.frames.reshape(b * m_frames, -1)
-    d_z = (d_recon @ params["w_dec"].T) * (1.0 - act * act)
+    d_recon = (2.0 * scale[:, None]) * (fwd.recon - target)
+    d_z = (d_recon @ params["w_dec"].T) * (1.0 - fwd.act * fwd.act)
     d_frames = d_z @ params["w_hash"].T
 
-    grads, d_me = encode_backward(d_frames.reshape(fwd.frames.shape), cache)
+    grads, d_me = encode_backward(d_frames, fwd.enc_cache)
     grads.update(
         mask_embed=d_me,
-        w_hash=frames.T @ d_z,
+        w_hash=fwd.frames.T @ d_z,
         b_hash=d_z.sum(axis=0),
-        w_dec=codes.T @ d_recon,
+        w_dec=fwd.frame_codes.T @ d_recon,
         b_dec=d_recon.sum(axis=0),
     )
     return grads

@@ -85,6 +85,24 @@ def run_through(args, last):
         assert cli.main([command, *args]) == 0, command
 
 
+@pytest.mark.parametrize("command, missing, outputs", [
+    ("train-student", "graph", ("student_{}.ckpt", "student_{}_log.txt")),
+    ("encode", "student_16", ("query_{}.codes", "database_{}.codes")),
+    ("eval", "encode_16", ("metrics_{}.json", "report.txt")),
+])
+def test_a_stage_before_its_prerequisite_exits_2_naming_it(tiny, capsys, command, missing,
+                                                           outputs):
+    cfg, args = tiny
+    earlier = cli.STAGE_COMMANDS[cli.STAGE_COMMANDS.index(command) - 2]
+    run_through(args, earlier)  # every stage but the one right before command
+    capsys.readouterr()
+    assert cli.main([command, *args]) == 2
+    assert f"prerequisite stage {missing!r} has not run" in capsys.readouterr().err
+    for bits in cfg.code_bits:
+        for out in outputs:
+            assert not (run_layout(cfg) / out.format(bits)).exists(), out.format(bits)
+
+
 def test_train_student_writes_a_checkpoint_and_log_per_width(tiny):
     cfg, args = tiny
     run_through(args, "train-student")

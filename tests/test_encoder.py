@@ -324,6 +324,61 @@ class TestBatched:
         assert encoder.blocks(0) == []
 
 
+# output-row selectors over the MASKED batch; each leaves some video with no row
+SELECTORS = pytest.mark.parametrize("at", [MASKED, ~MASKED], ids=["masked", "unmasked"])
+
+
+class TestSelectedRows:
+    batch = TestBatched.batch
+
+    @SELECTORS
+    def test_forward_equals_the_full_pass_at_the_selected_rows(self, at):
+        p, x, me = self.batch(50)
+        full, _ = encode_forward(x, p, masked=MASKED, mask_embed=me)
+        rows, _ = encode_forward(x, p, masked=MASKED, mask_embed=me, at=at)
+        assert rows.shape == (at.sum(), 8)
+        np.testing.assert_allclose(rows, full[at], rtol=0, atol=1e-12)
+
+    @SELECTORS
+    def test_backward_equals_the_full_backward_with_zero_unselected_gradient(self, at):
+        p, x, me = self.batch(51)
+        go = np.random.default_rng(52).normal(size=(5, 4, 8))
+        go[~at] = 0.0
+        _, full_cache = encode_forward(x, p, masked=MASKED, mask_embed=me)
+        want, want_me = encode_backward(go, full_cache)
+        _, cache = encode_forward(x, p, masked=MASKED, mask_embed=me, at=at)
+        grads, gme = encode_backward(go[at], cache)
+        for name in p:
+            assert_rel_close(grads[name], want[name])
+        assert_rel_close(gme, want_me)
+
+    def test_finite_difference_check_on_selected_rows(self):
+        p, x, me = self.batch(53)
+        at = ~MASKED
+        w = np.random.default_rng(54).normal(size=(at.sum(), 8))
+
+        def loss(_):
+            rows, _c = encode_forward(x, p, masked=MASKED, mask_embed=me, at=at)
+            return float((w * rows).sum())
+
+        _, cache = encode_forward(x, p, masked=MASKED, mask_embed=me, at=at)
+        grads, grad_me = encode_backward(w, cache)
+        tensors = list(p.values()) + [me.reshape(1, -1)]
+        analytic = [grads[n] for n in p] + [grad_me.reshape(1, -1)]
+        report = finite_diff_check(loss, tensors, analytic, step=1e-5)
+        assert report.max_rel_error < 1e-5, report
+
+    def test_grad_out_must_have_one_row_per_selected_frame(self):
+        p, x, me = self.batch(55)
+        _, cache = encode_forward(x, p, masked=MASKED, mask_embed=me, at=MASKED)
+        n_rows = MASKED.sum()
+        for shape in ((n_rows + 1, 8), (n_rows - 1, 8), (5, 4, 8)):
+            with pytest.raises(ShapeError):
+                encode_backward(np.zeros(shape), cache)
+        with pytest.raises(ShapeError):  # the selector is a (B, M) bool array too
+            encode_forward(x, p, masked=MASKED, mask_embed=me, at=MASKED[:4])
+
+
 def test_only_batches_and_bool_masks_are_accepted():
     p = toy_params(47)
     with pytest.raises(ShapeError):  # one video must be a batch of one

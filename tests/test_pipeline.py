@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -231,11 +232,24 @@ def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):
 
 
 def test_the_run_dir_names_its_own_config(tiny_run):
-    cfg, _, first = tiny_run
+    cfg, work, first = tiny_run
     assert "config.cfg" in _meta(first.run_dir)["data"]["outputs"]
     saved = RunConfig.load(first.run_dir / "config.cfg")
     assert saved.config_hash() == first.config_hash == cfg.config_hash()
-    assert saved == cfg
+    # the run's own work directory, not cfg.work_dir, which this run did not use
+    assert saved == replace(cfg, work_dir=str(work.resolve()))
+
+
+def test_the_saved_config_gives_back_the_run_layout(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = RunConfig(**TINY)
+    run_dir = pipeline.run_layout(cfg, Path("elsewhere"))  # relative, and not cfg.work_dir
+    run_dir.mkdir(parents=True)
+    pipeline.stage_data(cfg, run_dir)
+    saved = RunConfig.load(run_dir / "config.cfg")
+    assert Path(saved.work_dir).is_absolute()
+    monkeypatch.chdir(run_dir)  # the saved path does not depend on the working directory
+    assert pipeline.run_layout(saved) == (tmp_path / run_dir).resolve()
 
 
 def test_meta_records_carry_the_code_version(tiny_run):

@@ -50,7 +50,7 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(1, 4, 6))
         mask = (1, 3)
         fwd = teacher_forward(x, p, mask=bool_masks([mask]))
-        assert np.array_equal(fwd.recon, np.zeros((1, 4, 6)))
+        assert np.array_equal(fwd.recon, np.zeros((2, 6)))  # the masked rows only
         expected = (x[0][list(mask)] ** 2).sum() / (6 * 2)
         assert teacher_recon_loss(x, fwd.recon, bool_masks([mask]))[0] == pytest.approx(
             expected, rel=1e-15)
@@ -65,8 +65,8 @@ class TestForward:
         z = frames @ p["w_hash"] + p["b_hash"]
         codes = np.where(np.tanh(z) >= 0, 1.0, -1.0)
         recon = codes @ p["w_dec"] + p["b_dec"]
-        np.testing.assert_array_equal(fwd.frame_codes[0], codes)
-        np.testing.assert_allclose(fwd.recon[0], recon, atol=1e-12)
+        np.testing.assert_array_equal(fwd.frame_codes, codes[list(mask)])
+        np.testing.assert_allclose(fwd.recon, recon[list(mask)], atol=1e-12)
 
     def test_codes_always_exactly_pm_one(self):
         p = toy_teacher(7)
@@ -91,13 +91,14 @@ class TestForward:
 class TestReconLoss:
     def test_perfect_reconstruction_is_zero(self):
         x = np.random.default_rng(0).normal(size=(1, 4, 6))
-        assert teacher_recon_loss(x, x.copy(), bool_masks([(0, 2)]))[0] == 0.0
+        mask = bool_masks([(0, 2)])
+        assert teacher_recon_loss(x, x[mask].copy(), mask)[0] == 0.0
 
     def test_constant_offset_gives_offset_squared(self):
         x = np.random.default_rng(1).normal(size=(1, 4, 6))
-        assert teacher_recon_loss(x, x + 1.0, bool_masks([(0,)]))[0] == pytest.approx(
-            1.0, rel=1e-12)
-        assert teacher_recon_loss(x, x - 0.5, bool_masks([(1, 2, 3)]))[0] == pytest.approx(
+        one, three = bool_masks([(0,)]), bool_masks([(1, 2, 3)])
+        assert teacher_recon_loss(x, x[one] + 1.0, one)[0] == pytest.approx(1.0, rel=1e-12)
+        assert teacher_recon_loss(x, x[three] - 0.5, three)[0] == pytest.approx(
             0.25, rel=1e-12)
 
     def test_matches_scalar_summation_oracle(self):
@@ -109,7 +110,8 @@ class TestReconLoss:
         for m in mask:
             for j in range(3):
                 total += (x[0, m, j] - recon[0, m, j]) ** 2
-        assert teacher_recon_loss(x, recon, bool_masks([mask], 5))[0] == pytest.approx(
+        rows = bool_masks([mask], 5)
+        assert teacher_recon_loss(x, recon[rows], rows)[0] == pytest.approx(
             total / (3 * 2), rel=1e-14
         )
 
@@ -242,8 +244,8 @@ class TestTraining:
 
 
 def oracle_teacher(x, p, mask, binarize="hard"):
-    """Straight-line masked loss and gradients of one video, from the
-    encoder oracles; straight-through past the sign."""
+    """Straight-line masked loss, gradients and masked reconstruction rows
+    of one video, from the encoder oracles; straight-through past the sign."""
     frames = oracle_forward(x, p, mask=mask, mask_embed=p["mask_embed"])
     act = np.tanh(frames @ p["w_hash"] + p["b_hash"])
     codes = np.where(act >= 0, 1.0, -1.0) if binarize == "hard" else act
@@ -259,7 +261,7 @@ def oracle_teacher(x, p, mask, binarize="hard"):
     grads = {f"encoder.{n}": g for n, g in enc.items()}
     grads.update(mask_embed=d_me, w_hash=frames.T @ d_z, b_hash=d_z.sum(axis=0),
                  w_dec=codes.T @ d_recon, b_dec=d_recon.sum(axis=0))
-    return loss, grads
+    return loss, grads, recon[rows]
 
 
 BATCH_MASKS = [(0,), (1, 3), (0, 1, 2)]
@@ -270,13 +272,16 @@ class TestBatched:
         p = toy_teacher(30)
         x = np.random.default_rng(31).normal(size=(3, 4, 6))
         fwd = teacher_forward(x, p, mask=bool_masks(BATCH_MASKS))
-        assert fwd.recon.shape == (3, 4, 6) and fwd.frame_codes.shape == (3, 4, BITS)
+        n_masked = sum(map(len, BATCH_MASKS))
+        assert fwd.recon.shape == (n_masked, 6) and fwd.frame_codes.shape == (n_masked, BITS)
         losses = teacher_recon_loss(x, fwd.recon, bool_masks(BATCH_MASKS))
         grads = teacher_backward(x, fwd, p)
         per_video = [oracle_teacher(x[b], p, BATCH_MASKS[b]) for b in range(3)]
-        np.testing.assert_allclose(losses, [loss for loss, _ in per_video], rtol=1e-12)
+        np.testing.assert_allclose(fwd.recon, np.concatenate([r for _, _, r in per_video]),
+                                   atol=1e-12)
+        np.testing.assert_allclose(losses, [loss for loss, _, _ in per_video], rtol=1e-12)
         for name, g in grads.items():
-            assert_rel_close(g, sum(pv[name] for _, pv in per_video))
+            assert_rel_close(g, sum(pv[name] for _, pv, _ in per_video))
 
     def test_finite_difference_check_three_videos_distinct_masks(self):
         p = toy_teacher(32)
