@@ -66,7 +66,10 @@ def _dispatch(args) -> int:
 
     cfg = _load_config(args)
     run_dir = pipeline.run_layout(cfg)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create work dir {run_dir}: {err.strerror or err}") from err
     print(f"work dir: {run_dir}")
 
     if args.command == "synth-data":

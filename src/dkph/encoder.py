@@ -17,9 +17,20 @@ Batches. Both passes take only a (B, M, D) batch of videos (one video is a
 batch of one): the per-frame layers run as one matrix product over all
 B * M rows, attention as B stacked M x M products. ``masked`` is a (B, M)
 bool array, True at the masked frames. The backward returns parameter
-gradients summed over the batch. Callers run large sets of videos in blocks
-of :data:`BLOCK_VIDEOS` (see :func:`blocks`) and take frame means where they
-need them.
+gradients summed over the batch. Callers run large sets of videos in the
+blocks of :func:`blocks` and take frame means where they need them. A block
+holds as many videos as fit :data:`BLOCK_BYTES` at one (M, width) float
+array per video, width the largest of ``feat_dim``, ``model_dim`` and the
+FFN width. Each elementwise pass (LayerNorm, GELU, bias and residual adds)
+reads and writes (rows, width) temporaries; at this budget each is at most
+half a 2 MB L2 cache, so a pass works mostly in cache instead of streaming
+through memory (a fixed 64 videos made them 3.2 MB). The budget follows the
+model: the paper-default model runs 20 videos per block, a 64-wide model
+256, and a tiny one all its videos at once. Per-row outputs of the forward
+do not depend on the block; gradients summed over blocks do, in the last
+ulp. The elementwise layers work in place on a few buffers per pass, in
+the same operations and operand order as the plain expressions, so their
+results are bit-identical to them.
 
 Selected rows. ``at`` is an optional (B, M) bool array naming the frames
 whose outputs the caller reads (the cloze teacher reads only its masked
@@ -44,7 +55,9 @@ their inputs to it; no dtype is fixed here. Trainers build parameters in
 ``np.result_type(features, np.float32)``: float32 for the float32 features
 the feature files hold, float64 for float64 or int64 features, which is
 what the finite-difference checks use. :func:`cast_params` casts an
-initialization or a checkpoint to the features' dtype.
+initialization or a checkpoint to the features' dtype. Block sizes read the
+parameters' itemsize, so float64 parameters run blocks half the float32
+size.
 """
 
 from __future__ import annotations
@@ -58,7 +71,7 @@ from .config import RunConfig
 from .exceptions import ShapeError, StaleCacheError
 
 _LN_EPS = 1e-5
-BLOCK_VIDEOS = 64  # videos per pass; bounds the forward cache at any N
+BLOCK_BYTES = 1 << 20  # one (M, width) array per video of a block; see Batches
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _PREFIX = "encoder."
@@ -136,9 +149,15 @@ class EncoderCache:
     g1: np.ndarray
 
 
-def blocks(n: int) -> list[slice]:
-    """Slices of ``range(n)`` in runs of at most BLOCK_VIDEOS videos."""
-    return [slice(s, min(s + BLOCK_VIDEOS, n)) for s in range(0, n, BLOCK_VIDEOS)]
+def blocks(n: int, params) -> list[slice]:
+    """Slices of ``range(n)`` in runs of as many videos as fit BLOCK_BYTES at
+    frames x max(feat_dim, model_dim, FFN width) elements of the parameters'
+    dtype per video, and at least one (module docstring, Batches)."""
+    m_frames, d = params["encoder.e_pos"].shape
+    w_in, w_f1 = params["encoder.w_in"], params["encoder.w_f1"]
+    per_video = m_frames * max(w_in.shape[0], d, w_f1.shape[1]) * w_in.dtype.itemsize
+    step = max(1, BLOCK_BYTES // per_video)
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 def _tensors(params) -> dict:
@@ -146,34 +165,71 @@ def _tensors(params) -> dict:
     return {name[len(_PREFIX):]: t for name, t in params.items() if name.startswith(_PREFIX)}
 
 
+# The four elementwise kernels below run in place on two or three (rows,
+# width) buffers. Each comment gives the plain expression a kernel computes;
+# the kernel keeps its operations and their order (a commuted operand of one
+# + or * is the same IEEE result), so the two agree bit for bit.
+
+
 def _ln_forward(x, gain, bias):
+    # xhat = (x - mu) / sqrt(var + eps);  out = xhat * gain + bias
     mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    xhat = x - mu
+    out = xhat * xhat
+    var = out.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, (xhat, inv)
 
 
 def _ln_backward(dy, gain, ln_cache):
+    # dxhat = dy * gain;  dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
     xhat, inv = ln_cache
-    d_gain = (dy * xhat).sum(axis=0)
+    tmp = dy * xhat
+    d_gain = tmp.sum(axis=0)
     d_bias = dy.sum(axis=0)
-    dxhat = dy * gain
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = dy * gain
+    m1 = dx.mean(axis=1, keepdims=True)
+    np.multiply(dx, xhat, out=tmp)
+    m2 = tmp.mean(axis=1, keepdims=True)
+    dx -= m1
+    np.multiply(xhat, m2, out=tmp)
+    dx -= tmp
+    dx *= inv
     return dx, d_gain, d_bias
 
 
 def _gelu_forward(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    # t = tanh(C * (x + A * x^3));  out = 0.5 * x * (1 + t)
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out, t
 
 
 def _gelu_backward(dy, x, t):
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    # du = C * (1 + 3A * x^2);  dx = dy * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * du)
+    du = (3.0 * _GELU_A) * x
+    du *= x
+    du += 1.0
+    du *= _GELU_C
+    dx = t * t
+    np.subtract(1.0, dx, out=dx)
+    half_x = 0.5 * x
+    half_x *= dx
+    half_x *= du
+    np.add(t, 1.0, out=dx)
+    dx *= 0.5
+    dx += half_x
+    dx *= dy
+    return dx
 
 
 def _scatter(rows: np.ndarray, at, n: int) -> np.ndarray:
@@ -228,11 +284,13 @@ def encode_forward(
     sel = slice(None) if at is None else at.reshape(-1)
 
     xf = x.reshape(b * m_frames, d_in)
-    h_proj = xf @ p["w_in"] + p["b_in"]
+    h0 = xf @ p["w_in"]
+    h0 += p["b_in"]
     if rows.any():
-        h_proj[rows] = mask_embed
-    d = h_proj.shape[1]
-    h0 = (h_proj.reshape(b, m_frames, d) + p["e_pos"]).reshape(-1, d)
+        h0[rows] = mask_embed
+    d = h0.shape[1]
+    positions = h0.reshape(b, m_frames, d)
+    positions += p["e_pos"]
 
     n1, ln1 = _ln_forward(h0, p["ln1_g"], p["ln1_b"])
     q = _scatter(n1[sel] @ p["w_q"], sel, len(n1)).reshape(b, m_frames, d)
@@ -243,12 +301,17 @@ def encode_forward(
     e = np.exp(scores)
     attn = e / e.sum(axis=2, keepdims=True)
     ctx = (attn @ v).reshape(-1, d)[sel]
-    h1 = h0[sel] + ctx @ p["w_o"] + p["b_o"]
+    h1 = ctx @ p["w_o"]
+    h1 += h0[sel]
+    h1 += p["b_o"]
 
     n2, ln2 = _ln_forward(h1, p["ln2_g"], p["ln2_b"])
-    f1_pre = n2 @ p["w_f1"] + p["b_f1"]
+    f1_pre = n2 @ p["w_f1"]
+    f1_pre += p["b_f1"]
     g1, gelu_t = _gelu_forward(f1_pre)
-    out = h1 + g1 @ p["w_f2"] + p["b_f2"]
+    out = g1 @ p["w_f2"]
+    out += h1
+    out += p["b_f2"]
 
     cache = EncoderCache(
         params=params, version=params.version, x=xf, masked=masked, at=sel,
@@ -291,8 +354,8 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     d_f1 = _gelu_backward(grad_out @ p["w_f2"].T, cache.f1_pre, cache.gelu_t)
     w_f1 = cache.n2.T @ d_f1
     b_f1 = d_f1.sum(axis=0)
-    dx2, ln2_g, ln2_b = _ln_backward(d_f1 @ p["w_f1"].T, p["ln2_g"], cache.ln2)
-    d_h1 = grad_out + dx2
+    d_h1, ln2_g, ln2_b = _ln_backward(d_f1 @ p["w_f1"].T, p["ln2_g"], cache.ln2)
+    d_h1 += grad_out
 
     # h1 = h0 + ctx @ w_o + b_o; d_ctx, and with it d_scores and d_q, are
     # zero at unselected rows
@@ -311,7 +374,9 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     w_q = n1[sel].T @ d_q
     w_k = n1.T @ d_k
     w_v = n1.T @ d_v
-    d_n1 = _scatter(d_q @ p["w_q"].T, sel, n) + d_k @ p["w_k"].T + d_v @ p["w_v"].T
+    d_n1 = _scatter(d_q @ p["w_q"].T, sel, n)
+    d_n1 += d_k @ p["w_k"].T
+    d_n1 += d_v @ p["w_v"].T
     d_h0, ln1_g, ln1_b = _ln_backward(d_n1, p["ln1_g"], cache.ln1)
     d_h0[sel] += d_h1
 

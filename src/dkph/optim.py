@@ -42,7 +42,11 @@ class Adam:
 
 
 def add_grads(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
-    """Add one block's gradients into ``total``, keyed alike; a name not yet
-    in ``total`` takes the block's array as it is."""
+    """Add one block's gradients into ``total``, keyed alike, in place; a name
+    not yet in ``total`` takes the block's array as it is, and later blocks
+    add into that array."""
     for name, g in part.items():
-        total[name] = total[name] + g if name in total else g
+        if name in total:
+            total[name] += g
+        else:
+            total[name] = g

@@ -30,9 +30,10 @@ A stage's meta record also carries its cost in the process that ran it:
 neither).
 
 Memory
-    The encoder passes allocate multi-MB temporaries for every block of
-    videos. Left to itself, glibc raises its mmap threshold to the largest
-    block freed so far (about 3 MB here) and trims the heap top whenever
+    The encoder passes allocate temporaries of up to about
+    ``encoder.BLOCK_BYTES`` each for every block of videos. Left to itself,
+    glibc raises its mmap threshold to the largest block freed so far and
+    trims the heap top whenever
     more than twice that is free, so every block returns its memory to the
     kernel and page-faults it back in. Before each stage, ``_keep_freed_heap``
     sets both thresholds once for the process with ``mallopt``: arrays up to
@@ -73,7 +74,7 @@ from .retrieval import MAP_KS, CodeIndex, map_at_k, pr_curve
 from .student import (
     PROBE_MODES,
     probe_reconstruction,
-    student_forward,
+    student_code,
     train_student,
     write_training_log,
 )
@@ -95,7 +96,11 @@ logger = logging.getLogger(__name__)
 # Version 6: the teacher runs its rows after attention, hash head and
 # decoder on the masked frames only, so its weight gradients sum over fewer
 # rows in another float order (teacher.ckpt moves at float32-ulp level).
-CODE_VERSION = 6
+# Version 7: encoder blocks hold as many videos as fit encoder.BLOCK_BYTES
+# instead of 64, so teacher and student gradients sum over other blocks
+# (teacher.ckpt, embeddings.features and student_K.ckpt move at float32-ulp
+# level; codes and metrics are unchanged).
+CODE_VERSION = 7
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -210,6 +215,13 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
     _run_stage(run_dir, "data", cfg, outputs, fn)
 
 
+def _video_embeddings(features: np.ndarray, params: Params) -> np.ndarray:
+    """Each video's mean encoder output, (N, model_dim): the teacher
+    embeddings the anchor graph is built on."""
+    return np.concatenate([encode_forward(features[blk], params)[0].mean(axis=1)
+                           for blk in blocks(len(features), params)])
+
+
 def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
     _require(run_dir, "data", cfg, needed_by="teacher")
 
@@ -222,10 +234,7 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
             for epoch, loss in enumerate(result.epoch_losses):
                 f.write(f"epoch={epoch} recon={loss:.10g}\n")
             f.write(f"eval_after={result.eval_after:.10g}\n")
-        means = np.concatenate([
-            encode_forward(train.features[blk], result.params)[0].mean(axis=1)
-            for blk in blocks(len(train.features))
-        ])
+        means = _video_embeddings(train.features, result.params)
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
 
     _run_stage(run_dir, "teacher", cfg,
@@ -296,10 +305,13 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
 
 
 def encode_split(features: np.ndarray, params: Params) -> np.ndarray:
-    """Hard codes for every video; returns packed uint8 rows."""
-    bits = np.concatenate([student_forward(features[blk], params).code
-                           for blk in blocks(len(features))])
-    return pack_bits(bits.astype(np.int8))
+    """Hard codes for every video, from the encoder and the hash head alone;
+    returns packed uint8 rows."""
+    codes = []
+    for blk in blocks(len(features), params):
+        frames, _ = encode_forward(features[blk], params)
+        codes.append(student_code(frames, params)[1])
+    return pack_bits(np.concatenate(codes).astype(np.int8))
 
 
 def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:

@@ -30,7 +30,10 @@ weights set to zero.
 Batches. ``student_forward`` takes a (B, M, D) batch, as the encoder does;
 every output has a leading B axis (the code is (B, K)). ``batch_gradients``,
 ``probe_reconstruction`` and the pipeline's encoding run the videos they need
-in blocks of ``encoder.BLOCK_VIDEOS``; the student never masks frames.
+in the blocks of ``encoder.blocks``, sized by bytes per video; the student
+never masks frames. Encoding reads the code alone, so it runs the encoder
+and :func:`student_code`, the hash head, without the temporal head and the
+decoder.
 
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does; the anchor centres, pair labels and gradient buffers of
@@ -89,12 +92,19 @@ class StudentForward:
     enc_cache: object
 
 
+def student_code(frames: np.ndarray, params: Params,
+                 binarize: str = "hard") -> tuple[np.ndarray, np.ndarray]:
+    """The hash head on (B, M, model_dim) encoder outputs: ``(act, code)``,
+    tanh(t_hat) and the (B, K) code."""
+    t_hat = frames.reshape(len(frames), -1) @ params["w_hash"] + params["b_hash"]
+    act = np.tanh(t_hat)
+    return act, binarize_tanh(act, binarize)
+
+
 def student_forward(x: np.ndarray, params: Params,
                     binarize: str = "hard") -> StudentForward:
     frames, cache = encode_forward(x, params)
-    t_hat = frames.reshape(len(frames), -1) @ params["w_hash"] + params["b_hash"]
-    act = np.tanh(t_hat)
-    code = binarize_tanh(act, binarize)
+    act, code = student_code(frames, params, binarize)
     latent = frames @ params["w_temp"] + params["b_temp"]
     recon = (latent + code[:, None, :]) @ params["w_dec"] + params["b_dec"]
     return StudentForward(code=code, act=act, latent=latent, recon=recon,
@@ -128,7 +138,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
     row = {v: r for r, v in enumerate(need)}
     x = np.asarray(features)[need].astype(dtype, copy=False)
     fwds = [(blk, student_forward(x[blk], params, binarize=binarize))
-            for blk in blocks(len(need))]
+            for blk in blocks(len(need), params)]
 
     in_batch = np.zeros(len(need), dtype=bool)
     in_batch[[row[v] for v in batch]] = True
@@ -286,7 +296,7 @@ def probe_reconstruction(features: np.ndarray, params: Params) -> dict[str, floa
     """
     features = np.asarray(features)
     totals = dict.fromkeys(PROBE_MODES, 0.0)
-    for blk in blocks(features.shape[0]):
+    for blk in blocks(features.shape[0], params):
         x = features[blk]
         fwd = student_forward(x, params)
         code = fwd.code[:, None, :]

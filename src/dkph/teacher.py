@@ -25,8 +25,8 @@ defaults are the only ones (``teacher_bits``, ``mask_ratio``,
 Batches. The forward, the loss and the backward take a (B, M, D) batch, as
 the encoder does: ``mask`` is a (B, M) bool array with at least one True per
 row, the loss is one value per video, and the backward returns the gradient
-of the summed per-video losses. Training and evaluation run in blocks of
-``encoder.BLOCK_VIDEOS`` videos.
+of the summed per-video losses. Training and evaluation run in the blocks of
+``encoder.blocks``, sized by bytes per video.
 
 Masked rows only. The loss reads the masked frames alone, so the forward
 passes the mask to the encoder as its output-row selector (``at``): the
@@ -195,7 +195,7 @@ def masked_eval_loss(features: np.ndarray, params: Params, masks: np.ndarray) ->
     """Mean masked-reconstruction loss over a dataset with fixed (N, M) masks."""
     features = np.asarray(features)
     total = 0.0
-    for blk in blocks(len(features)):
+    for blk in blocks(len(features), params):
         fwd = teacher_forward(features[blk], params, mask=masks[blk])
         total += float(teacher_recon_loss(features[blk], fwd.recon, masks[blk]).sum())
     return total / len(features)
@@ -235,7 +235,7 @@ def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
             masks = np.stack([draw_mask(rng, cfg.frames, cfg.mask_ratio) for _ in batch])
             grads: dict[str, np.ndarray] = {}
             batch_loss = 0.0
-            for blk in blocks(len(batch)):
+            for blk in blocks(len(batch), params):
                 x = features[batch[blk]]
                 fwd = teacher_forward(x, params, mask=masks[blk])
                 batch_loss += float(teacher_recon_loss(x, fwd.recon, masks[blk]).sum())

@@ -65,6 +65,15 @@ def test_an_unreadable_config_file_exits_2_naming_the_path(tmp_path, capsys, con
     assert f"error: cannot read config {path}: " in capsys.readouterr().err
 
 
+def test_a_work_dir_that_cannot_be_made_exits_2_naming_the_path(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["synth-data", "--work-dir", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create work dir {blocker / 'sub' / 'run-'}")
+    assert err.rstrip().endswith(": Not a directory")
+
+
 @pytest.mark.parametrize("step", ["0", "-1e-5"])
 def test_gradcheck_rejects_a_non_positive_step(capsys, step):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Transformer encoder block: forward oracle, backward gradient checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from dkph.exceptions import ShapeError, StaleCacheError
 from dkph.numerics import finite_diff_check
 
 TOY = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12)
+# encoder.blocks' bytes per TOY video: 4 frames x FFN width 12 x float64
+TOY_VIDEO_BYTES = 4 * 12 * 8
 
 
 def toy_params(seed=0):
@@ -319,9 +322,32 @@ class TestBatched:
             encode_backward(np.zeros((4, 8)), cache)
 
     def test_blocks_cover_range_in_bounded_runs(self, monkeypatch):
-        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
-        assert encoder.blocks(7) == [slice(0, 3), slice(3, 6), slice(6, 7)]
-        assert encoder.blocks(0) == []
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
+        p = toy_params(0)
+        assert encoder.blocks(7, p) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert encoder.blocks(6, p) == [slice(0, 3), slice(3, 6)]
+        assert encoder.blocks(0, p) == []
+        # a budget below one video still runs one video per block
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", TOY_VIDEO_BYTES - 1)
+        assert encoder.blocks(3, p) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_blocks_size_by_the_widest_layer_and_the_itemsize(self, monkeypatch):
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", 8 * TOY_VIDEO_BYTES)
+        p = toy_params(0)
+        assert encoder.blocks(20, p)[0] == slice(0, 8)
+        assert encoder.blocks(20, encoder.cast_params(p, np.float32))[0] == slice(0, 16)
+        # the input width counts when it is the widest
+        wide_in = init_encoder(replace(TOY, feat_dim=24), np.random.default_rng(0))
+        assert encoder.blocks(20, wide_in)[0] == slice(0, 4)
+
+    @pytest.mark.parametrize("cfg, videos", [
+        (RunConfig(), 20),                                  # paper default: 25 x 512 x 4 B
+        (RunConfig(frames=8, model_dim=64), 256),           # 8 x 128 x 4 B
+        (RunConfig(frames=4, model_dim=8), 1024),           # 4 x 64 x 4 B
+    ], ids=["default", "wide", "tiny"])
+    def test_default_budget_block_sizes(self, cfg, videos):
+        p = encoder.cast_params(init_encoder(cfg, np.random.default_rng(0)), np.float32)
+        assert encoder.blocks(5000, p)[0] == slice(0, videos)
 
 
 # output-row selectors over the MASKED batch; each leaves some video with no row
@@ -388,3 +414,72 @@ def test_only_batches_and_bool_masks_are_accepted():
     with pytest.raises(ShapeError):
         encode_forward(np.zeros((1, 4, 6)), p, masked=np.ones((1, 4), dtype=np.int64),
                        mask_embed=np.zeros(8))
+
+
+# The elementwise kernels as plain expressions: each temporary a fresh array.
+# The in-place kernels must give these results bit for bit.
+def plain_ln_forward(x, gain, bias):
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    return xhat * gain + bias, (xhat, inv)
+
+
+def plain_ln_backward(dy, gain, ln_cache):
+    xhat, inv = ln_cache
+    d_gain = (dy * xhat).sum(axis=0)
+    d_bias = dy.sum(axis=0)
+    dxhat = dy * gain
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), d_gain, d_bias
+
+
+GELU_C, GELU_A = math.sqrt(2.0 / math.pi), 0.044715
+
+
+def plain_gelu_forward(x):
+    t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def plain_gelu_backward(dy, x, t):
+    du = GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows, width", [(7, 13), (500, 512)])
+class TestInPlaceKernels:
+    def inputs(self, dtype, rows, width):
+        rng = np.random.default_rng(rows * width)
+        x = 3.0 * rng.normal(size=(rows, width))
+        gain, bias, dy = rng.normal(size=width), rng.normal(size=width), rng.normal(size=x.shape)
+        return tuple(a.astype(dtype) for a in (x, gain, bias, dy))
+
+    def test_layer_norm_equals_the_plain_expressions(self, dtype, rows, width):
+        x, gain, bias, dy = self.inputs(dtype, rows, width)
+        x_before, dy_before = x.copy(), dy.copy()
+        want, want_cache = plain_ln_forward(x, gain, bias)
+        got, cache = encoder._ln_forward(x, gain, bias)
+        for a, b in zip((got, *cache), (want, *want_cache)):
+            assert a.dtype == dtype and np.array_equal(a, b)
+        for a, b in zip(encoder._ln_backward(dy, gain, cache),
+                        plain_ln_backward(dy, gain, want_cache)):
+            assert a.dtype == dtype and np.array_equal(a, b)
+        # the inputs are read, never written
+        assert np.array_equal(x, x_before) and np.array_equal(dy, dy_before)
+
+    def test_gelu_equals_the_plain_expressions(self, dtype, rows, width):
+        x, _, _, dy = self.inputs(dtype, rows, width)
+        x_before, dy_before = x.copy(), dy.copy()
+        want, want_t = plain_gelu_forward(x)
+        got, t = encoder._gelu_forward(x)
+        assert got.dtype == t.dtype == dtype
+        assert np.array_equal(got, want) and np.array_equal(t, want_t)
+        got_dx = encoder._gelu_backward(dy, x, t)
+        assert got_dx.dtype == dtype
+        assert np.array_equal(got_dx, plain_gelu_backward(dy, x, want_t))
+        assert np.array_equal(x, x_before) and np.array_equal(dy, dy_before)

@@ -17,7 +17,7 @@ from dkph.config import RunConfig
 from dkph.exceptions import PipelineError
 from dkph.student import init_student
 from dkph.teacher import init_teacher
-from test_encoder import assert_rel_close, oracle_forward
+from test_encoder import TOY_VIDEO_BYTES, assert_rel_close, oracle_forward
 from test_student import oracle_student
 
 TINY = dict(num_classes=4, videos_per_class=10, frames=4, feat_dim=6, model_dim=8,
@@ -26,12 +26,30 @@ TINY = dict(num_classes=4, videos_per_class=10, frames=4, feat_dim=6, model_dim=
 
 
 def test_encode_split_equals_per_video_oracle(monkeypatch):
-    monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
+    monkeypatch.setattr(encoder, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
     cfg = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12)
     params = init_student(cfg, np.random.default_rng(0), code_bits=8)
     feats = np.random.default_rng(1).normal(size=(7, 4, 6))
     want = pack_bits(np.stack([oracle_student(x, params)[2] for x in feats]).astype(np.int8))
     np.testing.assert_array_equal(pipeline.encode_split(feats, params), want)
+
+
+def test_encoding_and_teacher_embeddings_do_not_depend_on_the_block(monkeypatch):
+    # float32, as the stages run: the default budget holds all 30 videos
+    cfg = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12, teacher_bits=8)
+    feats = np.random.default_rng(2).normal(size=(30, 4, 6)).astype(np.float32)
+    student_params = encoder.cast_params(init_student(cfg, np.random.default_rng(0), 8),
+                                         np.float32)
+    teacher_params = encoder.cast_params(init_teacher(cfg, np.random.default_rng(1)),
+                                         np.float32)
+    assert len(encoder.blocks(len(feats), student_params)) == 1
+    codes = pipeline.encode_split(feats, student_params)
+    means = pipeline._video_embeddings(feats, teacher_params)
+    monkeypatch.setattr(encoder, "BLOCK_BYTES", 1)  # one video per block
+    assert len(encoder.blocks(len(feats), student_params)) == 30
+    np.testing.assert_array_equal(pipeline.encode_split(feats, student_params), codes)
+    one_by_one = pipeline._video_embeddings(feats, teacher_params)
+    assert one_by_one.dtype == np.float32 and np.array_equal(one_by_one, means)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +75,25 @@ def test_rerun_reproduces_report_and_executes_no_stage(tiny_run):
     assert {s: m["wall_time_s"] for s, m in after.items()} == \
         {s: m["wall_time_s"] for s, m in before.items()}
     assert after == before
+
+
+def test_renaming_the_classes_changes_no_metric(tiny_run, tmp_path):
+    # training reads no label, so only evaluation sees the new names
+    cfg, _, first = tiny_run
+    run_dir = pipeline.run_layout(cfg, tmp_path)
+    run_dir.mkdir(parents=True)
+    pipeline.stage_data(cfg, run_dir)
+    rename = {0: 7, 1: 2, 2: 11, 3: 0}  # a bijection onto other class ids
+    for name in ("train", "query", "database"):
+        path = run_dir / "data" / f"{name}.labels"
+        labels = serial.load_labels(path)
+        assert set(labels.tolist()) == set(rename)
+        serial.save_labels(path, [rename[int(lab)] for lab in labels])
+    pipeline.run_pipeline(cfg, tmp_path)
+    assert serial.load_labels(run_dir / "data" / "query.labels").max() == 11
+    for bits in cfg.code_bits:
+        assert (run_dir / f"metrics_{bits}.json").read_bytes() == \
+            (first.run_dir / f"metrics_{bits}.json").read_bytes()
 
 
 def test_split_labels_number_ids_like_the_full_splits(tiny_run):

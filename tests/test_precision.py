@@ -99,12 +99,12 @@ def test_student_training_and_encoding_stay_float32(record):
     feats, graph, anchor_of = float32_features()
     assert anchor_of(0).dtype == np.float64
     seen = record((student, "student_forward"), (student, "batch_gradients"),
-                  (pipeline, "student_forward"))
+                  (pipeline, "encode_forward"), (pipeline, "student_code"))
     cfg = dataclasses.replace(TOY, student_epochs=2, batch_size=3, train_seed=0)
     result = train_student(feats, cfg, graph, anchor_of, code_bits=K)
     assert float_dtypes(result.params) == {np.dtype(np.float32)}
     pipeline.encode_split(feats, result.params)
-    assert set(seen) == {"student_forward", "batch_gradients",
+    assert set(seen) == {"student_forward", "batch_gradients", "encode_forward", "student_code",
                          "Adam.params", "Adam.grads", "Adam.moments"}
     assert seen == {name: {np.dtype(np.float32)} for name in seen}
 

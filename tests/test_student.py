@@ -18,6 +18,7 @@ from dkph.student import (
     batch_gradients,
     init_student,
     probe_reconstruction,
+    student_code,
     student_forward,
     student_recon_loss,
     student_step,
@@ -25,7 +26,7 @@ from dkph.student import (
     write_training_log,
 )
 from dkph.teacher import init_teacher, teacher_forward
-from test_encoder import assert_rel_close, oracle_backward, oracle_forward
+from test_encoder import TOY_VIDEO_BYTES, assert_rel_close, oracle_backward, oracle_forward
 
 TOY = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12)
 K = 8
@@ -36,6 +37,14 @@ def toy_student(seed=0):
 
 
 class TestForward:
+    @pytest.mark.parametrize("binarize", ["hard", "relaxed"])
+    def test_student_code_is_the_forward_code(self, binarize):
+        p = toy_student(7)
+        x = np.random.default_rng(8).normal(size=(5, 4, 6))
+        fwd = student_forward(x, p, binarize=binarize)
+        act, code = student_code(encoder.encode_forward(x, p)[0], p, binarize)
+        assert np.array_equal(act, fwd.act) and np.array_equal(code, fwd.code)
+
     def test_zero_hash_layer_gives_all_plus_one_by_tie_rule(self):
         p = toy_student(1)
         p["w_hash"][:] = 0.0
@@ -387,7 +396,7 @@ class TestBatched:
     @pytest.mark.parametrize("block", [2, 64])
     def test_batch_gradients_equal_per_video_oracle(self, monkeypatch, block):
         # the batch is a subset, and pairs reach videos outside it
-        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", block)
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", block * TOY_VIDEO_BYTES)
         feats, graph, anchor_of = two_class_setup(22)
         p = toy_student(23)
         batch = [0, 1, 3]
@@ -418,7 +427,7 @@ class TestBatched:
 
     @pytest.mark.parametrize("mode", PROBE_MODES)
     def test_probe_reconstruction_equals_per_video_oracle(self, monkeypatch, mode):
-        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 2)
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         feats, _, _ = two_class_setup(25)
         p = toy_student(26)
         total = 0.0
@@ -433,7 +442,7 @@ class TestBatched:
 
     def test_probe_reconstruction_runs_one_forward_per_block(self, monkeypatch):
         # 5 videos in blocks of 2: every mode from the same 3 forwards
-        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 2)
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         calls = []
 
         def counted(x, params, binarize="hard"):

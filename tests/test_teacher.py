@@ -19,7 +19,7 @@ from dkph.teacher import (
     train_teacher,
     video_code_from_frames,
 )
-from test_encoder import assert_rel_close, oracle_backward, oracle_forward
+from test_encoder import TOY_VIDEO_BYTES, assert_rel_close, oracle_backward, oracle_forward
 
 BITS = 16
 TOY = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12, teacher_bits=BITS)
@@ -306,7 +306,7 @@ class TestBatched:
             teacher_backward(x, fwd, p)
 
     def test_eval_loss_is_mean_of_per_video_losses(self, monkeypatch):
-        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 2)
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         feats = TestTraining().make_features(n=5)
         p = toy_teacher(36)
         masks = [(0,), (1,), (2, 3), (0, 3), (1, 2)]
@@ -317,7 +317,7 @@ class TestBatched:
         # same masks in the same order, so blocking only reorders float sums
         feats = TestTraining().make_features(n=12)
         a = train_teacher(feats, replace(TOY, teacher_epochs=2, train_seed=9, batch_size=8))
-        monkeypatch.setattr(encoder, "BLOCK_VIDEOS", 3)
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
         b = train_teacher(feats, replace(TOY, teacher_epochs=2, train_seed=9, batch_size=8))
         for name, arr in a.params.items():
             assert_rel_close(b.params[name], arr, tol=1e-9)
