@@ -36,23 +36,20 @@ def student_gradient_check(n_videos: int = 6, frames: int = 4, feat_dim: int = 6
 
     # frozen supervision: anchors and signed pairs over the raw feature means
     points = features.mean(axis=1) @ rng.normal(size=(feat_dim, model_dim))
-    anchors = kmeans(points, 3, seed=seed)
-    z = build_affinity(points, anchors, p=2, alpha=default_bandwidth(points, anchors, 2))
+    anchor_set = kmeans(points, 3, seed=seed)
+    z = build_affinity(points, anchor_set, p=2, alpha=default_bandwidth(points, anchor_set, 2))
     graph = build_signed_graph(z, lambda1=0.5, lambda2=2.0)
-    pairs = sample_pairs(graph, list(range(n_videos)), count=n_videos, seed=seed + 1)
-
-    def anchor_of(v: int) -> np.ndarray:
-        return anchors.centers[anchors.assignments[v]]
-
-    batch = list(range(n_videos))
+    batch = np.arange(n_videos)
+    pairs = sample_pairs(graph, batch, count=n_videos, seed=seed + 1)
+    anchors = anchor_set.centers[anchor_set.assignments]
 
     def loss(_):
         losses, _g = batch_gradients(features, batch, pairs, params, cfg,
-                                     anchor_of, binarize="relaxed")
+                                     anchors, binarize="relaxed")
         return losses["total"]
 
     _, grads = batch_gradients(features, batch, pairs, params, cfg,
-                               anchor_of, binarize="relaxed")
+                               anchors, binarize="relaxed")
     return finite_diff_check(loss, list(params.values()), [grads[n] for n in params], step=step)
 
 

@@ -26,12 +26,20 @@ buffer fits BLOCK_BYTES. Peak memory is a few such buffers plus Z. Each
 entry sums the same (z_ik * z_jk) / mass_k terms in slot order as a
 per-entry loop would, so the values, and hence the edges, are exact.
 k-means distances are blocked over rows under the same budget.
+
+Pairs for the student are drawn per batch as index arrays (``PairSample``):
+a fair label coin, a uniform anchor among the batch videos with edges of
+that sign, and a uniform partner from the anchor's edge list, each one
+vectorised generator call for the whole batch. The sampler reads the edge
+lists through ``SignedGraph.edge_table``, one flat array of every list with
+per-video counts and offsets, built on first use.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -239,12 +247,21 @@ class SignedGraph:
     def n(self) -> int:
         return len(self.positives)
 
+    @cached_property
+    def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(degree, start, flat)``: video v's positive (side 0) or negative
+        (side 1) neighbours are ``flat[start[side, v]:][:degree[side, v]]``.
+        Built once, on first use; the edge lists must not change after it."""
+        lists = [*self.positives, *self.negatives]
+        degree = np.array([e.size for e in lists], dtype=np.int64)
+        flat = np.concatenate([*lists, np.zeros(0, dtype=np.int64)]).astype(np.int64, copy=False)
+        return degree.reshape(2, -1), (np.cumsum(degree) - degree).reshape(2, -1), flat
+
     @property
     def isolated(self) -> np.ndarray:
         """Videos with no positive and no negative edge; sample_pairs never
         draws them."""
-        return np.flatnonzero([p.size == 0 and q.size == 0
-                               for p, q in zip(self.positives, self.negatives)])
+        return np.flatnonzero(self.edge_table[0].sum(axis=0) == 0)
 
 
 def build_signed_graph(z: SparseAffinity, lambda1: float, lambda2: float) -> SignedGraph:
@@ -260,42 +277,44 @@ def build_signed_graph(z: SparseAffinity, lambda1: float, lambda2: float) -> Sig
 
 @dataclass
 class PairSample:
-    i: int
-    j: int
-    label: int  # +1 or -1
+    """Sampled pairs as parallel (count,) int64 arrays: pair p joins anchor
+    video ``i[p]`` to partner ``j[p]`` with ``label[p]`` = +1 or -1."""
+
+    i: np.ndarray
+    j: np.ndarray
+    label: np.ndarray
 
 
-def sample_pairs(g: SignedGraph, batch, count: int, seed) -> list[PairSample]:
-    """Draw labeled pairs: fair coin for the label, then a uniform anchor
-    video among batch members having edges of that label, then a uniform
-    partner from that edge list.
+def sample_pairs(g: SignedGraph, batch, count: int, seed) -> PairSample:
+    """Draw ``count`` labeled pairs: a fair coin for the label, then a
+    uniform anchor video among the batch members having edges of that label,
+    then a uniform partner from that edge list.
 
-    If one label class is absent across the whole batch, draws fall back to
-    the other class (logged once); if both are absent, sampling fails.
+    Each of the three draws is one vectorised call on the generator, for all
+    pairs at once. If one label class is absent across the whole batch, its
+    coins flip to the other class (logged once, with the flip count first);
+    if both are absent, sampling fails. A video listed twice in ``batch`` is
+    twice as likely an anchor.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    batch = [int(b) for b in batch]
-    with_pos = [b for b in batch if g.positives[b].size]
-    with_neg = [b for b in batch if g.negatives[b].size]
-    if not with_pos and not with_neg:
+    degree, start, flat = g.edge_table
+    batch = np.asarray(batch, dtype=np.int64).reshape(-1)
+    with_pos, with_neg = (batch[degree[s, batch] > 0] for s in (0, 1))
+    if not with_pos.size and not with_neg.size:
         raise SamplingError("no positive or negative edges in this batch")
 
+    side = (rng.random(count) >= 0.5).astype(np.int64)  # 0: positive, 1: negative
     fallbacks = 0
-    out: list[PairSample] = []
-    for _ in range(count):
-        label = 1 if rng.random() < 0.5 else -1
-        candidates = with_pos if label == 1 else with_neg
-        if not candidates:
-            label = -label
-            candidates = with_pos if label == 1 else with_neg
-            fallbacks += 1
-        i = candidates[rng.integers(len(candidates))]
-        edges = g.positives[i] if label == 1 else g.negatives[i]
-        j = int(edges[rng.integers(edges.size)])
-        out.append(PairSample(i=i, j=j, label=label))
+    if not with_pos.size or not with_neg.size:
+        present = 0 if with_pos.size else 1
+        fallbacks = int(np.count_nonzero(side != present))
+        side[:] = present
+    sizes = np.array([with_pos.size, with_neg.size])
+    i = np.concatenate([with_pos, with_neg])[side * with_pos.size + rng.integers(sizes[side])]
+    j = flat[start[side, i] + rng.integers(degree[side, i])]
     if fallbacks:
         logger.warning("pair sampler fell back to the other label class %d/%d times",
                        fallbacks, count)
-    return out
+    return PairSample(i=i, j=j, label=1 - 2 * side)

@@ -100,7 +100,11 @@ logger = logging.getLogger(__name__)
 # instead of 64, so teacher and student gradients sum over other blocks
 # (teacher.ckpt, embeddings.features and student_K.ckpt move at float32-ulp
 # level; codes and metrics are unchanged).
-CODE_VERSION = 7
+# Version 8: the student's pairs and the teacher's masks are drawn for a
+# whole batch at once (three generator calls per pair batch, one
+# random((n, M)) draw per mask batch), so both streams differ and every
+# artifact from teacher.ckpt on moves as a reseed would move it.
+CODE_VERSION = 8
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -266,13 +270,13 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
 
 
 def load_graph_artifacts(run_dir: Path):
-    """The signed graph, and ``anchor_of``: training video -> its teacher
+    """The signed graph, and the (N_train, model_dim) array
+    ``centers[assignments]``, whose row v is training video v's teacher
     anchor centre."""
     positives, negatives = serial.load_graph(run_dir / "graph.bin")
     blob = serial.load_checkpoint(run_dir / "anchors.ckpt")
-    centers, assignments = blob["centers"], blob["assignments"]
     graph = SignedGraph(positives=positives, negatives=negatives)
-    return graph, lambda v: centers[assignments[v]]
+    return graph, blob["centers"][blob["assignments"]]
 
 
 # Each ablation variant and the loss weights it sets to zero; "no_dual" keeps
@@ -293,9 +297,9 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
 
     def fn():
         train = load_split(run_dir / "data", "train")
-        graph, anchor_of = load_graph_artifacts(run_dir)
+        graph, anchors = load_graph_artifacts(run_dir)
         variant_cfg = replace(cfg, **dict.fromkeys(ABLATION_VARIANTS[variant], 0.0))
-        result = train_student(train.features, variant_cfg, graph, anchor_of, code_bits=bits,
+        result = train_student(train.features, variant_cfg, graph, anchors, code_bits=bits,
                                dual_stream=variant != "no_dual")
         serial.save_checkpoint(run_dir / f"student_{tag}.ckpt", result.params)
         write_training_log(run_dir / f"student_{tag}_log.txt", result.history)

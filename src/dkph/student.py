@@ -33,7 +33,11 @@ every output has a leading B axis (the code is (B, K)). ``batch_gradients``,
 in the blocks of ``encoder.blocks``, sized by bytes per video; the student
 never masks frames. Encoding reads the code alone, so it runs the encoder
 and :func:`student_code`, the hash head, without the temporal head and the
-decoder.
+decoder. Pairs stay index arrays from the sampler to the gradients:
+``batch_gradients`` maps their videos to rows of its forward with
+``np.searchsorted`` over the sorted distinct videos it needs, and reads
+their anchor centres from the (N_train, model_dim) ``anchors`` array, whose
+row v is video v's teacher anchor centre.
 
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does; the anchor centres, pair labels and gradient buffers of
@@ -118,31 +122,32 @@ def student_recon_loss(x: np.ndarray, recon: np.ndarray) -> float:
     return float((diff * diff).sum() / diff.size)
 
 
-def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
-                    params: Params, cfg: RunConfig, anchor_of=None,
+def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
+                    params: Params, cfg: RunConfig, anchors: np.ndarray | None = None,
                     binarize: str = "hard"):
     """Losses and gradients of recon + gamma1*bsim + gamma2*tsim, with the
     weights (and tsim's hinge weight ``eta`` and margin ``beta``) of ``cfg``.
 
     One forward and one backward per distinct video, in blocks:
-    reconstruction covers ``batch``, the pair losses cover the videos named
-    in ``pairs`` (both sides of a pair receive bsim gradient; only the
-    anchor side receives tsim gradient). Returns (losses dict, gradients
-    keyed like ``params``); the reported loss components are unweighted.
+    reconstruction covers the distinct videos of ``batch``, the pair losses
+    cover the videos named in ``pairs`` (both sides of a pair receive bsim
+    gradient; only the anchor side receives tsim gradient). ``pairs=None``
+    drops both pair terms, and then ``anchors`` may be None too. Returns
+    (losses dict, gradients keyed like ``params``); the reported loss
+    components are unweighted.
     """
     m_frames, d_model = params["encoder.e_pos"].shape
     k, d_in = params["w_dec"].shape
     dtype = params["w_hash"].dtype
-    batch = sorted(set(int(b) for b in batch))
-    need = sorted(set(batch) | {s.i for s in pairs} | {s.j for s in pairs})
-    row = {v: r for r, v in enumerate(need)}
+    batch = np.unique(np.asarray(batch, dtype=np.int64))
+    need = batch if pairs is None else np.union1d(batch, np.union1d(pairs.i, pairs.j))
     x = np.asarray(features)[need].astype(dtype, copy=False)
     fwds = [(blk, student_forward(x[blk], params, binarize=binarize))
             for blk in blocks(len(need), params)]
 
     in_batch = np.zeros(len(need), dtype=bool)
-    in_batch[[row[v] for v in batch]] = True
-    recon_scale = 1.0 / (len(batch) * m_frames * d_in) if batch else 0.0
+    in_batch[np.searchsorted(need, batch)] = True
+    recon_scale = 1.0 / (len(batch) * m_frames * d_in) if len(batch) else 0.0
     l_recon = 0.0
     for blk, fwd in fwds:
         diff = fwd.recon - x[blk]
@@ -153,14 +158,14 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
     d_mean = np.zeros((len(need), d_model), dtype=dtype)
     l_bsim = 0.0
     l_tsim = 0.0
-    if pairs:
-        n = len(pairs)
+    if pairs is not None:
+        n = len(pairs.label)
         g1, g2 = cfg.gamma1, cfg.gamma2
         act = np.concatenate([fwd.act for _, fwd in fwds])
         means = np.concatenate([fwd.frames.mean(axis=1) for _, fwd in fwds])
-        i = np.array([row[s.i] for s in pairs])
-        j = np.array([row[s.j] for s in pairs])
-        label = np.array([s.label for s in pairs], dtype=dtype)
+        i = np.searchsorted(need, pairs.i)
+        j = np.searchsorted(need, pairs.j)
+        label = pairs.label.astype(dtype)
         weight = np.abs(label)
 
         ui, uj = act[i], act[j]
@@ -171,8 +176,8 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
         np.add.at(d_act, j, d_sim[:, None] * ui)
 
         ti = means[i]
-        delta_i = ti - np.stack([anchor_of(s.i) for s in pairs]).astype(dtype, copy=False)
-        delta_j = ti - np.stack([anchor_of(s.j) for s in pairs]).astype(dtype, copy=False)
+        delta_i = ti - anchors[pairs.i].astype(dtype, copy=False)
+        delta_j = ti - anchors[pairs.j].astype(dtype, copy=False)
         pull = (delta_i * delta_i).sum(axis=1)
         hinge = pull - (delta_j * delta_j).sum(axis=1) + cfg.beta
         coeff = weight * (1 - label)
@@ -208,7 +213,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: list[PairSample],
 
 
 def student_step(features: np.ndarray, batch, params: Params,
-                 graph: SignedGraph, anchor_of, cfg: RunConfig,
+                 graph: SignedGraph, anchors: np.ndarray, cfg: RunConfig,
                  opt: Adam, pair_rng, freeze: tuple = ()) -> dict:
     """One Adam update of the weighted objective; returns the loss breakdown.
 
@@ -217,10 +222,10 @@ def student_step(features: np.ndarray, batch, params: Params,
     gradient step. Tensors named in ``freeze`` keep their current values
     (used by architecture ablations).
     """
-    pairs: list[PairSample] = []
+    pairs = None
     if cfg.gamma1 or cfg.gamma2:
         pairs = sample_pairs(graph, batch, count=len(batch), seed=pair_rng)
-    losses, grads = batch_gradients(features, batch, pairs, params, cfg, anchor_of)
+    losses, grads = batch_gradients(features, batch, pairs, params, cfg, anchors)
     if not np.isfinite(losses["total"]):
         raise TrainingError("student loss non-finite", epoch=-1)
     for name in freeze:
@@ -237,9 +242,10 @@ class StudentTrainResult:
 
 
 def train_student(features: np.ndarray, cfg: RunConfig, graph: SignedGraph,
-                  anchor_of, *, code_bits: int,
+                  anchors: np.ndarray, *, code_bits: int,
                   dual_stream: bool = True) -> StudentTrainResult:
-    """Train the student against a frozen graph and teacher anchors, for
+    """Train the student against a frozen graph and teacher anchor centres
+    (``anchors``, one row per training video), for
     ``cfg.student_epochs`` epochs of ``cfg.batch_size`` videos at
     ``cfg.learn_rate``, deterministic under ``cfg.train_seed``.
 
@@ -267,9 +273,9 @@ def train_student(features: np.ndarray, cfg: RunConfig, graph: SignedGraph,
         sums = {"recon": 0.0, "bsim": 0.0, "tsim": 0.0, "total": 0.0}
         batches = 0
         for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size].tolist()
+            batch = order[start:start + batch_size]
             try:
-                parts = student_step(features, batch, params, graph, anchor_of,
+                parts = student_step(features, batch, params, graph, anchors,
                                      cfg, opt, rng, freeze=freeze)
             except TrainingError as err:
                 raise TrainingError(f"student loss non-finite at epoch {epoch}", epoch) from err

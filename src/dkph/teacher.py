@@ -174,13 +174,17 @@ def video_code_from_frames(frame_codes: np.ndarray):
     return BinaryCode(sign_pm1(sums).astype(np.int8)), tie_count
 
 
-def draw_mask(rng: np.random.Generator, frame_count: int, ratio: float) -> np.ndarray:
-    """A bool row over the M frames, True at the masked ones: at least one
-    frame, otherwise round(ratio * M), chosen uniformly."""
+def draw_mask(rng: np.random.Generator, frame_count: int, ratio: float,
+              n: int) -> np.ndarray:
+    """(n, M) bool masks, True at the masked frames. Each row masks
+    count = max(1, round(ratio * M)) frames, chosen uniformly: its count
+    smallest keys of one ``rng.random((n, M))`` draw. ``argpartition``
+    picks exactly count of them, so a tie cannot mark an extra frame."""
     count = max(1, int(round(ratio * frame_count)))
-    row = np.zeros(frame_count, dtype=bool)
-    row[rng.choice(frame_count, size=count, replace=False)] = True
-    return row
+    keys = rng.random((n, frame_count))
+    masks = np.zeros((n, frame_count), dtype=bool)
+    np.put_along_axis(masks, np.argpartition(keys, count - 1, axis=1)[:, :count], True, axis=1)
+    return masks
 
 
 @dataclass
@@ -221,7 +225,7 @@ def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
     init_ss, train_ss, eval_ss = np.random.SeedSequence(cfg.train_seed).spawn(3)
     params = cast_params(init_teacher(cfg, np.random.default_rng(init_ss)), dtype)
     eval_rng = np.random.default_rng(eval_ss)
-    eval_masks = np.stack([draw_mask(eval_rng, cfg.frames, cfg.mask_ratio) for _ in range(n)])
+    eval_masks = draw_mask(eval_rng, cfg.frames, cfg.mask_ratio, n)
     eval_before = masked_eval_loss(features, params, eval_masks)
 
     opt = Adam(cfg.learn_rate)
@@ -232,7 +236,7 @@ def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
         epoch_total = 0.0
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            masks = np.stack([draw_mask(rng, cfg.frames, cfg.mask_ratio) for _ in batch])
+            masks = draw_mask(rng, cfg.frames, cfg.mask_ratio, len(batch))
             grads: dict[str, np.ndarray] = {}
             batch_loss = 0.0
             for blk in blocks(len(batch), params):

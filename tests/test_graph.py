@@ -376,19 +376,46 @@ class TestSampler:
         g = self.make_graph()
         a = sample_pairs(g, [0, 1, 2, 3], count=20, seed=5)
         b = sample_pairs(g, [0, 1, 2, 3], count=20, seed=5)
-        assert [(s.i, s.j, s.label) for s in a] == [(s.i, s.j, s.label) for s in b]
+        for name in ("i", "j", "label"):
+            got = getattr(a, name)
+            assert got.shape == (20,) and got.dtype == np.int64
+            np.testing.assert_array_equal(got, getattr(b, name))
 
     def test_pairs_consistent_with_graph(self):
         g = self.make_graph()
-        for s in sample_pairs(g, [0, 1, 2, 3], count=200, seed=6):
-            edges = g.positives[s.i] if s.label == 1 else g.negatives[s.i]
-            assert s.j in edges
+        pairs = sample_pairs(g, [0, 1, 2, 3], count=200, seed=6)
+        for i, j, label in zip(pairs.i, pairs.j, pairs.label):
+            edges = g.positives[i] if label == 1 else g.negatives[i]
+            assert j in edges
 
     def test_label_frequency_near_half(self):
         g = self.make_graph()
-        labels = [s.label for s in sample_pairs(g, [0, 1, 2, 3], count=10_000, seed=7)]
-        freq = labels.count(1) / len(labels)
-        assert abs(freq - 0.5) <= 0.02
+        labels = sample_pairs(g, [0, 1, 2, 3], count=10_000, seed=7).label
+        assert set(labels.tolist()) == {-1, 1}
+        assert abs(np.mean(labels == 1) - 0.5) <= 0.02
+
+    @pytest.mark.parametrize("drop_neg", [None, 1])
+    def test_pair_frequencies_match_the_three_uniform_draws(self, drop_neg):
+        # P(label, i, j) = 1/2 * 1/|batch videos with label edges| * 1/|edges of i|;
+        # with video 1's negatives removed, three videos are negative anchors
+        g = self.make_graph()
+        if drop_neg is not None:
+            g.negatives[drop_neg] = np.array([], dtype=np.int64)
+        batch = [0, 1, 2, 3]
+        want = {}
+        for label, lists in ((1, g.positives), (-1, g.negatives)):
+            anchors = [v for v in batch if lists[v].size]
+            for i in anchors:
+                for j in lists[i]:
+                    want[(label, i, int(j))] = 0.5 / len(anchors) / lists[i].size
+        n = 40_000
+        pairs = sample_pairs(g, batch, count=n, seed=12)
+        keys, counts = np.unique(np.stack([pairs.label, pairs.i, pairs.j]), axis=1,
+                                 return_counts=True)
+        got = {tuple(int(x) for x in key): c / n for key, c in zip(keys.T, counts)}
+        assert set(got) == set(want)
+        for key, prob in want.items():
+            assert abs(got[key] - prob) <= 4.5 * math.sqrt(prob * (1 - prob) / n), key
 
     def test_positive_only_graph_falls_back_with_warning(self, caplog):
         g = SignedGraph(
@@ -397,8 +424,24 @@ class TestSampler:
         )
         with caplog.at_level(logging.WARNING, logger="dkph.graph"):
             pairs = sample_pairs(g, [0, 1], count=50, seed=8)
-        assert all(s.label == 1 for s in pairs)
+        assert (pairs.label == 1).all()
         assert any("fell back" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("present", ["positives", "negatives"])
+    def test_fallback_warning_counts_the_flipped_coins(self, caplog, present):
+        # the coin is the first draw of the stream: u < 1/2 is a positive label
+        edges = {"positives": [np.array([1]), np.array([0])],
+                 "negatives": [np.array([], dtype=np.int64)] * 2}
+        if present == "negatives":
+            edges = {"positives": edges["negatives"], "negatives": edges["positives"]}
+        g = SignedGraph(**edges)
+        with caplog.at_level(logging.WARNING, logger="dkph.graph"):
+            sample_pairs(g, [0, 1], count=50, seed=8)
+        coins = np.random.default_rng(8).random(50) < 0.5
+        flipped = np.count_nonzero(~coins if present == "positives" else coins)
+        [record] = [r for r in caplog.records if "fell back" in r.msg]
+        assert 0 < flipped < 50
+        assert record.args == (flipped, 50)
 
     def test_empty_batch_edges_raise(self):
         g = SignedGraph(

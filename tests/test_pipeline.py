@@ -212,15 +212,16 @@ def test_teacher_embeddings_are_frame_means_of_the_teacher_encoder(tiny_run):
 
 def test_graph_artifacts_give_the_graph_and_each_video_anchor_centre(tiny_run):
     _, _, first = tiny_run
-    graph, anchor_of = pipeline.load_graph_artifacts(first.run_dir)
+    graph, anchors = pipeline.load_graph_artifacts(first.run_dir)
     positives, negatives = serial.load_graph(first.run_dir / "graph.bin")
     blob = serial.load_checkpoint(first.run_dir / "anchors.ckpt")
     assignments = blob["assignments"].reshape(-1)
     assert len(graph.positives) == len(assignments) == len(positives)
+    assert anchors.shape == (len(assignments), blob["centers"].shape[1])
     for v in range(len(assignments)):
         np.testing.assert_array_equal(graph.positives[v], positives[v])
         np.testing.assert_array_equal(graph.negatives[v], negatives[v])
-        np.testing.assert_array_equal(anchor_of(v), blob["centers"][int(assignments[v])])
+        np.testing.assert_array_equal(anchors[v], blob["centers"][int(assignments[v])])
 
 
 def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):

@@ -77,8 +77,8 @@ def record(monkeypatch):
 
 
 def float32_features():
-    feats, graph, anchor_of = two_class_setup(3)
-    return feats.astype(np.float32), graph, anchor_of
+    feats, graph, anchors = two_class_setup(3)
+    return feats.astype(np.float32), graph, anchors
 
 
 def test_teacher_training_and_eval_stay_float32(record):
@@ -96,12 +96,12 @@ def test_teacher_training_and_eval_stay_float32(record):
 
 def test_student_training_and_encoding_stay_float32(record):
     # the anchor centres are float64, as the pipeline loads them
-    feats, graph, anchor_of = float32_features()
-    assert anchor_of(0).dtype == np.float64
+    feats, graph, anchors = float32_features()
+    assert anchors.dtype == np.float64
     seen = record((student, "student_forward"), (student, "batch_gradients"),
                   (pipeline, "encode_forward"), (pipeline, "student_code"))
     cfg = dataclasses.replace(TOY, student_epochs=2, batch_size=3, train_seed=0)
-    result = train_student(feats, cfg, graph, anchor_of, code_bits=K)
+    result = train_student(feats, cfg, graph, anchors, code_bits=K)
     assert float_dtypes(result.params) == {np.dtype(np.float32)}
     pipeline.encode_split(feats, result.params)
     assert set(seen) == {"student_forward", "batch_gradients", "encode_forward", "student_code",
@@ -111,7 +111,7 @@ def test_student_training_and_encoding_stay_float32(record):
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
 def test_integer_and_float64_features_compute_in_float64(dtype):
-    feats, graph, anchor_of = two_class_setup(4)
+    feats, graph, anchors = two_class_setup(4)
     feats = np.round(3 * feats).astype(dtype)
     wide = feats.astype(np.float64)
     teacher_cfg = dataclasses.replace(TOY, teacher_epochs=1, teacher_bits=16, batch_size=4,
@@ -119,8 +119,8 @@ def test_integer_and_float64_features_compute_in_float64(dtype):
     student_cfg = dataclasses.replace(TOY, student_epochs=1, batch_size=3, train_seed=1)
     t = train_teacher(feats, teacher_cfg)
     t64 = train_teacher(wide, teacher_cfg)
-    s = train_student(feats, student_cfg, graph, anchor_of, code_bits=K)
-    s64 = train_student(wide, student_cfg, graph, anchor_of, code_bits=K)
+    s = train_student(feats, student_cfg, graph, anchors, code_bits=K)
+    s64 = train_student(wide, student_cfg, graph, anchors, code_bits=K)
     for got, want in ((t.params, t64.params), (s.params, s64.params)):
         assert float_dtypes(got) == {np.dtype(np.float64)}
         for name, arr in got.items():
@@ -137,14 +137,14 @@ def test_cast_params_to_own_dtype_shares_every_tensor():
 def test_float32_batch_gradients_agree_with_float64():
     # relaxed binarization keeps the objective smooth, so a last-ulp change
     # in a pre-activation cannot flip a code bit between the two runs
-    feats, graph, anchor_of = float32_features()
+    feats, graph, anchors = float32_features()
     p32 = cast_params(toy_student(6), np.float32)
     p64 = cast_params(p32, np.float64)  # the same values, widened exactly
     batch = [0, 1, 2, 3, 4, 5]
     pairs = sample_pairs(graph, batch, count=8, seed=7)
-    l32, g32 = batch_gradients(feats, batch, pairs, p32, TOY, anchor_of, binarize="relaxed")
+    l32, g32 = batch_gradients(feats, batch, pairs, p32, TOY, anchors, binarize="relaxed")
     l64, g64 = batch_gradients(feats.astype(np.float64), batch, pairs, p64, TOY,
-                               anchor_of, binarize="relaxed")
+                               anchors, binarize="relaxed")
     for name in l64:
         assert abs(l32[name] - l64[name]) <= AGREEMENT_TOL * abs(l64[name]), name
     for name, want in g64.items():
@@ -157,13 +157,12 @@ def test_float32_batch_gradients_agree_with_float64():
 def test_float64_anchor_centres_are_narrowed_to_the_student_dtype():
     # the pipeline's anchors come from a float64 checkpoint; the pair terms
     # must use them in float32, exactly as if they had been stored so
-    feats, graph, anchor_of = float32_features()
+    feats, graph, anchors = float32_features()
     p32 = cast_params(toy_student(8), np.float32)
     batch = [0, 1, 2, 3, 4, 5]
     pairs = sample_pairs(graph, batch, count=8, seed=9)
-    l64, g64 = batch_gradients(feats, batch, pairs, p32, TOY, anchor_of)
-    l32, g32 = batch_gradients(feats, batch, pairs, p32, TOY,
-                               lambda v: anchor_of(v).astype(np.float32))
+    l64, g64 = batch_gradients(feats, batch, pairs, p32, TOY, anchors)
+    l32, g32 = batch_gradients(feats, batch, pairs, p32, TOY, anchors.astype(np.float32))
     assert l64 == l32
     for name, arr in g32.items():
         np.testing.assert_array_equal(g64[name], arr)

@@ -124,25 +124,29 @@ class TestReconLoss:
         assert student_recon_loss(x, recon) == pytest.approx(total / 72, rel=1e-13)
 
 
-def bsim_loss(pairs: list[PairSample], codes: dict[int, np.ndarray]) -> float:
+def one_pair(i: int, j: int, label: int) -> PairSample:
+    return PairSample(np.array([i]), np.array([j]), np.array([label]))
+
+
+def bsim_loss(pairs: PairSample, codes: dict[int, np.ndarray]) -> float:
     """Pairwise code-similarity loss on real-valued code relaxations.
 
     Mean over pairs of |label| * (label - <c_i, c_j>/K)^2. Hard {-1,+1}
     codes are valid inputs; training feeds tanh(t_hat) so the term stays
     differentiable. A per-pair loop, the oracle of ``batch_gradients``.
     """
-    if not pairs:
+    if not len(pairs.label):
         raise ValueError("bsim needs at least one pair")
     total = 0.0
-    for s in pairs:
-        ci, cj = codes[s.i], codes[s.j]
+    for i, j, label in zip(pairs.i, pairs.j, pairs.label):
+        ci, cj = codes[i], codes[j]
         sim = float(ci @ cj) / ci.size
-        total += abs(s.label) * (s.label - sim) ** 2
-    return total / len(pairs)
+        total += abs(label) * (label - sim) ** 2
+    return total / len(pairs.label)
 
 
-def tsim_loss(pairs: list[PairSample], means: dict[int, np.ndarray],
-              anchor_of, eta: float, beta: float) -> float:
+def tsim_loss(pairs: PairSample, means: dict[int, np.ndarray],
+              anchors: np.ndarray, eta: float, beta: float) -> float:
     """Embedding-alignment loss against frozen teacher anchor centers.
 
     Every sampled pair pulls the anchor video's mean embedding toward its
@@ -151,61 +155,61 @@ def tsim_loss(pairs: list[PairSample], means: dict[int, np.ndarray],
     positive pairs the hinge coefficient |label|*(1-label) vanishes. A
     per-pair loop, the oracle of ``batch_gradients``.
     """
-    if not pairs:
+    if not len(pairs.label):
         raise ValueError("tsim needs at least one pair")
     total = 0.0
-    for s in pairs:
-        ti = means[s.i]
-        pull = float(((ti - anchor_of(s.i)) ** 2).sum())
-        coeff = abs(s.label) * (1 - s.label)
+    for i, j, label in zip(pairs.i, pairs.j, pairs.label):
+        ti = means[i]
+        pull = float(((ti - anchors[i]) ** 2).sum())
+        coeff = abs(label) * (1 - label)
         term = pull
         if coeff:
-            push = float(((ti - anchor_of(s.j)) ** 2).sum())
+            push = float(((ti - anchors[j]) ** 2).sum())
             term += eta * coeff * max(0.0, pull - push + beta)
         total += term
-    return total / len(pairs)
+    return total / len(pairs.label)
 
 
 class TestBsimLoss:
     def test_identical_codes_positive_pair_is_zero(self):
         c = np.ones(K)
-        pairs = [PairSample(0, 1, 1)]
+        pairs = one_pair(0, 1, 1)
         assert bsim_loss(pairs, {0: c, 1: c.copy()}) == 0.0
 
     def test_opposite_codes_positive_pair_is_four(self):
         c = np.ones(K)
-        pairs = [PairSample(0, 1, 1)]
+        pairs = one_pair(0, 1, 1)
         assert bsim_loss(pairs, {0: c, 1: -c}) == pytest.approx(4.0)
 
     def test_orthogonal_codes_negative_pair_is_one(self):
         a = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
         b = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
         assert float(a @ b) == 0.0
-        assert bsim_loss([PairSample(0, 1, -1)], {0: a, 1: b}) == pytest.approx(1.0)
+        assert bsim_loss(one_pair(0, 1, -1), {0: a, 1: b}) == pytest.approx(1.0)
 
     def test_symmetric_in_pair_order(self):
         rng = np.random.default_rng(3)
         a, b = np.tanh(rng.normal(size=K)), np.tanh(rng.normal(size=K))
-        lhs = bsim_loss([PairSample(0, 1, -1)], {0: a, 1: b})
-        rhs = bsim_loss([PairSample(1, 0, -1)], {0: a, 1: b})
+        lhs = bsim_loss(one_pair(0, 1, -1), {0: a, 1: b})
+        rhs = bsim_loss(one_pair(1, 0, -1), {0: a, 1: b})
         assert lhs == pytest.approx(rhs, rel=1e-15)
 
 
 class TestTsimLoss:
     def centers(self):
-        return {0: np.zeros(8), 1: np.full(8, 0.5)}
+        return np.stack([np.zeros(8), np.full(8, 0.5)])
 
     def test_on_center_positive_pair_is_zero(self):
         c = self.centers()
-        pairs = [PairSample(0, 1, 1)]
-        assert tsim_loss(pairs, {0: c[0].copy()}, c.__getitem__, eta=0.1, beta=1.0) == 0.0
+        pairs = one_pair(0, 1, 1)
+        assert tsim_loss(pairs, {0: c[0].copy()}, c, eta=0.1, beta=1.0) == 0.0
 
     def test_inactive_hinge_negative_pair_is_zero(self):
         # anchor on its own center; partner center at squared distance 2
         ci = np.zeros(8)
         cj = np.full(8, 0.5)  # ||ci - cj||^2 = 8 * 0.25 = 2
-        pairs = [PairSample(0, 1, -1)]
-        val = tsim_loss(pairs, {0: ci.copy()}, {0: ci, 1: cj}.__getitem__, eta=0.1, beta=1.0)
+        pairs = one_pair(0, 1, -1)
+        val = tsim_loss(pairs, {0: ci.copy()}, np.stack([ci, cj]), eta=0.1, beta=1.0)
         assert val == 0.0
 
     def test_active_hinge_scalar_oracle(self):
@@ -213,8 +217,8 @@ class TestTsimLoss:
         ci = np.zeros(8)
         cj = np.zeros(8)
         cj[0] = np.sqrt(0.5)
-        pairs = [PairSample(0, 1, -1)]
-        val = tsim_loss(pairs, {0: ci.copy()}, {0: ci, 1: cj}.__getitem__, eta=0.1, beta=1.0)
+        pairs = one_pair(0, 1, -1)
+        val = tsim_loss(pairs, {0: ci.copy()}, np.stack([ci, cj]), eta=0.1, beta=1.0)
         assert val == pytest.approx(0.1, rel=1e-12)
 
     def test_hinge_term_nonnegative(self):
@@ -222,9 +226,7 @@ class TestTsimLoss:
         for _ in range(30):
             ti = rng.normal(size=8)
             ci, cj = rng.normal(size=8), rng.normal(size=8)
-            centers = {0: ci, 1: cj}
-            val = tsim_loss([PairSample(0, 1, -1)], {0: ti}, centers.__getitem__,
-                            eta=0.3, beta=1.0)
+            val = tsim_loss(one_pair(0, 1, -1), {0: ti}, np.stack([ci, cj]), eta=0.3, beta=1.0)
             pull = float(((ti - ci) ** 2).sum())
             assert val >= pull - 1e-12
 
@@ -238,19 +240,18 @@ def two_class_setup(seed=0):
     pos = [np.array([v for v in (evens if i % 2 == 0 else odds) if v != i]) for i in range(6)]
     neg = [np.array(odds if i % 2 == 0 else evens) for i in range(6)]
     graph = SignedGraph(positives=pos, negatives=neg)
-    centers = np.stack([np.zeros(8), np.ones(8)])
-    anchor_of = lambda v: centers[v % 2]
-    return feats, graph, anchor_of
+    anchors = np.stack([np.zeros(8), np.ones(8)])[np.arange(6) % 2]
+    return feats, graph, anchors
 
 
 class TestStep:
     def test_zero_gamma_step_is_reconstruction_only_bit_exact(self):
-        feats, graph, anchor_of = two_class_setup()
+        feats, graph, anchors = two_class_setup()
         w0 = replace(TOY, gamma1=0.0, gamma2=0.0)
 
         params_a = toy_student(11)
         rng_a = np.random.default_rng(0)
-        parts = student_step(feats, [0, 1, 2], params_a, graph, anchor_of, w0,
+        parts = student_step(feats, [0, 1, 2], params_a, graph, anchors, w0,
                              Adam(lr=1e-3), rng_a)
         assert parts["bsim"] == 0.0 and parts["tsim"] == 0.0
         # no pairs were sampled: the rng state is untouched
@@ -258,17 +259,17 @@ class TestStep:
 
         # reference: pure reconstruction gradients through the same optimizer
         params_b = toy_student(11)
-        losses, grads = batch_gradients(feats, [0, 1, 2], [], params_b, w0, None)
+        losses, grads = batch_gradients(feats, [0, 1, 2], None, params_b, w0, None)
         assert losses["total"] == parts["recon"]
         Adam(lr=1e-3).step(params_b, grads)
         for name, arr in params_a.items():
             np.testing.assert_array_equal(arr, params_b[name])
 
     def test_step_returns_all_components_and_updates_params(self):
-        feats, graph, anchor_of = two_class_setup()
+        feats, graph, anchors = two_class_setup()
         params = toy_student(12)
         before = {k: v.copy() for k, v in params.items()}
-        parts = student_step(feats, [0, 1, 2, 3], params, graph, anchor_of,
+        parts = student_step(feats, [0, 1, 2, 3], params, graph, anchors,
                              TOY, Adam(TOY.learn_rate), np.random.default_rng(1))
         assert set(parts) == {"recon", "bsim", "tsim", "total"}
         assert parts["total"] == pytest.approx(
@@ -290,10 +291,10 @@ class TestStep:
             assert check(seed=0).param_count == size == want, check.__name__
 
     def test_training_descends_and_is_deterministic(self):
-        feats, graph, anchor_of = two_class_setup()
+        feats, graph, anchors = two_class_setup()
         cfg = replace(TOY, learn_rate=2e-3, student_epochs=12, batch_size=3, train_seed=5)
-        a = train_student(feats, cfg, graph, anchor_of, code_bits=K)
-        b = train_student(feats, cfg, graph, anchor_of, code_bits=K)
+        a = train_student(feats, cfg, graph, anchors, code_bits=K)
+        b = train_student(feats, cfg, graph, anchors, code_bits=K)
         assert a.history[-1]["total"] < a.history[0]["total"]
         for name, arr in a.params.items():
             np.testing.assert_array_equal(arr, b.params[name])
@@ -301,11 +302,11 @@ class TestStep:
 
     def test_nan_features_raise_training_error_with_epoch(self):
         # every frame of video 0 is poisoned, and each epoch's batches cover it
-        feats, graph, anchor_of = two_class_setup()
+        feats, graph, anchors = two_class_setup()
         feats[0, :, 0] = np.nan
         cfg = replace(TOY, student_epochs=2, batch_size=3, train_seed=0)
         with pytest.raises(TrainingError) as exc:
-            train_student(feats, cfg, graph, anchor_of, code_bits=K)
+            train_student(feats, cfg, graph, anchors, code_bits=K)
         assert exc.value.epoch == 0
 
     def test_training_log_lines(self, tmp_path):
@@ -325,11 +326,12 @@ def oracle_student(x, p):
     return frames, act, code, latent, (latent + code) @ p["w_dec"] + p["b_dec"]
 
 
-def oracle_batch_gradients(features, batch, pairs, p, w, anchor_of):
+def oracle_batch_gradients(features, batch, pairs, p, w, anchors):
     """Per-video, per-pair loops over the straight-line oracles."""
     k = p["w_hash"].shape[1]
     m, d_in = features.shape[1:]
-    need = sorted(set(batch) | {s.i for s in pairs} | {s.j for s in pairs})
+    batch = [int(v) for v in batch]
+    need = sorted(set(batch) | {int(v) for v in pairs.i} | {int(v) for v in pairs.j})
     fw = {v: oracle_student(features[v], p) for v in need}
     batch = sorted(set(batch))
     rs = 1.0 / (len(batch) * m * d_in)
@@ -337,25 +339,25 @@ def oracle_batch_gradients(features, batch, pairs, p, w, anchor_of):
     d_act = {v: np.zeros(k) for v in need}
     d_mean = {v: np.zeros(p["w_temp"].shape[0]) for v in need}
     l_bsim = l_tsim = 0.0
-    n = len(pairs)
-    for s in pairs:
-        ui, uj = fw[s.i][1], fw[s.j][1]
-        resid = s.label - ui @ uj / k
-        l_bsim += abs(s.label) * resid ** 2
-        d_sim = w.gamma1 * -2.0 * abs(s.label) * resid / (n * k)
-        d_act[s.i] += d_sim * uj
-        d_act[s.j] += d_sim * ui
-        ti = fw[s.i][0].mean(axis=0)
-        di = ti - anchor_of(s.i)
+    n = len(pairs.label)
+    for i, j, label in zip(pairs.i.tolist(), pairs.j.tolist(), pairs.label.tolist()):
+        ui, uj = fw[i][1], fw[j][1]
+        resid = label - ui @ uj / k
+        l_bsim += abs(label) * resid ** 2
+        d_sim = w.gamma1 * -2.0 * abs(label) * resid / (n * k)
+        d_act[i] += d_sim * uj
+        d_act[j] += d_sim * ui
+        ti = fw[i][0].mean(axis=0)
+        di = ti - anchors[i]
         pull = di @ di
         l_tsim += pull
-        d_mean[s.i] += w.gamma2 * 2.0 * di / n
-        coeff = abs(s.label) * (1 - s.label)
-        dj = ti - anchor_of(s.j)
+        d_mean[i] += w.gamma2 * 2.0 * di / n
+        coeff = abs(label) * (1 - label)
+        dj = ti - anchors[j]
         hinge = pull - dj @ dj + w.beta
         if coeff and hinge > 0:
             l_tsim += w.eta * coeff * hinge
-            d_mean[s.i] += w.gamma2 * w.eta * coeff * 2.0 * (di - dj) / n
+            d_mean[i] += w.gamma2 * w.eta * coeff * 2.0 * (di - dj) / n
 
     g = defaultdict(float)
     for v in need:
@@ -397,25 +399,43 @@ class TestBatched:
     def test_batch_gradients_equal_per_video_oracle(self, monkeypatch, block):
         # the batch is a subset, and pairs reach videos outside it
         monkeypatch.setattr(encoder, "BLOCK_BYTES", block * TOY_VIDEO_BYTES)
-        feats, graph, anchor_of = two_class_setup(22)
+        feats, graph, anchors = two_class_setup(22)
         p = toy_student(23)
         batch = [0, 1, 3]
         pairs = sample_pairs(graph, batch, count=8, seed=24)
-        assert {s.j for s in pairs} - set(batch)
-        losses, grads = batch_gradients(feats, batch, pairs, p, TOY, anchor_of)
-        want_losses, want = oracle_batch_gradients(feats, batch, pairs, p, TOY, anchor_of)
+        assert set(pairs.j.tolist()) - set(batch)
+        losses, grads = batch_gradients(feats, batch, pairs, p, TOY, anchors)
+        want_losses, want = oracle_batch_gradients(feats, batch, pairs, p, TOY, anchors)
         for name in ("recon", "bsim", "tsim"):
             assert losses[name] == pytest.approx(want_losses[name], rel=1e-12)
         assert set(grads) == set(want)
         for name, g in grads.items():
             assert_rel_close(g, want[name])
 
+    def test_a_video_twice_in_an_array_batch_counts_once(self):
+        # reconstruction covers the distinct videos of the batch, as
+        # sorted(set(batch)) does in the oracle
+        feats, graph, anchors = two_class_setup(30)
+        p = toy_student(31)
+        batch = np.array([3, 0, 1, 3])
+        pairs = sample_pairs(graph, [0, 1, 3], count=8, seed=32)
+        losses, grads = batch_gradients(feats, batch, pairs, p, TOY, anchors)
+        want_losses, want = oracle_batch_gradients(feats, batch, pairs, p, TOY, anchors)
+        for name in ("recon", "bsim", "tsim"):
+            assert losses[name] == pytest.approx(want_losses[name], rel=1e-12)
+        for name, g in grads.items():
+            assert_rel_close(g, want[name])
+        once, once_grads = batch_gradients(feats, [0, 1, 3], pairs, p, TOY, anchors)
+        assert once == losses
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, once_grads[name])
+
     @pytest.mark.parametrize("binarize", ["hard", "relaxed"])
     def test_pair_losses_equal_per_pair_loops(self, binarize):
-        feats, graph, anchor_of = two_class_setup(27)
+        feats, graph, anchors = two_class_setup(27)
         p = toy_student(28)
         pairs = sample_pairs(graph, [0, 1, 3], count=8, seed=29)
-        losses, _ = batch_gradients(feats, [0, 1, 3], pairs, p, TOY, anchor_of,
+        losses, _ = batch_gradients(feats, [0, 1, 3], pairs, p, TOY, anchors,
                                     binarize=binarize)
         fwd = {v: student_forward(feats[v:v + 1], p, binarize=binarize)
                for v in range(len(feats))}
@@ -423,7 +443,7 @@ class TestBatched:
         means = {v: f.frames[0].mean(axis=0) for v, f in fwd.items()}
         assert losses["bsim"] == pytest.approx(bsim_loss(pairs, acts), rel=1e-12)
         assert losses["tsim"] == pytest.approx(
-            tsim_loss(pairs, means, anchor_of, eta=TOY.eta, beta=TOY.beta), rel=1e-12)
+            tsim_loss(pairs, means, anchors, eta=TOY.eta, beta=TOY.beta), rel=1e-12)
 
     @pytest.mark.parametrize("mode", PROBE_MODES)
     def test_probe_reconstruction_equals_per_video_oracle(self, monkeypatch, mode):

@@ -221,17 +221,33 @@ class TestTraining:
     def test_draw_mask_bounds(self):
         rng = np.random.default_rng(0)
         for m in (1, 4, 25):
-            mask = draw_mask(rng, m, 0.15)
-            assert mask.shape == (m,) and mask.dtype == bool
-            assert 1 <= mask.sum() <= m
+            mask = draw_mask(rng, m, 0.15, 3)
+            assert mask.shape == (3, m) and mask.dtype == bool
+            assert ((1 <= mask.sum(axis=1)) & (mask.sum(axis=1) <= m)).all()
 
-    def test_draw_mask_marks_the_frames_rng_choice_draws(self):
-        # the same single rng.choice call as before, so seeded streams stay put
+    @pytest.mark.parametrize("ratio", [0.0, 0.15, 0.5, 0.9, 1.0])
+    def test_draw_mask_marks_exactly_count_frames_per_row(self, ratio):
+        rng = np.random.default_rng(1)
+        for m in range(1, 31):
+            mask = draw_mask(rng, m, ratio, 40)
+            np.testing.assert_array_equal(mask.sum(axis=1), max(1, round(ratio * m)))
+
+    def test_draw_mask_frame_marginals_are_count_over_m(self):
+        n, m = 20_000, 10
+        mask = draw_mask(np.random.default_rng(2), m, 0.3, n)
+        p = 3 / m
+        assert np.abs(mask.mean(axis=0) - p).max() <= 4.5 * np.sqrt(p * (1 - p) / n)
+
+    def test_draw_mask_marks_the_count_smallest_keys_of_one_draw(self):
+        # one random((n, M)) draw, so seeded streams advance by n * M doubles
         a, b = np.random.default_rng(3), np.random.default_rng(3)
-        for m in (4, 25):
-            mask = draw_mask(a, m, 0.15)
-            chosen = b.choice(m, size=max(1, round(0.15 * m)), replace=False)
-            np.testing.assert_array_equal(np.flatnonzero(mask), np.sort(chosen))
+        for m in (3, 4, 25):
+            mask = draw_mask(a, m, 0.15, 5)
+            keys = b.random((5, m))
+            want = np.zeros((5, m), dtype=bool)
+            for r in range(5):
+                want[r, np.argsort(keys[r])[:max(1, round(0.15 * m))]] = True
+            np.testing.assert_array_equal(mask, want)
         assert a.random() == b.random()
 
     def test_eval_loss_uses_fixed_masks(self):
