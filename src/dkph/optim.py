@@ -32,8 +32,10 @@ class Adam:
             g = grads.get(name)
             if g is None:
                 continue
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
+            m, v = self._m[name], self._v[name]
             m *= b1
             m += (1.0 - b1) * g
             v *= b2

@@ -1,9 +1,13 @@
 """Packed-bit Hamming index and the retrieval evaluation suite.
 
 Codes live as packed bytes (``codes.pack_bits``). For distances the packed
-rows are viewed as zero-padded uint64 words, and the Hamming distance of
-two rows is the sum of ``np.bitwise_count`` over their XORed words; pad
-bits are zero in both operands, so they never count.
+rows are viewed as zero-padded words of the code's width: uint8 for rows of
+1 byte, uint16 for 2, uint32 for 3-4, uint64 for 5-8, and several uint64
+words beyond that. Both sides of a distance go through the same rule. The
+Hamming distance of two rows is the sum of ``np.bitwise_count`` over their
+XORed words; pad bits are zero in both operands, so they never count.
+``packed_distances`` writes the counts straight into the dtype its caller
+asks for: the index's key dtype for ranking, int64 for the PR sweep.
 
 ``map_at_k`` and ``pr_curve`` pack their queries once and compute one
 (queries x database) distance matrix per call, in blocks of query rows
@@ -17,8 +21,17 @@ A key also names its item, as ``rank_of_id = key % n`` and
 (``np.partition``, then a sort of the k smallest) and never their
 positions. Keys are int32 when every key fits, that is when
 (K + 2) * n <= 2**31 - 1 (the largest distance is K + 1, an excluded own
-row), and int64 otherwise; the index picks the dtype once. The PR sweep
-ranks nothing and reads per-query histograms of distance 0..K.
+row), and int64 otherwise; the index picks the dtype once.
+
+Relevance comes from the index's label table, built once: its distinct
+labels with their counts, and its labels in id-rank order. A query's
+relevant count is the count of its label (0 when the database lacks it),
+less its own row when that row shares the label, and a ranked key is a hit
+when ``labels_by_rank[key % n]`` equals the query's label. So ``map_at_k``
+reads labels at the k ranked keys only and builds no (queries x database)
+relevance matrix. The PR sweep ranks nothing: it reads per-query histograms
+of distance 0..K, over all items and over the relevant ones, and it is the
+one place that builds a block's boolean relevance matrix.
 
 Evaluation conventions:
   * AP@k divides by min(R, k), where R is the number of relevant items in
@@ -53,24 +66,39 @@ def _key_dtype(k: int, n: int) -> type:
     return np.int32 if (k + 2) * n <= np.iinfo(np.int32).max else np.int64
 
 
+# Word type of a packed row of 0..8 bytes; longer rows are several uint64 words.
+_WORD_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint8, np.uint16, np.uint32, np.uint32,
+                                          np.uint64, np.uint64, np.uint64, np.uint64))
+
+
 def _as_words(packed: np.ndarray) -> np.ndarray:
-    """Packed uint8 rows as zero-padded uint64 words, (n, ceil(bytes / 8))."""
+    """Packed uint8 rows as zero-padded words of the row's width:
+    (n, ceil(bytes / word bytes)) of uint8, uint16, uint32 or uint64."""
     n, n_bytes = packed.shape
-    padded = np.zeros((n, -(-n_bytes // 8) * 8), dtype=np.uint8)
+    word = _WORD_TYPES[min(n_bytes, 8)]
+    padded = np.zeros((n, -(-n_bytes // word.itemsize) * word.itemsize), dtype=np.uint8)
     padded[:, :n_bytes] = packed
-    return padded.view(np.uint64)
+    return padded.view(word)
 
 
-def packed_distances(db_words: np.ndarray, q_words: np.ndarray) -> np.ndarray:
-    """(nq, n_db) int64 Hamming distances between rows of uint64 words."""
-    dist = np.bitwise_xor.outer(q_words[:, 0], db_words[:, 0])
-    np.bitwise_count(dist, out=dist)
+def _count_bits(words: np.ndarray, dtype) -> np.ndarray:
+    """np.bitwise_count of words as dtype; in place when the widths match,
+    since a uint64 -> int64 output cast is several times slower than the count."""
+    if words.itemsize == np.dtype(dtype).itemsize:
+        return np.bitwise_count(words, out=words).view(dtype)
+    return np.bitwise_count(words, out=np.empty(words.shape, dtype))
+
+
+def packed_distances(db_words: np.ndarray, q_words: np.ndarray, dtype) -> np.ndarray:
+    """(nq, n_db) Hamming distances between rows of words (``_as_words``),
+    counted straight into the integer dtype."""
+    dist = _count_bits(np.bitwise_xor.outer(q_words[:, 0], db_words[:, 0]), dtype)
     if db_words.shape[1] > 1:
-        word = np.empty_like(dist)
+        word = np.empty(dist.shape, dtype=db_words.dtype)
         for w in range(1, db_words.shape[1]):
             np.bitwise_xor.outer(q_words[:, w], db_words[:, w], out=word)
-            dist += np.bitwise_count(word, out=word)
-    return dist.view(np.int64)
+            dist += _count_bits(word, dtype)
+    return dist
 
 
 @dataclass
@@ -81,14 +109,20 @@ class CodeIndex:
     ids: np.ndarray               # (n,) int64
     k: int
     labels: np.ndarray | None = None  # (n,) semantic labels, optional
-    # derived once: the packed rows as uint64 words; each row's position in
-    # ascending id order (the tie-breaking part of the ranking key), in the
-    # key dtype of _key_dtype(k, n); the rows in that order and their ids
-    # (to find a row by id)
+    # derived once: the packed rows as words of the code's width; each row's
+    # position in ascending id order (the tie-breaking part of the ranking
+    # key), in the key dtype of _key_dtype(k, n); the rows in that order and
+    # their ids (to find a row by id)
     words: np.ndarray = field(init=False, repr=False)
     rank_of_id: np.ndarray = field(init=False, repr=False)
     _id_order: np.ndarray = field(init=False, repr=False)
     _sorted_ids: np.ndarray = field(init=False, repr=False)
+    # derived once when labelled, the label table: the distinct labels in
+    # ascending order and the count of each (a query's relevant count), and
+    # the labels in id-rank order (a ranking key's label is _labels_by_rank[key % n])
+    _label_values: np.ndarray | None = field(init=False, repr=False, default=None)
+    _label_counts: np.ndarray | None = field(init=False, repr=False, default=None)
+    _labels_by_rank: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.packed = np.asarray(self.packed, dtype=np.uint8)
@@ -106,6 +140,8 @@ class CodeIndex:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.size != self.ids.size:
                 raise ShapeError("labels and ids differ in count")
+            self._label_values, self._label_counts = np.unique(self.labels, return_counts=True)
+            self._labels_by_rank = self.labels[self._id_order]
         self.rank_of_id = np.empty(self.n, dtype=_key_dtype(self.k, self.n))
         self.rank_of_id[self._id_order] = np.arange(self.n)
         self.words = _as_words(self.packed)
@@ -121,6 +157,15 @@ class CodeIndex:
             return np.full(ids.shape, -1, dtype=np.int64)
         at = np.minimum(np.searchsorted(self._sorted_ids, ids), self.n - 1)
         return np.where(self._sorted_ids[at] == ids, self._id_order[at], -1)
+
+    def _relevant_counts(self, labels: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """Database items sharing each query's label (0 where the database has
+        none), less the query's own row (own >= 0) when that row shares it."""
+        if self.n == 0:
+            return np.zeros(labels.shape, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self._label_values, labels), self._label_values.size - 1)
+        counts = np.where(self._label_values[at] == labels, self._label_counts[at], 0)
+        return counts - ((own >= 0) & (self.labels[own] == labels))
 
     @classmethod
     def from_bits(cls, bits: np.ndarray, ids=None, labels=None) -> "CodeIndex":
@@ -139,11 +184,11 @@ class RankedList:
 
 
 def _keys(idx: CodeIndex, dist: np.ndarray) -> np.ndarray:
-    """Ranking keys ``dist * n + rank_of_id`` in the index's key dtype; may reuse dist."""
-    key = dist.astype(idx.rank_of_id.dtype, copy=False)
-    key *= idx.n
-    key += idx.rank_of_id
-    return key
+    """Ranking keys ``dist * n + rank_of_id``, in place over distances in the
+    index's key dtype."""
+    dist *= idx.n
+    dist += idx.rank_of_id
+    return dist
 
 
 def _top_keys(key: np.ndarray, k: int) -> np.ndarray:
@@ -159,7 +204,8 @@ def query_topk(idx: CodeIndex, query: BinaryCode, k: int, exclude_id=None) -> Ra
     """The k nearest codes; raises if k exceeds the (post-exclusion) size."""
     if query.k != idx.k:
         raise ShapeError(f"query has {query.k} bits, index has {idx.k}")
-    dist = packed_distances(idx.words, _as_words(query.packed[None, :]))[0]
+    dist = packed_distances(idx.words, _as_words(query.packed[None, :]),
+                            idx.rank_of_id.dtype)[0]
     size = idx.n
     if exclude_id is not None:
         own = idx.ids == exclude_id
@@ -179,7 +225,8 @@ class MapScore:
 
 
 def _queries(query_bits, query_labels, query_ids, idx: CodeIndex):
-    """Checked query set: (packed words, labels, own database row or -1)."""
+    """Checked query set: (packed words, labels, own database row or -1,
+    relevant count)."""
     if idx.labels is None:
         raise ValueError("index has no labels")
     query_bits = np.asarray(query_bits)
@@ -200,30 +247,30 @@ def _queries(query_bits, query_labels, query_ids, idx: CodeIndex):
             raise ShapeError(f"query_ids has shape {query_ids.shape}, "
                              f"expected one id per query ({nq},)")
         own = idx._rows_of(query_ids)
-    return _as_words(pack_bits(query_bits)), query_labels, own
+    return (_as_words(pack_bits(query_bits)), query_labels, own,
+            idx._relevant_counts(query_labels, own))
 
 
-def _live_blocks(idx: CodeIndex, q_words, q_labels, own):
-    """The queries with at least one relevant item, per block of query rows:
-    (distances, relevance, relevant counts, own-row mask, skipped count).
+def _live_blocks(idx: CodeIndex, q_words, own, r_total, dtype):
+    """Per block of query rows, its queries with at least one relevant item:
+    (their positions in the query set, their distances in dtype).
 
-    A query's own database row gets distance K + 1, past every real one, and
-    is not relevant.
+    The distances of a block are one packed_distances call over all its rows,
+    from which the rows without relevant items are dropped; a block of only
+    such rows computes and yields nothing. A query's own database row gets
+    distance K + 1, past every real one.
     """
     step = max(1, BLOCK_BYTES // (8 * max(1, idx.n)))
-    for start in range(0, q_words.shape[0], step):
-        rows = slice(start, start + step)
-        dist = packed_distances(idx.words, q_words[rows])
-        rel = q_labels[rows, None] == idx.labels[None, :]
-        has_own = own[rows] >= 0
-        r = np.flatnonzero(has_own)
-        dist[r, own[rows][r]] = idx.k + 1
-        rel[r, own[rows][r]] = False
-        r_total = np.count_nonzero(rel, axis=1)
-        live = r_total > 0
-        if not live.all():
-            dist, rel, r_total, has_own = dist[live], rel[live], r_total[live], has_own[live]
-        yield dist, rel, r_total, has_own, live.size - r_total.size
+    for start in range(0, r_total.size, step):
+        live = start + np.flatnonzero(r_total[start:start + step])
+        if not live.size:
+            continue
+        dist = packed_distances(idx.words, q_words[start:start + step], dtype)
+        if live.size < dist.shape[0]:
+            dist = dist[live - start]
+        r = np.flatnonzero(own[live] >= 0)
+        dist[r, own[live[r]]] = idx.k + 1
+        yield live, dist
 
 
 def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,
@@ -233,30 +280,28 @@ def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,
     query_bits: (nq, K) over {-1,+1}; query_ids enables self-exclusion when
     the query set overlaps the database.
     """
-    q_words, q_labels, own = _queries(query_bits, query_labels, query_ids, idx)
+    q_words, q_labels, own, r_total = _queries(query_bits, query_labels, query_ids, idx)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     aps = []
-    skipped = 0
-    for dist, rel, r_total, has_own, n_skipped in _live_blocks(idx, q_words, q_labels, own):
-        skipped += n_skipped
-        if not r_total.size:
-            continue
+    for live, dist in _live_blocks(idx, q_words, own, r_total, idx.rank_of_id.dtype):
         top = _top_keys(_keys(idx, dist), k)
-        hit = rel[np.arange(top.shape[0])[:, None], idx._id_order[top % idx.n]]
+        hit = idx._labels_by_rank[top % idx.n] == q_labels[live, None]
         terms = np.cumsum(hit, axis=1) / np.arange(1, top.shape[1] + 1) * hit
         sums = terms.sum(axis=1)
         if top.shape[1] == idx.n:
-            # an excluded own row ranks last: sum the n - 1 real items only,
-            # which is the summation order of a list without it
+            # an excluded own row ranks last (and may share the label): sum the
+            # n - 1 real items only, which is the summation order of a list
+            # without it
+            has_own = own[live] >= 0
             sums[has_own] = terms[has_own, :-1].sum(axis=1)
-        aps.append(sums / np.minimum(r_total, k))
+        aps.append(sums / np.minimum(r_total[live], k))
     if not aps:
         raise ValueError("no evaluable queries (all had zero relevant items)")
     aps = np.concatenate(aps)
     # a running total in query order
     return MapScore(value=float(np.cumsum(aps)[-1]) / aps.size, evaluated=aps.size,
-                    skipped=skipped)
+                    skipped=r_total.size - aps.size)
 
 
 def pr_curve(query_bits: np.ndarray, query_labels, idx: CodeIndex,
@@ -267,21 +312,24 @@ def pr_curve(query_bits: np.ndarray, query_labels, idx: CodeIndex,
     precision averages over queries that retrieved something at radius r.
     Radii where no query retrieves anything yield no point.
     """
-    q_words, q_labels, own = _queries(query_bits, query_labels, query_ids, idx)
+    q_words, q_labels, own, r_total = _queries(query_bits, query_labels, query_ids, idx)
     bins = idx.k + 2   # distances 0..K, then K + 1 for excluded own rows
-    retrieved, hits, totals = [], [], []
-    for dist, rel, r_total, _, _ in _live_blocks(idx, q_words, q_labels, own):
-        dist += np.arange(r_total.size)[:, None] * bins   # one histogram per query
-        size = r_total.size * bins
+    retrieved, hits = [], []
+    for live, dist in _live_blocks(idx, q_words, own, r_total, np.int64):
+        # an own row counts in bin K + 1, which is dropped, whatever its label
+        rel = q_labels[live, None] == idx.labels
+        dist += np.arange(live.size)[:, None] * bins   # one histogram per query
+        size = live.size * bins
         n_ret = np.bincount(dist.ravel(), minlength=size).reshape(-1, bins)
         n_hit = np.bincount(dist[rel], minlength=size).reshape(-1, bins)
         retrieved.append(np.cumsum(n_ret[:, :-1], axis=1))
         hits.append(np.cumsum(n_hit[:, :-1], axis=1))
-        totals.append(r_total)
+    if not retrieved:
+        return []
     # (radius, query) rows, so that each radius averages one contiguous row
     n_ret = np.ascontiguousarray(np.concatenate(retrieved).T)
     n_hit = np.ascontiguousarray(np.concatenate(hits).T)
-    recall = n_hit / np.concatenate(totals)
+    recall = n_hit / r_total[r_total > 0]
     points: list[tuple[float, float]] = []
     for radius in range(idx.k + 1):
         got = n_ret[radius] > 0

@@ -1,8 +1,8 @@
-"""Gradient accumulation over blocks."""
+"""Adam steps and gradient accumulation over blocks."""
 
 import numpy as np
 
-from dkph.optim import add_grads
+from dkph.optim import BETA1, BETA2, EPS, Adam, add_grads
 
 
 def test_add_grads_is_the_left_to_right_sum_and_writes_only_the_first_part():
@@ -22,3 +22,30 @@ def test_add_grads_is_the_left_to_right_sum_and_writes_only_the_first_part():
     for part, copy in zip(parts[1:], later):
         for name, g in part.items():
             assert np.array_equal(g, copy[name])
+
+
+def test_adam_moments_keep_their_identity_and_a_tensor_without_gradient_gets_none():
+    rng = np.random.default_rng(1)
+    params = {"w": rng.normal(size=(3, 4)).astype(np.float32),
+              "frozen": rng.normal(size=5).astype(np.float32)}
+    frozen = params["frozen"].copy()
+    want = params["w"].copy()
+    m_ref = np.zeros_like(want)
+    v_ref = np.zeros_like(want)
+    opt = Adam(lr=0.01)
+    moments = None
+    for t in range(1, 4):
+        g = rng.normal(size=(3, 4)).astype(np.float32)
+        opt.step(params, {"w": g})
+        # the update written out, in the optimizer's order of operations
+        m_ref *= BETA1
+        m_ref += (1.0 - BETA1) * g
+        v_ref *= BETA2
+        v_ref += (1.0 - BETA2) * g * g
+        want -= 0.01 * (m_ref / (1.0 - BETA1 ** t)) / (np.sqrt(v_ref / (1.0 - BETA2 ** t)) + EPS)
+        assert np.array_equal(params["w"], want)
+        if moments is None:
+            moments = opt._m["w"], opt._v["w"]
+        assert opt._m["w"] is moments[0] and opt._v["w"] is moments[1]
+        assert list(opt._m) == list(opt._v) == ["w"]
+    assert np.array_equal(params["frozen"], frozen)

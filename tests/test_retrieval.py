@@ -39,7 +39,8 @@ def oracle_ap_at_k(rel_in_rank_order, k):
 def distance(a, b):
     """Hamming distance of two codes through the packed kernel."""
     return int(retrieval.packed_distances(CodeIndex.from_bits(a.bits[None]).words,
-                                          CodeIndex.from_bits(b.bits[None]).words)[0, 0])
+                                          CodeIndex.from_bits(b.bits[None]).words,
+                                          np.int64)[0, 0])
 
 
 class TestHamming:
@@ -433,7 +434,8 @@ def oracle_pr_curve(query_bits, query_labels, idx, query_ids=None):
     return points
 
 
-WIDTHS = (1, 7, 8, 13, 63, 64, 65, 130)
+# every word type: 1-, 2-, 3-, 4-, 5- and 8-byte rows, and 2 and 3 uint64 words
+WIDTHS = (1, 7, 8, 13, 24, 32, 40, 63, 64, 65, 130)
 
 
 def oracle_case(rng, k_bits, n, nq, n_classes, all_equal):
@@ -456,11 +458,22 @@ def oracle_case(rng, k_bits, n, nq, n_classes, all_equal):
     return idx, q_bits, q_labels, q_ids
 
 
-def check_against_oracle(k_bits, n, nq, n_classes, all_equal, with_ids, block_rows, seed):
-    """map_at_k, pr_curve and query_topk on one oracle_case equal the
+def relabeled_case(rng, k_bits, n, nq, n_classes, all_equal):
+    """An oracle_case whose labels are sparse and negative (1000 c - 7), and
+    whose queries, members included, may take another label: one of the
+    database's classes, or one it lacks, below, between or above them."""
+    idx, q_bits, q_labels, q_ids = oracle_case(rng, k_bits, n, nq, n_classes, all_equal)
+    q_labels = np.where(rng.random(nq) < 0.5, rng.integers(-1, n_classes + 2, nq), q_labels)
+    idx = CodeIndex(packed=idx.packed, ids=idx.ids, k=idx.k, labels=1000 * idx.labels - 7)
+    return idx, q_bits, 1000 * q_labels - 7, q_ids
+
+
+def check_against_oracle(k_bits, n, nq, n_classes, all_equal, with_ids, block_rows, seed,
+                         make_case=oracle_case):
+    """map_at_k, pr_curve and query_topk on one case from make_case equal the
     oracles exactly; returns the case's index."""
     rng = np.random.default_rng(seed)
-    idx, q_bits, q_labels, q_ids = oracle_case(rng, k_bits, n, nq, n_classes, all_equal)
+    idx, q_bits, q_labels, q_ids = make_case(rng, k_bits, n, nq, n_classes, all_equal)
     # without query ids, member queries keep their own row in the results
     q_ids = q_ids if with_ids else None
     with pytest.MonkeyPatch.context() as mp:
@@ -510,6 +523,26 @@ class TestAgainstOracle:
             mp.setattr(retrieval, "_key_dtype", lambda k, n: np.int64)
             assert check_against_oracle(*case).rank_of_id.dtype == np.int64
 
+    @pytest.mark.parametrize("key_dtype", [np.int32, np.int64])
+    @given(ORACLE_CASES)
+    @settings(max_examples=40, deadline=None)
+    def test_label_table_cases_match_oracle(self, key_dtype, case):
+        # query ids on: a relabeled member's own row is excluded but not relevant
+        case = case[:5] + (True,) + case[6:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "_key_dtype", lambda k, n: key_dtype)
+            idx = check_against_oracle(*case, make_case=relabeled_case)
+        assert idx.rank_of_id.dtype == key_dtype
+
+    def test_relabeled_case_covers_the_label_table_cases(self):
+        rng = np.random.default_rng(14)
+        idx, _, q_labels, q_ids = relabeled_case(rng, 16, 30, 40, 3, False)
+        own = idx._rows_of(q_ids)
+        member = own >= 0
+        assert np.any(member & (idx.labels[own] != q_labels))   # relabeled member
+        assert np.any(~np.isin(q_labels, idx.labels))           # label absent
+        assert np.all(idx.labels % 1000 == 993) and np.any(idx.labels < 0)
+
     def test_ragged_query_blocks_one_distance_matrix_each(self, monkeypatch):
         rng = np.random.default_rng(10)
         idx, q_bits, q_labels, q_ids = oracle_case(rng, 65, 30, 23, 3, False)
@@ -517,7 +550,7 @@ class TestAgainstOracle:
         calls = []
         kernel = retrieval.packed_distances
         monkeypatch.setattr(retrieval, "packed_distances",
-                            lambda db, q: calls.append(q.shape[0]) or kernel(db, q))
+                            lambda db, q, dtype: calls.append(q.shape[0]) or kernel(db, q, dtype))
         for k in (1, 5, 29, 30, 31):
             got = map_at_k(q_bits, q_labels, idx, k, q_ids)
             want = oracle_map_at_k(q_bits, q_labels, idx, k, q_ids)
@@ -531,11 +564,17 @@ class TestAgainstOracle:
     def test_packed_distances_matrix(self, k_bits):
         rng = np.random.default_rng(k_bits)
         db, q = random_bits(rng, 9, k_bits), random_bits(rng, 4, k_bits)
-        got = retrieval.packed_distances(CodeIndex.from_bits(db).words,
-                                         CodeIndex.from_bits(q).words)
+        db_words, q_words = CodeIndex.from_bits(db).words, CodeIndex.from_bits(q).words
+        n_bytes = -(-k_bits // 8)   # rows pack into the narrowest word that holds them
+        word = {1: np.uint8, 2: np.uint16, 3: np.uint32, 4: np.uint32}.get(n_bytes, np.uint64)
+        for words in (db_words, q_words):
+            assert words.dtype == word
+            assert words.shape[1] == -(-n_bytes // words.itemsize)
         want = [[oracle_hamming(a, b) for b in db] for a in q]
-        assert got.dtype == np.int64
-        assert got.tolist() == want
+        for dtype in (np.int32, np.int64):   # the key dtypes, and the PR sweep's
+            got = retrieval.packed_distances(db_words, q_words, dtype)
+            assert got.dtype == dtype
+            assert got.tolist() == want
 
 
 class TestQueryValidation:
