@@ -8,6 +8,7 @@ names the missing stage). ``eval`` additionally assembles report.txt.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import RunConfig
@@ -41,8 +42,10 @@ def main(argv=None) -> int:
     g.add_argument("--tolerance", type=float, default=1e-4)
 
     args = parser.parse_args(argv)
-    if args.command == "gradcheck" and not args.step > 0:
-        g.error(f"--step must be positive, got {args.step:g}")
+    if args.command == "gradcheck":
+        for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+            if not 0 < value < math.inf:
+                g.error(f"{flag} must be positive and finite, got {value:g}")
     try:
         return _dispatch(args)
     except (ConfigError, PipelineError) as err:

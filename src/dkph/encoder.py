@@ -15,31 +15,33 @@ verified against central finite differences in the test suite.
 
 Batches. Both passes take only a (B, M, D) batch of videos (one video is a
 batch of one): the per-frame layers run as one matrix product over all
-B * M rows, attention as B stacked M x M products. ``masked`` is a (B, M)
-bool array, True at the masked frames. The backward returns parameter
-gradients summed over the batch. Callers run large sets of videos in the
-blocks of :func:`blocks` and take frame means where they need them. A block
-holds as many videos as fit :data:`BLOCK_BYTES` at one (M, width) float
-array per video, width the largest of ``feat_dim``, ``model_dim`` and the
-FFN width. Each elementwise pass (LayerNorm, GELU, bias and residual adds)
-reads and writes (rows, width) temporaries; at this budget each is at most
-half a 2 MB L2 cache, so a pass works mostly in cache instead of streaming
-through memory (a fixed 64 videos made them 3.2 MB). The budget follows the
-model: the paper-default model runs 20 videos per block, a 64-wide model
-256, and a tiny one all its videos at once. Per-row outputs of the forward
-do not depend on the block; gradients summed over blocks do, in the last
-ulp. The elementwise layers work in place on a few buffers per pass, in
-the same operations and operand order as the plain expressions, so their
-results are bit-identical to them.
+B * M rows, attention as B stacked M x M products. The backward returns
+parameter gradients summed over the batch. Callers run large sets of videos
+in the blocks of :func:`blocks` and take frame means where they need them.
+A block holds as many videos as fit :data:`BLOCK_BYTES` at one (M, width)
+float array per video, width the largest of ``feat_dim``, ``model_dim`` and
+the FFN width. Each elementwise pass (LayerNorm, GELU, bias and residual
+adds) reads and writes (rows, width) temporaries; at this budget each is at
+most half a 2 MB L2 cache, so a pass works mostly in cache instead of
+streaming through memory (a fixed 64 videos made them 3.2 MB). The budget
+follows the model: the paper-default model runs 20 videos per block, a
+64-wide model 256, and a tiny one all its videos at once. Per-row outputs
+of the forward do not depend on the block; gradients summed over blocks do,
+in the last ulp. The elementwise layers work in place on a few buffers per
+pass, in the same operations and operand order as the plain expressions, so
+their results are bit-identical to them.
 
-Selected rows. ``at`` is an optional (B, M) bool array naming the frames
-whose outputs the caller reads (the cloze teacher reads only its masked
-frames). The input projection, LayerNorm 1, K and V still run on every
-frame, because every frame is attended to; the query, W_o, LayerNorm 2 and
-the FFN run on the selected rows only, and the output is an
-(n_selected, model_dim) array in ``x[at]`` order. The backward then takes a
-gradient for those rows only. Without ``at`` the same statements run over
-all rows and the output is (B, M, model_dim).
+Masked rows. ``masked`` is an optional (B, M) bool array, True at the
+frames the cloze teacher masks; the student never masks. A masked frame's
+projected content is replaced by ``mask_embed``, so no feature content
+leaks through, and the masked frames are the only outputs computed, since
+the teacher's loss reads no other. The input projection, LayerNorm 1, K
+and V still run on every frame, because every frame is attended to; the
+query, W_o, LayerNorm 2 and the FFN run on the masked rows only, and the
+output is an (n_masked, model_dim) array in ``x[masked]`` order. The
+backward then takes a gradient for those rows only. Without a mask the
+same statements run over all rows, nothing is replaced, and the output is
+(B, M, model_dim).
 
 Sizes. :func:`init_encoder` reads ``frames``, ``feat_dim``, ``model_dim``
 and ``ffn_dim`` from a :class:`RunConfig`; ``ffn_dim = 0`` means
@@ -47,8 +49,9 @@ and ``ffn_dim`` from a :class:`RunConfig`; ``ffn_dim = 0`` means
 
 Parameters. A model's parameters are one flat dict (:class:`Params`) keyed
 by checkpoint name: the encoder's ``encoder.*`` tensors, then the head's.
-Both passes read only the ``encoder.*`` keys; the backward returns its
-gradients under them, for the head to add its own to.
+Both passes read the ``encoder.*`` keys, and ``mask_embed`` when masking;
+the backward returns its gradients under the same keys, for the head to
+add its own to.
 
 Precision. Both passes compute in the dtype of the parameters and cast
 their inputs to it; no dtype is fixed here. Trainers build parameters in
@@ -126,15 +129,14 @@ def cast_params(params, dtype) -> Params:
 class EncoderCache:
     """Forward intermediates. ``x``, ``ln1`` and ``n1`` are flat, (B * M,
     width); ``ctx`` and the rows after attention (``ln2`` to ``g1``) hold the
-    selected rows only, (n_selected, width); q, k, v are (B, M, model_dim)
-    and attn is (B, M, M). With a selector, q is zero at unselected frames,
-    so their attn rows are meaningless; nothing reads them."""
+    masked rows only when the forward masked, (n_masked, width); q, k, v are
+    (B, M, model_dim) and attn is (B, M, M). With a mask, q is zero at
+    unmasked frames, so their attn rows are meaningless; nothing reads them."""
 
     params: Params
     version: int
     x: np.ndarray
-    masked: np.ndarray     # (B, M) bool
-    at: np.ndarray | slice  # flat (B * M,) bool selector, or slice(None) for every row
+    masked: np.ndarray | None  # (B, M) bool, or None for an unmasked forward
     ln1: tuple
     n1: np.ndarray
     q: np.ndarray
@@ -232,13 +234,13 @@ def _gelu_backward(dy, x, t):
     return dx
 
 
-def _scatter(rows: np.ndarray, at, n: int) -> np.ndarray:
-    """``rows`` placed at the ``at`` rows of an (n, width) array, zero
-    elsewhere; ``rows`` itself when ``at`` selects every row."""
-    if isinstance(at, slice):
+def _scatter(rows: np.ndarray, sel, n: int) -> np.ndarray:
+    """``rows`` placed at the ``sel`` rows of an (n, width) array, zero
+    elsewhere; ``rows`` itself when ``sel`` is the every-row slice."""
+    if isinstance(sel, slice):
         return rows
     full = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
-    full[at] = rows
+    full[sel] = rows
     return full
 
 
@@ -250,22 +252,18 @@ def check_mask(masked, shape: tuple) -> None:
 
 
 def encode_forward(
-    x: np.ndarray,
-    params: Params,
-    masked: np.ndarray | None = None,
-    mask_embed: np.ndarray | None = None,
-    at: np.ndarray | None = None,
+    x: np.ndarray, params: Params, masked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EncoderCache]:
-    """Run the block on a batch (B, M, D); returns the (B, M, model_dim)
-    per-frame outputs and the cache for :func:`encode_backward`.
+    """Run the block on a batch (B, M, D); returns the per-frame outputs and
+    the cache for :func:`encode_backward`.
 
-    ``masked`` is an optional (B, M) bool array; masked frames have their
-    projected content replaced by ``mask_embed`` before the positional rows
-    are added, so no feature content leaks through. Attention still runs
-    over all M positions. ``at`` is an optional (B, M) bool array; when
-    given, only the selected frames' outputs are computed and returned, as
-    an (n_selected, model_dim) array in ``x[at]`` order (module docstring,
-    Selected rows). Only the ``encoder.*`` tensors of ``params`` are read.
+    Without ``masked`` the outputs are (B, M, model_dim). ``masked`` is a
+    (B, M) bool array: the masked frames' projected content is replaced by
+    ``params["mask_embed"]`` before the positional rows are added, and only
+    their outputs are computed, returned as an (n_masked, model_dim) array
+    in ``x[masked]`` order (module docstring, Masked rows). Attention still
+    runs over all M positions. Only the ``encoder.*`` tensors of ``params``
+    are read, and ``mask_embed`` when masking.
     """
     p = _tensors(params)
     x = np.asarray(x, dtype=p["w_in"].dtype)
@@ -273,21 +271,18 @@ def encode_forward(
     if x.ndim != 3 or x.shape[1:] != (m_frames, d_in):
         raise ShapeError(f"expected features of shape (B, {m_frames}, {d_in}), got {x.shape}")
     b = x.shape[0]
-    if masked is None:
-        masked = np.zeros((b, m_frames), dtype=bool)
-    check_mask(masked, (b, m_frames))
-    rows = masked.reshape(-1)
-    if rows.any() and mask_embed is None:
-        raise ValueError("mask given but no mask embedding")
-    if at is not None:
-        check_mask(at, (b, m_frames))
-    sel = slice(None) if at is None else at.reshape(-1)
+    sel = slice(None)
+    if masked is not None:
+        check_mask(masked, (b, m_frames))
+        if "mask_embed" not in params:
+            raise ValueError("a mask needs the parameters' mask_embed; they have none")
+        sel = masked.reshape(-1)
 
     xf = x.reshape(b * m_frames, d_in)
     h0 = xf @ p["w_in"]
     h0 += p["b_in"]
-    if rows.any():
-        h0[rows] = mask_embed
+    if masked is not None:
+        h0[sel] = params["mask_embed"]
     d = h0.shape[1]
     positions = h0.reshape(b, m_frames, d)
     positions += p["e_pos"]
@@ -314,24 +309,22 @@ def encode_forward(
     out += p["b_f2"]
 
     cache = EncoderCache(
-        params=params, version=params.version, x=xf, masked=masked, at=sel,
+        params=params, version=params.version, x=xf, masked=masked,
         ln1=ln1, n1=n1, q=q, k=k, v=v, attn=attn, ctx=ctx,
         ln2=ln2, n2=n2, f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
     )
-    return (out.reshape(b, m_frames, d) if at is None else out), cache
+    return (out.reshape(b, m_frames, d) if masked is None else out), cache
 
 
-def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
-    """Gradients of a scalar loss w.r.t. params and mask embedding.
+def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
+    """Gradients of a scalar loss w.r.t. the parameters, summed over the
+    batch and keyed like them: ``encoder.w_in`` ... ``encoder.b_f2``, and
+    ``mask_embed`` when the forward masked.
 
     ``grad_out`` is the loss gradient w.r.t. the outputs of the forward:
-    (B, M, model_dim), or (n_selected, model_dim) when the forward was given
-    ``at``. A gradient on a frame *mean* must be folded in by the caller
-    (add grad_mean / M to every row). Returns
-    ``(param_grads, grad_mask_embed)``: parameter gradients summed over the
-    batch, and grad_mask_embed None when no frame was masked. The parameter
-    gradients are keyed like the parameters, ``encoder.w_in`` ...
-    ``encoder.b_f2``.
+    (B, M, model_dim), or (n_masked, model_dim) when it masked. A gradient
+    on a frame *mean* must be folded in by the caller (add grad_mean / M to
+    every row).
     """
     version = cache.params.version
     if cache.version != version:
@@ -339,16 +332,17 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
             f"cache from params version {cache.version}, params now at {version}"
         )
     p = _tensors(cache.params)
-    b, m_frames = cache.masked.shape
-    n, d = b * m_frames, p["w_in"].shape[1]
-    sel = cache.at
-    out_shape = (b, m_frames, d) if isinstance(sel, slice) else cache.n2.shape
+    b, m_frames, d = cache.k.shape
+    n = b * m_frames
+    masked = cache.masked
+    sel = slice(None) if masked is None else masked.reshape(-1)
+    out_shape = (b, m_frames, d) if masked is None else cache.n2.shape
     grad_out = np.asarray(grad_out, dtype=p["w_in"].dtype)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != output shape {out_shape}")
     grad_out = grad_out.reshape(-1, d)
 
-    # out = h1 + g1 @ w_f2 + b_f2, on the selected rows
+    # out = h1 + g1 @ w_f2 + b_f2, on the masked rows (every row unmasked)
     w_f2 = cache.g1.T @ grad_out
     b_f2 = grad_out.sum(axis=0)
     d_f1 = _gelu_backward(grad_out @ p["w_f2"].T, cache.f1_pre, cache.gelu_t)
@@ -358,7 +352,7 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     d_h1 += grad_out
 
     # h1 = h0 + ctx @ w_o + b_o; d_ctx, and with it d_scores and d_q, are
-    # zero at unselected rows
+    # zero at unmasked rows when the forward masked
     w_o = cache.ctx.T @ d_h1
     b_o = d_h1.sum(axis=0)
     d_ctx = _scatter(d_h1 @ p["w_o"].T, sel, n).reshape(b, m_frames, d)
@@ -380,13 +374,12 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
     d_h0, ln1_g, ln1_b = _ln_backward(d_n1, p["ln1_g"], cache.ln1)
     d_h0[sel] += d_h1
 
-    # h0 = (proj with mask rows replaced) + e_pos
+    # h0 = (proj with masked rows replaced) + e_pos
     e_pos = d_h0.reshape(b, m_frames, d).sum(axis=0)
-    rows = cache.masked.reshape(-1)
-    grad_mask_embed = None
-    if rows.any():
-        grad_mask_embed = d_h0[rows].sum(axis=0)
-        d_h0[rows] = 0.0
+    extra = {}
+    if masked is not None:
+        extra["mask_embed"] = d_h0[sel].sum(axis=0)
+        d_h0[sel] = 0.0
     w_in = cache.x.T @ d_h0
     b_in = d_h0.sum(axis=0)
     grads = dict(
@@ -394,4 +387,4 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache):
         w_o=w_o, b_o=b_o, ln1_g=ln1_g, ln1_b=ln1_b, ln2_g=ln2_g, ln2_b=ln2_b,
         w_f1=w_f1, b_f1=b_f1, w_f2=w_f2, b_f2=b_f2,
     )
-    return {_PREFIX + name: g for name, g in grads.items()}, grad_mask_embed
+    return {**{_PREFIX + name: g for name, g in grads.items()}, **extra}

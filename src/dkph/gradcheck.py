@@ -8,6 +8,11 @@ construction: its true derivative is zero almost everywhere, and training
 deliberately substitutes the straight-through estimator for it, so finite
 differences can neither see it nor certify it. Everything else - encoder,
 both heads, decoder, and all three loss terms - is covered.
+
+Both checks run one fixed toy model, :data:`CHECK_CONFIG` (4 frames of 6
+features, model width 8) with :data:`CHECK_BITS`-bit codes; the student's
+batch holds :data:`CHECK_VIDEOS` videos. Only the seed and the difference
+step vary.
 """
 
 from __future__ import annotations
@@ -20,27 +25,29 @@ from .numerics import GradCheckReport, finite_diff_check
 from .student import batch_gradients, init_student
 from .teacher import init_teacher, teacher_backward, teacher_forward, teacher_recon_loss
 
+CHECK_BITS = 8  # the teacher's frame codes and the student's video codes
+CHECK_CONFIG = RunConfig(frames=4, feat_dim=6, model_dim=8, teacher_bits=CHECK_BITS)
+CHECK_VIDEOS = 6
 
-def student_gradient_check(n_videos: int = 6, frames: int = 4, feat_dim: int = 6,
-                           model_dim: int = 8, code_bits: int = 8, seed: int = 0,
-                           step: float = 1e-5) -> GradCheckReport:
+
+def student_gradient_check(seed: int = 0, step: float = 1e-5) -> GradCheckReport:
     """Check d(recon + gamma1*bsim + gamma2*tsim)/d(theta) for every tensor.
 
     The pair set and anchor centers come from a real graph build over the
     toy features, then stay frozen while the parameters are swept.
     """
+    cfg = CHECK_CONFIG
     rng = np.random.default_rng(seed)
-    cfg = RunConfig(frames=frames, feat_dim=feat_dim, model_dim=model_dim)
-    features = rng.normal(size=(n_videos, frames, feat_dim))
-    params = init_student(cfg, rng, code_bits)
+    features = rng.normal(size=(CHECK_VIDEOS, cfg.frames, cfg.feat_dim))
+    params = init_student(cfg, rng, CHECK_BITS)
 
     # frozen supervision: anchors and signed pairs over the raw feature means
-    points = features.mean(axis=1) @ rng.normal(size=(feat_dim, model_dim))
+    points = features.mean(axis=1) @ rng.normal(size=(cfg.feat_dim, cfg.model_dim))
     anchor_set = kmeans(points, 3, seed=seed)
     z = build_affinity(points, anchor_set, p=2, alpha=default_bandwidth(points, anchor_set, 2))
     graph = build_signed_graph(z, lambda1=0.5, lambda2=2.0)
-    batch = np.arange(n_videos)
-    pairs = sample_pairs(graph, batch, count=n_videos, seed=seed + 1)
+    batch = np.arange(CHECK_VIDEOS)
+    pairs = sample_pairs(graph, batch, count=CHECK_VIDEOS, seed=seed + 1)
     anchors = anchor_set.centers[anchor_set.assignments]
 
     def loss(_):
@@ -53,22 +60,19 @@ def student_gradient_check(n_videos: int = 6, frames: int = 4, feat_dim: int = 6
     return finite_diff_check(loss, list(params.values()), [grads[n] for n in params], step=step)
 
 
-def teacher_gradient_check(frames: int = 4, feat_dim: int = 6, model_dim: int = 8,
-                           code_bits: int = 8, seed: int = 0,
-                           step: float = 1e-5) -> GradCheckReport:
+def teacher_gradient_check(seed: int = 0, step: float = 1e-5) -> GradCheckReport:
     """Check the masked-reconstruction gradient for every teacher tensor, on
     a batch of two videos with different masked counts: the first frame of
     one, the first and last two frames of the other. The summed loss thus
     runs through the gather of masked rows and the scatter of their
     gradients across videos."""
+    cfg = CHECK_CONFIG
     rng = np.random.default_rng(seed)
-    cfg = RunConfig(frames=frames, feat_dim=feat_dim, model_dim=model_dim,
-                    teacher_bits=code_bits)
-    x = rng.normal(size=(2, frames, feat_dim))
+    x = rng.normal(size=(2, cfg.frames, cfg.feat_dim))
     params = init_teacher(cfg, rng)
-    mask = np.zeros((2, frames), dtype=bool)
+    mask = np.zeros((2, cfg.frames), dtype=bool)
     mask[0, 0] = True
-    mask[1, [0, frames - 2, frames - 1]] = True
+    mask[1, [0, -2, -1]] = True
 
     def loss(_):
         fwd = teacher_forward(x, params, mask=mask, binarize="relaxed")

@@ -27,9 +27,6 @@ class GradCheckReport:
     param_count: int
     worst_index: tuple[int, int]  # (parameter number, C-order flat index within it)
 
-    def ok(self, tol: float = 1e-4) -> bool:
-        return self.max_rel_error < tol
-
 
 def finite_diff_check(
     loss_fn: Callable[[Sequence[np.ndarray]], float],

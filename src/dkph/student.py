@@ -195,7 +195,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
         d_frames = (d_mix @ params["w_temp"].T
                     + (d_that @ params["w_hash"].T).reshape(frames.shape)
                     + d_mean[blk, None, :] / m_frames)
-        part, _ = encode_backward(d_frames, fwd.enc_cache)
+        part = encode_backward(d_frames, fwd.enc_cache)
         mix = fwd.latent + fwd.code[:, None, :]
         part.update(
             w_dec=mix.reshape(-1, k).T @ d_recon.reshape(-1, d_in),

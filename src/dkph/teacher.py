@@ -28,12 +28,12 @@ row, the loss is one value per video, and the backward returns the gradient
 of the summed per-video losses. Training and evaluation run in the blocks of
 ``encoder.blocks``, sized by bytes per video.
 
-Masked rows only. The loss reads the masked frames alone, so the forward
-passes the mask to the encoder as its output-row selector (``at``): the
-encoder's rows after attention, the hash head and the decoder run on the
-masked frames only, and ``frame_codes``, ``act``, ``frames`` and ``recon``
-are (n_masked, width) arrays in ``x[mask]`` order. Attention still reads
-every frame.
+Masked rows only. The forward passes its mask to the encoder, which
+replaces the masked frames' content by ``mask_embed`` and computes only
+their outputs, the rows the loss reads: the encoder's rows after
+attention, the hash head and the decoder run on the masked frames only,
+and ``frame_codes``, ``act``, ``frames`` and ``recon`` are (n_masked,
+width) arrays in ``x[mask]`` order. Attention still reads every frame.
 
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does, and the loss in the dtype of the reconstruction.
@@ -81,8 +81,7 @@ def init_teacher(cfg: RunConfig, rng: np.random.Generator) -> Params:
 
 @dataclass
 class TeacherForward:
-    """Rows in ``x[mask]`` order, or (B, M, width) arrays when the forward
-    had no mask."""
+    """The masked rows, in ``x[mask]`` order."""
 
     frame_codes: np.ndarray   # (n_masked, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
     recon: np.ndarray         # (n_masked, feat_dim)
@@ -91,15 +90,14 @@ class TeacherForward:
     enc_cache: object
 
 
-def teacher_forward(x: np.ndarray, params: Params, mask: np.ndarray | None = None,
+def teacher_forward(x: np.ndarray, params: Params, mask: np.ndarray,
                     binarize: str = "hard") -> TeacherForward:
     """Encode, hash each masked frame, decode from codes only.
 
     ``binarize="relaxed"`` skips the sign so the whole pass is smooth; used
     by the gradient checker.
     """
-    frames, cache = encode_forward(x, params, masked=mask, mask_embed=params["mask_embed"],
-                                   at=mask)
+    frames, cache = encode_forward(x, params, masked=mask)
     z = frames @ params["w_hash"] + params["b_hash"]
     act = np.tanh(z)
     codes = binarize_tanh(act, binarize)
@@ -149,9 +147,8 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict
     d_z = (d_recon @ params["w_dec"].T) * (1.0 - fwd.act * fwd.act)
     d_frames = d_z @ params["w_hash"].T
 
-    grads, d_me = encode_backward(d_frames, fwd.enc_cache)
+    grads = encode_backward(d_frames, fwd.enc_cache)
     grads.update(
-        mask_embed=d_me,
         w_hash=fwd.frames.T @ d_z,
         b_hash=d_z.sum(axis=0),
         w_dec=fwd.frame_codes.T @ d_recon,

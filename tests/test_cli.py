@@ -74,12 +74,19 @@ def test_a_work_dir_that_cannot_be_made_exits_2_naming_the_path(tmp_path, capsys
     assert err.rstrip().endswith(": Not a directory")
 
 
-@pytest.mark.parametrize("step", ["0", "-1e-5"])
-def test_gradcheck_rejects_a_non_positive_step(capsys, step):
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "0"), ("--step", "-1e-5"), ("--step", "inf"), ("--step", "nan"),
+    ("--tolerance", "0"), ("--tolerance", "-1"), ("--tolerance", "inf"), ("--tolerance", "nan"),
+], ids=["0", "-1e-5", "step-inf", "step-nan",
+        "tolerance-0", "tolerance--1", "tolerance-inf", "tolerance-nan"])
+def test_gradcheck_rejects_a_non_positive_step(capsys, flag, value):
+    # rejected before any check runs, so nothing reaches stdout
     with pytest.raises(SystemExit) as exc:
-        cli.main(["gradcheck", f"--step={step}"])
+        cli.main(["gradcheck", f"{flag}={value}"])
     assert exc.value.code == 2
-    assert "--step must be positive" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{flag} must be positive and finite, got {float(value):g}" in err
 
 
 def test_gradcheck_passes_at_default_tolerance(capsys):

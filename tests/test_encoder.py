@@ -131,6 +131,38 @@ def assert_rel_close(got, want, tol=1e-12):
         np.max(np.abs(got - want)), np.max(np.abs(want)))
 
 
+def masked_params(seed):
+    """Toy parameters with a mask embedding, as the teacher's carry."""
+    p = toy_params(seed)
+    p["mask_embed"] = np.random.default_rng(seed + 1000).normal(size=8)
+    return p
+
+
+def oracle_masked_rows(x, params, masks):
+    """The oracle forward of each video of a batch, its masked rows only,
+    stacked in ``x[masked]`` order."""
+    me = params["mask_embed"]
+    return np.concatenate([oracle_forward(xb, params, mask=mk, mask_embed=me)[list(mk)]
+                           for xb, mk in zip(x, masks)])
+
+
+def oracle_masked_backward(x, params, grad_rows, masks):
+    """The oracle gradients of a batch summed over its videos, keyed like
+    the parameters, for a gradient on the masked rows only (zero on the
+    others); ``mask_embed`` sums over the videos with a masked frame."""
+    grads, start = {}, 0
+    for xb, mk in zip(x, masks):
+        go = np.zeros((len(xb), grad_rows.shape[1]))
+        go[list(mk)] = grad_rows[start:start + len(mk)]
+        start += len(mk)
+        enc, _, d_me = oracle_backward(xb, params, go, mask=mk, mask_embed=params["mask_embed"])
+        part = {"encoder." + name: g for name, g in enc.items()}
+        part["mask_embed"] = np.zeros(8) if d_me is None else d_me
+        for name, g in part.items():
+            grads[name] = grads.get(name, 0.0) + g
+    return grads
+
+
 class TestForward:
     def test_zero_input_zero_weights_passes_positional_rows_through(self):
         p = Params({name: np.zeros_like(t) for name, t in toy_params().items()})
@@ -142,12 +174,12 @@ class TestForward:
         np.testing.assert_allclose(frames[0], e_pos, atol=1e-12)
 
     def test_full_mask_output_independent_of_features(self):
-        p = toy_params(2)
-        me = np.random.default_rng(3).normal(size=8)
+        p = masked_params(2)
         rng = np.random.default_rng(4)
         masked = np.ones((1, 4), dtype=bool)
-        frames_a, _ = encode_forward(rng.normal(size=(1, 4, 6)), p, masked=masked, mask_embed=me)
-        frames_b, _ = encode_forward(rng.normal(size=(1, 4, 6)), p, masked=masked, mask_embed=me)
+        frames_a, _ = encode_forward(rng.normal(size=(1, 4, 6)), p, masked=masked)
+        frames_b, _ = encode_forward(rng.normal(size=(1, 4, 6)), p, masked=masked)
+        assert frames_a.shape == (4, 8)
         np.testing.assert_array_equal(frames_a, frames_b)
 
     def test_matches_straight_line_oracle(self):
@@ -157,14 +189,11 @@ class TestForward:
         np.testing.assert_allclose(frames[0], oracle_forward(x[0], p), atol=1e-12)
 
     def test_masked_matches_oracle(self):
-        p = toy_params(7)
-        me = np.random.default_rng(8).normal(size=8)
+        p = masked_params(7)
         x = np.random.default_rng(9).normal(size=(1, 4, 6))
-        frames, _ = encode_forward(x, p, masked=np.array([[False, True, False, True]]),
-                                   mask_embed=me)
-        np.testing.assert_allclose(
-            frames[0], oracle_forward(x[0], p, mask=(1, 3), mask_embed=me), atol=1e-12
-        )
+        frames, _ = encode_forward(x, p, masked=np.array([[False, True, False, True]]))
+        assert frames.shape == (2, 8)  # the masked rows only
+        np.testing.assert_allclose(frames, oracle_masked_rows(x, p, [(1, 3)]), atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         p = toy_params(12)
@@ -190,21 +219,21 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_shape_errors(self):
-        p = toy_params(0)
+        p = masked_params(0)
         with pytest.raises(ShapeError):
             encode_forward(np.zeros((1, 5, 6)), p)
         with pytest.raises(ShapeError):
-            encode_forward(np.zeros((1, 4, 6)), p, masked=np.zeros((1, 5), dtype=bool),
-                           mask_embed=np.zeros(8))
-        with pytest.raises(ValueError):  # no embedding given
-            encode_forward(np.zeros((1, 4, 6)), p, masked=np.array([[True, False, False, False]]))
+            encode_forward(np.zeros((1, 4, 6)), p, masked=np.zeros((1, 5), dtype=bool))
+        with pytest.raises(ValueError, match="mask_embed"):  # the parameters have none
+            encode_forward(np.zeros((1, 4, 6)), toy_params(0),
+                           masked=np.array([[True, False, False, False]]))
 
 
 class TestBackward:
     def test_zero_grad_out_gives_zero_grads(self):
         p = toy_params(20)
         _, cache = encode_forward(np.random.default_rng(21).normal(size=(1, 4, 6)), p)
-        grads, _ = encode_backward(np.zeros((1, 4, 8)), cache)
+        grads = encode_backward(np.zeros((1, 4, 8)), cache)
         for name in p:
             assert not np.any(grads[name])
 
@@ -213,45 +242,44 @@ class TestBackward:
         x = np.random.default_rng(23).normal(size=(1, 4, 6))
         _, cache = encode_forward(x, p)
         go = np.random.default_rng(24).normal(size=(1, 4, 8))
-        g1, _ = encode_backward(go, cache)
-        g2, _ = encode_backward(2.0 * go, cache)
+        g1 = encode_backward(go, cache)
+        g2 = encode_backward(2.0 * go, cache)
         for name in p:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
 
     def test_finite_difference_check_sum_loss(self):
-        p = toy_params(25)
+        p = masked_params(25)
         x = np.random.default_rng(26).normal(size=(1, 4, 6))
-        me = np.random.default_rng(27).normal(size=8)
         masked = np.array([[False, True, False, False]])
 
         # weighted sum keeps the loss sensitive to every output entry
-        w = np.random.default_rng(28).normal(size=(1, 4, 8))
+        w = np.random.default_rng(28).normal(size=(1, 8))
 
         def loss(_):
-            frames, _c = encode_forward(x, p, masked=masked, mask_embed=me)
+            frames, _c = encode_forward(x, p, masked=masked)
             return float((w * frames).sum())
 
-        _, cache = encode_forward(x, p, masked=masked, mask_embed=me)
-        grads, grad_me = encode_backward(w, cache)
+        _, cache = encode_forward(x, p, masked=masked)
+        grads = encode_backward(w, cache)
+        assert list(grads) == list(p)
 
-        tensors = list(p.values())
-        analytic = [grads[n] for n in p]
-        report = finite_diff_check(loss, tensors, analytic, step=1e-5)
+        # every tensor, mask_embed included
+        report = finite_diff_check(loss, list(p.values()), [grads[n] for n in p], step=1e-5)
         assert report.max_rel_error < 1e-5, report
 
-        report_me = finite_diff_check(
-            lambda _: loss(None), [me.reshape(1, -1)], [grad_me.reshape(1, -1)], step=1e-5
-        )
-        assert report_me.max_rel_error < 1e-5
-
     def test_masked_rows_pass_no_gradient_to_input(self):
-        p = toy_params(29)
+        p = masked_params(29)
         x = np.random.default_rng(30).normal(size=(1, 4, 6))
-        me = np.zeros(8)
-        _, cache = encode_forward(x, p, masked=np.array([[True, False, True, False]]),
-                                  mask_embed=me)
-        _, gme = encode_backward(np.ones((1, 4, 8)), cache)
-        assert gme is not None and gme.shape == (8,)
+        masked = np.array([[True, False, True, False]])
+        _, cache = encode_forward(x, p, masked=masked)
+        grads = encode_backward(np.ones((2, 8)), cache)
+        assert grads["mask_embed"].shape == (8,)
+        # the features of masked frames reach neither the outputs nor the gradients
+        y = x.copy()
+        y[masked] = 100.0
+        _, cache_y = encode_forward(y, p, masked=masked)
+        for name, g in encode_backward(np.ones((2, 8)), cache_y).items():
+            np.testing.assert_array_equal(g, grads[name])
 
     def test_stale_cache_rejected(self):
         p = toy_params(31)
@@ -261,65 +289,87 @@ class TestBackward:
             encode_backward(np.zeros((1, 4, 8)), cache)
 
 
-MASKS = [(0,), (), (1, 3), None, (0, 1, 2, 3)]
-MASKED = np.array([[i in (mk or ()) for i in range(4)] for mk in MASKS])  # (5, 4) bool
+# the frames masked in each video of a batch: one, none, two, none, all
+MASKS = [(0,), (), (1, 3), (), (0, 1, 2, 3)]
+MASKED = np.array([[i in mk for i in range(4)] for mk in MASKS])  # (5, 4) bool
 
 
 class TestBatched:
     def batch(self, seed):
-        rng = np.random.default_rng(seed)
-        return toy_params(seed), rng.normal(size=(5, 4, 6)), rng.normal(size=8)
+        return masked_params(seed), np.random.default_rng(seed).normal(size=(5, 4, 6))
 
     def test_forward_equals_stacked_per_video_oracle(self):
-        p, x, me = self.batch(40)
-        frames, cache = encode_forward(x, p, masked=MASKED, mask_embed=me)
-        want = np.stack([oracle_forward(x[b], p, mask=MASKS[b] or (), mask_embed=me)
-                         for b in range(5)])
-        assert frames.shape == (5, 4, 8)
-        np.testing.assert_allclose(frames, want, rtol=0, atol=1e-12)
+        p, x = self.batch(40)
+        frames, cache = encode_forward(x, p, masked=MASKED)
+        assert frames.shape == (MASKED.sum(), 8)
+        np.testing.assert_allclose(frames, oracle_masked_rows(x, p, MASKS), rtol=0, atol=1e-12)
         assert cache.attn.shape == (5, 4, 4)
         np.testing.assert_allclose(cache.attn.sum(axis=2), 1.0, atol=1e-12)
 
+    def test_unmasked_forward_equals_stacked_per_video_oracle(self):
+        p, x = self.batch(48)
+        frames, _ = encode_forward(x, p)
+        assert frames.shape == (5, 4, 8)
+        want = np.stack([oracle_forward(xb, p) for xb in x])
+        np.testing.assert_allclose(frames, want, rtol=0, atol=1e-12)
+
     def test_oracle_backward_matches_single_video_library(self):
-        p, x, me = self.batch(41)
-        go = np.random.default_rng(42).normal(size=(4, 8))
-        _, cache = encode_forward(x[:1], p, masked=np.array([[False, True, True, False]]),
-                                  mask_embed=me)
-        grads, gme = encode_backward(go[None], cache)
-        want, _, want_me = oracle_backward(x[0], p, go, mask=(1, 2), mask_embed=me)
+        p, x = self.batch(41)
+        go = np.random.default_rng(42).normal(size=(2, 8))
+        _, cache = encode_forward(x[:1], p, masked=np.array([[False, True, True, False]]))
+        grads = encode_backward(go, cache)
+        want = oracle_masked_backward(x[:1], p, go, [(1, 2)])
+        assert list(grads) == list(p)
         for name in p:
-            assert_rel_close(grads[name], want[name[len("encoder."):]])
-        assert_rel_close(gme, want_me)
+            assert_rel_close(grads[name], want[name])
 
     def test_backward_equals_summed_per_video_oracle(self):
-        p, x, me = self.batch(43)
-        go = np.random.default_rng(44).normal(size=(5, 4, 8))
-        _, cache = encode_forward(x, p, masked=MASKED, mask_embed=me)
-        grads, gme = encode_backward(go, cache)
-        per_video = [oracle_backward(x[b], p, go[b], mask=MASKS[b] or (), mask_embed=me)
-                     for b in range(5)]
+        p, x = self.batch(43)
+        go = np.random.default_rng(44).normal(size=(MASKED.sum(), 8))
+        _, cache = encode_forward(x, p, masked=MASKED)
+        grads = encode_backward(go, cache)
+        want = oracle_masked_backward(x, p, go, MASKS)
         for name in p:
-            short = name[len("encoder."):]
-            assert_rel_close(grads[name], sum(g[short] for g, _, _ in per_video))
-        assert_rel_close(gme, sum(m for _, _, m in per_video if m is not None))
+            assert_rel_close(grads[name], want[name])
+
+    def test_finite_difference_check_on_masked_rows(self):
+        p, x = self.batch(53)
+        w = np.random.default_rng(54).normal(size=(MASKED.sum(), 8))
+
+        def loss(_):
+            rows, _c = encode_forward(x, p, masked=MASKED)
+            return float((w * rows).sum())
+
+        _, cache = encode_forward(x, p, masked=MASKED)
+        grads = encode_backward(w, cache)
+        report = finite_diff_check(loss, list(p.values()), [grads[n] for n in p], step=1e-5)
+        assert report.max_rel_error < 1e-5, report
 
     def test_unmasked_batch_has_no_mask_embedding_gradient(self):
-        p, x, _ = self.batch(45)
+        p, x = self.batch(45)
         _, cache = encode_forward(x, p)
-        _, gme = encode_backward(np.ones((5, 4, 8)), cache)
-        assert gme is None
+        grads = encode_backward(np.ones((5, 4, 8)), cache)
+        assert list(grads) == [name for name in p if name.startswith("encoder.")]
 
     def test_batch_shape_errors(self):
-        p, x, me = self.batch(46)
+        p, x = self.batch(46)
         with pytest.raises(ShapeError):
             encode_forward(np.zeros((5, 3, 6)), p)
         with pytest.raises(ShapeError):
-            encode_forward(x, p, masked=MASKED[:4], mask_embed=me)
-        with pytest.raises(ValueError):
-            encode_forward(x, p, masked=MASKED)  # no embedding given
+            encode_forward(x, p, masked=MASKED[:4])
+        with pytest.raises(ValueError, match="mask_embed"):  # the parameters have none
+            encode_forward(x, toy_params(46), masked=MASKED)
         _, cache = encode_forward(x, p)
         with pytest.raises(ShapeError):
             encode_backward(np.zeros((4, 8)), cache)
+
+    def test_grad_out_must_have_one_row_per_masked_frame(self):
+        p, x = self.batch(55)
+        _, cache = encode_forward(x, p, masked=MASKED)
+        n_rows = MASKED.sum()
+        for shape in ((n_rows + 1, 8), (n_rows - 1, 8), (5, 4, 8)):
+            with pytest.raises(ShapeError):
+                encode_backward(np.zeros(shape), cache)
 
     def test_blocks_cover_range_in_bounded_runs(self, monkeypatch):
         monkeypatch.setattr(encoder, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
@@ -350,70 +400,57 @@ class TestBatched:
         assert encoder.blocks(5000, p)[0] == slice(0, videos)
 
 
-# output-row selectors over the MASKED batch; each leaves some video with no row
-SELECTORS = pytest.mark.parametrize("at", [MASKED, ~MASKED], ids=["masked", "unmasked"])
-
-
 class TestSelectedRows:
-    batch = TestBatched.batch
+    """A masked forward computes only its masked rows. They equal the rows
+    of an unmasked full pass whose masked frames hold an input ``u`` that
+    projects onto the mask embedding; an input wider than the model width
+    has such a ``u`` exactly."""
 
-    @SELECTORS
+    def batch(self, seed):
+        p = init_encoder(replace(TOY, feat_dim=10), np.random.default_rng(seed))
+        p["mask_embed"] = np.random.default_rng(seed + 1000).normal(size=8)
+        enc = encoder_tensors(p)
+        u, *_ = np.linalg.lstsq(enc["w_in"].T, p["mask_embed"] - enc["b_in"], rcond=None)
+        x = np.random.default_rng(seed).normal(size=(5, 4, 10))
+        x_full = x.copy()
+        x_full[MASKED] = u
+        return p, x, x_full, u
+
+    @pytest.mark.parametrize("at", [MASKED], ids=["masked"])
     def test_forward_equals_the_full_pass_at_the_selected_rows(self, at):
-        p, x, me = self.batch(50)
-        full, _ = encode_forward(x, p, masked=MASKED, mask_embed=me)
-        rows, _ = encode_forward(x, p, masked=MASKED, mask_embed=me, at=at)
+        p, x, x_full, _ = self.batch(50)
+        full, _ = encode_forward(x_full, p)
+        rows, _ = encode_forward(x, p, masked=at)
         assert rows.shape == (at.sum(), 8)
         np.testing.assert_allclose(rows, full[at], rtol=0, atol=1e-12)
 
-    @SELECTORS
+    @pytest.mark.parametrize("at", [MASKED], ids=["masked"])
     def test_backward_equals_the_full_backward_with_zero_unselected_gradient(self, at):
-        p, x, me = self.batch(51)
+        p, x, x_full, u = self.batch(51)
         go = np.random.default_rng(52).normal(size=(5, 4, 8))
         go[~at] = 0.0
-        _, full_cache = encode_forward(x, p, masked=MASKED, mask_embed=me)
-        want, want_me = encode_backward(go, full_cache)
-        _, cache = encode_forward(x, p, masked=MASKED, mask_embed=me, at=at)
-        grads, gme = encode_backward(go[at], cache)
-        for name in p:
-            assert_rel_close(grads[name], want[name])
-        assert_rel_close(gme, want_me)
-
-    def test_finite_difference_check_on_selected_rows(self):
-        p, x, me = self.batch(53)
-        at = ~MASKED
-        w = np.random.default_rng(54).normal(size=(at.sum(), 8))
-
-        def loss(_):
-            rows, _c = encode_forward(x, p, masked=MASKED, mask_embed=me, at=at)
-            return float((w * rows).sum())
-
-        _, cache = encode_forward(x, p, masked=MASKED, mask_embed=me, at=at)
-        grads, grad_me = encode_backward(w, cache)
-        tensors = list(p.values()) + [me.reshape(1, -1)]
-        analytic = [grads[n] for n in p] + [grad_me.reshape(1, -1)]
-        report = finite_diff_check(loss, tensors, analytic, step=1e-5)
-        assert report.max_rel_error < 1e-5, report
-
-    def test_grad_out_must_have_one_row_per_selected_frame(self):
-        p, x, me = self.batch(55)
-        _, cache = encode_forward(x, p, masked=MASKED, mask_embed=me, at=MASKED)
-        n_rows = MASKED.sum()
-        for shape in ((n_rows + 1, 8), (n_rows - 1, 8), (5, 4, 8)):
-            with pytest.raises(ShapeError):
-                encode_backward(np.zeros(shape), cache)
-        with pytest.raises(ShapeError):  # the selector is a (B, M) bool array too
-            encode_forward(x, p, masked=MASKED, mask_embed=me, at=MASKED[:4])
+        _, full_cache = encode_forward(x_full, p)
+        want = encode_backward(go, full_cache)
+        _, cache = encode_forward(x, p, masked=at)
+        grads = encode_backward(go[at], cache)
+        # the full pass sends the masked rows' gradient through u and the
+        # input projection; the masked pass sends it to the mask embedding
+        g_me = grads["mask_embed"]
+        assert_rel_close(grads["encoder.w_in"] + np.outer(u, g_me), want["encoder.w_in"])
+        assert_rel_close(grads["encoder.b_in"] + g_me, want["encoder.b_in"])
+        for name in want:
+            if name not in ("encoder.w_in", "encoder.b_in"):
+                assert_rel_close(grads[name], want[name])
 
 
 def test_only_batches_and_bool_masks_are_accepted():
-    p = toy_params(47)
+    p = masked_params(47)
     with pytest.raises(ShapeError):  # one video must be a batch of one
         encode_forward(np.zeros((4, 6)), p)
     with pytest.raises(ShapeError):  # frame indices are not a mask
-        encode_forward(np.zeros((1, 4, 6)), p, masked=np.array([[1, 3]]), mask_embed=np.zeros(8))
+        encode_forward(np.zeros((1, 4, 6)), p, masked=np.array([[1, 3]]))
     with pytest.raises(ShapeError):
-        encode_forward(np.zeros((1, 4, 6)), p, masked=np.ones((1, 4), dtype=np.int64),
-                       mask_embed=np.zeros(8))
+        encode_forward(np.zeros((1, 4, 6)), p, masked=np.ones((1, 4), dtype=np.int64))
 
 
 # The elementwise kernels as plain expressions: each temporary a fresh array.
