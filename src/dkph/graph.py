@@ -4,7 +4,7 @@ Pipeline: k-means anchors over the N video embeddings, sparse affinity Z
 (each video keeps softmax weights over its p nearest centers), rows of the
 normalized anchor-graph adjacency A = Z diag(Z^T 1)^-1 Z^T (Liu, Wang,
 Kumar and Chang, "Hashing with Graphs", ICML 2011), and a signed sparse
-graph. ``_label_row`` is the one labelling rule: with the per-row mean mu_i
+graph. ``_label_rows`` is the one labelling rule: with the per-row mean mu_i
 and population std eps_i, PT_i = mu_i + lambda1*eps_i and
 NT_i = mu_i - lambda2*eps_i,
 
@@ -25,7 +25,15 @@ nonzero) as dense (B, N) arrays, with B chosen so that one (B, N) float64
 buffer fits BLOCK_BYTES. Peak memory is a few such buffers plus Z. Each
 entry sums the same (z_ik * z_jk) / mass_k terms in slot order as a
 per-entry loop would, so the values, and hence the edges, are exact.
-k-means distances are blocked over rows under the same budget.
+A block's rows are labelled together: rows with the same number of nonzero
+support entries are compacted into one (rows, count) array, whose row means and
+standard deviations carry the bits of the per-row ones.
+
+Point-to-centre distances come from the expansion |x|^2 - 2 x.c + |c|^2,
+one matrix product. k-means assigns by it; the affinity and the bandwidth
+pick their p nearest centres by it and then recompute just those N x p
+distances by explicit difference, so weights and bandwidth do not carry the
+expansion's rounding.
 
 Pairs for the student are drawn per batch as index arrays (``PairSample``):
 a fair label coin, a uniform anchor among the batch videos with edges of
@@ -48,7 +56,7 @@ from .exceptions import DegenerateAnchorError, SamplingError
 logger = logging.getLogger(__name__)
 
 # Byte budget of one float64 work buffer in the row-blocked kernels: a block
-# of A is (B, N) and a block of k-means differences is (B, N_c, d).
+# of A is (B, N) and a block of nearest-centre differences is (B, p, d).
 BLOCK_BYTES = 1 << 20
 
 # Lloyd iterations of kmeans before it stops short of an assignment fixpoint.
@@ -74,6 +82,8 @@ def kmeans(points: np.ndarray, n_centers: int, seed: int = 0) -> AnchorSet:
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
+    if n_centers < 1:
+        raise ValueError(f"need at least 1 center, got {n_centers}")
     if n < n_centers:
         raise ValueError(f"need at least {n_centers} points, got {n}")
     rng = np.random.default_rng(seed)
@@ -81,14 +91,14 @@ def kmeans(points: np.ndarray, n_centers: int, seed: int = 0) -> AnchorSet:
     centers = _kmeans_pp_init(pts, n_centers, rng)
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(KMEANS_ITERS):
-        d2 = _sq_dists(pts, centers)
-        new_assign = d2.argmin(axis=1)
+        new_assign = _sq_dists(pts, centers).argmin(axis=1)
         # re-seed empty clusters from the worst-served points
         victim_order = None
         for c in range(n_centers):
             if not np.any(new_assign == c):
                 if victim_order is None:
-                    victim_order = np.argsort(-d2[np.arange(n), new_assign], kind="stable")
+                    diff = pts - centers[new_assign]
+                    victim_order = np.argsort(-(diff * diff).sum(axis=1), kind="stable")
                 for v in victim_order:
                     if np.count_nonzero(new_assign == new_assign[v]) > 1 or new_assign[v] == c:
                         centers[c] = pts[v]
@@ -121,15 +131,37 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(N, N_c) squared distances, broadcast over row blocks so the
-    difference tensor stays within BLOCK_BYTES. Each entry reduces the same
-    contiguous d-vector whatever the block, so results do not depend on it."""
-    out = np.empty((pts.shape[0], centers.shape[0]), dtype=np.result_type(pts, centers))
-    step = _block_rows(8 * centers.shape[0] * pts.shape[1])
+    """(N, N_c) squared distances |x|^2 - 2 x.c + |c|^2 from one matrix
+    product, clamped at 0. Rounding differs from the explicit difference, so
+    near-ties may order differently from it."""
+    d2 = pts @ centers.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", pts, pts)[:, None]
+    d2 += np.einsum("ij,ij->i", centers, centers)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _nearest_centers(pts: np.ndarray, centers: np.ndarray,
+                     p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, distance), each (N, p): every point's p nearest centres, nearest
+    first, and their Euclidean distances.
+
+    The centres are chosen on ``_sq_dists`` by a stable sort, so the lower
+    index wins ties. Only the chosen distances are then computed, by
+    explicit difference over row blocks of (B, p, d) within BLOCK_BYTES; each
+    reduces the same contiguous d-vector as the full (N, N_c, d) broadcast
+    would, and carries its bits.
+    """
+    n_centers = centers.shape[0]
+    if not 1 <= p <= n_centers:
+        raise ValueError(f"p must be in [1, {n_centers}], got {p}")
+    nearest = np.argsort(_sq_dists(pts, centers), axis=1, kind="stable")[:, :p]
+    d2 = np.empty(nearest.shape)
+    step = _block_rows(8 * p * pts.shape[1])
     for lo in range(0, pts.shape[0], step):
-        diff = pts[lo:lo + step, None, :] - centers[None, :, :]
-        out[lo:lo + step] = (diff * diff).sum(axis=2)
-    return out
+        diff = pts[lo:lo + step, None, :] - centers[nearest[lo:lo + step]]
+        d2[lo:lo + step] = (diff * diff).sum(axis=2)
+    return nearest, np.sqrt(d2)
 
 
 @dataclass
@@ -157,9 +189,8 @@ class SparseAffinity:
 
 def default_bandwidth(points: np.ndarray, anchors: AnchorSet, p: int) -> float:
     """Mean distance of each point to its p-th nearest center."""
-    d = np.sqrt(_sq_dists(np.asarray(points, dtype=np.float64), anchors.centers))
-    d.sort(axis=1)
-    return float(d[:, p - 1].mean())
+    _, dists = _nearest_centers(np.asarray(points, dtype=np.float64), anchors.centers, p)
+    return float(dists[:, p - 1].mean())
 
 
 def build_affinity(points: np.ndarray, anchors: AnchorSet, p: int, alpha: float) -> SparseAffinity:
@@ -168,19 +199,13 @@ def build_affinity(points: np.ndarray, anchors: AnchorSet, p: int, alpha: float)
     The exponent uses the plain Euclidean distance, not its square. Ties in
     the nearest-center selection break toward the lower center index.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    n_centers = anchors.centers.shape[0]
-    if not 1 <= p <= n_centers:
-        raise ValueError(f"p must be in [1, {n_centers}], got {p}")
     if alpha <= 0:
         raise ValueError(f"bandwidth must be positive, got {alpha}")
-    dists = np.sqrt(_sq_dists(pts, anchors.centers))
-    nearest = np.argsort(dists, axis=1, kind="stable")[:, :p]  # stable = lower index wins ties
-    sel = np.take_along_axis(dists, nearest, axis=1)
+    nearest, sel = _nearest_centers(np.asarray(points, dtype=np.float64), anchors.centers, p)
     logits = -(sel - sel.min(axis=1, keepdims=True)) / alpha
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
-    return SparseAffinity(center_idx=nearest, weights=w, n_centers=n_centers)
+    return SparseAffinity(center_idx=nearest, weights=w, n_centers=anchors.centers.shape[0])
 
 
 def _adjacency_blocks(z: SparseAffinity, start: int, stop: int):
@@ -224,18 +249,36 @@ def adjacency_row(i: int, z: SparseAffinity) -> tuple[np.ndarray, np.ndarray]:
     return idx, acc[0, idx]
 
 
+def _label_rows(vals: np.ndarray, support: np.ndarray, lambda1: float,
+                lambda2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) (B, K) masks by the threshold rule (module
+    docstring) over the rows of ``vals``, whose entries in ``support`` are
+    the row's off-diagonal neighbours.
+
+    Rows with the same number of nonzero support entries are compacted to one
+    (rows, count) array; its row-wise mean and std reduce each row as the
+    1-D ``mean`` and ``std`` would. A row with fewer than two such entries
+    keeps NaN thresholds, which label nothing.
+    """
+    stats = support & (vals != 0.0)
+    count = np.count_nonzero(stats, axis=1)
+    mu = np.full(vals.shape[0], np.nan)
+    eps = np.full(vals.shape[0], np.nan)
+    for c in np.unique(count[count >= 2]):
+        rows = np.flatnonzero(count == c)
+        group = vals[rows][stats[rows]].reshape(rows.size, c)
+        mu[rows] = group.mean(axis=1)
+        eps[rows] = group.std(axis=1)  # population std
+    pt, nt, mu = (mu + lambda1 * eps)[:, None], (mu - lambda2 * eps)[:, None], mu[:, None]
+    return support & (vals >= pt), support & (nt < vals) & (vals < mu)
+
+
 def _label_row(row_idx: np.ndarray, row_vals: np.ndarray, i: int,
                lambda1: float, lambda2: float) -> tuple[np.ndarray, np.ndarray]:
-    """(positive, negative) neighbours of video i by the threshold rule (module
-    docstring) over its row of A, given as video indices and values."""
-    off = row_idx != i
-    idx, vals = row_idx[off], row_vals[off]
-    support = vals[vals != 0.0]
-    if support.size < 2:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    mu = float(support.mean())
-    eps = float(support.std())  # population std
-    return idx[vals >= mu + lambda1 * eps], idx[(mu - lambda2 * eps < vals) & (vals < mu)]
+    """(positive, negative) neighbours of video i by the threshold rule over
+    its row of A, given as video indices and values."""
+    pos, neg = _label_rows(row_vals[None, :], (row_idx != i)[None, :], lambda1, lambda2)
+    return row_idx[pos[0]], row_idx[neg[0]]
 
 
 @dataclass
@@ -265,14 +308,17 @@ class SignedGraph:
 
 
 def build_signed_graph(z: SparseAffinity, lambda1: float, lambda2: float) -> SignedGraph:
-    positives, negatives = [], []
+    edges = [], []  # positives, negatives
     for lo, acc, support in _adjacency_blocks(z, 0, z.n):
-        for r in range(acc.shape[0]):
-            idx = np.flatnonzero(support[r])
-            pos, neg = _label_row(idx, acc[r, idx], lo + r, lambda1, lambda2)
-            positives.append(pos)
-            negatives.append(neg)
-    return SignedGraph(positives=positives, negatives=negatives)
+        rows = np.arange(acc.shape[0])
+        support[rows, lo + rows] = False  # a video is not its own neighbour
+        for mask, lists in zip(_label_rows(acc, support, lambda1, lambda2), edges):
+            # row-major, so each row's columns come ascending; a 2-D nonzero
+            # would keep the row indices alive under its column view
+            cols = np.flatnonzero(mask) % mask.shape[1]
+            ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+            lists.extend(cols[a:b] for a, b in zip([0, *ends], ends))
+    return SignedGraph(positives=edges[0], negatives=edges[1])
 
 
 @dataclass

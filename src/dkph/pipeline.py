@@ -104,7 +104,10 @@ logger = logging.getLogger(__name__)
 # whole batch at once (three generator calls per pair batch, one
 # random((n, M)) draw per mask batch), so both streams differ and every
 # artifact from teacher.ckpt on moves as a reseed would move it.
-CODE_VERSION = 8
+# Version 9: k-means assigns by the expanded distance |x|^2 - 2 x.c + |c|^2
+# and the affinity picks its nearest centres by it, so an assignment or a
+# selection can differ from the explicit difference at float near-ties.
+CODE_VERSION = 9
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3

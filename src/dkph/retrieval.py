@@ -329,11 +329,14 @@ def pr_curve(query_bits: np.ndarray, query_labels, idx: CodeIndex,
     # (radius, query) rows, so that each radius averages one contiguous row
     n_ret = np.ascontiguousarray(np.concatenate(retrieved).T)
     n_hit = np.ascontiguousarray(np.concatenate(hits).T)
-    recall = n_hit / r_total[r_total > 0]
-    points: list[tuple[float, float]] = []
-    for radius in range(idx.k + 1):
-        got = n_ret[radius] > 0
-        if got.any():
-            precision = n_hit[radius][got] / n_ret[radius][got]
-            points.append((float(np.mean(recall[radius])), float(np.mean(precision))))
-    return points
+    recall = (n_hit / r_total[r_total > 0]).mean(axis=1)
+    # radii where the same number of queries retrieve something share one
+    # (radii, count) array, whose row means reduce as each row's own would
+    got = n_ret > 0
+    count = np.count_nonzero(got, axis=1)
+    precision = np.empty(count.size)
+    for c in np.unique(count[count > 0]):
+        radii = np.flatnonzero(count == c)
+        hit, ret = n_hit[radii][got[radii]], n_ret[radii][got[radii]]
+        precision[radii] = (hit / ret).reshape(radii.size, c).mean(axis=1)
+    return [(float(recall[r]), float(precision[r])) for r in np.flatnonzero(count)]

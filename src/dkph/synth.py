@@ -68,17 +68,20 @@ def generate_synthetic(cfg: RunConfig) -> SynthDataset:
         base = rng.normal(size=d)
         prototypes[ci] = base + cfg.temporal_drift * _smooth_drift(rng, m, d)
 
-    features = np.empty((c * v, m, d))
+    # one draw for every video's noise is the same stream as one draw per video
+    features = rng.normal(size=(c, v, m, d))
+    features *= cfg.intra_class_noise
+    features += prototypes[:, None]
+    features = features.reshape(c * v, m, d)
     labels = np.repeat(np.arange(c), v)
-    for vi in range(c * v):
-        noise = rng.normal(size=(m, d))
-        features[vi] = prototypes[labels[vi]] + cfg.intra_class_noise * noise
 
-    # nearest-prototype separability diagnostic on flattened features
-    flat = features.reshape(c * v, -1)
+    # nearest-prototype separability diagnostic on flattened features, scored
+    # as argmin |p|^2 - 2 x.p, which drops the per-video |x|^2 term
     proto_flat = prototypes.reshape(c, -1)
-    d2 = ((flat[:, None, :] - proto_flat[None, :, :]) ** 2).sum(axis=2)
-    accuracy = float((d2.argmin(axis=1) == labels).mean())
+    score = features.reshape(c * v, -1) @ proto_flat.T
+    score *= -2.0
+    score += np.einsum("ij,ij->i", proto_flat, proto_flat)
+    accuracy = float((score.argmin(axis=1) == labels).mean())
 
     n_train = int(round(SPLIT_FRACTIONS[0] * v))
     n_query = int(round(SPLIT_FRACTIONS[1] * v))

@@ -148,6 +148,25 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 4)
 
+    def test_zero_centers_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 center, got 0"):
+            kmeans(np.zeros((3, 2)), 0)
+
+    def test_equals_broadcast_distance_copy_on_separated_blobs(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        means = 20.0 * rng.normal(size=(6, 5))
+        pts = np.repeat(means, 15, axis=0) + rng.normal(size=(90, 5))
+        got = kmeans(pts, 6, seed=15)
+
+        def broadcast_sq_dists(pts, centers):
+            diff = pts[:, None, :] - centers[None, :, :]
+            return (diff * diff).sum(axis=2)
+
+        monkeypatch.setattr(graph, "_sq_dists", broadcast_sq_dists)
+        want = kmeans(pts, 6, seed=15)
+        np.testing.assert_array_equal(got.centers, want.centers)
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+
     def test_inertia_non_increasing(self, monkeypatch):
         pts = np.random.default_rng(5).normal(size=(60, 4))
         prev = math.inf
@@ -157,13 +176,21 @@ class TestKmeans:
             assert now <= prev + 1e-12
             prev = now
 
-    def test_blocked_sq_dists_equal_plain_broadcast(self, monkeypatch):
+    def test_expanded_sq_dists_match_broadcast_argmin_within_tolerance(self):
+        # the expansion rounds differently from the explicit difference: same
+        # nearest centre on tie-free data, values within 1e-12 (|x|^2 + |c|^2),
+        # and never negative, also at a point that coincides with a centre
         rng = np.random.default_rng(13)
-        pts, centers = rng.normal(size=(37, 11)), rng.normal(size=(5, 11))
+        pts, centers = 3.0 * rng.normal(size=(37, 11)), rng.normal(size=(5, 11))
+        pts[7] = centers[2]
         diff = pts[:, None, :] - centers[None, :, :]
         plain = (diff * diff).sum(axis=2)
-        monkeypatch.setattr(graph, "BLOCK_BYTES", 8 * 5 * 11 * 4)  # 4 rows, 37 = 9*4 + 1
-        np.testing.assert_array_equal(graph._sq_dists(pts, centers), plain)
+        got = graph._sq_dists(pts, centers)
+        scale = (pts * pts).sum(axis=1)[:, None] + (centers * centers).sum(axis=1)
+        assert np.all(np.abs(got - plain) <= 1e-12 * scale)
+        assert np.all(got >= 0.0)
+        np.testing.assert_array_equal(got.argmin(axis=1), plain.argmin(axis=1))
+        assert got.argmin(axis=1)[7] == 2
 
     def test_deterministic_under_seed(self):
         pts = np.random.default_rng(7).normal(size=(40, 3))
@@ -204,6 +231,32 @@ class TestAffinity:
         z = build_affinity(pts, anchors, p=4, alpha=default_bandwidth(pts, anchors, 4))
         np.testing.assert_allclose(z.weights.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(z.weights >= 0)
+
+    def test_nearest_centers_lower_index_wins_and_distances_are_the_broadcast(self):
+        # integer data make every squared distance exact, so duplicate
+        # centres tie exactly and the lower index must come first
+        rng = np.random.default_rng(16)
+        centers = np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 0.0]])[[0, 1, 0, 1, 0]]
+        pts = rng.integers(-4, 5, size=(40, 3)).astype(np.float64)
+        nearest, _ = graph._nearest_centers(pts, centers, 5)
+        dup = np.where(nearest % 2 == 0, 0, 1)
+        for row, d in zip(nearest, dup):
+            for group in (0, 1):
+                assert row[d == group].tolist() == sorted(row[d == group].tolist())
+        # the chosen distances carry the bits of the broadcast's entries
+        pts = rng.normal(size=(40, 3))
+        nearest, dists = graph._nearest_centers(pts, centers, 3)
+        diff = pts[:, None, :] - centers[None, :, :]
+        plain = np.sqrt((diff * diff).sum(axis=2))
+        np.testing.assert_array_equal(dists, np.take_along_axis(plain, nearest, axis=1))
+        np.testing.assert_array_equal(nearest, np.argsort(plain, axis=1, kind="stable")[:, :3])
+
+    @pytest.mark.parametrize("p", [0, 6])
+    def test_bandwidth_rejects_p_outside_the_centers(self, p):
+        pts = np.random.default_rng(17).normal(size=(30, 2))
+        anchors = AnchorSet(centers=pts[:5].copy(), assignments=np.zeros(30, dtype=np.int64))
+        with pytest.raises(ValueError, match=rf"p must be in \[1, 5\], got {p}"):
+            default_bandwidth(pts, anchors, p)
 
     def test_parameter_validation(self):
         pts = np.zeros((4, 2))
@@ -528,6 +581,21 @@ class TestBlockKernelAgainstOracle:
         for i in range(n):
             assert g.positives[i].tolist() == [j for j in range(n) if j != i]
             assert g.negatives[i].size == 0
+
+    def test_one_block_of_mixed_support_counts(self):
+        # slots with weight 0 leave rows on one anchor: rows 0-3 share only
+        # anchor 0 (constant rows, 3 support entries each), row 4 has anchor 1
+        # to itself (none) and rows 5-6 share only anchor 2 (one each); rows
+        # 7-9 (6 entries), 10-12 (5) and 13 (3) mix anchors 3-6 unevenly
+        k = [[0, 5]] * 4 + [[1, 5]] + [[2, 5]] * 2 + [[3, 4]] * 3 + [[4, 5]] * 3 + [[6, 3]]
+        w = ([[1.0, 0.0]] * 7 + [[0.7, 0.3], [0.55, 0.45], [0.9, 0.1]]
+             + [[0.6, 0.4], [0.8, 0.2], [0.5, 0.5]] + [[0.5, 0.5]])
+        z = SparseAffinity(center_idx=np.array(k), weights=np.array(w), n_centers=7)
+        assert len(list(graph._adjacency_blocks(z, 0, z.n))) == 1
+        g = assert_graph_matches_oracle(z, 1.0, 1.0)
+        for i in range(4):
+            assert g.positives[i].tolist() == [j for j in range(4) if j != i]
+        assert g.isolated.tolist() == [4, 5, 6]
 
     @given(affinities(), st.data())
     @settings(max_examples=40, deadline=None)

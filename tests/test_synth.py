@@ -1,13 +1,45 @@
 """Synthetic corpus: determinism, split layout, reload."""
 
 import numpy as np
+import pytest
 
 from dkph import serial
 from dkph.config import RunConfig
-from dkph.synth import generate_synthetic, load_dataset_splits
+from dkph.synth import _smooth_drift, generate_synthetic, load_dataset_splits
 
 SMALL = dict(num_classes=3, videos_per_class=10, frames=4, feat_dim=5, num_anchors=1,
              anchor_neighbors=1)
+
+
+def oracle_corpus(cfg):
+    """(features in generation order, prototype accuracy) by one noise draw
+    per video and the (N, C, M*D) broadcast of differences (oracle)."""
+    rng = np.random.default_rng(cfg.data_seed)
+    c, v, m, d = cfg.num_classes, cfg.videos_per_class, cfg.frames, cfg.feat_dim
+    prototypes = np.empty((c, m, d))
+    for ci in range(c):
+        base = rng.normal(size=d)
+        prototypes[ci] = base + cfg.temporal_drift * _smooth_drift(rng, m, d)
+    features = np.empty((c * v, m, d))
+    labels = np.repeat(np.arange(c), v)
+    for vi in range(c * v):
+        features[vi] = prototypes[labels[vi]] + cfg.intra_class_noise * rng.normal(size=(m, d))
+    flat, proto_flat = features.reshape(c * v, -1), prototypes.reshape(c, -1)
+    d2 = ((flat[:, None, :] - proto_flat[None, :, :]) ** 2).sum(axis=2)
+    return features, float((d2.argmin(axis=1) == labels).mean())
+
+
+@pytest.mark.parametrize("noise", [0.3, 5.0])  # at 5.0 the classes overlap
+def test_corpus_equals_the_per_video_oracle(noise):
+    cfg = RunConfig(**SMALL, intra_class_noise=noise, data_seed=3)
+    data = generate_synthetic(cfg)
+    features, accuracy = oracle_corpus(cfg)
+    per_class = features.reshape(3, 10, 4, 5)
+    # each split takes the same rows of every class: [0, 5), [5, 6), [6, 10)
+    for split, (lo, hi) in zip(data.splits.values(), [(0, 5), (5, 6), (6, 10)]):
+        assert split.features.tobytes() == per_class[:, lo:hi].reshape(-1, 4, 5).tobytes()
+    assert data.prototype_accuracy == accuracy
+    assert (accuracy == 1.0) == (noise == 0.3)
 
 
 def test_same_seed_gives_the_same_corpus():
