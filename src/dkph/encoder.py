@@ -35,12 +35,19 @@ Masked rows. ``masked`` is an optional (B, M) bool array, True at the
 frames the cloze teacher masks; the student never masks. A masked frame's
 projected content is replaced by ``mask_embed``, so no feature content
 leaks through, and the masked frames are the only outputs computed, since
-the teacher's loss reads no other. The input projection, LayerNorm 1, K
-and V still run on every frame, because every frame is attended to; the
-query, W_o, LayerNorm 2 and the FFN run on the masked rows only, and the
-output is an (n_masked, model_dim) array in ``x[masked]`` order. The
-backward then takes a gradient for those rows only. Without a mask the
-same statements run over all rows, nothing is replaced, and the output is
+the teacher's loss reads no other. Attention is computed in reassociated
+form, so that keys and values are never projected:
+
+    scores = ((n1_sel W_q) W_k^T) n1^T / sqrt(d),  ctx = (attn n1)_sel W_v
+
+with n1 the LayerNorm-1 rows and ``_sel`` the masked rows. Only the input
+projection, LayerNorm 1 and the M x M products (scores and attn n1) touch
+every frame, because every frame is attended to; every d x d product, W_o,
+LayerNorm 2 and the FFN run on the masked rows only, and the output is an
+(n_masked, model_dim) array in ``x[masked]`` order. The backward then takes
+a gradient for those rows only, and its d x d products run on them too.
+Without a mask the same statements run over all rows, with as many large
+products as the plain Q, K, V form, nothing is replaced, and the output is
 (B, M, model_dim).
 
 Sizes. :func:`init_encoder` reads ``frames``, ``feat_dim``, ``model_dim``
@@ -128,10 +135,12 @@ def cast_params(params, dtype) -> Params:
 @dataclass
 class EncoderCache:
     """Forward intermediates. ``x``, ``ln1`` and ``n1`` are flat, (B * M,
-    width); ``ctx`` and the rows after attention (``ln2`` to ``g1``) hold the
-    masked rows only when the forward masked, (n_masked, width); q, k, v are
-    (B, M, model_dim) and attn is (B, M, M). With a mask, q is zero at
-    unmasked frames, so their attn rows are meaningless; nothing reads them."""
+    width); ``q`` (= n1_sel W_q), ``mix`` (= (attn n1)_sel), ``ctx`` and the
+    rows after attention (``ln2`` to ``g1``) hold the masked rows only when
+    the forward masked, (n_masked, width); ``qk`` (= q W_k^T, scattered into
+    its frames) is (B, M, model_dim) and ``attn`` is (B, M, M). With a mask,
+    ``qk`` is zero at unmasked frames, so their ``attn`` rows are uniform and
+    meaningless; the backward reads them only against zero gradients."""
 
     params: Params
     version: int
@@ -140,9 +149,9 @@ class EncoderCache:
     ln1: tuple
     n1: np.ndarray
     q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
+    qk: np.ndarray
     attn: np.ndarray
+    mix: np.ndarray
     ctx: np.ndarray
     ln2: tuple
     n2: np.ndarray
@@ -262,8 +271,9 @@ def encode_forward(
     ``params["mask_embed"]`` before the positional rows are added, and only
     their outputs are computed, returned as an (n_masked, model_dim) array
     in ``x[masked]`` order (module docstring, Masked rows). Attention still
-    runs over all M positions. Only the ``encoder.*`` tensors of ``params``
-    are read, and ``mask_embed`` when masking.
+    reads all M positions, through the M x M products only. Only the
+    ``encoder.*`` tensors of ``params`` are read, and ``mask_embed`` when
+    masking.
     """
     p = _tensors(params)
     x = np.asarray(x, dtype=p["w_in"].dtype)
@@ -287,15 +297,19 @@ def encode_forward(
     positions = h0.reshape(b, m_frames, d)
     positions += p["e_pos"]
 
+    # attention reassociated: q k^T = (q W_k^T) n1^T and attn v = (attn n1) W_v,
+    # so every d x d product runs on the selected rows only (module
+    # docstring, Masked rows)
     n1, ln1 = _ln_forward(h0, p["ln1_g"], p["ln1_b"])
-    q = _scatter(n1[sel] @ p["w_q"], sel, len(n1)).reshape(b, m_frames, d)
-    k = (n1 @ p["w_k"]).reshape(b, m_frames, d)
-    v = (n1 @ p["w_v"]).reshape(b, m_frames, d)
-    scores = (q @ k.transpose(0, 2, 1)) / math.sqrt(d)
+    frames = n1.reshape(b, m_frames, d)
+    q = n1[sel] @ p["w_q"]
+    qk = _scatter(q @ p["w_k"].T, sel, len(n1)).reshape(b, m_frames, d)
+    scores = (qk @ frames.transpose(0, 2, 1)) / math.sqrt(d)
     scores -= scores.max(axis=2, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=2, keepdims=True)
-    ctx = (attn @ v).reshape(-1, d)[sel]
+    mix = (attn @ frames).reshape(-1, d)[sel]
+    ctx = mix @ p["w_v"]
     h1 = ctx @ p["w_o"]
     h1 += h0[sel]
     h1 += p["b_o"]
@@ -310,7 +324,7 @@ def encode_forward(
 
     cache = EncoderCache(
         params=params, version=params.version, x=xf, masked=masked,
-        ln1=ln1, n1=n1, q=q, k=k, v=v, attn=attn, ctx=ctx,
+        ln1=ln1, n1=n1, q=q, qk=qk, attn=attn, mix=mix, ctx=ctx,
         ln2=ln2, n2=n2, f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
     )
     return (out.reshape(b, m_frames, d) if masked is None else out), cache
@@ -332,7 +346,7 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
             f"cache from params version {cache.version}, params now at {version}"
         )
     p = _tensors(cache.params)
-    b, m_frames, d = cache.k.shape
+    b, m_frames, d = cache.qk.shape
     n = b * m_frames
     masked = cache.masked
     sel = slice(None) if masked is None else masked.reshape(-1)
@@ -351,26 +365,28 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     d_h1, ln2_g, ln2_b = _ln_backward(d_f1 @ p["w_f1"].T, p["ln2_g"], cache.ln2)
     d_h1 += grad_out
 
-    # h1 = h0 + ctx @ w_o + b_o; d_ctx, and with it d_scores and d_q, are
-    # zero at unmasked rows when the forward masked
+    # h1 = h0 + ctx @ w_o + b_o, on the selected rows
     w_o = cache.ctx.T @ d_h1
     b_o = d_h1.sum(axis=0)
-    d_ctx = _scatter(d_h1 @ p["w_o"].T, sel, n).reshape(b, m_frames, d)
+    d_ctx = d_h1 @ p["w_o"].T
+
+    # ctx = (attn n1)[sel] W_v and scores = (n1[sel] W_q W_k^T) n1^T / sqrt(d);
+    # d_mix, and with it d_scores, is zero at the unselected rows
+    w_v = cache.mix.T @ d_ctx
+    d_mix = _scatter(d_ctx @ p["w_v"].T, sel, n).reshape(b, m_frames, d)
     attn = cache.attn
-    d_attn = d_ctx @ cache.v.transpose(0, 2, 1)
-    d_v = (attn.transpose(0, 2, 1) @ d_ctx).reshape(-1, d)
+    frames = cache.n1.reshape(b, m_frames, d)
+    d_attn = d_mix @ frames.transpose(0, 2, 1)
     inner = (d_attn * attn).sum(axis=2, keepdims=True)
     d_scores = attn * (d_attn - inner)
-    inv_sqrt = 1.0 / math.sqrt(d)
-    d_q = ((d_scores @ cache.k) * inv_sqrt).reshape(-1, d)[sel]
-    d_k = ((d_scores.transpose(0, 2, 1) @ cache.q) * inv_sqrt).reshape(-1, d)
-    n1 = cache.n1
-    w_q = n1[sel].T @ d_q
-    w_k = n1.T @ d_k
-    w_v = n1.T @ d_v
-    d_n1 = _scatter(d_q @ p["w_q"].T, sel, n)
-    d_n1 += d_k @ p["w_k"].T
-    d_n1 += d_v @ p["w_v"].T
+    d_scores *= 1.0 / math.sqrt(d)
+    d_qk = (d_scores @ frames).reshape(-1, d)[sel]
+    w_k = d_qk.T @ cache.q
+    d_q = d_qk @ p["w_k"]
+    w_q = cache.n1[sel].T @ d_q
+    d_n1 = (d_scores.transpose(0, 2, 1) @ cache.qk).reshape(-1, d)
+    d_n1 += (attn.transpose(0, 2, 1) @ d_mix).reshape(-1, d)
+    d_n1[sel] += d_q @ p["w_q"].T
     d_h0, ln1_g, ln1_b = _ln_backward(d_n1, p["ln1_g"], cache.ln1)
     d_h0[sel] += d_h1
 

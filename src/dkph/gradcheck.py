@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .graph import build_affinity, build_signed_graph, default_bandwidth, kmeans, sample_pairs
+from .graph import build_affinity, build_signed_graph, kmeans, sample_pairs
 from .numerics import GradCheckReport, finite_diff_check
 from .student import batch_gradients, init_student
 from .teacher import init_teacher, teacher_backward, teacher_forward, teacher_recon_loss
@@ -44,7 +44,7 @@ def student_gradient_check(seed: int = 0, step: float = 1e-5) -> GradCheckReport
     # frozen supervision: anchors and signed pairs over the raw feature means
     points = features.mean(axis=1) @ rng.normal(size=(cfg.feat_dim, cfg.model_dim))
     anchor_set = kmeans(points, 3, seed=seed)
-    z = build_affinity(points, anchor_set, p=2, alpha=default_bandwidth(points, anchor_set, 2))
+    z = build_affinity(points, anchor_set, p=2)
     graph = build_signed_graph(z, lambda1=0.5, lambda2=2.0)
     batch = np.arange(CHECK_VIDEOS)
     pairs = sample_pairs(graph, batch, count=CHECK_VIDEOS, seed=seed + 1)

@@ -190,18 +190,29 @@ class SparseAffinity:
 def default_bandwidth(points: np.ndarray, anchors: AnchorSet, p: int) -> float:
     """Mean distance of each point to its p-th nearest center."""
     _, dists = _nearest_centers(np.asarray(points, dtype=np.float64), anchors.centers, p)
-    return float(dists[:, p - 1].mean())
+    return _default_alpha(dists)
 
 
-def build_affinity(points: np.ndarray, anchors: AnchorSet, p: int, alpha: float) -> SparseAffinity:
+def _default_alpha(dists: np.ndarray) -> float:
+    """The default bandwidth from ``_nearest_centers``' (N, p) distances:
+    the mean distance to the p-th nearest centre."""
+    return float(dists[:, -1].mean())
+
+
+def build_affinity(points: np.ndarray, anchors: AnchorSet, p: int,
+                   alpha: float | None = None) -> SparseAffinity:
     """Softmax affinity exp(-dist/alpha) over each video's p nearest centers.
 
     The exponent uses the plain Euclidean distance, not its square. Ties in
     the nearest-center selection break toward the lower center index.
+    ``alpha=None`` takes :func:`default_bandwidth`'s value from the same
+    distances, so the nearest centres are found once.
     """
-    if alpha <= 0:
+    if alpha is not None and alpha <= 0:
         raise ValueError(f"bandwidth must be positive, got {alpha}")
     nearest, sel = _nearest_centers(np.asarray(points, dtype=np.float64), anchors.centers, p)
+    if alpha is None:
+        alpha = _default_alpha(sel)
     logits = -(sel - sel.min(axis=1, keepdims=True)) / alpha
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)

@@ -67,7 +67,6 @@ from .graph import (
     SignedGraph,
     build_affinity,
     build_signed_graph,
-    default_bandwidth,
     kmeans,
 )
 from .retrieval import MAP_KS, CodeIndex, map_at_k, pr_curve
@@ -107,7 +106,12 @@ logger = logging.getLogger(__name__)
 # Version 9: k-means assigns by the expanded distance |x|^2 - 2 x.c + |c|^2
 # and the affinity picks its nearest centres by it, so an assignment or a
 # selection can differ from the explicit difference at float near-ties.
-CODE_VERSION = 9
+# Version 10: attention is reassociated, scores = (n1 W_q W_k^T) n1^T and
+# context = (attn n1) W_v, so encoder outputs and gradients round in another
+# order (teacher.ckpt, embeddings.features, anchors.ckpt and student_K.ckpt
+# move at float32-ulp level; on the benchmark configs graph.bin, the
+# teacher's loss and mAP@20 are unchanged).
+CODE_VERSION = 10
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -255,8 +259,8 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
         means = serial.load_features(run_dir / "embeddings.features")[:, 0, :]
         anchors = kmeans(means, cfg.num_anchors, seed=cfg.train_seed)
         p = cfg.anchor_neighbors
-        alpha = cfg.bandwidth if cfg.bandwidth > 0 else default_bandwidth(means, anchors, p)
-        z = build_affinity(means, anchors, p=p, alpha=alpha)
+        z = build_affinity(means, anchors, p=p,
+                           alpha=cfg.bandwidth if cfg.bandwidth > 0 else None)
         graph = build_signed_graph(z, cfg.lambda1, cfg.lambda2)
         # without edges of one sign, every pair the student draws has the other
         for sign, edges in (("positive", graph.positives), ("negative", graph.negatives)):

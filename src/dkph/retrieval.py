@@ -2,10 +2,12 @@
 
 Codes live as packed bytes (``codes.pack_bits``). For distances the packed
 rows are viewed as zero-padded words of the code's width: uint8 for rows of
-1 byte, uint16 for 2, uint32 for 3-4, uint64 for 5-8, and several uint64
-words beyond that. Both sides of a distance go through the same rule. The
-Hamming distance of two rows is the sum of ``np.bitwise_count`` over their
-XORed words; pad bits are zero in both operands, so they never count.
+1 byte, uint32 for 2-4, uint64 for 5-8, and several uint64 words beyond
+that. There is no uint16 word: ``np.bitwise_count`` in place takes about
+twice as long on uint16 words as on uint32. Both sides of a distance go
+through the same rule. The Hamming distance of two rows is the sum of
+``np.bitwise_count`` over their XORed words; pad bits are zero in both
+operands, so they never count.
 ``packed_distances`` writes the counts straight into the dtype its caller
 asks for: the index's key dtype for ranking, int64 for the PR sweep.
 
@@ -67,13 +69,13 @@ def _key_dtype(k: int, n: int) -> type:
 
 
 # Word type of a packed row of 0..8 bytes; longer rows are several uint64 words.
-_WORD_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint8, np.uint16, np.uint32, np.uint32,
+_WORD_TYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint8, np.uint32, np.uint32, np.uint32,
                                           np.uint64, np.uint64, np.uint64, np.uint64))
 
 
 def _as_words(packed: np.ndarray) -> np.ndarray:
     """Packed uint8 rows as zero-padded words of the row's width:
-    (n, ceil(bytes / word bytes)) of uint8, uint16, uint32 or uint64."""
+    (n, ceil(bytes / word bytes)) of uint8, uint32 or uint64."""
     n, n_bytes = packed.shape
     word = _WORD_TYPES[min(n_bytes, 8)]
     padded = np.zeros((n, -(-n_bytes // word.itemsize) * word.itemsize), dtype=np.uint8)

@@ -150,8 +150,10 @@ def save_labels(path, labels) -> None:
 
 
 def load_labels(path) -> np.ndarray:
+    """The whitespace-separated integers of a labels file, as int64; a token
+    that is not an integer raises ValueError."""
     with open(path) as f:
-        return np.array([int(line) for line in f if line.strip()], dtype=np.int64)
+        return np.array(f.read().split(), dtype=np.int64)
 
 
 # -- signed graph --------------------------------------------------------

@@ -33,7 +33,9 @@ replaces the masked frames' content by ``mask_embed`` and computes only
 their outputs, the rows the loss reads: the encoder's rows after
 attention, the hash head and the decoder run on the masked frames only,
 and ``frame_codes``, ``act``, ``frames`` and ``recon`` are (n_masked,
-width) arrays in ``x[mask]`` order. Attention still reads every frame.
+width) arrays in ``x[mask]`` order. Attention still reads every frame,
+but only through its M x M products: the encoder never projects keys or
+values, so its d x d products run on the masked frames only.
 
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does, and the loss in the dtype of the reconstruction.

@@ -16,6 +16,7 @@ from dkph.encoder import (
 )
 from dkph.exceptions import ShapeError, StaleCacheError
 from dkph.numerics import finite_diff_check
+from dkph.teacher import draw_mask
 
 TOY = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12)
 # encoder.blocks' bytes per TOY video: 4 frames x FFN width 12 x float64
@@ -441,6 +442,66 @@ class TestSelectedRows:
         for name in want:
             if name not in ("encoder.w_in", "encoder.b_in"):
                 assert_rel_close(grads[name], want[name])
+
+
+class _RecordingWeight(np.ndarray):
+    """A weight that records, under its name, the shape of the other operand
+    of every matrix product it takes part in (its transposes included)."""
+
+    def __array_finalize__(self, obj):
+        self.name, self.log = getattr(obj, "name", None), getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [a.view(np.ndarray) if isinstance(a, _RecordingWeight) else a for a in inputs]
+        if ufunc is np.matmul:
+            for a, other in ((inputs[0], plain[1]), (inputs[1], plain[0])):
+                if isinstance(a, _RecordingWeight):
+                    self.log.append((a.name, np.shape(other)))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_masked_passes_multiply_w_k_and_w_v_by_the_masked_rows_only():
+    # K and V are never projected for every frame: attention is computed as
+    # (q W_k^T) n1^T and (attn n1) W_v, so a masked forward and backward
+    # multiply W_k and W_v only by (n_masked, model_dim) operands
+    p = init_encoder(replace(TOY, frames=6), np.random.default_rng(56))
+    p["mask_embed"] = np.random.default_rng(57).normal(size=8)
+    log = []
+    for name in ("w_k", "w_v"):
+        w = p["encoder." + name].view(_RecordingWeight)
+        w.name, w.log = name, log
+        p["encoder." + name] = w
+    masked = np.zeros((3, 6), dtype=bool)
+    masked[0, 0] = masked[2, 2] = masked[2, 5] = True     # 3 of 18 frames, uneven
+    x = np.random.default_rng(58).normal(size=(3, 6, 6))
+    rows, cache = encode_forward(x, p, masked=masked)
+    forward = sorted(log)
+    encode_backward(np.ones_like(rows), cache)
+    assert forward == [("w_k", (3, 8)), ("w_v", (3, 8))]
+    assert sorted(log) == [("w_k", (3, 8))] * 2 + [("w_v", (3, 8))] * 2
+
+
+def test_float32_masked_pass_at_paper_default_shapes_matches_the_float64_oracle():
+    # tolerance fixed from the dtype before measuring: 2**8 float32 ulps
+    # (3.1e-5) of each tensor's largest entry
+    tol = 2**8 * np.finfo(np.float32).eps
+    cfg = RunConfig()
+    rng = np.random.default_rng(59)
+    p32 = encoder.cast_params(init_encoder(cfg, rng), np.float32)
+    p32["mask_embed"] = rng.normal(size=cfg.model_dim).astype(np.float32)
+    p64 = encoder.cast_params(p32, np.float64)
+    x = rng.normal(size=(4, cfg.frames, cfg.feat_dim)).astype(np.float32)
+    masked = draw_mask(rng, cfg.frames, cfg.mask_ratio, 4)
+    masks = [tuple(np.flatnonzero(row)) for row in masked]
+    rows, cache = encode_forward(x, p32, masked=masked)
+    go = rng.normal(size=rows.shape).astype(np.float32)
+    grads = encode_backward(go, cache)
+    assert rows.dtype == np.float32
+    assert_rel_close(rows, oracle_masked_rows(x.astype(np.float64), p64, masks), tol)
+    want = oracle_masked_backward(x.astype(np.float64), p64, go.astype(np.float64), masks)
+    for name in p32:
+        assert grads[name].dtype == np.float32
+        assert_rel_close(grads[name], want[name], tol)
 
 
 def test_only_batches_and_bool_masks_are_accepted():

@@ -251,6 +251,14 @@ class TestAffinity:
         np.testing.assert_array_equal(dists, np.take_along_axis(plain, nearest, axis=1))
         np.testing.assert_array_equal(nearest, np.argsort(plain, axis=1, kind="stable")[:, :3])
 
+    def test_default_alpha_is_the_default_bandwidth(self):
+        pts = np.random.default_rng(18).normal(size=(60, 5))
+        anchors = kmeans(pts, 7, seed=19)
+        want = build_affinity(pts, anchors, p=3, alpha=default_bandwidth(pts, anchors, 3))
+        got = build_affinity(pts, anchors, p=3)
+        np.testing.assert_array_equal(got.center_idx, want.center_idx)
+        np.testing.assert_array_equal(got.weights, want.weights)
+
     @pytest.mark.parametrize("p", [0, 6])
     def test_bandwidth_rejects_p_outside_the_centers(self, p):
         pts = np.random.default_rng(17).normal(size=(30, 2))

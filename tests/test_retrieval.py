@@ -565,8 +565,8 @@ class TestAgainstOracle:
         rng = np.random.default_rng(k_bits)
         db, q = random_bits(rng, 9, k_bits), random_bits(rng, 4, k_bits)
         db_words, q_words = CodeIndex.from_bits(db).words, CodeIndex.from_bits(q).words
-        n_bytes = -(-k_bits // 8)   # rows pack into the narrowest word that holds them
-        word = {1: np.uint8, 2: np.uint16, 3: np.uint32, 4: np.uint32}.get(n_bytes, np.uint64)
+        n_bytes = -(-k_bits // 8)   # the narrowest of 1-, 4- and 8-byte words that holds a row
+        word = {1: np.uint8, 2: np.uint32, 3: np.uint32, 4: np.uint32}.get(n_bytes, np.uint64)
         for words in (db_words, q_words):
             assert words.dtype == word
             assert words.shape[1] == -(-n_bytes // words.itemsize)

@@ -171,6 +171,22 @@ class TestCodesAndLabels:
         serial.save_labels(path, [3, 1, 4, 1, 5])
         np.testing.assert_array_equal(serial.load_labels(path), [3, 1, 4, 1, 5])
 
+    def test_labels_ignore_blank_lines_and_surrounding_whitespace(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("\n  3\n1 \n\n\t4\r\n \n")
+        got = serial.load_labels(path)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, [3, 1, 4])
+        path.write_text("")
+        assert serial.load_labels(path).shape == (0,)
+
+    @pytest.mark.parametrize("token", ["1.5", "x", "2e3"])
+    def test_labels_reject_a_non_integer_token(self, tmp_path, token):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"3\n{token}\n1\n")
+        with pytest.raises(ValueError):
+            serial.load_labels(path)
+
 
 class TestGraphFile:
     def test_roundtrip(self, tmp_path):
