@@ -1,8 +1,11 @@
 """Command-line front end over the pipeline stages.
 
-Each subcommand runs exactly one stage against the work directory derived
-from the config hash; prerequisites must have run first (the error message
-names the missing stage). ``eval`` additionally assembles report.txt.
+Each subcommand runs against the work directory derived from the config
+hash. ``synth-data``, ``train-teacher`` and ``build-graph`` run one stage, and
+``train-student``, ``encode`` and ``eval`` one stage per code width; their
+prerequisites must have run first (the error message names the missing stage).
+``eval`` additionally assembles report.txt. ``ablate`` runs the whole variant
+grid, prerequisites included, and prints ablation.txt.
 """
 
 from __future__ import annotations

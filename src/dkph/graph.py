@@ -284,14 +284,6 @@ def _label_rows(vals: np.ndarray, support: np.ndarray, lambda1: float,
     return support & (vals >= pt), support & (nt < vals) & (vals < mu)
 
 
-def _label_row(row_idx: np.ndarray, row_vals: np.ndarray, i: int,
-               lambda1: float, lambda2: float) -> tuple[np.ndarray, np.ndarray]:
-    """(positive, negative) neighbours of video i by the threshold rule over
-    its row of A, given as video indices and values."""
-    pos, neg = _label_rows(row_vals[None, :], (row_idx != i)[None, :], lambda1, lambda2)
-    return row_idx[pos[0]], row_idx[neg[0]]
-
-
 @dataclass
 class SignedGraph:
     positives: list      # per video: np.ndarray of +1 neighbors

@@ -19,9 +19,12 @@ Stage artifacts
     report.txt regenerated deterministically from the above on every run
     student_V_K, encode_V_K, eval_V_K
                as student_K, encode_K and eval_K with V_K in place of K, for
-               each ablation variant V other than "full", at the first width
-    ablation.txt  the variants' mAP and stream probes of student_K.ckpt,
-               regenerated on every ablation_suite call
+               each ablation variant V other than "full", at every width K
+    ablation.txt  each width's variant mAP and stream probes of its
+               student_K.ckpt, regenerated on every ablation_suite call
+
+``ablation_suite``'s "full" chains (``model_chains``) are ``run_pipeline``'s,
+so either call reuses the other's stages.
 
 A stage's meta record also carries its cost in the process that ran it:
 ``minor_faults``, the page faults taken during the stage, and
@@ -164,9 +167,14 @@ def _keep_freed_heap() -> bool:
     return bool(mmap_set and trim_set)
 
 
-def _run_stage(run_dir: Path, stage: str, cfg: RunConfig, outputs: list[str], fn) -> None:
+def _run_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | None,
+               outputs: list[str], fn) -> None:
     """Execute ``fn`` unless the stage is already complete; record its wall
-    time, minor page faults and the peak RSS after it."""
+    time, minor page faults and the peak RSS after it. The prerequisite stage
+    ``needs`` must have completed first, even when this one has."""
+    if needs is not None and not stage_completed(run_dir, needs, cfg):
+        raise PipelineError(stage, f"prerequisite stage {needs!r} has not run; "
+                                   f"run it first (work dir {run_dir})")
     if stage_completed(run_dir, stage, cfg):
         return
     # no record may outlive a run of fn() that fails half way through its outputs
@@ -195,12 +203,6 @@ def _run_stage(run_dir: Path, stage: str, cfg: RunConfig, outputs: list[str], fn
     os.replace(tmp, path)  # a crash leaves either no record or a whole one
 
 
-def _require(run_dir: Path, stage: str, cfg: RunConfig, needed_by: str) -> None:
-    if not stage_completed(run_dir, stage, cfg):
-        raise PipelineError(needed_by, f"prerequisite stage {stage!r} has not run; "
-                                       f"run it first (work dir {run_dir})")
-
-
 # -- individual stages ----------------------------------------------------
 
 
@@ -223,7 +225,7 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
 
     outputs = [f"data/{n}.{kind}" for n in ("train", "query", "database")
                for kind in ("features", "labels")] + ["data/dataset.json", "config.cfg"]
-    _run_stage(run_dir, "data", cfg, outputs, fn)
+    _run_stage(run_dir, cfg, "data", None, outputs, fn)
 
 
 def _video_embeddings(features: np.ndarray, params: Params) -> np.ndarray:
@@ -234,8 +236,6 @@ def _video_embeddings(features: np.ndarray, params: Params) -> np.ndarray:
 
 
 def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
-    _require(run_dir, "data", cfg, needed_by="teacher")
-
     def fn():
         train = load_split(run_dir / "data", "train")
         result = train_teacher(train.features, cfg)
@@ -248,13 +248,11 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
         means = _video_embeddings(train.features, result.params)
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
 
-    _run_stage(run_dir, "teacher", cfg,
+    _run_stage(run_dir, cfg, "teacher", "data",
                ["teacher.ckpt", "teacher_log.txt", "embeddings.features"], fn)
 
 
 def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
-    _require(run_dir, "teacher", cfg, needed_by="graph")
-
     def fn():
         means = serial.load_features(run_dir / "embeddings.features")[:, 0, :]
         anchors = kmeans(means, cfg.num_anchors, seed=cfg.train_seed)
@@ -273,7 +271,7 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
             "assignments": anchors.assignments,
         })
 
-    _run_stage(run_dir, "graph", cfg, ["graph.bin", "anchors.ckpt"], fn)
+    _run_stage(run_dir, cfg, "graph", "teacher", ["graph.bin", "anchors.ckpt"], fn)
 
 
 def load_graph_artifacts(run_dir: Path):
@@ -300,7 +298,6 @@ def _tag(bits: int, variant: str) -> str:
 
 def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:
     tag = _tag(bits, variant)
-    _require(run_dir, "graph", cfg, needed_by=f"student_{tag}")
 
     def fn():
         train = load_split(run_dir / "data", "train")
@@ -311,7 +308,7 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
         serial.save_checkpoint(run_dir / f"student_{tag}.ckpt", result.params)
         write_training_log(run_dir / f"student_{tag}_log.txt", result.history)
 
-    _run_stage(run_dir, f"student_{tag}", cfg,
+    _run_stage(run_dir, cfg, f"student_{tag}", "graph",
                [f"student_{tag}.ckpt", f"student_{tag}_log.txt"], fn)
 
 
@@ -327,7 +324,6 @@ def encode_split(features: np.ndarray, params: Params) -> np.ndarray:
 
 def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:
     tag = _tag(bits, variant)
-    _require(run_dir, f"student_{tag}", cfg, needed_by=f"encode_{tag}")
 
     def fn():
         features = {name: load_split(run_dir / "data", name).features
@@ -337,7 +333,7 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full"
         for name, x in features.items():
             serial.save_codes(run_dir / f"{name}_{tag}.codes", encode_split(x, params), bits)
 
-    _run_stage(run_dir, f"encode_{tag}", cfg,
+    _run_stage(run_dir, cfg, f"encode_{tag}", f"student_{tag}",
                [f"query_{tag}.codes", f"database_{tag}.codes"], fn)
 
 
@@ -359,31 +355,44 @@ def evaluate_codes(run_dir: Path, bits: int, variant: str = "full") -> dict:
 
 def stage_eval(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:
     tag = _tag(bits, variant)
-    _require(run_dir, f"encode_{tag}", cfg, needed_by=f"eval_{tag}")
 
     def fn():
         metrics = evaluate_codes(run_dir, bits, variant)
         (run_dir / f"metrics_{tag}.json").write_text(
             json.dumps(metrics, sort_keys=True) + "\n")
 
-    _run_stage(run_dir, f"eval_{tag}", cfg, [f"metrics_{tag}.json"], fn)
+    _run_stage(run_dir, cfg, f"eval_{tag}", f"encode_{tag}", [f"metrics_{tag}.json"], fn)
 
 
-def _model_stages(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:
-    """Train, encode and evaluate one width's model."""
-    stage_student(cfg, run_dir, bits, variant)
-    stage_encode(cfg, run_dir, bits, variant)
-    stage_eval(cfg, run_dir, bits, variant)
+# -- the stage grid, report and end-to-end -----------------------------------
+
+_SHARED_STAGES = {"data": stage_data, "teacher": stage_teacher, "graph": stage_graph}
+_CHAIN_STAGES = {"student": stage_student, "encode": stage_encode, "eval": stage_eval}
 
 
-# -- report + end-to-end ---------------------------------------------------
+def model_chains(cfg: RunConfig, variants=("full",)) -> list[tuple[str, int]]:
+    """The (variant, width) chains, each the _CHAIN_STAGES in order on top of
+    the _SHARED_STAGES: every width of every variant, width by width."""
+    return [(variant, bits) for bits in cfg.code_bits for variant in variants]
 
 
-def stage_names(cfg: RunConfig) -> list[str]:
-    names = ["data", "teacher", "graph"]
-    for bits in cfg.code_bits:
-        names += [f"student_{bits}", f"encode_{bits}", f"eval_{bits}"]
-    return names
+def stage_names(cfg: RunConfig, variants=("full",)) -> list[str]:
+    return [*_SHARED_STAGES] + [f"{name}_{_tag(bits, variant)}"
+                               for variant, bits in model_chains(cfg, variants)
+                               for name in _CHAIN_STAGES]
+
+
+def _run_grid(cfg: RunConfig, work_dir, variants) -> Path:
+    """Run the shared stages and then every chain of ``variants``, skipping
+    completed stages; returns the run directory."""
+    run_dir = run_layout(cfg, work_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for stage in _SHARED_STAGES.values():
+        stage(cfg, run_dir)
+    for variant, bits in model_chains(cfg, variants):
+        for stage in _CHAIN_STAGES.values():
+            stage(cfg, run_dir, bits, variant)
+    return run_dir
 
 
 def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
@@ -413,49 +422,37 @@ def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
 
 def run_pipeline(cfg: RunConfig, work_dir=None) -> PipelineReport:
     """Run every stage (skipping completed ones) and write report.txt."""
-    run_dir = run_layout(cfg, work_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    stage_data(cfg, run_dir)
-    stage_teacher(cfg, run_dir)
-    stage_graph(cfg, run_dir)
-    for bits in cfg.code_bits:
-        _model_stages(cfg, run_dir, bits)
-    return build_report(cfg, run_dir)
+    return build_report(cfg, _run_grid(cfg, work_dir, ("full",)))
 
 
 def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
-    """Train, encode and evaluate every ablation variant at the first code
-    width, and probe the trained full model's reconstruction with each stream
-    removed.
+    """Train, encode and evaluate every ablation variant at every code width,
+    and probe each width's trained full model's reconstruction with each
+    stream removed.
 
-    Returns a dict and writes ablation.txt next to the run report.
+    Returns ``{"map": {bits: {variant: maps}}, "recon_error": {bits: errors}}``
+    and writes ablation.txt next to the run report.
     """
-    run_dir = run_layout(cfg, work_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    bits = cfg.code_bits[0]
-    stage_data(cfg, run_dir)
-    stage_teacher(cfg, run_dir)
-    stage_graph(cfg, run_dir)
-    results: dict = {"bits": bits, "map": {}}
-    lines = ["dkph ablation report", f"config_hash = {cfg.config_hash()}",
-             f"bits = {bits}"]
-    for variant in ABLATION_VARIANTS:
-        _model_stages(cfg, run_dir, bits, variant)
+    run_dir = _run_grid(cfg, work_dir, ABLATION_VARIANTS)
+    results: dict = {"map": {}, "recon_error": {}}
+    lines = ["dkph ablation report", f"config_hash = {cfg.config_hash()}"]
+    for variant, bits in model_chains(cfg, ABLATION_VARIANTS):
         maps = json.loads((run_dir / f"metrics_{_tag(bits, variant)}.json").read_text())["map"]
-        results["map"][variant] = maps
+        results["map"].setdefault(bits, {})[variant] = maps
         for k in sorted(int(x) for x in maps):
-            lines.append(f"map variant={variant} k={k} = {maps[str(k)]:.10g}")
+            lines.append(f"map bits={bits} variant={variant} k={k} = {maps[str(k)]:.10g}")
 
-    # information decomposition on the trained full model, database split
+    # information decomposition on each width's trained full model, database split
     db_features = load_split(run_dir / "data", "database").features
-    full = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
-                       db_features.dtype)
-    results["recon_error"] = error = probe_reconstruction(db_features, full)
-    for mode in PROBE_MODES:
-        lines.append(f"recon_error mode={mode} = {error[mode]:.10g}")
-    lines.append("recon_error drop_latent_over_drop_code = "
-                 f"{error['drop_latent'] / error['drop_code']:.10g}")
-    lines.append("recon_error mean_latent_increase = "
-                 f"{(error['mean_latent'] - error['intact']) / error['intact']:.10g}")
+    for bits in cfg.code_bits:
+        full = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
+                           db_features.dtype)
+        results["recon_error"][bits] = error = probe_reconstruction(db_features, full)
+        for mode in PROBE_MODES:
+            lines.append(f"recon_error bits={bits} mode={mode} = {error[mode]:.10g}")
+        lines.append(f"recon_error bits={bits} drop_latent_over_drop_code = "
+                     f"{error['drop_latent'] / error['drop_code']:.10g}")
+        lines.append(f"recon_error bits={bits} mean_latent_increase = "
+                     f"{(error['mean_latent'] - error['intact']) / error['intact']:.10g}")
     (run_dir / "ablation.txt").write_text("\n".join(lines) + "\n")
     return results

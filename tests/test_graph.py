@@ -14,7 +14,7 @@ from dkph.graph import (
     AnchorSet,
     SignedGraph,
     SparseAffinity,
-    _label_row,
+    _label_rows,
     adjacency_row,
     build_affinity,
     build_signed_graph,
@@ -22,6 +22,14 @@ from dkph.graph import (
     kmeans,
     sample_pairs,
 )
+
+
+def label_row(row_idx, row_vals, i, lambda1, lambda2):
+    """(positive, negative) neighbours of video i by the threshold rule over
+    its row of A, given as video indices and values: the one-row case of
+    ``_label_rows``."""
+    pos, neg = _label_rows(row_vals[None, :], (row_idx != i)[None, :], lambda1, lambda2)
+    return row_idx[pos[0]], row_idx[neg[0]]
 
 
 def dense_affinity(points, anchors, p, alpha):
@@ -328,17 +336,17 @@ class TestAdjacencyRow:
 class TestThresholds:
     def test_two_point_hand_case(self):
         # lambda1 = lambda2 = 1: PT = 0.75 and NT = 0.25, both entries of the row
-        pos, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
-                              lambda1=1.0, lambda2=1.0)
+        pos, neg = label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                             lambda1=1.0, lambda2=1.0)
         assert pos.tolist() == [2] and neg.size == 0
-        pos, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
-                              lambda1=1.0, lambda2=2.0)  # NT = 0
+        pos, neg = label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                             lambda1=1.0, lambda2=2.0)  # NT = 0
         assert pos.tolist() == [2] and neg.tolist() == [1]
 
     def test_constant_row_collapses_thresholds_and_labels_all_positive(self):
         idx = np.array([0, 1, 2, 3])
         vals = np.array([0.25, 0.25, 0.25, 0.25])
-        pos, neg = _label_row(idx, vals, i=0, lambda1=2.0, lambda2=1.0)
+        pos, neg = label_row(idx, vals, i=0, lambda1=2.0, lambda2=1.0)
         assert pos.tolist() == [1, 2, 3]  # self entry stripped
         assert neg.size == 0
 
@@ -348,14 +356,14 @@ class TestThresholds:
         # mu to 1/3 and NT below 0.25, making 0.25 a negative.
         idx = np.array([0, 1, 2, 3])
         vals = np.array([0.9, 0.25, 0.0, 0.75])
-        pos, neg = _label_row(idx, vals, i=0, lambda1=1.0, lambda2=0.5)
+        pos, neg = label_row(idx, vals, i=0, lambda1=1.0, lambda2=0.5)
         assert pos.tolist() == [3] and neg.size == 0
 
     def test_isolated_rows_flagged(self):
         # one off-diagonal support entry: the row gets no edges
         for vals in ([0.5, 0.2], [0.5, 0.2, 0.0]):
             idx = np.arange(len(vals))
-            pos, neg = _label_row(idx, np.array(vals), i=0, lambda1=0.0, lambda2=9.0)
+            pos, neg = label_row(idx, np.array(vals), i=0, lambda1=0.0, lambda2=9.0)
             assert pos.size == 0 and neg.size == 0
             assert pos.dtype == neg.dtype == np.int64
 
@@ -364,39 +372,39 @@ class TestThresholds:
         rng = np.random.default_rng(3)
         for _ in range(100):
             vals = rng.random(10)
-            pos, neg = _label_row(np.arange(1, 11), vals, i=0, lambda1=1.5, lambda2=0.5)
+            pos, neg = label_row(np.arange(1, 11), vals, i=0, lambda1=1.5, lambda2=0.5)
             if pos.size and neg.size:
                 assert vals[pos - 1].min() > vals[neg - 1].max()
 
 
 class TestSignRow:
     def test_boundary_at_pt_is_positive(self):
-        pos, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
-                              lambda1=1.0, lambda2=0.0)  # PT = 0.75
+        pos, neg = label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                             lambda1=1.0, lambda2=0.0)  # PT = 0.75
         assert pos.tolist() == [2] and neg.size == 0
-        pos, _ = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
-                            lambda1=1.5, lambda2=0.0)  # PT = 0.875
+        pos, _ = label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                           lambda1=1.5, lambda2=0.0)  # PT = 0.875
         assert pos.size == 0
 
     def test_boundary_at_mu_is_zero(self):
         # mu = 1.5 / 3 = 0.5 exactly, and the entry at mu is neither sign
-        pos, neg = _label_row(np.array([1, 2, 3]), np.array([0.25, 0.5, 0.75]), i=0,
-                              lambda1=0.5, lambda2=9.0)
+        pos, neg = label_row(np.array([1, 2, 3]), np.array([0.25, 0.5, 0.75]), i=0,
+                             lambda1=0.5, lambda2=9.0)
         assert pos.tolist() == [3] and neg.tolist() == [1]
 
     def test_boundary_at_nt_is_zero(self):
-        pos, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
-                              lambda1=9.0, lambda2=1.0)  # NT = 0.25
+        pos, neg = label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                             lambda1=9.0, lambda2=1.0)  # NT = 0.25
         assert pos.size == 0 and neg.size == 0
-        _, neg = _label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
-                            lambda1=9.0, lambda2=1.5)  # NT = 0.125
+        _, neg = label_row(np.array([1, 2]), np.array([0.25, 0.75]), i=0,
+                           lambda1=9.0, lambda2=1.5)  # NT = 0.125
         assert neg.tolist() == [1]
 
     def test_spec_style_hand_row(self):
         # mu = 0.2375, eps ~= 0.16724: PT ~= 0.572, NT ~= 0.070
         idx = np.array([1, 2, 3, 4])
         vals = np.array([0.5, 0.25, 0.15, 0.05])
-        pos, neg = _label_row(idx, vals, i=0, lambda1=2.0, lambda2=1.0)
+        pos, neg = label_row(idx, vals, i=0, lambda1=2.0, lambda2=1.0)
         assert pos.size == 0
         assert neg.tolist() == [3]  # only 0.15 sits in (NT, mu)
 
@@ -408,7 +416,7 @@ class TestSignRow:
             idx = np.arange(1, n + 1)
             l1, l2 = rng.random() * 3, rng.random() * 2
             mu, eps = float(vals.mean()), float(vals.std())
-            pos, neg = _label_row(idx, vals, i=0, lambda1=l1, lambda2=l2)
+            pos, neg = label_row(idx, vals, i=0, lambda1=l1, lambda2=l2)
             expected = brute_force_labels(vals, mu + l1 * eps, mu - l2 * eps, mu)
             got = np.zeros(n, dtype=int)
             got[np.isin(idx, pos)] = 1
@@ -421,7 +429,7 @@ class TestSignRow:
         idx = np.arange(1, 21)
         prev = 21
         for l1 in (0.0, 0.5, 1.0, 2.0, 4.0):
-            pos, _ = _label_row(idx, vals, i=0, lambda1=l1, lambda2=1.0)
+            pos, _ = label_row(idx, vals, i=0, lambda1=l1, lambda2=1.0)
             assert pos.size <= prev
             prev = pos.size
 
@@ -528,7 +536,7 @@ class TestBuildSignedGraph:
         g = build_signed_graph(z, lambda1=1.0, lambda2=1.0)
         for i in range(30):
             idx, vals = adjacency_row(i, z)
-            pos, neg = _label_row(idx, vals, i, 1.0, 1.0)
+            pos, neg = label_row(idx, vals, i, 1.0, 1.0)
             np.testing.assert_array_equal(g.positives[i], pos)
             np.testing.assert_array_equal(g.negatives[i], neg)
             assert i not in g.positives[i] and i not in g.negatives[i]

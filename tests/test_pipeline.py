@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from dkph import encoder, pipeline, serial, synth
 from dkph.codes import pack_bits
 from dkph.config import RunConfig
 from dkph.exceptions import PipelineError
-from dkph.student import init_student
+from dkph.student import PROBE_MODES, init_student, probe_reconstruction
 from dkph.teacher import init_teacher
 from test_encoder import TOY_VIDEO_BYTES, assert_rel_close, oracle_forward
 from test_student import oracle_student
@@ -180,6 +181,26 @@ def test_variant_encode_before_its_student_fails_naming_it(tiny_run):
     with pytest.raises(PipelineError, match="prerequisite stage 'student_no_bsim_16'"):
         pipeline.stage_encode(cfg, first.run_dir, 16, "no_bsim")
     assert not (first.run_dir / "query_no_bsim_16.codes").exists()
+
+
+@pytest.mark.parametrize("stage, needs", [("encode", "student"), ("eval", "encode")])
+def test_variant_stage_before_its_prerequisite_raises_and_leaves_no_record(tiny_run, stage,
+                                                                         needs):
+    cfg, _, first = tiny_run
+    run = getattr(pipeline, f"stage_{stage}")
+    with pytest.raises(PipelineError, match=f"prerequisite stage '{needs}_no_dual_16'") as err:
+        run(cfg, first.run_dir, 16, "no_dual")
+    assert err.value.stage == f"{stage}_no_dual_16"
+    assert not pipeline._meta_path(first.run_dir, f"{stage}_no_dual_16").exists()
+    assert not pipeline.stage_completed(first.run_dir, f"{stage}_no_dual_16", cfg)
+
+
+def test_the_prerequisite_is_checked_before_a_completed_stage_is_skipped(tiny_run, tmp_path):
+    cfg, _, first = tiny_run
+    run_dir = _copy_without(first, tmp_path, "graph")
+    assert pipeline.stage_completed(run_dir, "student_16", cfg)
+    with pytest.raises(PipelineError, match="prerequisite stage 'graph'"):
+        pipeline.stage_student(cfg, run_dir, 16)
 
 
 def test_encode_stage_narrows_the_checkpoint_to_the_features_dtype(tiny_run, tmp_path,
@@ -374,23 +395,55 @@ def tiny_ablation(tmp_path_factory):
 
 def test_ablation_rerun_reproduces_its_report_and_executes_no_stage(tiny_ablation):
     cfg, run_dir, _ = tiny_ablation
-    bits = cfg.code_bits[0]
-    tags = [str(bits)] + [f"{v}_{bits}" for v in pipeline.ABLATION_VARIANTS if v != "full"]
     text = (run_dir / "ablation.txt").read_bytes()
     before = _meta(run_dir)
-    assert set(before) == {"data", "teacher", "graph"} | {
-        f"{stage}_{tag}" for stage in ("student", "encode", "eval") for tag in tags}
+    assert sorted(before) == sorted(pipeline.stage_names(cfg, pipeline.ABLATION_VARIANTS))
     pipeline.ablation_suite(cfg, run_dir.parent)
     assert (run_dir / "ablation.txt").read_bytes() == text
     assert _meta(run_dir) == before
 
 
+def _without_times(report):
+    return re.sub(r"wall_time_s = \S+", "wall_time_s", report)
+
+
+def test_run_pipeline_after_the_ablation_runs_no_stage_and_reports_the_same(tiny_run,
+                                                                            tiny_ablation):
+    # the ablation's full chains are the pipeline's own stages
+    cfg, run_dir, _ = tiny_ablation
+    _, _, first = tiny_run
+    before = _meta(run_dir)
+    report = pipeline.run_pipeline(cfg, run_dir.parent)
+    assert _meta(run_dir) == before
+    want = (first.run_dir / "report.txt").read_text()
+    assert _without_times(report.text) == _without_times(want)
+    assert (run_dir / "report.txt").read_text() == report.text
+
+
 def test_ablation_full_rows_are_the_full_model_metrics(tiny_ablation):
     cfg, run_dir, results = tiny_ablation
-    bits = cfg.code_bits[0]
-    want = json.loads((run_dir / f"metrics_{bits}.json").read_text())["map"]
-    assert results["map"]["full"] == want
-    rows = [line.split(" = ") for line in (run_dir / "ablation.txt").read_text().splitlines()
-            if line.startswith("map variant=full ")]
-    assert dict(rows) == \
-        {f"map variant=full k={k}": f"{v:.10g}" for k, v in want.items()}
+    rows = dict(line.split(" = ") for line in (run_dir / "ablation.txt").read_text().splitlines()
+                if line.startswith("map "))
+    assert list(results["map"]) == list(cfg.code_bits)
+    for bits in cfg.code_bits:
+        want = json.loads((run_dir / f"metrics_{bits}.json").read_text())["map"]
+        assert list(results["map"][bits]) == list(pipeline.ABLATION_VARIANTS)
+        assert results["map"][bits]["full"] == want
+        full = {key: value for key, value in rows.items()
+                if key.startswith(f"map bits={bits} variant=full ")}
+        assert full == {f"map bits={bits} variant=full k={k}": f"{v:.10g}"
+                        for k, v in want.items()}
+
+
+def test_ablation_probes_each_width_full_model(tiny_ablation):
+    cfg, run_dir, results = tiny_ablation
+    features = synth.load_split(run_dir / "data", "database").features
+    lines = (run_dir / "ablation.txt").read_text().splitlines()
+    assert list(results["recon_error"]) == list(cfg.code_bits)
+    for bits in cfg.code_bits:
+        params = encoder.cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
+                                     features.dtype)
+        error = results["recon_error"][bits]
+        assert error == probe_reconstruction(features, params)
+        for mode in PROBE_MODES:
+            assert f"recon_error bits={bits} mode={mode} = {error[mode]:.10g}" in lines
