@@ -46,6 +46,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "gradcheck":
+        if args.seed < 0:
+            g.error(f"--seed must be >= 0, got {args.seed}")
         for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
             if not 0 < value < math.inf:
                 g.error(f"{flag} must be positive and finite, got {value:g}")

@@ -76,7 +76,7 @@ class RunConfig:
                     "batch_size")
         non_negative = ("intra_class_noise", "temporal_drift", "ffn_dim", "teacher_epochs",
                         "student_epochs", "learn_rate", "bandwidth", "eta", "beta",
-                        "gamma1", "gamma2", "lambda1")
+                        "gamma1", "gamma2", "lambda1", "data_seed", "train_seed")
         floats = [f.name for f in fields(self) if f.type in ("float", float)]
         checks = (
             *[(key, math.isfinite(getattr(self, key)), "must be finite") for key in floats],

@@ -38,16 +38,15 @@ expansion's rounding.
 Pairs for the student are drawn per batch as index arrays (``PairSample``):
 a fair label coin, a uniform anchor among the batch videos with edges of
 that sign, and a uniform partner from the anchor's edge list, each one
-vectorised generator call for the whole batch. The sampler reads the edge
-lists through ``SignedGraph.edge_table``, one flat array of every list with
-per-video counts and offsets, built on first use.
+vectorised generator call for the whole batch. The sampler reads the
+graph's compressed rows (``SignedGraph``) as ``build_signed_graph`` writes
+them and ``serial.load_graph`` loads them.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -284,44 +283,58 @@ def _label_rows(vals: np.ndarray, support: np.ndarray, lambda1: float,
     return support & (vals >= pt), support & (nt < vals) & (vals < mu)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignedGraph:
-    positives: list      # per video: np.ndarray of +1 neighbors
-    negatives: list      # per video: np.ndarray of -1 neighbors
+    """The signed edges as compressed rows. Side 0 holds the positive and
+    side 1 the negative edges; video v's side-s neighbours, ascending, are
+    ``indices[offsets[s, v]:offsets[s, v + 1]]``, and side 1 continues where
+    side 0 ends (``offsets[1, 0] == offsets[0, N]``)."""
+
+    offsets: np.ndarray   # (2, N + 1) int64
+    indices: np.ndarray   # (E,) int64
 
     @property
     def n(self) -> int:
-        return len(self.positives)
+        return self.offsets.shape[1] - 1
 
-    @cached_property
-    def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(degree, start, flat)``: video v's positive (side 0) or negative
-        (side 1) neighbours are ``flat[start[side, v]:][:degree[side, v]]``.
-        Built once, on first use; the edge lists must not change after it."""
-        lists = [*self.positives, *self.negatives]
-        degree = np.array([e.size for e in lists], dtype=np.int64)
-        flat = np.concatenate([*lists, np.zeros(0, dtype=np.int64)]).astype(np.int64, copy=False)
-        return degree.reshape(2, -1), (np.cumsum(degree) - degree).reshape(2, -1), flat
+    def _rows(self, side: int) -> list[np.ndarray]:
+        flat = self.indices.view()
+        flat.flags.writeable = False
+        bounds = self.offsets[side].tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    @property
+    def positives(self) -> list[np.ndarray]:
+        """Per video, a read-only view of its positive neighbours."""
+        return self._rows(0)
+
+    @property
+    def negatives(self) -> list[np.ndarray]:
+        """Per video, a read-only view of its negative neighbours."""
+        return self._rows(1)
 
     @property
     def isolated(self) -> np.ndarray:
         """Videos with no positive and no negative edge; sample_pairs never
         draws them."""
-        return np.flatnonzero(self.edge_table[0].sum(axis=0) == 0)
+        return np.flatnonzero(np.diff(self.offsets, axis=1).sum(axis=0) == 0)
 
 
 def build_signed_graph(z: SparseAffinity, lambda1: float, lambda2: float) -> SignedGraph:
-    edges = [], []  # positives, negatives
+    # per side, each block's row degrees and its rows' columns
+    degrees, columns = ([], []), ([], [])
     for lo, acc, support in _adjacency_blocks(z, 0, z.n):
         rows = np.arange(acc.shape[0])
         support[rows, lo + rows] = False  # a video is not its own neighbour
-        for mask, lists in zip(_label_rows(acc, support, lambda1, lambda2), edges):
+        for side, mask in enumerate(_label_rows(acc, support, lambda1, lambda2)):
+            degrees[side].append(np.count_nonzero(mask, axis=1))
             # row-major, so each row's columns come ascending; a 2-D nonzero
             # would keep the row indices alive under its column view
-            cols = np.flatnonzero(mask) % mask.shape[1]
-            ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-            lists.extend(cols[a:b] for a, b in zip([0, *ends], ends))
-    return SignedGraph(positives=edges[0], negatives=edges[1])
+            columns[side].append(np.flatnonzero(mask) % mask.shape[1])
+    bounds = np.zeros(2 * z.n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.zeros(0, np.int64), *degrees[0], *degrees[1]]), out=bounds[1:])
+    return SignedGraph(offsets=np.stack([bounds[:z.n + 1], bounds[z.n:]]),
+                       indices=np.concatenate([np.zeros(0, np.int64), *columns[0], *columns[1]]))
 
 
 @dataclass
@@ -348,7 +361,7 @@ def sample_pairs(g: SignedGraph, batch, count: int, seed) -> PairSample:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    degree, start, flat = g.edge_table
+    degree = np.diff(g.offsets, axis=1)
     batch = np.asarray(batch, dtype=np.int64).reshape(-1)
     with_pos, with_neg = (batch[degree[s, batch] > 0] for s in (0, 1))
     if not with_pos.size and not with_neg.size:
@@ -362,7 +375,7 @@ def sample_pairs(g: SignedGraph, batch, count: int, seed) -> PairSample:
         side[:] = present
     sizes = np.array([with_pos.size, with_neg.size])
     i = np.concatenate([with_pos, with_neg])[side * with_pos.size + rng.integers(sizes[side])]
-    j = flat[start[side, i] + rng.integers(degree[side, i])]
+    j = g.indices[g.offsets[side, i] + rng.integers(degree[side, i])]
     if fallbacks:
         logger.warning("pair sampler fell back to the other label class %d/%d times",
                        fallbacks, count)

@@ -66,12 +66,7 @@ from .codes import pack_bits, unpack_bits
 from .config import RunConfig
 from .encoder import Params, blocks, cast_params, encode_forward
 from .exceptions import PipelineError
-from .graph import (
-    SignedGraph,
-    build_affinity,
-    build_signed_graph,
-    kmeans,
-)
+from .graph import build_affinity, build_signed_graph, kmeans
 from .retrieval import MAP_KS, CodeIndex, map_at_k, pr_curve
 from .student import (
     PROBE_MODES,
@@ -80,7 +75,7 @@ from .student import (
     train_student,
     write_training_log,
 )
-from .synth import generate_synthetic, load_split, load_split_labels
+from .synth import generate_synthetic
 from .teacher import train_teacher
 
 logger = logging.getLogger(__name__)
@@ -237,15 +232,15 @@ def _video_embeddings(features: np.ndarray, params: Params) -> np.ndarray:
 
 def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
     def fn():
-        train = load_split(run_dir / "data", "train")
-        result = train_teacher(train.features, cfg)
+        train = serial.load_features(run_dir / "data" / "train.features")
+        result = train_teacher(train, cfg)
         serial.save_checkpoint(run_dir / "teacher.ckpt", result.params)
         with open(run_dir / "teacher_log.txt", "w") as f:
             f.write(f"eval_before={result.eval_before:.10g}\n")
             for epoch, loss in enumerate(result.epoch_losses):
                 f.write(f"epoch={epoch} recon={loss:.10g}\n")
             f.write(f"eval_after={result.eval_after:.10g}\n")
-        means = _video_embeddings(train.features, result.params)
+        means = _video_embeddings(train, result.params)
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
 
     _run_stage(run_dir, cfg, "teacher", "data",
@@ -261,11 +256,12 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
                            alpha=cfg.bandwidth if cfg.bandwidth > 0 else None)
         graph = build_signed_graph(z, cfg.lambda1, cfg.lambda2)
         # without edges of one sign, every pair the student draws has the other
-        for sign, edges in (("positive", graph.positives), ("negative", graph.negatives)):
-            if not any(e.size for e in edges):
+        edges = graph.offsets[:, -1] - graph.offsets[:, 0]
+        for sign, count in zip(("positive", "negative"), edges.tolist()):
+            if not count:
                 logger.warning("stage 'graph': the signed graph has no %s edges "
                                "(lambda1 = %r, lambda2 = %r)", sign, cfg.lambda1, cfg.lambda2)
-        serial.save_graph(run_dir / "graph.bin", graph.positives, graph.negatives)
+        serial.save_graph(run_dir / "graph.bin", graph)
         serial.save_checkpoint(run_dir / "anchors.ckpt", {
             "centers": anchors.centers,
             "assignments": anchors.assignments,
@@ -278,10 +274,8 @@ def load_graph_artifacts(run_dir: Path):
     """The signed graph, and the (N_train, model_dim) array
     ``centers[assignments]``, whose row v is training video v's teacher
     anchor centre."""
-    positives, negatives = serial.load_graph(run_dir / "graph.bin")
     blob = serial.load_checkpoint(run_dir / "anchors.ckpt")
-    graph = SignedGraph(positives=positives, negatives=negatives)
-    return graph, blob["centers"][blob["assignments"]]
+    return serial.load_graph(run_dir / "graph.bin"), blob["centers"][blob["assignments"]]
 
 
 # Each ablation variant and the loss weights it sets to zero; "no_dual" keeps
@@ -300,10 +294,10 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
     tag = _tag(bits, variant)
 
     def fn():
-        train = load_split(run_dir / "data", "train")
+        train = serial.load_features(run_dir / "data" / "train.features")
         graph, anchors = load_graph_artifacts(run_dir)
         variant_cfg = replace(cfg, **dict.fromkeys(ABLATION_VARIANTS[variant], 0.0))
-        result = train_student(train.features, variant_cfg, graph, anchors, code_bits=bits,
+        result = train_student(train, variant_cfg, graph, anchors, code_bits=bits,
                                dual_stream=variant != "no_dual")
         serial.save_checkpoint(run_dir / f"student_{tag}.ckpt", result.params)
         write_training_log(run_dir / f"student_{tag}_log.txt", result.history)
@@ -326,7 +320,7 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full"
     tag = _tag(bits, variant)
 
     def fn():
-        features = {name: load_split(run_dir / "data", name).features
+        features = {name: serial.load_features(run_dir / "data" / f"{name}.features")
                     for name in ("query", "database")}
         params = cast_params(serial.load_checkpoint(run_dir / f"student_{tag}.ckpt"),
                              features["query"].dtype)
@@ -339,18 +333,17 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full"
 
 def evaluate_codes(run_dir: Path, bits: int, variant: str = "full") -> dict:
     """mAP@k for each of MAP_KS that the database holds, and the PR curve, of
-    a width's query codes against its database codes."""
+    a width's query codes against its database codes. The query and database
+    splits share no video, so no query is excluded from its own ranking."""
     tag = _tag(bits, variant)
-    splits = load_split_labels(run_dir / "data")
-    query, db = splits["query"], splits["database"]
+    q_labels, db_labels = (serial.load_labels(run_dir / "data" / f"{name}.labels")
+                           for name in ("query", "database"))
     q_packed, _ = serial.load_codes(run_dir / f"query_{tag}.codes")
     d_packed, _ = serial.load_codes(run_dir / f"database_{tag}.codes")
-    idx = CodeIndex(packed=d_packed, ids=db.ids, k=bits, labels=db.labels)
+    idx = CodeIndex(packed=d_packed, ids=np.arange(db_labels.size), k=bits, labels=db_labels)
     q_bits = unpack_bits(q_packed, bits)
-    maps = {str(k): map_at_k(q_bits, query.labels, idx, k=k, query_ids=query.ids).value
-            for k in MAP_KS if k <= idx.n}
-    return {"bits": bits, "map": maps,
-            "pr": pr_curve(q_bits, query.labels, idx, query_ids=query.ids)}
+    maps = {str(k): map_at_k(q_bits, q_labels, idx, k=k).value for k in MAP_KS if k <= idx.n}
+    return {"bits": bits, "map": maps, "pr": pr_curve(q_bits, q_labels, idx)}
 
 
 def stage_eval(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:
@@ -443,7 +436,7 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
             lines.append(f"map bits={bits} variant={variant} k={k} = {maps[str(k)]:.10g}")
 
     # information decomposition on each width's trained full model, database split
-    db_features = load_split(run_dir / "data", "database").features
+    db_features = serial.load_features(run_dir / "data" / "database.features")
     for bits in cfg.code_bits:
         full = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
                            db_features.dtype)

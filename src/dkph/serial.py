@@ -10,10 +10,12 @@ reads it back, each array in exactly its saved dtype (one of
 checkpoint  each model tensor under its checkpoint name
 features    "features": (N, M, D) float32
 codes       "packed": (n, ceil(K/8)) uint8 rows; "k": int64
-graph       for s in pos, neg: "s_offsets" (N + 1,) int64 and "s_indices"
-            uint32, video i's row being s_indices[s_offsets[i]:s_offsets[i+1]]
+graph       a SignedGraph's two sides, for s in pos, neg: "s_offsets" (N + 1,)
+            int64 from 0 and "s_indices" uint32, video i's row being
+            s_indices[s_offsets[i]:s_offsets[i+1]]
 
-Labels are a plain text sidecar: one integer per line, aligned with ids.
+Labels are a plain text sidecar: one integer per line, aligned with the
+split's feature rows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import os
 import struct
 
 import numpy as np
+
+from .graph import SignedGraph
 
 MAGIC = b"DKPA"
 VERSION = 2
@@ -159,36 +163,32 @@ def load_labels(path) -> np.ndarray:
 # -- signed graph --------------------------------------------------------
 
 
-def _pack_rows(side: str, rows) -> dict[str, np.ndarray]:
-    """Offsets and concatenated uint32 indices of per-video index lists."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
-    indices = np.concatenate([np.zeros(0, np.uint32), *rows]).astype(np.uint32)
-    return {f"{side}_offsets": offsets, f"{side}_indices": indices}
+def save_graph(path, graph: SignedGraph) -> None:
+    """Each side's offsets, shifted to start at 0, and its indices as uint32."""
+    arrays = {}
+    for side, offsets in zip(("pos", "neg"), graph.offsets):
+        arrays[f"{side}_offsets"] = offsets - offsets[0]
+        arrays[f"{side}_indices"] = graph.indices[offsets[0]:offsets[-1]].astype(np.uint32)
+    save_arrays(path, arrays)
 
 
-def _unpack_rows(path, arrays: dict, side: str) -> list[np.ndarray]:
-    offsets, indices = arrays[f"{side}_offsets"], arrays[f"{side}_indices"]
-    bounds = offsets.tolist()
-    if bounds[:1] != [0] or bounds[-1] != indices.size or np.any(np.diff(offsets) < 0):
-        raise ValueError(f"{path}: graph offsets do not index the graph's rows")
-    # a row per video that owns its memory, as every loaded array does
-    return [indices[lo:hi].astype(np.int64) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def save_graph(path, positives, negatives) -> None:
-    """positives/negatives: per-video index lists (len N each)."""
-    if len(positives) != len(negatives):
-        raise ValueError("positives/negatives length mismatch")
-    save_arrays(path, {**_pack_rows("pos", positives), **_pack_rows("neg", negatives)})
-
-
-def load_graph(path) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Returns (positives, negatives), one int64 index array per video."""
+def load_graph(path) -> SignedGraph:
+    """The graph of a :func:`save_graph` file, its indices as int64. Offsets
+    that do not index their side's rows, sides of different lengths and an
+    edge to a video outside the graph raise ValueError."""
     arrays = _load_kind(path, "graph", ("pos_offsets", "pos_indices", "neg_offsets",
                                         "neg_indices"))
-    positives = _unpack_rows(path, arrays, "pos")
-    negatives = _unpack_rows(path, arrays, "neg")
-    if len(positives) != len(negatives):
+    sides = [(arrays[f"{s}_offsets"], arrays[f"{s}_indices"]) for s in ("pos", "neg")]
+    for offsets, indices in sides:
+        if (offsets.ndim != 1 or offsets[:1].tolist() != [0] or offsets[-1] != indices.size
+                or np.any(np.diff(offsets) < 0)):
+            raise ValueError(f"{path}: graph offsets do not index the graph's rows")
+    (pos_offsets, pos_indices), (neg_offsets, neg_indices) = sides
+    if pos_offsets.size != neg_offsets.size:
         raise ValueError(f"{path}: positives/negatives length mismatch")
-    return positives, negatives
+    n = pos_offsets.size - 1
+    indices = np.concatenate([pos_indices, neg_indices]).astype(np.int64)
+    if np.any((indices < 0) | (indices >= n)):
+        raise ValueError(f"{path}: an edge index is not one of the graph's {n} videos")
+    return SignedGraph(offsets=np.stack([pos_offsets, neg_offsets + pos_indices.size]),
+                       indices=indices)

@@ -13,15 +13,14 @@ already range-checked them.
 
 Videos are split per class into train / query / database partitions
 (50/10/40, ``config.SPLIT_FRACTIONS``) and carry globally unique ids in
-concatenation order [train; query; database], so indices stay stable on
-disk.
+concatenation order [train; query; database]. The files hold no ids:
+:func:`load_dataset_splits` numbers a saved corpus the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,35 +102,14 @@ def generate_synthetic(cfg: RunConfig) -> SynthDataset:
                         prototype_accuracy=accuracy)
 
 
-def load_split(data_dir, name: str) -> Split:
-    """One split on its own, its ids numbered from 0."""
-    data_dir = Path(data_dir)
-    features = serial.load_features(data_dir / f"{name}.features")
-    labels = serial.load_labels(data_dir / f"{name}.labels")
-    return Split(features=features, labels=labels, ids=np.arange(features.shape[0]))
-
-
-class SplitLabels(NamedTuple):
-    labels: np.ndarray    # (n,) class ids
-    ids: np.ndarray       # (n,) global video ids
-
-
-def load_split_labels(data_dir) -> dict[str, SplitLabels]:
-    """Labels and global ids of all three splits from the label files alone
-    (no features); the ids run on across [train; query; database]."""
-    out: dict[str, SplitLabels] = {}
-    offset = 0
-    for name in ("train", "query", "database"):
-        labels = serial.load_labels(Path(data_dir) / f"{name}.labels")
-        out[name] = SplitLabels(labels, np.arange(offset, offset + labels.size))
-        offset += labels.size
-    return out
-
-
 def load_dataset_splits(data_dir) -> dict[str, Split]:
-    """All three splits with their features, numbered as load_split_labels
-    numbers them."""
+    """All three splits of a data directory, with the features as stored
+    (float32) and ids numbered as :func:`generate_synthetic` numbers them."""
     data_dir = Path(data_dir)
-    return {name: Split(serial.load_features(data_dir / f"{name}.features"),
-                        split.labels, split.ids)
-            for name, split in load_split_labels(data_dir).items()}
+    splits, offset = {}, 0
+    for name in ("train", "query", "database"):
+        labels = serial.load_labels(data_dir / f"{name}.labels")
+        splits[name] = Split(serial.load_features(data_dir / f"{name}.features"), labels,
+                             np.arange(offset, offset + labels.size))
+        offset += labels.size
+    return splits

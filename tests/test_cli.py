@@ -50,8 +50,7 @@ def test_data_teacher_graph_in_order_write_the_graph(tiny):
     cfg, args = tiny
     for command in ("synth-data", "train-teacher", "build-graph"):
         assert cli.main([command, *args]) == 0
-    positives, negatives = serial.load_graph(run_layout(cfg) / "graph.bin")
-    assert len(positives) == len(negatives) == 150
+    assert serial.load_graph(run_layout(cfg) / "graph.bin").n == 150
     centers = serial.load_checkpoint(run_layout(cfg) / "anchors.ckpt")["centers"]
     assert centers.shape == (6, cfg.model_dim)
 
@@ -87,6 +86,15 @@ def test_gradcheck_rejects_a_non_positive_step(capsys, flag, value):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"{flag} must be positive and finite, got {float(value):g}" in err
+
+
+def test_gradcheck_rejects_a_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gradcheck", "--seed=-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--seed must be >= 0, got -1" in err
 
 
 def test_gradcheck_passes_at_default_tolerance(capsys):
@@ -163,5 +171,5 @@ def test_a_graph_without_positive_edges_is_reported_naming_the_sign(tiny, tmp_pa
     run_through(["--config", str(path)], "build-graph")
     assert "the signed graph has no positive edges" in caplog.text
     assert "no negative edges" not in caplog.text
-    positives, negatives = serial.load_graph(run_layout(cfg) / "graph.bin")
-    assert sum(p.size for p in positives) == 0 < sum(n.size for n in negatives)
+    offsets = serial.load_graph(run_layout(cfg) / "graph.bin").offsets
+    assert offsets[0, -1] == offsets[0, 0] and offsets[1, -1] > offsets[1, 0]

@@ -51,6 +51,12 @@ def test_epochs_non_negative():
     rejects("student_epochs", student_epochs=-1)
 
 
+@pytest.mark.parametrize("key", ["data_seed", "train_seed"])
+def test_seeds_non_negative(key):
+    RunConfig(**{key: 0})
+    rejects(key, **{key: -1})
+
+
 def test_code_bits_nonempty_and_positive():
     RunConfig(code_bits=(8,))
     rejects("code_bits", code_bits=())

@@ -24,6 +24,16 @@ from dkph.graph import (
 )
 
 
+def graph_from_rows(positives, negatives) -> SignedGraph:
+    """The compressed-row SignedGraph of per-video neighbour lists."""
+    assert len(positives) == len(negatives)
+    rows = [np.asarray(r, dtype=np.int64) for r in [*positives, *negatives]]
+    bounds = np.cumsum([0, *(r.size for r in rows)], dtype=np.int64)
+    n = len(positives)
+    return SignedGraph(offsets=np.stack([bounds[:n + 1], bounds[n:]]),
+                       indices=np.concatenate([np.zeros(0, np.int64), *rows]))
+
+
 def label_row(row_idx, row_vals, i, lambda1, lambda2):
     """(positive, negative) neighbours of video i by the threshold rule over
     its row of A, given as video indices and values: the one-row case of
@@ -115,6 +125,9 @@ def assert_graph_matches_oracle(z, lambda1, lambda2):
     want_pos, want_neg, want_iso = oracle_signed_graph(z, lambda1, lambda2)
     g = build_signed_graph(z, lambda1, lambda2)
     assert g.n == z.n
+    assert g.offsets.shape == (2, z.n + 1) and g.offsets.dtype == g.indices.dtype == np.int64
+    assert g.offsets[0, 0] == 0 and g.offsets[1, 0] == g.offsets[0, -1]
+    assert g.offsets[1, -1] == g.indices.size
     for i in range(z.n):
         np.testing.assert_array_equal(g.positives[i], want_pos[i])
         np.testing.assert_array_equal(g.negatives[i], want_neg[i])
@@ -435,11 +448,19 @@ class TestSignRow:
 
 
 class TestSampler:
+    POSITIVES = [[1, 2], [0], [0, 3], [2]]
+    NEGATIVES = [[3], [3], [1], [0, 1]]
+
     def make_graph(self):
-        return SignedGraph(
-            positives=[np.array([1, 2]), np.array([0]), np.array([0, 3]), np.array([2])],
-            negatives=[np.array([3]), np.array([3]), np.array([1]), np.array([0, 1])],
-        )
+        return graph_from_rows(self.POSITIVES, self.NEGATIVES)
+
+    def test_rows_are_read_only_views_of_the_edges(self):
+        g = self.make_graph()
+        assert [r.tolist() for r in g.positives] == self.POSITIVES
+        assert [r.tolist() for r in g.negatives] == self.NEGATIVES
+        assert all(np.shares_memory(r, g.indices) for r in g.positives + g.negatives)
+        with pytest.raises(ValueError):
+            g.negatives[0][0] = 2
 
     def test_deterministic_sequence_under_seed(self):
         g = self.make_graph()
@@ -467,9 +488,10 @@ class TestSampler:
     def test_pair_frequencies_match_the_three_uniform_draws(self, drop_neg):
         # P(label, i, j) = 1/2 * 1/|batch videos with label edges| * 1/|edges of i|;
         # with video 1's negatives removed, three videos are negative anchors
-        g = self.make_graph()
+        negatives = list(self.NEGATIVES)
         if drop_neg is not None:
-            g.negatives[drop_neg] = np.array([], dtype=np.int64)
+            negatives[drop_neg] = []
+        g = graph_from_rows(self.POSITIVES, negatives)
         batch = [0, 1, 2, 3]
         want = {}
         for label, lists in ((1, g.positives), (-1, g.negatives)):
@@ -487,10 +509,7 @@ class TestSampler:
             assert abs(got[key] - prob) <= 4.5 * math.sqrt(prob * (1 - prob) / n), key
 
     def test_positive_only_graph_falls_back_with_warning(self, caplog):
-        g = SignedGraph(
-            positives=[np.array([1]), np.array([0])],
-            negatives=[np.array([], dtype=np.int64), np.array([], dtype=np.int64)],
-        )
+        g = graph_from_rows([[1], [0]], [[], []])
         with caplog.at_level(logging.WARNING, logger="dkph.graph"):
             pairs = sample_pairs(g, [0, 1], count=50, seed=8)
         assert (pairs.label == 1).all()
@@ -499,11 +518,8 @@ class TestSampler:
     @pytest.mark.parametrize("present", ["positives", "negatives"])
     def test_fallback_warning_counts_the_flipped_coins(self, caplog, present):
         # the coin is the first draw of the stream: u < 1/2 is a positive label
-        edges = {"positives": [np.array([1]), np.array([0])],
-                 "negatives": [np.array([], dtype=np.int64)] * 2}
-        if present == "negatives":
-            edges = {"positives": edges["negatives"], "negatives": edges["positives"]}
-        g = SignedGraph(**edges)
+        rows = [[[1], [0]], [[], []]]
+        g = graph_from_rows(*(rows if present == "positives" else rows[::-1]))
         with caplog.at_level(logging.WARNING, logger="dkph.graph"):
             sample_pairs(g, [0, 1], count=50, seed=8)
         coins = np.random.default_rng(8).random(50) < 0.5
@@ -513,10 +529,7 @@ class TestSampler:
         assert record.args == (flipped, 50)
 
     def test_empty_batch_edges_raise(self):
-        g = SignedGraph(
-            positives=[np.array([], dtype=np.int64)],
-            negatives=[np.array([], dtype=np.int64)],
-        )
+        g = graph_from_rows([[]], [[]])
         with pytest.raises(SamplingError):
             sample_pairs(g, [0], count=1, seed=9)
 

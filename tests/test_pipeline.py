@@ -97,27 +97,35 @@ def test_renaming_the_classes_changes_no_metric(tiny_run, tmp_path):
             (first.run_dir / f"metrics_{bits}.json").read_bytes()
 
 
-def test_split_labels_number_ids_like_the_full_splits(tiny_run):
+def test_dataset_splits_are_the_split_files_with_ids_running_on(tiny_run):
     _, _, first = tiny_run
-    full = synth.load_dataset_splits(first.run_dir / "data")
-    labels = synth.load_split_labels(first.run_dir / "data")
-    assert list(labels) == list(full) == ["train", "query", "database"]
+    data_dir = first.run_dir / "data"
+    full = synth.load_dataset_splits(data_dir)
+    assert list(full) == ["train", "query", "database"]
     start = 0
     for name, split in full.items():
-        alone = synth.load_split(first.run_dir / "data", name)
-        np.testing.assert_array_equal(split.features, alone.features)
-        np.testing.assert_array_equal(labels[name].labels, split.labels)
-        np.testing.assert_array_equal(labels[name].ids, split.ids)
-        np.testing.assert_array_equal(split.ids, start + alone.ids)
+        np.testing.assert_array_equal(split.features,
+                                      serial.load_features(data_dir / f"{name}.features"))
+        np.testing.assert_array_equal(split.labels,
+                                      serial.load_labels(data_dir / f"{name}.labels"))
+        np.testing.assert_array_equal(split.ids, start + np.arange(split.labels.size))
         start += split.ids.size
 
 
 def test_evaluate_codes_reads_no_features(tiny_run, monkeypatch):
     _, _, first = tiny_run
+    load_labels = serial.load_labels
+
     def no_features(path):
         raise AssertionError(f"evaluate_codes loaded {path}")
 
+    def no_train_labels(path):
+        if Path(path).stem == "train":
+            raise AssertionError(f"evaluate_codes loaded {path}")
+        return load_labels(path)
+
     monkeypatch.setattr(serial, "load_features", no_features)
+    monkeypatch.setattr(serial, "load_labels", no_train_labels)
     metrics = pipeline.evaluate_codes(first.run_dir, 16)
     assert json.dumps(metrics, sort_keys=True) + "\n" == \
         (first.run_dir / "metrics_16.json").read_text()
@@ -151,7 +159,11 @@ def test_training_and_encoding_stages_read_only_their_splits(tiny_run, tmp_path,
             read.append(path.stem)
         return load(path)
 
+    def no_labels(path):
+        raise AssertionError(f"stage {stage} loaded {path}")
+
     monkeypatch.setattr(serial, "load_features", only_own_splits)
+    monkeypatch.setattr(serial, "load_labels", no_labels)
     name, _, bits = stage.partition("_")
     run = getattr(pipeline, f"stage_{name}")
     run(cfg, run_dir, *([int(bits)] if bits else []))
@@ -224,7 +236,7 @@ def test_teacher_embeddings_are_frame_means_of_the_teacher_encoder(tiny_run):
     _, _, first = tiny_run
     params = encoder.cast_params(serial.load_checkpoint(first.run_dir / "teacher.ckpt"),
                                  np.float64)
-    train = synth.load_split(first.run_dir / "data", "train").features.astype(np.float64)
+    train = serial.load_features(first.run_dir / "data" / "train.features").astype(np.float64)
     want = np.stack([oracle_forward(x, params).mean(axis=0) for x in train])
     got = serial.load_features(first.run_dir / "embeddings.features")
     assert got.shape == (len(train), 1, want.shape[1])
@@ -234,14 +246,14 @@ def test_teacher_embeddings_are_frame_means_of_the_teacher_encoder(tiny_run):
 def test_graph_artifacts_give_the_graph_and_each_video_anchor_centre(tiny_run):
     _, _, first = tiny_run
     graph, anchors = pipeline.load_graph_artifacts(first.run_dir)
-    positives, negatives = serial.load_graph(first.run_dir / "graph.bin")
+    stored = serial.load_graph(first.run_dir / "graph.bin")
     blob = serial.load_checkpoint(first.run_dir / "anchors.ckpt")
     assignments = blob["assignments"].reshape(-1)
-    assert len(graph.positives) == len(assignments) == len(positives)
+    assert graph.n == len(assignments) == stored.n
+    np.testing.assert_array_equal(graph.offsets, stored.offsets)
+    np.testing.assert_array_equal(graph.indices, stored.indices)
     assert anchors.shape == (len(assignments), blob["centers"].shape[1])
     for v in range(len(assignments)):
-        np.testing.assert_array_equal(graph.positives[v], positives[v])
-        np.testing.assert_array_equal(graph.negatives[v], negatives[v])
         np.testing.assert_array_equal(anchors[v], blob["centers"][int(assignments[v])])
 
 
@@ -281,8 +293,9 @@ def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):
                 [(n, a.shape) for n, a in init.items()], out
             assert {a.dtype for a in params.values()} == {np.dtype(np.float32)}, out
         elif path.suffix == ".bin":
-            positives, negatives = serial.load_graph(path)
-            assert len(positives) == len(negatives) == count["train"]
+            graph = serial.load_graph(path)
+            assert graph.offsets.shape == (2, count["train"] + 1)
+            assert graph.offsets.dtype == graph.indices.dtype == np.int64
         else:
             assert path.suffix in (".labels", ".json", ".txt", ".cfg"), out
             continue
@@ -437,7 +450,7 @@ def test_ablation_full_rows_are_the_full_model_metrics(tiny_ablation):
 
 def test_ablation_probes_each_width_full_model(tiny_ablation):
     cfg, run_dir, results = tiny_ablation
-    features = synth.load_split(run_dir / "data", "database").features
+    features = serial.load_features(run_dir / "data" / "database.features")
     lines = (run_dir / "ablation.txt").read_text().splitlines()
     assert list(results["recon_error"]) == list(cfg.code_bits)
     for bits in cfg.code_bits:

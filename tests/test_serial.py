@@ -1,5 +1,6 @@
 """Round-trips and format details for the binary artifact files."""
 
+import re
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from dkph import serial
 from dkph.config import RunConfig
 from dkph.student import init_student
 from dkph.teacher import init_teacher
+from test_graph import graph_from_rows
 
 
 def write_read(path, arrays):
@@ -188,22 +190,61 @@ class TestCodesAndLabels:
             serial.load_labels(path)
 
 
+def assert_graph_roundtrips(path, positives, negatives):
+    g = graph_from_rows(positives, negatives)
+    serial.save_graph(path, g)
+    back = serial.load_graph(path)
+    assert back.n == len(positives)
+    assert back.offsets.dtype == back.indices.dtype == np.int64
+    np.testing.assert_array_equal(back.offsets, g.offsets)
+    np.testing.assert_array_equal(back.indices, g.indices)
+    assert [r.tolist() for r in back.positives] == positives
+    assert [r.tolist() for r in back.negatives] == negatives
+
+
 class TestGraphFile:
     def test_roundtrip(self, tmp_path):
-        pos = [np.array([1, 2]), np.array([], dtype=np.int64), np.array([0])]
-        neg = [np.array([2]), np.array([0, 2]), np.array([], dtype=np.int64)]
-        path = tmp_path / "graph.bin"
-        serial.save_graph(path, pos, neg)
-        rpos, rneg = serial.load_graph(path)
-        assert len(rpos) == len(rneg) == 3
-        for a, b in zip(pos + neg, rpos + rneg):
-            np.testing.assert_array_equal(a, b)
-            assert b.dtype == np.int64
+        assert_graph_roundtrips(tmp_path / "graph.bin", [[1, 2], [], [0], [0, 1, 2]],
+                                [[3], [0, 2], [], []])
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_empty_rows_roundtrip(self, tmp_path, n):
+        assert_graph_roundtrips(tmp_path / "graph.bin", [[]] * n, [[]] * n)
+
+    @pytest.mark.parametrize("empty", ["positives", "negatives"])
+    def test_one_empty_side_roundtrips(self, tmp_path, empty):
+        rows = [[[1], [0], [3], [2]], [[]] * 4]
+        assert_graph_roundtrips(tmp_path / "graph.bin",
+                                *(rows[::-1] if empty == "positives" else rows))
+
+    def test_file_holds_each_side_as_offsets_from_zero_and_uint32_indices(self, tmp_path):
+        serial.save_graph(tmp_path / "graph.bin",
+                          graph_from_rows([[1, 2], [], [0]], [[2], [0, 2], []]))
+        serial.save_arrays(tmp_path / "want.bin", {
+            "pos_offsets": np.array([0, 2, 2, 3], dtype=np.int64),
+            "pos_indices": np.array([1, 2, 0], dtype=np.uint32),
+            "neg_offsets": np.array([0, 1, 3, 3], dtype=np.int64),
+            "neg_indices": np.array([2, 0, 2], dtype=np.uint32)})
+        assert (tmp_path / "graph.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+    @staticmethod
+    def two_video_arrays():
+        return {"pos_offsets": np.array([0, 1, 1], dtype=np.int64),
+                "pos_indices": np.array([1], dtype=np.uint32),
+                "neg_offsets": np.array([0, 0, 1], dtype=np.int64),
+                "neg_indices": np.array([0], dtype=np.uint32)}
+
+    @pytest.mark.parametrize("name, value", [
+        ("pos_indices", [2]), ("neg_indices", [7]),
+        ("pos_offsets", [1, 1, 1]), ("neg_offsets", [0, 1, 0]), ("neg_offsets", [0, 1]),
+    ], ids=["pos-edge-past-n", "neg-edge-past-n", "offsets-not-from-0",
+            "offsets-decreasing", "sides-of-different-lengths"])
+    def test_a_damaged_graph_raises_naming_the_file(self, tmp_path, name, value):
         path = tmp_path / "graph.bin"
-        serial.save_graph(path, [[]] * n, [[]] * n)
-        rpos, rneg = serial.load_graph(path)
-        assert len(rpos) == len(rneg) == n
-        assert all(r.size == 0 and r.dtype == np.int64 for r in rpos + rneg)
+        serial.save_arrays(path, self.two_video_arrays())
+        assert serial.load_graph(path).n == 2
+        arrays = self.two_video_arrays()
+        arrays[name] = np.array(value, dtype=arrays[name].dtype)
+        serial.save_arrays(path, arrays)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            serial.load_graph(path)

@@ -10,7 +10,7 @@ from dkph import encoder, student
 from dkph.codes import unpack_bits, pack_bits
 from dkph.config import RunConfig
 from dkph.exceptions import TrainingError
-from dkph.graph import PairSample, SignedGraph, sample_pairs
+from dkph.graph import PairSample, sample_pairs
 from dkph.gradcheck import student_gradient_check, teacher_gradient_check
 from dkph.optim import Adam
 from dkph.student import (
@@ -27,6 +27,7 @@ from dkph.student import (
 )
 from dkph.teacher import init_teacher, teacher_forward
 from test_encoder import TOY_VIDEO_BYTES, assert_rel_close, oracle_backward, oracle_forward
+from test_graph import graph_from_rows
 
 TOY = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12)
 K = 8
@@ -239,7 +240,7 @@ def two_class_setup(seed=0):
     evens, odds = [0, 2, 4], [1, 3, 5]
     pos = [np.array([v for v in (evens if i % 2 == 0 else odds) if v != i]) for i in range(6)]
     neg = [np.array(odds if i % 2 == 0 else evens) for i in range(6)]
-    graph = SignedGraph(positives=pos, negatives=neg)
+    graph = graph_from_rows(pos, neg)
     anchors = np.stack([np.zeros(8), np.ones(8)])[np.arange(6) % 2]
     return feats, graph, anchors
 
