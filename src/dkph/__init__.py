@@ -10,7 +10,14 @@ backward pass is hand-written and gated by finite-difference checks.
 
 from .codes import BinaryCode, pack_bits, unpack_bits
 from .config import RunConfig
-from .encoder import Params, encode_backward, encode_forward, init_encoder
+from .encoder import (
+    Params,
+    attention_products,
+    encode_backward,
+    encode_forward,
+    factor_grads,
+    init_encoder,
+)
 from .graph import (
     AnchorSet,
     PairSample,
@@ -39,8 +46,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorSet", "BinaryCode", "CodeIndex", "GradCheckReport", "PairSample", "Params",
     "RankedList", "RunConfig", "SignedGraph", "SparseAffinity", "ablation_suite",
-    "build_affinity", "build_signed_graph", "encode_backward", "encode_forward",
-    "finite_diff_check", "generate_synthetic", "init_encoder", "init_student",
+    "attention_products", "build_affinity", "build_signed_graph", "encode_backward",
+    "encode_forward", "factor_grads", "finite_diff_check", "generate_synthetic", "init_encoder", "init_student",
     "init_teacher", "kmeans", "map_at_k", "pack_bits", "pr_curve", "query_topk",
     "run_pipeline", "sample_pairs", "student_forward", "student_recon_loss",
     "teacher_forward", "teacher_recon_loss", "train_student", "train_teacher",

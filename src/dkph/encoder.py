@@ -31,24 +31,36 @@ in the last ulp. The elementwise layers work in place on a few buffers per
 pass, in the same operations and operand order as the plain expressions, so
 their results are bit-identical to them.
 
+Attention products. W_q and W_k enter attention only through their product
+w_qk = W_q W_k^T, and W_v and W_o only through w_vo = W_v W_o:
+
+    scores = (n1_sel w_qk) n1^T / sqrt(d),  h1 = (attn n1)_sel w_vo + h0_sel + b_o
+
+with n1 the LayerNorm-1 rows and ``_sel`` the rows whose outputs are
+computed (every row without a mask). So a row meets two d x d products
+forward and four backward, not four and eight, and keys and values are
+never projected. :func:`attention_products` forms the two products, at d^3
+each, once per parameter version: every block of a pass receives them, and
+a one-call user passes none and lets the forward form them. The backward
+returns gradients for ``encoder.w_qk`` and ``encoder.w_vo`` in place of the
+four weights', and :func:`factor_grads` maps their sum over a step's blocks
+onto W_q, W_k, W_v and W_o (four more d^3 products). Parameters,
+checkpoints and optimizer moments keep the four weights; the products are
+never stored.
+
 Masked rows. ``masked`` is an optional (B, M) bool array, True at the
 frames the cloze teacher masks; the student never masks. A masked frame's
 projected content is replaced by ``mask_embed``, so no feature content
 leaks through, and the masked frames are the only outputs computed, since
-the teacher's loss reads no other. Attention is computed in reassociated
-form, so that keys and values are never projected:
-
-    scores = ((n1_sel W_q) W_k^T) n1^T / sqrt(d),  ctx = (attn n1)_sel W_v
-
-with n1 the LayerNorm-1 rows and ``_sel`` the masked rows. Only the input
-projection, LayerNorm 1 and the M x M products (scores and attn n1) touch
-every frame, because every frame is attended to; every d x d product, W_o,
-LayerNorm 2 and the FFN run on the masked rows only, and the output is an
-(n_masked, model_dim) array in ``x[masked]`` order. The backward then takes
-a gradient for those rows only, and its d x d products run on them too.
-Without a mask the same statements run over all rows, with as many large
-products as the plain Q, K, V form, nothing is replaced, and the output is
-(B, M, model_dim).
+the teacher's loss reads no other: ``_sel`` above is the masked rows. Only
+the input projection, LayerNorm 1 and the M x M products (scores and
+attn n1) touch every frame, because every frame is attended to; the
+products with w_qk and w_vo, LayerNorm 2 and the FFN run on the masked
+rows only, and the output is an (n_masked, model_dim) array in
+``x[masked]`` order. The backward then takes a gradient for those rows
+only, and its row products with d x d matrices run on them too. Without
+a mask the same statements run over all rows, nothing is replaced, and
+the output is (B, M, model_dim).
 
 Sizes. :func:`init_encoder` reads ``frames``, ``feat_dim``, ``model_dim``
 and ``ffn_dim`` from a :class:`RunConfig`; ``ffn_dim = 0`` means
@@ -57,8 +69,8 @@ and ``ffn_dim`` from a :class:`RunConfig`; ``ffn_dim = 0`` means
 Parameters. A model's parameters are one flat dict (:class:`Params`) keyed
 by checkpoint name: the encoder's ``encoder.*`` tensors, then the head's.
 Both passes read the ``encoder.*`` keys, and ``mask_embed`` when masking;
-the backward returns its gradients under the same keys, for the head to
-add its own to.
+the backward returns its gradients under the same keys (the attention
+weights' as ``w_qk`` and ``w_vo``, above), for the head to add its own to.
 
 Precision. Both passes compute in the dtype of the parameters and cast
 their inputs to it; no dtype is fixed here. Trainers build parameters in
@@ -135,24 +147,25 @@ def cast_params(params, dtype) -> Params:
 @dataclass
 class EncoderCache:
     """Forward intermediates. ``x``, ``ln1`` and ``n1`` are flat, (B * M,
-    width); ``q`` (= n1_sel W_q), ``mix`` (= (attn n1)_sel), ``ctx`` and the
-    rows after attention (``ln2`` to ``g1``) hold the masked rows only when
-    the forward masked, (n_masked, width); ``qk`` (= q W_k^T, scattered into
-    its frames) is (B, M, model_dim) and ``attn`` is (B, M, M). With a mask,
-    ``qk`` is zero at unmasked frames, so their ``attn`` rows are uniform and
-    meaningless; the backward reads them only against zero gradients."""
+    width); ``mix`` (= (attn n1)_sel) and the rows after attention (``ln2``
+    to ``g1``) hold the masked rows only when the forward masked,
+    (n_masked, width); ``qk`` (= n1_sel w_qk, scattered into its frames) is
+    (B, M, model_dim) and ``attn`` is (B, M, M). With a mask, ``qk`` is zero
+    at unmasked frames, so their ``attn`` rows are uniform and meaningless;
+    the backward reads them only against zero gradients. ``products`` is
+    the forward's (w_qk, w_vo), which the backward reuses (module docstring,
+    Attention products)."""
 
     params: Params
     version: int
     x: np.ndarray
+    products: tuple  # (w_qk, w_vo)
     masked: np.ndarray | None  # (B, M) bool, or None for an unmasked forward
     ln1: tuple
     n1: np.ndarray
-    q: np.ndarray
     qk: np.ndarray
     attn: np.ndarray
     mix: np.ndarray
-    ctx: np.ndarray
     ln2: tuple
     n2: np.ndarray
     f1_pre: np.ndarray
@@ -260,8 +273,17 @@ def check_mask(masked, shape: tuple) -> None:
         raise ShapeError(f"expected a bool mask of shape {shape}, got {got}")
 
 
+def attention_products(params) -> tuple[np.ndarray, np.ndarray]:
+    """``(w_qk, w_vo)`` = (W_q W_k^T, W_v W_o), the two d x d products
+    through which attention reads its four weights (module docstring,
+    Attention products). Form them once per parameter version and pass them
+    to every block's :func:`encode_forward`."""
+    p = _tensors(params)
+    return p["w_q"] @ p["w_k"].T, p["w_v"] @ p["w_o"]
+
+
 def encode_forward(
-    x: np.ndarray, params: Params, masked: np.ndarray | None = None,
+    x: np.ndarray, params: Params, masked: np.ndarray | None = None, products=None,
 ) -> tuple[np.ndarray, EncoderCache]:
     """Run the block on a batch (B, M, D); returns the per-frame outputs and
     the cache for :func:`encode_backward`.
@@ -273,7 +295,8 @@ def encode_forward(
     in ``x[masked]`` order (module docstring, Masked rows). Attention still
     reads all M positions, through the M x M products only. Only the
     ``encoder.*`` tensors of ``params`` are read, and ``mask_embed`` when
-    masking.
+    masking. ``products`` is :func:`attention_products` of ``params``;
+    without it the call forms them itself.
     """
     p = _tensors(params)
     x = np.asarray(x, dtype=p["w_in"].dtype)
@@ -287,6 +310,9 @@ def encode_forward(
         if "mask_embed" not in params:
             raise ValueError("a mask needs the parameters' mask_embed; they have none")
         sel = masked.reshape(-1)
+    if products is None:
+        products = attention_products(params)
+    w_qk, w_vo = products
 
     xf = x.reshape(b * m_frames, d_in)
     h0 = xf @ p["w_in"]
@@ -297,20 +323,18 @@ def encode_forward(
     positions = h0.reshape(b, m_frames, d)
     positions += p["e_pos"]
 
-    # attention reassociated: q k^T = (q W_k^T) n1^T and attn v = (attn n1) W_v,
-    # so every d x d product runs on the selected rows only (module
-    # docstring, Masked rows)
+    # scores = (n1_sel w_qk) n1^T and h1 = (attn n1)_sel w_vo + h0_sel + b_o:
+    # one d x d product per side, on the selected rows only (module
+    # docstring, Attention products)
     n1, ln1 = _ln_forward(h0, p["ln1_g"], p["ln1_b"])
     frames = n1.reshape(b, m_frames, d)
-    q = n1[sel] @ p["w_q"]
-    qk = _scatter(q @ p["w_k"].T, sel, len(n1)).reshape(b, m_frames, d)
+    qk = _scatter(n1[sel] @ w_qk, sel, len(n1)).reshape(b, m_frames, d)
     scores = (qk @ frames.transpose(0, 2, 1)) / math.sqrt(d)
     scores -= scores.max(axis=2, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=2, keepdims=True)
     mix = (attn @ frames).reshape(-1, d)[sel]
-    ctx = mix @ p["w_v"]
-    h1 = ctx @ p["w_o"]
+    h1 = mix @ w_vo
     h1 += h0[sel]
     h1 += p["b_o"]
 
@@ -323,8 +347,8 @@ def encode_forward(
     out += p["b_f2"]
 
     cache = EncoderCache(
-        params=params, version=params.version, x=xf, masked=masked,
-        ln1=ln1, n1=n1, q=q, qk=qk, attn=attn, mix=mix, ctx=ctx,
+        params=params, version=params.version, products=products, x=xf, masked=masked,
+        ln1=ln1, n1=n1, qk=qk, attn=attn, mix=mix,
         ln2=ln2, n2=n2, f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
     )
     return (out.reshape(b, m_frames, d) if masked is None else out), cache
@@ -333,7 +357,9 @@ def encode_forward(
 def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     """Gradients of a scalar loss w.r.t. the parameters, summed over the
     batch and keyed like them: ``encoder.w_in`` ... ``encoder.b_f2``, and
-    ``mask_embed`` when the forward masked.
+    ``mask_embed`` when the forward masked, except that ``encoder.w_qk``
+    and ``encoder.w_vo`` stand for the four attention weights; sum them
+    over blocks, then map them with :func:`factor_grads`.
 
     ``grad_out`` is the loss gradient w.r.t. the outputs of the forward:
     (B, M, model_dim), or (n_masked, model_dim) when it masked. A gradient
@@ -365,15 +391,14 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     d_h1, ln2_g, ln2_b = _ln_backward(d_f1 @ p["w_f1"].T, p["ln2_g"], cache.ln2)
     d_h1 += grad_out
 
-    # h1 = h0 + ctx @ w_o + b_o, on the selected rows
-    w_o = cache.ctx.T @ d_h1
+    # h1 = h0 + mix @ w_vo + b_o, on the selected rows
+    w_qk, w_vo = cache.products
+    g_vo = cache.mix.T @ d_h1
     b_o = d_h1.sum(axis=0)
-    d_ctx = d_h1 @ p["w_o"].T
 
-    # ctx = (attn n1)[sel] W_v and scores = (n1[sel] W_q W_k^T) n1^T / sqrt(d);
-    # d_mix, and with it d_scores, is zero at the unselected rows
-    w_v = cache.mix.T @ d_ctx
-    d_mix = _scatter(d_ctx @ p["w_v"].T, sel, n).reshape(b, m_frames, d)
+    # mix = (attn n1)[sel] and scores = (n1[sel] w_qk) n1^T / sqrt(d); d_mix,
+    # and with it d_scores, is zero at the unselected rows
+    d_mix = _scatter(d_h1 @ w_vo.T, sel, n).reshape(b, m_frames, d)
     attn = cache.attn
     frames = cache.n1.reshape(b, m_frames, d)
     d_attn = d_mix @ frames.transpose(0, 2, 1)
@@ -381,12 +406,10 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     d_scores = attn * (d_attn - inner)
     d_scores *= 1.0 / math.sqrt(d)
     d_qk = (d_scores @ frames).reshape(-1, d)[sel]
-    w_k = d_qk.T @ cache.q
-    d_q = d_qk @ p["w_k"]
-    w_q = cache.n1[sel].T @ d_q
+    g_qk = cache.n1[sel].T @ d_qk
     d_n1 = (d_scores.transpose(0, 2, 1) @ cache.qk).reshape(-1, d)
     d_n1 += (attn.transpose(0, 2, 1) @ d_mix).reshape(-1, d)
-    d_n1[sel] += d_q @ p["w_q"].T
+    d_n1[sel] += d_qk @ w_qk.T
     d_h0, ln1_g, ln1_b = _ln_backward(d_n1, p["ln1_g"], cache.ln1)
     d_h0[sel] += d_h1
 
@@ -399,8 +422,24 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     w_in = cache.x.T @ d_h0
     b_in = d_h0.sum(axis=0)
     grads = dict(
-        w_in=w_in, b_in=b_in, e_pos=e_pos, w_q=w_q, w_k=w_k, w_v=w_v,
-        w_o=w_o, b_o=b_o, ln1_g=ln1_g, ln1_b=ln1_b, ln2_g=ln2_g, ln2_b=ln2_b,
+        w_in=w_in, b_in=b_in, e_pos=e_pos, w_qk=g_qk, w_vo=g_vo, b_o=b_o,
+        ln1_g=ln1_g, ln1_b=ln1_b, ln2_g=ln2_g, ln2_b=ln2_b,
         w_f1=w_f1, b_f1=b_f1, w_f2=w_f2, b_f2=b_f2,
     )
     return {**{_PREFIX + name: g for name, g in grads.items()}, **extra}
+
+
+def factor_grads(grads: dict, params) -> dict:
+    """``grads`` with the ``encoder.w_qk`` and ``encoder.w_vo`` gradients of
+    :func:`encode_backward` (summed over any number of blocks) mapped onto
+    the four attention weights, keyed and ordered like ``params``:
+
+        dW_q = g_qk W_k,  dW_k = g_qk^T W_q,  dW_v = g_vo W_o^T,  dW_o = W_v^T g_vo
+
+    The map is linear, so it runs once per summed gradient, not per block."""
+    p = _tensors(params)
+    g_qk, g_vo = grads[_PREFIX + "w_qk"], grads[_PREFIX + "w_vo"]
+    factors = {"w_q": g_qk @ p["w_k"], "w_k": g_qk.T @ p["w_q"],
+               "w_v": g_vo @ p["w_o"].T, "w_o": p["w_v"].T @ g_vo}
+    merged = {**grads, **{_PREFIX + name: g for name, g in factors.items()}}
+    return {name: merged[name] for name in params if name in merged}

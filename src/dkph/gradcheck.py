@@ -23,7 +23,8 @@ from .config import RunConfig
 from .graph import build_affinity, build_signed_graph, kmeans, sample_pairs
 from .numerics import GradCheckReport, finite_diff_check
 from .student import batch_gradients, init_student
-from .teacher import init_teacher, teacher_backward, teacher_forward, teacher_recon_loss
+from .teacher import batch_gradients as teacher_batch_gradients
+from .teacher import init_teacher
 
 CHECK_BITS = 8  # the teacher's frame codes and the student's video codes
 CHECK_CONFIG = RunConfig(frames=4, feat_dim=6, model_dim=8, teacher_bits=CHECK_BITS)
@@ -63,9 +64,10 @@ def student_gradient_check(seed: int = 0, step: float = 1e-5) -> GradCheckReport
 def teacher_gradient_check(seed: int = 0, step: float = 1e-5) -> GradCheckReport:
     """Check the masked-reconstruction gradient for every teacher tensor, on
     a batch of two videos with different masked counts: the first frame of
-    one, the first and last two frames of the other. The summed loss thus
-    runs through the gather of masked rows and the scatter of their
-    gradients across videos."""
+    one, the first and last two frames of the other. The loss and gradients
+    are those ``train_teacher`` steps on (``teacher.batch_gradients``), so
+    they run through the gather of masked rows, the scatter of their
+    gradients across videos and the factoring of the attention weights."""
     cfg = CHECK_CONFIG
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, cfg.frames, cfg.feat_dim))
@@ -75,9 +77,7 @@ def teacher_gradient_check(seed: int = 0, step: float = 1e-5) -> GradCheckReport
     mask[1, [0, -2, -1]] = True
 
     def loss(_):
-        fwd = teacher_forward(x, params, mask=mask, binarize="relaxed")
-        return float(teacher_recon_loss(x, fwd.recon, mask).sum())
+        return teacher_batch_gradients(x, mask, params, binarize="relaxed")[0]
 
-    fwd = teacher_forward(x, params, mask=mask, binarize="relaxed")
-    grads = teacher_backward(x, fwd, params)
+    _, grads = teacher_batch_gradients(x, mask, params, binarize="relaxed")
     return finite_diff_check(loss, list(params.values()), [grads[n] for n in params], step=step)

@@ -64,7 +64,7 @@ import numpy as np
 from . import serial
 from .codes import pack_bits, unpack_bits
 from .config import RunConfig
-from .encoder import Params, blocks, cast_params, encode_forward
+from .encoder import Params, attention_products, blocks, cast_params, encode_forward
 from .exceptions import PipelineError
 from .graph import build_affinity, build_signed_graph, kmeans
 from .retrieval import MAP_KS, CodeIndex, map_at_k, pr_curve
@@ -109,7 +109,13 @@ logger = logging.getLogger(__name__)
 # order (teacher.ckpt, embeddings.features, anchors.ckpt and student_K.ckpt
 # move at float32-ulp level; on the benchmark configs graph.bin, the
 # teacher's loss and mAP@20 are unchanged).
-CODE_VERSION = 10
+# Version 11: attention runs through the products W_q W_k^T and W_v W_o,
+# formed once per pass, and the weight gradients are factored from theirs
+# after the block sum; the student's pair gradients are summed by incidence
+# products. Encoder outputs and all gradients round in another order, so
+# teacher.ckpt, embeddings.features, anchors.ckpt and student_K.ckpt move
+# at float32-ulp level.
+CODE_VERSION = 11
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -226,8 +232,9 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
 def _video_embeddings(features: np.ndarray, params: Params) -> np.ndarray:
     """Each video's mean encoder output, (N, model_dim): the teacher
     embeddings the anchor graph is built on."""
-    return np.concatenate([encode_forward(features[blk], params)[0].mean(axis=1)
-                           for blk in blocks(len(features), params)])
+    products = attention_products(params)
+    return np.concatenate([encode_forward(features[blk], params, products=products)[0]
+                           .mean(axis=1) for blk in blocks(len(features), params)])
 
 
 def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
@@ -309,9 +316,10 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
 def encode_split(features: np.ndarray, params: Params) -> np.ndarray:
     """Hard codes for every video, from the encoder and the hash head alone;
     returns packed uint8 rows."""
+    products = attention_products(params)
     codes = []
     for blk in blocks(len(features), params):
-        frames, _ = encode_forward(features[blk], params)
+        frames, _ = encode_forward(features[blk], params, products=products)
         codes.append(student_code(frames, params)[1])
     return pack_bits(np.concatenate(codes).astype(np.int8))
 

@@ -57,10 +57,12 @@ from .codes import binarize_tanh
 from .config import RunConfig
 from .encoder import (
     Params,
+    attention_products,
     blocks,
     cast_params,
     encode_backward,
     encode_forward,
+    factor_grads,
     init_encoder,
 )
 from .encoder import _uniform
@@ -106,8 +108,10 @@ def student_code(frames: np.ndarray, params: Params,
 
 
 def student_forward(x: np.ndarray, params: Params,
-                    binarize: str = "hard") -> StudentForward:
-    frames, cache = encode_forward(x, params)
+                    binarize: str = "hard", products=None) -> StudentForward:
+    """Encode, hash, and decode every frame from its latent plus the code;
+    ``products`` is passed on to ``encoder.encode_forward``."""
+    frames, cache = encode_forward(x, params, products=products)
     act, code = student_code(frames, params, binarize)
     latent = frames @ params["w_temp"] + params["b_temp"]
     recon = (latent + code[:, None, :]) @ params["w_dec"] + params["b_dec"]
@@ -128,13 +132,16 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
     """Losses and gradients of recon + gamma1*bsim + gamma2*tsim, with the
     weights (and tsim's hinge weight ``eta`` and margin ``beta``) of ``cfg``.
 
-    One forward and one backward per distinct video, in blocks:
-    reconstruction covers the distinct videos of ``batch``, the pair losses
+    One forward and one backward per distinct video, in blocks that share
+    one ``encoder.attention_products``; the attention weights' gradients
+    are mapped from the block sum by ``encoder.factor_grads``.
+    Reconstruction covers the distinct videos of ``batch``, the pair losses
     cover the videos named in ``pairs`` (both sides of a pair receive bsim
     gradient; only the anchor side receives tsim gradient). ``pairs=None``
     drops both pair terms, and then ``anchors`` may be None too. Returns
     (losses dict, gradients keyed like ``params``); the reported loss
-    components are unweighted.
+    components are unweighted. Pair gradients reach their videos' rows
+    through one product with each side's one-hot incidence matrix.
     """
     m_frames, d_model = params["encoder.e_pos"].shape
     k, d_in = params["w_dec"].shape
@@ -142,7 +149,8 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
     batch = np.unique(np.asarray(batch, dtype=np.int64))
     need = batch if pairs is None else np.union1d(batch, np.union1d(pairs.i, pairs.j))
     x = np.asarray(features)[need].astype(dtype, copy=False)
-    fwds = [(blk, student_forward(x[blk], params, binarize=binarize))
+    products = attention_products(params)
+    fwds = [(blk, student_forward(x[blk], params, binarize, products))
             for blk in blocks(len(need), params)]
 
     in_batch = np.zeros(len(need), dtype=bool)
@@ -168,12 +176,17 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
         label = pairs.label.astype(dtype)
         weight = np.abs(label)
 
+        # (len(need), n) one-hot incidence of each side: a product with it
+        # sums the per-pair rows into their videos' rows
+        rows = np.arange(len(need))[:, None]
+        at_i = (rows == i).astype(dtype)
+        at_j = (rows == j).astype(dtype)
+
         ui, uj = act[i], act[j]
         resid = label - (ui * uj).sum(axis=1) / k
         l_bsim = float((weight * resid * resid).sum()) / n
         d_sim = (g1 * (-2.0) / (n * k)) * weight * resid
-        np.add.at(d_act, i, d_sim[:, None] * uj)
-        np.add.at(d_act, j, d_sim[:, None] * ui)
+        d_act = at_i @ (d_sim[:, None] * uj) + at_j @ (d_sim[:, None] * ui)
 
         ti = means[i]
         delta_i = ti - anchors[pairs.i].astype(dtype, copy=False)
@@ -183,7 +196,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
         coeff = weight * (1 - label)
         push = np.where((coeff != 0) & (hinge > 0.0), cfg.eta * coeff, 0.0)
         l_tsim = float((pull + push * hinge).sum()) / n
-        np.add.at(d_mean, i, (g2 * 2.0 / n) * (delta_i + push[:, None] * (delta_i - delta_j)))
+        d_mean = at_i @ ((g2 * 2.0 / n) * (delta_i + push[:, None] * (delta_i - delta_j)))
 
     grads: dict[str, np.ndarray] = {}
     for blk, fwd in fwds:
@@ -206,6 +219,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
             b_hash=d_that.sum(axis=0),
         )
         add_grads(grads, part)
+    grads = factor_grads(grads, params)
 
     total = l_recon + cfg.gamma1 * l_bsim + cfg.gamma2 * l_tsim
     losses = {"recon": l_recon, "bsim": l_bsim, "tsim": l_tsim, "total": total}
@@ -235,10 +249,22 @@ def student_step(features: np.ndarray, batch, params: Params,
     return losses
 
 
+def loss_shares(losses: dict, cfg: RunConfig) -> dict[str, float]:
+    """Each weighted term's share of ``losses["total"]``: ``share_recon``,
+    ``share_bsim`` and ``share_tsim`` are recon, gamma1 * bsim and
+    gamma2 * tsim over the total, and all 0 when the total is 0."""
+    total = losses["total"]
+    weights = {"recon": 1.0, "bsim": cfg.gamma1, "tsim": cfg.gamma2}
+    return {f"share_{name}": w * losses[name] / total if total else 0.0
+            for name, w in weights.items()}
+
+
 @dataclass
 class StudentTrainResult:
     params: Params
-    history: list[dict]  # one row per epoch: epoch, recon, bsim, tsim, total
+    # one row per epoch: epoch, recon, bsim, tsim, total and the shares of
+    # the total (share_recon, share_bsim, share_tsim)
+    history: list[dict]
 
 
 def train_student(features: np.ndarray, cfg: RunConfig, graph: SignedGraph,
@@ -284,6 +310,7 @@ def train_student(features: np.ndarray, cfg: RunConfig, graph: SignedGraph,
             batches += 1
         row = {key: val / batches for key, val in sums.items()}
         row["epoch"] = epoch
+        row.update(loss_shares(row, cfg))
         history.append(row)
     return StudentTrainResult(params=params, history=history)
 
@@ -301,10 +328,11 @@ def probe_reconstruction(features: np.ndarray, params: Params) -> dict[str, floa
     mean_latent   decoder(mean_m l + b)  latents frozen to their per-video mean
     """
     features = np.asarray(features)
+    products = attention_products(params)
     totals = dict.fromkeys(PROBE_MODES, 0.0)
     for blk in blocks(features.shape[0], params):
         x = features[blk]
-        fwd = student_forward(x, params)
+        fwd = student_forward(x, params, products=products)
         code = fwd.code[:, None, :]
         shape = fwd.latent.shape
         mixes = {"intact": fwd.latent + code,
@@ -318,8 +346,11 @@ def probe_reconstruction(features: np.ndarray, params: Params) -> dict[str, floa
 
 
 def write_training_log(path, history: list[dict]) -> None:
-    """Line-oriented records: epoch, recon, bsim, tsim, total."""
+    """Line-oriented records: epoch, recon, bsim, tsim, total, then each
+    weighted term's share of the total (recon, gamma1 * bsim and
+    gamma2 * tsim over total). No other name starts with ``total``."""
     with open(path, "w") as f:
         for row in history:
             f.write("epoch={epoch} recon={recon:.10g} bsim={bsim:.10g} "
-                    "tsim={tsim:.10g} total={total:.10g}\n".format(**row))
+                    "tsim={tsim:.10g} total={total:.10g} share_recon={share_recon:.4g} "
+                    "share_bsim={share_bsim:.4g} share_tsim={share_tsim:.4g}\n".format(**row))

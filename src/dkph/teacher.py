@@ -25,8 +25,10 @@ defaults are the only ones (``teacher_bits``, ``mask_ratio``,
 Batches. The forward, the loss and the backward take a (B, M, D) batch, as
 the encoder does: ``mask`` is a (B, M) bool array with at least one True per
 row, the loss is one value per video, and the backward returns the gradient
-of the summed per-video losses. Training and evaluation run in the blocks of
-``encoder.blocks``, sized by bytes per video.
+of the summed per-video losses. Training (:func:`batch_gradients`, which
+``train_teacher`` steps on and the gradient check differentiates) and
+evaluation run in the blocks of ``encoder.blocks``, sized by bytes per
+video, with the encoder's attention products formed once per pass.
 
 Masked rows only. The forward passes its mask to the encoder, which
 replaces the masked frames' content by ``mask_embed`` and computes only
@@ -35,7 +37,7 @@ attention, the hash head and the decoder run on the masked frames only,
 and ``frame_codes``, ``act``, ``frames`` and ``recon`` are (n_masked,
 width) arrays in ``x[mask]`` order. Attention still reads every frame,
 but only through its M x M products: the encoder never projects keys or
-values, so its d x d products run on the masked frames only.
+values, so its row products run on the masked frames only.
 
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does, and the loss in the dtype of the reconstruction.
@@ -54,11 +56,13 @@ from .codes import BinaryCode, binarize_tanh, sign_pm1
 from .config import RunConfig
 from .encoder import (
     Params,
+    attention_products,
     blocks,
     cast_params,
     check_mask,
     encode_backward,
     encode_forward,
+    factor_grads,
     init_encoder,
 )
 from .encoder import _uniform
@@ -93,13 +97,14 @@ class TeacherForward:
 
 
 def teacher_forward(x: np.ndarray, params: Params, mask: np.ndarray,
-                    binarize: str = "hard") -> TeacherForward:
+                    binarize: str = "hard", products=None) -> TeacherForward:
     """Encode, hash each masked frame, decode from codes only.
 
     ``binarize="relaxed"`` skips the sign so the whole pass is smooth; used
-    by the gradient checker.
+    by the gradient checker. ``products`` is passed on to
+    ``encoder.encode_forward``.
     """
-    frames, cache = encode_forward(x, params, masked=mask)
+    frames, cache = encode_forward(x, params, masked=mask, products=products)
     z = frames @ params["w_hash"] + params["b_hash"]
     act = np.tanh(z)
     codes = binarize_tanh(act, binarize)
@@ -129,7 +134,9 @@ def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask: np.ndarray) -> np
 
 def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict:
     """Gradients of the masked reconstruction loss for every teacher tensor,
-    summed over the videos of a batch, keyed like ``params``.
+    summed over the videos of a batch, keyed like ``params`` except for the
+    attention weights, which ``encoder.w_qk`` and ``encoder.w_vo`` stand
+    for until ``encoder.factor_grads`` maps them (see :func:`batch_gradients`).
 
     Straight-through: d(code)/d(pre-activation) is taken as tanh', whether
     the forward binarized or not.
@@ -197,11 +204,33 @@ class TeacherTrainResult:
 def masked_eval_loss(features: np.ndarray, params: Params, masks: np.ndarray) -> float:
     """Mean masked-reconstruction loss over a dataset with fixed (N, M) masks."""
     features = np.asarray(features)
+    products = attention_products(params)
     total = 0.0
     for blk in blocks(len(features), params):
-        fwd = teacher_forward(features[blk], params, mask=masks[blk])
+        fwd = teacher_forward(features[blk], params, masks[blk], products=products)
         total += float(teacher_recon_loss(features[blk], fwd.recon, masks[blk]).sum())
     return total / len(features)
+
+
+def batch_gradients(x: np.ndarray, masks: np.ndarray, params: Params,
+                    binarize: str = "hard") -> tuple[float, dict]:
+    """The mean masked-reconstruction loss of a (B, M, D) batch under its
+    (B, M) ``masks``, and its gradient for every teacher tensor, keyed like
+    ``params``.
+
+    One forward and one backward per block of ``encoder.blocks``, all with
+    the attention products formed once; the attention weights' gradients
+    are mapped from the block sum by ``encoder.factor_grads``.
+    """
+    products = attention_products(params)
+    total = 0.0
+    grads: dict[str, np.ndarray] = {}
+    for blk in blocks(len(x), params):
+        fwd = teacher_forward(x[blk], params, masks[blk], binarize, products)
+        total += float(teacher_recon_loss(x[blk], fwd.recon, masks[blk]).sum())
+        add_grads(grads, teacher_backward(x[blk], fwd, params))
+    scale = 1.0 / len(x)
+    return total * scale, {name: g * scale for name, g in factor_grads(grads, params).items()}
 
 
 def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
@@ -236,19 +265,12 @@ def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             masks = draw_mask(rng, cfg.frames, cfg.mask_ratio, len(batch))
-            grads: dict[str, np.ndarray] = {}
-            batch_loss = 0.0
-            for blk in blocks(len(batch), params):
-                x = features[batch[blk]]
-                fwd = teacher_forward(x, params, mask=masks[blk])
-                batch_loss += float(teacher_recon_loss(x, fwd.recon, masks[blk]).sum())
-                add_grads(grads, teacher_backward(x, fwd, params))
+            batch_loss, grads = batch_gradients(features[batch], masks, params)
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"teacher loss non-finite at epoch {epoch}", epoch)
-            scale = 1.0 / len(batch)
-            opt.step(params, {name: g * scale for name, g in grads.items()})
+            opt.step(params, grads)
             params.version += 1
-            epoch_total += batch_loss * scale
+            epoch_total += batch_loss
         epoch_losses.append(epoch_total / ((n + batch_size - 1) // batch_size))
 
     eval_after = masked_eval_loss(features, params, eval_masks)

@@ -10,8 +10,10 @@ from dkph import encoder
 from dkph.config import RunConfig
 from dkph.encoder import (
     Params,
+    attention_products,
     encode_backward,
     encode_forward,
+    factor_grads,
     init_encoder,
 )
 from dkph.exceptions import ShapeError, StaleCacheError
@@ -234,7 +236,7 @@ class TestBackward:
     def test_zero_grad_out_gives_zero_grads(self):
         p = toy_params(20)
         _, cache = encode_forward(np.random.default_rng(21).normal(size=(1, 4, 6)), p)
-        grads = encode_backward(np.zeros((1, 4, 8)), cache)
+        grads = factor_grads(encode_backward(np.zeros((1, 4, 8)), cache), p)
         for name in p:
             assert not np.any(grads[name])
 
@@ -243,8 +245,8 @@ class TestBackward:
         x = np.random.default_rng(23).normal(size=(1, 4, 6))
         _, cache = encode_forward(x, p)
         go = np.random.default_rng(24).normal(size=(1, 4, 8))
-        g1 = encode_backward(go, cache)
-        g2 = encode_backward(2.0 * go, cache)
+        g1 = factor_grads(encode_backward(go, cache), p)
+        g2 = factor_grads(encode_backward(2.0 * go, cache), p)
         for name in p:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
 
@@ -261,7 +263,7 @@ class TestBackward:
             return float((w * frames).sum())
 
         _, cache = encode_forward(x, p, masked=masked)
-        grads = encode_backward(w, cache)
+        grads = factor_grads(encode_backward(w, cache), p)
         assert list(grads) == list(p)
 
         # every tensor, mask_embed included
@@ -318,7 +320,7 @@ class TestBatched:
         p, x = self.batch(41)
         go = np.random.default_rng(42).normal(size=(2, 8))
         _, cache = encode_forward(x[:1], p, masked=np.array([[False, True, True, False]]))
-        grads = encode_backward(go, cache)
+        grads = factor_grads(encode_backward(go, cache), p)
         want = oracle_masked_backward(x[:1], p, go, [(1, 2)])
         assert list(grads) == list(p)
         for name in p:
@@ -328,7 +330,7 @@ class TestBatched:
         p, x = self.batch(43)
         go = np.random.default_rng(44).normal(size=(MASKED.sum(), 8))
         _, cache = encode_forward(x, p, masked=MASKED)
-        grads = encode_backward(go, cache)
+        grads = factor_grads(encode_backward(go, cache), p)
         want = oracle_masked_backward(x, p, go, MASKS)
         for name in p:
             assert_rel_close(grads[name], want[name])
@@ -342,14 +344,14 @@ class TestBatched:
             return float((w * rows).sum())
 
         _, cache = encode_forward(x, p, masked=MASKED)
-        grads = encode_backward(w, cache)
+        grads = factor_grads(encode_backward(w, cache), p)
         report = finite_diff_check(loss, list(p.values()), [grads[n] for n in p], step=1e-5)
         assert report.max_rel_error < 1e-5, report
 
     def test_unmasked_batch_has_no_mask_embedding_gradient(self):
         p, x = self.batch(45)
         _, cache = encode_forward(x, p)
-        grads = encode_backward(np.ones((5, 4, 8)), cache)
+        grads = factor_grads(encode_backward(np.ones((5, 4, 8)), cache), p)
         assert list(grads) == [name for name in p if name.startswith("encoder.")]
 
     def test_batch_shape_errors(self):
@@ -445,8 +447,9 @@ class TestSelectedRows:
 
 
 class _RecordingWeight(np.ndarray):
-    """A weight that records, under its name, the shape of the other operand
-    of every matrix product it takes part in (its transposes included)."""
+    """A weight that records every matrix product it takes part in (its
+    transposes included): the names of the recording operands and the
+    shapes of both operands, one entry per product."""
 
     def __array_finalize__(self, obj):
         self.name, self.log = getattr(obj, "name", None), getattr(obj, "log", None)
@@ -454,31 +457,42 @@ class _RecordingWeight(np.ndarray):
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         plain = [a.view(np.ndarray) if isinstance(a, _RecordingWeight) else a for a in inputs]
         if ufunc is np.matmul:
-            for a, other in ((inputs[0], plain[1]), (inputs[1], plain[0])):
-                if isinstance(a, _RecordingWeight):
-                    self.log.append((a.name, np.shape(other)))
+            names = sorted(a.name for a in inputs if isinstance(a, _RecordingWeight))
+            self.log.append((names, tuple(np.shape(a) for a in plain)))
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
-def test_masked_passes_multiply_w_k_and_w_v_by_the_masked_rows_only():
-    # K and V are never projected for every frame: attention is computed as
-    # (q W_k^T) n1^T and (attn n1) W_v, so a masked forward and backward
-    # multiply W_k and W_v only by (n_masked, model_dim) operands
+@pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+def test_attention_weights_meet_only_d_by_d_operands(masked):
+    # W_q, W_k, W_v and W_o enter a step only through attention_products
+    # (W_q W_k^T and W_v W_o, 2 products) and factor_grads (4 products);
+    # the forward and backward never multiply a row by any of them
+    d = 8
     p = init_encoder(replace(TOY, frames=6), np.random.default_rng(56))
-    p["mask_embed"] = np.random.default_rng(57).normal(size=8)
+    p["mask_embed"] = np.random.default_rng(57).normal(size=d)
     log = []
-    for name in ("w_k", "w_v"):
+    for name in ("w_q", "w_k", "w_v", "w_o"):
         w = p["encoder." + name].view(_RecordingWeight)
         w.name, w.log = name, log
         p["encoder." + name] = w
-    masked = np.zeros((3, 6), dtype=bool)
-    masked[0, 0] = masked[2, 2] = masked[2, 5] = True     # 3 of 18 frames, uneven
+    mask = None
+    if masked:
+        mask = np.zeros((3, 6), dtype=bool)
+        mask[0, 0] = mask[2, 2] = mask[2, 5] = True     # 3 of 18 frames, uneven
     x = np.random.default_rng(58).normal(size=(3, 6, 6))
-    rows, cache = encode_forward(x, p, masked=masked)
-    forward = sorted(log)
-    encode_backward(np.ones_like(rows), cache)
-    assert forward == [("w_k", (3, 8)), ("w_v", (3, 8))]
-    assert sorted(log) == [("w_k", (3, 8))] * 2 + [("w_v", (3, 8))] * 2
+
+    products = attention_products(p)
+    assert log == [(["w_k", "w_q"], ((d, d), (d, d))), (["w_o", "w_v"], ((d, d), (d, d)))]
+    del log[:]
+    rows, cache = encode_forward(x, p, masked=mask, products=products)
+    grads = encode_backward(np.ones_like(rows), cache)
+    assert log == []
+    assert {"encoder.w_qk", "encoder.w_vo"} <= set(grads)
+    factored = factor_grads(grads, p)
+    assert sorted(names for names, _ in log) == [["w_k"], ["w_o"], ["w_q"], ["w_v"]]
+    assert all(shapes == ((d, d), (d, d)) for _, shapes in log)
+    assert {"encoder.w_q", "encoder.w_k", "encoder.w_v", "encoder.w_o"} <= set(factored)
+    assert not {"encoder.w_qk", "encoder.w_vo"} & set(factored)
 
 
 def test_float32_masked_pass_at_paper_default_shapes_matches_the_float64_oracle():
@@ -495,10 +509,36 @@ def test_float32_masked_pass_at_paper_default_shapes_matches_the_float64_oracle(
     masks = [tuple(np.flatnonzero(row)) for row in masked]
     rows, cache = encode_forward(x, p32, masked=masked)
     go = rng.normal(size=rows.shape).astype(np.float32)
-    grads = encode_backward(go, cache)
+    grads = factor_grads(encode_backward(go, cache), p32)
     assert rows.dtype == np.float32
     assert_rel_close(rows, oracle_masked_rows(x.astype(np.float64), p64, masks), tol)
     want = oracle_masked_backward(x.astype(np.float64), p64, go.astype(np.float64), masks)
+    for name in p32:
+        assert grads[name].dtype == np.float32
+        assert_rel_close(grads[name], want[name], tol)
+
+
+def test_float32_unmasked_pass_at_paper_default_shapes_matches_the_float64_oracle():
+    # the student's pass: every row through both attention products, and the
+    # factored gradients; the same tolerance as the masked pass, 2**8 float32
+    # ulps (3.1e-5) of each tensor's largest entry, fixed from the dtype
+    tol = 2**8 * np.finfo(np.float32).eps
+    cfg = RunConfig()
+    rng = np.random.default_rng(60)
+    p32 = encoder.cast_params(init_encoder(cfg, rng), np.float32)
+    p64 = encoder.cast_params(p32, np.float64)
+    x = rng.normal(size=(4, cfg.frames, cfg.feat_dim)).astype(np.float32)
+    frames, cache = encode_forward(x, p32)
+    go = rng.normal(size=frames.shape).astype(np.float32)
+    grads = factor_grads(encode_backward(go, cache), p32)
+    assert frames.dtype == np.float32
+    x64, go64 = x.astype(np.float64), go.astype(np.float64)
+    assert_rel_close(frames, np.stack([oracle_forward(xb, p64) for xb in x64]), tol)
+    want = {}
+    for xb, gb in zip(x64, go64):
+        for name, g in oracle_backward(xb, p64, gb)[0].items():
+            want["encoder." + name] = want.get("encoder." + name, 0.0) + g
+    assert list(grads) == list(p32)
     for name in p32:
         assert grads[name].dtype == np.float32
         assert_rel_close(grads[name], want[name], tol)

@@ -17,6 +17,7 @@ from dkph.student import (
     PROBE_MODES,
     batch_gradients,
     init_student,
+    loss_shares,
     probe_reconstruction,
     student_code,
     student_forward,
@@ -311,11 +312,45 @@ class TestStep:
         assert exc.value.epoch == 0
 
     def test_training_log_lines(self, tmp_path):
-        history = [{"epoch": 0, "recon": 1.0, "bsim": 0.5, "tsim": 0.25, "total": 1.28}]
+        # by hand, at gamma1 = 0.11 and gamma2 = 0.9: total = 0.5 + 0.11 + 0.45
+        # = 1.06, and the shares are 0.5, 0.11 and 0.45 over 1.06
+        history = [{"epoch": 0, "recon": 0.5, "bsim": 1.0, "tsim": 0.5, "total": 1.06,
+                    "share_recon": 0.4716981132, "share_bsim": 0.1037735849,
+                    "share_tsim": 0.4245283019}]
         path = tmp_path / "log.txt"
         write_training_log(path, history)
         line = path.read_text().strip()
-        assert line == "epoch=0 recon=1 bsim=0.5 tsim=0.25 total=1.28"
+        assert line == ("epoch=0 recon=0.5 bsim=1 tsim=0.5 total=1.06 share_recon=0.4717 "
+                        "share_bsim=0.1038 share_tsim=0.4245")
+        # perfbench reads the last token that starts with total=
+        assert [t for t in line.split() if t.startswith("total")] == ["total=1.06"]
+
+    def test_loss_shares_are_weighted_terms_over_the_total(self):
+        shares = loss_shares({"recon": 0.5, "bsim": 1.0, "tsim": 0.5, "total": 1.06}, TOY)
+        assert shares == pytest.approx({"share_recon": 0.5 / 1.06, "share_bsim": 0.11 / 1.06,
+                                        "share_tsim": 0.45 / 1.06}, rel=1e-12)
+        zero = {"recon": 0.0, "bsim": 0.0, "tsim": 0.0, "total": 0.0}
+        assert loss_shares(zero, TOY) == {"share_recon": 0.0, "share_bsim": 0.0,
+                                          "share_tsim": 0.0}
+
+    def test_training_history_carries_the_loss_shares(self):
+        feats, graph, anchors = two_class_setup()
+        cfg = replace(TOY, student_epochs=2, batch_size=3, train_seed=5)
+        for row in train_student(feats, cfg, graph, anchors, code_bits=K).history:
+            assert {k: row[k] for k in ("share_recon", "share_bsim", "share_tsim")} == \
+                loss_shares(row, cfg)
+            assert sum(loss_shares(row, cfg).values()) == pytest.approx(1.0, rel=1e-9)
+
+    def test_batch_gradients_finite_difference_check_across_blocks(self, monkeypatch):
+        # the gradient check's toy batch in blocks of 2 videos (4 frames x
+        # FFN width 16 x float64 each), so the attention weights' gradients
+        # are factored from a sum of 3 blocks
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * 4 * 16 * 8)
+        cfg = RunConfig(frames=4, feat_dim=6, model_dim=8, teacher_bits=8)
+        params = init_student(cfg, np.random.default_rng(0), 8)
+        assert len(encoder.blocks(6, params)) == 3
+        report = student_gradient_check(seed=0)
+        assert report.max_rel_error < 1e-4, report
 
 
 def oracle_student(x, p):
@@ -466,9 +501,9 @@ class TestBatched:
         monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         calls = []
 
-        def counted(x, params, binarize="hard"):
+        def counted(x, params, binarize="hard", products=None):
             calls.append(len(x))
-            return student_forward(x, params, binarize)
+            return student_forward(x, params, binarize, products)
 
         monkeypatch.setattr(student, "student_forward", counted)
         feats, _, _ = two_class_setup(25)

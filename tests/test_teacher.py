@@ -7,9 +7,11 @@ import pytest
 
 from dkph import encoder
 from dkph.config import RunConfig
+from dkph.encoder import factor_grads
 from dkph.exceptions import TrainingError
 from dkph.numerics import finite_diff_check
 from dkph.teacher import (
+    batch_gradients,
     draw_mask,
     init_teacher,
     masked_eval_loss,
@@ -160,7 +162,7 @@ class TestBackward:
             return float(teacher_recon_loss(x, fwd.recon, mask)[0])
 
         fwd = teacher_forward(x, p, mask=mask, binarize="relaxed")
-        grads = teacher_backward(x, fwd, p)
+        grads = factor_grads(teacher_backward(x, fwd, p), p)
 
         names = list(p)
         report = finite_diff_check(
@@ -291,7 +293,7 @@ class TestBatched:
         n_masked = sum(map(len, BATCH_MASKS))
         assert fwd.recon.shape == (n_masked, 6) and fwd.frame_codes.shape == (n_masked, BITS)
         losses = teacher_recon_loss(x, fwd.recon, bool_masks(BATCH_MASKS))
-        grads = teacher_backward(x, fwd, p)
+        grads = factor_grads(teacher_backward(x, fwd, p), p)
         per_video = [oracle_teacher(x[b], p, BATCH_MASKS[b]) for b in range(3)]
         np.testing.assert_allclose(fwd.recon, np.concatenate([r for _, _, r in per_video]),
                                    atol=1e-12)
@@ -308,11 +310,31 @@ class TestBatched:
             return float(teacher_recon_loss(x, fwd.recon, bool_masks(BATCH_MASKS)).sum())
 
         fwd = teacher_forward(x, p, mask=bool_masks(BATCH_MASKS), binarize="relaxed")
-        grads = teacher_backward(x, fwd, p)
+        grads = factor_grads(teacher_backward(x, fwd, p), p)
         names = list(p)
         report = finite_diff_check(loss, [p[n] for n in names], [grads[n] for n in names],
                                    step=1e-5)
         assert report.max_rel_error < 1e-4, (report, names[report.worst_index[0]])
+
+    def test_batch_gradients_finite_difference_check_across_blocks(self, monkeypatch):
+        # one video per block, so the attention weights' gradients are
+        # factored from a sum of 3 blocks; the loss is the batch mean
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", TOY_VIDEO_BYTES)
+        p = toy_teacher(37)
+        x = np.random.default_rng(38).normal(size=(3, 4, 6))
+        masks = bool_masks(BATCH_MASKS)
+        assert len(encoder.blocks(3, p)) == 3
+
+        def loss(_):
+            return batch_gradients(x, masks, p, binarize="relaxed")[0]
+
+        mean_loss, grads = batch_gradients(x, masks, p, binarize="relaxed")
+        fwd = teacher_forward(x, p, mask=masks, binarize="relaxed")
+        assert mean_loss == pytest.approx(teacher_recon_loss(x, fwd.recon, masks).mean(),
+                                          rel=1e-12)
+        assert list(grads) == list(p)
+        report = finite_diff_check(loss, list(p.values()), [grads[n] for n in p], step=1e-5)
+        assert report.max_rel_error < 1e-4, (report, list(p)[report.worst_index[0]])
 
     def test_backward_rejects_an_unmasked_video(self):
         p = toy_teacher(34)
