@@ -1,11 +1,12 @@
 """Command-line front end over the pipeline stages.
 
 Each subcommand runs against the work directory derived from the config
-hash. ``synth-data``, ``train-teacher`` and ``build-graph`` run one stage, and
-``train-student``, ``encode`` and ``eval`` one stage per code width; their
-prerequisites must have run first (the error message names the missing stage).
-``eval`` additionally assembles report.txt. ``ablate`` runs the whole variant
-grid, prerequisites included, and prints ablation.txt.
+hash. ``STAGE_COMMANDS`` maps each stage subcommand to the pipeline stage it
+runs, in run order; a stage of ``pipeline.SHARED_STAGES`` runs once and one of
+``pipeline.CHAIN_STAGES`` once per code width. Their prerequisites must have
+run first (the error message names the missing stage). ``eval``
+additionally assembles report.txt. ``ablate`` runs the whole variant grid,
+prerequisites included, and prints ablation.txt.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .exceptions import ConfigError, PipelineError
 from .gradcheck import student_gradient_check, teacher_gradient_check
 from . import pipeline
 
-STAGE_COMMANDS = ("synth-data", "train-teacher", "build-graph",
-                  "train-student", "encode", "eval", "ablate")
+STAGE_COMMANDS = {"synth-data": "data", "train-teacher": "teacher", "build-graph": "graph",
+                  "train-student": "student", "encode": "encode", "eval": "eval"}
 
 
 def _load_config(args) -> RunConfig:
@@ -35,7 +36,7 @@ def main(argv=None) -> int:
         prog="dkph",
         description="dual-stream knowledge-preserving hashing pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGE_COMMANDS:
+    for name in (*STAGE_COMMANDS, "ablate"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file (defaults apply otherwise)")
         p.add_argument("--work-dir", help="override the configured work directory")
@@ -80,26 +81,16 @@ def _dispatch(args) -> int:
         raise ConfigError(f"cannot create work dir {run_dir}: {err.strerror or err}") from err
     print(f"work dir: {run_dir}")
 
-    if args.command == "synth-data":
-        pipeline.stage_data(cfg, run_dir)
-    elif args.command == "train-teacher":
-        pipeline.stage_teacher(cfg, run_dir)
-    elif args.command == "build-graph":
-        pipeline.stage_graph(cfg, run_dir)
-    elif args.command == "train-student":
-        for bits in cfg.code_bits:
-            pipeline.stage_student(cfg, run_dir, bits)
-    elif args.command == "encode":
-        for bits in cfg.code_bits:
-            pipeline.stage_encode(cfg, run_dir, bits)
-    elif args.command == "eval":
-        for bits in cfg.code_bits:
-            pipeline.stage_eval(cfg, run_dir, bits)
-        report = pipeline.build_report(cfg, run_dir)
-        print(report.text, end="")
-    elif args.command == "ablate":
+    if args.command == "ablate":
         pipeline.ablation_suite(cfg)
         print((run_dir / "ablation.txt").read_text(), end="")
+    elif (stage := STAGE_COMMANDS[args.command]) in pipeline.SHARED_STAGES:
+        pipeline.SHARED_STAGES[stage](cfg, run_dir)
+    else:
+        for bits in cfg.code_bits:
+            pipeline.CHAIN_STAGES[stage](cfg, run_dir, bits)
+        if stage == "eval":
+            print(pipeline.build_report(cfg, run_dir).text, end="")
     print(f"{args.command}: done")
     return 0
 

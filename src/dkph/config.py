@@ -68,10 +68,20 @@ class RunConfig:
 
     UNHASHED = ("work_dir",)
 
+    def split_sizes(self) -> tuple[int, int, int]:
+        """(train, query, database) videos per class: round(f x videos_per_class)
+        for each of SPLIT_FRACTIONS, and the rest for the database."""
+        train, query = (int(round(f * self.videos_per_class)) for f in SPLIT_FRACTIONS)
+        return train, query, self.videos_per_class - train - query
+
+    def masked_frames(self) -> int:
+        """Frames the teacher masks per video: max(1, round(mask_ratio x frames))."""
+        return max(1, int(round(self.mask_ratio * self.frames)))
+
     def __post_init__(self):
-        per_class = [int(round(f * self.videos_per_class)) for f in SPLIT_FRACTIONS]
+        per_class = self.split_sizes()
         n_train = self.num_classes * per_class[0]
-        n_database = self.num_classes * (self.videos_per_class - sum(per_class))
+        n_database = self.num_classes * per_class[2]
         positive = ("num_classes", "frames", "feat_dim", "model_dim", "teacher_bits",
                     "batch_size")
         non_negative = ("intra_class_noise", "temporal_drift", "ffn_dim", "teacher_epochs",
@@ -82,7 +92,7 @@ class RunConfig:
             *[(key, math.isfinite(getattr(self, key)), "must be finite") for key in floats],
             *[(key, getattr(self, key) >= 1, "must be >= 1") for key in positive],
             *[(key, getattr(self, key) >= 0, "must be >= 0") for key in non_negative],
-            ("videos_per_class", min(per_class) >= 1 and sum(per_class) < self.videos_per_class,
+            ("videos_per_class", min(per_class) >= 1,
              "must give each class at least one train, query and database video"),
             ("videos_per_class", n_database >= min(MAP_KS),
              f"{n_database} database videos, fewer than the smallest mAP cutoff {min(MAP_KS)}"),
@@ -94,7 +104,9 @@ class RunConfig:
             ("code_bits", 0 < len(set(self.code_bits)) == len(self.code_bits)
              and all(b > 0 for b in self.code_bits),
              "must be a nonempty list of distinct positive widths"),
-            ("mask_ratio", 0.0 < self.mask_ratio < 1.0, "must lie strictly between 0 and 1"),
+            # the cloze teacher must see some frame's content in every video
+            ("mask_ratio", 0.0 < self.mask_ratio < 1.0 and self.masked_frames() < self.frames,
+             f"must lie strictly between 0 and 1 and leave one of {self.frames} frames unmasked"),
             # at 0 the negative band (mu - lambda2 * eps, mu) of every row is empty
             ("lambda2", self.lambda2 > 0, "must be > 0"),
         )

@@ -144,6 +144,16 @@ def cast_params(params, dtype) -> Params:
     return Params({name: np.asarray(t).astype(dtype, copy=False) for name, t in params.items()})
 
 
+def training_features(features) -> np.ndarray:
+    """``features`` in the trainers' dtype, ``np.result_type(features,
+    np.float32)`` (module docstring, Precision). Anything but a nonempty
+    (N, M, D) array raises ValueError."""
+    features = np.asarray(features)
+    if features.ndim != 3 or features.shape[0] == 0:
+        raise ValueError("features must be a nonempty (N, M, D) array")
+    return features.astype(np.result_type(features, np.float32), copy=False)
+
+
 @dataclass
 class EncoderCache:
     """Forward intermediates. ``x``, ``ln1`` and ``n1`` are flat, (B * M,

@@ -82,40 +82,10 @@ logger = logging.getLogger(__name__)
 
 # Written into every meta record. Bump it whenever the code changes what a
 # stage produces for the same config, so that old artifacts are rebuilt;
-# records without the field count as version 1. Version 2: the batched
-# encoder passes sum floats in another order (results move in the last ulp).
-# Version 3: teacher, student and encoding compute in float32, the precision
-# of the feature files, instead of widening them to float64.
-# Version 4: every binary artifact is one container of named arrays, each
-# stored in its own dtype and shape (see ``serial``).
-# Version 5: graph.bin holds only the signed edges, without the six header
-# scalars (n_centers, p, seed, alpha, lambda1, lambda2).
-# Version 6: the teacher runs its rows after attention, hash head and
-# decoder on the masked frames only, so its weight gradients sum over fewer
-# rows in another float order (teacher.ckpt moves at float32-ulp level).
-# Version 7: encoder blocks hold as many videos as fit encoder.BLOCK_BYTES
-# instead of 64, so teacher and student gradients sum over other blocks
-# (teacher.ckpt, embeddings.features and student_K.ckpt move at float32-ulp
-# level; codes and metrics are unchanged).
-# Version 8: the student's pairs and the teacher's masks are drawn for a
-# whole batch at once (three generator calls per pair batch, one
-# random((n, M)) draw per mask batch), so both streams differ and every
-# artifact from teacher.ckpt on moves as a reseed would move it.
-# Version 9: k-means assigns by the expanded distance |x|^2 - 2 x.c + |c|^2
-# and the affinity picks its nearest centres by it, so an assignment or a
-# selection can differ from the explicit difference at float near-ties.
-# Version 10: attention is reassociated, scores = (n1 W_q W_k^T) n1^T and
-# context = (attn n1) W_v, so encoder outputs and gradients round in another
-# order (teacher.ckpt, embeddings.features, anchors.ckpt and student_K.ckpt
-# move at float32-ulp level; on the benchmark configs graph.bin, the
-# teacher's loss and mAP@20 are unchanged).
-# Version 11: attention runs through the products W_q W_k^T and W_v W_o,
-# formed once per pass, and the weight gradients are factored from theirs
-# after the block sum; the student's pair gradients are summed by incidence
-# products. Encoder outputs and all gradients round in another order, so
-# teacher.ckpt, embeddings.features, anchors.ckpt and student_K.ckpt move
-# at float32-ulp level.
-CODE_VERSION = 11
+# records without the field count as version 1 (CHANGES.md has each
+# version's reason). Version 12: graph.bin holds SignedGraph's own two arrays,
+# offsets and indices, in place of four per-side arrays.
+CODE_VERSION = 12
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -367,20 +337,22 @@ def stage_eval(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") 
 
 # -- the stage grid, report and end-to-end -----------------------------------
 
-_SHARED_STAGES = {"data": stage_data, "teacher": stage_teacher, "graph": stage_graph}
-_CHAIN_STAGES = {"student": stage_student, "encode": stage_encode, "eval": stage_eval}
+# The stages a run makes once, and those it makes per (variant, width) chain,
+# each in run order; ``cli`` runs them by these names.
+SHARED_STAGES = {"data": stage_data, "teacher": stage_teacher, "graph": stage_graph}
+CHAIN_STAGES = {"student": stage_student, "encode": stage_encode, "eval": stage_eval}
 
 
 def model_chains(cfg: RunConfig, variants=("full",)) -> list[tuple[str, int]]:
-    """The (variant, width) chains, each the _CHAIN_STAGES in order on top of
-    the _SHARED_STAGES: every width of every variant, width by width."""
+    """The (variant, width) chains, each the CHAIN_STAGES in order on top of
+    the SHARED_STAGES: every width of every variant, width by width."""
     return [(variant, bits) for bits in cfg.code_bits for variant in variants]
 
 
 def stage_names(cfg: RunConfig, variants=("full",)) -> list[str]:
-    return [*_SHARED_STAGES] + [f"{name}_{_tag(bits, variant)}"
-                               for variant, bits in model_chains(cfg, variants)
-                               for name in _CHAIN_STAGES]
+    return [*SHARED_STAGES] + [f"{name}_{_tag(bits, variant)}"
+                              for variant, bits in model_chains(cfg, variants)
+                              for name in CHAIN_STAGES]
 
 
 def _run_grid(cfg: RunConfig, work_dir, variants) -> Path:
@@ -388,10 +360,10 @@ def _run_grid(cfg: RunConfig, work_dir, variants) -> Path:
     completed stages; returns the run directory."""
     run_dir = run_layout(cfg, work_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    for stage in _SHARED_STAGES.values():
+    for stage in SHARED_STAGES.values():
         stage(cfg, run_dir)
     for variant, bits in model_chains(cfg, variants):
-        for stage in _CHAIN_STAGES.values():
+        for stage in CHAIN_STAGES.values():
             stage(cfg, run_dir, bits, variant)
     return run_dir
 

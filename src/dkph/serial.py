@@ -10,9 +10,8 @@ reads it back, each array in exactly its saved dtype (one of
 checkpoint  each model tensor under its checkpoint name
 features    "features": (N, M, D) float32
 codes       "packed": (n, ceil(K/8)) uint8 rows; "k": int64
-graph       a SignedGraph's two sides, for s in pos, neg: "s_offsets" (N + 1,)
-            int64 from 0 and "s_indices" uint32, video i's row being
-            s_indices[s_offsets[i]:s_offsets[i+1]]
+graph       a SignedGraph's compressed rows as ``graph.SignedGraph`` holds them:
+            "offsets" (2, N + 1) int64 and "indices" (E,) uint32
 
 Labels are a plain text sidecar: one integer per line, aligned with the
 split's feature rows.
@@ -131,17 +130,27 @@ def load_features(path) -> np.ndarray:
 # -- packed codes --------------------------------------------------------
 
 
+def _check_codes(path, packed: np.ndarray, k) -> int:
+    """K as an int when ``packed`` holds (n, ceil(K/8)) uint8 rows of a
+    scalar integer K >= 1; ValueError naming ``path`` otherwise."""
+    k = np.asarray(k)
+    if (k.ndim != 0 or k.dtype.kind not in "iu" or k < 1 or packed.dtype != np.uint8
+            or packed.ndim != 2 or packed.shape[1] != (k + 7) // 8):
+        raise ValueError(f"{path}: packed {packed.dtype} shape {packed.shape} "
+                         f"inconsistent with K={k}")
+    return int(k)
+
+
 def save_codes(path, packed: np.ndarray, k: int) -> None:
     """packed: (n, ceil(K/8)) uint8 rows."""
     p = np.asarray(packed, dtype=np.uint8)
-    if p.ndim != 2 or p.shape[1] != (k + 7) // 8:
-        raise ValueError(f"packed shape {p.shape} inconsistent with K={k}")
-    save_arrays(path, {"packed": p, "k": np.int64(k)})
+    save_arrays(path, {"packed": p, "k": np.int64(_check_codes(path, p, k))})
 
 
 def load_codes(path) -> tuple[np.ndarray, int]:
+    """The packed rows and K of a :func:`save_codes` file, checked as on save."""
     arrays = _load_kind(path, "codes", ("packed", "k"))
-    return arrays["packed"], int(arrays["k"])
+    return arrays["packed"], _check_codes(path, arrays["packed"], arrays["k"])
 
 
 # -- labels --------------------------------------------------------------
@@ -164,31 +173,22 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_graph(path, graph: SignedGraph) -> None:
-    """Each side's offsets, shifted to start at 0, and its indices as uint32."""
-    arrays = {}
-    for side, offsets in zip(("pos", "neg"), graph.offsets):
-        arrays[f"{side}_offsets"] = offsets - offsets[0]
-        arrays[f"{side}_indices"] = graph.indices[offsets[0]:offsets[-1]].astype(np.uint32)
-    save_arrays(path, arrays)
+    """The graph's offsets as they are, and its indices as uint32."""
+    save_arrays(path, {"offsets": graph.offsets, "indices": graph.indices.astype(np.uint32)})
 
 
 def load_graph(path) -> SignedGraph:
     """The graph of a :func:`save_graph` file, its indices as int64. Offsets
-    that do not index their side's rows, sides of different lengths and an
-    edge to a video outside the graph raise ValueError."""
-    arrays = _load_kind(path, "graph", ("pos_offsets", "pos_indices", "neg_offsets",
-                                        "neg_indices"))
-    sides = [(arrays[f"{s}_offsets"], arrays[f"{s}_indices"]) for s in ("pos", "neg")]
-    for offsets, indices in sides:
-        if (offsets.ndim != 1 or offsets[:1].tolist() != [0] or offsets[-1] != indices.size
-                or np.any(np.diff(offsets) < 0)):
-            raise ValueError(f"{path}: graph offsets do not index the graph's rows")
-    (pos_offsets, pos_indices), (neg_offsets, neg_indices) = sides
-    if pos_offsets.size != neg_offsets.size:
-        raise ValueError(f"{path}: positives/negatives length mismatch")
-    n = pos_offsets.size - 1
-    indices = np.concatenate([pos_indices, neg_indices]).astype(np.int64)
+    that do not index the graph's two sides and an edge to a video outside
+    the graph raise ValueError."""
+    arrays = _load_kind(path, "graph", ("offsets", "indices"))
+    offsets, indices = arrays["offsets"], arrays["indices"].astype(np.int64)
+    flat = offsets.reshape(-1)
+    if (offsets.dtype != np.int64 or offsets.ndim != 2 or len(offsets) != 2 or indices.ndim != 1
+            or flat[:1].tolist() != [0] or np.any(np.diff(flat) < 0)
+            or flat[-1] != indices.size or offsets[1, 0] != offsets[0, -1]):
+        raise ValueError(f"{path}: graph offsets do not index the graph's rows")
+    n = offsets.shape[1] - 1
     if np.any((indices < 0) | (indices >= n)):
         raise ValueError(f"{path}: an edge index is not one of the graph's {n} videos")
-    return SignedGraph(offsets=np.stack([pos_offsets, neg_offsets + pos_indices.size]),
-                       indices=indices)
+    return SignedGraph(offsets=offsets, indices=indices)

@@ -64,6 +64,7 @@ from .encoder import (
     encode_forward,
     factor_grads,
     init_encoder,
+    training_features,
 )
 from .encoder import _uniform
 from .exceptions import TrainingError
@@ -277,14 +278,14 @@ def train_student(features: np.ndarray, cfg: RunConfig, graph: SignedGraph,
 
     ``dual_stream=False`` removes the temporal head: its tensors start at
     zero and stay frozen, so the decoder reconstructs from the code alone.
-    Parameters and all the math are in ``np.result_type(features, np.float32)``.
+    Parameters and all the math are in ``np.result_type(features, np.float32)``;
+    anything but a nonempty (N, M, D) feature array raises ValueError.
     """
-    features = np.asarray(features)
-    dtype = np.result_type(features, np.float32)
-    features = features.astype(dtype, copy=False)
+    features = training_features(features)
     n, batch_size = features.shape[0], cfg.batch_size
     init_ss, train_ss = np.random.SeedSequence(cfg.train_seed).spawn(2)
-    params = cast_params(init_student(cfg, np.random.default_rng(init_ss), code_bits), dtype)
+    params = cast_params(init_student(cfg, np.random.default_rng(init_ss), code_bits),
+                         features.dtype)
     freeze: tuple = ()
     if not dual_stream:
         params["w_temp"][:] = 0.0

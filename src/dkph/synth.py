@@ -12,8 +12,8 @@ strongly correlated (like real video) while classes stay separable.
 already range-checked them.
 
 Videos are split per class into train / query / database partitions
-(50/10/40, ``config.SPLIT_FRACTIONS``) and carry globally unique ids in
-concatenation order [train; query; database]. The files hold no ids:
+(50/10/40, sized by ``RunConfig.split_sizes``) and carry globally unique ids
+in concatenation order [train; query; database]. The files hold no ids:
 :func:`load_dataset_splits` numbers a saved corpus the same way.
 """
 
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serial
-from .config import SPLIT_FRACTIONS, RunConfig
+from .config import RunConfig
 
 
 @dataclass
@@ -71,7 +71,6 @@ def generate_synthetic(cfg: RunConfig) -> SynthDataset:
     features = rng.normal(size=(c, v, m, d))
     features *= cfg.intra_class_noise
     features += prototypes[:, None]
-    features = features.reshape(c * v, m, d)
     labels = np.repeat(np.arange(c), v)
 
     # nearest-prototype separability diagnostic on flattened features, scored
@@ -82,24 +81,12 @@ def generate_synthetic(cfg: RunConfig) -> SynthDataset:
     score += np.einsum("ij,ij->i", proto_flat, proto_flat)
     accuracy = float((score.argmin(axis=1) == labels).mean())
 
-    n_train = int(round(SPLIT_FRACTIONS[0] * v))
-    n_query = int(round(SPLIT_FRACTIONS[1] * v))
-    train_rows, query_rows, db_rows = [], [], []
-    for ci in range(c):
-        block = np.arange(ci * v, (ci + 1) * v)
-        train_rows.extend(block[:n_train])
-        query_rows.extend(block[n_train:n_train + n_query])
-        db_rows.extend(block[n_train + n_query:])
-
-    counts = (len(train_rows), len(query_rows), len(db_rows))
-    bounds = np.cumsum((0,) + counts)
-    splits = []
-    for si, rows in enumerate((train_rows, query_rows, db_rows)):
-        rows = np.array(rows, dtype=np.int64)  # an empty split still indexes
-        splits.append(Split(features=features[rows], labels=labels[rows],
-                            ids=np.arange(bounds[si], bounds[si + 1])))
-    return SynthDataset(train=splits[0], query=splits[1], database=splits[2],
-                        prototype_accuracy=accuracy)
+    # each split takes videos [lo, hi) of every class; ids run on across splits
+    bounds = np.cumsum((0, *cfg.split_sizes())).tolist()
+    splits = [Split(features=features[:, lo:hi].reshape(-1, m, d),
+                    labels=np.repeat(np.arange(c), hi - lo), ids=np.arange(c * lo, c * hi))
+              for lo, hi in zip(bounds, bounds[1:])]
+    return SynthDataset(*splits, prototype_accuracy=accuracy)
 
 
 def load_dataset_splits(data_dir) -> dict[str, Split]:

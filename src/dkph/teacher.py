@@ -64,6 +64,7 @@ from .encoder import (
     encode_forward,
     factor_grads,
     init_encoder,
+    training_features,
 )
 from .encoder import _uniform
 from .exceptions import ShapeError, TrainingError
@@ -180,13 +181,12 @@ def video_code_from_frames(frame_codes: np.ndarray):
     return BinaryCode(sign_pm1(sums).astype(np.int8)), tie_count
 
 
-def draw_mask(rng: np.random.Generator, frame_count: int, ratio: float,
+def draw_mask(rng: np.random.Generator, frame_count: int, count: int,
               n: int) -> np.ndarray:
     """(n, M) bool masks, True at the masked frames. Each row masks
-    count = max(1, round(ratio * M)) frames, chosen uniformly: its count
-    smallest keys of one ``rng.random((n, M))`` draw. ``argpartition``
+    ``count`` frames (``RunConfig.masked_frames``), chosen uniformly: its
+    count smallest keys of one ``rng.random((n, M))`` draw. ``argpartition``
     picks exactly count of them, so a tie cannot mark an extra frame."""
-    count = max(1, int(round(ratio * frame_count)))
     keys = rng.random((n, frame_count))
     masks = np.zeros((n, frame_count), dtype=bool)
     np.put_along_axis(masks, np.argpartition(keys, count - 1, axis=1)[:, :count], True, axis=1)
@@ -236,24 +236,20 @@ def batch_gradients(x: np.ndarray, masks: np.ndarray, params: Params,
 def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
     """Adam warm-up of the teacher on (N, M, D) features, for
     ``cfg.teacher_epochs`` epochs of ``cfg.batch_size`` videos, masking
-    ``cfg.mask_ratio`` of the frames.
+    ``cfg.masked_frames()`` frames of each video.
 
     Deterministic under ``cfg.train_seed``; raises TrainingError with the
     epoch index if the loss goes non-finite. ``teacher_epochs = 0`` returns
     the freshly initialized parameters untouched. Parameters and all the
     math are in ``np.result_type(features, np.float32)``.
     """
-    features = np.asarray(features)
-    if features.ndim != 3 or features.shape[0] == 0:
-        raise ValueError("features must be a nonempty (N, M, D) array")
-    dtype = np.result_type(features, np.float32)
-    features = features.astype(dtype, copy=False)
+    features = training_features(features)
     n, batch_size = features.shape[0], cfg.batch_size
 
     init_ss, train_ss, eval_ss = np.random.SeedSequence(cfg.train_seed).spawn(3)
-    params = cast_params(init_teacher(cfg, np.random.default_rng(init_ss)), dtype)
+    params = cast_params(init_teacher(cfg, np.random.default_rng(init_ss)), features.dtype)
     eval_rng = np.random.default_rng(eval_ss)
-    eval_masks = draw_mask(eval_rng, cfg.frames, cfg.mask_ratio, n)
+    eval_masks = draw_mask(eval_rng, cfg.frames, cfg.masked_frames(), n)
     eval_before = masked_eval_loss(features, params, eval_masks)
 
     opt = Adam(cfg.learn_rate)
@@ -264,7 +260,7 @@ def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
         epoch_total = 0.0
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            masks = draw_mask(rng, cfg.frames, cfg.mask_ratio, len(batch))
+            masks = draw_mask(rng, cfg.frames, cfg.masked_frames(), len(batch))
             batch_loss, grads = batch_gradients(features[batch], masks, params)
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"teacher loss non-finite at epoch {epoch}", epoch)

@@ -1,6 +1,7 @@
 """CLI exit codes and outputs on a tiny configuration."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -103,9 +104,24 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
     assert out.count("[PASS at 0.0001]") == 2
 
 
+STAGE_ORDER = list(cli.STAGE_COMMANDS)
+
+
+def test_stage_commands_run_the_pipeline_tables_in_order(capsys):
+    stages = list(cli.STAGE_COMMANDS.values())
+    for stage in stages:
+        assert (stage in pipeline.SHARED_STAGES) != (stage in pipeline.CHAIN_STAGES), stage
+    assert stages == [*pipeline.SHARED_STAGES, *pipeline.CHAIN_STAGES]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    choices = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(choices) == sorted([*cli.STAGE_COMMANDS, "ablate", "gradcheck"])
+
+
 def run_through(args, last):
     """Run the stage subcommands in order, up to and including ``last``."""
-    for command in cli.STAGE_COMMANDS[:cli.STAGE_COMMANDS.index(last) + 1]:
+    for command in STAGE_ORDER[:STAGE_ORDER.index(last) + 1]:
         assert cli.main([command, *args]) == 0, command
 
 
@@ -117,7 +133,7 @@ def run_through(args, last):
 def test_a_stage_before_its_prerequisite_exits_2_naming_it(tiny, capsys, command, missing,
                                                            outputs):
     cfg, args = tiny
-    earlier = cli.STAGE_COMMANDS[cli.STAGE_COMMANDS.index(command) - 2]
+    earlier = STAGE_ORDER[STAGE_ORDER.index(command) - 2]
     run_through(args, earlier)  # every stage but the one right before command
     capsys.readouterr()
     assert cli.main([command, *args]) == 2

@@ -69,6 +69,20 @@ def test_mask_ratio_strictly_inside_unit_interval():
     rejects("mask_ratio", mask_ratio=1.0)
 
 
+def test_mask_ratio_leaves_a_frame_of_every_video_unmasked():
+    # max(1, round(mask_ratio x frames)) frames are masked per video
+    assert RunConfig(frames=4, mask_ratio=0.75).masked_frames() == 3
+    assert RunConfig(frames=2, mask_ratio=0.1).masked_frames() == 1
+    assert RunConfig().masked_frames() == 4  # round(0.15 x 25)
+    rejects("mask_ratio", frames=4, mask_ratio=0.9)  # round(3.6) = 4
+    rejects("mask_ratio", frames=1)  # one frame, always masked
+
+
+def test_split_sizes_per_class_cover_every_video():
+    assert RunConfig().split_sizes() == (20, 4, 16)
+    assert RunConfig(videos_per_class=17).split_sizes() == (8, 2, 7)  # round(8.5) = 8
+
+
 def test_checked_when_loaded_from_text():
     with pytest.raises(ConfigError, match="batch_size"):
         RunConfig.from_text("batch_size = 0\n")
@@ -89,7 +103,7 @@ def test_default_and_benchmark_workload_configs_accepted(monkeypatch):
 RANGE_RULES = [
     ("num_classes", 1, 0),
     ("videos_per_class", 6, 5),  # round(0.1 x 5) = 0 query videos per class
-    ("frames", 1, 0),
+    ("frames", 2, 0),  # at 1 the teacher masks the only frame (mask_ratio rule)
     ("feat_dim", 1, 0),
     ("model_dim", 1, 0),
     ("ffn_dim", 0, -1),

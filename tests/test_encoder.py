@@ -505,7 +505,7 @@ def test_float32_masked_pass_at_paper_default_shapes_matches_the_float64_oracle(
     p32["mask_embed"] = rng.normal(size=cfg.model_dim).astype(np.float32)
     p64 = encoder.cast_params(p32, np.float64)
     x = rng.normal(size=(4, cfg.frames, cfg.feat_dim)).astype(np.float32)
-    masked = draw_mask(rng, cfg.frames, cfg.mask_ratio, 4)
+    masked = draw_mask(rng, cfg.frames, cfg.masked_frames(), 4)
     masks = [tuple(np.flatnonzero(row)) for row in masked]
     rows, cache = encode_forward(x, p32, masked=masked)
     go = rng.normal(size=rows.shape).astype(np.float32)

@@ -168,6 +168,20 @@ class TestCodesAndLabels:
         with pytest.raises(ValueError):
             serial.save_codes(tmp_path / "bad.codes", np.zeros((2, 3), dtype=np.uint8), k=8)
 
+    @pytest.mark.parametrize("packed, k", [
+        (np.zeros((3, 2), np.uint8), np.int64(40)),   # 40 bits need 5 bytes per row
+        (np.zeros((3, 0), np.uint8), np.int64(0)),
+        (np.zeros((3, 1), np.uint8), np.array([8])),
+        (np.zeros((3, 1), np.uint8), np.float64(8.0)),
+        (np.zeros(3, np.uint8), np.int64(8)),
+        (np.zeros((3, 1), np.int8), np.int64(8)),
+    ], ids=["rows-too-short", "k-0", "k-not-scalar", "k-float", "rows-1-d", "rows-int8"])
+    def test_load_codes_checks_the_container_as_save_does(self, tmp_path, packed, k):
+        path = tmp_path / "bad.codes"
+        serial.save_arrays(path, {"packed": packed, "k": k})
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            serial.load_codes(path)
+
     def test_labels_roundtrip(self, tmp_path):
         path = tmp_path / "labels.txt"
         serial.save_labels(path, [3, 1, 4, 1, 5])
@@ -217,28 +231,28 @@ class TestGraphFile:
         assert_graph_roundtrips(tmp_path / "graph.bin",
                                 *(rows[::-1] if empty == "positives" else rows))
 
-    def test_file_holds_each_side_as_offsets_from_zero_and_uint32_indices(self, tmp_path):
+    def test_file_holds_the_offsets_and_uint32_indices(self, tmp_path):
         serial.save_graph(tmp_path / "graph.bin",
                           graph_from_rows([[1, 2], [], [0]], [[2], [0, 2], []]))
         serial.save_arrays(tmp_path / "want.bin", {
-            "pos_offsets": np.array([0, 2, 2, 3], dtype=np.int64),
-            "pos_indices": np.array([1, 2, 0], dtype=np.uint32),
-            "neg_offsets": np.array([0, 1, 3, 3], dtype=np.int64),
-            "neg_indices": np.array([2, 0, 2], dtype=np.uint32)})
+            "offsets": np.array([[0, 2, 2, 3], [3, 4, 6, 6]], dtype=np.int64),
+            "indices": np.array([1, 2, 0, 2, 0, 2], dtype=np.uint32)})
         assert (tmp_path / "graph.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
     @staticmethod
     def two_video_arrays():
-        return {"pos_offsets": np.array([0, 1, 1], dtype=np.int64),
-                "pos_indices": np.array([1], dtype=np.uint32),
-                "neg_offsets": np.array([0, 0, 1], dtype=np.int64),
-                "neg_indices": np.array([0], dtype=np.uint32)}
+        # video 0's positive edge to 1, then video 1's negative edge to 0
+        return {"offsets": np.array([[0, 1, 1], [1, 1, 2]], dtype=np.int64),
+                "indices": np.array([1, 0], dtype=np.uint32)}
 
     @pytest.mark.parametrize("name, value", [
-        ("pos_indices", [2]), ("neg_indices", [7]),
-        ("pos_offsets", [1, 1, 1]), ("neg_offsets", [0, 1, 0]), ("neg_offsets", [0, 1]),
-    ], ids=["pos-edge-past-n", "neg-edge-past-n", "offsets-not-from-0",
-            "offsets-decreasing", "sides-of-different-lengths"])
+        ("indices", [2, 0]), ("indices", [1, 7]),
+        ("offsets", [0, 1, 2]), ("offsets", [[0, 1, 1], [1, 1, 2], [2, 2, 2]]),
+        ("offsets", [[1, 1, 1], [1, 1, 2]]), ("offsets", [[0, 1, 0], [0, 1, 2]]),
+        ("offsets", [[0, 1, 1], [2, 2, 2]]), ("offsets", [[0, 1, 1], [1, 1, 1]]),
+    ], ids=["pos-edge-past-n", "neg-edge-past-n", "offsets-1-d", "offsets-of-three-rows",
+            "offsets-not-from-0", "offsets-decreasing", "side-1-not-where-side-0-ends",
+            "last-offset-not-the-edge-count"])
     def test_a_damaged_graph_raises_naming_the_file(self, tmp_path, name, value):
         path = tmp_path / "graph.bin"
         serial.save_arrays(path, self.two_video_arrays())
@@ -247,4 +261,22 @@ class TestGraphFile:
         arrays[name] = np.array(value, dtype=arrays[name].dtype)
         serial.save_arrays(path, arrays)
         with pytest.raises(ValueError, match=re.escape(str(path))):
+            serial.load_graph(path)
+
+    def test_int32_offsets_raise_naming_the_file(self, tmp_path):
+        path = tmp_path / "graph.bin"
+        arrays = self.two_video_arrays()
+        serial.save_arrays(path, {**arrays, "offsets": arrays["offsets"].astype(np.int32)})
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            serial.load_graph(path)
+
+    def test_a_four_array_file_of_the_per_side_layout_raises_naming_the_file(self, tmp_path):
+        # the layout before the file held SignedGraph's own two arrays
+        path = tmp_path / "graph.bin"
+        serial.save_arrays(path, {
+            "pos_offsets": np.array([0, 1, 1], dtype=np.int64),
+            "pos_indices": np.array([1], dtype=np.uint32),
+            "neg_offsets": np.array([0, 0, 1], dtype=np.int64),
+            "neg_indices": np.array([0], dtype=np.uint32)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a graph file")):
             serial.load_graph(path)

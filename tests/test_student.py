@@ -311,6 +311,12 @@ class TestStep:
             train_student(feats, cfg, graph, anchors, code_bits=K)
         assert exc.value.epoch == 0
 
+    @pytest.mark.parametrize("shape", [(0, 4, 6), (6, 4)], ids=["no-videos", "2-d"])
+    def test_features_not_a_nonempty_batch_raise_value_error(self, shape):
+        _, graph, anchors = two_class_setup()
+        with pytest.raises(ValueError, match=r"^features must be a nonempty \(N, M, D\) array$"):
+            train_student(np.zeros(shape), TOY, graph, anchors, code_bits=K)
+
     def test_training_log_lines(self, tmp_path):
         # by hand, at gamma1 = 0.11 and gamma2 = 0.9: total = 0.5 + 0.11 + 0.45
         # = 1.06, and the shares are 0.5, 0.11 and 0.45 over 1.06

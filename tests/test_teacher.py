@@ -222,21 +222,22 @@ class TestTraining:
 
     def test_draw_mask_bounds(self):
         rng = np.random.default_rng(0)
-        for m in (1, 4, 25):
-            mask = draw_mask(rng, m, 0.15, 3)
+        for m, count in ((1, 1), (4, 1), (4, 4), (25, 4)):
+            mask = draw_mask(rng, m, count, 3)
             assert mask.shape == (3, m) and mask.dtype == bool
-            assert ((1 <= mask.sum(axis=1)) & (mask.sum(axis=1) <= m)).all()
+            np.testing.assert_array_equal(mask.sum(axis=1), count)
 
     @pytest.mark.parametrize("ratio", [0.0, 0.15, 0.5, 0.9, 1.0])
     def test_draw_mask_marks_exactly_count_frames_per_row(self, ratio):
         rng = np.random.default_rng(1)
         for m in range(1, 31):
-            mask = draw_mask(rng, m, ratio, 40)
-            np.testing.assert_array_equal(mask.sum(axis=1), max(1, round(ratio * m)))
+            count = max(1, round(ratio * m))
+            mask = draw_mask(rng, m, count, 40)
+            np.testing.assert_array_equal(mask.sum(axis=1), count)
 
     def test_draw_mask_frame_marginals_are_count_over_m(self):
         n, m = 20_000, 10
-        mask = draw_mask(np.random.default_rng(2), m, 0.3, n)
+        mask = draw_mask(np.random.default_rng(2), m, 3, n)
         p = 3 / m
         assert np.abs(mask.mean(axis=0) - p).max() <= 4.5 * np.sqrt(p * (1 - p) / n)
 
@@ -244,11 +245,12 @@ class TestTraining:
         # one random((n, M)) draw, so seeded streams advance by n * M doubles
         a, b = np.random.default_rng(3), np.random.default_rng(3)
         for m in (3, 4, 25):
-            mask = draw_mask(a, m, 0.15, 5)
+            count = max(1, round(0.15 * m))
+            mask = draw_mask(a, m, count, 5)
             keys = b.random((5, m))
             want = np.zeros((5, m), dtype=bool)
             for r in range(5):
-                want[r, np.argsort(keys[r])[:max(1, round(0.15 * m))]] = True
+                want[r, np.argsort(keys[r])[:count]] = True
             np.testing.assert_array_equal(mask, want)
         assert a.random() == b.random()
 
