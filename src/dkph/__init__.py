@@ -12,10 +12,10 @@ from .codes import BinaryCode, pack_bits, unpack_bits
 from .config import RunConfig
 from .encoder import (
     Params,
-    attention_products,
     encode_backward,
     encode_forward,
     factor_grads,
+    forward_blocks,
     init_encoder,
 )
 from .graph import (
@@ -46,10 +46,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorSet", "BinaryCode", "CodeIndex", "GradCheckReport", "PairSample", "Params",
     "RankedList", "RunConfig", "SignedGraph", "SparseAffinity", "ablation_suite",
-    "attention_products", "build_affinity", "build_signed_graph", "encode_backward",
-    "encode_forward", "factor_grads", "finite_diff_check", "generate_synthetic", "init_encoder", "init_student",
-    "init_teacher", "kmeans", "map_at_k", "pack_bits", "pr_curve", "query_topk",
-    "run_pipeline", "sample_pairs", "student_forward", "student_recon_loss",
-    "teacher_forward", "teacher_recon_loss", "train_student", "train_teacher",
-    "unpack_bits", "video_code_from_frames",
+    "build_affinity", "build_signed_graph", "encode_backward", "encode_forward",
+    "factor_grads", "finite_diff_check", "forward_blocks", "generate_synthetic",
+    "init_encoder", "init_student", "init_teacher", "kmeans", "map_at_k", "pack_bits",
+    "pr_curve", "query_topk", "run_pipeline", "sample_pairs", "student_forward",
+    "student_recon_loss", "teacher_forward", "teacher_recon_loss", "train_student",
+    "train_teacher", "unpack_bits", "video_code_from_frames",
 ]

@@ -17,13 +17,14 @@ Batches. Both passes take only a (B, M, D) batch of videos (one video is a
 batch of one): the per-frame layers run as one matrix product over all
 B * M rows, attention as B stacked M x M products. The backward returns
 parameter gradients summed over the batch. Callers run large sets of videos
-in the blocks of :func:`blocks` and take frame means where they need them.
-A block holds as many videos as fit :data:`BLOCK_BYTES` at one (M, width)
-float array per video, width the largest of ``feat_dim``, ``model_dim`` and
-the FFN width. Each elementwise pass (LayerNorm, GELU, bias and residual
-adds) reads and writes (rows, width) temporaries; at this budget each is at
-most half a 2 MB L2 cache, so a pass works mostly in cache instead of
-streaming through memory (a fixed 64 videos made them 3.2 MB). The budget
+through :func:`forward_blocks`, in the blocks of :func:`blocks`, and take
+frame means where they need them. A block holds as many videos as fit
+:data:`BLOCK_BYTES` at one (M, width) float array per video, width the
+largest of ``feat_dim``, ``model_dim`` and the FFN width. Each elementwise
+pass (LayerNorm, GELU, bias and residual adds) reads and writes (rows,
+width) temporaries; at this budget each is at most half a 2 MB L2 cache,
+so a pass works mostly in cache instead of streaming through memory (a
+fixed 64 videos made them 3.2 MB). The budget
 follows the model: the paper-default model runs 20 videos per block, a
 64-wide model 256, and a tiny one all its videos at once. Per-row outputs
 of the forward do not depend on the block; gradients summed over blocks do,
@@ -40,13 +41,13 @@ with n1 the LayerNorm-1 rows and ``_sel`` the rows whose outputs are
 computed (every row without a mask). So a row meets two d x d products
 forward and four backward, not four and eight, and keys and values are
 never projected. :func:`attention_products` forms the two products, at d^3
-each, once per parameter version: every block of a pass receives them, and
-a one-call user passes none and lets the forward form them. The backward
-returns gradients for ``encoder.w_qk`` and ``encoder.w_vo`` in place of the
-four weights', and :func:`factor_grads` maps their sum over a step's blocks
-onto W_q, W_k, W_v and W_o (four more d^3 products). Parameters,
-checkpoints and optimizer moments keep the four weights; the products are
-never stored.
+each, and :func:`forward_blocks` forms them once per pass: every block of
+the pass receives them, and a one-call user passes none and lets the
+forward form them. The backward returns gradients for ``encoder.w_qk`` and
+``encoder.w_vo`` in place of the four weights', and :func:`factor_grads`
+maps their sum over a step's blocks onto W_q, W_k, W_v and W_o (four more
+d^3 products). Parameters, checkpoints and optimizer moments keep the four
+weights; the products are never stored.
 
 Masked rows. ``masked`` is an optional (B, M) bool array, True at the
 frames the cloze teacher masks; the student never masks. A masked frame's
@@ -286,10 +287,22 @@ def check_mask(masked, shape: tuple) -> None:
 def attention_products(params) -> tuple[np.ndarray, np.ndarray]:
     """``(w_qk, w_vo)`` = (W_q W_k^T, W_v W_o), the two d x d products
     through which attention reads its four weights (module docstring,
-    Attention products). Form them once per parameter version and pass them
-    to every block's :func:`encode_forward`."""
+    Attention products); :func:`forward_blocks` forms them once per pass."""
     p = _tensors(params)
     return p["w_q"] @ p["w_k"].T, p["w_v"] @ p["w_o"]
+
+
+def forward_blocks(forward, x: np.ndarray, params: Params, *per_video, **options):
+    """One pass of ``forward`` over the videos of ``x``, block by block
+    (module docstring, Batches): yields ``(blk, forward(x[blk], params,
+    *(a[blk] for a in per_video), products=products, **options))`` for each
+    slice of :func:`blocks`, with the :func:`attention_products` formed once
+    for the whole pass. ``forward`` is :func:`encode_forward` or a model's
+    forward over it; each array of ``per_video`` has one row per video."""
+    products = attention_products(params)
+    for blk in blocks(len(x), params):
+        yield blk, forward(x[blk], params, *(a[blk] for a in per_video),
+                           products=products, **options)
 
 
 def encode_forward(

@@ -23,6 +23,11 @@ Stage artifacts
     ablation.txt  each width's variant mAP and stream probes of its
                student_K.ckpt, regenerated on every ablation_suite call
 
+The two training logs are ``optim.write_log`` rows: teacher_log.txt is an
+``eval_before`` line, one ``epoch recon`` line per epoch and an
+``eval_after`` line; student_K_log.txt is one line per epoch of
+``epoch recon bsim tsim total`` and the three ``share_*`` values.
+
 ``ablation_suite``'s "full" chains (``model_chains``) are ``run_pipeline``'s,
 so either call reuses the other's stages.
 
@@ -64,16 +69,16 @@ import numpy as np
 from . import serial
 from .codes import pack_bits, unpack_bits
 from .config import RunConfig
-from .encoder import Params, attention_products, blocks, cast_params, encode_forward
+from .encoder import Params, cast_params, encode_forward, forward_blocks
 from .exceptions import PipelineError
 from .graph import build_affinity, build_signed_graph, kmeans
+from .optim import write_log
 from .retrieval import MAP_KS, CodeIndex, map_at_k, pr_curve
 from .student import (
     PROBE_MODES,
     probe_reconstruction,
     student_code,
     train_student,
-    write_training_log,
 )
 from .synth import generate_synthetic
 from .teacher import train_teacher
@@ -202,9 +207,8 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
 def _video_embeddings(features: np.ndarray, params: Params) -> np.ndarray:
     """Each video's mean encoder output, (N, model_dim): the teacher
     embeddings the anchor graph is built on."""
-    products = attention_products(params)
-    return np.concatenate([encode_forward(features[blk], params, products=products)[0]
-                           .mean(axis=1) for blk in blocks(len(features), params)])
+    return np.concatenate([frames.mean(axis=1) for _, (frames, _cache)
+                           in forward_blocks(encode_forward, features, params)])
 
 
 def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
@@ -212,11 +216,8 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
         train = serial.load_features(run_dir / "data" / "train.features")
         result = train_teacher(train, cfg)
         serial.save_checkpoint(run_dir / "teacher.ckpt", result.params)
-        with open(run_dir / "teacher_log.txt", "w") as f:
-            f.write(f"eval_before={result.eval_before:.10g}\n")
-            for epoch, loss in enumerate(result.epoch_losses):
-                f.write(f"epoch={epoch} recon={loss:.10g}\n")
-            f.write(f"eval_after={result.eval_after:.10g}\n")
+        write_log(run_dir / "teacher_log.txt", [{"eval_before": result.eval_before},
+                                                *result.history, {"eval_after": result.eval_after}])
         means = _video_embeddings(train, result.params)
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
 
@@ -277,7 +278,7 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
         result = train_student(train, variant_cfg, graph, anchors, code_bits=bits,
                                dual_stream=variant != "no_dual")
         serial.save_checkpoint(run_dir / f"student_{tag}.ckpt", result.params)
-        write_training_log(run_dir / f"student_{tag}_log.txt", result.history)
+        write_log(run_dir / f"student_{tag}_log.txt", result.history)
 
     _run_stage(run_dir, cfg, f"student_{tag}", "graph",
                [f"student_{tag}.ckpt", f"student_{tag}_log.txt"], fn)
@@ -286,11 +287,8 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
 def encode_split(features: np.ndarray, params: Params) -> np.ndarray:
     """Hard codes for every video, from the encoder and the hash head alone;
     returns packed uint8 rows."""
-    products = attention_products(params)
-    codes = []
-    for blk in blocks(len(features), params):
-        frames, _ = encode_forward(features[blk], params, products=products)
-        codes.append(student_code(frames, params)[1])
+    codes = [student_code(frames, params)[1]
+             for _, (frames, _cache) in forward_blocks(encode_forward, features, params)]
     return pack_bits(np.concatenate(codes).astype(np.int8))
 
 

@@ -92,10 +92,17 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     return out
 
 
-def _load_kind(path, kind: str, names: tuple) -> dict[str, np.ndarray]:
+def _load_kind(path, kind: str, layout: dict) -> dict[str, np.ndarray]:
+    """The arrays of a ``kind`` file, which must be exactly those of
+    ``layout`` (name -> (dtype, ndim)), as the kind's save writes them;
+    ValueError naming ``path`` otherwise."""
     arrays = load_arrays(path)
-    if sorted(arrays) != sorted(names):
+    if sorted(arrays) != sorted(layout):
         raise ValueError(f"{path}: not a {kind} file (arrays {sorted(arrays)})")
+    for name, (dtype, ndim) in layout.items():
+        if arrays[name].dtype != dtype or arrays[name].ndim != ndim:
+            raise ValueError(f"{path}: {kind} array {name!r} must be {ndim}-D {dtype}, "
+                             f"got {arrays[name].dtype} of shape {arrays[name].shape}")
     return arrays
 
 
@@ -118,13 +125,14 @@ def save_features(path, features: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    """Returns (N, M, D) float32, the stored precision.
+    """Returns (N, M, D) float32, the stored precision; any other dtype or
+    number of axes raises ValueError naming the file.
 
     Training and encoding compute in the features' dtype (see
     ``encoder``), so float32 features train and encode in float32; widening
     here would add no precision.
     """
-    return _load_kind(path, "features", ("features",))["features"]
+    return _load_kind(path, "features", {"features": ("float32", 3)})["features"]
 
 
 # -- packed codes --------------------------------------------------------
@@ -149,7 +157,7 @@ def save_codes(path, packed: np.ndarray, k: int) -> None:
 
 def load_codes(path) -> tuple[np.ndarray, int]:
     """The packed rows and K of a :func:`save_codes` file, checked as on save."""
-    arrays = _load_kind(path, "codes", ("packed", "k"))
+    arrays = _load_kind(path, "codes", {"packed": ("uint8", 2), "k": ("int64", 0)})
     return arrays["packed"], _check_codes(path, arrays["packed"], arrays["k"])
 
 
@@ -178,17 +186,16 @@ def save_graph(path, graph: SignedGraph) -> None:
 
 
 def load_graph(path) -> SignedGraph:
-    """The graph of a :func:`save_graph` file, its indices as int64. Offsets
-    that do not index the graph's two sides and an edge to a video outside
-    the graph raise ValueError."""
-    arrays = _load_kind(path, "graph", ("offsets", "indices"))
+    """The graph of a :func:`save_graph` file, its indices as int64. Arrays
+    not in the dtypes save writes, offsets that do not index the graph's two
+    sides and an edge to a video outside the graph raise ValueError."""
+    arrays = _load_kind(path, "graph", {"offsets": ("int64", 2), "indices": ("uint32", 1)})
     offsets, indices = arrays["offsets"], arrays["indices"].astype(np.int64)
     flat = offsets.reshape(-1)
-    if (offsets.dtype != np.int64 or offsets.ndim != 2 or len(offsets) != 2 or indices.ndim != 1
-            or flat[:1].tolist() != [0] or np.any(np.diff(flat) < 0)
+    if (len(offsets) != 2 or flat[:1].tolist() != [0] or np.any(np.diff(flat) < 0)
             or flat[-1] != indices.size or offsets[1, 0] != offsets[0, -1]):
         raise ValueError(f"{path}: graph offsets do not index the graph's rows")
     n = offsets.shape[1] - 1
-    if np.any((indices < 0) | (indices >= n)):
+    if np.any(indices >= n):
         raise ValueError(f"{path}: an edge index is not one of the graph's {n} videos")
     return SignedGraph(offsets=offsets, indices=indices)

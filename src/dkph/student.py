@@ -30,8 +30,10 @@ weights set to zero.
 Batches. ``student_forward`` takes a (B, M, D) batch, as the encoder does;
 every output has a leading B axis (the code is (B, K)). ``batch_gradients``,
 ``probe_reconstruction`` and the pipeline's encoding run the videos they need
-in the blocks of ``encoder.blocks``, sized by bytes per video; the student
-never masks frames. Encoding reads the code alone, so it runs the encoder
+through ``encoder.forward_blocks``, in blocks sized by bytes per video; the
+student never masks frames. :func:`train_student` runs the epochs of
+``optim.train_epochs`` on :func:`student_step`, which returns one batch's
+losses and gradients. Encoding reads the code alone, so it runs the encoder
 and :func:`student_code`, the hash head, without the temporal head and the
 decoder. Pairs stay index arrays from the sampler to the gradients:
 ``batch_gradients`` maps their videos to rows of its forward with
@@ -57,19 +59,17 @@ from .codes import binarize_tanh
 from .config import RunConfig
 from .encoder import (
     Params,
-    attention_products,
-    blocks,
     cast_params,
     encode_backward,
     encode_forward,
     factor_grads,
+    forward_blocks,
     init_encoder,
     training_features,
 )
 from .encoder import _uniform
-from .exceptions import TrainingError
 from .graph import PairSample, SignedGraph, sample_pairs
-from .optim import Adam, add_grads
+from .optim import add_grads, train_epochs
 
 
 def init_student(cfg: RunConfig, rng: np.random.Generator, code_bits: int) -> Params:
@@ -133,9 +133,9 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
     """Losses and gradients of recon + gamma1*bsim + gamma2*tsim, with the
     weights (and tsim's hinge weight ``eta`` and margin ``beta``) of ``cfg``.
 
-    One forward and one backward per distinct video, in blocks that share
-    one ``encoder.attention_products``; the attention weights' gradients
-    are mapped from the block sum by ``encoder.factor_grads``.
+    One forward and one backward per distinct video, in the blocks of
+    ``encoder.forward_blocks``; the attention weights' gradients are mapped
+    from the block sum by ``encoder.factor_grads``.
     Reconstruction covers the distinct videos of ``batch``, the pair losses
     cover the videos named in ``pairs`` (both sides of a pair receive bsim
     gradient; only the anchor side receives tsim gradient). ``pairs=None``
@@ -150,9 +150,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
     batch = np.unique(np.asarray(batch, dtype=np.int64))
     need = batch if pairs is None else np.union1d(batch, np.union1d(pairs.i, pairs.j))
     x = np.asarray(features)[need].astype(dtype, copy=False)
-    products = attention_products(params)
-    fwds = [(blk, student_forward(x[blk], params, binarize, products))
-            for blk in blocks(len(need), params)]
+    fwds = list(forward_blocks(student_forward, x, params, binarize=binarize))
 
     in_batch = np.zeros(len(need), dtype=bool)
     in_batch[np.searchsorted(need, batch)] = True
@@ -229,25 +227,22 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
 
 def student_step(features: np.ndarray, batch, params: Params,
                  graph: SignedGraph, anchors: np.ndarray, cfg: RunConfig,
-                 opt: Adam, pair_rng, freeze: tuple = ()) -> dict:
-    """One Adam update of the weighted objective; returns the loss breakdown.
+                 pair_rng, freeze: tuple = ()) -> tuple[dict, dict]:
+    """The loss breakdown and the gradients of one training batch of the
+    weighted objective, as ``(losses, grads)`` for ``optim.train_epochs``.
 
     One pair is sampled per video of ``batch``. With gamma1 = gamma2 = 0 no
-    pairs are sampled and the update is exactly the reconstruction-only
-    gradient step. Tensors named in ``freeze`` keep their current values
-    (used by architecture ablations).
+    pairs are sampled and the gradients are exactly the reconstruction-only
+    ones. Tensors named in ``freeze`` get no gradient, so the optimizer
+    keeps their current values (used by architecture ablations).
     """
     pairs = None
     if cfg.gamma1 or cfg.gamma2:
         pairs = sample_pairs(graph, batch, count=len(batch), seed=pair_rng)
     losses, grads = batch_gradients(features, batch, pairs, params, cfg, anchors)
-    if not np.isfinite(losses["total"]):
-        raise TrainingError("student loss non-finite", epoch=-1)
     for name in freeze:
         grads.pop(name, None)
-    opt.step(params, grads)
-    params.version += 1
-    return losses
+    return losses, grads
 
 
 def loss_shares(losses: dict, cfg: RunConfig) -> dict[str, float]:
@@ -282,7 +277,6 @@ def train_student(features: np.ndarray, cfg: RunConfig, graph: SignedGraph,
     anything but a nonempty (N, M, D) feature array raises ValueError.
     """
     features = training_features(features)
-    n, batch_size = features.shape[0], cfg.batch_size
     init_ss, train_ss = np.random.SeedSequence(cfg.train_seed).spawn(2)
     params = cast_params(init_student(cfg, np.random.default_rng(init_ss), code_bits),
                          features.dtype)
@@ -291,28 +285,14 @@ def train_student(features: np.ndarray, cfg: RunConfig, graph: SignedGraph,
         params["w_temp"][:] = 0.0
         params["b_temp"][:] = 0.0
         freeze = ("w_temp", "b_temp")
-    opt = Adam(cfg.learn_rate)
     rng = np.random.default_rng(train_ss)
 
-    history: list[dict] = []
-    for epoch in range(cfg.student_epochs):
-        order = rng.permutation(n)
-        sums = {"recon": 0.0, "bsim": 0.0, "tsim": 0.0, "total": 0.0}
-        batches = 0
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            try:
-                parts = student_step(features, batch, params, graph, anchors,
-                                     cfg, opt, rng, freeze=freeze)
-            except TrainingError as err:
-                raise TrainingError(f"student loss non-finite at epoch {epoch}", epoch) from err
-            for key in sums:
-                sums[key] += parts[key]
-            batches += 1
-        row = {key: val / batches for key, val in sums.items()}
-        row["epoch"] = epoch
+    def step(batch):
+        return student_step(features, batch, params, graph, anchors, cfg, rng, freeze)
+
+    history = train_epochs(params, len(features), cfg.student_epochs, cfg, rng, step, "student")
+    for row in history:
         row.update(loss_shares(row, cfg))
-        history.append(row)
     return StudentTrainResult(params=params, history=history)
 
 
@@ -329,11 +309,9 @@ def probe_reconstruction(features: np.ndarray, params: Params) -> dict[str, floa
     mean_latent   decoder(mean_m l + b)  latents frozen to their per-video mean
     """
     features = np.asarray(features)
-    products = attention_products(params)
     totals = dict.fromkeys(PROBE_MODES, 0.0)
-    for blk in blocks(features.shape[0], params):
+    for blk, fwd in forward_blocks(student_forward, features, params):
         x = features[blk]
-        fwd = student_forward(x, params, products=products)
         code = fwd.code[:, None, :]
         shape = fwd.latent.shape
         mixes = {"intact": fwd.latent + code,
@@ -344,14 +322,3 @@ def probe_reconstruction(features: np.ndarray, params: Params) -> dict[str, floa
         for mode, mix in mixes.items():
             totals[mode] += student_recon_loss(x, mix @ params["w_dec"] + params["b_dec"]) * len(x)
     return {mode: total / features.shape[0] for mode, total in totals.items()}
-
-
-def write_training_log(path, history: list[dict]) -> None:
-    """Line-oriented records: epoch, recon, bsim, tsim, total, then each
-    weighted term's share of the total (recon, gamma1 * bsim and
-    gamma2 * tsim over total). No other name starts with ``total``."""
-    with open(path, "w") as f:
-        for row in history:
-            f.write("epoch={epoch} recon={recon:.10g} bsim={bsim:.10g} "
-                    "tsim={tsim:.10g} total={total:.10g} share_recon={share_recon:.4g} "
-                    "share_bsim={share_bsim:.4g} share_tsim={share_tsim:.4g}\n".format(**row))

@@ -27,8 +27,10 @@ the encoder does: ``mask`` is a (B, M) bool array with at least one True per
 row, the loss is one value per video, and the backward returns the gradient
 of the summed per-video losses. Training (:func:`batch_gradients`, which
 ``train_teacher`` steps on and the gradient check differentiates) and
-evaluation run in the blocks of ``encoder.blocks``, sized by bytes per
-video, with the encoder's attention products formed once per pass.
+evaluation run their videos through ``encoder.forward_blocks``, in blocks
+sized by bytes per video with the encoder's attention products formed
+once per pass. :func:`train_teacher` runs the epochs of
+``optim.train_epochs``, one masked batch per step.
 
 Masked rows only. The forward passes its mask to the encoder, which
 replaces the masked frames' content by ``mask_embed`` and computes only
@@ -56,19 +58,18 @@ from .codes import BinaryCode, binarize_tanh, sign_pm1
 from .config import RunConfig
 from .encoder import (
     Params,
-    attention_products,
-    blocks,
     cast_params,
     check_mask,
     encode_backward,
     encode_forward,
     factor_grads,
+    forward_blocks,
     init_encoder,
     training_features,
 )
 from .encoder import _uniform
-from .exceptions import ShapeError, TrainingError
-from .optim import Adam, add_grads
+from .exceptions import ShapeError
+from .optim import add_grads, train_epochs
 
 
 def init_teacher(cfg: RunConfig, rng: np.random.Generator) -> Params:
@@ -196,7 +197,7 @@ def draw_mask(rng: np.random.Generator, frame_count: int, count: int,
 @dataclass
 class TeacherTrainResult:
     params: Params
-    epoch_losses: list[float]  # mean training-batch loss per epoch
+    history: list[dict]        # one row per epoch: epoch, recon (mean training-batch loss)
     eval_before: float         # fixed-mask loss at initialization
     eval_after: float
 
@@ -204,10 +205,8 @@ class TeacherTrainResult:
 def masked_eval_loss(features: np.ndarray, params: Params, masks: np.ndarray) -> float:
     """Mean masked-reconstruction loss over a dataset with fixed (N, M) masks."""
     features = np.asarray(features)
-    products = attention_products(params)
     total = 0.0
-    for blk in blocks(len(features), params):
-        fwd = teacher_forward(features[blk], params, masks[blk], products=products)
+    for blk, fwd in forward_blocks(teacher_forward, features, params, masks):
         total += float(teacher_recon_loss(features[blk], fwd.recon, masks[blk]).sum())
     return total / len(features)
 
@@ -218,15 +217,13 @@ def batch_gradients(x: np.ndarray, masks: np.ndarray, params: Params,
     (B, M) ``masks``, and its gradient for every teacher tensor, keyed like
     ``params``.
 
-    One forward and one backward per block of ``encoder.blocks``, all with
-    the attention products formed once; the attention weights' gradients
-    are mapped from the block sum by ``encoder.factor_grads``.
+    One forward and one backward per block of ``encoder.forward_blocks``;
+    the attention weights' gradients are mapped from the block sum by
+    ``encoder.factor_grads``.
     """
-    products = attention_products(params)
     total = 0.0
     grads: dict[str, np.ndarray] = {}
-    for blk in blocks(len(x), params):
-        fwd = teacher_forward(x[blk], params, masks[blk], binarize, products)
+    for blk, fwd in forward_blocks(teacher_forward, x, params, masks, binarize=binarize):
         total += float(teacher_recon_loss(x[blk], fwd.recon, masks[blk]).sum())
         add_grads(grads, teacher_backward(x[blk], fwd, params))
     scale = 1.0 / len(x)
@@ -244,31 +241,20 @@ def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
     math are in ``np.result_type(features, np.float32)``.
     """
     features = training_features(features)
-    n, batch_size = features.shape[0], cfg.batch_size
-
     init_ss, train_ss, eval_ss = np.random.SeedSequence(cfg.train_seed).spawn(3)
     params = cast_params(init_teacher(cfg, np.random.default_rng(init_ss)), features.dtype)
     eval_rng = np.random.default_rng(eval_ss)
-    eval_masks = draw_mask(eval_rng, cfg.frames, cfg.masked_frames(), n)
+    eval_masks = draw_mask(eval_rng, cfg.frames, cfg.masked_frames(), len(features))
     eval_before = masked_eval_loss(features, params, eval_masks)
 
-    opt = Adam(cfg.learn_rate)
     rng = np.random.default_rng(train_ss)
-    epoch_losses: list[float] = []
-    for epoch in range(cfg.teacher_epochs):
-        order = rng.permutation(n)
-        epoch_total = 0.0
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            masks = draw_mask(rng, cfg.frames, cfg.masked_frames(), len(batch))
-            batch_loss, grads = batch_gradients(features[batch], masks, params)
-            if not np.isfinite(batch_loss):
-                raise TrainingError(f"teacher loss non-finite at epoch {epoch}", epoch)
-            opt.step(params, grads)
-            params.version += 1
-            epoch_total += batch_loss
-        epoch_losses.append(epoch_total / ((n + batch_size - 1) // batch_size))
 
+    def step(batch):
+        masks = draw_mask(rng, cfg.frames, cfg.masked_frames(), len(batch))
+        loss, grads = batch_gradients(features[batch], masks, params)
+        return {"recon": loss}, grads
+
+    history = train_epochs(params, len(features), cfg.teacher_epochs, cfg, rng, step, "teacher")
     eval_after = masked_eval_loss(features, params, eval_masks)
-    return TeacherTrainResult(params=params, epoch_losses=epoch_losses,
+    return TeacherTrainResult(params=params, history=history,
                               eval_before=eval_before, eval_after=eval_after)

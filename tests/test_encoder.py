@@ -393,6 +393,38 @@ class TestBatched:
         wide_in = init_encoder(replace(TOY, feat_dim=24), np.random.default_rng(0))
         assert encoder.blocks(20, wide_in)[0] == slice(0, 4)
 
+    def test_forward_blocks_forms_the_products_once_and_slices_per_video_arrays(
+            self, monkeypatch):
+        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
+        formed = []
+
+        def counted(params):
+            formed.append(attention_products(params))
+            return formed[-1]
+
+        monkeypatch.setattr(encoder, "attention_products", counted)
+        p = toy_params(0)
+        x = np.random.default_rng(1).normal(size=(5, 4, 6))
+        ids, masks = np.arange(5), np.arange(10).reshape(5, 2)
+        calls = []
+
+        def forward(xb, params, *per_video, products=None, tag=None):
+            calls.append((xb, per_video, products, tag))
+            return len(xb)
+
+        out = list(encoder.forward_blocks(forward, x, p, ids, masks, tag="t"))
+        assert len(formed) == 1
+        assert [blk for blk, _ in out] == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        assert [n for _, n in out] == [2, 2, 1]
+        for (blk, _), (xb, (ids_b, masks_b), products, tag) in zip(out, calls):
+            np.testing.assert_array_equal(xb, x[blk])
+            np.testing.assert_array_equal(ids_b, ids[blk])
+            np.testing.assert_array_equal(masks_b, masks[blk])
+            assert products is formed[0] and tag == "t"
+        # a second pass forms its own products
+        list(encoder.forward_blocks(forward, x, p))
+        assert len(formed) == 2
+
     @pytest.mark.parametrize("cfg, videos", [
         (RunConfig(), 20),                                  # paper default: 25 x 512 x 4 B
         (RunConfig(frames=8, model_dim=64), 256),           # 8 x 128 x 4 B

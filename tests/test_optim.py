@@ -1,8 +1,12 @@
-"""Adam steps and gradient accumulation over blocks."""
+"""Adam steps, gradient accumulation over blocks, the epoch loop and the log."""
 
 import numpy as np
+import pytest
 
-from dkph.optim import BETA1, BETA2, EPS, Adam, add_grads
+from dkph.config import RunConfig
+from dkph.encoder import Params
+from dkph.exceptions import TrainingError
+from dkph.optim import BETA1, BETA2, EPS, Adam, add_grads, train_epochs, write_log
 
 
 def test_add_grads_is_the_left_to_right_sum_and_writes_only_the_first_part():
@@ -49,3 +53,62 @@ def test_adam_moments_keep_their_identity_and_a_tensor_without_gradient_gets_non
         assert opt._m["w"] is moments[0] and opt._v["w"] is moments[1]
         assert list(opt._m) == list(opt._v) == ["w"]
     assert np.array_equal(params["frozen"], frozen)
+
+
+class FakeStep:
+    """A step over 4 videos in batches of 2: fixed losses and one gradient
+    per call, a NaN loss at call ``nan_at`` (1-based)."""
+
+    def __init__(self, nan_at=None):
+        self.nan_at = nan_at
+        self.batches = []
+        self.losses = [{"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 30.0},
+                       {"a": 0.5, "b": 4.0}, {"a": 0.25, "b": 8.0}]
+
+    def __call__(self, batch):
+        self.batches.append(batch)
+        losses = dict(self.losses[len(self.batches) - 1])
+        if len(self.batches) == self.nan_at:
+            losses["b"] = float("nan")
+        return losses, {"w": np.full(3, float(len(self.batches)))}
+
+
+LOOP_CFG = RunConfig(batch_size=2, learn_rate=0.1)
+
+
+def test_train_epochs_rows_are_the_epoch_then_each_loss_mean():
+    params = Params(w=np.zeros(3))
+    step = FakeStep()
+    history = train_epochs(params, 4, 2, LOOP_CFG, np.random.default_rng(0), step, "toy")
+    assert history == [{"epoch": 0, "a": (1.0 + 2.0) / 2, "b": (10.0 + 30.0) / 2},
+                       {"epoch": 1, "a": (0.5 + 0.25) / 2, "b": (4.0 + 8.0) / 2}]
+    assert [list(row) for row in history] == [["epoch", "a", "b"]] * 2
+    assert params.version == 4
+    # each epoch's two batches are one permutation of the videos
+    for epoch in range(2):
+        assert sorted(np.concatenate(step.batches[2 * epoch:2 * epoch + 2])) == [0, 1, 2, 3]
+
+
+def test_train_epochs_stops_at_a_non_finite_loss_before_applying_its_batch():
+    params = Params(w=np.zeros(3))
+    with pytest.raises(TrainingError, match=r"^toy loss non-finite at epoch 1$") as exc:
+        train_epochs(params, 4, 2, LOOP_CFG, np.random.default_rng(0), FakeStep(nan_at=3), "toy")
+    assert exc.value.epoch == 1
+    assert params.version == 2
+    want = {"w": np.zeros(3)}
+    opt = Adam(LOOP_CFG.learn_rate)
+    for call in (1, 2):
+        opt.step(want, {"w": np.full(3, float(call))})
+    np.testing.assert_array_equal(params["w"], want["w"])
+
+
+def test_write_log_writes_each_row_in_order(tmp_path):
+    # the teacher's log: eval_before, one row per epoch, eval_after; floats
+    # to 10 significant digits, integers as they are
+    path = tmp_path / "teacher_log.txt"
+    write_log(path, [{"eval_before": 1.23456789012345}, {"epoch": 0, "recon": 0.5},
+                     {"epoch": 1, "recon": 2.0 / 3.0}, {"eval_after": 1e-12}])
+    assert path.read_text() == ("eval_before=1.23456789\n"
+                                "epoch=0 recon=0.5\n"
+                                "epoch=1 recon=0.6666666667\n"
+                                "eval_after=1e-12\n")

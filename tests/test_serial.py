@@ -146,6 +146,15 @@ class TestFeatures:
         serial.save_features(path, np.ones((2, 3, 4)))
         assert serial.load_features(path).dtype == np.float32
 
+    @pytest.mark.parametrize("features", [np.zeros((3, 4, 6)), np.zeros((3, 4), np.float32)],
+                             ids=["float64", "2-d"])
+    def test_load_refuses_what_save_does_not_write(self, tmp_path, features):
+        # a float64 file would train and encode in float64 downstream
+        path = tmp_path / "x.feat"
+        serial.save_arrays(path, {"features": features})
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            serial.load_features(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "x.feat"
         serial.save_features(path, np.zeros((2, 2, 2)))
@@ -261,6 +270,16 @@ class TestGraphFile:
         arrays[name] = np.array(value, dtype=arrays[name].dtype)
         serial.save_arrays(path, arrays)
         with pytest.raises(ValueError, match=re.escape(str(path))):
+            serial.load_graph(path)
+
+    @pytest.mark.parametrize("indices", [np.array([1.7, 0.2, 1.9]), np.array([1, 0, 1])],
+                             ids=["float64", "int64"])
+    def test_indices_not_uint32_raise_naming_the_file(self, tmp_path, indices):
+        # float64 indices would load truncated, [1.7, 0.2, 1.9] as [1, 0, 1]
+        path = tmp_path / "graph.bin"
+        serial.save_arrays(path, {"offsets": np.array([[0, 2, 2], [2, 2, 3]], dtype=np.int64),
+                                  "indices": indices})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: graph array 'indices' must be")):
             serial.load_graph(path)
 
     def test_int32_offsets_raise_naming_the_file(self, tmp_path):

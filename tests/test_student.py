@@ -12,7 +12,7 @@ from dkph.config import RunConfig
 from dkph.exceptions import TrainingError
 from dkph.graph import PairSample, sample_pairs
 from dkph.gradcheck import student_gradient_check, teacher_gradient_check
-from dkph.optim import Adam
+from dkph.optim import write_log
 from dkph.student import (
     PROBE_MODES,
     batch_gradients,
@@ -24,7 +24,6 @@ from dkph.student import (
     student_recon_loss,
     student_step,
     train_student,
-    write_training_log,
 )
 from dkph.teacher import init_teacher, teacher_forward
 from test_encoder import TOY_VIDEO_BYTES, assert_rel_close, oracle_backward, oracle_forward
@@ -251,33 +250,36 @@ class TestStep:
         feats, graph, anchors = two_class_setup()
         w0 = replace(TOY, gamma1=0.0, gamma2=0.0)
 
-        params_a = toy_student(11)
         rng_a = np.random.default_rng(0)
-        parts = student_step(feats, [0, 1, 2], params_a, graph, anchors, w0,
-                             Adam(lr=1e-3), rng_a)
+        parts, grads_a = student_step(feats, [0, 1, 2], toy_student(11), graph, anchors, w0,
+                                      rng_a)
         assert parts["bsim"] == 0.0 and parts["tsim"] == 0.0
         # no pairs were sampled: the rng state is untouched
         assert rng_a.random() == np.random.default_rng(0).random()
 
-        # reference: pure reconstruction gradients through the same optimizer
-        params_b = toy_student(11)
-        losses, grads = batch_gradients(feats, [0, 1, 2], None, params_b, w0, None)
+        # reference: pure reconstruction gradients
+        losses, grads = batch_gradients(feats, [0, 1, 2], None, toy_student(11), w0, None)
         assert losses["total"] == parts["recon"]
-        Adam(lr=1e-3).step(params_b, grads)
-        for name, arr in params_a.items():
-            np.testing.assert_array_equal(arr, params_b[name])
+        assert list(grads_a) == list(grads)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(grads_a[name], g)
 
-    def test_step_returns_all_components_and_updates_params(self):
+    def test_step_returns_all_components_and_a_gradient_per_unfrozen_tensor(self):
         feats, graph, anchors = two_class_setup()
         params = toy_student(12)
         before = {k: v.copy() for k, v in params.items()}
-        parts = student_step(feats, [0, 1, 2, 3], params, graph, anchors,
-                             TOY, Adam(TOY.learn_rate), np.random.default_rng(1))
+        parts, grads = student_step(feats, [0, 1, 2, 3], params, graph, anchors,
+                                    TOY, np.random.default_rng(1))
         assert set(parts) == {"recon", "bsim", "tsim", "total"}
         assert parts["total"] == pytest.approx(
             parts["recon"] + 0.11 * parts["bsim"] + 0.9 * parts["tsim"])
-        changed = any(not np.array_equal(before[k], v) for k, v in params.items())
-        assert changed
+        assert list(grads) == list(params)
+        # the step only computes: the optimizer of optim.train_epochs applies it
+        for name, arr in params.items():
+            np.testing.assert_array_equal(arr, before[name])
+        _, frozen = student_step(feats, [0, 1, 2, 3], params, graph, anchors,
+                                 TOY, np.random.default_rng(1), freeze=("w_temp", "b_temp"))
+        assert list(frozen) == [name for name in params if name not in ("w_temp", "b_temp")]
 
     def test_full_loss_gradient_check_toy(self):
         report = student_gradient_check(seed=0)
@@ -324,7 +326,7 @@ class TestStep:
                     "share_recon": 0.4716981132, "share_bsim": 0.1037735849,
                     "share_tsim": 0.4245283019}]
         path = tmp_path / "log.txt"
-        write_training_log(path, history)
+        write_log(path, history)
         line = path.read_text().strip()
         assert line == ("epoch=0 recon=0.5 bsim=1 tsim=0.5 total=1.06 share_recon=0.4717 "
                         "share_bsim=0.1038 share_tsim=0.4245")

@@ -192,7 +192,7 @@ class TestTraining:
         b = train_teacher(feats, replace(TOY, teacher_epochs=3, train_seed=7, batch_size=4))
         for name, arr in a.params.items():
             np.testing.assert_array_equal(arr, b.params[name])
-        assert a.epoch_losses == b.epoch_losses
+        assert a.history == b.history
 
     def test_loss_does_not_increase_over_training(self):
         feats = self.make_features(n=20, seed=1)
@@ -361,4 +361,6 @@ class TestBatched:
         b = train_teacher(feats, replace(TOY, teacher_epochs=2, train_seed=9, batch_size=8))
         for name, arr in a.params.items():
             assert_rel_close(b.params[name], arr, tol=1e-9)
-        np.testing.assert_allclose(b.epoch_losses, a.epoch_losses, rtol=1e-12)
+        assert [row["epoch"] for row in b.history] == [row["epoch"] for row in a.history]
+        np.testing.assert_allclose([row["recon"] for row in b.history],
+                                   [row["recon"] for row in a.history], rtol=1e-12)
