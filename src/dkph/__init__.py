@@ -30,7 +30,7 @@ from .graph import (
 )
 from .numerics import GradCheckReport, finite_diff_check
 from .pipeline import ablation_suite, run_pipeline
-from .retrieval import CodeIndex, RankedList, map_at_k, pr_curve, query_topk
+from .retrieval import CodeIndex, RankedList, evaluate, map_at_k, pr_curve, query_topk
 from .student import init_student, student_forward, student_recon_loss, train_student
 from .synth import generate_synthetic
 from .teacher import (
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorSet", "BinaryCode", "CodeIndex", "GradCheckReport", "PairSample", "Params",
     "RankedList", "RunConfig", "SignedGraph", "SparseAffinity", "ablation_suite",
-    "build_affinity", "build_signed_graph", "encode_backward", "encode_forward",
+    "build_affinity", "build_signed_graph", "encode_backward", "encode_forward", "evaluate",
     "factor_grads", "finite_diff_check", "forward_blocks", "generate_synthetic",
     "init_encoder", "init_student", "init_teacher", "kmeans", "map_at_k", "pack_bits",
     "pr_curve", "query_topk", "run_pipeline", "sample_pairs", "student_forward",

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import ShapeError
+
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
     """Sign with the tie rule sign(0) = +1, so outputs are exactly {-1,+1}.
@@ -42,8 +44,16 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def unpack_bits(packed: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of pack_bits; returns (N, k) int8 rows of {-1,+1}."""
-    raw = np.unpackbits(np.asarray(packed, dtype=np.uint8), axis=1, count=k, bitorder="little")
+    """Inverse of pack_bits for k-bit codes; returns (N, k) int8 rows of {-1,+1}.
+
+    Raises ShapeError unless ``packed`` is (N, ceil(k/8)) uint8, the rows of
+    k-bit codes, so that no bit is invented or dropped.
+    """
+    packed = np.asarray(packed)
+    if packed.dtype != np.uint8 or packed.ndim != 2 or packed.shape[1] != (k + 7) // 8:
+        raise ShapeError(f"{k}-bit codes pack into (N, {(k + 7) // 8}) uint8 rows, "
+                         f"got {packed.dtype} rows of shape {packed.shape}")
+    raw = np.unpackbits(packed, axis=1, count=k, bitorder="little")
     return np.where(raw > 0, 1, -1).astype(np.int8)
 
 

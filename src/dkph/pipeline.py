@@ -35,7 +35,9 @@ A stage's meta record also carries its cost in the process that ran it:
 ``minor_faults``, the page faults taken during the stage, and
 ``peak_rss_kb``, the process's peak resident set afterwards (both from
 ``getrusage``, whose peak is in kilobytes on Linux; ``report.txt`` shows
-neither).
+neither). The graph stage's record also carries the signed graph's
+``positive_edges``, ``negative_edges`` and ``isolated_videos`` (videos with
+no edge of either sign).
 
 Memory
     The encoder passes allocate temporaries of up to about
@@ -73,7 +75,7 @@ from .encoder import Params, cast_params, encode_forward, forward_blocks
 from .exceptions import PipelineError
 from .graph import build_affinity, build_signed_graph, kmeans
 from .optim import write_log
-from .retrieval import MAP_KS, CodeIndex, map_at_k, pr_curve
+from .retrieval import MAP_KS, CodeIndex, evaluate
 from .student import (
     PROBE_MODES,
     probe_reconstruction,
@@ -146,8 +148,9 @@ def _keep_freed_heap() -> bool:
 def _run_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | None,
                outputs: list[str], fn) -> None:
     """Execute ``fn`` unless the stage is already complete; record its wall
-    time, minor page faults and the peak RSS after it. The prerequisite stage
-    ``needs`` must have completed first, even when this one has."""
+    time, minor page faults and the peak RSS after it, and any fields of the
+    dict ``fn`` returns. The prerequisite stage ``needs`` must have completed
+    first, even when this one has."""
     if needs is not None and not stage_completed(run_dir, needs, cfg):
         raise PipelineError(stage, f"prerequisite stage {needs!r} has not run; "
                                    f"run it first (work dir {run_dir})")
@@ -160,7 +163,7 @@ def _run_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | None,
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     try:
-        fn()
+        fields = fn() or {}
     except PipelineError:
         raise
     except Exception as err:
@@ -170,8 +173,8 @@ def _run_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | None,
     for out in outputs:
         if not (run_dir / out).exists():
             raise PipelineError(stage, f"expected output {out} was not produced")
-    meta = {"stage": stage, "config_hash": cfg.config_hash(), "code_version": CODE_VERSION,
-            "wall_time_s": wall_time_s, "outputs": outputs,
+    meta = {**fields, "stage": stage, "config_hash": cfg.config_hash(),
+            "code_version": CODE_VERSION, "wall_time_s": wall_time_s, "outputs": outputs,
             "minor_faults": usage.ru_minflt - faults, "peak_rss_kb": usage.ru_maxrss}
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
@@ -244,6 +247,8 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
             "centers": anchors.centers,
             "assignments": anchors.assignments,
         })
+        return {"positive_edges": int(edges[0]), "negative_edges": int(edges[1]),
+                "isolated_videos": int(graph.isolated.size)}
 
     _run_stage(run_dir, cfg, "graph", "teacher", ["graph.bin", "anchors.ckpt"], fn)
 
@@ -309,17 +314,19 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full"
 
 def evaluate_codes(run_dir: Path, bits: int, variant: str = "full") -> dict:
     """mAP@k for each of MAP_KS that the database holds, and the PR curve, of
-    a width's query codes against its database codes. The query and database
-    splits share no video, so no query is excluded from its own ranking."""
+    a width's query codes against its database codes, from one
+    ``retrieval.evaluate`` sweep (one distance matrix per block of queries).
+    The query and database splits share no video, so no query is excluded
+    from its own ranking."""
     tag = _tag(bits, variant)
     q_labels, db_labels = (serial.load_labels(run_dir / "data" / f"{name}.labels")
                            for name in ("query", "database"))
     q_packed, _ = serial.load_codes(run_dir / f"query_{tag}.codes")
     d_packed, _ = serial.load_codes(run_dir / f"database_{tag}.codes")
     idx = CodeIndex(packed=d_packed, ids=np.arange(db_labels.size), k=bits, labels=db_labels)
-    q_bits = unpack_bits(q_packed, bits)
-    maps = {str(k): map_at_k(q_bits, q_labels, idx, k=k).value for k in MAP_KS if k <= idx.n}
-    return {"bits": bits, "map": maps, "pr": pr_curve(q_bits, q_labels, idx)}
+    maps, pr = evaluate(unpack_bits(q_packed, bits), q_labels, idx,
+                        [k for k in MAP_KS if k <= idx.n])
+    return {"bits": bits, "map": {str(k): score.value for k, score in maps.items()}, "pr": pr}
 
 
 def stage_eval(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") -> None:

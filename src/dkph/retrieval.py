@@ -9,12 +9,18 @@ through the same rule. The Hamming distance of two rows is the sum of
 ``np.bitwise_count`` over their XORed words; pad bits are zero in both
 operands, so they never count.
 ``packed_distances`` writes the counts straight into the dtype its caller
-asks for: the index's key dtype for ranking, int64 for the PR sweep.
+asks for: the index's key dtype for ranking, int64 for PR alone.
 
-``map_at_k`` and ``pr_curve`` pack their queries once and compute one
-(queries x database) distance matrix per call, in blocks of query rows
-sized so that one (B, n_db) int64 buffer fits BLOCK_BYTES; everything else
-derives from it. Results are ranked by the single key
+``evaluate`` is the one evaluation sweep. It packs its queries once and
+computes one (queries x database) distance matrix per call, in blocks of
+query rows sized so that one (B, n_db) int64 buffer fits BLOCK_BYTES. From
+each block's distances it fills the PR histograms, then forms the ranking
+keys once and ranks them once, to the largest cutoff; every cutoff's AP is
+a prefix of that one ranked list. ``map_at_k`` is the sweep at one cutoff
+without PR histograms, and ``pr_curve`` the sweep with no cutoff, which
+ranks nothing; so each does only its own part of the work.
+
+Results are ranked by the single key
 ``distance * n + rank_of_id``, where ``rank_of_id`` is an item's position in
 ascending id order: keys are unique, so ties (equal distance) break toward
 the lower id and every ranked list is deterministic without a stable sort.
@@ -29,15 +35,16 @@ Relevance comes from the index's label table, built once: its distinct
 labels with their counts, and its labels in id-rank order. A query's
 relevant count is the count of its label (0 when the database lacks it),
 less its own row when that row shares the label, and a ranked key is a hit
-when ``labels_by_rank[key % n]`` equals the query's label. So ``map_at_k``
-reads labels at the k ranked keys only and builds no (queries x database)
-relevance matrix. The PR sweep ranks nothing: it reads per-query histograms
-of distance 0..K, over all items and over the relevant ones, and it is the
-one place that builds a block's boolean relevance matrix.
+when ``labels_by_rank[key % n]`` equals the query's label. So mAP reads
+labels at the ranked keys only and builds no (queries x database) relevance
+matrix. PR reads per-query histograms of distance 0..K, over all items and
+over the relevant ones, and it is the one place that builds a block's
+boolean relevance matrix.
 
 Evaluation conventions:
   * AP@k divides by min(R, k), where R is the number of relevant items in
-    the database, so a perfect ranking always scores 1.
+    the database, so a perfect ranking always scores 1. A cutoff k is an
+    integer of at least 1 (not a bool); one of n or more ranks everything.
   * Given query ids, a query sharing an id with a database item is excluded
     from its own results (test partitions are commonly used as both query
     set and database, and trivial rank-1 self hits would inflate every
@@ -49,6 +56,7 @@ Evaluation conventions:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,57 +283,67 @@ def _live_blocks(idx: CodeIndex, q_words, own, r_total, dtype):
         yield live, dist
 
 
-def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,
-             query_ids=None) -> MapScore:
-    """Mean average precision over the top-k ranked results.
+def _cutoffs(ks) -> tuple[int, ...]:
+    """Each mAP cutoff once, as an int; a bool, a non-integer or a cutoff
+    below 1 raises, naming it."""
+    out = []
+    for k in ks:
+        try:
+            if isinstance(k, (bool, np.bool_)):
+                raise TypeError
+            value = operator.index(k)
+        except TypeError:
+            raise TypeError(f"cutoff k={k!r} is not an integer") from None
+        if value < 1:
+            raise ValueError(f"cutoff k={k!r} must be >= 1")
+        out.append(value)
+    return tuple(dict.fromkeys(out))
 
-    query_bits: (nq, K) over {-1,+1}; query_ids enables self-exclusion when
-    the query set overlaps the database.
-    """
-    q_words, q_labels, own, r_total = _queries(query_bits, query_labels, query_ids, idx)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+
+def _block_aps(idx: CodeIndex, dist, labels, has_own, r_total, ks) -> list[np.ndarray]:
+    """Each cutoff's AP of a block's queries, from one ranking of their
+    distances (consumed as keys) to the largest cutoff."""
+    top = _top_keys(_keys(idx, dist), min(max(ks), idx.n))
+    hit = idx._labels_by_rank[top % idx.n] == labels[:, None]
+    terms = np.cumsum(hit, axis=1) / np.arange(1, top.shape[1] + 1) * hit
     aps = []
-    for live, dist in _live_blocks(idx, q_words, own, r_total, idx.rank_of_id.dtype):
-        top = _top_keys(_keys(idx, dist), k)
-        hit = idx._labels_by_rank[top % idx.n] == q_labels[live, None]
-        terms = np.cumsum(hit, axis=1) / np.arange(1, top.shape[1] + 1) * hit
-        sums = terms.sum(axis=1)
-        if top.shape[1] == idx.n:
+    for k in ks:
+        width = min(k, idx.n)
+        sums = terms[:, :width].sum(axis=1)
+        if width == idx.n:
             # an excluded own row ranks last (and may share the label): sum the
             # n - 1 real items only, which is the summation order of a list
             # without it
-            has_own = own[live] >= 0
-            sums[has_own] = terms[has_own, :-1].sum(axis=1)
-        aps.append(sums / np.minimum(r_total[live], k))
+            sums[has_own] = terms[has_own, :width - 1].sum(axis=1)
+        aps.append(sums / np.minimum(r_total, k))
+    return aps
+
+
+def _block_histograms(idx: CodeIndex, dist, labels, in_place: bool):
+    """A block's per-query counts of retrieved and of relevant items within
+    each radius 0..K; ``in_place`` when no ranking reads dist afterwards."""
+    bins = idx.k + 2   # distances 0..K, then K + 1 for excluded own rows
+    # an own row counts in bin K + 1, which is dropped, whatever its label
+    rel = labels[:, None] == idx.labels
+    # one histogram per query
+    dist = np.add(dist, np.arange(labels.size)[:, None] * bins, out=dist if in_place else None)
+    size = labels.size * bins
+    n_ret = np.bincount(dist.ravel(), minlength=size).reshape(-1, bins)
+    n_hit = np.bincount(dist[rel], minlength=size).reshape(-1, bins)
+    return np.cumsum(n_ret[:, :-1], axis=1), np.cumsum(n_hit[:, :-1], axis=1)
+
+
+def _mean_ap(aps: list[np.ndarray], n_queries: int) -> MapScore:
     if not aps:
         raise ValueError("no evaluable queries (all had zero relevant items)")
     aps = np.concatenate(aps)
     # a running total in query order
     return MapScore(value=float(np.cumsum(aps)[-1]) / aps.size, evaluated=aps.size,
-                    skipped=r_total.size - aps.size)
+                    skipped=n_queries - aps.size)
 
 
-def pr_curve(query_bits: np.ndarray, query_labels, idx: CodeIndex,
-             query_ids=None) -> list[tuple[float, float]]:
-    """Precision-recall points swept over Hamming radius r = 0..K.
-
-    Recall averages over every query with at least one relevant item;
-    precision averages over queries that retrieved something at radius r.
-    Radii where no query retrieves anything yield no point.
-    """
-    q_words, q_labels, own, r_total = _queries(query_bits, query_labels, query_ids, idx)
-    bins = idx.k + 2   # distances 0..K, then K + 1 for excluded own rows
-    retrieved, hits = [], []
-    for live, dist in _live_blocks(idx, q_words, own, r_total, np.int64):
-        # an own row counts in bin K + 1, which is dropped, whatever its label
-        rel = q_labels[live, None] == idx.labels
-        dist += np.arange(live.size)[:, None] * bins   # one histogram per query
-        size = live.size * bins
-        n_ret = np.bincount(dist.ravel(), minlength=size).reshape(-1, bins)
-        n_hit = np.bincount(dist[rel], minlength=size).reshape(-1, bins)
-        retrieved.append(np.cumsum(n_ret[:, :-1], axis=1))
-        hits.append(np.cumsum(n_hit[:, :-1], axis=1))
+def _pr_points(retrieved: list[np.ndarray], hits: list[np.ndarray],
+               r_total: np.ndarray) -> list[tuple[float, float]]:
     if not retrieved:
         return []
     # (radius, query) rows, so that each radius averages one contiguous row
@@ -342,3 +360,53 @@ def pr_curve(query_bits: np.ndarray, query_labels, idx: CodeIndex,
         hit, ret = n_hit[radii][got[radii]], n_ret[radii][got[radii]]
         precision[radii] = (hit / ret).reshape(radii.size, c).mean(axis=1)
     return [(float(recall[r]), float(precision[r])) for r in np.flatnonzero(count)]
+
+
+def evaluate(query_bits: np.ndarray, query_labels, idx: CodeIndex, ks=MAP_KS,
+             query_ids=None, *, pr: bool = True):
+    """mAP@k at every cutoff in ``ks`` and, with ``pr``, the precision-recall
+    curve, from one distance matrix per block of queries.
+
+    Returns ``({k: MapScore}, points)``, with points None without ``pr``.
+    query_bits: (nq, K) over {-1,+1}; query_ids enables self-exclusion when
+    the query set overlaps the database. Raises ValueError when ``ks`` is not
+    empty and no query has a relevant item.
+    """
+    ks = _cutoffs(ks)
+    q_words, q_labels, own, r_total = _queries(query_bits, query_labels, query_ids, idx)
+    aps = [[] for _ in ks]
+    retrieved, hits = [], []
+    # ranking forms its keys in place over the distances; PR alone counts
+    # its histograms in place over int64 ones
+    dtype = idx.rank_of_id.dtype if ks else np.int64
+    for live, dist in _live_blocks(idx, q_words, own, r_total, dtype):
+        if pr:
+            n_ret, n_hit = _block_histograms(idx, dist, q_labels[live], in_place=not ks)
+            retrieved.append(n_ret)
+            hits.append(n_hit)
+        if ks:
+            for per_k, ap in zip(aps, _block_aps(idx, dist, q_labels[live], own[live] >= 0,
+                                                 r_total[live], ks)):
+                per_k.append(ap)
+    maps = {k: _mean_ap(per_k, r_total.size) for k, per_k in zip(ks, aps)}
+    return maps, (_pr_points(retrieved, hits, r_total) if pr else None)
+
+
+def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,
+             query_ids=None) -> MapScore:
+    """Mean average precision over the top-k ranked results: ``evaluate`` at
+    the one cutoff k, without the PR curve."""
+    (score,) = evaluate(query_bits, query_labels, idx, (k,), query_ids, pr=False)[0].values()
+    return score
+
+
+def pr_curve(query_bits: np.ndarray, query_labels, idx: CodeIndex,
+             query_ids=None) -> list[tuple[float, float]]:
+    """Precision-recall points swept over Hamming radius r = 0..K:
+    ``evaluate`` with no cutoff, so nothing is ranked.
+
+    Recall averages over every query with at least one relevant item;
+    precision averages over queries that retrieved something at radius r.
+    Radii where no query retrieves anything yield no point.
+    """
+    return evaluate(query_bits, query_labels, idx, (), query_ids)[1]

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dkph import encoder, pipeline, serial, synth
-from dkph.codes import pack_bits
+from dkph import encoder, pipeline, retrieval, serial, synth
+from dkph.codes import pack_bits, unpack_bits
 from dkph.config import RunConfig
 from dkph.exceptions import PipelineError
 from dkph.student import PROBE_MODES, init_student, probe_reconstruction
@@ -129,6 +129,35 @@ def test_evaluate_codes_reads_no_features(tiny_run, monkeypatch):
     metrics = pipeline.evaluate_codes(first.run_dir, 16)
     assert json.dumps(metrics, sort_keys=True) + "\n" == \
         (first.run_dir / "metrics_16.json").read_text()
+
+
+def test_evaluate_codes_equals_map_at_k_per_cutoff_then_pr_curve(tiny_run):
+    cfg, _, first = tiny_run
+    run_dir = first.run_dir
+    q_labels, db_labels = (serial.load_labels(run_dir / "data" / f"{name}.labels")
+                           for name in ("query", "database"))
+    for bits in cfg.code_bits:
+        q_packed, _ = serial.load_codes(run_dir / f"query_{bits}.codes")
+        d_packed, _ = serial.load_codes(run_dir / f"database_{bits}.codes")
+        idx = retrieval.CodeIndex(packed=d_packed, ids=np.arange(db_labels.size), k=bits,
+                                  labels=db_labels)
+        q_bits = unpack_bits(q_packed, bits)
+        maps = {str(k): retrieval.map_at_k(q_bits, q_labels, idx, k=k).value
+                for k in retrieval.MAP_KS if k <= idx.n}
+        want = {"bits": bits, "map": maps, "pr": retrieval.pr_curve(q_bits, q_labels, idx)}
+        assert json.dumps(pipeline.evaluate_codes(run_dir, bits), sort_keys=True) == \
+            json.dumps(want, sort_keys=True)
+
+
+def test_graph_record_counts_the_signed_edges_and_isolated_videos(tiny_run):
+    _, _, first = tiny_run
+    graph = serial.load_graph(first.run_dir / "graph.bin")
+    record = _meta(first.run_dir)["graph"]
+    assert (record["positive_edges"], record["negative_edges"]) == \
+        (sum(p.size for p in graph.positives), sum(n.size for n in graph.negatives))
+    assert record["isolated_videos"] == sum(
+        not (p.size or n.size) for p, n in zip(graph.positives, graph.negatives))
+    assert record["positive_edges"] > 0 and record["negative_edges"] > 0
 
 
 def _copy_without(first, tmp_path, stage):

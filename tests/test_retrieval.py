@@ -1,5 +1,6 @@
 """Hamming index and retrieval metrics against enumeration oracles."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from dkph import codes, retrieval
 from dkph.codes import BinaryCode, pack_bits
 from dkph.exceptions import ShapeError
-from dkph.retrieval import CodeIndex, MapScore, map_at_k, pr_curve, query_topk
+from dkph.retrieval import CodeIndex, MapScore, evaluate, map_at_k, pr_curve, query_topk
 
 
 def random_bits(rng, n, k):
@@ -471,7 +472,8 @@ def relabeled_case(rng, k_bits, n, nq, n_classes, all_equal):
 def check_against_oracle(k_bits, n, nq, n_classes, all_equal, with_ids, block_rows, seed,
                          make_case=oracle_case):
     """map_at_k, pr_curve and query_topk on one case from make_case equal the
-    oracles exactly; returns the case's index."""
+    oracles exactly, and one evaluate sweep over every cutoff equals map_at_k
+    per cutoff and pr_curve; returns the case's index."""
     rng = np.random.default_rng(seed)
     idx, q_bits, q_labels, q_ids = make_case(rng, k_bits, n, nq, n_classes, all_equal)
     # without query ids, member queries keep their own row in the results
@@ -479,17 +481,24 @@ def check_against_oracle(k_bits, n, nq, n_classes, all_equal, with_ids, block_ro
     with pytest.MonkeyPatch.context() as mp:
         # blocks of block_rows queries; the last one is ragged unless it divides nq
         mp.setattr(retrieval, "BLOCK_BYTES", block_rows * 8 * n)
-        for k in sorted({1, 2, 5, max(1, n - 1), n, n + 1, n + 7}):
+        ks = sorted({1, 2, 5, max(1, n - 1), n, n + 1, n + 7})
+        scores = {}
+        for k in ks:
             want = oracle_map_at_k(q_bits, q_labels, idx, k, q_ids)
             if want is None:
                 with pytest.raises(ValueError, match="no evaluable queries"):
                     map_at_k(q_bits, q_labels, idx, k, q_ids)
                 continue
-            got = map_at_k(q_bits, q_labels, idx, k, q_ids)
+            scores[k] = got = map_at_k(q_bits, q_labels, idx, k, q_ids)
             assert (got.value, got.evaluated, got.skipped) == \
                 (want.value, want.evaluated, want.skipped)
-        assert pr_curve(q_bits, q_labels, idx, q_ids) == \
-            oracle_pr_curve(q_bits, q_labels, idx, q_ids)
+        points = pr_curve(q_bits, q_labels, idx, q_ids)
+        assert points == oracle_pr_curve(q_bits, q_labels, idx, q_ids)
+        if scores:
+            assert evaluate(q_bits, q_labels, idx, ks, q_ids) == (scores, points)
+        else:   # no query has a relevant item: no cutoff scores
+            with pytest.raises(ValueError, match="no evaluable queries"):
+                evaluate(q_bits, q_labels, idx, ks, q_ids)
 
     for qi in range(nq):
         exclude = q_ids[qi] if with_ids else None
@@ -556,9 +565,18 @@ class TestAgainstOracle:
             want = oracle_map_at_k(q_bits, q_labels, idx, k, q_ids)
             assert (got.value, got.evaluated, got.skipped) == \
                 (want.value, want.evaluated, want.skipped)
-        assert pr_curve(q_bits, q_labels, idx, q_ids) == \
-            oracle_pr_curve(q_bits, q_labels, idx, q_ids)
+        points = pr_curve(q_bits, q_labels, idx, q_ids)
+        assert points == oracle_pr_curve(q_bits, q_labels, idx, q_ids)
         assert calls == [5, 5, 5, 5, 3] * 6
+
+        # one sweep over every cutoff, one past n included, and the PR curve
+        calls.clear()
+        maps, got_points = evaluate(q_bits, q_labels, idx, (1, 5, 29, 30, 31), q_ids)
+        assert calls == [5, 5, 5, 5, 3]
+        assert got_points == points
+        for k, score in maps.items():
+            assert score == map_at_k(q_bits, q_labels, idx, k, q_ids)
+            assert score.skipped > 0   # some query's class is not in the database
 
     @pytest.mark.parametrize("k_bits", WIDTHS)
     def test_packed_distances_matrix(self, k_bits):
@@ -605,8 +623,26 @@ class TestQueryValidation:
             evaluate(np.ones((2, 16), dtype=np.int8), [0, 1], self.idx)
 
     def test_map_needs_positive_k(self):
-        with pytest.raises(ValueError):
-            map_at_k(self.bits[:2], [0, 1], self.idx, 0)
+        for k in (0, -3):
+            with pytest.raises(ValueError, match=f"cutoff k={k}"):
+                map_at_k(self.bits[:2], [0, 1], self.idx, k)
+        with pytest.raises(ValueError, match="cutoff k=0"):
+            evaluate(self.bits[:2], [0, 1], self.idx, (5, 0))
+
+    # operator.index takes a bool, but a bool is not a cutoff
+    @pytest.mark.parametrize("k", [True, np.True_, 3.0, np.float64(3), "3"],
+                             ids=["bool", "numpy-bool", "float", "numpy-float", "str"])
+    def test_map_needs_an_integer_k(self, k):
+        with pytest.raises(TypeError, match=re.escape(f"cutoff k={k!r} is not an integer")):
+            map_at_k(self.bits[:2], [0, 1], self.idx, k)
+        with pytest.raises(TypeError, match="is not an integer"):
+            evaluate(self.bits[:2], [0, 1], self.idx, (5, k))
+
+    def test_cutoffs_are_integers_each_scored_once(self):
+        maps, points = evaluate(self.bits[:2], [0, 1], self.idx, (np.int64(3), 1, 3))
+        assert list(maps) == [3, 1] and all(type(k) is int for k in maps)
+        assert maps[3] == map_at_k(self.bits[:2], [0, 1], self.idx, 3)
+        assert points == pr_curve(self.bits[:2], [0, 1], self.idx)
 
     def test_index_rejects_packed_rows_of_the_wrong_width(self):
         with pytest.raises(ShapeError):
