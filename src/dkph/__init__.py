@@ -14,6 +14,7 @@ from .encoder import (
     Params,
     encode_backward,
     encode_forward,
+    encode_means,
     factor_grads,
     forward_blocks,
     init_encoder,
@@ -46,10 +47,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorSet", "BinaryCode", "CodeIndex", "GradCheckReport", "PairSample", "Params",
     "RankedList", "RunConfig", "SignedGraph", "SparseAffinity", "ablation_suite",
-    "build_affinity", "build_signed_graph", "encode_backward", "encode_forward", "evaluate",
-    "factor_grads", "finite_diff_check", "forward_blocks", "generate_synthetic",
-    "init_encoder", "init_student", "init_teacher", "kmeans", "map_at_k", "pack_bits",
-    "pr_curve", "query_topk", "run_pipeline", "sample_pairs", "student_forward",
+    "build_affinity", "build_signed_graph", "encode_backward", "encode_forward",
+    "encode_means", "evaluate", "factor_grads", "finite_diff_check", "forward_blocks",
+    "generate_synthetic", "init_encoder", "init_student", "init_teacher", "kmeans", "map_at_k",
+    "pack_bits", "pr_curve", "query_topk", "run_pipeline", "sample_pairs", "student_forward",
     "student_recon_loss", "teacher_forward", "teacher_recon_loss", "train_student",
     "train_teacher", "unpack_bits", "video_code_from_frames",
 ]

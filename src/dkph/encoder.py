@@ -15,22 +15,25 @@ verified against central finite differences in the test suite.
 
 Batches. Both passes take only a (B, M, D) batch of videos (one video is a
 batch of one): the per-frame layers run as one matrix product over all
-B * M rows, attention as B stacked M x M products. The backward returns
-parameter gradients summed over the batch. Callers run large sets of videos
-through :func:`forward_blocks`, in the blocks of :func:`blocks`, and take
-frame means where they need them. A block holds as many videos as fit
-:data:`BLOCK_BYTES` at one (M, width) float array per video, width the
-largest of ``feat_dim``, ``model_dim`` and the FFN width. Each elementwise
-pass (LayerNorm, GELU, bias and residual adds) reads and writes (rows,
-width) temporaries; at this budget each is at most half a 2 MB L2 cache,
-so a pass works mostly in cache instead of streaming through memory (a
-fixed 64 videos made them 3.2 MB). The budget
-follows the model: the paper-default model runs 20 videos per block, a
-64-wide model 256, and a tiny one all its videos at once. Per-row outputs
-of the forward do not depend on the block; gradients summed over blocks do,
-in the last ulp. The elementwise layers work in place on a few buffers per
-pass, in the same operations and operand order as the plain expressions, so
-their results are bit-identical to them.
+B * M rows, attention as B stacked c x M products (c = M without a mask;
+Masked rows). The backward returns parameter gradients summed over the
+batch. Callers run large sets of videos through :func:`forward_blocks`, in
+the blocks of :func:`blocks`. A block holds as many videos as fit
+:data:`BLOCK_BYTES` at the largest row set a video holds: its M frames at
+the wider of ``feat_dim`` and ``model_dim``, and its rows after attention
+at the FFN width. Without a mask those rows are its M frames; a masked
+pass holds only its masked rows after attention, so it counts the pass's
+largest masked count. Each elementwise pass (LayerNorm, GELU, bias and
+residual adds) reads and writes (rows, width) temporaries; at this budget
+each is at most half a 2 MB L2 cache, so a pass works mostly in cache
+instead of streaming through memory (a fixed 64 videos made them 3.2 MB).
+The budget follows the model and the mask: the paper-default model runs
+20 videos per block, and 40 when it masks 4 of its 25 frames; a 64-wide
+model 256, and 512 masked; a tiny one all its videos at once. Per-row
+outputs of the forward do not depend on the block; gradients summed over
+blocks do, in the last ulp. The elementwise layers work in place on a few
+buffers per pass, in the same operations and operand order as the plain
+expressions, so their results are bit-identical to them.
 
 Attention products. W_q and W_k enter attention only through their product
 w_qk = W_q W_k^T, and W_v and W_o only through w_vo = W_v W_o:
@@ -54,14 +57,26 @@ frames the cloze teacher masks; the student never masks. A masked frame's
 projected content is replaced by ``mask_embed``, so no feature content
 leaks through, and the masked frames are the only outputs computed, since
 the teacher's loss reads no other: ``_sel`` above is the masked rows. Only
-the input projection, LayerNorm 1 and the M x M products (scores and
-attn n1) touch every frame, because every frame is attended to; the
-products with w_qk and w_vo, LayerNorm 2 and the FFN run on the masked
-rows only, and the output is an (n_masked, model_dim) array in
-``x[masked]`` order. The backward then takes a gradient for those rows
-only, and its row products with d x d matrices run on them too. Without
-a mask the same statements run over all rows, nothing is replaced, and
-the output is (B, M, model_dim).
+the input projection, LayerNorm 1 and the keys and values of the
+attention products (n1^T in scores and in attn n1) touch every frame,
+because every frame is attended to. The attention rows are the masked
+frames' only: ``scores`` and ``attn`` are (B, c, M) and ``attn n1`` is
+(B, c, d), with c the batch's largest masked count, in place of (B, M, M)
+and (B, M, d). A video's masked frames fill its first rows; the rows that
+pad a video with fewer hold zero queries, and the backward gives them
+zero gradients, so they add nothing. The products with w_qk and w_vo,
+LayerNorm 2 and the FFN run on the masked rows only, and the output is
+an (n_masked, model_dim) array in ``x[masked]`` order. The backward then
+takes a gradient for those rows only, and its row products with d x d
+matrices run on them too. Without a mask the same statements run over
+all rows with c = M, nothing is replaced, and the output is (B, M,
+model_dim).
+
+Frame means. :func:`encode_means` gives each video's mean output over its
+frames, the teacher embedding the anchor graph is built on, from the
+unmasked pass's body: mean(h1) + mean(g1) W_f2 + b_f2, which is the mean
+of the outputs h1 + g1 W_f2 + b_f2 up to float summation order, with the
+FFN's output product on one row per video instead of M.
 
 Sizes. :func:`init_encoder` reads ``frames``, ``feat_dim``, ``model_dim``
 and ``ffn_dim`` from a :class:`RunConfig`; ``ffn_dim = 0`` means
@@ -160,18 +175,23 @@ class EncoderCache:
     """Forward intermediates. ``x``, ``ln1`` and ``n1`` are flat, (B * M,
     width); ``mix`` (= (attn n1)_sel) and the rows after attention (``ln2``
     to ``g1``) hold the masked rows only when the forward masked,
-    (n_masked, width); ``qk`` (= n1_sel w_qk, scattered into its frames) is
-    (B, M, model_dim) and ``attn`` is (B, M, M). With a mask, ``qk`` is zero
-    at unmasked frames, so their ``attn`` rows are uniform and meaningless;
+    (n_masked, width). ``qk`` (= n1_sel w_qk) is (B, c, model_dim) and
+    ``attn`` is (B, c, M), c attention rows per video: c = M without a
+    mask, and with one the largest masked count of the batch, a video's
+    masked frames in its first rows (module docstring, Masked rows).
+    ``slots`` is the every-row slice without a mask, and with one the
+    (B * c,) bool rows of ``qk`` that hold a masked frame; ``qk`` is zero
+    at the others, so their ``attn`` rows are uniform and meaningless, and
     the backward reads them only against zero gradients. ``products`` is
-    the forward's (w_qk, w_vo), which the backward reuses (module docstring,
-    Attention products)."""
+    the forward's (w_qk, w_vo), which the backward reuses (module
+    docstring, Attention products)."""
 
     params: Params
     version: int
     x: np.ndarray
     products: tuple  # (w_qk, w_vo)
     masked: np.ndarray | None  # (B, M) bool, or None for an unmasked forward
+    slots: np.ndarray | slice
     ln1: tuple
     n1: np.ndarray
     qk: np.ndarray
@@ -184,14 +204,18 @@ class EncoderCache:
     g1: np.ndarray
 
 
-def blocks(n: int, params) -> list[slice]:
-    """Slices of ``range(n)`` in runs of as many videos as fit BLOCK_BYTES at
-    frames x max(feat_dim, model_dim, FFN width) elements of the parameters'
-    dtype per video, and at least one (module docstring, Batches)."""
+def blocks(n: int, params, masked: np.ndarray | None = None) -> list[slice]:
+    """Slices of ``range(n)`` in runs of as many videos as fit BLOCK_BYTES
+    at the largest row set a video holds, in elements of the parameters'
+    dtype, and at least one (module docstring, Batches): its frames x
+    max(feat_dim, model_dim), and its rows after attention x the FFN
+    width, which are its frames without ``masked`` and the largest masked
+    count of the (n, M) bool ``masked`` with it."""
     m_frames, d = params["encoder.e_pos"].shape
     w_in, w_f1 = params["encoder.w_in"], params["encoder.w_f1"]
-    per_video = m_frames * max(w_in.shape[0], d, w_f1.shape[1]) * w_in.dtype.itemsize
-    step = max(1, BLOCK_BYTES // per_video)
+    rows = m_frames if masked is None else int(masked.sum(axis=1).max(initial=0))
+    per_video = max(m_frames * max(w_in.shape[0], d), rows * w_f1.shape[1])
+    step = max(1, BLOCK_BYTES // (per_video * w_in.dtype.itemsize))
     return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
@@ -292,47 +316,42 @@ def attention_products(params) -> tuple[np.ndarray, np.ndarray]:
     return p["w_q"] @ p["w_k"].T, p["w_v"] @ p["w_o"]
 
 
-def forward_blocks(forward, x: np.ndarray, params: Params, *per_video, **options):
+def forward_blocks(forward, x: np.ndarray, params: Params, masked=None, **options):
     """One pass of ``forward`` over the videos of ``x``, block by block
     (module docstring, Batches): yields ``(blk, forward(x[blk], params,
-    *(a[blk] for a in per_video), products=products, **options))`` for each
-    slice of :func:`blocks`, with the :func:`attention_products` formed once
-    for the whole pass. ``forward`` is :func:`encode_forward` or a model's
-    forward over it; each array of ``per_video`` has one row per video."""
+    products=products, **options))`` for each slice of
+    ``blocks(len(x), params, masked)``, with the :func:`attention_products`
+    formed once for the whole pass. ``forward`` is :func:`encode_forward`,
+    :func:`encode_means` or a model's forward over the encoder. A masked
+    pass's (N, M) bool ``masked`` also reaches ``forward``, as the block's
+    rows of it after ``params``."""
     products = attention_products(params)
-    for blk in blocks(len(x), params):
-        yield blk, forward(x[blk], params, *(a[blk] for a in per_video),
-                           products=products, **options)
+    for blk in blocks(len(x), params, masked):
+        per_video = () if masked is None else (masked[blk],)
+        yield blk, forward(x[blk], params, *per_video, products=products, **options)
 
 
-def encode_forward(
-    x: np.ndarray, params: Params, masked: np.ndarray | None = None, products=None,
-) -> tuple[np.ndarray, EncoderCache]:
-    """Run the block on a batch (B, M, D); returns the per-frame outputs and
-    the cache for :func:`encode_backward`.
-
-    Without ``masked`` the outputs are (B, M, model_dim). ``masked`` is a
-    (B, M) bool array: the masked frames' projected content is replaced by
-    ``params["mask_embed"]`` before the positional rows are added, and only
-    their outputs are computed, returned as an (n_masked, model_dim) array
-    in ``x[masked]`` order (module docstring, Masked rows). Attention still
-    reads all M positions, through the M x M products only. Only the
-    ``encoder.*`` tensors of ``params`` are read, and ``mask_embed`` when
-    masking. ``products`` is :func:`attention_products` of ``params``;
-    without it the call forms them itself.
-    """
+def _encode(x: np.ndarray, params: Params, masked, products):
+    """The block up to the FFN output product, shared by :func:`encode_forward`
+    and :func:`encode_means`: ``(h1, g1, cache)``, the rows after attention
+    and the FFN's GELU rows, both (B * M, width) without a mask and
+    (n_masked, width) with one."""
     p = _tensors(params)
     x = np.asarray(x, dtype=p["w_in"].dtype)
     m_frames, d_in = p["e_pos"].shape[0], p["w_in"].shape[0]
     if x.ndim != 3 or x.shape[1:] != (m_frames, d_in):
         raise ShapeError(f"expected features of shape (B, {m_frames}, {d_in}), got {x.shape}")
     b = x.shape[0]
-    sel = slice(None)
+    sel = slots = slice(None)
+    c = m_frames   # attention rows per video
     if masked is not None:
         check_mask(masked, (b, m_frames))
         if "mask_embed" not in params:
             raise ValueError("a mask needs the parameters' mask_embed; they have none")
         sel = masked.reshape(-1)
+        counts = masked.sum(axis=1)
+        c = int(counts.max(initial=0))
+        slots = (np.arange(c) < counts[:, None]).reshape(-1)
     if products is None:
         products = attention_products(params)
     w_qk, w_vo = products
@@ -348,15 +367,16 @@ def encode_forward(
 
     # scores = (n1_sel w_qk) n1^T and h1 = (attn n1)_sel w_vo + h0_sel + b_o:
     # one d x d product per side, on the selected rows only (module
-    # docstring, Attention products)
+    # docstring, Attention products), and attention rows for them only
+    # (Masked rows)
     n1, ln1 = _ln_forward(h0, p["ln1_g"], p["ln1_b"])
     frames = n1.reshape(b, m_frames, d)
-    qk = _scatter(n1[sel] @ w_qk, sel, len(n1)).reshape(b, m_frames, d)
+    qk = _scatter(n1[sel] @ w_qk, slots, b * c).reshape(b, c, d)
     scores = (qk @ frames.transpose(0, 2, 1)) / math.sqrt(d)
     scores -= scores.max(axis=2, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=2, keepdims=True)
-    mix = (attn @ frames).reshape(-1, d)[sel]
+    mix = (attn @ frames).reshape(-1, d)[slots]
     h1 = mix @ w_vo
     h1 += h0[sel]
     h1 += p["b_o"]
@@ -365,16 +385,48 @@ def encode_forward(
     f1_pre = n2 @ p["w_f1"]
     f1_pre += p["b_f1"]
     g1, gelu_t = _gelu_forward(f1_pre)
-    out = g1 @ p["w_f2"]
-    out += h1
-    out += p["b_f2"]
-
     cache = EncoderCache(
         params=params, version=params.version, products=products, x=xf, masked=masked,
-        ln1=ln1, n1=n1, qk=qk, attn=attn, mix=mix,
+        slots=slots, ln1=ln1, n1=n1, qk=qk, attn=attn, mix=mix,
         ln2=ln2, n2=n2, f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
     )
-    return (out.reshape(b, m_frames, d) if masked is None else out), cache
+    return h1, g1, cache
+
+
+def encode_forward(
+    x: np.ndarray, params: Params, masked: np.ndarray | None = None, products=None,
+) -> tuple[np.ndarray, EncoderCache]:
+    """Run the block on a batch (B, M, D); returns the per-frame outputs and
+    the cache for :func:`encode_backward`.
+
+    Without ``masked`` the outputs are (B, M, model_dim). ``masked`` is a
+    (B, M) bool array: the masked frames' projected content is replaced by
+    ``params["mask_embed"]`` before the positional rows are added, and only
+    their outputs are computed, returned as an (n_masked, model_dim) array
+    in ``x[masked]`` order (module docstring, Masked rows). Attention still
+    reads all M positions, through the n_masked x M products only. Only the
+    ``encoder.*`` tensors of ``params`` are read, and ``mask_embed`` when
+    masking. ``products`` is :func:`attention_products` of ``params``;
+    without it the call forms them itself.
+    """
+    h1, g1, cache = _encode(x, params, masked, products)
+    out = g1 @ params[_PREFIX + "w_f2"]
+    out += h1
+    out += params[_PREFIX + "b_f2"]
+    return (out if masked is not None else out.reshape(len(cache.qk), -1, out.shape[1])), cache
+
+
+def encode_means(x: np.ndarray, params: Params, products=None) -> np.ndarray:
+    """Each video's frame mean of the unmasked :func:`encode_forward`
+    outputs, (B, model_dim): mean(h1) + mean(g1) W_f2 + b_f2, so the FFN's
+    output product runs on one row per video (module docstring, Frame
+    means). ``products`` is as for :func:`encode_forward`."""
+    h1, g1, cache = _encode(x, params, None, products)
+    b = len(cache.qk)
+    out = g1.reshape(b, -1, g1.shape[1]).mean(axis=1) @ params[_PREFIX + "w_f2"]
+    out += h1.reshape(b, -1, h1.shape[1]).mean(axis=1)
+    out += params[_PREFIX + "b_f2"]
+    return out
 
 
 def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
@@ -395,9 +447,9 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
             f"cache from params version {cache.version}, params now at {version}"
         )
     p = _tensors(cache.params)
-    b, m_frames, d = cache.qk.shape
-    n = b * m_frames
-    masked = cache.masked
+    b, c, d = cache.qk.shape
+    m_frames = len(cache.n1) // b
+    masked, slots = cache.masked, cache.slots
     sel = slice(None) if masked is None else masked.reshape(-1)
     out_shape = (b, m_frames, d) if masked is None else cache.n2.shape
     grad_out = np.asarray(grad_out, dtype=p["w_in"].dtype)
@@ -419,16 +471,16 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     g_vo = cache.mix.T @ d_h1
     b_o = d_h1.sum(axis=0)
 
-    # mix = (attn n1)[sel] and scores = (n1[sel] w_qk) n1^T / sqrt(d); d_mix,
-    # and with it d_scores, is zero at the unselected rows
-    d_mix = _scatter(d_h1 @ w_vo.T, sel, n).reshape(b, m_frames, d)
+    # mix = (attn n1)[slots] and scores = (n1[sel] w_qk) n1^T / sqrt(d); d_mix,
+    # and with it d_scores, is zero at the attention rows that pad a video
+    d_mix = _scatter(d_h1 @ w_vo.T, slots, b * c).reshape(b, c, d)
     attn = cache.attn
     frames = cache.n1.reshape(b, m_frames, d)
     d_attn = d_mix @ frames.transpose(0, 2, 1)
     inner = (d_attn * attn).sum(axis=2, keepdims=True)
     d_scores = attn * (d_attn - inner)
     d_scores *= 1.0 / math.sqrt(d)
-    d_qk = (d_scores @ frames).reshape(-1, d)[sel]
+    d_qk = (d_scores @ frames).reshape(-1, d)[slots]
     g_qk = cache.n1[sel].T @ d_qk
     d_n1 = (d_scores.transpose(0, 2, 1) @ cache.qk).reshape(-1, d)
     d_n1 += (attn.transpose(0, 2, 1) @ d_mix).reshape(-1, d)

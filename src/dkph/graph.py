@@ -319,6 +319,26 @@ class SignedGraph:
         draws them."""
         return np.flatnonzero(np.diff(self.offsets, axis=1).sum(axis=0) == 0)
 
+    def edge_precision(self, labels) -> tuple[float | None, float | None]:
+        """The share of positive edges that join two videos of one label,
+        and of negative edges that join two of different labels, against
+        ``labels``, one per video; None for a side without edges. The edges
+        are the stored ones, each direction of a pair counting once."""
+        labels = np.asarray(labels)
+        if labels.shape != (self.n,):
+            raise ValueError(f"expected {self.n} labels, got shape {labels.shape}")
+        # each edge's source label, row by row of both sides, against its target's
+        degrees = (self.offsets[:, 1:] - self.offsets[:, :-1]).ravel()
+        same = np.repeat(np.concatenate((labels, labels)), degrees) == labels[self.indices]
+        shares = []
+        for side in (0, 1):
+            lo, hi = self.offsets[side, [0, -1]].tolist()
+            agree = int(np.count_nonzero(same[lo:hi]))
+            if side == 1:
+                agree = hi - lo - agree   # a negative edge agrees where the labels differ
+            shares.append(agree / (hi - lo) if hi > lo else None)
+        return shares[0], shares[1]
+
 
 def build_signed_graph(z: SparseAffinity, lambda1: float, lambda2: float) -> SignedGraph:
     # per side, each block's row degrees and its rows' columns

@@ -70,12 +70,19 @@ def add_grads(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None
             total[name] = g
 
 
+def optimizer_steps(n: int, epochs: int, cfg: RunConfig) -> int:
+    """The Adam steps of :func:`train_epochs` over ``n`` videos for
+    ``epochs`` epochs: one per batch, ceil(n / batch_size) per epoch."""
+    return epochs * -(-n // cfg.batch_size)
+
+
 def train_epochs(params, n: int, epochs: int, cfg: RunConfig,
                  rng: np.random.Generator, step, model: str) -> list[dict]:
     """Train ``params`` (an ``encoder.Params``) in place for ``epochs`` epochs
     over ``n`` videos in batches of ``cfg.batch_size`` at ``cfg.learn_rate``
     (module docstring, The loop); returns one row per epoch, ``epoch`` then
-    the mean of each of ``step``'s losses, in ``step``'s order.
+    the mean of each of ``step``'s losses, in ``step``'s order. It takes
+    :func:`optimizer_steps` steps.
 
     ``rng`` draws each epoch's permutation; ``step`` may draw from it too.
     ``step(batch)`` takes an index array of videos and returns the batch's

@@ -11,7 +11,9 @@ Stage artifacts
     data       {train,query,database}.{features,labels} + dataset.json,
                and config.cfg (the run's RunConfig, loadable with RunConfig.load,
                with work_dir the absolute path of the run's parent directory)
-    teacher    teacher.ckpt, teacher_log.txt, embeddings.features
+    teacher    teacher.ckpt, teacher_log.txt, embeddings.features (each training
+               video's frame mean of the teacher encoder's outputs,
+               ``encoder.encode_means``, as an (N, 1, model_dim) feature file)
     graph      graph.bin, anchors.ckpt
     student_K  student_K.ckpt, student_K_log.txt
     encode_K   query_K.codes, database_K.codes
@@ -37,7 +39,12 @@ A stage's meta record also carries its cost in the process that ran it:
 ``getrusage``, whose peak is in kilobytes on Linux; ``report.txt`` shows
 neither). The graph stage's record also carries the signed graph's
 ``positive_edges``, ``negative_edges`` and ``isolated_videos`` (videos with
-no edge of either sign).
+no edge of either sign), and its ``positive_precision`` and
+``negative_precision`` against the training labels
+(``SignedGraph.edge_precision``; null for a side without edges). The
+labels go into the record only: no model is trained on them. The teacher's
+and each student's record carries its ``optimizer_steps``, one Adam step
+per batch of every epoch.
 
 Memory
     The encoder passes allocate temporaries of up to about
@@ -69,13 +76,13 @@ from pathlib import Path
 import numpy as np
 
 from . import serial
-from .codes import pack_bits, unpack_bits
+from .codes import pack_bits
 from .config import RunConfig
-from .encoder import Params, cast_params, encode_forward, forward_blocks
+from .encoder import Params, cast_params, encode_forward, encode_means, forward_blocks
 from .exceptions import PipelineError
 from .graph import build_affinity, build_signed_graph, kmeans
-from .optim import write_log
-from .retrieval import MAP_KS, CodeIndex, evaluate
+from .optim import optimizer_steps, write_log
+from .retrieval import MAP_KS, CodeIndex, evaluate_packed
 from .student import (
     PROBE_MODES,
     probe_reconstruction,
@@ -90,9 +97,11 @@ logger = logging.getLogger(__name__)
 # Written into every meta record. Bump it whenever the code changes what a
 # stage produces for the same config, so that old artifacts are rebuilt;
 # records without the field count as version 1 (CHANGES.md has each
-# version's reason). Version 12: graph.bin holds SignedGraph's own two arrays,
-# offsets and indices, in place of four per-side arrays.
-CODE_VERSION = 12
+# version's reason). Version 13: embeddings.features takes each video's frame
+# means before the FFN output product (encoder.encode_means), and the masked
+# teacher passes run attention rows for the masked frames only, in blocks
+# sized by the rows they hold, so both sum in another float32 order.
+CODE_VERSION = 13
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -210,8 +219,7 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
 def _video_embeddings(features: np.ndarray, params: Params) -> np.ndarray:
     """Each video's mean encoder output, (N, model_dim): the teacher
     embeddings the anchor graph is built on."""
-    return np.concatenate([frames.mean(axis=1) for _, (frames, _cache)
-                           in forward_blocks(encode_forward, features, params)])
+    return np.concatenate([means for _, means in forward_blocks(encode_means, features, params)])
 
 
 def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
@@ -223,6 +231,7 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
                                                 *result.history, {"eval_after": result.eval_after}])
         means = _video_embeddings(train, result.params)
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
+        return {"optimizer_steps": optimizer_steps(len(train), cfg.teacher_epochs, cfg)}
 
     _run_stage(run_dir, cfg, "teacher", "data",
                ["teacher.ckpt", "teacher_log.txt", "embeddings.features"], fn)
@@ -247,8 +256,10 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
             "centers": anchors.centers,
             "assignments": anchors.assignments,
         })
+        precision = graph.edge_precision(serial.load_labels(run_dir / "data" / "train.labels"))
         return {"positive_edges": int(edges[0]), "negative_edges": int(edges[1]),
-                "isolated_videos": int(graph.isolated.size)}
+                "isolated_videos": int(graph.isolated.size),
+                "positive_precision": precision[0], "negative_precision": precision[1]}
 
     _run_stage(run_dir, cfg, "graph", "teacher", ["graph.bin", "anchors.ckpt"], fn)
 
@@ -284,6 +295,7 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
                                dual_stream=variant != "no_dual")
         serial.save_checkpoint(run_dir / f"student_{tag}.ckpt", result.params)
         write_log(run_dir / f"student_{tag}_log.txt", result.history)
+        return {"optimizer_steps": optimizer_steps(len(train), cfg.student_epochs, cfg)}
 
     _run_stage(run_dir, cfg, f"student_{tag}", "graph",
                [f"student_{tag}.ckpt", f"student_{tag}_log.txt"], fn)
@@ -315,7 +327,8 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full"
 def evaluate_codes(run_dir: Path, bits: int, variant: str = "full") -> dict:
     """mAP@k for each of MAP_KS that the database holds, and the PR curve, of
     a width's query codes against its database codes, from one
-    ``retrieval.evaluate`` sweep (one distance matrix per block of queries).
+    ``retrieval.evaluate_packed`` sweep over the stored packed rows (one
+    distance matrix per block of queries).
     The query and database splits share no video, so no query is excluded
     from its own ranking."""
     tag = _tag(bits, variant)
@@ -324,8 +337,7 @@ def evaluate_codes(run_dir: Path, bits: int, variant: str = "full") -> dict:
     q_packed, _ = serial.load_codes(run_dir / f"query_{tag}.codes")
     d_packed, _ = serial.load_codes(run_dir / f"database_{tag}.codes")
     idx = CodeIndex(packed=d_packed, ids=np.arange(db_labels.size), k=bits, labels=db_labels)
-    maps, pr = evaluate(unpack_bits(q_packed, bits), q_labels, idx,
-                        [k for k in MAP_KS if k <= idx.n])
+    maps, pr = evaluate_packed(q_packed, q_labels, idx, [k for k in MAP_KS if k <= idx.n])
     return {"bits": bits, "map": {str(k): score.value for k, score in maps.items()}, "pr": pr}
 
 

@@ -11,7 +11,9 @@ operands, so they never count.
 ``packed_distances`` writes the counts straight into the dtype its caller
 asks for: the index's key dtype for ranking, int64 for PR alone.
 
-``evaluate`` is the one evaluation sweep. It packs its queries once and
+``evaluate_packed`` is the one evaluation sweep, over packed query rows as
+``codes.pack_bits`` writes them (stored codes are scored as they are read);
+``evaluate`` packs {-1,+1} query bits once and runs it. The sweep
 computes one (queries x database) distance matrix per call, in blocks of
 query rows sized so that one (B, n_db) int64 buffer fits BLOCK_BYTES. From
 each block's distances it fills the PR histograms, then forms the ranking
@@ -234,18 +236,21 @@ class MapScore:
     skipped: int   # queries with zero relevant items
 
 
-def _queries(query_bits, query_labels, query_ids, idx: CodeIndex):
+def _queries(query_packed, query_labels, query_ids, idx: CodeIndex):
     """Checked query set: (packed words, labels, own database row or -1,
     relevant count)."""
     if idx.labels is None:
         raise ValueError("index has no labels")
-    query_bits = np.asarray(query_bits)
-    if query_bits.ndim != 2 or query_bits.shape[0] == 0:
-        raise ShapeError(f"query_bits must be a nonempty (nq, K) array, "
-                         f"got shape {query_bits.shape}")
-    nq, k = query_bits.shape
-    if k != idx.k:
-        raise ShapeError(f"query has {k} bits, index has {idx.k}")
+    query_packed = np.asarray(query_packed)
+    n_bytes = (idx.k + 7) // 8
+    if (query_packed.dtype != np.uint8 or query_packed.ndim != 2
+            or query_packed.shape[0] == 0 or query_packed.shape[1] != n_bytes):
+        raise ShapeError(f"packed queries of {idx.k}-bit codes must be a nonempty "
+                         f"(nq, {n_bytes}) uint8 array, got {query_packed.dtype} "
+                         f"rows of shape {query_packed.shape}")
+    if idx.k % 8 and np.any(query_packed[:, -1] >> (idx.k % 8)):
+        raise ValueError(f"packed queries set pad bits past bit {idx.k}")
+    nq = query_packed.shape[0]
     query_labels = np.asarray(query_labels)
     if query_labels.shape != (nq,):
         raise ShapeError(f"query_labels has shape {query_labels.shape}, "
@@ -257,7 +262,7 @@ def _queries(query_bits, query_labels, query_ids, idx: CodeIndex):
             raise ShapeError(f"query_ids has shape {query_ids.shape}, "
                              f"expected one id per query ({nq},)")
         own = idx._rows_of(query_ids)
-    return (_as_words(pack_bits(query_bits)), query_labels, own,
+    return (_as_words(query_packed), query_labels, own,
             idx._relevant_counts(query_labels, own))
 
 
@@ -362,18 +367,19 @@ def _pr_points(retrieved: list[np.ndarray], hits: list[np.ndarray],
     return [(float(recall[r]), float(precision[r])) for r in np.flatnonzero(count)]
 
 
-def evaluate(query_bits: np.ndarray, query_labels, idx: CodeIndex, ks=MAP_KS,
-             query_ids=None, *, pr: bool = True):
+def evaluate_packed(query_packed: np.ndarray, query_labels, idx: CodeIndex, ks=MAP_KS,
+                    query_ids=None, *, pr: bool = True):
     """mAP@k at every cutoff in ``ks`` and, with ``pr``, the precision-recall
     curve, from one distance matrix per block of queries.
 
     Returns ``({k: MapScore}, points)``, with points None without ``pr``.
-    query_bits: (nq, K) over {-1,+1}; query_ids enables self-exclusion when
-    the query set overlaps the database. Raises ValueError when ``ks`` is not
-    empty and no query has a relevant item.
+    query_packed: (nq, ceil(K/8)) uint8 rows of ``codes.pack_bits``, pad
+    bits zero; query_ids enables self-exclusion when the query set overlaps
+    the database. Raises ValueError when ``ks`` is not empty and no query
+    has a relevant item.
     """
     ks = _cutoffs(ks)
-    q_words, q_labels, own, r_total = _queries(query_bits, query_labels, query_ids, idx)
+    q_words, q_labels, own, r_total = _queries(query_packed, query_labels, query_ids, idx)
     aps = [[] for _ in ks]
     retrieved, hits = [], []
     # ranking forms its keys in place over the distances; PR alone counts
@@ -390,6 +396,18 @@ def evaluate(query_bits: np.ndarray, query_labels, idx: CodeIndex, ks=MAP_KS,
                 per_k.append(ap)
     maps = {k: _mean_ap(per_k, r_total.size) for k, per_k in zip(ks, aps)}
     return maps, (_pr_points(retrieved, hits, r_total) if pr else None)
+
+
+def evaluate(query_bits: np.ndarray, query_labels, idx: CodeIndex, ks=MAP_KS,
+             query_ids=None, *, pr: bool = True):
+    """:func:`evaluate_packed` of query_bits, (nq, K) over {-1,+1}, packed once."""
+    query_bits = np.asarray(query_bits)
+    if query_bits.ndim != 2 or query_bits.shape[0] == 0:
+        raise ShapeError(f"query_bits must be a nonempty (nq, K) array, "
+                         f"got shape {query_bits.shape}")
+    if query_bits.shape[1] != idx.k:
+        raise ShapeError(f"query has {query_bits.shape[1]} bits, index has {idx.k}")
+    return evaluate_packed(pack_bits(query_bits), query_labels, idx, ks, query_ids, pr=pr)
 
 
 def map_at_k(query_bits: np.ndarray, query_labels, idx: CodeIndex, k: int,

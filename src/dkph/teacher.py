@@ -27,10 +27,11 @@ the encoder does: ``mask`` is a (B, M) bool array with at least one True per
 row, the loss is one value per video, and the backward returns the gradient
 of the summed per-video losses. Training (:func:`batch_gradients`, which
 ``train_teacher`` steps on and the gradient check differentiates) and
-evaluation run their videos through ``encoder.forward_blocks``, in blocks
-sized by bytes per video with the encoder's attention products formed
-once per pass. :func:`train_teacher` runs the epochs of
-``optim.train_epochs``, one masked batch per step.
+evaluation run their videos through ``encoder.forward_blocks`` with their
+masks, in blocks sized by the bytes of the rows a masked video holds, with
+the encoder's attention products formed once per pass.
+:func:`train_teacher` runs the epochs of ``optim.train_epochs``, one
+masked batch per step.
 
 Masked rows only. The forward passes its mask to the encoder, which
 replaces the masked frames' content by ``mask_embed`` and computes only
@@ -38,8 +39,10 @@ their outputs, the rows the loss reads: the encoder's rows after
 attention, the hash head and the decoder run on the masked frames only,
 and ``frame_codes``, ``act``, ``frames`` and ``recon`` are (n_masked,
 width) arrays in ``x[mask]`` order. Attention still reads every frame,
-but only through its M x M products: the encoder never projects keys or
-values, so its row products run on the masked frames only.
+but only as the keys and values of its products, whose rows are the
+masked frames: (B, c, M) scores, c the block's largest masked count, not
+(B, M, M). The encoder never projects keys or values, so its row products
+run on the masked frames only.
 
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does, and the loss in the dtype of the reconstruction.

@@ -306,8 +306,24 @@ class TestBatched:
         frames, cache = encode_forward(x, p, masked=MASKED)
         assert frames.shape == (MASKED.sum(), 8)
         np.testing.assert_allclose(frames, oracle_masked_rows(x, p, MASKS), rtol=0, atol=1e-12)
-        assert cache.attn.shape == (5, 4, 4)
+        # attention rows for the masked frames only: c = 4, the largest masked count
+        assert cache.attn.shape == (5, MASKED.sum(axis=1).max(), 4)
         np.testing.assert_allclose(cache.attn.sum(axis=2), 1.0, atol=1e-12)
+
+    def test_padded_attention_rows_match_the_oracle(self):
+        # c = 2 attention rows per video, fewer than the 4 frames; the
+        # videos with fewer masked frames hold zero padding rows
+        masks = [(0,), (), (1, 3), (2,), ()]
+        masked = np.array([[i in mk for i in range(4)] for mk in masks])
+        p, x = self.batch(49)
+        rows, cache = encode_forward(x, p, masked=masked)
+        assert cache.attn.shape == (5, 2, 4)
+        np.testing.assert_allclose(rows, oracle_masked_rows(x, p, masks), rtol=0, atol=1e-12)
+        go = np.random.default_rng(50).normal(size=rows.shape)
+        grads = factor_grads(encode_backward(go, cache), p)
+        want = oracle_masked_backward(x, p, go, masks)
+        for name in p:
+            assert_rel_close(grads[name], want[name])
 
     def test_unmasked_forward_equals_stacked_per_video_oracle(self):
         p, x = self.batch(48)
@@ -389,12 +405,19 @@ class TestBatched:
         p = toy_params(0)
         assert encoder.blocks(20, p)[0] == slice(0, 8)
         assert encoder.blocks(20, encoder.cast_params(p, np.float32))[0] == slice(0, 16)
+        # masked: the all-frame rows at model width (4 x 8) outweigh 2 masked
+        # rows at FFN width (2 x 12); all 4 masked rows outweigh them
+        assert encoder.blocks(20, p, MASKED[[0, 2]].repeat(10, axis=0))[0] == slice(0, 12)
+        assert encoder.blocks(20, p, MASKED)[0] == slice(0, 8)
         # the input width counts when it is the widest
         wide_in = init_encoder(replace(TOY, feat_dim=24), np.random.default_rng(0))
         assert encoder.blocks(20, wide_in)[0] == slice(0, 4)
 
     def test_forward_blocks_forms_the_products_once_and_slices_per_video_arrays(
             self, monkeypatch):
+        # a masked TOY video holds 4 frames x model width 8 and, after
+        # attention, at most 2 masked rows x FFN width 12: 3 videos fit the
+        # budget of 2 unmasked ones
         monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         formed = []
 
@@ -405,34 +428,40 @@ class TestBatched:
         monkeypatch.setattr(encoder, "attention_products", counted)
         p = toy_params(0)
         x = np.random.default_rng(1).normal(size=(5, 4, 6))
-        ids, masks = np.arange(5), np.arange(10).reshape(5, 2)
+        masks = MASKED.copy()
+        masks[4, 2:] = False   # at most 2 masked frames per video
         calls = []
 
         def forward(xb, params, *per_video, products=None, tag=None):
             calls.append((xb, per_video, products, tag))
             return len(xb)
 
-        out = list(encoder.forward_blocks(forward, x, p, ids, masks, tag="t"))
+        out = list(encoder.forward_blocks(forward, x, p, masks, tag="t"))
         assert len(formed) == 1
-        assert [blk for blk, _ in out] == [slice(0, 2), slice(2, 4), slice(4, 5)]
-        assert [n for _, n in out] == [2, 2, 1]
-        for (blk, _), (xb, (ids_b, masks_b), products, tag) in zip(out, calls):
+        assert [blk for blk, _ in out] == [slice(0, 3), slice(3, 5)]
+        assert [n for _, n in out] == [3, 2]
+        for (blk, _), (xb, (masks_b,), products, tag) in zip(out, calls):
             np.testing.assert_array_equal(xb, x[blk])
-            np.testing.assert_array_equal(ids_b, ids[blk])
             np.testing.assert_array_equal(masks_b, masks[blk])
             assert products is formed[0] and tag == "t"
-        # a second pass forms its own products
-        list(encoder.forward_blocks(forward, x, p))
+        # a second pass forms its own products; unmasked, it passes no mask
+        del calls[:]
+        out = list(encoder.forward_blocks(forward, x, p))
         assert len(formed) == 2
+        assert [blk for blk, _ in out] == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        assert [per_video for _, per_video, _, _ in calls] == [()] * 3
 
-    @pytest.mark.parametrize("cfg, videos", [
-        (RunConfig(), 20),                                  # paper default: 25 x 512 x 4 B
-        (RunConfig(frames=8, model_dim=64), 256),           # 8 x 128 x 4 B
-        (RunConfig(frames=4, model_dim=8), 1024),           # 4 x 64 x 4 B
+    @pytest.mark.parametrize("cfg, videos, masked_videos", [
+        # paper default: 25 x 512 x 4 B; masked, 25 x 256 x 4 B (4 x 512 after attention)
+        (RunConfig(), 20, 40),
+        (RunConfig(frames=8, model_dim=64), 256, 512),      # 8 x 128; 8 x 64 x 4 B
+        (RunConfig(frames=4, model_dim=8), 1024, 1024),     # 4 x 64 x 4 B; the input width
     ], ids=["default", "wide", "tiny"])
-    def test_default_budget_block_sizes(self, cfg, videos):
+    def test_default_budget_block_sizes(self, cfg, videos, masked_videos):
         p = encoder.cast_params(init_encoder(cfg, np.random.default_rng(0)), np.float32)
         assert encoder.blocks(5000, p)[0] == slice(0, videos)
+        masks = draw_mask(np.random.default_rng(1), cfg.frames, cfg.masked_frames(), 5000)
+        assert encoder.blocks(5000, p, masks)[0] == slice(0, masked_videos)
 
 
 class TestSelectedRows:
@@ -527,17 +556,17 @@ def test_attention_weights_meet_only_d_by_d_operands(masked):
     assert not {"encoder.w_qk", "encoder.w_vo"} & set(factored)
 
 
-def test_float32_masked_pass_at_paper_default_shapes_matches_the_float64_oracle():
+def check_float32_masked_pass(rng, masked):
+    """A float32 masked pass at paper-default shapes, forward and backward,
+    against the float64 oracle."""
     # tolerance fixed from the dtype before measuring: 2**8 float32 ulps
     # (3.1e-5) of each tensor's largest entry
     tol = 2**8 * np.finfo(np.float32).eps
     cfg = RunConfig()
-    rng = np.random.default_rng(59)
     p32 = encoder.cast_params(init_encoder(cfg, rng), np.float32)
     p32["mask_embed"] = rng.normal(size=cfg.model_dim).astype(np.float32)
     p64 = encoder.cast_params(p32, np.float64)
-    x = rng.normal(size=(4, cfg.frames, cfg.feat_dim)).astype(np.float32)
-    masked = draw_mask(rng, cfg.frames, cfg.masked_frames(), 4)
+    x = rng.normal(size=(len(masked), cfg.frames, cfg.feat_dim)).astype(np.float32)
     masks = [tuple(np.flatnonzero(row)) for row in masked]
     rows, cache = encode_forward(x, p32, masked=masked)
     go = rng.normal(size=rows.shape).astype(np.float32)
@@ -548,6 +577,24 @@ def test_float32_masked_pass_at_paper_default_shapes_matches_the_float64_oracle(
     for name in p32:
         assert grads[name].dtype == np.float32
         assert_rel_close(grads[name], want[name], tol)
+
+
+def test_float32_masked_pass_at_paper_default_shapes_matches_the_float64_oracle():
+    rng = np.random.default_rng(59)
+    cfg = RunConfig()
+    check_float32_masked_pass(rng, draw_mask(rng, cfg.frames, cfg.masked_frames(), 4))
+
+
+def test_float32_masked_pass_with_uneven_masked_counts_matches_the_float64_oracle():
+    # 1 masked frame, all 25, then draw_mask's 4: the first video's attention
+    # rows are padded out to the second's 25
+    rng = np.random.default_rng(61)
+    cfg = RunConfig()
+    masked = draw_mask(rng, cfg.frames, cfg.masked_frames(), 5)
+    masked[0] = np.arange(cfg.frames) == 7
+    masked[1] = True
+    assert masked.sum(axis=1).tolist() == [1, 25, 4, 4, 4]
+    check_float32_masked_pass(rng, masked)
 
 
 def test_float32_unmasked_pass_at_paper_default_shapes_matches_the_float64_oracle():
@@ -653,3 +700,16 @@ class TestInPlaceKernels:
         assert got_dx.dtype == dtype
         assert np.array_equal(got_dx, plain_gelu_backward(dy, x, want_t))
         assert np.array_equal(x, x_before) and np.array_equal(dy, dy_before)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12),
+                                        (np.float32, 2**8 * np.finfo(np.float32).eps)])
+def test_frame_means_equal_the_mean_of_the_forward_outputs(dtype, tol):
+    # the means take the FFN output product after averaging, so they equal
+    # the averaged outputs up to float summation order
+    cfg = RunConfig(frames=25, feat_dim=64, model_dim=32)
+    p = encoder.cast_params(init_encoder(cfg, np.random.default_rng(62)), dtype)
+    x = np.random.default_rng(63).normal(size=(6, 25, 64)).astype(dtype)
+    means = encoder.encode_means(x, p)
+    assert means.dtype == dtype
+    assert_rel_close(means, encode_forward(x, p)[0].mean(axis=1), tol)

@@ -534,6 +534,27 @@ class TestSampler:
             sample_pairs(g, [0], count=1, seed=9)
 
 
+class TestEdgePrecision:
+    # labels 0 0 1 1 2: positive edges 0-1 (same), 1-0 (same), 2-4 (differ),
+    # 3-2 (same); negative edges 0-3 (differ), 4-0 (differ), 2-3 (same)
+    LABELS = np.array([0, 0, 1, 1, 2])
+
+    def test_shares_of_agreeing_edges_per_side(self):
+        g = graph_from_rows([[1], [0], [4], [2], []], [[3], [], [3], [], [0]])
+        assert g.edge_precision(self.LABELS) == (3 / 4, 2 / 3)
+
+    def test_a_side_without_edges_has_no_precision(self):
+        assert graph_from_rows([[1], [0], [], [], []], [[]] * 5).edge_precision(self.LABELS) \
+            == (1.0, None)
+        assert graph_from_rows([[]] * 5, [[4], [], [], [], []]).edge_precision(self.LABELS) \
+            == (None, 1.0)
+        assert graph_from_rows([[]] * 5, [[]] * 5).edge_precision(self.LABELS) == (None, None)
+
+    def test_one_label_per_video(self):
+        with pytest.raises(ValueError, match="expected 5 labels"):
+            graph_from_rows([[1], [0], [], [], []], [[]] * 5).edge_precision(self.LABELS[:4])
+
+
 class TestBuildSignedGraph:
     def test_isolated_single_video(self):
         pts = np.array([[0.0, 0.0], [10.0, 10.0], [10.5, 10.0]])

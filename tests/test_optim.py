@@ -6,7 +6,16 @@ import pytest
 from dkph.config import RunConfig
 from dkph.encoder import Params
 from dkph.exceptions import TrainingError
-from dkph.optim import BETA1, BETA2, EPS, Adam, add_grads, train_epochs, write_log
+from dkph.optim import (
+    BETA1,
+    BETA2,
+    EPS,
+    Adam,
+    add_grads,
+    optimizer_steps,
+    train_epochs,
+    write_log,
+)
 
 
 def test_add_grads_is_the_left_to_right_sum_and_writes_only_the_first_part():
@@ -87,6 +96,18 @@ def test_train_epochs_rows_are_the_epoch_then_each_loss_mean():
     # each epoch's two batches are one permutation of the videos
     for epoch in range(2):
         assert sorted(np.concatenate(step.batches[2 * epoch:2 * epoch + 2])) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("n, batch_size, epochs", [(4, 2, 2), (5, 2, 3), (3, 8, 2), (7, 7, 0)])
+def test_train_epochs_takes_one_step_per_batch_of_every_epoch(n, batch_size, epochs):
+    params = Params(w=np.zeros(3))
+    cfg = RunConfig(batch_size=batch_size)
+
+    def step(batch):
+        return {"a": 1.0}, {"w": np.ones(3)}
+
+    train_epochs(params, n, epochs, cfg, np.random.default_rng(0), step, "toy")
+    assert params.version == optimizer_steps(n, epochs, cfg) == epochs * -(-n // batch_size)
 
 
 def test_train_epochs_stops_at_a_non_finite_loss_before_applying_its_batch():

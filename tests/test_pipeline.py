@@ -160,6 +160,28 @@ def test_graph_record_counts_the_signed_edges_and_isolated_videos(tiny_run):
     assert record["positive_edges"] > 0 and record["negative_edges"] > 0
 
 
+def test_graph_record_carries_the_edge_precision_against_the_training_labels(tiny_run):
+    _, _, first = tiny_run
+    graph = serial.load_graph(first.run_dir / "graph.bin")
+    labels = serial.load_labels(first.run_dir / "data" / "train.labels")
+    record = _meta(first.run_dir)["graph"]
+    want = graph.edge_precision(labels)
+    assert (record["positive_precision"], record["negative_precision"]) == want
+    assert all(0.0 <= share <= 1.0 for share in want)
+
+
+def test_training_records_carry_their_optimizer_steps(tiny_run):
+    # TINY trains on 20 videos in batches of 8: 3 steps per epoch, the last of 4 videos
+    cfg, _, first = tiny_run
+    n_train = json.loads((first.run_dir / "data" / "dataset.json").read_text())["train"]
+    per_epoch = -(-n_train // cfg.batch_size)
+    records = _meta(first.run_dir)
+    assert records["teacher"]["optimizer_steps"] == cfg.teacher_epochs * per_epoch
+    for bits in cfg.code_bits:
+        assert records[f"student_{bits}"]["optimizer_steps"] == cfg.student_epochs * per_epoch
+    assert (n_train, per_epoch) == (20, 3)
+
+
 def _copy_without(first, tmp_path, stage):
     """A copy of the tiny run in which ``stage`` has not completed."""
     run_dir = tmp_path / first.run_dir.name

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from dkph import codes, retrieval
 from dkph.codes import BinaryCode, pack_bits
 from dkph.exceptions import ShapeError
-from dkph.retrieval import CodeIndex, MapScore, evaluate, map_at_k, pr_curve, query_topk
+from dkph.retrieval import (
+    CodeIndex,
+    MapScore,
+    evaluate,
+    evaluate_packed,
+    map_at_k,
+    pr_curve,
+    query_topk,
+)
 
 
 def random_bits(rng, n, k):
@@ -621,6 +629,21 @@ class TestQueryValidation:
             evaluate(self.bits[:0], [], self.idx)       # no queries
         with pytest.raises(ShapeError, match="16 bits, index has 8"):
             evaluate(np.ones((2, 16), dtype=np.int8), [0, 1], self.idx)
+
+    def test_bad_packed_query_rows_raise(self):
+        packed = pack_bits(self.bits[:2])
+        for bad in (packed.astype(np.int8), packed[:, :0], packed[:0], packed[0],
+                    np.zeros((2, 2), dtype=np.uint8)):
+            with pytest.raises(ShapeError, match="packed queries of 8-bit codes"):
+                evaluate_packed(bad, [0, 1], self.idx)
+        # 6-bit codes leave two pad bits in their byte, which must be zero
+        idx6 = CodeIndex.from_bits(self.bits[:, :6], labels=[0, 1, 0, 1, 1, 0])
+        rows = pack_bits(self.bits[:2, :6])
+        assert evaluate_packed(rows, [0, 1], idx6, (3,))[0][3] == \
+            map_at_k(self.bits[:2, :6], [0, 1], idx6, 3)
+        rows[1, 0] |= 1 << 6
+        with pytest.raises(ValueError, match="pad bits past bit 6"):
+            evaluate_packed(rows, [0, 1], idx6)
 
     def test_map_needs_positive_k(self):
         for k in (0, -3):
