@@ -3,6 +3,11 @@
 Packing layout: bit k lives in byte k // 8 at bit position k % 8
 (little-endian within the byte); +1 maps to a set bit. Trailing pad bits of
 the last byte are zero, so XOR-based Hamming distances ignore them.
+
+The row rule: the packed rows of K-bit codes are a 2-D (n, ceil(K/8)) uint8
+array, K an integer >= 1, with every pad bit past bit K zero.
+:func:`check_packed` is its one check; ``unpack_bits``, the codes files
+(``serial``), ``retrieval.CodeIndex`` and the packed query sweep all call it.
 """
 
 from __future__ import annotations
@@ -43,16 +48,31 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits((b > 0).astype(np.uint8), axis=1, bitorder="little")
 
 
-def unpack_bits(packed: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of pack_bits for k-bit codes; returns (N, k) int8 rows of {-1,+1}.
+def check_packed(packed, k) -> int:
+    """K as an int when ``packed`` holds rows of K-bit codes as
+    :func:`pack_bits` writes them (the row rule, module docstring).
 
-    Raises ShapeError unless ``packed`` is (N, ceil(k/8)) uint8, the rows of
-    k-bit codes, so that no bit is invented or dropped.
+    Raises ValueError for a K that is not a scalar integer >= 1 or for a set
+    pad bit, and ShapeError for rows of another dtype or shape, so that no
+    bit is invented, dropped or counted in a distance.
     """
+    width = np.asarray(k)
+    if width.ndim != 0 or width.dtype.kind not in "iu" or width < 1:
+        raise ValueError(f"a code width K must be an integer >= 1, got {k!r}")
+    k = int(width)
     packed = np.asarray(packed)
     if packed.dtype != np.uint8 or packed.ndim != 2 or packed.shape[1] != (k + 7) // 8:
-        raise ShapeError(f"{k}-bit codes pack into (N, {(k + 7) // 8}) uint8 rows, "
+        raise ShapeError(f"{k}-bit codes pack into (n, {(k + 7) // 8}) uint8 rows, "
                          f"got {packed.dtype} rows of shape {packed.shape}")
+    if k % 8 and np.any(packed[:, -1] >> (k % 8)):
+        raise ValueError(f"{k}-bit codes set pad bits past bit {k}")
+    return k
+
+
+def unpack_bits(packed: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of pack_bits for k-bit codes; returns (N, k) int8 rows of {-1,+1}.
+    ``packed`` must follow the row rule (:func:`check_packed`)."""
+    k = check_packed(packed, k)
     raw = np.unpackbits(packed, axis=1, count=k, bitorder="little")
     return np.where(raw > 0, 1, -1).astype(np.int8)
 
@@ -66,10 +86,10 @@ class BinaryCode:
     packed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.int8).reshape(-1)
-        if not np.all(np.abs(self.bits) == 1):
-            raise ValueError("BinaryCode entries must be -1 or +1")
-        self.packed = pack_bits(self.bits[None])[0]
+        # pack_bits checks the values before the int8 cast could wrap them
+        bits = np.asarray(self.bits).reshape(-1)
+        self.packed = pack_bits(bits[None])[0]
+        self.bits = bits.astype(np.int8, copy=False)
 
     @property
     def k(self) -> int:

@@ -41,8 +41,9 @@ neither). The graph stage's record also carries the signed graph's
 ``positive_edges``, ``negative_edges`` and ``isolated_videos`` (videos with
 no edge of either sign), and its ``positive_precision`` and
 ``negative_precision`` against the training labels
-(``SignedGraph.edge_precision``; null for a side without edges). The
-labels go into the record only: no model is trained on them. The teacher's
+(``SignedGraph.edge_precision``; null for a side without edges), and
+report.txt shows these five (null as ``none``). The labels go into the
+record and the report only: no model is trained on them. The teacher's
 and each student's record carries its ``optimizer_steps``, one Adam step
 per batch of every epoch.
 
@@ -392,9 +393,14 @@ def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
     for key in ("classes", "train", "query", "database"):
         lines.append(f"dataset {key} = {summary[key]}")
     lines.append(f"dataset prototype_accuracy = {summary['prototype_accuracy']:.10g}")
-    for stage in stage_names(cfg):
-        record = json.loads(_meta_path(run_dir, stage).read_text())
+    records = {stage: json.loads(_meta_path(run_dir, stage).read_text())
+               for stage in stage_names(cfg)}
+    for stage, record in records.items():
         lines.append(f"stage {stage} wall_time_s = {record['wall_time_s']:.3f}")
+    for key in ("positive_edges", "negative_edges", "isolated_videos",
+                "positive_precision", "negative_precision"):
+        value = records["graph"][key]
+        lines.append(f"graph {key} = {'none' if value is None else format(value, '.10g')}")
     metrics = {}
     for bits in cfg.code_bits:
         m = json.loads((run_dir / f"metrics_{bits}.json").read_text())

@@ -6,8 +6,9 @@ rows are viewed as zero-padded words of the code's width: uint8 for rows of
 that. There is no uint16 word: ``np.bitwise_count`` in place takes about
 twice as long on uint16 words as on uint32. Both sides of a distance go
 through the same rule. The Hamming distance of two rows is the sum of
-``np.bitwise_count`` over their XORed words; pad bits are zero in both
-operands, so they never count.
+``np.bitwise_count`` over their XORed words. Pad bits never count: the
+index and the packed query sweep take only rows that pass
+``codes.check_packed``, whose row rule makes them zero in both operands.
 ``packed_distances`` writes the counts straight into the dtype its caller
 asks for: the index's key dtype for ranking, int64 for PR alone.
 
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import BinaryCode, pack_bits
+from .codes import BinaryCode, check_packed, pack_bits
 from .exceptions import ShapeError
 
 # Cutoffs of the reported mAP@k; RunConfig asks for min(MAP_KS) database videos.
@@ -117,7 +118,7 @@ def packed_distances(db_words: np.ndarray, q_words: np.ndarray, dtype) -> np.nda
 class CodeIndex:
     """Immutable database of packed codes with unique integer ids."""
 
-    packed: np.ndarray            # (n, ceil(K/8)) uint8
+    packed: np.ndarray            # (n, ceil(K/8)) uint8, codes.check_packed's row rule
     ids: np.ndarray               # (n,) int64
     k: int
     labels: np.ndarray | None = None  # (n,) semantic labels, optional
@@ -137,11 +138,9 @@ class CodeIndex:
     _labels_by_rank: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self.packed = np.asarray(self.packed, dtype=np.uint8)
+        self.packed = np.asarray(self.packed)
+        self.k = check_packed(self.packed, self.k)
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.packed.ndim != 2 or self.packed.shape[1] != (self.k + 7) // 8:
-            raise ShapeError(f"{self.k}-bit codes pack into {(self.k + 7) // 8} bytes "
-                             f"per row, got rows of shape {self.packed.shape}")
         if self.packed.shape[0] != self.ids.size:
             raise ShapeError("ids and code rows differ in count")
         self._id_order = np.argsort(self.ids)
@@ -242,15 +241,10 @@ def _queries(query_packed, query_labels, query_ids, idx: CodeIndex):
     if idx.labels is None:
         raise ValueError("index has no labels")
     query_packed = np.asarray(query_packed)
-    n_bytes = (idx.k + 7) // 8
-    if (query_packed.dtype != np.uint8 or query_packed.ndim != 2
-            or query_packed.shape[0] == 0 or query_packed.shape[1] != n_bytes):
-        raise ShapeError(f"packed queries of {idx.k}-bit codes must be a nonempty "
-                         f"(nq, {n_bytes}) uint8 array, got {query_packed.dtype} "
-                         f"rows of shape {query_packed.shape}")
-    if idx.k % 8 and np.any(query_packed[:, -1] >> (idx.k % 8)):
-        raise ValueError(f"packed queries set pad bits past bit {idx.k}")
+    check_packed(query_packed, idx.k)
     nq = query_packed.shape[0]
+    if nq == 0:
+        raise ShapeError(f"no packed queries of {idx.k}-bit codes")
     query_labels = np.asarray(query_labels)
     if query_labels.shape != (nq,):
         raise ShapeError(f"query_labels has shape {query_labels.shape}, "
@@ -373,10 +367,10 @@ def evaluate_packed(query_packed: np.ndarray, query_labels, idx: CodeIndex, ks=M
     curve, from one distance matrix per block of queries.
 
     Returns ``({k: MapScore}, points)``, with points None without ``pr``.
-    query_packed: (nq, ceil(K/8)) uint8 rows of ``codes.pack_bits``, pad
-    bits zero; query_ids enables self-exclusion when the query set overlaps
-    the database. Raises ValueError when ``ks`` is not empty and no query
-    has a relevant item.
+    query_packed: one or more rows that pass ``codes.check_packed`` at the
+    index's K, as ``codes.pack_bits`` writes them; query_ids enables
+    self-exclusion when the query set overlaps the database. Raises
+    ValueError when ``ks`` is not empty and no query has a relevant item.
     """
     ks = _cutoffs(ks)
     q_words, q_labels, own, r_total = _queries(query_packed, query_labels, query_ids, idx)

@@ -9,7 +9,7 @@ reads it back, each array in exactly its saved dtype (one of
 
 checkpoint  each model tensor under its checkpoint name
 features    "features": (N, M, D) float32
-codes       "packed": (n, ceil(K/8)) uint8 rows; "k": int64
+codes       "packed": rows under ``codes.check_packed``'s row rule; "k": int64
 graph       a SignedGraph's compressed rows as ``graph.SignedGraph`` holds them:
             "offsets" (2, N + 1) int64 and "indices" (E,) uint32
 
@@ -25,6 +25,7 @@ import struct
 
 import numpy as np
 
+from .codes import check_packed
 from .graph import SignedGraph
 
 MAGIC = b"DKPA"
@@ -138,27 +139,23 @@ def load_features(path) -> np.ndarray:
 # -- packed codes --------------------------------------------------------
 
 
-def _check_codes(path, packed: np.ndarray, k) -> int:
-    """K as an int when ``packed`` holds (n, ceil(K/8)) uint8 rows of a
-    scalar integer K >= 1; ValueError naming ``path`` otherwise."""
-    k = np.asarray(k)
-    if (k.ndim != 0 or k.dtype.kind not in "iu" or k < 1 or packed.dtype != np.uint8
-            or packed.ndim != 2 or packed.shape[1] != (k + 7) // 8):
-        raise ValueError(f"{path}: packed {packed.dtype} shape {packed.shape} "
-                         f"inconsistent with K={k}")
-    return int(k)
+def _codes_k(path, packed: np.ndarray, k) -> int:
+    """``codes.check_packed`` of a codes file's rows, its error naming ``path``."""
+    try:
+        return check_packed(packed, k)
+    except ValueError as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def save_codes(path, packed: np.ndarray, k: int) -> None:
-    """packed: (n, ceil(K/8)) uint8 rows."""
-    p = np.asarray(packed, dtype=np.uint8)
-    save_arrays(path, {"packed": p, "k": np.int64(_check_codes(path, p, k))})
+    """packed: rows of K-bit codes under the row rule of ``codes``."""
+    save_arrays(path, {"packed": packed, "k": np.int64(_codes_k(path, packed, k))})
 
 
 def load_codes(path) -> tuple[np.ndarray, int]:
     """The packed rows and K of a :func:`save_codes` file, checked as on save."""
     arrays = _load_kind(path, "codes", {"packed": ("uint8", 2), "k": ("int64", 0)})
-    return arrays["packed"], _check_codes(path, arrays["packed"], arrays["k"])
+    return arrays["packed"], _codes_k(path, arrays["packed"], arrays["k"])
 
 
 # -- labels --------------------------------------------------------------

@@ -173,7 +173,6 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
         i = np.searchsorted(need, pairs.i)
         j = np.searchsorted(need, pairs.j)
         label = pairs.label.astype(dtype)
-        weight = np.abs(label)
 
         # (len(need), n) one-hot incidence of each side: a product with it
         # sums the per-pair rows into their videos' rows
@@ -183,8 +182,8 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
 
         ui, uj = act[i], act[j]
         resid = label - (ui * uj).sum(axis=1) / k
-        l_bsim = float((weight * resid * resid).sum()) / n
-        d_sim = (g1 * (-2.0) / (n * k)) * weight * resid
+        l_bsim = float((resid * resid).sum()) / n
+        d_sim = (g1 * (-2.0) / (n * k)) * resid
         d_act = at_i @ (d_sim[:, None] * uj) + at_j @ (d_sim[:, None] * ui)
 
         ti = means[i]
@@ -192,7 +191,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
         delta_j = ti - anchors[pairs.j].astype(dtype, copy=False)
         pull = (delta_i * delta_i).sum(axis=1)
         hinge = pull - (delta_j * delta_j).sum(axis=1) + cfg.beta
-        coeff = weight * (1 - label)
+        coeff = 1 - label
         push = np.where((coeff != 0) & (hinge > 0.0), cfg.eta * coeff, 0.0)
         l_tsim = float((pull + push * hinge).sum()) / n
         d_mean = at_i @ ((g2 * 2.0 / n) * (delta_i + push[:, None] * (delta_i - delta_j)))

@@ -118,23 +118,33 @@ def teacher_forward(x: np.ndarray, params: Params, mask: np.ndarray,
                           act=act, enc_cache=cache)
 
 
-def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Squared error on masked positions, averaged over D * |mask| scalars:
-    one loss per video of a (B, M, D) batch, in the dtype of ``recon``.
-    ``recon`` holds the masked rows, (n_masked, D) in ``x[mask]`` order."""
+def _masked_target(x: np.ndarray, mask, recon: np.ndarray):
+    """``(x[mask], count)``: the masked rows of a (B, M, D) batch in the
+    dtype of ``recon``, which must hold as many, and each video's number of
+    masked frames. ``mask`` must pass ``check_mask`` and mask a frame of
+    every video."""
     x = np.asarray(x, dtype=recon.dtype)
     if x.ndim != 3:
         raise ShapeError(f"expected a (B, M, D) batch, got {x.shape}")
     check_mask(mask, x.shape[:2])
-    if not mask.any(axis=1).all():
-        raise ValueError("teacher reconstruction loss needs a nonempty mask")
+    count = mask.sum(axis=1)
+    if not count.all():
+        raise ValueError("teacher reconstruction needs a nonempty mask in every video")
     target = x[mask]
     if recon.shape != target.shape:
         raise ShapeError(f"expected the {target.shape} masked rows, got {recon.shape}")
+    return target, count
+
+
+def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Squared error on masked positions, averaged over D * |mask| scalars:
+    one loss per video of a (B, M, D) batch, in the dtype of ``recon``.
+    ``recon`` holds the masked rows, (n_masked, D) in ``x[mask]`` order."""
+    target, count = _masked_target(x, mask, recon)
     diff = target - recon
-    per_frame = np.zeros(mask.shape, dtype=x.dtype)
+    per_frame = np.zeros(mask.shape, dtype=recon.dtype)
     per_frame[mask] = (diff * diff).sum(axis=1)
-    return per_frame.sum(axis=1) / (x.shape[2] * mask.sum(axis=1)).astype(x.dtype)
+    return per_frame.sum(axis=1) / (target.shape[1] * count).astype(recon.dtype)
 
 
 def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict:
@@ -146,16 +156,8 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict
     Straight-through: d(code)/d(pre-activation) is taken as tanh', whether
     the forward binarized or not.
     """
-    mask = fwd.enc_cache.masked
-    if not mask.any(axis=1).all():
-        raise ValueError("teacher backward needs the masked forward")
-    x = np.asarray(x, dtype=fwd.recon.dtype)
-    target = x[mask]
-    if target.shape != fwd.recon.shape:
-        raise ShapeError(f"shapes differ: {target.shape} vs {fwd.recon.shape}")
-    d_in = x.shape[-1]
-    count = mask.sum(axis=1)
-    scale = np.repeat(1.0 / (d_in * count.astype(x.dtype)), count)  # per masked row
+    target, count = _masked_target(x, fwd.enc_cache.masked, fwd.recon)
+    scale = np.repeat(1.0 / (target.shape[1] * count.astype(target.dtype)), count)  # per row
 
     d_recon = (2.0 * scale[:, None]) * (fwd.recon - target)
     d_z = (d_recon @ params["w_dec"].T) * (1.0 - fwd.act * fwd.act)

@@ -149,6 +149,46 @@ def test_evaluate_codes_equals_map_at_k_per_cutoff_then_pr_curve(tiny_run):
             json.dumps(want, sort_keys=True)
 
 
+def test_a_width_with_pad_bits_runs_end_to_end(tmp_path):
+    # 12-bit codes leave four pad bits in the second byte of every row
+    cfg = RunConfig(**{**TINY, "code_bits": (12,)})
+    run_dir = pipeline.run_pipeline(cfg, tmp_path).run_dir
+    q_labels, db_labels = (serial.load_labels(run_dir / "data" / f"{name}.labels")
+                           for name in ("query", "database"))
+    (q_packed, k), (d_packed, _) = (serial.load_codes(run_dir / f"{name}_12.codes")
+                                    for name in ("query", "database"))
+    assert k == 12 and q_packed.shape == (q_labels.size, 2)
+    idx = retrieval.CodeIndex.from_bits(unpack_bits(d_packed, 12), labels=db_labels)
+    maps, pr = retrieval.evaluate(unpack_bits(q_packed, 12), q_labels, idx,
+                                  [k for k in retrieval.MAP_KS if k <= idx.n])
+    want = {"bits": 12, "map": {str(k): score.value for k, score in maps.items()}, "pr": pr}
+    assert (run_dir / "metrics_12.json").read_text() == json.dumps(want, sort_keys=True) + "\n"
+
+
+def test_report_shows_the_graph_record(tiny_run):
+    _, _, first = tiny_run
+    record = _meta(first.run_dir)["graph"]
+    lines = (first.run_dir / "report.txt").read_text().splitlines()
+    shown = dict(line[len("graph "):].split(" = ") for line in lines
+                 if line.startswith("graph "))
+    assert list(shown) == ["positive_edges", "negative_edges", "isolated_videos",
+                           "positive_precision", "negative_precision"]
+    for key, text in shown.items():
+        assert text == ("none" if record[key] is None else format(record[key], ".10g"))
+    assert record["positive_precision"] is not None   # a float is among the lines
+
+
+def test_report_prints_a_side_without_edges_as_none(tiny_run, tmp_path):
+    cfg, _, first = tiny_run
+    run_dir = tmp_path / first.run_dir.name
+    shutil.copytree(first.run_dir, run_dir)
+    path = run_dir / "meta" / "graph.json"
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps({**record, "negative_edges": 0, "negative_precision": None}))
+    lines = pipeline.build_report(cfg, run_dir).text.splitlines()
+    assert "graph negative_edges = 0" in lines and "graph negative_precision = none" in lines
+
+
 def test_graph_record_counts_the_signed_edges_and_isolated_videos(tiny_run):
     _, _, first = tiny_run
     graph = serial.load_graph(first.run_dir / "graph.bin")

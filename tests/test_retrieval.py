@@ -634,7 +634,7 @@ class TestQueryValidation:
         packed = pack_bits(self.bits[:2])
         for bad in (packed.astype(np.int8), packed[:, :0], packed[:0], packed[0],
                     np.zeros((2, 2), dtype=np.uint8)):
-            with pytest.raises(ShapeError, match="packed queries of 8-bit codes"):
+            with pytest.raises(ShapeError, match="8-bit codes"):
                 evaluate_packed(bad, [0, 1], self.idx)
         # 6-bit codes leave two pad bits in their byte, which must be zero
         idx6 = CodeIndex.from_bits(self.bits[:, :6], labels=[0, 1, 0, 1, 1, 0])
@@ -670,3 +670,10 @@ class TestQueryValidation:
     def test_index_rejects_packed_rows_of_the_wrong_width(self):
         with pytest.raises(ShapeError):
             CodeIndex(packed=np.zeros((3, 2), dtype=np.uint8), ids=np.arange(3), k=8)
+
+    @pytest.mark.parametrize("packed", [np.array([[300, 1]]), np.zeros((3, 2), np.int64)],
+                             ids=["out-of-byte", "zeros"])
+    def test_index_refuses_int64_rows(self, packed):
+        # a uint8 cast would store 300 as 44
+        with pytest.raises(ShapeError, match="16-bit codes pack into"):
+            CodeIndex(packed=packed, ids=np.arange(len(packed)), k=16)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dkph import serial
+from dkph.codes import pack_bits
 from dkph.config import RunConfig
 from dkph.student import init_student
 from dkph.teacher import init_teacher
@@ -165,8 +166,8 @@ class TestFeatures:
 
 class TestCodesAndLabels:
     def test_codes_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        packed = rng.integers(0, 256, size=(6, 3), dtype=np.uint8)
+        bits = np.where(np.random.default_rng(2).random((6, 17)) > 0.5, 1, -1)
+        packed = pack_bits(bits)
         path = tmp_path / "db.codes"
         serial.save_codes(path, packed, k=17)
         back, k = serial.load_codes(path)

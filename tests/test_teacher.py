@@ -8,7 +8,7 @@ import pytest
 from dkph import encoder
 from dkph.config import RunConfig
 from dkph.encoder import factor_grads
-from dkph.exceptions import TrainingError
+from dkph.exceptions import ShapeError, TrainingError
 from dkph.numerics import finite_diff_check
 from dkph.teacher import (
     batch_gradients,
@@ -343,6 +343,13 @@ class TestBatched:
         x = np.random.default_rng(35).normal(size=(2, 4, 6))
         fwd = teacher_forward(x, p, mask=bool_masks([(0,), ()]))
         with pytest.raises(ValueError):
+            teacher_backward(x, fwd, p)
+
+    def test_backward_of_a_forward_without_a_mask_raises_shape_error(self):
+        p = toy_teacher(34)
+        x = np.random.default_rng(35).normal(size=(2, 4, 6))
+        fwd = teacher_forward(x, p, mask=None)
+        with pytest.raises(ShapeError, match="bool mask"):
             teacher_backward(x, fwd, p)
 
     def test_eval_loss_is_mean_of_per_video_losses(self, monkeypatch):
