@@ -41,8 +41,14 @@ def binarize_tanh(act: np.ndarray, mode: str) -> np.ndarray:
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack (N, K) rows of {-1,+1} values into (N, ceil(K/8)) uint8 rows."""
+    """Pack (N, K) rows of {-1,+1} values into (N, ceil(K/8)) uint8 rows.
+
+    Raises ShapeError unless ``bits`` is 2-D with K >= 1 (the row rule,
+    module docstring), and ValueError for an entry outside {-1,+1}.
+    """
     b = np.asarray(bits)
+    if b.ndim != 2 or b.shape[1] == 0:
+        raise ShapeError(f"pack_bits expects (n, K) rows with K >= 1, got shape {b.shape}")
     if not np.all(np.abs(b) == 1):
         raise ValueError("pack_bits expects entries in {-1,+1}")
     return np.packbits((b > 0).astype(np.uint8), axis=1, bitorder="little")

@@ -31,9 +31,24 @@ The budget follows the model and the mask: the paper-default model runs
 20 videos per block, and 40 when it masks 4 of its 25 frames; a 64-wide
 model 256, and 512 masked; a tiny one all its videos at once. Per-row
 outputs of the forward do not depend on the block; gradients summed over
-blocks do, in the last ulp. The elementwise layers work in place on a few
-buffers per pass, in the same operations and operand order as the plain
-expressions, so their results are bit-identical to them.
+blocks do, in the last ulp. The elementwise kernels (LayerNorm and GELU)
+work in place on a few buffers per pass, in the same operations and
+operand order as their plain expressions, so their results are
+bit-identical to them.
+
+Reductions. Every mean along the rows and every sum down the columns of a
+(rows, width) array in the passes is a BLAS product with a constant
+vector: :func:`_row_mean` is ``x`` times a column of 1/width, and
+:func:`_col_sum` is a row of ones times ``x``. They take LayerNorm's means
+forward and backward and its gain and bias gradients, the softmax
+denominator and the backward's ``inner`` row sums (M times a row mean),
+and the bias, positional and ``mask_embed`` gradients; the teacher's and
+the student's head-bias gradients use :func:`_col_sum` too. Row maxima and
+the per-video frame means of :func:`encode_means` stay numpy reductions.
+On one Intel Xeon core with OpenBLAS, a float32 numpy row mean costs 5-11
+times the product at widths 256 down to 8, and a column sum 3-9 times. The
+products sum in another order than numpy's reductions, so they agree with
+them to a few ulps, and exactly on small integers at power-of-two widths.
 
 Attention products. W_q and W_k enter attention only through their product
 w_qk = W_q W_k^T, and W_v and W_o only through w_vo = W_v W_o:
@@ -224,18 +239,32 @@ def _tensors(params) -> dict:
     return {name[len(_PREFIX):]: t for name, t in params.items() if name.startswith(_PREFIX)}
 
 
+def _row_mean(x):
+    """The (rows, 1) row means of a (rows, width) array, as its product with
+    a column of 1/width (module docstring, Reductions)."""
+    width = x.shape[1]
+    return x @ np.full((width, 1), 1.0 / width, dtype=x.dtype)
+
+
+def _col_sum(x):
+    """The (width,) column sums of a (rows, width) array, as the product of
+    a row of ones with it (module docstring, Reductions)."""
+    return np.ones(len(x), dtype=x.dtype) @ x
+
+
 # The four elementwise kernels below run in place on two or three (rows,
-# width) buffers. Each comment gives the plain expression a kernel computes;
-# the kernel keeps its operations and their order (a commuted operand of one
-# + or * is the same IEEE result), so the two agree bit for bit.
+# width) buffers. Each comment gives the plain expression a kernel computes,
+# with its means and sums taken by the two helpers above; the kernel keeps
+# its operations and their order (a commuted operand of one + or * is the
+# same IEEE result), so the two agree bit for bit.
 
 
 def _ln_forward(x, gain, bias):
     # xhat = (x - mu) / sqrt(var + eps);  out = xhat * gain + bias
-    mu = x.mean(axis=1, keepdims=True)
+    mu = _row_mean(x)
     xhat = x - mu
     out = xhat * xhat
-    var = out.mean(axis=1, keepdims=True)
+    var = _row_mean(out)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     np.multiply(xhat, gain, out=out)
@@ -247,12 +276,12 @@ def _ln_backward(dy, gain, ln_cache):
     # dxhat = dy * gain;  dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
     xhat, inv = ln_cache
     tmp = dy * xhat
-    d_gain = tmp.sum(axis=0)
-    d_bias = dy.sum(axis=0)
+    d_gain = _col_sum(tmp)
+    d_bias = _col_sum(dy)
     dx = dy * gain
-    m1 = dx.mean(axis=1, keepdims=True)
+    m1 = _row_mean(dx)
     np.multiply(dx, xhat, out=tmp)
-    m2 = tmp.mean(axis=1, keepdims=True)
+    m2 = _row_mean(tmp)
     dx -= m1
     np.multiply(xhat, m2, out=tmp)
     dx -= tmp
@@ -375,7 +404,7 @@ def _encode(x: np.ndarray, params: Params, masked, products):
     scores = (qk @ frames.transpose(0, 2, 1)) / math.sqrt(d)
     scores -= scores.max(axis=2, keepdims=True)
     e = np.exp(scores)
-    attn = e / e.sum(axis=2, keepdims=True)
+    attn = e / (m_frames * _row_mean(e.reshape(-1, m_frames))).reshape(b, c, 1)
     mix = (attn @ frames).reshape(-1, d)[slots]
     h1 = mix @ w_vo
     h1 += h0[sel]
@@ -459,17 +488,17 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
 
     # out = h1 + g1 @ w_f2 + b_f2, on the masked rows (every row unmasked)
     w_f2 = cache.g1.T @ grad_out
-    b_f2 = grad_out.sum(axis=0)
+    b_f2 = _col_sum(grad_out)
     d_f1 = _gelu_backward(grad_out @ p["w_f2"].T, cache.f1_pre, cache.gelu_t)
     w_f1 = cache.n2.T @ d_f1
-    b_f1 = d_f1.sum(axis=0)
+    b_f1 = _col_sum(d_f1)
     d_h1, ln2_g, ln2_b = _ln_backward(d_f1 @ p["w_f1"].T, p["ln2_g"], cache.ln2)
     d_h1 += grad_out
 
     # h1 = h0 + mix @ w_vo + b_o, on the selected rows
     w_qk, w_vo = cache.products
     g_vo = cache.mix.T @ d_h1
-    b_o = d_h1.sum(axis=0)
+    b_o = _col_sum(d_h1)
 
     # mix = (attn n1)[slots] and scores = (n1[sel] w_qk) n1^T / sqrt(d); d_mix,
     # and with it d_scores, is zero at the attention rows that pad a video
@@ -477,7 +506,7 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     attn = cache.attn
     frames = cache.n1.reshape(b, m_frames, d)
     d_attn = d_mix @ frames.transpose(0, 2, 1)
-    inner = (d_attn * attn).sum(axis=2, keepdims=True)
+    inner = (m_frames * _row_mean((d_attn * attn).reshape(-1, m_frames))).reshape(b, c, 1)
     d_scores = attn * (d_attn - inner)
     d_scores *= 1.0 / math.sqrt(d)
     d_qk = (d_scores @ frames).reshape(-1, d)[slots]
@@ -489,13 +518,13 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     d_h0[sel] += d_h1
 
     # h0 = (proj with masked rows replaced) + e_pos
-    e_pos = d_h0.reshape(b, m_frames, d).sum(axis=0)
+    e_pos = _col_sum(d_h0.reshape(b, m_frames * d)).reshape(m_frames, d)
     extra = {}
     if masked is not None:
-        extra["mask_embed"] = d_h0[sel].sum(axis=0)
+        extra["mask_embed"] = _col_sum(d_h0[sel])
         d_h0[sel] = 0.0
     w_in = cache.x.T @ d_h0
-    b_in = d_h0.sum(axis=0)
+    b_in = _col_sum(d_h0)
     grads = dict(
         w_in=w_in, b_in=b_in, e_pos=e_pos, w_qk=g_qk, w_vo=g_vo, b_o=b_o,
         ln1_g=ln1_g, ln1_b=ln1_b, ln2_g=ln2_g, ln2_b=ln2_b,

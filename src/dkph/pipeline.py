@@ -45,7 +45,8 @@ no edge of either sign), and its ``positive_precision`` and
 report.txt shows these five (null as ``none``). The labels go into the
 record and the report only: no model is trained on them. The teacher's
 and each student's record carries its ``optimizer_steps``, one Adam step
-per batch of every epoch.
+per batch of every epoch, and report.txt shows it after the stage's wall
+time.
 
 Memory
     The encoder passes allocate temporaries of up to about
@@ -98,11 +99,11 @@ logger = logging.getLogger(__name__)
 # Written into every meta record. Bump it whenever the code changes what a
 # stage produces for the same config, so that old artifacts are rebuilt;
 # records without the field count as version 1 (CHANGES.md has each
-# version's reason). Version 13: embeddings.features takes each video's frame
-# means before the FFN output product (encoder.encode_means), and the masked
-# teacher passes run attention rows for the masked frames only, in blocks
-# sized by the rows they hold, so both sum in another float32 order.
-CODE_VERSION = 13
+# version's reason). Version 14: the model passes take their row means and
+# column sums (LayerNorm, softmax, bias and positional gradients) as BLAS
+# products with constant vectors (encoder._row_mean, encoder._col_sum), so
+# every trained artifact sums in another float order.
+CODE_VERSION = 14
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -397,6 +398,8 @@ def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
                for stage in stage_names(cfg)}
     for stage, record in records.items():
         lines.append(f"stage {stage} wall_time_s = {record['wall_time_s']:.3f}")
+        if "optimizer_steps" in record:
+            lines.append(f"stage {stage} optimizer_steps = {record['optimizer_steps']}")
     for key in ("positive_edges", "negative_edges", "isolated_videos",
                 "positive_precision", "negative_precision"):
         value = records["graph"][key]

@@ -67,7 +67,7 @@ from .encoder import (
     init_encoder,
     training_features,
 )
-from .encoder import _uniform
+from .encoder import _col_sum, _uniform
 from .graph import PairSample, SignedGraph, sample_pairs
 from .optim import add_grads, train_epochs
 
@@ -210,11 +210,11 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
         mix = fwd.latent + fwd.code[:, None, :]
         part.update(
             w_dec=mix.reshape(-1, k).T @ d_recon.reshape(-1, d_in),
-            b_dec=d_recon.sum(axis=(0, 1)),
+            b_dec=_col_sum(d_recon.reshape(-1, d_in)),
             w_temp=frames.reshape(-1, d_model).T @ d_mix.reshape(-1, k),
-            b_temp=d_mix.sum(axis=(0, 1)),
+            b_temp=_col_sum(d_mix.reshape(-1, k)),
             w_hash=frames.reshape(len(frames), -1).T @ d_that,
-            b_hash=d_that.sum(axis=0),
+            b_hash=_col_sum(d_that),
         )
         add_grads(grads, part)
     grads = factor_grads(grads, params)

@@ -70,7 +70,7 @@ from .encoder import (
     init_encoder,
     training_features,
 )
-from .encoder import _uniform
+from .encoder import _col_sum, _uniform
 from .exceptions import ShapeError
 from .optim import add_grads, train_epochs
 
@@ -166,9 +166,9 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict
     grads = encode_backward(d_frames, fwd.enc_cache)
     grads.update(
         w_hash=fwd.frames.T @ d_z,
-        b_hash=d_z.sum(axis=0),
+        b_hash=_col_sum(d_z),
         w_dec=fwd.frame_codes.T @ d_recon,
-        b_dec=d_recon.sum(axis=0),
+        b_dec=_col_sum(d_recon),
     )
     return grads
 

@@ -92,3 +92,17 @@ def test_binary_code_keeps_int8_bits_and_their_packed_row():
     code = BinaryCode(np.array([1.0, -1.0, 1.0]))
     assert code.bits.dtype == np.int8 and code.bits.tolist() == [1, -1, 1] and code.k == 3
     np.testing.assert_array_equal(code.packed, [0b101])
+
+
+@pytest.mark.parametrize("bits", [np.ones((2, 9, 3)), np.ones(5), np.ones((2, 0))],
+                         ids=["3-D", "1-D", "no-columns"])
+def test_pack_bits_refuses_what_is_not_rows_of_codes(bits):
+    # 3-D would pack along the middle axis, 1-D has no row axis, and 0-bit
+    # rows break the row rule's K >= 1
+    with pytest.raises(ShapeError, match="K >= 1"):
+        pack_bits(bits)
+
+
+def test_binary_code_refuses_an_empty_code():
+    with pytest.raises(ShapeError, match="K >= 1"):
+        BinaryCode(np.array([]))

@@ -633,12 +633,50 @@ def test_only_batches_and_bool_masks_are_accepted():
         encode_forward(np.zeros((1, 4, 6)), p, masked=np.ones((1, 4), dtype=np.int64))
 
 
-# The elementwise kernels as plain expressions: each temporary a fresh array.
-# The in-place kernels must give these results bit for bit.
+# Magnitude-relative bounds for the reduction helpers, fixed from the dtypes
+# before measuring: 4 float32 ulps, and 1e-12 in float64, of the mean (row
+# means) or the sum (column sums) of the reduced entries' magnitudes. The
+# helpers and numpy sum the same entries in different orders, so each is
+# within a few ulps of that scale of the exact result.
+REDUCTION_TOL = {np.float32: 4 * np.finfo(np.float32).eps, np.float64: 1e-12}
+
+
+@pytest.mark.parametrize("width", [1, 8, 64, 256])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestReductions:
+    def test_row_means_equal_numpy_within_a_few_ulps(self, dtype, width):
+        x = (3.0 * np.random.default_rng(width).normal(size=(300, width))).astype(dtype)
+        got = encoder._row_mean(x)
+        assert got.dtype == dtype and got.shape == (300, 1)
+        scale = np.abs(x).mean(axis=1, keepdims=True)
+        assert np.all(np.abs(got - x.mean(axis=1, keepdims=True)) <= REDUCTION_TOL[dtype] * scale)
+
+    def test_column_sums_equal_numpy_within_a_few_ulps(self, dtype, width):
+        x = (3.0 * np.random.default_rng(width + 1).normal(size=(300, width))).astype(dtype)
+        got = encoder._col_sum(x)
+        assert got.dtype == dtype and got.shape == (width,)
+        assert np.all(np.abs(got - x.sum(axis=0)) <= REDUCTION_TOL[dtype] * np.abs(x).sum(axis=0))
+
+    def test_small_integers_reduce_exactly(self, dtype, width):
+        # every product and partial sum is a small multiple of 1/width, a
+        # power of two here, so no step rounds
+        x = np.random.default_rng(width + 2).integers(-8, 9, size=(300, width)).astype(dtype)
+        assert np.array_equal(encoder._row_mean(x), x.mean(axis=1, keepdims=True))
+        assert np.array_equal(encoder._col_sum(x), x.sum(axis=0))
+
+    def test_column_sums_over_zero_rows_are_zero(self, dtype, width):
+        got = encoder._col_sum(np.zeros((0, width), dtype=dtype))
+        assert got.dtype == dtype and np.array_equal(got, np.zeros(width))
+
+
+# The elementwise kernels as plain expressions: each temporary a fresh array,
+# and LayerNorm's means and sums taken by the encoder's reduction helpers, as
+# the kernels take them (their own tests are TestReductions). The in-place
+# kernels must give these results bit for bit.
 def plain_ln_forward(x, gain, bias):
-    mu = x.mean(axis=1, keepdims=True)
+    mu = encoder._row_mean(x)
     xc = x - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = encoder._row_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     return xhat * gain + bias, (xhat, inv)
@@ -646,11 +684,11 @@ def plain_ln_forward(x, gain, bias):
 
 def plain_ln_backward(dy, gain, ln_cache):
     xhat, inv = ln_cache
-    d_gain = (dy * xhat).sum(axis=0)
-    d_bias = dy.sum(axis=0)
+    d_gain = encoder._col_sum(dy * xhat)
+    d_bias = encoder._col_sum(dy)
     dxhat = dy * gain
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    m1 = encoder._row_mean(dxhat)
+    m2 = encoder._row_mean(dxhat * xhat)
     return inv * (dxhat - m1 - xhat * m2), d_gain, d_bias
 
 

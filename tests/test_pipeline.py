@@ -222,6 +222,17 @@ def test_training_records_carry_their_optimizer_steps(tiny_run):
     assert (n_train, per_epoch) == (20, 3)
 
 
+def test_report_shows_each_training_stage_optimizer_steps(tiny_run):
+    cfg, _, first = tiny_run
+    records = _meta(first.run_dir)
+    lines = (first.run_dir / "report.txt").read_text().splitlines()
+    shown = {line.split()[1]: int(line.split(" = ")[1]) for line in lines
+             if line.startswith("stage ") and " optimizer_steps = " in line}
+    trained = ["teacher", *(f"student_{bits}" for bits in cfg.code_bits)]
+    assert list(shown) == trained
+    assert shown == {stage: records[stage]["optimizer_steps"] for stage in trained}
+
+
 def _copy_without(first, tmp_path, stage):
     """A copy of the tiny run in which ``stage`` has not completed."""
     run_dir = tmp_path / first.run_dir.name

@@ -11,11 +11,29 @@ import numpy as np
 import pytest
 
 from dkph import optim, pipeline, student, teacher
-from dkph.encoder import cast_params
+from dkph.config import RunConfig
+from dkph.encoder import cast_params, factor_grads
 from dkph.graph import sample_pairs
-from dkph.student import batch_gradients, train_student
-from dkph.teacher import masked_eval_loss, train_teacher
-from test_student import TOY, K, toy_student, two_class_setup
+from dkph.student import batch_gradients, init_student, student_forward, train_student
+from dkph.teacher import (
+    draw_mask,
+    init_teacher,
+    masked_eval_loss,
+    teacher_backward,
+    teacher_forward,
+    teacher_recon_loss,
+    train_teacher,
+)
+from test_encoder import assert_rel_close
+from test_student import (
+    TOY,
+    K,
+    oracle_batch_gradients,
+    oracle_student,
+    toy_student,
+    two_class_setup,
+)
+from test_teacher import oracle_teacher
 
 # float32 agreement bound, fixed from the dtype before measuring: 2**10 ulps
 # of float32 (1.2e-4) relative to each tensor's largest entry. A gradient is
@@ -166,3 +184,64 @@ def test_float64_anchor_centres_are_narrowed_to_the_student_dtype():
     assert l64 == l32
     for name, arr in g32.items():
         np.testing.assert_array_equal(g64[name], arr)
+
+
+# The small model of the benchmark's retrieval fixture: 4 frames of 64
+# features, model_dim 8 and FFN width 16, where the encoder's reductions run
+# on rows 8 or 16 wide
+RETRIEVAL_SHAPES = RunConfig(frames=4, feat_dim=64, model_dim=8)
+# the encoder's float32 oracle bound: 2**8 float32 ulps (3.1e-5) of each
+# tensor's largest entry, fixed from the dtype
+ORACLE_TOL = 2**8 * np.finfo(np.float32).eps
+
+
+def float32_and_widened(params):
+    p32 = cast_params(params, np.float32)
+    return p32, cast_params(p32, np.float64)
+
+
+@pytest.mark.parametrize("bits", [16, 64])
+def test_float32_teacher_pass_at_retrieval_shapes_matches_the_float64_oracle(bits):
+    # relaxed binarization, so that a last-ulp change cannot flip a code bit
+    cfg = dataclasses.replace(RETRIEVAL_SHAPES, teacher_bits=bits)
+    rng = np.random.default_rng(70 + bits)
+    p32, p64 = float32_and_widened(init_teacher(cfg, rng))
+    x = rng.normal(size=(6, cfg.frames, cfg.feat_dim)).astype(np.float32)
+    masked = draw_mask(rng, cfg.frames, cfg.masked_frames(), len(x))
+    fwd = teacher_forward(x, p32, masked, binarize="relaxed")
+    losses = teacher_recon_loss(x, fwd.recon, masked)
+    grads = factor_grads(teacher_backward(x, fwd, p32), p32)
+    want = [oracle_teacher(xb, p64, tuple(np.flatnonzero(mk)), binarize="relaxed")
+            for xb, mk in zip(x.astype(np.float64), masked)]
+    assert fwd.recon.dtype == losses.dtype == np.float32
+    assert_rel_close(fwd.recon, np.concatenate([rows for _, _, rows in want]), ORACLE_TOL)
+    assert_rel_close(losses, [loss for loss, _, _ in want], ORACLE_TOL)
+    assert list(grads) == list(p32)
+    for name, got in grads.items():
+        assert got.dtype == np.float32
+        assert_rel_close(got, sum(g[name] for _, g, _ in want), ORACLE_TOL)
+
+
+@pytest.mark.parametrize("bits", [16, 64])
+def test_float32_student_pass_at_retrieval_shapes_matches_the_float64_oracle(bits):
+    cfg = RETRIEVAL_SHAPES
+    feats, graph, anchors = two_class_setup(72, feat_dim=cfg.feat_dim)
+    x = feats.astype(np.float32)
+    p32, p64 = float32_and_widened(init_student(cfg, np.random.default_rng(73), bits))
+    fwd = student_forward(x, p32, binarize="relaxed")
+    want_fwd = [oracle_student(xb, p64, binarize="relaxed") for xb in x.astype(np.float64)]
+    assert fwd.recon.dtype == np.float32
+    assert_rel_close(fwd.act, np.stack([o[1] for o in want_fwd]), ORACLE_TOL)
+    assert_rel_close(fwd.recon, np.stack([o[4] for o in want_fwd]), ORACLE_TOL)
+
+    batch = [0, 1, 3]
+    pairs = sample_pairs(graph, batch, count=8, seed=74)
+    losses, grads = batch_gradients(x, batch, pairs, p32, cfg, anchors, binarize="relaxed")
+    want_losses, want = oracle_batch_gradients(x.astype(np.float64), batch, pairs, p64, cfg,
+                                               anchors, binarize="relaxed")
+    for name, value in want_losses.items():
+        assert abs(losses[name] - value) <= ORACLE_TOL * abs(value), name
+    assert set(grads) == set(want)
+    for name, got in grads.items():
+        assert got.dtype == np.float32
+        assert_rel_close(got, want[name], ORACLE_TOL)

@@ -232,11 +232,11 @@ class TestTsimLoss:
             assert val >= pull - 1e-12
 
 
-def two_class_setup(seed=0):
-    """Six videos in two clusters plus a hand graph over them."""
+def two_class_setup(seed=0, feat_dim=6):
+    """Six videos of 4 frames in two clusters plus a hand graph over them."""
     rng = np.random.default_rng(seed)
-    base = np.stack([rng.normal(size=(4, 6)), 3.0 + rng.normal(size=(4, 6))])
-    feats = np.stack([base[i % 2] + 0.1 * rng.normal(size=(4, 6)) for i in range(6)])
+    base = np.stack([rng.normal(size=(4, feat_dim)), 3.0 + rng.normal(size=(4, feat_dim))])
+    feats = np.stack([base[i % 2] + 0.1 * rng.normal(size=(4, feat_dim)) for i in range(6)])
     evens, odds = [0, 2, 4], [1, 3, 5]
     pos = [np.array([v for v in (evens if i % 2 == 0 else odds) if v != i]) for i in range(6)]
     neg = [np.array(odds if i % 2 == 0 else evens) for i in range(6)]
@@ -361,22 +361,24 @@ class TestStep:
         assert report.max_rel_error < 1e-4, report
 
 
-def oracle_student(x, p):
-    """Straight-line hard forward of one video: frames, act, code, latent, recon."""
+def oracle_student(x, p, binarize="hard"):
+    """Straight-line forward of one video: frames, act, code, latent, recon;
+    the code is tanh itself under ``binarize="relaxed"``."""
     frames = oracle_forward(x, p)
     act = np.tanh(frames.reshape(-1) @ p["w_hash"] + p["b_hash"])
-    code = np.where(act >= 0, 1.0, -1.0)
+    code = np.where(act >= 0, 1.0, -1.0) if binarize == "hard" else act
     latent = frames @ p["w_temp"] + p["b_temp"]
     return frames, act, code, latent, (latent + code) @ p["w_dec"] + p["b_dec"]
 
 
-def oracle_batch_gradients(features, batch, pairs, p, w, anchors):
-    """Per-video, per-pair loops over the straight-line oracles."""
+def oracle_batch_gradients(features, batch, pairs, p, w, anchors, binarize="hard"):
+    """Per-video, per-pair loops over the straight-line oracles;
+    straight-through past the sign."""
     k = p["w_hash"].shape[1]
     m, d_in = features.shape[1:]
     batch = [int(v) for v in batch]
     need = sorted(set(batch) | {int(v) for v in pairs.i} | {int(v) for v in pairs.j})
-    fw = {v: oracle_student(features[v], p) for v in need}
+    fw = {v: oracle_student(features[v], p, binarize) for v in need}
     batch = sorted(set(batch))
     rs = 1.0 / (len(batch) * m * d_in)
     l_recon = rs * sum(((fw[v][4] - features[v]) ** 2).sum() for v in batch)
