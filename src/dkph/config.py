@@ -14,13 +14,16 @@ moving a work directory does not invalidate its artifacts.
 
 Values are range-checked when a config is built: a value that would only
 fail deep inside a stage (more anchors than training videos, say) raises
-ConfigError naming its key, as does a non-finite float.
+ConfigError naming its key, as does a non-finite float, or a float or a
+bool where an integer belongs. ``code_bits`` is kept as a tuple of ints,
+whatever sequence it was given as.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -55,7 +58,6 @@ class RunConfig:
     # graph
     num_anchors: int = 40
     anchor_neighbors: int = 10  # p nearest centers kept per video
-    bandwidth: float = 0.0      # 0 = mean distance to the p-th nearest center
     lambda1: float = 2.0
     lambda2: float = 1.0
     # loss weights
@@ -79,13 +81,22 @@ class RunConfig:
         return max(1, int(round(self.mask_ratio * self.frames)))
 
     def __post_init__(self):
+        integers = {f.name: (getattr(self, f.name),) for f in fields(self)
+                    if f.type in ("int", int)}
+        integers["code_bits"] = self.code_bits = tuple(self.code_bits)
+        for key, values in integers.items():
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                       for v in values):
+                raise ConfigError(f"{key} = {_format_value(getattr(self, key))}: "
+                                  "must be integral, not a float or a bool")
+        self.code_bits = tuple(map(int, self.code_bits))
         per_class = self.split_sizes()
         n_train = self.num_classes * per_class[0]
         n_database = self.num_classes * per_class[2]
         positive = ("num_classes", "frames", "feat_dim", "model_dim", "teacher_bits",
                     "batch_size")
         non_negative = ("intra_class_noise", "temporal_drift", "ffn_dim", "teacher_epochs",
-                        "student_epochs", "learn_rate", "bandwidth", "eta", "beta",
+                        "student_epochs", "learn_rate", "eta", "beta",
                         "gamma1", "gamma2", "lambda1", "data_seed", "train_seed")
         floats = [f.name for f in fields(self) if f.type in ("float", float)]
         checks = (

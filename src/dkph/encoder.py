@@ -20,10 +20,8 @@ Masked rows). The backward returns parameter gradients summed over the
 batch. Callers run large sets of videos through :func:`forward_blocks`, in
 the blocks of :func:`blocks`. A block holds as many videos as fit
 :data:`BLOCK_BYTES` at the largest row set a video holds: its M frames at
-the wider of ``feat_dim`` and ``model_dim``, and its rows after attention
-at the FFN width. Without a mask those rows are its M frames; a masked
-pass holds only its masked rows after attention, so it counts the pass's
-largest masked count. Each elementwise pass (LayerNorm, GELU, bias and
+the wider of ``feat_dim`` and ``model_dim``, and its c rows after attention
+at the FFN width. Each elementwise pass (LayerNorm, GELU, bias and
 residual adds) reads and writes (rows, width) temporaries; at this budget
 each is at most half a 2 MB L2 cache, so a pass works mostly in cache
 instead of streaming through memory (a fixed 64 videos made them 3.2 MB).
@@ -68,24 +66,22 @@ d^3 products). Parameters, checkpoints and optimizer moments keep the four
 weights; the products are never stored.
 
 Masked rows. ``masked`` is an optional (B, M) bool array, True at the
-frames the cloze teacher masks; the student never masks. A masked frame's
-projected content is replaced by ``mask_embed``, so no feature content
-leaks through, and the masked frames are the only outputs computed, since
-the teacher's loss reads no other: ``_sel`` above is the masked rows. Only
-the input projection, LayerNorm 1 and the keys and values of the
-attention products (n1^T in scores and in attn n1) touch every frame,
-because every frame is attended to. The attention rows are the masked
-frames' only: ``scores`` and ``attn`` are (B, c, M) and ``attn n1`` is
-(B, c, d), with c the batch's largest masked count, in place of (B, M, M)
-and (B, M, d). A video's masked frames fill its first rows; the rows that
-pad a video with fewer hold zero queries, and the backward gives them
-zero gradients, so they add nothing. The products with w_qk and w_vo,
-LayerNorm 2 and the FFN run on the masked rows only, and the output is
-an (n_masked, model_dim) array in ``x[masked]`` order. The backward then
-takes a gradient for those rows only, and its row products with d x d
-matrices run on them too. Without a mask the same statements run over
-all rows with c = M, nothing is replaced, and the output is (B, M,
-model_dim).
+frames the cloze teacher masks; the student never masks. Every row masks
+the same count c >= 1 of frames, as ``teacher.draw_mask`` draws them, and
+:func:`check_mask` refuses any other mask. A masked frame's projected
+content is replaced by ``mask_embed``, so no feature content leaks
+through, and the masked frames are the only outputs computed, since the
+teacher's loss reads no other: ``_sel`` above is the masked rows. Only the
+input projection, LayerNorm 1 and the keys and values of the attention
+products (n1^T in scores and in attn n1) touch every frame, because every
+frame is attended to. The attention rows are the masked frames' only:
+``scores`` and ``attn`` are (B, c, M) and ``attn n1`` is (B, c, d), in
+place of (B, M, M) and (B, M, d). The products with w_qk and w_vo,
+LayerNorm 2 and the FFN run on the masked rows only, and the output is a
+(B * c, model_dim) array in ``x[masked]`` order. The backward then takes
+a gradient for those rows only, and its row products with d x d matrices
+run on them too. Without a mask the same statements run over all rows
+with c = M, nothing is replaced, and the output is (B, M, model_dim).
 
 Frame means. :func:`encode_means` gives each video's mean output over its
 frames, the teacher embedding the anchor graph is built on, from the
@@ -188,25 +184,18 @@ def training_features(features) -> np.ndarray:
 @dataclass
 class EncoderCache:
     """Forward intermediates. ``x``, ``ln1`` and ``n1`` are flat, (B * M,
-    width); ``mix`` (= (attn n1)_sel) and the rows after attention (``ln2``
-    to ``g1``) hold the masked rows only when the forward masked,
-    (n_masked, width). ``qk`` (= n1_sel w_qk) is (B, c, model_dim) and
-    ``attn`` is (B, c, M), c attention rows per video: c = M without a
-    mask, and with one the largest masked count of the batch, a video's
-    masked frames in its first rows (module docstring, Masked rows).
-    ``slots`` is the every-row slice without a mask, and with one the
-    (B * c,) bool rows of ``qk`` that hold a masked frame; ``qk`` is zero
-    at the others, so their ``attn`` rows are uniform and meaningless, and
-    the backward reads them only against zero gradients. ``products`` is
-    the forward's (w_qk, w_vo), which the backward reuses (module
-    docstring, Attention products)."""
+    width); ``mix`` (= attn n1) and the rows after attention (``ln2`` to
+    ``g1``) are (B * c, width), and ``qk`` (= n1_sel w_qk) is (B, c,
+    model_dim) and ``attn`` (B, c, M): c = M rows per video without a
+    mask, and with one the c masked frames of each video (module
+    docstring, Masked rows). ``products`` is the forward's (w_qk, w_vo),
+    which the backward reuses (module docstring, Attention products)."""
 
     params: Params
     version: int
     x: np.ndarray
     products: tuple  # (w_qk, w_vo)
     masked: np.ndarray | None  # (B, M) bool, or None for an unmasked forward
-    slots: np.ndarray | slice
     ln1: tuple
     n1: np.ndarray
     qk: np.ndarray
@@ -224,11 +213,11 @@ def blocks(n: int, params, masked: np.ndarray | None = None) -> list[slice]:
     at the largest row set a video holds, in elements of the parameters'
     dtype, and at least one (module docstring, Batches): its frames x
     max(feat_dim, model_dim), and its rows after attention x the FFN
-    width, which are its frames without ``masked`` and the largest masked
-    count of the (n, M) bool ``masked`` with it."""
+    width, which are its frames without ``masked`` and the count c of
+    :func:`check_mask` with the (n, M) bool ``masked``."""
     m_frames, d = params["encoder.e_pos"].shape
     w_in, w_f1 = params["encoder.w_in"], params["encoder.w_f1"]
-    rows = m_frames if masked is None else int(masked.sum(axis=1).max(initial=0))
+    rows = m_frames if masked is None else check_mask(masked, (n, m_frames))
     per_video = max(m_frames * max(w_in.shape[0], d), rows * w_f1.shape[1])
     step = max(1, BLOCK_BYTES // (per_video * w_in.dtype.itemsize))
     return [slice(s, min(s + step, n)) for s in range(0, n, step)]
@@ -320,21 +309,19 @@ def _gelu_backward(dy, x, t):
     return dx
 
 
-def _scatter(rows: np.ndarray, sel, n: int) -> np.ndarray:
-    """``rows`` placed at the ``sel`` rows of an (n, width) array, zero
-    elsewhere; ``rows`` itself when ``sel`` is the every-row slice."""
-    if isinstance(sel, slice):
-        return rows
-    full = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
-    full[sel] = rows
-    return full
-
-
-def check_mask(masked, shape: tuple) -> None:
-    """Raise ShapeError unless ``masked`` is a bool array of ``shape``."""
+def check_mask(masked, shape: tuple) -> int:
+    """The count c >= 1 of frames that every row of ``masked`` hides (module
+    docstring, Masked rows). Raise ShapeError unless ``masked`` is a bool
+    array of ``shape`` whose rows all hide the same c frames."""
     if not (isinstance(masked, np.ndarray) and masked.dtype == bool and masked.shape == shape):
         got = (masked.dtype, masked.shape) if isinstance(masked, np.ndarray) else type(masked)
         raise ShapeError(f"expected a bool mask of shape {shape}, got {got}")
+    counts = masked.sum(axis=1)
+    c = int(counts.max(initial=1))
+    if not (counts == c).all():
+        raise ShapeError("every row of a mask must hide the same count >= 1 of frames, "
+                         f"got counts {np.unique(counts).tolist()}")
+    return c
 
 
 def attention_products(params) -> tuple[np.ndarray, np.ndarray]:
@@ -364,23 +351,20 @@ def _encode(x: np.ndarray, params: Params, masked, products):
     """The block up to the FFN output product, shared by :func:`encode_forward`
     and :func:`encode_means`: ``(h1, g1, cache)``, the rows after attention
     and the FFN's GELU rows, both (B * M, width) without a mask and
-    (n_masked, width) with one."""
+    (B * c, width) with one."""
     p = _tensors(params)
     x = np.asarray(x, dtype=p["w_in"].dtype)
     m_frames, d_in = p["e_pos"].shape[0], p["w_in"].shape[0]
     if x.ndim != 3 or x.shape[1:] != (m_frames, d_in):
         raise ShapeError(f"expected features of shape (B, {m_frames}, {d_in}), got {x.shape}")
     b = x.shape[0]
-    sel = slots = slice(None)
+    sel = slice(None)
     c = m_frames   # attention rows per video
     if masked is not None:
-        check_mask(masked, (b, m_frames))
+        c = check_mask(masked, (b, m_frames))
         if "mask_embed" not in params:
             raise ValueError("a mask needs the parameters' mask_embed; they have none")
         sel = masked.reshape(-1)
-        counts = masked.sum(axis=1)
-        c = int(counts.max(initial=0))
-        slots = (np.arange(c) < counts[:, None]).reshape(-1)
     if products is None:
         products = attention_products(params)
     w_qk, w_vo = products
@@ -400,12 +384,12 @@ def _encode(x: np.ndarray, params: Params, masked, products):
     # (Masked rows)
     n1, ln1 = _ln_forward(h0, p["ln1_g"], p["ln1_b"])
     frames = n1.reshape(b, m_frames, d)
-    qk = _scatter(n1[sel] @ w_qk, slots, b * c).reshape(b, c, d)
+    qk = (n1[sel] @ w_qk).reshape(b, c, d)
     scores = (qk @ frames.transpose(0, 2, 1)) / math.sqrt(d)
     scores -= scores.max(axis=2, keepdims=True)
     e = np.exp(scores)
     attn = e / (m_frames * _row_mean(e.reshape(-1, m_frames))).reshape(b, c, 1)
-    mix = (attn @ frames).reshape(-1, d)[slots]
+    mix = (attn @ frames).reshape(-1, d)
     h1 = mix @ w_vo
     h1 += h0[sel]
     h1 += p["b_o"]
@@ -416,8 +400,8 @@ def _encode(x: np.ndarray, params: Params, masked, products):
     g1, gelu_t = _gelu_forward(f1_pre)
     cache = EncoderCache(
         params=params, version=params.version, products=products, x=xf, masked=masked,
-        slots=slots, ln1=ln1, n1=n1, qk=qk, attn=attn, mix=mix,
-        ln2=ln2, n2=n2, f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
+        ln1=ln1, n1=n1, qk=qk, attn=attn, mix=mix, ln2=ln2, n2=n2,
+        f1_pre=f1_pre, gelu_t=gelu_t, g1=g1,
     )
     return h1, g1, cache
 
@@ -429,14 +413,16 @@ def encode_forward(
     the cache for :func:`encode_backward`.
 
     Without ``masked`` the outputs are (B, M, model_dim). ``masked`` is a
-    (B, M) bool array: the masked frames' projected content is replaced by
-    ``params["mask_embed"]`` before the positional rows are added, and only
-    their outputs are computed, returned as an (n_masked, model_dim) array
-    in ``x[masked]`` order (module docstring, Masked rows). Attention still
-    reads all M positions, through the n_masked x M products only. Only the
-    ``encoder.*`` tensors of ``params`` are read, and ``mask_embed`` when
-    masking. ``products`` is :func:`attention_products` of ``params``;
-    without it the call forms them itself.
+    (B, M) bool array that masks the same count c >= 1 of frames in every
+    row (:func:`check_mask`): the masked frames' projected content is
+    replaced by ``params["mask_embed"]`` before the positional rows are
+    added, and only their outputs are computed, returned as a (B * c,
+    model_dim) array in ``x[masked]`` order (module docstring, Masked
+    rows). Attention still reads all M positions, through c x M products
+    per video only. Only the ``encoder.*`` tensors of ``params`` are read,
+    and ``mask_embed`` when masking. ``products`` is
+    :func:`attention_products` of ``params``; without it the call forms
+    them itself.
     """
     h1, g1, cache = _encode(x, params, masked, products)
     out = g1 @ params[_PREFIX + "w_f2"]
@@ -466,7 +452,7 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     over blocks, then map them with :func:`factor_grads`.
 
     ``grad_out`` is the loss gradient w.r.t. the outputs of the forward:
-    (B, M, model_dim), or (n_masked, model_dim) when it masked. A gradient
+    (B, M, model_dim), or (B * c, model_dim) when it masked. A gradient
     on a frame *mean* must be folded in by the caller (add grad_mean / M to
     every row).
     """
@@ -478,7 +464,7 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     p = _tensors(cache.params)
     b, c, d = cache.qk.shape
     m_frames = len(cache.n1) // b
-    masked, slots = cache.masked, cache.slots
+    masked = cache.masked
     sel = slice(None) if masked is None else masked.reshape(-1)
     out_shape = (b, m_frames, d) if masked is None else cache.n2.shape
     grad_out = np.asarray(grad_out, dtype=p["w_in"].dtype)
@@ -500,16 +486,15 @@ def encode_backward(grad_out: np.ndarray, cache: EncoderCache) -> dict:
     g_vo = cache.mix.T @ d_h1
     b_o = _col_sum(d_h1)
 
-    # mix = (attn n1)[slots] and scores = (n1[sel] w_qk) n1^T / sqrt(d); d_mix,
-    # and with it d_scores, is zero at the attention rows that pad a video
-    d_mix = _scatter(d_h1 @ w_vo.T, slots, b * c).reshape(b, c, d)
+    # mix = attn n1 and scores = (n1[sel] w_qk) n1^T / sqrt(d), c rows per video
+    d_mix = (d_h1 @ w_vo.T).reshape(b, c, d)
     attn = cache.attn
     frames = cache.n1.reshape(b, m_frames, d)
     d_attn = d_mix @ frames.transpose(0, 2, 1)
     inner = (m_frames * _row_mean((d_attn * attn).reshape(-1, m_frames))).reshape(b, c, 1)
     d_scores = attn * (d_attn - inner)
     d_scores *= 1.0 / math.sqrt(d)
-    d_qk = (d_scores @ frames).reshape(-1, d)[slots]
+    d_qk = (d_scores @ frames).reshape(-1, d)
     g_qk = cache.n1[sel].T @ d_qk
     d_n1 = (d_scores.transpose(0, 2, 1) @ cache.qk).reshape(-1, d)
     d_n1 += (attn.transpose(0, 2, 1) @ d_mix).reshape(-1, d)

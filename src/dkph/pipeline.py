@@ -112,9 +112,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 @dataclass
 class PipelineReport:
     run_dir: Path
-    config_hash: str
     text: str
-    metrics: dict
 
 
 def run_layout(cfg: RunConfig, work_dir=None) -> Path:
@@ -243,9 +241,7 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
     def fn():
         means = serial.load_features(run_dir / "embeddings.features")[:, 0, :]
         anchors = kmeans(means, cfg.num_anchors, seed=cfg.train_seed)
-        p = cfg.anchor_neighbors
-        z = build_affinity(means, anchors, p=p,
-                           alpha=cfg.bandwidth if cfg.bandwidth > 0 else None)
+        z = build_affinity(means, anchors, p=cfg.anchor_neighbors)
         graph = build_signed_graph(z, cfg.lambda1, cfg.lambda2)
         # without edges of one sign, every pair the student draws has the other
         edges = graph.offsets[:, -1] - graph.offsets[:, 0]
@@ -404,10 +400,8 @@ def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
                 "positive_precision", "negative_precision"):
         value = records["graph"][key]
         lines.append(f"graph {key} = {'none' if value is None else format(value, '.10g')}")
-    metrics = {}
     for bits in cfg.code_bits:
         m = json.loads((run_dir / f"metrics_{bits}.json").read_text())
-        metrics[bits] = m
         for k in sorted(int(x) for x in m["map"]):
             lines.append(f"map bits={bits} k={k} = {m['map'][str(k)]:.10g}")
         for i, (recall, precision) in enumerate(m["pr"]):
@@ -415,8 +409,7 @@ def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
                          f"precision={precision:.10g}")
     text = "\n".join(lines) + "\n"
     (run_dir / "report.txt").write_text(text)
-    return PipelineReport(run_dir=run_dir, config_hash=cfg.config_hash(),
-                          text=text, metrics=metrics)
+    return PipelineReport(run_dir=run_dir, text=text)
 
 
 def run_pipeline(cfg: RunConfig, work_dir=None) -> PipelineReport:

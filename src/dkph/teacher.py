@@ -23,26 +23,27 @@ defaults are the only ones (``teacher_bits``, ``mask_ratio``,
 ``teacher_epochs``, ``batch_size``, ``learn_rate``, ``train_seed``).
 
 Batches. The forward, the loss and the backward take a (B, M, D) batch, as
-the encoder does: ``mask`` is a (B, M) bool array with at least one True per
-row, the loss is one value per video, and the backward returns the gradient
-of the summed per-video losses. Training (:func:`batch_gradients`, which
-``train_teacher`` steps on and the gradient check differentiates) and
-evaluation run their videos through ``encoder.forward_blocks`` with their
-masks, in blocks sized by the bytes of the rows a masked video holds, with
-the encoder's attention products formed once per pass.
-:func:`train_teacher` runs the epochs of ``optim.train_epochs``, one
-masked batch per step.
+the encoder does: ``mask`` is a (B, M) bool array that masks the same count
+c >= 1 of frames in every row (``encoder.check_mask``; :func:`draw_mask`
+draws such masks), the loss is one value per video, and the backward
+returns the gradient of the summed per-video losses. Training
+(:func:`batch_gradients`, which ``train_teacher`` steps on and the
+gradient check differentiates) and evaluation run their videos through
+``encoder.forward_blocks`` with their masks, in blocks sized by the bytes
+of the rows a masked video holds, with the encoder's attention products
+formed once per pass. :func:`train_teacher` runs the epochs of
+``optim.train_epochs``, one masked batch per step.
 
 Masked rows only. The forward passes its mask to the encoder, which
 replaces the masked frames' content by ``mask_embed`` and computes only
 their outputs, the rows the loss reads: the encoder's rows after
 attention, the hash head and the decoder run on the masked frames only,
-and ``frame_codes``, ``act``, ``frames`` and ``recon`` are (n_masked,
+and ``frame_codes``, ``act``, ``frames`` and ``recon`` are (B * c,
 width) arrays in ``x[mask]`` order. Attention still reads every frame,
 but only as the keys and values of its products, whose rows are the
-masked frames: (B, c, M) scores, c the block's largest masked count, not
-(B, M, M). The encoder never projects keys or values, so its row products
-run on the masked frames only.
+masked frames: (B, c, M) scores, not (B, M, M). The encoder never
+projects keys or values, so its row products run on the masked frames
+only.
 
 Precision. Every pass computes in the dtype of the parameters, as the
 encoder does, and the loss in the dtype of the reconstruction.
@@ -94,9 +95,9 @@ def init_teacher(cfg: RunConfig, rng: np.random.Generator) -> Params:
 class TeacherForward:
     """The masked rows, in ``x[mask]`` order."""
 
-    frame_codes: np.ndarray   # (n_masked, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
-    recon: np.ndarray         # (n_masked, feat_dim)
-    frames: np.ndarray        # (n_masked, model_dim) encoder outputs
+    frame_codes: np.ndarray   # (B * c, code_bits) in {-1,+1} (hard) or tanh values (relaxed)
+    recon: np.ndarray         # (B * c, feat_dim)
+    frames: np.ndarray        # (B * c, model_dim) encoder outputs
     act: np.ndarray           # tanh(pre-binarization)
     enc_cache: object
 
@@ -119,17 +120,13 @@ def teacher_forward(x: np.ndarray, params: Params, mask: np.ndarray,
 
 
 def _masked_target(x: np.ndarray, mask, recon: np.ndarray):
-    """``(x[mask], count)``: the masked rows of a (B, M, D) batch in the
-    dtype of ``recon``, which must hold as many, and each video's number of
-    masked frames. ``mask`` must pass ``check_mask`` and mask a frame of
-    every video."""
+    """``(x[mask], c)``: the masked rows of a (B, M, D) batch in the dtype
+    of ``recon``, which must hold as many, and the count c of frames that
+    ``mask`` hides in every video (``check_mask``)."""
     x = np.asarray(x, dtype=recon.dtype)
     if x.ndim != 3:
         raise ShapeError(f"expected a (B, M, D) batch, got {x.shape}")
-    check_mask(mask, x.shape[:2])
-    count = mask.sum(axis=1)
-    if not count.all():
-        raise ValueError("teacher reconstruction needs a nonempty mask in every video")
+    count = check_mask(mask, x.shape[:2])
     target = x[mask]
     if recon.shape != target.shape:
         raise ShapeError(f"expected the {target.shape} masked rows, got {recon.shape}")
@@ -139,12 +136,12 @@ def _masked_target(x: np.ndarray, mask, recon: np.ndarray):
 def teacher_recon_loss(x: np.ndarray, recon: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Squared error on masked positions, averaged over D * |mask| scalars:
     one loss per video of a (B, M, D) batch, in the dtype of ``recon``.
-    ``recon`` holds the masked rows, (n_masked, D) in ``x[mask]`` order."""
+    ``recon`` holds the masked rows, (B * c, D) in ``x[mask]`` order."""
     target, count = _masked_target(x, mask, recon)
     diff = target - recon
     per_frame = np.zeros(mask.shape, dtype=recon.dtype)
     per_frame[mask] = (diff * diff).sum(axis=1)
-    return per_frame.sum(axis=1) / (target.shape[1] * count).astype(recon.dtype)
+    return per_frame.sum(axis=1) / recon.dtype.type(target.shape[1] * count)
 
 
 def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict:
@@ -157,9 +154,9 @@ def teacher_backward(x: np.ndarray, fwd: TeacherForward, params: Params) -> dict
     the forward binarized or not.
     """
     target, count = _masked_target(x, fwd.enc_cache.masked, fwd.recon)
-    scale = np.repeat(1.0 / (target.shape[1] * count.astype(target.dtype)), count)  # per row
+    scale = 1.0 / target.dtype.type(target.shape[1] * count)
 
-    d_recon = (2.0 * scale[:, None]) * (fwd.recon - target)
+    d_recon = (2.0 * scale) * (fwd.recon - target)
     d_z = (d_recon @ params["w_dec"].T) * (1.0 - fwd.act * fwd.act)
     d_frames = d_z @ params["w_hash"].T
 

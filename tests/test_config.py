@@ -4,6 +4,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dkph.config import RunConfig
@@ -111,7 +112,6 @@ RANGE_RULES = [
     ("intra_class_noise", 0.0, -0.1),
     ("temporal_drift", 0.0, -0.1),
     ("learn_rate", 0.0, -1.0),
-    ("bandwidth", 0.0, -0.5),
     ("gamma1", 0.0, -0.1),
     ("gamma2", 0.0, -0.1),
     ("lambda1", 0.0, -0.1),
@@ -121,8 +121,8 @@ RANGE_RULES = [
     ("code_bits", (16, 32), (16, 16)),
     # every float key: the largest finite value is accepted, inf is not
     *[(key, sys.float_info.max, math.inf)
-      for key in ("intra_class_noise", "temporal_drift", "learn_rate", "bandwidth",
-                  "lambda1", "lambda2", "gamma1", "gamma2", "eta", "beta")],
+      for key in ("intra_class_noise", "temporal_drift", "learn_rate", "lambda1",
+                  "lambda2", "gamma1", "gamma2", "eta", "beta")],
     ("mask_ratio", 0.5, math.inf),
 ]
 
@@ -138,7 +138,7 @@ def test_range_rule(key, edge, bad):
 
 
 def test_save_then_load_gives_an_equal_config_and_hash(tmp_path):
-    cfg = RunConfig(learn_rate=1.0 / 3.0, intra_class_noise=0.1 + 0.2, bandwidth=1e-7,
+    cfg = RunConfig(learn_rate=1.0 / 3.0, intra_class_noise=0.1 + 0.2, eta=1e-7,
                     code_bits=(8, 24, 40), num_classes=3, num_anchors=7, anchor_neighbors=4,
                     work_dir=str(tmp_path / "work"))
     path = tmp_path / "run.cfg"
@@ -147,3 +147,22 @@ def test_save_then_load_gives_an_equal_config_and_hash(tmp_path):
     assert loaded == cfg
     assert loaded.config_hash() == cfg.config_hash()
     assert isinstance(loaded.code_bits, tuple) and isinstance(loaded.learn_rate, float)
+
+
+def test_code_bits_of_any_sequence_is_a_tuple_of_ints(tmp_path):
+    want = RunConfig(code_bits=(16, 32))
+    for bits in ([16, 32], np.array([16, 32])):
+        cfg = RunConfig(code_bits=bits)
+        assert cfg == want and cfg.config_hash() == want.config_hash()
+        assert all(type(b) is int for b in cfg.code_bits)
+    # a list once saved a config.cfg that load refused ("[16")
+    RunConfig(code_bits=[16, 32]).save(tmp_path / "run.cfg")
+    assert RunConfig.load(tmp_path / "run.cfg") == want
+
+
+@pytest.mark.parametrize("key, value", [
+    ("num_classes", 2.5), ("frames", True), ("code_bits", (16.5,)), ("code_bits", (True,)),
+], ids=["float", "bool", "float_width", "bool_width"])
+def test_integer_keys_refuse_floats_and_bools(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} = .*must be integral"):
+        RunConfig(**{key: value})

@@ -292,8 +292,8 @@ class TestBackward:
             encode_backward(np.zeros((1, 4, 8)), cache)
 
 
-# the frames masked in each video of a batch: one, none, two, none, all
-MASKS = [(0,), (), (1, 3), (), (0, 1, 2, 3)]
+# the frames masked in each video of a batch: two each, at distinct positions
+MASKS = [(0, 1), (2, 3), (1, 3), (0, 2), (0, 3)]
 MASKED = np.array([[i in mk for i in range(4)] for mk in MASKS])  # (5, 4) bool
 
 
@@ -306,24 +306,9 @@ class TestBatched:
         frames, cache = encode_forward(x, p, masked=MASKED)
         assert frames.shape == (MASKED.sum(), 8)
         np.testing.assert_allclose(frames, oracle_masked_rows(x, p, MASKS), rtol=0, atol=1e-12)
-        # attention rows for the masked frames only: c = 4, the largest masked count
-        assert cache.attn.shape == (5, MASKED.sum(axis=1).max(), 4)
-        np.testing.assert_allclose(cache.attn.sum(axis=2), 1.0, atol=1e-12)
-
-    def test_padded_attention_rows_match_the_oracle(self):
-        # c = 2 attention rows per video, fewer than the 4 frames; the
-        # videos with fewer masked frames hold zero padding rows
-        masks = [(0,), (), (1, 3), (2,), ()]
-        masked = np.array([[i in mk for i in range(4)] for mk in masks])
-        p, x = self.batch(49)
-        rows, cache = encode_forward(x, p, masked=masked)
+        # attention rows for the masked frames only: c = 2 per video
         assert cache.attn.shape == (5, 2, 4)
-        np.testing.assert_allclose(rows, oracle_masked_rows(x, p, masks), rtol=0, atol=1e-12)
-        go = np.random.default_rng(50).normal(size=rows.shape)
-        grads = factor_grads(encode_backward(go, cache), p)
-        want = oracle_masked_backward(x, p, go, masks)
-        for name in p:
-            assert_rel_close(grads[name], want[name])
+        np.testing.assert_allclose(cache.attn.sum(axis=2), 1.0, atol=1e-12)
 
     def test_unmasked_forward_equals_stacked_per_video_oracle(self):
         p, x = self.batch(48)
@@ -407,8 +392,8 @@ class TestBatched:
         assert encoder.blocks(20, encoder.cast_params(p, np.float32))[0] == slice(0, 16)
         # masked: the all-frame rows at model width (4 x 8) outweigh 2 masked
         # rows at FFN width (2 x 12); all 4 masked rows outweigh them
-        assert encoder.blocks(20, p, MASKED[[0, 2]].repeat(10, axis=0))[0] == slice(0, 12)
-        assert encoder.blocks(20, p, MASKED)[0] == slice(0, 8)
+        assert encoder.blocks(20, p, MASKED.repeat(4, axis=0))[0] == slice(0, 12)
+        assert encoder.blocks(20, p, np.ones((20, 4), dtype=bool))[0] == slice(0, 8)
         # the input width counts when it is the widest
         wide_in = init_encoder(replace(TOY, feat_dim=24), np.random.default_rng(0))
         assert encoder.blocks(20, wide_in)[0] == slice(0, 4)
@@ -416,8 +401,8 @@ class TestBatched:
     def test_forward_blocks_forms_the_products_once_and_slices_per_video_arrays(
             self, monkeypatch):
         # a masked TOY video holds 4 frames x model width 8 and, after
-        # attention, at most 2 masked rows x FFN width 12: 3 videos fit the
-        # budget of 2 unmasked ones
+        # attention, 2 masked rows x FFN width 12: 3 videos fit the budget
+        # of 2 unmasked ones
         monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         formed = []
 
@@ -428,21 +413,19 @@ class TestBatched:
         monkeypatch.setattr(encoder, "attention_products", counted)
         p = toy_params(0)
         x = np.random.default_rng(1).normal(size=(5, 4, 6))
-        masks = MASKED.copy()
-        masks[4, 2:] = False   # at most 2 masked frames per video
         calls = []
 
         def forward(xb, params, *per_video, products=None, tag=None):
             calls.append((xb, per_video, products, tag))
             return len(xb)
 
-        out = list(encoder.forward_blocks(forward, x, p, masks, tag="t"))
+        out = list(encoder.forward_blocks(forward, x, p, MASKED, tag="t"))
         assert len(formed) == 1
         assert [blk for blk, _ in out] == [slice(0, 3), slice(3, 5)]
         assert [n for _, n in out] == [3, 2]
         for (blk, _), (xb, (masks_b,), products, tag) in zip(out, calls):
             np.testing.assert_array_equal(xb, x[blk])
-            np.testing.assert_array_equal(masks_b, masks[blk])
+            np.testing.assert_array_equal(masks_b, MASKED[blk])
             assert products is formed[0] and tag == "t"
         # a second pass forms its own products; unmasked, it passes no mask
         del calls[:]
@@ -539,7 +522,7 @@ def test_attention_weights_meet_only_d_by_d_operands(masked):
     mask = None
     if masked:
         mask = np.zeros((3, 6), dtype=bool)
-        mask[0, 0] = mask[2, 2] = mask[2, 5] = True     # 3 of 18 frames, uneven
+        mask[[0, 0, 1, 1, 2, 2], [0, 3, 1, 2, 2, 5]] = True  # 2 of 6 frames per video
     x = np.random.default_rng(58).normal(size=(3, 6, 6))
 
     products = attention_products(p)
@@ -556,13 +539,14 @@ def test_attention_weights_meet_only_d_by_d_operands(masked):
     assert not {"encoder.w_qk", "encoder.w_vo"} & set(factored)
 
 
-def check_float32_masked_pass(rng, masked):
-    """A float32 masked pass at paper-default shapes, forward and backward,
-    against the float64 oracle."""
-    # tolerance fixed from the dtype before measuring: 2**8 float32 ulps
-    # (3.1e-5) of each tensor's largest entry
+def test_float32_masked_pass_at_paper_default_shapes_matches_the_float64_oracle():
+    # forward and backward against the float64 oracle; tolerance fixed from
+    # the dtype before measuring: 2**8 float32 ulps (3.1e-5) of each
+    # tensor's largest entry
     tol = 2**8 * np.finfo(np.float32).eps
+    rng = np.random.default_rng(59)
     cfg = RunConfig()
+    masked = draw_mask(rng, cfg.frames, cfg.masked_frames(), 4)
     p32 = encoder.cast_params(init_encoder(cfg, rng), np.float32)
     p32["mask_embed"] = rng.normal(size=cfg.model_dim).astype(np.float32)
     p64 = encoder.cast_params(p32, np.float64)
@@ -577,24 +561,6 @@ def check_float32_masked_pass(rng, masked):
     for name in p32:
         assert grads[name].dtype == np.float32
         assert_rel_close(grads[name], want[name], tol)
-
-
-def test_float32_masked_pass_at_paper_default_shapes_matches_the_float64_oracle():
-    rng = np.random.default_rng(59)
-    cfg = RunConfig()
-    check_float32_masked_pass(rng, draw_mask(rng, cfg.frames, cfg.masked_frames(), 4))
-
-
-def test_float32_masked_pass_with_uneven_masked_counts_matches_the_float64_oracle():
-    # 1 masked frame, all 25, then draw_mask's 4: the first video's attention
-    # rows are padded out to the second's 25
-    rng = np.random.default_rng(61)
-    cfg = RunConfig()
-    masked = draw_mask(rng, cfg.frames, cfg.masked_frames(), 5)
-    masked[0] = np.arange(cfg.frames) == 7
-    masked[1] = True
-    assert masked.sum(axis=1).tolist() == [1, 25, 4, 4, 4]
-    check_float32_masked_pass(rng, masked)
 
 
 def test_float32_unmasked_pass_at_paper_default_shapes_matches_the_float64_oracle():

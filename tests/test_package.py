@@ -1,11 +1,13 @@
 """The package's public names, and the names the benchmark traces."""
 
+import ast
 import importlib
 from pathlib import Path
 
 import dkph
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "dkph"
 
 
 def test_every_exported_name_resolves():
@@ -30,3 +32,23 @@ def test_every_benchmark_trace_target_resolves(monkeypatch):
             if not callable(owner):
                 missing.append(f"{layer}.{attr}")
     assert missing == []
+
+
+def test_every_private_helper_is_referenced_outside_its_definition():
+    # a module-level _function or _Class that nothing in the package names
+    # outside its own body was left behind when its last caller went
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert trees
+    refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for tree in trees:
+        for helper in tree.body:
+            if not (isinstance(helper, (ast.FunctionDef, ast.ClassDef))
+                    and helper.name.startswith("_") and not helper.name.startswith("__")):
+                continue
+            inside = {id(node) for node in ast.walk(helper)}
+            if not any(name == helper.name and id(node) not in inside for node, name in refs):
+                unused.append(helper.name)
+    assert unused == []

@@ -409,7 +409,8 @@ def test_the_run_dir_names_its_own_config(tiny_run):
     cfg, work, first = tiny_run
     assert "config.cfg" in _meta(first.run_dir)["data"]["outputs"]
     saved = RunConfig.load(first.run_dir / "config.cfg")
-    assert saved.config_hash() == first.config_hash == cfg.config_hash()
+    assert saved.config_hash() == cfg.config_hash()
+    assert f"config_hash = {cfg.config_hash()}\n" in first.text
     # the run's own work directory, not cfg.work_dir, which this run did not use
     assert saved == replace(cfg, work_dir=str(work.resolve()))
 

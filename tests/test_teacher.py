@@ -284,7 +284,7 @@ def oracle_teacher(x, p, mask, binarize="hard"):
     return loss, grads, recon[rows]
 
 
-BATCH_MASKS = [(0,), (1, 3), (0, 1, 2)]
+BATCH_MASKS = [(0, 1), (1, 3), (0, 2)]  # two frames each, at distinct positions
 
 
 class TestBatched:
@@ -338,12 +338,25 @@ class TestBatched:
         report = finite_diff_check(loss, list(p.values()), [grads[n] for n in p], step=1e-5)
         assert report.max_rel_error < 1e-4, (report, list(p)[report.worst_index[0]])
 
-    def test_backward_rejects_an_unmasked_video(self):
+    def refuses(self, masks):
+        """encode_forward, teacher_forward and encoder.blocks each raise
+        ShapeError for the frame-index sets ``masks``."""
         p = toy_teacher(34)
-        x = np.random.default_rng(35).normal(size=(2, 4, 6))
-        fwd = teacher_forward(x, p, mask=bool_masks([(0,), ()]))
-        with pytest.raises(ValueError):
-            teacher_backward(x, fwd, p)
+        x = np.random.default_rng(35).normal(size=(len(masks), 4, 6))
+        mask = bool_masks(masks)
+        for call in (lambda: encoder.encode_forward(x, p, masked=mask),
+                     lambda: teacher_forward(x, p, mask=mask),
+                     lambda: encoder.blocks(len(x), p, mask)):
+            with pytest.raises(ShapeError, match="same count >= 1"):
+                call()
+
+    def test_a_mask_with_rows_of_different_counts_is_refused(self):
+        self.refuses([(0,), (1, 3)])
+        self.refuses([(0, 1), (0, 1), (0, 1, 2, 3)])
+
+    def test_a_mask_with_a_row_that_hides_no_frame_is_refused(self):
+        self.refuses([(0, 2), ()])
+        self.refuses([(), ()])  # the same count in every row, but none
 
     def test_backward_of_a_forward_without_a_mask_raises_shape_error(self):
         p = toy_teacher(34)
@@ -356,7 +369,7 @@ class TestBatched:
         monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         feats = TestTraining().make_features(n=5)
         p = toy_teacher(36)
-        masks = [(0,), (1,), (2, 3), (0, 3), (1, 2)]
+        masks = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
         want = np.mean([oracle_teacher(x, p, m)[0] for x, m in zip(feats, masks)])
         assert masked_eval_loss(feats, p, bool_masks(masks)) == pytest.approx(want, rel=1e-12)
 
