@@ -14,9 +14,11 @@ moving a work directory does not invalidate its artifacts.
 
 Values are range-checked when a config is built: a value that would only
 fail deep inside a stage (more anchors than training videos, say) raises
-ConfigError naming its key, as does a non-finite float, or a float or a
-bool where an integer belongs. ``code_bits`` is kept as a tuple of ints,
-whatever sequence it was given as.
+ConfigError naming its key, as does a non-finite float, a float or a bool
+where an integer belongs, or a bool where a float belongs. A float key is
+kept as a float, so ``learn_rate=1`` equals, hashes and saves as
+``learn_rate=1.0``. ``code_bits`` is kept as a tuple of ints, whatever
+sequence it was given as; a scalar or a string raises.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ class RunConfig:
         return max(1, int(round(self.mask_ratio * self.frames)))
 
     def __post_init__(self):
+        if isinstance(self.code_bits, (str, bytes)) or not hasattr(self.code_bits, "__iter__"):
+            raise ConfigError(f"code_bits = {self.code_bits!r}: "
+                              "must be a sequence of integer widths")
         integers = {f.name: (getattr(self, f.name),) for f in fields(self)
                     if f.type in ("int", int)}
         integers["code_bits"] = self.code_bits = tuple(self.code_bits)
@@ -90,6 +95,13 @@ class RunConfig:
                 raise ConfigError(f"{key} = {_format_value(getattr(self, key))}: "
                                   "must be integral, not a float or a bool")
         self.code_bits = tuple(map(int, self.code_bits))
+        floats = [f.name for f in fields(self) if f.type in ("float", float)]
+        for key in floats:
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{key} = {value!r}: must be a real number, not a bool")
+            # an int is stored as its float, so that it hashes and saves as one
+            setattr(self, key, float(value))
         per_class = self.split_sizes()
         n_train = self.num_classes * per_class[0]
         n_database = self.num_classes * per_class[2]
@@ -98,7 +110,6 @@ class RunConfig:
         non_negative = ("intra_class_noise", "temporal_drift", "ffn_dim", "teacher_epochs",
                         "student_epochs", "learn_rate", "eta", "beta",
                         "gamma1", "gamma2", "lambda1", "data_seed", "train_seed")
-        floats = [f.name for f in fields(self) if f.type in ("float", float)]
         checks = (
             *[(key, math.isfinite(getattr(self, key)), "must be finite") for key in floats],
             *[(key, getattr(self, key) >= 1, "must be >= 1") for key in positive],

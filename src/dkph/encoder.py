@@ -18,13 +18,14 @@ batch of one): the per-frame layers run as one matrix product over all
 B * M rows, attention as B stacked c x M products (c = M without a mask;
 Masked rows). The backward returns parameter gradients summed over the
 batch. Callers run large sets of videos through :func:`forward_blocks`, in
-the blocks of :func:`blocks`. A block holds as many videos as fit
-:data:`BLOCK_BYTES` at the largest row set a video holds: its M frames at
-the wider of ``feat_dim`` and ``model_dim``, and its c rows after attention
-at the FFN width. Each elementwise pass (LayerNorm, GELU, bias and
-residual adds) reads and writes (rows, width) temporaries; at this budget
-each is at most half a 2 MB L2 cache, so a pass works mostly in cache
-instead of streaming through memory (a fixed 64 videos made them 3.2 MB).
+the blocks of :func:`blocks`. A block holds as many videos as fit the
+shared work-block budget ``numerics.BLOCK_BYTES`` at the largest row set
+a video holds: its M frames at the wider of ``feat_dim`` and
+``model_dim``, and its c rows after attention at the FFN width. Each
+elementwise pass (LayerNorm, GELU, bias and residual adds) reads and
+writes (rows, width) temporaries; at this budget each is at most half a
+2 MB L2 cache, so a pass works mostly in cache instead of streaming
+through memory (a fixed 64 videos made them 3.2 MB).
 The budget follows the model and the mask: the paper-default model runs
 20 videos per block, and 40 when it masks 4 of its 25 frames; a 64-wide
 model 256, and 512 masked; a tiny one all its videos at once. Per-row
@@ -118,9 +119,9 @@ import numpy as np
 
 from .config import RunConfig
 from .exceptions import ShapeError, StaleCacheError
+from .numerics import block_slices
 
 _LN_EPS = 1e-5
-BLOCK_BYTES = 1 << 20  # one (M, width) array per video of a block; see Batches
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _PREFIX = "encoder."
@@ -209,18 +210,17 @@ class EncoderCache:
 
 
 def blocks(n: int, params, masked: np.ndarray | None = None) -> list[slice]:
-    """Slices of ``range(n)`` in runs of as many videos as fit BLOCK_BYTES
-    at the largest row set a video holds, in elements of the parameters'
-    dtype, and at least one (module docstring, Batches): its frames x
-    max(feat_dim, model_dim), and its rows after attention x the FFN
-    width, which are its frames without ``masked`` and the count c of
-    :func:`check_mask` with the (n, M) bool ``masked``."""
+    """``numerics.block_slices`` of ``range(n)``: runs of as many videos as
+    fit ``numerics.BLOCK_BYTES`` at the largest row set a video holds, in
+    elements of the parameters' dtype, and at least one (module docstring,
+    Batches): its frames x max(feat_dim, model_dim), and its rows after
+    attention x the FFN width, which are its frames without ``masked`` and
+    the count c of :func:`check_mask` with the (n, M) bool ``masked``."""
     m_frames, d = params["encoder.e_pos"].shape
     w_in, w_f1 = params["encoder.w_in"], params["encoder.w_f1"]
     rows = m_frames if masked is None else check_mask(masked, (n, m_frames))
     per_video = max(m_frames * max(w_in.shape[0], d), rows * w_f1.shape[1])
-    step = max(1, BLOCK_BYTES // (per_video * w_in.dtype.itemsize))
-    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+    return block_slices(n, per_video * w_in.dtype.itemsize)
 
 
 def _tensors(params) -> dict:

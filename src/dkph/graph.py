@@ -21,8 +21,9 @@ rows, which the pair sampler never draws.
 A is computed in row blocks and never exists as an N x N matrix. Z is
 scattered once into a dense (N, N_c) matrix; a block of B rows then holds
 its values and its support (pairs sharing an anchor where both weights are
-nonzero) as dense (B, N) arrays, with B chosen so that one (B, N) float64
-buffer fits BLOCK_BYTES. Peak memory is a few such buffers plus Z. Each
+nonzero) as dense (B, N) arrays, with B from ``numerics.block_slices`` so
+that one (B, N) float64 buffer fits the shared work-block budget
+``numerics.BLOCK_BYTES``. Peak memory is a few such buffers plus Z. Each
 entry sums the same (z_ik * z_jk) / mass_k terms in slot order as a
 per-entry loop would, so the values, and hence the edges, are exact.
 A block's rows are labelled together: rows with the same number of nonzero
@@ -51,19 +52,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateAnchorError, SamplingError
+from .numerics import block_slices
 
 logger = logging.getLogger(__name__)
 
-# Byte budget of one float64 work buffer in the row-blocked kernels: a block
-# of A is (B, N) and a block of nearest-centre differences is (B, p, d).
-BLOCK_BYTES = 1 << 20
-
 # Lloyd iterations of kmeans before it stops short of an assignment fixpoint.
 KMEANS_ITERS = 100
-
-
-def _block_rows(row_bytes: int) -> int:
-    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 @dataclass
@@ -147,19 +141,18 @@ def _nearest_centers(pts: np.ndarray, centers: np.ndarray,
 
     The centres are chosen on ``_sq_dists`` by a stable sort, so the lower
     index wins ties. Only the chosen distances are then computed, by
-    explicit difference over row blocks of (B, p, d) within BLOCK_BYTES; each
-    reduces the same contiguous d-vector as the full (N, N_c, d) broadcast
-    would, and carries its bits.
+    explicit difference over the row blocks of ``numerics.block_slices``,
+    one float64 (B, p, d) buffer each; each reduces the same contiguous
+    d-vector as the full (N, N_c, d) broadcast would, and carries its bits.
     """
     n_centers = centers.shape[0]
     if not 1 <= p <= n_centers:
         raise ValueError(f"p must be in [1, {n_centers}], got {p}")
     nearest = np.argsort(_sq_dists(pts, centers), axis=1, kind="stable")[:, :p]
     d2 = np.empty(nearest.shape)
-    step = _block_rows(8 * p * pts.shape[1])
-    for lo in range(0, pts.shape[0], step):
-        diff = pts[lo:lo + step, None, :] - centers[nearest[lo:lo + step]]
-        d2[lo:lo + step] = (diff * diff).sum(axis=2)
+    for rows in block_slices(pts.shape[0], 8 * p * pts.shape[1]):
+        diff = pts[rows, None, :] - centers[nearest[rows]]
+        d2[rows] = (diff * diff).sum(axis=2)
     return nearest, np.sqrt(d2)
 
 
@@ -221,12 +214,12 @@ def build_affinity(points: np.ndarray, anchors: AnchorSet, p: int,
 def _adjacency_blocks(z: SparseAffinity, start: int, stop: int):
     """Yield (first row, values, support) for rows [start, stop) of A.
 
-    values and support are dense (B, N) arrays; B keeps one float64 (B, N)
-    buffer within BLOCK_BYTES. support marks the videos sharing an anchor
-    with the row where both weights are nonzero, so it keeps entries whose
-    product underflowed to 0.0. A centre without positive mass under a
-    nonzero weight of these rows raises DegenerateAnchorError, before any
-    block is computed.
+    values and support are dense (B, N) arrays, over the row blocks of
+    ``numerics.block_slices`` of one float64 (B, N) buffer each. support
+    marks the videos sharing an anchor with the row where both weights are
+    nonzero, so it keeps entries whose product underflowed to 0.0. A centre
+    without positive mass under a nonzero weight of these rows raises
+    DegenerateAnchorError, before any block is computed.
     """
     bad = (z.weights[start:stop] != 0.0) & (z.center_mass[z.center_idx[start:stop]] <= 0.0)
     if bad.any():
@@ -238,9 +231,8 @@ def _adjacency_blocks(z: SparseAffinity, start: int, stop: int):
     # past the check, a centre without mass is reached only through zero
     # weights, whose terms are 0 for any finite divisor
     mass = np.where(z.center_mass > 0.0, z.center_mass, 1.0)
-    step = _block_rows(8 * z.n)
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
+    for rows in block_slices(stop - start, 8 * z.n):
+        lo, hi = start + rows.start, start + rows.stop
         k, w = z.center_idx[lo:hi], z.weights[lo:hi]
         acc = np.zeros((hi - lo, z.n))
         for s in range(z.p):

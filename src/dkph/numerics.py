@@ -1,4 +1,4 @@
-"""The finite-difference gradient checker.
+"""The finite-difference gradient checker, and the work-block budget.
 
 Training and encoding compute in the dtype of their features (see
 ``encoder``): float32 for the features the pipeline stores, float64 for
@@ -7,6 +7,14 @@ differences can resolve gradient errors down to ~1e-7; a step of 1e-5 is
 below float32 resolution for values near 1, so :func:`finite_diff_check`
 accepts only float64 parameters. The backward passes of the encoder,
 teacher and student are gated by it (``gradcheck`` and the test suite).
+
+Block budget. The row-blocked passes (the encoder over blocks of videos,
+``graph`` over blocks of rows of the anchor-graph adjacency and of
+nearest-centre differences, ``retrieval`` over blocks of query rows) take
+their blocks from :func:`block_slices`: as many rows as fit
+:data:`BLOCK_BYTES`, and at least one. Each pass states its own bytes per
+row. The budget is read when the slices are made, so one setting of
+``numerics.BLOCK_BYTES`` reaches every pass.
 """
 
 from __future__ import annotations
@@ -17,6 +25,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import DeterminismError, ShapeError
+
+# Byte budget of one work block of a row-blocked pass (module docstring).
+BLOCK_BYTES = 1 << 20
+
+
+def block_slices(n: int, row_bytes: int) -> list[slice]:
+    """Slices of ``range(n)`` of as many rows of ``row_bytes`` as fit
+    BLOCK_BYTES, and at least one row each; none when n is 0."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 @dataclass

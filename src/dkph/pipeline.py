@@ -50,17 +50,18 @@ time.
 
 Memory
     The encoder passes allocate temporaries of up to about
-    ``encoder.BLOCK_BYTES`` each for every block of videos. Left to itself,
-    glibc raises its mmap threshold to the largest block freed so far and
-    trims the heap top whenever
-    more than twice that is free, so every block returns its memory to the
-    kernel and page-faults it back in. Before each stage, ``_keep_freed_heap``
-    sets both thresholds once for the process with ``mallopt``: arrays up to
-    32 MiB come from the heap, and up to 256 MiB of freed heap stays in the
-    process. Both must be set, because setting either one turns off glibc's
-    dynamic thresholds, and a trim threshold alone would leave every array
-    of 128 KiB or more mmapped. The setting is process-wide and changes no
-    result. Off glibc, where there is no ``mallopt``, it does nothing.
+    ``numerics.BLOCK_BYTES``, the work-block budget every row-blocked pass
+    shares, each for every block of videos. Left to itself, glibc raises
+    its mmap threshold to the largest block freed so far and trims the heap
+    top whenever more than twice that is free, so every block returns its
+    memory to the kernel and page-faults it back in. Before each stage,
+    ``_keep_freed_heap`` sets both thresholds once for the process with
+    ``mallopt``: arrays up to 32 MiB come from the heap, and up to 256 MiB
+    of freed heap stays in the process. Both must be set, because setting
+    either one turns off glibc's dynamic thresholds, and a trim threshold
+    alone would leave every array of 128 KiB or more mmapped. The setting
+    is process-wide and changes no result. Off glibc, where there is no
+    ``mallopt``, it does nothing.
 """
 
 from __future__ import annotations

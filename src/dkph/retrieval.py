@@ -15,34 +15,37 @@ asks for: the index's key dtype for ranking, int64 for PR alone.
 ``evaluate_packed`` is the one evaluation sweep, over packed query rows as
 ``codes.pack_bits`` writes them (stored codes are scored as they are read);
 ``evaluate`` packs {-1,+1} query bits once and runs it. The sweep
-computes one (queries x database) distance matrix per call, in blocks of
-query rows sized so that one (B, n_db) int64 buffer fits BLOCK_BYTES. From
+computes one (queries x database) distance matrix per call, in the blocks
+of query rows of ``numerics.block_slices``, one (B, n_db) int64 buffer
+within the shared work-block budget ``numerics.BLOCK_BYTES`` each. From
 each block's distances it fills the PR histograms, then forms the ranking
 keys once and ranks them once, to the largest cutoff; every cutoff's AP is
 a prefix of that one ranked list. ``map_at_k`` is the sweep at one cutoff
 without PR histograms, and ``pr_curve`` the sweep with no cutoff, which
 ranks nothing; so each does only its own part of the work.
 
-Results are ranked by the single key
-``distance * n + rank_of_id``, where ``rank_of_id`` is an item's position in
-ascending id order: keys are unique, so ties (equal distance) break toward
-the lower id and every ranked list is deterministic without a stable sort.
-A key also names its item, as ``rank_of_id = key % n`` and
-``distance = key // n``, so ranking partitions the key values themselves
-(``np.partition``, then a sort of the k smallest) and never their
-positions. Keys are int32 when every key fits, that is when
-(K + 2) * n <= 2**31 - 1 (the largest distance is K + 1, an excluded own
-row), and int64 otherwise; the index picks the dtype once.
+The index keeps ``packed``, ``ids`` and ``labels`` in ascending id order,
+so a row's position is its id's rank. Results are ranked by the single key
+``distance * n + rank_of_id``, where ``rank_of_id`` is the row's position:
+keys are unique, so ties (equal distance) break toward the lower id and
+every ranked list is deterministic without a stable sort. A key also names
+its row, as ``row = key % n`` and ``distance = key // n``, so ranking
+partitions the key values themselves (``np.partition``, then a sort of the
+k smallest) and never their positions. Keys are int32 when every key
+fits, that is when (K + 2) * n <= 2**31 - 1 (the largest distance is
+K + 1, an excluded own row), and int64 otherwise; the index picks the
+dtype once.
 
 Relevance comes from the index's label table, built once: its distinct
-labels with their counts, and its labels in id-rank order. A query's
-relevant count is the count of its label (0 when the database lacks it),
-less its own row when that row shares the label, and a ranked key is a hit
-when ``labels_by_rank[key % n]`` equals the query's label. So mAP reads
-labels at the ranked keys only and builds no (queries x database) relevance
-matrix. PR reads per-query histograms of distance 0..K, over all items and
-over the relevant ones, and it is the one place that builds a block's
-boolean relevance matrix.
+labels with their counts. A query's relevant count is the count of its
+label (0 when the database lacks it), less its own row when that row
+shares the label, and a ranked key is a hit when ``labels[key % n]``
+equals the query's label. So mAP reads labels at the ranked keys only and
+builds no (queries x database) relevance matrix. PR reads per-query
+histograms of distance 0..K, over all items and over the relevant ones,
+and it is the one place that builds a block's boolean relevance matrix.
+Labels, of the index and of the queries, must have an integer dtype: a
+float or bool label raises ValueError naming them.
 
 Evaluation conventions:
   * AP@k divides by min(R, k), where R is the number of relevant items in
@@ -66,12 +69,10 @@ import numpy as np
 
 from .codes import BinaryCode, check_packed, pack_bits
 from .exceptions import ShapeError
+from .numerics import block_slices
 
 # Cutoffs of the reported mAP@k; RunConfig asks for min(MAP_KS) database videos.
 MAP_KS = (5, 20, 60, 100)
-
-# Byte budget of one (B, n_db) int64 work buffer of a block of query rows.
-BLOCK_BYTES = 1 << 20
 
 
 def _key_dtype(k: int, n: int) -> type:
@@ -114,28 +115,36 @@ def packed_distances(db_words: np.ndarray, q_words: np.ndarray, dtype) -> np.nda
     return dist
 
 
+def _integer_labels(labels, name: str) -> np.ndarray:
+    """labels as an array; ValueError naming them unless their dtype is an
+    integer one (a bool or float label would match by value, or not at all)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must have an integer dtype, got {labels.dtype}")
+    return labels
+
+
 @dataclass
 class CodeIndex:
-    """Immutable database of packed codes with unique integer ids."""
+    """Immutable database of packed codes with unique integer ids.
+
+    ``packed``, ``ids`` and ``labels`` are kept in ascending id order: the
+    index sorts them by id once, so a row's position is its id's rank.
+    """
 
     packed: np.ndarray            # (n, ceil(K/8)) uint8, codes.check_packed's row rule
     ids: np.ndarray               # (n,) int64
     k: int
-    labels: np.ndarray | None = None  # (n,) semantic labels, optional
+    labels: np.ndarray | None = None  # (n,) integer semantic labels, optional
     # derived once: the packed rows as words of the code's width; each row's
-    # position in ascending id order (the tie-breaking part of the ranking
-    # key), in the key dtype of _key_dtype(k, n); the rows in that order and
-    # their ids (to find a row by id)
+    # position (its id's rank, the tie-breaking part of the ranking key), in
+    # the key dtype of _key_dtype(k, n)
     words: np.ndarray = field(init=False, repr=False)
     rank_of_id: np.ndarray = field(init=False, repr=False)
-    _id_order: np.ndarray = field(init=False, repr=False)
-    _sorted_ids: np.ndarray = field(init=False, repr=False)
     # derived once when labelled, the label table: the distinct labels in
-    # ascending order and the count of each (a query's relevant count), and
-    # the labels in id-rank order (a ranking key's label is _labels_by_rank[key % n])
+    # ascending order and the count of each (a query's relevant count)
     _label_values: np.ndarray | None = field(init=False, repr=False, default=None)
     _label_counts: np.ndarray | None = field(init=False, repr=False, default=None)
-    _labels_by_rank: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.packed = np.asarray(self.packed)
@@ -143,18 +152,17 @@ class CodeIndex:
         self.ids = np.asarray(self.ids, dtype=np.int64)
         if self.packed.shape[0] != self.ids.size:
             raise ShapeError("ids and code rows differ in count")
-        self._id_order = np.argsort(self.ids)
-        self._sorted_ids = self.ids[self._id_order]
-        if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
+        order = np.argsort(self.ids, kind="stable")
+        self.ids, self.packed = self.ids[order], self.packed[order]
+        if np.any(self.ids[1:] == self.ids[:-1]):
             raise ValueError("ids must be unique")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.size != self.ids.size:
+            labels = _integer_labels(self.labels, "labels")
+            if labels.size != self.ids.size:
                 raise ShapeError("labels and ids differ in count")
+            self.labels = labels[order].astype(np.int64, copy=False)
             self._label_values, self._label_counts = np.unique(self.labels, return_counts=True)
-            self._labels_by_rank = self.labels[self._id_order]
-        self.rank_of_id = np.empty(self.n, dtype=_key_dtype(self.k, self.n))
-        self.rank_of_id[self._id_order] = np.arange(self.n)
+        self.rank_of_id = np.arange(self.n, dtype=_key_dtype(self.k, self.n))
         self.words = _as_words(self.packed)
 
     @property
@@ -166,8 +174,8 @@ class CodeIndex:
         ids = np.asarray(ids, dtype=np.int64)
         if self.n == 0:
             return np.full(ids.shape, -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self._sorted_ids, ids), self.n - 1)
-        return np.where(self._sorted_ids[at] == ids, self._id_order[at], -1)
+        at = np.minimum(np.searchsorted(self.ids, ids), self.n - 1)
+        return np.where(self.ids[at] == ids, at, -1)
 
     def _relevant_counts(self, labels: np.ndarray, own: np.ndarray) -> np.ndarray:
         """Database items sharing each query's label (0 where the database has
@@ -225,7 +233,7 @@ def query_topk(idx: CodeIndex, query: BinaryCode, k: int, exclude_id=None) -> Ra
     if not 0 <= k <= size:
         raise ValueError(f"k={k} outside 0..{size}, the database size after exclusion")
     distances, rank = np.divmod(_top_keys(_keys(idx, dist), k), idx.n)
-    return RankedList(ids=idx._sorted_ids[rank], distances=distances.astype(np.int64))
+    return RankedList(ids=idx.ids[rank], distances=distances.astype(np.int64))
 
 
 @dataclass
@@ -245,7 +253,7 @@ def _queries(query_packed, query_labels, query_ids, idx: CodeIndex):
     nq = query_packed.shape[0]
     if nq == 0:
         raise ShapeError(f"no packed queries of {idx.k}-bit codes")
-    query_labels = np.asarray(query_labels)
+    query_labels = _integer_labels(query_labels, "query_labels")
     if query_labels.shape != (nq,):
         raise ShapeError(f"query_labels has shape {query_labels.shape}, "
                          f"expected one label per query ({nq},)")
@@ -269,14 +277,13 @@ def _live_blocks(idx: CodeIndex, q_words, own, r_total, dtype):
     such rows computes and yields nothing. A query's own database row gets
     distance K + 1, past every real one.
     """
-    step = max(1, BLOCK_BYTES // (8 * max(1, idx.n)))
-    for start in range(0, r_total.size, step):
-        live = start + np.flatnonzero(r_total[start:start + step])
+    for rows in block_slices(r_total.size, 8 * idx.n):
+        live = rows.start + np.flatnonzero(r_total[rows])
         if not live.size:
             continue
-        dist = packed_distances(idx.words, q_words[start:start + step], dtype)
+        dist = packed_distances(idx.words, q_words[rows], dtype)
         if live.size < dist.shape[0]:
-            dist = dist[live - start]
+            dist = dist[live - rows.start]
         r = np.flatnonzero(own[live] >= 0)
         dist[r, own[live[r]]] = idx.k + 1
         yield live, dist
@@ -303,7 +310,7 @@ def _block_aps(idx: CodeIndex, dist, labels, has_own, r_total, ks) -> list[np.nd
     """Each cutoff's AP of a block's queries, from one ranking of their
     distances (consumed as keys) to the largest cutoff."""
     top = _top_keys(_keys(idx, dist), min(max(ks), idx.n))
-    hit = idx._labels_by_rank[top % idx.n] == labels[:, None]
+    hit = idx.labels[top % idx.n] == labels[:, None]
     terms = np.cumsum(hit, axis=1) / np.arange(1, top.shape[1] + 1) * hit
     aps = []
     for k in ks:

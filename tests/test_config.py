@@ -166,3 +166,33 @@ def test_code_bits_of_any_sequence_is_a_tuple_of_ints(tmp_path):
 def test_integer_keys_refuse_floats_and_bools(key, value):
     with pytest.raises(ConfigError, match=f"^{key} = .*must be integral"):
         RunConfig(**{key: value})
+
+
+def test_a_float_key_given_an_int_equals_and_hashes_as_its_float():
+    as_int, as_float = RunConfig(learn_rate=1, lambda1=3), RunConfig(learn_rate=1.0, lambda1=3.0)
+    assert as_int == as_float
+    assert as_int.config_hash() == as_float.config_hash()
+    assert type(as_int.learn_rate) is float and type(as_int.lambda1) is float
+
+
+def test_a_config_saved_from_int_float_keys_reloads_with_its_hash(tmp_path):
+    # the int once saved as "1" and reloaded as 1.0, under another hash
+    cfg = RunConfig(learn_rate=1, eta=0, work_dir=str(tmp_path / "work"))
+    cfg.save(tmp_path / "run.cfg")
+    loaded = RunConfig.load(tmp_path / "run.cfg")
+    assert loaded == cfg
+    assert loaded.config_hash() == cfg.config_hash()
+
+
+@pytest.mark.parametrize("key, value", [("eta", True), ("learn_rate", False),
+                                        ("gamma1", np.True_)],
+                         ids=["eta", "learn_rate", "numpy-bool"])
+def test_float_keys_refuse_bools(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} = .*must be a real number, not a bool"):
+        RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("value", [16, np.int64(16), "16,32"], ids=["int", "numpy-int", "str"])
+def test_code_bits_must_be_a_sequence_of_widths(value):
+    with pytest.raises(ConfigError, match="^code_bits = .*must be a sequence of integer widths"):
+        RunConfig(code_bits=value)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dkph import encoder
+from dkph import encoder, numerics
 from dkph.config import RunConfig
 from dkph.encoder import (
     Params,
@@ -376,17 +376,17 @@ class TestBatched:
                 encode_backward(np.zeros(shape), cache)
 
     def test_blocks_cover_range_in_bounded_runs(self, monkeypatch):
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
         p = toy_params(0)
         assert encoder.blocks(7, p) == [slice(0, 3), slice(3, 6), slice(6, 7)]
         assert encoder.blocks(6, p) == [slice(0, 3), slice(3, 6)]
         assert encoder.blocks(0, p) == []
         # a budget below one video still runs one video per block
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", TOY_VIDEO_BYTES - 1)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", TOY_VIDEO_BYTES - 1)
         assert encoder.blocks(3, p) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     def test_blocks_size_by_the_widest_layer_and_the_itemsize(self, monkeypatch):
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", 8 * TOY_VIDEO_BYTES)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 8 * TOY_VIDEO_BYTES)
         p = toy_params(0)
         assert encoder.blocks(20, p)[0] == slice(0, 8)
         assert encoder.blocks(20, encoder.cast_params(p, np.float32))[0] == slice(0, 16)
@@ -403,7 +403,7 @@ class TestBatched:
         # a masked TOY video holds 4 frames x model width 8 and, after
         # attention, 2 masked rows x FFN width 12: 3 videos fit the budget
         # of 2 unmasked ones
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         formed = []
 
         def counted(params):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkph import graph
+from dkph import graph, numerics
 from dkph.exceptions import DegenerateAnchorError, SamplingError
 from dkph.graph import (
     AnchorSet,
@@ -599,12 +599,12 @@ class TestBlockKernelAgainstOracle:
     @settings(max_examples=80, deadline=None)
     def test_edges_and_isolated_rows_equal_oracle(self, z, block_rows, lambdas):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "BLOCK_BYTES", 8 * z.n * block_rows)
+            mp.setattr(numerics, "BLOCK_BYTES", 8 * z.n * block_rows)
             assert_graph_matches_oracle(z, *lambdas)
 
     def test_several_blocks_with_ragged_last_block(self, monkeypatch):
         z = random_affinity(23, 5, 3, seed=4)
-        monkeypatch.setattr(graph, "BLOCK_BYTES", 8 * 23 * 5)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 8 * 23 * 5)
         starts = [lo for lo, _, _ in graph._adjacency_blocks(z, 0, z.n)]
         assert starts == [0, 5, 10, 15, 20]  # last block holds 3 rows
         assert_graph_matches_oracle(z, 2.0, 1.0)

@@ -1,10 +1,11 @@
-"""The finite-difference checker."""
+"""The finite-difference checker and the work-block budget."""
 
 import numpy as np
 import pytest
 
+from dkph import numerics
 from dkph.exceptions import DeterminismError
-from dkph.numerics import finite_diff_check
+from dkph.numerics import block_slices, finite_diff_check
 
 
 class TestFiniteDiffCheck:
@@ -84,3 +85,27 @@ class TestFiniteDiffCheck:
             return float((params[0] ** 2).sum())
 
         assert finite_diff_check(loss, [p], [grad]).worst_index == (0, 4)
+
+
+class TestBlockSlices:
+    def test_full_blocks_then_a_ragged_last_one(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 5 * 8 + 7)   # 5 rows of 8 bytes
+        assert block_slices(23, 8) == [slice(0, 5), slice(5, 10), slice(10, 15),
+                                       slice(15, 20), slice(20, 23)]
+        assert block_slices(10, 8) == [slice(0, 5), slice(5, 10)]
+        assert block_slices(3, 8) == [slice(0, 3)]
+
+    def test_a_row_over_the_budget_is_a_block_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 100)
+        assert block_slices(3, 101) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert block_slices(2, 100) == [slice(0, 1), slice(1, 2)]
+
+    def test_no_rows_no_slices(self):
+        assert block_slices(0, 8) == []
+        assert block_slices(0, 0) == []
+
+    def test_the_budget_is_read_at_call_time(self, monkeypatch):
+        assert numerics.BLOCK_BYTES == 1 << 20
+        assert block_slices(3, 1 << 19) == [slice(0, 2), slice(2, 3)]
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 3 << 19)
+        assert block_slices(3, 1 << 19) == [slice(0, 3)]

@@ -34,9 +34,22 @@ def test_every_benchmark_trace_target_resolves(monkeypatch):
     assert missing == []
 
 
+def _defined_names(stmt) -> list[str]:
+    """Names a module-level statement defines: a function's or class's, or
+    the plain names an assignment binds, unpacked ones included."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [name.id for target in targets
+            for name in (target.elts if isinstance(target, ast.Tuple) else [target])
+            if isinstance(name, ast.Name)]
+
+
 def test_every_private_helper_is_referenced_outside_its_definition():
-    # a module-level _function or _Class that nothing in the package names
-    # outside its own body was left behind when its last caller went
+    # a module-level _function, _Class or _CONSTANT that nothing in the
+    # package names outside its own statement was left behind when its last
+    # caller went
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     assert trees
     refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
@@ -44,11 +57,10 @@ def test_every_private_helper_is_referenced_outside_its_definition():
             if isinstance(node, (ast.Name, ast.Attribute))]
     unused = []
     for tree in trees:
-        for helper in tree.body:
-            if not (isinstance(helper, (ast.FunctionDef, ast.ClassDef))
-                    and helper.name.startswith("_") and not helper.name.startswith("__")):
-                continue
-            inside = {id(node) for node in ast.walk(helper)}
-            if not any(name == helper.name and id(node) not in inside for node, name in refs):
-                unused.append(helper.name)
+        for stmt in tree.body:
+            private = [name for name in _defined_names(stmt)
+                       if name.startswith("_") and not name.startswith("__")]
+            inside = {id(node) for node in ast.walk(stmt)}
+            unused += [name for name in private
+                       if not any(ref == name and id(node) not in inside for node, ref in refs)]
     assert unused == []

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dkph import encoder, pipeline, retrieval, serial, synth
+from dkph import encoder, numerics, pipeline, retrieval, serial, synth
 from dkph.codes import pack_bits, unpack_bits
 from dkph.config import RunConfig
 from dkph.exceptions import PipelineError
@@ -27,7 +27,7 @@ TINY = dict(num_classes=4, videos_per_class=10, frames=4, feat_dim=6, model_dim=
 
 
 def test_encode_split_equals_per_video_oracle(monkeypatch):
-    monkeypatch.setattr(encoder, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
     cfg = RunConfig(frames=4, feat_dim=6, model_dim=8, ffn_dim=12)
     params = init_student(cfg, np.random.default_rng(0), code_bits=8)
     feats = np.random.default_rng(1).normal(size=(7, 4, 6))
@@ -46,7 +46,7 @@ def test_encoding_and_teacher_embeddings_do_not_depend_on_the_block(monkeypatch)
     assert len(encoder.blocks(len(feats), student_params)) == 1
     codes = pipeline.encode_split(feats, student_params)
     means = pipeline._video_embeddings(feats, teacher_params)
-    monkeypatch.setattr(encoder, "BLOCK_BYTES", 1)  # one video per block
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 1)  # one video per block
     assert len(encoder.blocks(len(feats), student_params)) == 30
     np.testing.assert_array_equal(pipeline.encode_split(feats, student_params), codes)
     one_by_one = pipeline._video_embeddings(feats, teacher_params)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkph import codes, retrieval
+from dkph import codes, numerics, retrieval
 from dkph.codes import BinaryCode, pack_bits
 from dkph.exceptions import ShapeError
 from dkph.retrieval import (
@@ -140,6 +140,39 @@ class TestQueryTopk:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             CodeIndex.from_bits(np.ones((2, 8), dtype=np.int8), ids=[1, 1])
+
+
+class TestIdOrder:
+    def test_a_shuffled_build_stores_and_answers_as_the_sorted_one(self):
+        # 12-bit codes over 60 rows: many distance ties, broken by id
+        rng = np.random.default_rng(21)
+        n, k_bits = 60, 12
+        bits = random_bits(rng, n, k_bits)
+        packed = pack_bits(bits)
+        ids = np.sort(rng.permutation(10 * n)[:n] * 3 - 5 * n)
+        labels = rng.integers(0, 4, n)
+        base = CodeIndex(packed=packed, ids=ids, k=k_bits, labels=labels)
+        perm = rng.permutation(n)
+        idx = CodeIndex(packed=packed[perm], ids=ids[perm], k=k_bits, labels=labels[perm])
+        # rows are kept in ascending id order, codes and labels moved with their ids
+        assert np.all(np.diff(idx.ids) > 0)
+        np.testing.assert_array_equal(idx.ids, ids)
+        np.testing.assert_array_equal(idx.packed, packed)
+        np.testing.assert_array_equal(idx.labels, labels)
+
+        rows = rng.integers(0, n, 5)
+        queries = np.concatenate([bits[rows], random_bits(rng, 5, k_bits)])
+        q_labels = np.concatenate([labels[rows], rng.integers(0, 4, 5)])
+        q_ids = np.concatenate([ids[rows], 10**6 + np.arange(5)])
+        for q, own in zip(queries, q_ids):
+            for exclude in (None, own):
+                got, want = (query_topk(i, BinaryCode(q), 30, exclude_id=exclude)
+                             for i in (idx, base))
+                assert got.ids.tolist() == want.ids.tolist()
+                assert got.distances.tolist() == want.distances.tolist()
+        maps, points = evaluate(queries, q_labels, idx, query_ids=q_ids)
+        assert (maps, points) == evaluate(queries, q_labels, base, query_ids=q_ids)
+        assert list(maps) == list(retrieval.MAP_KS) and points
 
 
 class TestTopKeys:
@@ -488,7 +521,7 @@ def check_against_oracle(k_bits, n, nq, n_classes, all_equal, with_ids, block_ro
     q_ids = q_ids if with_ids else None
     with pytest.MonkeyPatch.context() as mp:
         # blocks of block_rows queries; the last one is ragged unless it divides nq
-        mp.setattr(retrieval, "BLOCK_BYTES", block_rows * 8 * n)
+        mp.setattr(numerics, "BLOCK_BYTES", block_rows * 8 * n)
         ks = sorted({1, 2, 5, max(1, n - 1), n, n + 1, n + 7})
         scores = {}
         for k in ks:
@@ -563,7 +596,7 @@ class TestAgainstOracle:
     def test_ragged_query_blocks_one_distance_matrix_each(self, monkeypatch):
         rng = np.random.default_rng(10)
         idx, q_bits, q_labels, q_ids = oracle_case(rng, 65, 30, 23, 3, False)
-        monkeypatch.setattr(retrieval, "BLOCK_BYTES", 5 * 8 * idx.n)  # 5, 5, 5, 5, 3
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 5 * 8 * idx.n)  # 5, 5, 5, 5, 3
         calls = []
         kernel = retrieval.packed_distances
         monkeypatch.setattr(retrieval, "packed_distances",
@@ -666,6 +699,24 @@ class TestQueryValidation:
         assert list(maps) == [3, 1] and all(type(k) is int for k in maps)
         assert maps[3] == map_at_k(self.bits[:2], [0, 1], self.idx, 3)
         assert points == pr_curve(self.bits[:2], [0, 1], self.idx)
+
+    @pytest.mark.parametrize("labels", [[0.5, 0.7, 1.5, 0.5, 0.7, 1.5], np.zeros(6),
+                                        [True, False] * 3],
+                             ids=["fractional", "float-integers", "bool"])
+    def test_labels_must_have_an_integer_dtype(self, labels):
+        # an int64 cast once stored 0.5 and 0.7 as 0, so that a query
+        # labelled 0.5 matched nothing and was skipped
+        with pytest.raises(ValueError, match="^labels must have an integer dtype"):
+            CodeIndex.from_bits(self.bits, labels=labels)
+        with pytest.raises(ValueError, match="^query_labels must have an integer dtype"):
+            evaluate(self.bits[:2], labels[:2], self.idx)
+        with pytest.raises(ValueError, match="^query_labels must have an integer dtype"):
+            evaluate_packed(pack_bits(self.bits[:2]), labels[:2], self.idx)
+        # any integer dtype is a label
+        labels = np.array([0, 1, 0, 1, 1, 0], dtype=np.uint8)
+        idx = CodeIndex.from_bits(self.bits, ids=np.arange(6), labels=labels)
+        assert evaluate(self.bits[:2], labels[:2], idx) == \
+            evaluate(self.bits[:2], [0, 1], self.idx)
 
     def test_index_rejects_packed_rows_of_the_wrong_width(self):
         with pytest.raises(ShapeError):

@@ -6,7 +6,7 @@ import pytest
 from collections import defaultdict
 from dataclasses import replace
 
-from dkph import encoder, student
+from dkph import encoder, numerics, student
 from dkph.codes import unpack_bits, pack_bits
 from dkph.config import RunConfig
 from dkph.exceptions import TrainingError
@@ -353,7 +353,7 @@ class TestStep:
         # the gradient check's toy batch in blocks of 2 videos (4 frames x
         # FFN width 16 x float64 each), so the attention weights' gradients
         # are factored from a sum of 3 blocks
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * 4 * 16 * 8)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 2 * 4 * 16 * 8)
         cfg = RunConfig(frames=4, feat_dim=6, model_dim=8, teacher_bits=8)
         params = init_student(cfg, np.random.default_rng(0), 8)
         assert len(encoder.blocks(6, params)) == 3
@@ -444,7 +444,7 @@ class TestBatched:
     @pytest.mark.parametrize("block", [2, 64])
     def test_batch_gradients_equal_per_video_oracle(self, monkeypatch, block):
         # the batch is a subset, and pairs reach videos outside it
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", block * TOY_VIDEO_BYTES)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", block * TOY_VIDEO_BYTES)
         feats, graph, anchors = two_class_setup(22)
         p = toy_student(23)
         batch = [0, 1, 3]
@@ -493,7 +493,7 @@ class TestBatched:
 
     @pytest.mark.parametrize("mode", PROBE_MODES)
     def test_probe_reconstruction_equals_per_video_oracle(self, monkeypatch, mode):
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         feats, _, _ = two_class_setup(25)
         p = toy_student(26)
         total = 0.0
@@ -508,7 +508,7 @@ class TestBatched:
 
     def test_probe_reconstruction_runs_one_forward_per_block(self, monkeypatch):
         # 5 videos in blocks of 2: every mode from the same 3 forwards
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         calls = []
 
         def counted(x, params, binarize="hard", products=None):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dkph import encoder
+from dkph import encoder, numerics
 from dkph.config import RunConfig
 from dkph.encoder import factor_grads
 from dkph.exceptions import ShapeError, TrainingError
@@ -321,7 +321,7 @@ class TestBatched:
     def test_batch_gradients_finite_difference_check_across_blocks(self, monkeypatch):
         # one video per block, so the attention weights' gradients are
         # factored from a sum of 3 blocks; the loss is the batch mean
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", TOY_VIDEO_BYTES)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", TOY_VIDEO_BYTES)
         p = toy_teacher(37)
         x = np.random.default_rng(38).normal(size=(3, 4, 6))
         masks = bool_masks(BATCH_MASKS)
@@ -366,7 +366,7 @@ class TestBatched:
             teacher_backward(x, fwd, p)
 
     def test_eval_loss_is_mean_of_per_video_losses(self, monkeypatch):
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 2 * TOY_VIDEO_BYTES)
         feats = TestTraining().make_features(n=5)
         p = toy_teacher(36)
         masks = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
@@ -377,7 +377,7 @@ class TestBatched:
         # same masks in the same order, so blocking only reorders float sums
         feats = TestTraining().make_features(n=12)
         a = train_teacher(feats, replace(TOY, teacher_epochs=2, train_seed=9, batch_size=8))
-        monkeypatch.setattr(encoder, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", 3 * TOY_VIDEO_BYTES)
         b = train_teacher(feats, replace(TOY, teacher_epochs=2, train_seed=9, batch_size=8))
         for name, arr in a.params.items():
             assert_rel_close(b.params[name], arr, tol=1e-9)
