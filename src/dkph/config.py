@@ -18,7 +18,8 @@ ConfigError naming its key, as does a non-finite float, a float or a bool
 where an integer belongs, or a bool where a float belongs. A float key is
 kept as a float, so ``learn_rate=1`` equals, hashes and saves as
 ``learn_rate=1.0``. ``code_bits`` is kept as a tuple of ints, whatever
-sequence it was given as; a scalar or a string raises.
+sequence it was given as; a scalar or a string raises. ``work_dir`` must be
+a string.
 """
 
 from __future__ import annotations
@@ -83,11 +84,12 @@ class RunConfig:
         return max(1, int(round(self.mask_ratio * self.frames)))
 
     def __post_init__(self):
+        if not isinstance(self.work_dir, str):
+            raise ConfigError(f"work_dir = {self.work_dir!r}: must be a string")
         if isinstance(self.code_bits, (str, bytes)) or not hasattr(self.code_bits, "__iter__"):
             raise ConfigError(f"code_bits = {self.code_bits!r}: "
                               "must be a sequence of integer widths")
-        integers = {f.name: (getattr(self, f.name),) for f in fields(self)
-                    if f.type in ("int", int)}
+        integers = {f.name: (getattr(self, f.name),) for f in fields(self) if f.type == "int"}
         integers["code_bits"] = self.code_bits = tuple(self.code_bits)
         for key, values in integers.items():
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -95,7 +97,7 @@ class RunConfig:
                 raise ConfigError(f"{key} = {_format_value(getattr(self, key))}: "
                                   "must be integral, not a float or a bool")
         self.code_bits = tuple(map(int, self.code_bits))
-        floats = [f.name for f in fields(self) if f.type in ("float", float)]
+        floats = [f.name for f in fields(self) if f.type == "float"]
         for key in floats:
             value = getattr(self, key)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
@@ -179,22 +181,20 @@ class RunConfig:
         return cls(**values)
 
 
+# the field types as strings, which ``from __future__ import annotations`` makes them
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
 def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _parse_value(key: str, val: str, ftype, source: str, lineno: int):
+def _parse_value(key: str, val: str, ftype: str, source: str, lineno: int):
     try:
-        if ftype in ("int", int):
-            return int(val)
-        if ftype in ("float", float):
-            return float(val)
-        if ftype in ("str", str):
-            return val
-        if ftype in ("tuple", tuple):
+        if ftype == "tuple":
             return tuple(int(v) for v in val.split(",") if v.strip())
+        return _PARSERS[ftype](val)
     except ValueError as err:
         raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {err}") from None
-    raise ConfigError(f"{source}:{lineno}: unsupported field type for {key!r}")

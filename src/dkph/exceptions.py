@@ -43,4 +43,3 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: str):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
-        self.cause = cause

@@ -198,13 +198,15 @@ def build_affinity(points: np.ndarray, anchors: AnchorSet, p: int,
     The exponent uses the plain Euclidean distance, not its square. Ties in
     the nearest-center selection break toward the lower center index.
     ``alpha=None`` takes :func:`default_bandwidth`'s value from the same
-    distances, so the nearest centres are found once.
+    distances, so the nearest centres are found once. A bandwidth, given or
+    computed, that is not > 0 raises ValueError: the default one is 0 when
+    every point sits on its p nearest centres, and would divide 0 by 0.
     """
-    if alpha is not None and alpha <= 0:
-        raise ValueError(f"bandwidth must be positive, got {alpha}")
     nearest, sel = _nearest_centers(np.asarray(points, dtype=np.float64), anchors.centers, p)
     if alpha is None:
         alpha = _default_alpha(sel)
+    if not alpha > 0:
+        raise ValueError(f"bandwidth must be positive, got {alpha}")
     logits = -(sel - sel.min(axis=1, keepdims=True)) / alpha
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)

@@ -204,9 +204,7 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
             serial.save_features(data_dir / f"{name}.features", split.features)
             serial.save_labels(data_dir / f"{name}.labels", split.labels)
         summary = {"classes": cfg.num_classes,
-                   "train": int(dataset.train.ids.size),
-                   "query": int(dataset.query.ids.size),
-                   "database": int(dataset.database.ids.size),
+                   **{name: int(split.labels.size) for name, split in dataset.splits.items()},
                    "prototype_accuracy": dataset.prototype_accuracy}
         (data_dir / "dataset.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
         # the run's own work directory, so that loading this file finds the run

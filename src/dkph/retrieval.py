@@ -44,8 +44,11 @@ equals the query's label. So mAP reads labels at the ranked keys only and
 builds no (queries x database) relevance matrix. PR reads per-query
 histograms of distance 0..K, over all items and over the relevant ones,
 and it is the one place that builds a block's boolean relevance matrix.
-Labels, of the index and of the queries, must have an integer dtype: a
-float or bool label raises ValueError naming them.
+Labels and ids, of the index and of the queries, must have an integer
+dtype: a float or bool label or id raises ValueError naming them, so that
+no id is truncated onto another. ``query_topk``'s ``k`` and ``exclude_id``
+are integers too (not bools), as every mAP cutoff is; anything else raises
+TypeError.
 
 Evaluation conventions:
   * AP@k divides by min(R, k), where R is the number of relevant items in
@@ -115,13 +118,26 @@ def packed_distances(db_words: np.ndarray, q_words: np.ndarray, dtype) -> np.nda
     return dist
 
 
-def _integer_labels(labels, name: str) -> np.ndarray:
-    """labels as an array; ValueError naming them unless their dtype is an
-    integer one (a bool or float label would match by value, or not at all)."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"{name} must have an integer dtype, got {labels.dtype}")
-    return labels
+def integer_array(values, name: str) -> np.ndarray:
+    """values (labels or ids) as an array; ValueError naming them unless their
+    dtype is an integer one (a bool or float would match by value, or not at all)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must have an integer dtype, got {values.dtype}")
+    return values
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; TypeError naming it for a bool or a non-integer.
+    A plain int returns at once: query_topk checks two per request."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name}={value!r} is not an integer")
 
 
 @dataclass
@@ -149,7 +165,7 @@ class CodeIndex:
     def __post_init__(self):
         self.packed = np.asarray(self.packed)
         self.k = check_packed(self.packed, self.k)
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.ids = integer_array(self.ids, "ids").astype(np.int64, copy=False)
         if self.packed.shape[0] != self.ids.size:
             raise ShapeError("ids and code rows differ in count")
         order = np.argsort(self.ids, kind="stable")
@@ -157,7 +173,7 @@ class CodeIndex:
         if np.any(self.ids[1:] == self.ids[:-1]):
             raise ValueError("ids must be unique")
         if self.labels is not None:
-            labels = _integer_labels(self.labels, "labels")
+            labels = integer_array(self.labels, "labels")
             if labels.size != self.ids.size:
                 raise ShapeError("labels and ids differ in count")
             self.labels = labels[order].astype(np.int64, copy=False)
@@ -220,14 +236,16 @@ def _top_keys(key: np.ndarray, k: int) -> np.ndarray:
 
 
 def query_topk(idx: CodeIndex, query: BinaryCode, k: int, exclude_id=None) -> RankedList:
-    """The k nearest codes; raises if k exceeds the (post-exclusion) size."""
+    """The k nearest codes; raises if k exceeds the (post-exclusion) size.
+    ``k`` and ``exclude_id`` must be integers, not bools (TypeError)."""
+    k = _integer(k, "k")
     if query.k != idx.k:
         raise ShapeError(f"query has {query.k} bits, index has {idx.k}")
     dist = packed_distances(idx.words, _as_words(query.packed[None, :]),
                             idx.rank_of_id.dtype)[0]
     size = idx.n
     if exclude_id is not None:
-        own = idx.ids == exclude_id
+        own = idx.ids == _integer(exclude_id, "exclude_id")
         dist[own] = idx.k + 1   # past every real key, so never among the k
         size -= np.count_nonzero(own)
     if not 0 <= k <= size:
@@ -253,13 +271,13 @@ def _queries(query_packed, query_labels, query_ids, idx: CodeIndex):
     nq = query_packed.shape[0]
     if nq == 0:
         raise ShapeError(f"no packed queries of {idx.k}-bit codes")
-    query_labels = _integer_labels(query_labels, "query_labels")
+    query_labels = integer_array(query_labels, "query_labels")
     if query_labels.shape != (nq,):
         raise ShapeError(f"query_labels has shape {query_labels.shape}, "
                          f"expected one label per query ({nq},)")
     own = np.full(nq, -1, dtype=np.int64)
     if query_ids is not None:
-        query_ids = np.asarray(query_ids)
+        query_ids = integer_array(query_ids, "query_ids")
         if query_ids.shape != (nq,):
             raise ShapeError(f"query_ids has shape {query_ids.shape}, "
                              f"expected one id per query ({nq},)")
@@ -294,12 +312,7 @@ def _cutoffs(ks) -> tuple[int, ...]:
     below 1 raises, naming it."""
     out = []
     for k in ks:
-        try:
-            if isinstance(k, (bool, np.bool_)):
-                raise TypeError
-            value = operator.index(k)
-        except TypeError:
-            raise TypeError(f"cutoff k={k!r} is not an integer") from None
+        value = _integer(k, "cutoff k")
         if value < 1:
             raise ValueError(f"cutoff k={k!r} must be >= 1")
         out.append(value)

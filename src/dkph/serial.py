@@ -14,7 +14,7 @@ graph       a SignedGraph's compressed rows as ``graph.SignedGraph`` holds them:
             "offsets" (2, N + 1) int64 and "indices" (E,) uint32
 
 Labels are a plain text sidecar: one integer per line, aligned with the
-split's feature rows.
+split's feature rows; only a 1-D array of integer dtype is saved.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from .codes import check_packed
 from .graph import SignedGraph
+from .retrieval import integer_array
 
 MAGIC = b"DKPA"
 VERSION = 2
@@ -109,9 +110,17 @@ def _load_kind(path, kind: str, layout: dict) -> dict[str, np.ndarray]:
 
 # -- checkpoints ---------------------------------------------------------
 
+# Functions of their own, not aliases of the container: a wrapper put on every
+# name bound to a checkpoint function must not also wrap every other kind.
 
-save_checkpoint = save_arrays  # tensors by checkpoint name, any dtype and shape
-load_checkpoint = load_arrays
+
+def save_checkpoint(path, tensors: dict) -> None:
+    """Model tensors by checkpoint name, any dtype and shape."""
+    save_arrays(path, tensors)
+
+
+def load_checkpoint(path) -> dict[str, np.ndarray]:
+    return load_arrays(path)
 
 
 # -- frame features ------------------------------------------------------
@@ -162,8 +171,16 @@ def load_codes(path) -> tuple[np.ndarray, int]:
 
 
 def save_labels(path, labels) -> None:
+    """labels: a 1-D array of integer dtype (``retrieval.integer_array``'s
+    rule); anything else raises ValueError naming ``path``."""
+    try:
+        labels = integer_array(labels, "labels")
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if labels.ndim != 1:
+        raise ValueError(f"{path}: labels must be 1-D, got shape {labels.shape}")
     with open(path, "w") as f:
-        for lab in np.asarray(labels).reshape(-1):
+        for lab in labels:
             f.write(f"{int(lab)}\n")
 
 

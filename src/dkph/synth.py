@@ -12,9 +12,8 @@ strongly correlated (like real video) while classes stay separable.
 already range-checked them.
 
 Videos are split per class into train / query / database partitions
-(50/10/40, sized by ``RunConfig.split_sizes``) and carry globally unique ids
-in concatenation order [train; query; database]. The files hold no ids:
-:func:`load_dataset_splits` numbers a saved corpus the same way.
+(50/10/40, sized by ``RunConfig.split_sizes``). A split is its features and
+class labels, in class order.
 """
 
 from __future__ import annotations
@@ -30,9 +29,10 @@ from .config import RunConfig
 
 @dataclass
 class Split:
+    """One partition of the corpus: its videos' features and class labels."""
+
     features: np.ndarray  # (n, M, D): float64 when generated, float32 when loaded
     labels: np.ndarray    # (n,) class ids
-    ids: np.ndarray       # (n,) global video ids
 
 
 @dataclass
@@ -81,22 +81,18 @@ def generate_synthetic(cfg: RunConfig) -> SynthDataset:
     score += np.einsum("ij,ij->i", proto_flat, proto_flat)
     accuracy = float((score.argmin(axis=1) == labels).mean())
 
-    # each split takes videos [lo, hi) of every class; ids run on across splits
+    # each split takes videos [lo, hi) of every class
     bounds = np.cumsum((0, *cfg.split_sizes())).tolist()
     splits = [Split(features=features[:, lo:hi].reshape(-1, m, d),
-                    labels=np.repeat(np.arange(c), hi - lo), ids=np.arange(c * lo, c * hi))
+                    labels=np.repeat(np.arange(c), hi - lo))
               for lo, hi in zip(bounds, bounds[1:])]
     return SynthDataset(*splits, prototype_accuracy=accuracy)
 
 
 def load_dataset_splits(data_dir) -> dict[str, Split]:
     """All three splits of a data directory, with the features as stored
-    (float32) and ids numbered as :func:`generate_synthetic` numbers them."""
+    (float32)."""
     data_dir = Path(data_dir)
-    splits, offset = {}, 0
-    for name in ("train", "query", "database"):
-        labels = serial.load_labels(data_dir / f"{name}.labels")
-        splits[name] = Split(serial.load_features(data_dir / f"{name}.features"), labels,
-                             np.arange(offset, offset + labels.size))
-        offset += labels.size
-    return splits
+    return {name: Split(serial.load_features(data_dir / f"{name}.features"),
+                        serial.load_labels(data_dir / f"{name}.labels"))
+            for name in ("train", "query", "database")}

@@ -192,6 +192,13 @@ def test_float_keys_refuse_bools(key, value):
         RunConfig(**{key: value})
 
 
+@pytest.mark.parametrize("value", [5, None, Path("work")], ids=["int", "none", "path"])
+def test_work_dir_must_be_a_string(value):
+    # None was once accepted and failed later, in run_layout, with a bare TypeError
+    with pytest.raises(ConfigError, match="^work_dir = .*must be a string"):
+        RunConfig(work_dir=value)
+
+
 @pytest.mark.parametrize("value", [16, np.int64(16), "16,32"], ids=["int", "numpy-int", "str"])
 def test_code_bits_must_be_a_sequence_of_widths(value):
     with pytest.raises(ConfigError, match="^code_bits = .*must be a sequence of integer widths"):

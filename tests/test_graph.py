@@ -296,6 +296,15 @@ class TestAffinity:
         with pytest.raises(ValueError):
             build_affinity(pts, anchors, p=1, alpha=0.0)
 
+    def test_a_zero_default_bandwidth_is_refused(self):
+        # every point sits on its centres: the default bandwidth is 0, and
+        # its weights once came out NaN, so that the graph had no edges
+        pts = np.ones((12, 3))
+        anchors = kmeans(pts, 4)
+        assert default_bandwidth(pts, anchors, 2) == 0.0
+        with pytest.raises(ValueError, match="bandwidth must be positive, got 0.0"):
+            build_affinity(pts, anchors, p=2)
+
 
 class TestAdjacencyRow:
     def test_single_video_row_is_one(self):

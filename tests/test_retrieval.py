@@ -141,6 +141,31 @@ class TestQueryTopk:
         with pytest.raises(ValueError):
             CodeIndex.from_bits(np.ones((2, 8), dtype=np.int8), ids=[1, 1])
 
+    @pytest.mark.parametrize("ids", [[1.5, 2.5, 3.9], np.arange(3.0), [True, False, True]],
+                             ids=["fractional", "float-integers", "bool"])
+    def test_ids_must_have_an_integer_dtype(self, ids):
+        # [1.5, 2.5, 3.9] were once stored as ids [1, 2, 3]
+        with pytest.raises(ValueError, match="^ids must have an integer dtype"):
+            CodeIndex.from_bits(np.ones((3, 8), dtype=np.int8), ids=ids)
+        idx = CodeIndex.from_bits(np.ones((3, 8), dtype=np.int8), ids=np.arange(3, dtype=np.uint16))
+        assert idx.ids.dtype == np.int64 and idx.ids.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("value", [True, np.True_, 2.5, 2.0, np.float64(1), "1"],
+                             ids=["bool", "numpy-bool", "fractional", "float-integer",
+                                  "numpy-float", "str"])
+    def test_k_and_exclude_id_must_be_integers(self, value):
+        # exclude_id=1.2 once excluded nothing, k=True returned one result
+        # and k=2.5 raised numpy's partition error
+        bits = random_bits(np.random.default_rng(4), 5, 8)
+        idx, q = CodeIndex.from_bits(bits), BinaryCode(bits[1])
+        with pytest.raises(TypeError, match=re.escape(f"k={value!r} is not an integer")):
+            query_topk(idx, q, k=value)
+        with pytest.raises(TypeError, match=re.escape(f"exclude_id={value!r} is not an integer")):
+            query_topk(idx, q, k=2, exclude_id=value)
+        # numpy integers and k = 0 stay valid
+        assert query_topk(idx, q, k=np.int64(0)).ids.size == 0
+        assert 1 not in query_topk(idx, q, k=np.uint8(4), exclude_id=np.int32(1)).ids.tolist()
+
 
 class TestIdOrder:
     def test_a_shuffled_build_stores_and_answers_as_the_sorted_one(self):
@@ -662,6 +687,14 @@ class TestQueryValidation:
             evaluate(self.bits[:0], [], self.idx)       # no queries
         with pytest.raises(ShapeError, match="16 bits, index has 8"):
             evaluate(np.ones((2, 16), dtype=np.int8), [0, 1], self.idx)
+
+    @pytest.mark.parametrize("query_ids", [[1.2, 7.0], [True, False]], ids=["float", "bool"])
+    def test_query_ids_must_have_an_integer_dtype(self, query_ids):
+        # the float id 1.2 once excluded database id 1 by truncation
+        with pytest.raises(ValueError, match="^query_ids must have an integer dtype"):
+            evaluate(self.bits[:2], [0, 1], self.idx, query_ids=query_ids)
+        with pytest.raises(ValueError, match="^query_ids must have an integer dtype"):
+            evaluate_packed(pack_bits(self.bits[:2]), [0, 1], self.idx, query_ids=query_ids)
 
     def test_bad_packed_query_rows_raise(self):
         packed = pack_bits(self.bits[:2])

