@@ -2,11 +2,17 @@
 
 Each subcommand runs against the work directory derived from the config
 hash. ``STAGE_COMMANDS`` maps each stage subcommand to the pipeline stage it
-runs, in run order; a stage of ``pipeline.SHARED_STAGES`` runs once and one of
-``pipeline.CHAIN_STAGES`` once per code width. Their prerequisites must have
-run first (the error message names the missing stage). ``eval``
-additionally assembles report.txt. ``ablate`` runs the whole variant grid,
-prerequisites included, and prints ablation.txt.
+runs, in run order, through ``pipeline.run_stage``: a stage of
+``pipeline.SHARED_STAGES`` runs once and one of ``pipeline.CHAIN_STAGES``
+once per code width of the full model. Their prerequisites must have run
+first (the error message names the missing stage). ``eval`` additionally
+assembles and prints report.txt. ``ablate`` runs the whole variant grid,
+prerequisites included, and prints report.txt, which then holds every
+variant's rows, followed by ablation.txt, the stream probes.
+
+``--config`` and ``--work-dir`` are used whenever they are given, even
+empty: an empty ``--config`` names no readable file, and an empty
+``--work-dir`` is refused by ``RunConfig``; either exits 2.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .config import RunConfig
 from .exceptions import ConfigError, PipelineError
@@ -25,10 +32,9 @@ STAGE_COMMANDS = {"synth-data": "data", "train-teacher": "teacher", "build-graph
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    if args.work_dir:
-        cfg.work_dir = args.work_dir
-    return cfg
+    cfg = RunConfig.load(args.config) if args.config is not None else RunConfig()
+    # replace() builds a new config, so work_dir passes every check
+    return cfg if args.work_dir is None else replace(cfg, work_dir=args.work_dir)
 
 
 def main(argv=None) -> int:
@@ -82,14 +88,11 @@ def _dispatch(args) -> int:
     print(f"work dir: {run_dir}")
 
     if args.command == "ablate":
-        pipeline.ablation_suite(cfg)
+        print(pipeline.ablation_suite(cfg).text, end="")
         print((run_dir / "ablation.txt").read_text(), end="")
-    elif (stage := STAGE_COMMANDS[args.command]) in pipeline.SHARED_STAGES:
-        pipeline.SHARED_STAGES[stage](cfg, run_dir)
     else:
-        for bits in cfg.code_bits:
-            pipeline.CHAIN_STAGES[stage](cfg, run_dir, bits)
-        if stage == "eval":
+        pipeline.run_stage(cfg, run_dir, STAGE_COMMANDS[args.command])
+        if args.command == "eval":
             print(pipeline.build_report(cfg, run_dir).text, end="")
     print(f"{args.command}: done")
     return 0

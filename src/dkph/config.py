@@ -19,7 +19,11 @@ where an integer belongs, or a bool where a float belongs. A float key is
 kept as a float, so ``learn_rate=1`` equals, hashes and saves as
 ``learn_rate=1.0``. ``code_bits`` is kept as a tuple of ints, whatever
 sequence it was given as; a scalar or a string raises. ``work_dir`` must be
-a string.
+a nonempty string.
+
+A config is frozen: assigning a field raises
+``dataclasses.FrozenInstanceError``, so no value can skip the checks. Build
+a changed config with ``dataclasses.replace``, which checks it again.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .retrieval import MAP_KS
 SPLIT_FRACTIONS = (0.5, 0.1)  # train, query; the rest is the database
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     # synthetic corpus
     num_classes: int = 10
@@ -84,26 +88,28 @@ class RunConfig:
         return max(1, int(round(self.mask_ratio * self.frames)))
 
     def __post_init__(self):
-        if not isinstance(self.work_dir, str):
-            raise ConfigError(f"work_dir = {self.work_dir!r}: must be a string")
+        if not isinstance(self.work_dir, str) or not self.work_dir:
+            raise ConfigError(f"work_dir = {self.work_dir!r}: must be a string and not empty")
         if isinstance(self.code_bits, (str, bytes)) or not hasattr(self.code_bits, "__iter__"):
             raise ConfigError(f"code_bits = {self.code_bits!r}: "
                               "must be a sequence of integer widths")
         integers = {f.name: (getattr(self, f.name),) for f in fields(self) if f.type == "int"}
-        integers["code_bits"] = self.code_bits = tuple(self.code_bits)
+        # frozen: the normalised values are set through object.__setattr__
+        object.__setattr__(self, "code_bits", tuple(self.code_bits))
+        integers["code_bits"] = self.code_bits
         for key, values in integers.items():
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                        for v in values):
                 raise ConfigError(f"{key} = {_format_value(getattr(self, key))}: "
                                   "must be integral, not a float or a bool")
-        self.code_bits = tuple(map(int, self.code_bits))
+        object.__setattr__(self, "code_bits", tuple(map(int, self.code_bits)))
         floats = [f.name for f in fields(self) if f.type == "float"]
         for key in floats:
             value = getattr(self, key)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ConfigError(f"{key} = {value!r}: must be a real number, not a bool")
             # an int is stored as its float, so that it hashes and saves as one
-            setattr(self, key, float(value))
+            object.__setattr__(self, key, float(value))
         per_class = self.split_sizes()
         n_train = self.num_classes * per_class[0]
         n_database = self.num_classes * per_class[2]
@@ -158,7 +164,8 @@ class RunConfig:
             text = Path(path).read_text()
         except (OSError, UnicodeDecodeError) as err:
             reason = getattr(err, "strerror", None) or err
-            raise ConfigError(f"cannot read config {path}: {reason}") from None
+            # an empty path reads the current directory; show it as ''
+            raise ConfigError(f"cannot read config {str(path) or repr('')}: {reason}") from None
         return cls.from_text(text, source=str(path))
 
     @classmethod

@@ -18,20 +18,29 @@ Stage artifacts
     student_K  student_K.ckpt, student_K_log.txt
     encode_K   query_K.codes, database_K.codes
     eval_K     metrics_K.json
-    report.txt regenerated deterministically from the above on every run
     student_V_K, encode_V_K, eval_V_K
                as student_K, encode_K and eval_K with V_K in place of K, for
                each ablation variant V other than "full", at every width K
-    ablation.txt  each width's variant mAP and stream probes of its
-               student_K.ckpt, regenerated on every ablation_suite call
+    report.txt regenerated on every ``run_pipeline`` or ``ablation_suite``
+               call from the stage outputs of that call's chains: the full
+               model's for ``run_pipeline``, every variant's for
+               ``ablation_suite`` (``build_report``)
+    ablation.txt  the stream probes of each width's student_K.ckpt,
+               regenerated on every ablation_suite call
 
 The two training logs are ``optim.write_log`` rows: teacher_log.txt is an
 ``eval_before`` line, one ``epoch recon`` line per epoch and an
 ``eval_after`` line; student_K_log.txt is one line per epoch of
 ``epoch recon bsim tsim total`` and the three ``share_*`` values.
 
-``ablation_suite``'s "full" chains (``model_chains``) are ``run_pipeline``'s,
-so either call reuses the other's stages.
+Run order. ``run_stage`` is the one walker of the stage grid: it runs a
+SHARED_STAGES stage once, or a CHAIN_STAGES stage for every (variant, width)
+chain of ``model_chains``. ``run_pipeline`` and each CLI stage command call
+it stage by stage: data, teacher, graph, then student, encode and eval, each
+over every chain. No chain reads another chain's outputs, and every stage
+seeds its generators from the config, so the order changes no artifact.
+``ablation_suite``'s "full" chains are ``run_pipeline``'s, so either call
+reuses the other's stages.
 
 A stage's meta record also carries its cost in the process that ran it:
 ``minor_faults``, the page faults taken during the stage, and
@@ -155,8 +164,8 @@ def _keep_freed_heap() -> bool:
     return bool(mmap_set and trim_set)
 
 
-def _run_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | None,
-               outputs: list[str], fn) -> None:
+def _checkpoint_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | None,
+                      outputs: list[str], fn) -> None:
     """Execute ``fn`` unless the stage is already complete; record its wall
     time, minor page faults and the peak RSS after it, and any fields of the
     dict ``fn`` returns. The prerequisite stage ``needs`` must have completed
@@ -212,7 +221,7 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
 
     outputs = [f"data/{n}.{kind}" for n in ("train", "query", "database")
                for kind in ("features", "labels")] + ["data/dataset.json", "config.cfg"]
-    _run_stage(run_dir, cfg, "data", None, outputs, fn)
+    _checkpoint_stage(run_dir, cfg, "data", None, outputs, fn)
 
 
 def _video_embeddings(features: np.ndarray, params: Params) -> np.ndarray:
@@ -232,8 +241,8 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
         return {"optimizer_steps": optimizer_steps(len(train), cfg.teacher_epochs, cfg)}
 
-    _run_stage(run_dir, cfg, "teacher", "data",
-               ["teacher.ckpt", "teacher_log.txt", "embeddings.features"], fn)
+    _checkpoint_stage(run_dir, cfg, "teacher", "data",
+                      ["teacher.ckpt", "teacher_log.txt", "embeddings.features"], fn)
 
 
 def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
@@ -258,7 +267,7 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
                 "isolated_videos": int(graph.isolated.size),
                 "positive_precision": precision[0], "negative_precision": precision[1]}
 
-    _run_stage(run_dir, cfg, "graph", "teacher", ["graph.bin", "anchors.ckpt"], fn)
+    _checkpoint_stage(run_dir, cfg, "graph", "teacher", ["graph.bin", "anchors.ckpt"], fn)
 
 
 def load_graph_artifacts(run_dir: Path):
@@ -294,8 +303,8 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
         write_log(run_dir / f"student_{tag}_log.txt", result.history)
         return {"optimizer_steps": optimizer_steps(len(train), cfg.student_epochs, cfg)}
 
-    _run_stage(run_dir, cfg, f"student_{tag}", "graph",
-               [f"student_{tag}.ckpt", f"student_{tag}_log.txt"], fn)
+    _checkpoint_stage(run_dir, cfg, f"student_{tag}", "graph",
+                      [f"student_{tag}.ckpt", f"student_{tag}_log.txt"], fn)
 
 
 def encode_split(features: np.ndarray, params: Params) -> np.ndarray:
@@ -317,8 +326,8 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full"
         for name, x in features.items():
             serial.save_codes(run_dir / f"{name}_{tag}.codes", encode_split(x, params), bits)
 
-    _run_stage(run_dir, cfg, f"encode_{tag}", f"student_{tag}",
-               [f"query_{tag}.codes", f"database_{tag}.codes"], fn)
+    _checkpoint_stage(run_dir, cfg, f"encode_{tag}", f"student_{tag}",
+                      [f"query_{tag}.codes", f"database_{tag}.codes"], fn)
 
 
 def evaluate_codes(run_dir: Path, bits: int, variant: str = "full") -> dict:
@@ -346,13 +355,13 @@ def stage_eval(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") 
         (run_dir / f"metrics_{tag}.json").write_text(
             json.dumps(metrics, sort_keys=True) + "\n")
 
-    _run_stage(run_dir, cfg, f"eval_{tag}", f"encode_{tag}", [f"metrics_{tag}.json"], fn)
+    _checkpoint_stage(run_dir, cfg, f"eval_{tag}", f"encode_{tag}", [f"metrics_{tag}.json"], fn)
 
 
 # -- the stage grid, report and end-to-end -----------------------------------
 
 # The stages a run makes once, and those it makes per (variant, width) chain,
-# each in run order; ``cli`` runs them by these names.
+# each in run order; ``run_stage`` runs them by these names.
 SHARED_STAGES = {"data": stage_data, "teacher": stage_teacher, "graph": stage_graph}
 CHAIN_STAGES = {"student": stage_student, "encode": stage_encode, "eval": stage_eval}
 
@@ -369,28 +378,31 @@ def stage_names(cfg: RunConfig, variants=("full",)) -> list[str]:
                               for name in CHAIN_STAGES]
 
 
-def _run_grid(cfg: RunConfig, work_dir, variants) -> Path:
-    """Run the shared stages and then every chain of ``variants``, skipping
-    completed stages; returns the run directory."""
-    run_dir = run_layout(cfg, work_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    for stage in SHARED_STAGES.values():
-        stage(cfg, run_dir)
+def run_stage(cfg: RunConfig, run_dir: Path, name: str, variants=("full",)) -> None:
+    """Run stage ``name``: a SHARED_STAGES stage once, a CHAIN_STAGES stage
+    for every chain of ``model_chains(cfg, variants)``, skipping completed
+    stages. The one walker of the stage grid."""
+    if name in SHARED_STAGES:
+        SHARED_STAGES[name](cfg, run_dir)
+        return
     for variant, bits in model_chains(cfg, variants):
-        for stage in CHAIN_STAGES.values():
-            stage(cfg, run_dir, bits, variant)
-    return run_dir
+        CHAIN_STAGES[name](cfg, run_dir, bits, variant)
 
 
-def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
-    """Assemble report.txt from stage outputs; stable field order."""
+def build_report(cfg: RunConfig, run_dir: Path, variants=("full",)) -> PipelineReport:
+    """Assemble report.txt from the stage outputs of the shared stages and of
+    every chain of ``model_chains(cfg, variants)``, in a stable order: the
+    dataset, each stage of ``stage_names``, the graph record, then each
+    chain's map and PR rows. A full model's rows read ``map bits=K k=...``
+    and ``pr bits=K point=...``; another variant V's carry ``variant=V``
+    after the width."""
     lines = ["dkph run report", f"config_hash = {cfg.config_hash()}"]
     summary = json.loads((run_dir / "data" / "dataset.json").read_text())
     for key in ("classes", "train", "query", "database"):
         lines.append(f"dataset {key} = {summary[key]}")
     lines.append(f"dataset prototype_accuracy = {summary['prototype_accuracy']:.10g}")
     records = {stage: json.loads(_meta_path(run_dir, stage).read_text())
-               for stage in stage_names(cfg)}
+               for stage in stage_names(cfg, variants)}
     for stage, record in records.items():
         lines.append(f"stage {stage} wall_time_s = {record['wall_time_s']:.3f}")
         if "optimizer_steps" in record:
@@ -399,46 +411,44 @@ def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
                 "positive_precision", "negative_precision"):
         value = records["graph"][key]
         lines.append(f"graph {key} = {'none' if value is None else format(value, '.10g')}")
-    for bits in cfg.code_bits:
-        m = json.loads((run_dir / f"metrics_{bits}.json").read_text())
+    for variant, bits in model_chains(cfg, variants):
+        m = json.loads((run_dir / f"metrics_{_tag(bits, variant)}.json").read_text())
+        chain = f"bits={bits}" if variant == "full" else f"bits={bits} variant={variant}"
         for k in sorted(int(x) for x in m["map"]):
-            lines.append(f"map bits={bits} k={k} = {m['map'][str(k)]:.10g}")
+            lines.append(f"map {chain} k={k} = {m['map'][str(k)]:.10g}")
         for i, (recall, precision) in enumerate(m["pr"]):
-            lines.append(f"pr bits={bits} point={i} recall={recall:.10g} "
+            lines.append(f"pr {chain} point={i} recall={recall:.10g} "
                          f"precision={precision:.10g}")
     text = "\n".join(lines) + "\n"
     (run_dir / "report.txt").write_text(text)
     return PipelineReport(run_dir=run_dir, text=text)
 
 
-def run_pipeline(cfg: RunConfig, work_dir=None) -> PipelineReport:
-    """Run every stage (skipping completed ones) and write report.txt."""
-    return build_report(cfg, _run_grid(cfg, work_dir, ("full",)))
+def run_pipeline(cfg: RunConfig, work_dir=None, variants=("full",)) -> PipelineReport:
+    """Run every stage for the chains of ``variants``, stage by stage in the
+    order of SHARED_STAGES and CHAIN_STAGES (the CLI's), skipping completed
+    ones, and write report.txt over those chains."""
+    run_dir = run_layout(cfg, work_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name in (*SHARED_STAGES, *CHAIN_STAGES):
+        run_stage(cfg, run_dir, name, variants)
+    return build_report(cfg, run_dir, variants)
 
 
-def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
-    """Train, encode and evaluate every ablation variant at every code width,
-    and probe each width's trained full model's reconstruction with each
-    stream removed.
-
-    Returns ``{"map": {bits: {variant: maps}}, "recon_error": {bits: errors}}``
-    and writes ablation.txt next to the run report.
-    """
-    run_dir = _run_grid(cfg, work_dir, ABLATION_VARIANTS)
-    results: dict = {"map": {}, "recon_error": {}}
+def ablation_suite(cfg: RunConfig, work_dir=None) -> PipelineReport:
+    """Run the pipeline for every ablation variant at every code width, so
+    that report.txt holds every variant's rows, and write ablation.txt: the
+    reconstruction error of each width's trained full model on the database
+    split with each stream removed (``student.probe_reconstruction``).
+    Returns the pipeline's report."""
+    report = run_pipeline(cfg, work_dir, ABLATION_VARIANTS)
+    run_dir = report.run_dir
     lines = ["dkph ablation report", f"config_hash = {cfg.config_hash()}"]
-    for variant, bits in model_chains(cfg, ABLATION_VARIANTS):
-        maps = json.loads((run_dir / f"metrics_{_tag(bits, variant)}.json").read_text())["map"]
-        results["map"].setdefault(bits, {})[variant] = maps
-        for k in sorted(int(x) for x in maps):
-            lines.append(f"map bits={bits} variant={variant} k={k} = {maps[str(k)]:.10g}")
-
-    # information decomposition on each width's trained full model, database split
     db_features = serial.load_features(run_dir / "data" / "database.features")
     for bits in cfg.code_bits:
         full = cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
                            db_features.dtype)
-        results["recon_error"][bits] = error = probe_reconstruction(db_features, full)
+        error = probe_reconstruction(db_features, full)
         for mode in PROBE_MODES:
             lines.append(f"recon_error bits={bits} mode={mode} = {error[mode]:.10g}")
         lines.append(f"recon_error bits={bits} drop_latent_over_drop_code = "
@@ -446,4 +456,4 @@ def ablation_suite(cfg: RunConfig, work_dir=None) -> dict:
         lines.append(f"recon_error bits={bits} mean_latent_increase = "
                      f"{(error['mean_latent'] - error['intact']) / error['intact']:.10g}")
     (run_dir / "ablation.txt").write_text("\n".join(lines) + "\n")
-    return results
+    return report

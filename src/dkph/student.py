@@ -155,11 +155,6 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
     in_batch = np.zeros(len(need), dtype=bool)
     in_batch[np.searchsorted(need, batch)] = True
     recon_scale = 1.0 / (len(batch) * m_frames * d_in) if len(batch) else 0.0
-    l_recon = 0.0
-    for blk, fwd in fwds:
-        diff = fwd.recon - x[blk]
-        l_recon += float((diff * diff).sum(axis=(1, 2))[in_batch[blk]].sum())
-    l_recon *= recon_scale
 
     d_act = np.zeros((len(need), k), dtype=dtype)
     d_mean = np.zeros((len(need), d_model), dtype=dtype)
@@ -197,9 +192,12 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
         d_mean = at_i @ ((g2 * 2.0 / n) * (delta_i + push[:, None] * (delta_i - delta_j)))
 
     grads: dict[str, np.ndarray] = {}
+    l_recon = 0.0
     for blk, fwd in fwds:
         frames = fwd.frames
-        d_recon = np.where(in_batch[blk, None, None], 2.0 * recon_scale * (fwd.recon - x[blk]), 0.0)
+        diff = fwd.recon - x[blk]
+        l_recon += float((diff * diff).sum(axis=(1, 2))[in_batch[blk]].sum())
+        d_recon = np.where(in_batch[blk, None, None], 2.0 * recon_scale * diff, 0.0)
         d_mix = d_recon @ params["w_dec"].T
         # straight-through into the code, plus the pair terms on tanh(t_hat)
         d_that = (d_mix.sum(axis=1) + d_act[blk]) * (1.0 - fwd.act * fwd.act)
@@ -218,6 +216,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
         )
         add_grads(grads, part)
     grads = factor_grads(grads, params)
+    l_recon *= recon_scale
 
     total = l_recon + cfg.gamma1 * l_bsim + cfg.gamma2 * l_tsim
     losses = {"recon": l_recon, "bsim": l_bsim, "tsim": l_tsim, "total": total}
@@ -313,11 +312,11 @@ def probe_reconstruction(features: np.ndarray, params: Params) -> dict[str, floa
         x = features[blk]
         code = fwd.code[:, None, :]
         shape = fwd.latent.shape
-        mixes = {"intact": fwd.latent + code,
-                 "drop_code": fwd.latent,
+        mixes = {"drop_code": fwd.latent,
                  "drop_latent": np.broadcast_to(code, shape),
                  "mean_latent": np.broadcast_to(fwd.latent.mean(axis=1, keepdims=True) + code,
                                                 shape)}
+        totals["intact"] += student_recon_loss(x, fwd.recon) * len(x)  # the trained path
         for mode, mix in mixes.items():
             totals[mode] += student_recon_loss(x, mix @ params["w_dec"] + params["b_dec"]) * len(x)
     return {mode: total / features.shape[0] for mode, total in totals.items()}

@@ -172,11 +172,28 @@ def test_eval_prints_the_report(tiny, capsys):
 
 
 def test_ablate_prints_the_ablation_report(tiny, capsys):
+    # the report of every variant's rows, then the probe rows
     cfg, args = tiny
     assert cli.main(["ablate", *args]) == 0
     out = capsys.readouterr().out
-    ablation = (run_layout(cfg) / "ablation.txt").read_text()
+    run_dir = run_layout(cfg)
+    report, ablation = ((run_dir / name).read_text() for name in ("report.txt", "ablation.txt"))
     assert ablation.startswith("dkph ablation report\n") and ablation in out
+    assert "map bits=16 variant=no_dual k=" in report
+    assert out == f"work dir: {run_dir}\n{report}{ablation}ablate: done\n"
+
+
+def test_an_empty_config_flag_exits_2_naming_the_path(tmp_path, capsys):
+    assert cli.main(["synth-data", "--config", "", "--work-dir", str(tmp_path)]) == 2
+    assert "error: cannot read config '': " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_an_empty_work_dir_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default work dir is relative
+    assert cli.main(["synth-data", "--work-dir", ""]) == 2
+    assert "error: work_dir = '': must be a string and not empty" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_a_graph_without_positive_edges_is_reported_naming_the_sign(tiny, tmp_path, caplog):

@@ -1,5 +1,6 @@
 """Run configuration: range checks at construction."""
 
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -192,11 +193,22 @@ def test_float_keys_refuse_bools(key, value):
         RunConfig(**{key: value})
 
 
-@pytest.mark.parametrize("value", [5, None, Path("work")], ids=["int", "none", "path"])
+@pytest.mark.parametrize("value", [5, None, Path("work"), ""],
+                         ids=["int", "none", "path", "empty"])
 def test_work_dir_must_be_a_string(value):
     # None was once accepted and failed later, in run_layout, with a bare TypeError
     with pytest.raises(ConfigError, match="^work_dir = .*must be a string"):
         RunConfig(work_dir=value)
+
+
+@pytest.mark.parametrize("key, value", [("learn_rate", True), ("code_bits", 16),
+                                        ("work_dir", None), ("num_classes", 4)])
+def test_a_built_config_refuses_assignment(key, value):
+    # an assignment would skip every check, and config_hash would hash the value
+    cfg = RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, key, value)
+    assert cfg == RunConfig()
 
 
 @pytest.mark.parametrize("value", [16, np.int64(16), "16,32"], ids=["int", "numpy-int", "str"])

@@ -502,8 +502,10 @@ def test_meta_without_code_version_is_stale(tiny_run):
 def tiny_ablation(tmp_path_factory):
     cfg = RunConfig(**TINY)
     work = tmp_path_factory.mktemp("ablation")
-    results = pipeline.ablation_suite(cfg, work)
-    return cfg, pipeline.run_layout(cfg, work), results
+    report = pipeline.ablation_suite(cfg, work)
+    # report.txt as the ablation left it; a later test's run_pipeline rewrites it
+    assert (report.run_dir / "report.txt").read_text() == report.text
+    return cfg, report.run_dir, report
 
 
 def test_ablation_rerun_reproduces_its_report_and_executes_no_stage(tiny_ablation):
@@ -533,30 +535,69 @@ def test_run_pipeline_after_the_ablation_runs_no_stage_and_reports_the_same(tiny
     assert (run_dir / "report.txt").read_text() == report.text
 
 
+def _chain_maps(text):
+    """{(variant, bits): {k: value text}} of a report's map rows, in row order."""
+    maps = {}
+    for line in text.splitlines():
+        if row := re.fullmatch(r"map bits=(\d+)(?: variant=(\w+))? k=(\d+) = (\S+)", line):
+            maps.setdefault((row[2] or "full", int(row[1])), {})[row[3]] = row[4]
+    return maps
+
+
 def test_ablation_full_rows_are_the_full_model_metrics(tiny_ablation):
-    cfg, run_dir, results = tiny_ablation
-    rows = dict(line.split(" = ") for line in (run_dir / "ablation.txt").read_text().splitlines()
-                if line.startswith("map "))
-    assert list(results["map"]) == list(cfg.code_bits)
+    cfg, run_dir, report = tiny_ablation
+    maps = _chain_maps(report.text)
+    assert list(maps) == [(variant, bits) for bits in cfg.code_bits
+                          for variant in pipeline.ABLATION_VARIANTS]
+    lines = report.text.splitlines()
     for bits in cfg.code_bits:
         want = json.loads((run_dir / f"metrics_{bits}.json").read_text())["map"]
-        assert list(results["map"][bits]) == list(pipeline.ABLATION_VARIANTS)
-        assert results["map"][bits]["full"] == want
-        full = {key: value for key, value in rows.items()
-                if key.startswith(f"map bits={bits} variant=full ")}
-        assert full == {f"map bits={bits} variant=full k={k}": f"{v:.10g}"
-                        for k, v in want.items()}
+        assert maps["full", bits] == {k: f"{v:.10g}" for k, v in want.items()}
+        for k, v in want.items():
+            assert f"map bits={bits} k={k} = {v:.10g}" in lines
+
+
+def test_every_chain_report_rows_are_its_metrics(tiny_ablation):
+    cfg, run_dir, report = tiny_ablation
+    rows = [line for line in report.text.splitlines() if line.startswith(("map ", "pr "))]
+    want = []
+    for variant, bits in pipeline.model_chains(cfg, pipeline.ABLATION_VARIANTS):
+        metrics = json.loads((run_dir / f"metrics_{pipeline._tag(bits, variant)}.json").read_text())
+        chain = f"bits={bits}" if variant == "full" else f"bits={bits} variant={variant}"
+        want += [f"map {chain} k={k} = {metrics['map'][str(k)]:.10g}"
+                 for k in sorted(map(int, metrics["map"]))]
+        want += [f"pr {chain} point={i} recall={recall:.10g} precision={precision:.10g}"
+                 for i, (recall, precision) in enumerate(metrics["pr"])]
+    assert rows == want
+    stages = [line.split()[1] for line in report.text.splitlines()
+              if line.startswith("stage ") and "wall_time_s" in line]
+    assert stages == pipeline.stage_names(cfg, pipeline.ABLATION_VARIANTS)
 
 
 def test_ablation_probes_each_width_full_model(tiny_ablation):
-    cfg, run_dir, results = tiny_ablation
+    cfg, run_dir, _ = tiny_ablation
     features = serial.load_features(run_dir / "data" / "database.features")
     lines = (run_dir / "ablation.txt").read_text().splitlines()
-    assert list(results["recon_error"]) == list(cfg.code_bits)
+    widths = [int(re.match(r"recon_error bits=(\d+) ", line)[1]) for line in lines[2:]]
+    assert list(dict.fromkeys(widths)) == list(cfg.code_bits)
     for bits in cfg.code_bits:
         params = encoder.cast_params(serial.load_checkpoint(run_dir / f"student_{bits}.ckpt"),
                                      features.dtype)
-        error = results["recon_error"][bits]
-        assert error == probe_reconstruction(features, params)
+        error = probe_reconstruction(features, params)
         for mode in PROBE_MODES:
             assert f"recon_error bits={bits} mode={mode} = {error[mode]:.10g}" in lines
+
+
+def test_run_stage_runs_a_chain_stage_for_every_chain(tiny_run, tmp_path):
+    cfg, _, first = tiny_run
+    run_dir = tmp_path / first.run_dir.name
+    shutil.copytree(first.run_dir, run_dir)
+    before = _meta(run_dir)
+    pipeline.run_stage(cfg, run_dir, "student", pipeline.ABLATION_VARIANTS)
+    after = _meta(run_dir)
+    students = {f"student_{pipeline._tag(bits, variant)}"
+                for variant, bits in pipeline.model_chains(cfg, pipeline.ABLATION_VARIANTS)}
+    assert set(after) == set(before) | students
+    assert {s: after[s] for s in before} == before  # the full model's students were done
+    for stage in students:
+        assert pipeline.stage_completed(run_dir, stage, cfg), stage
