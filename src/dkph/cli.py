@@ -6,9 +6,11 @@ runs, in run order, through ``pipeline.run_stage``: a stage of
 ``pipeline.SHARED_STAGES`` runs once and one of ``pipeline.CHAIN_STAGES``
 once per code width of the full model. Their prerequisites must have run
 first (the error message names the missing stage). ``eval`` additionally
-assembles and prints report.txt. ``ablate`` runs the whole variant grid,
-prerequisites included, and prints report.txt, which then holds every
-variant's rows, followed by ablation.txt, the stream probes.
+assembles and prints report.txt, which holds every (variant, width) chain
+whose eval stage has completed (``pipeline.build_report``): the full
+model's rows, and after an ``ablate`` every variant's. ``ablate`` runs the
+whole variant grid, prerequisites included, and prints report.txt followed
+by ablation.txt, the stream probes.
 
 ``--config`` and ``--work-dir`` are used whenever they are given, even
 empty: an empty ``--config`` names no readable file, and an empty

@@ -5,9 +5,12 @@ the encoder, teacher and student, the graph stage and the optimizer all
 read their hyperparameters from it, and its field defaults are the only
 defaults of those values.
 
-The file format is deliberately rigid: one ``key = value`` per line, ``#``
-comments, and *unknown keys are errors* - a silently ignored typo in a
-hyperparameter name is the main reproducibility hazard.
+The file format is deliberately rigid: one ``key = value`` per line, blank
+lines, comment lines whose first non-blank character is ``#``, and *unknown
+keys are errors* - a silently ignored typo in a hyperparameter name is the
+main reproducibility hazard. A ``#`` after a key is part of the value, so a
+``work_dir`` that contains one saves and loads unchanged. Each malformed
+line raises ConfigError naming ``source:line``.
 
 ``config_hash`` covers every hyperparameter (not the workspace paths), so
 moving a work directory does not invalidate its artifacts.
@@ -19,7 +22,8 @@ where an integer belongs, or a bool where a float belongs. A float key is
 kept as a float, so ``learn_rate=1`` equals, hashes and saves as
 ``learn_rate=1.0``. ``code_bits`` is kept as a tuple of ints, whatever
 sequence it was given as; a scalar or a string raises. ``work_dir`` must be
-a nonempty string.
+a nonempty string without a line break or leading or trailing whitespace,
+which a saved config could not give back.
 
 A config is frozen: assigning a field raises
 ``dataclasses.FrozenInstanceError``, so no value can skip the checks. Build
@@ -90,6 +94,9 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.work_dir, str) or not self.work_dir:
             raise ConfigError(f"work_dir = {self.work_dir!r}: must be a string and not empty")
+        if self.work_dir.strip().splitlines() != [self.work_dir]:
+            raise ConfigError(f"work_dir = {self.work_dir!r}: must have no line break "
+                              "and no leading or trailing whitespace")
         if isinstance(self.code_bits, (str, bytes)) or not hasattr(self.code_bits, "__iter__"):
             raise ConfigError(f"code_bits = {self.code_bits!r}: "
                               "must be a sequence of integer widths")
@@ -173,8 +180,8 @@ class RunConfig:
         known = {f.name: f for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")

@@ -21,10 +21,10 @@ Stage artifacts
     student_V_K, encode_V_K, eval_V_K
                as student_K, encode_K and eval_K with V_K in place of K, for
                each ablation variant V other than "full", at every width K
-    report.txt regenerated on every ``run_pipeline`` or ``ablation_suite``
-               call from the stage outputs of that call's chains: the full
-               model's for ``run_pipeline``, every variant's for
-               ``ablation_suite`` (``build_report``)
+    report.txt regenerated by ``build_report`` (on every ``run_pipeline``,
+               ``ablation_suite`` or CLI ``eval``) from the run directory:
+               the shared stages, and every chain whose eval stage has
+               completed, whichever call ran it
     ablation.txt  the stream probes of each width's student_K.ckpt,
                regenerated on every ablation_suite call
 
@@ -40,7 +40,9 @@ it stage by stage: data, teacher, graph, then student, encode and eval, each
 over every chain. No chain reads another chain's outputs, and every stage
 seeds its generators from the config, so the order changes no artifact.
 ``ablation_suite``'s "full" chains are ``run_pipeline``'s, so either call
-reuses the other's stages.
+reuses the other's stages. ``variants`` decides only what runs: the report
+covers every completed chain, so a ``run_pipeline`` after an ablation runs
+no stage and rewrites report.txt byte for byte, variant rows included.
 
 A stage's meta record also carries its cost in the process that ran it:
 ``minor_faults``, the page faults taken during the stage, and
@@ -372,12 +374,6 @@ def model_chains(cfg: RunConfig, variants=("full",)) -> list[tuple[str, int]]:
     return [(variant, bits) for bits in cfg.code_bits for variant in variants]
 
 
-def stage_names(cfg: RunConfig, variants=("full",)) -> list[str]:
-    return [*SHARED_STAGES] + [f"{name}_{_tag(bits, variant)}"
-                              for variant, bits in model_chains(cfg, variants)
-                              for name in CHAIN_STAGES]
-
-
 def run_stage(cfg: RunConfig, run_dir: Path, name: str, variants=("full",)) -> None:
     """Run stage ``name``: a SHARED_STAGES stage once, a CHAIN_STAGES stage
     for every chain of ``model_chains(cfg, variants)``, skipping completed
@@ -389,20 +385,25 @@ def run_stage(cfg: RunConfig, run_dir: Path, name: str, variants=("full",)) -> N
         CHAIN_STAGES[name](cfg, run_dir, bits, variant)
 
 
-def build_report(cfg: RunConfig, run_dir: Path, variants=("full",)) -> PipelineReport:
-    """Assemble report.txt from the stage outputs of the shared stages and of
-    every chain of ``model_chains(cfg, variants)``, in a stable order: the
-    dataset, each stage of ``stage_names``, the graph record, then each
-    chain's map and PR rows. A full model's rows read ``map bits=K k=...``
-    and ``pr bits=K point=...``; another variant V's carry ``variant=V``
-    after the width."""
+def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
+    """Assemble report.txt from the run directory's stage records and
+    outputs. It covers every chain of ``model_chains(cfg, ABLATION_VARIANTS)``
+    whose eval record ``stage_completed`` accepts, so no call drops rows
+    that another call's stages left on disk. In a stable order: the dataset,
+    the wall time of each shared stage and then of each covered chain's
+    stages, the graph record, then each covered chain's map and PR rows. A
+    full model's rows read ``map bits=K k=...`` and ``pr bits=K point=...``;
+    another variant V's carry ``variant=V`` after the width."""
+    chains = [(variant, bits) for variant, bits in model_chains(cfg, ABLATION_VARIANTS)
+              if stage_completed(run_dir, f"eval_{_tag(bits, variant)}", cfg)]
     lines = ["dkph run report", f"config_hash = {cfg.config_hash()}"]
     summary = json.loads((run_dir / "data" / "dataset.json").read_text())
     for key in ("classes", "train", "query", "database"):
         lines.append(f"dataset {key} = {summary[key]}")
     lines.append(f"dataset prototype_accuracy = {summary['prototype_accuracy']:.10g}")
-    records = {stage: json.loads(_meta_path(run_dir, stage).read_text())
-               for stage in stage_names(cfg, variants)}
+    stages = [*SHARED_STAGES] + [f"{name}_{_tag(bits, variant)}"
+                                 for variant, bits in chains for name in CHAIN_STAGES]
+    records = {stage: json.loads(_meta_path(run_dir, stage).read_text()) for stage in stages}
     for stage, record in records.items():
         lines.append(f"stage {stage} wall_time_s = {record['wall_time_s']:.3f}")
         if "optimizer_steps" in record:
@@ -411,7 +412,7 @@ def build_report(cfg: RunConfig, run_dir: Path, variants=("full",)) -> PipelineR
                 "positive_precision", "negative_precision"):
         value = records["graph"][key]
         lines.append(f"graph {key} = {'none' if value is None else format(value, '.10g')}")
-    for variant, bits in model_chains(cfg, variants):
+    for variant, bits in chains:
         m = json.loads((run_dir / f"metrics_{_tag(bits, variant)}.json").read_text())
         chain = f"bits={bits}" if variant == "full" else f"bits={bits} variant={variant}"
         for k in sorted(int(x) for x in m["map"]):
@@ -427,17 +428,18 @@ def build_report(cfg: RunConfig, run_dir: Path, variants=("full",)) -> PipelineR
 def run_pipeline(cfg: RunConfig, work_dir=None, variants=("full",)) -> PipelineReport:
     """Run every stage for the chains of ``variants``, stage by stage in the
     order of SHARED_STAGES and CHAIN_STAGES (the CLI's), skipping completed
-    ones, and write report.txt over those chains."""
+    ones, and write report.txt (``build_report``): those chains' rows, and
+    those of any other chain whose stages an earlier call completed."""
     run_dir = run_layout(cfg, work_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     for name in (*SHARED_STAGES, *CHAIN_STAGES):
         run_stage(cfg, run_dir, name, variants)
-    return build_report(cfg, run_dir, variants)
+    return build_report(cfg, run_dir)
 
 
 def ablation_suite(cfg: RunConfig, work_dir=None) -> PipelineReport:
     """Run the pipeline for every ablation variant at every code width, so
-    that report.txt holds every variant's rows, and write ablation.txt: the
+    that report.txt holds every chain's rows, and write ablation.txt: the
     reconstruction error of each width's trained full model on the database
     split with each stream removed (``student.probe_reconstruction``).
     Returns the pipeline's report."""

@@ -206,3 +206,18 @@ def test_a_graph_without_positive_edges_is_reported_naming_the_sign(tiny, tmp_pa
     assert "no negative edges" not in caplog.text
     offsets = serial.load_graph(run_layout(cfg) / "graph.bin").offsets
     assert offsets[0, -1] == offsets[0, 0] and offsets[1, -1] > offsets[1, 0]
+
+
+def test_eval_after_ablate_prints_every_variant_rows(tiny, capsys):
+    # eval runs no stage here, and its report keeps every chain on disk
+    cfg, args = tiny
+    assert cli.main(["ablate", *args]) == 0
+    run_dir = run_layout(cfg)
+    report = (run_dir / "report.txt").read_text()
+    capsys.readouterr()
+    assert cli.main(["eval", *args]) == 0
+    assert capsys.readouterr().out == f"work dir: {run_dir}\n{report}eval: done\n"
+    assert (run_dir / "report.txt").read_text() == report
+    for variant, bits in pipeline.model_chains(cfg, pipeline.ABLATION_VARIANTS):
+        chain = f"bits={bits}" if variant == "full" else f"bits={bits} variant={variant}"
+        assert f"\nmap {chain} k=5 = " in report, chain

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -215,3 +216,36 @@ def test_a_built_config_refuses_assignment(key, value):
 def test_code_bits_must_be_a_sequence_of_widths(value):
     with pytest.raises(ConfigError, match="^code_bits = .*must be a sequence of integer widths"):
         RunConfig(code_bits=value)
+
+
+@pytest.mark.parametrize("text, line, error", [
+    ("batch_size = 8\nbatch_size 8\n", 2, "expected 'key = value', got 'batch_size 8'"),
+    ("# a key that was deleted\nbandwidth = 0\n", 2, "unknown key 'bandwidth'"),
+    ("batch_size = 8\n\nbatch_size = 16\n", 3, "duplicate key 'batch_size'"),
+    ("batch_size = eight\n", 1, "bad value for 'batch_size'"),
+], ids=["no-equals", "unknown-key", "duplicate-key", "bad-int"])
+def test_a_malformed_line_raises_naming_its_source_and_line(text, line, error):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'run.cfg:{line}: {error}')}"):
+        RunConfig.from_text(text, source="run.cfg")
+
+
+def test_only_a_line_that_starts_with_hash_is_a_comment():
+    cfg = RunConfig.from_text("  # a comment\nbatch_size = 8\nwork_dir = runs/#1 # a\n")
+    assert (cfg.batch_size, cfg.work_dir) == (8, "runs/#1 # a")
+    with pytest.raises(ConfigError, match="^<string>:1: bad value for 'batch_size'"):
+        RunConfig.from_text("batch_size = 8  # a trailing comment is part of the value\n")
+
+
+@pytest.mark.parametrize("work_dir", ["/tmp/a#b", "a # b", "with space/x"])
+def test_a_work_dir_saves_and_loads_unchanged(tmp_path, work_dir):
+    cfg = RunConfig(work_dir=work_dir)
+    cfg.save(tmp_path / "run.cfg")
+    assert RunConfig.load(tmp_path / "run.cfg") == cfg
+
+
+@pytest.mark.parametrize("work_dir", [" /tmp/x ", "/tmp/x\t", "a\nb", "a\rb", "a\u2028b"],
+                         ids=["spaces", "tab", "newline", "return", "line-separator"])
+def test_a_work_dir_a_saved_config_cannot_give_back_is_refused(work_dir):
+    # a loaded value is stripped, and a line break ends its line
+    with pytest.raises(ConfigError, match="^work_dir = .*no line break"):
+        RunConfig(work_dir=work_dir)

@@ -65,11 +65,23 @@ def _meta(run_dir):
     return {p.stem: json.loads(p.read_text()) for p in sorted((run_dir / "meta").glob("*.json"))}
 
 
+def _stages(chains):
+    """The shared stages, then each chain's stages, in report order."""
+    return [*pipeline.SHARED_STAGES] + [f"{name}_{pipeline._tag(bits, variant)}"
+                                        for variant, bits in chains
+                                        for name in pipeline.CHAIN_STAGES]
+
+
+def _report_stages(text):
+    return [line.split()[1] for line in text.splitlines()
+            if line.startswith("stage ") and "wall_time_s" in line]
+
+
 def test_rerun_reproduces_report_and_executes_no_stage(tiny_run):
     cfg, work, first = tiny_run
     report = (first.run_dir / "report.txt").read_bytes()
     before = _meta(first.run_dir)
-    assert set(before) == set(pipeline.stage_names(cfg))
+    assert set(before) == set(_stages(pipeline.model_chains(cfg)))
     second = pipeline.run_pipeline(cfg, work)
     assert (second.run_dir / "report.txt").read_bytes() == report
     after = _meta(second.run_dir)
@@ -424,6 +436,17 @@ def test_the_saved_config_gives_back_the_run_layout(tmp_path, monkeypatch):
     assert pipeline.run_layout(saved) == (tmp_path / run_dir).resolve()
 
 
+def test_the_saved_config_gives_back_a_run_layout_whose_path_holds_a_hash(tmp_path):
+    # '#' once started a comment anywhere in a line, and cut the loaded path short
+    cfg = RunConfig(**TINY)
+    run_dir = pipeline.run_layout(cfg, tmp_path / "runs #1")
+    run_dir.mkdir(parents=True)
+    pipeline.stage_data(cfg, run_dir)
+    saved = RunConfig.load(run_dir / "config.cfg")
+    assert saved.work_dir == str((tmp_path / "runs #1").resolve())
+    assert pipeline.run_layout(saved) == run_dir.resolve()
+
+
 def test_meta_records_carry_the_code_version(tiny_run):
     _, _, first = tiny_run
     assert {m["code_version"] for m in _meta(first.run_dir).values()} == {pipeline.CODE_VERSION}
@@ -503,8 +526,6 @@ def tiny_ablation(tmp_path_factory):
     cfg = RunConfig(**TINY)
     work = tmp_path_factory.mktemp("ablation")
     report = pipeline.ablation_suite(cfg, work)
-    # report.txt as the ablation left it; a later test's run_pipeline rewrites it
-    assert (report.run_dir / "report.txt").read_text() == report.text
     return cfg, report.run_dir, report
 
 
@@ -512,27 +533,52 @@ def test_ablation_rerun_reproduces_its_report_and_executes_no_stage(tiny_ablatio
     cfg, run_dir, _ = tiny_ablation
     text = (run_dir / "ablation.txt").read_bytes()
     before = _meta(run_dir)
-    assert sorted(before) == sorted(pipeline.stage_names(cfg, pipeline.ABLATION_VARIANTS))
+    assert sorted(before) == sorted(_stages(pipeline.model_chains(cfg,
+                                                                  pipeline.ABLATION_VARIANTS)))
     pipeline.ablation_suite(cfg, run_dir.parent)
     assert (run_dir / "ablation.txt").read_bytes() == text
     assert _meta(run_dir) == before
 
 
-def _without_times(report):
-    return re.sub(r"wall_time_s = \S+", "wall_time_s", report)
-
-
-def test_run_pipeline_after_the_ablation_runs_no_stage_and_reports_the_same(tiny_run,
-                                                                            tiny_ablation):
-    # the ablation's full chains are the pipeline's own stages
-    cfg, run_dir, _ = tiny_ablation
-    _, _, first = tiny_run
+def test_run_pipeline_after_the_ablation_runs_no_stage_and_reports_the_same(tiny_ablation):
+    # the ablation's full chains are the pipeline's own stages, and the report
+    # keeps every variant's rows that are on disk
+    cfg, run_dir, ablation = tiny_ablation
     before = _meta(run_dir)
     report = pipeline.run_pipeline(cfg, run_dir.parent)
     assert _meta(run_dir) == before
-    want = (first.run_dir / "report.txt").read_text()
-    assert _without_times(report.text) == _without_times(want)
+    assert report.text == ablation.text
+    assert (run_dir / "report.txt").read_bytes() == ablation.text.encode()
+
+
+def test_the_report_covers_exactly_the_chains_that_have_run(tiny_run, tmp_path):
+    cfg, _, first = tiny_run
+    run_dir = tmp_path / first.run_dir.name
+    shutil.copytree(first.run_dir, run_dir)
+    for name in pipeline.CHAIN_STAGES:
+        pipeline.run_stage(cfg, run_dir, name, ("recon_only",))
+    report = pipeline.build_report(cfg, run_dir)
+    chains = [(variant, bits) for bits in cfg.code_bits for variant in ("full", "recon_only")]
+    assert list(_chain_maps(report.text)) == chains
+    assert _report_stages(report.text) == _stages(chains)
     assert (run_dir / "report.txt").read_text() == report.text
+
+
+def test_a_chain_whose_eval_record_is_stale_drops_out_of_the_report(tiny_ablation, tmp_path):
+    cfg, ablation_dir, ablation = tiny_ablation
+    run_dir = tmp_path / ablation_dir.name
+    shutil.copytree(ablation_dir, run_dir)
+    path = run_dir / "meta" / "eval_no_bsim_8.json"
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps({**record, "code_version": pipeline.CODE_VERSION - 1}))
+    text = pipeline.build_report(cfg, run_dir).text
+    chains = [chain for chain in pipeline.model_chains(cfg, pipeline.ABLATION_VARIANTS)
+              if chain != ("no_bsim", 8)]
+    assert list(_chain_maps(text)) == chains
+    assert _report_stages(text) == _stages(chains)
+    assert text.splitlines() == [line for line in ablation.text.splitlines()
+                                 if "_no_bsim_8 " not in line
+                                 and " bits=8 variant=no_bsim " not in line]
 
 
 def _chain_maps(text):
@@ -569,9 +615,8 @@ def test_every_chain_report_rows_are_its_metrics(tiny_ablation):
         want += [f"pr {chain} point={i} recall={recall:.10g} precision={precision:.10g}"
                  for i, (recall, precision) in enumerate(metrics["pr"])]
     assert rows == want
-    stages = [line.split()[1] for line in report.text.splitlines()
-              if line.startswith("stage ") and "wall_time_s" in line]
-    assert stages == pipeline.stage_names(cfg, pipeline.ABLATION_VARIANTS)
+    assert _report_stages(report.text) == \
+        _stages(pipeline.model_chains(cfg, pipeline.ABLATION_VARIANTS))
 
 
 def test_ablation_probes_each_width_full_model(tiny_ablation):
