@@ -2,13 +2,14 @@
 
 Every stage is checkpointed under ``<work_dir>/run-<hash12>/`` where the
 hash covers all hyperparameters. A stage whose meta record and outputs
-already exist, and whose record carries the current ``CODE_VERSION``, is
-skipped, so reruns with the same config are cheap and
+already exist, and whose record names that stage and carries the current
+``CODE_VERSION``, is skipped, so reruns with the same config are cheap and
 reproduce the previous report byte for byte (wall times are recorded when
 a stage first executes and re-read afterwards).
 
 Stage artifacts
-    data       {train,query,database}.{features,labels} + dataset.json,
+    data       {train,query,database}.{features,labels} (``synth.SPLITS``; the
+               labels an int64 ``serial`` container) + dataset.json,
                and config.cfg (the run's RunConfig, loadable with RunConfig.load,
                with work_dir the absolute path of the run's parent directory)
     teacher    teacher.ckpt, teacher_log.txt, embeddings.features (each training
@@ -103,7 +104,7 @@ from .student import (
     student_code,
     train_student,
 )
-from .synth import generate_synthetic
+from .synth import SPLITS, generate_synthetic
 from .teacher import train_teacher
 
 logger = logging.getLogger(__name__)
@@ -111,11 +112,10 @@ logger = logging.getLogger(__name__)
 # Written into every meta record. Bump it whenever the code changes what a
 # stage produces for the same config, so that old artifacts are rebuilt;
 # records without the field count as version 1 (CHANGES.md has each
-# version's reason). Version 14: the model passes take their row means and
-# column sums (LayerNorm, softmax, bias and positional gradients) as BLAS
-# products with constant vectors (encoder._row_mean, encoder._col_sum), so
-# every trained artifact sums in another float order.
-CODE_VERSION = 14
+# version's reason). Version 15: the data stage writes each split's labels
+# as a ``serial`` container of int64, not as text, and ``serial.load_labels``
+# refuses the text files that a version-14 record names.
+CODE_VERSION = 15
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -144,8 +144,8 @@ def stage_completed(run_dir: Path, stage: str, cfg: RunConfig) -> bool:
     outputs = record.get("outputs") if isinstance(record, dict) else None
     if not isinstance(outputs, list) or not all(isinstance(out, str) for out in outputs):
         return False  # valid JSON, but not a stage record
-    if record.get("config_hash") != cfg.config_hash():
-        return False
+    if record.get("stage") != stage or record.get("config_hash") != cfg.config_hash():
+        return False  # another stage's record, or another config's
     if record.get("code_version") != CODE_VERSION:
         return False
     return all((run_dir / out).exists() for out in outputs)
@@ -171,7 +171,8 @@ def _checkpoint_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | No
     """Execute ``fn`` unless the stage is already complete; record its wall
     time, minor page faults and the peak RSS after it, and any fields of the
     dict ``fn`` returns. The prerequisite stage ``needs`` must have completed
-    first, even when this one has."""
+    first, even when this one has. A record that cannot be written raises
+    PipelineError and leaves no record file behind."""
     if needs is not None and not stage_completed(run_dir, needs, cfg):
         raise PipelineError(stage, f"prerequisite stage {needs!r} has not run; "
                                    f"run it first (work dir {run_dir})")
@@ -197,10 +198,14 @@ def _checkpoint_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | No
     meta = {**fields, "stage": stage, "config_hash": cfg.config_hash(),
             "code_version": CODE_VERSION, "wall_time_s": wall_time_s, "outputs": outputs,
             "minor_faults": usage.ru_minflt - faults, "peak_rss_kb": usage.ru_maxrss}
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
-    os.replace(tmp, path)  # a crash leaves either no record or a whole one
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
+        os.replace(tmp, path)  # a crash leaves either no record or a whole one
+    except OSError as err:
+        tmp.unlink(missing_ok=True)
+        raise PipelineError(stage, f"cannot write its record {path}: {err}") from err
 
 
 # -- individual stages ----------------------------------------------------
@@ -221,7 +226,7 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
         # the run's own work directory, so that loading this file finds the run
         replace(cfg, work_dir=str(run_dir.parent.resolve())).save(run_dir / "config.cfg")
 
-    outputs = [f"data/{n}.{kind}" for n in ("train", "query", "database")
+    outputs = [f"data/{n}.{kind}" for n in SPLITS
                for kind in ("features", "labels")] + ["data/dataset.json", "config.cfg"]
     _checkpoint_stage(run_dir, cfg, "data", None, outputs, fn)
 
@@ -398,7 +403,7 @@ def build_report(cfg: RunConfig, run_dir: Path) -> PipelineReport:
               if stage_completed(run_dir, f"eval_{_tag(bits, variant)}", cfg)]
     lines = ["dkph run report", f"config_hash = {cfg.config_hash()}"]
     summary = json.loads((run_dir / "data" / "dataset.json").read_text())
-    for key in ("classes", "train", "query", "database"):
+    for key in ("classes", *SPLITS):
         lines.append(f"dataset {key} = {summary[key]}")
     lines.append(f"dataset prototype_accuracy = {summary['prototype_accuracy']:.10g}")
     stages = [*SHARED_STAGES] + [f"{name}_{_tag(bits, variant)}"

@@ -12,9 +12,7 @@ features    "features": (N, M, D) float32
 codes       "packed": rows under ``codes.check_packed``'s row rule; "k": int64
 graph       a SignedGraph's compressed rows as ``graph.SignedGraph`` holds them:
             "offsets" (2, N + 1) int64 and "indices" (E,) uint32
-
-Labels are a plain text sidecar: one integer per line, aligned with the
-split's feature rows; only a 1-D array of integer dtype is saved.
+labels      "labels": (N,) int64, aligned with the split's feature rows
 """
 
 from __future__ import annotations
@@ -82,7 +80,12 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             dtype = _BY_CODE.get(code)
             if dtype is None:
                 raise ValueError(f"{path}: dtype {code!r} is not one of {DTYPES}")
-            name = read(name_len).decode("utf-8")
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}: an array name is not UTF-8 ({err})") from None
+            if name in out:
+                raise ValueError(f"{path}: array name {name!r} appears twice")
             shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
             size = math.prod(shape)
             # one read and one copy per array, so that every loaded array owns
@@ -172,23 +175,23 @@ def load_codes(path) -> tuple[np.ndarray, int]:
 
 def save_labels(path, labels) -> None:
     """labels: a 1-D array of integer dtype (``retrieval.integer_array``'s
-    rule); anything else raises ValueError naming ``path``."""
+    rule) whose values int64 holds, stored as int64; anything else raises
+    ValueError naming ``path`` and writes no file."""
     try:
         labels = integer_array(labels, "labels")
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     if labels.ndim != 1:
         raise ValueError(f"{path}: labels must be 1-D, got shape {labels.shape}")
-    with open(path, "w") as f:
-        for lab in labels:
-            f.write(f"{int(lab)}\n")
+    if labels.size and labels.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{path}: label {labels.max()} does not fit in int64")
+    save_arrays(path, {"labels": labels.astype(np.int64, copy=False)})
 
 
 def load_labels(path) -> np.ndarray:
-    """The whitespace-separated integers of a labels file, as int64; a token
-    that is not an integer raises ValueError."""
-    with open(path) as f:
-        return np.array(f.read().split(), dtype=np.int64)
+    """The (N,) int64 labels of a :func:`save_labels` file; any other dtype
+    or number of axes raises ValueError naming the file."""
+    return _load_kind(path, "labels", {"labels": ("int64", 1)})["labels"]
 
 
 # -- signed graph --------------------------------------------------------

@@ -11,9 +11,9 @@ strongly correlated (like real video) while classes stay separable.
 ``intra_class_noise``, ``temporal_drift`` and ``data_seed``), which has
 already range-checked them.
 
-Videos are split per class into train / query / database partitions
-(50/10/40, sized by ``RunConfig.split_sizes``). A split is its features and
-class labels, in class order.
+Videos are split per class into the :data:`SPLITS` partitions, train /
+query / database (50/10/40, sized by ``RunConfig.split_sizes``). A split is
+its features and class labels, in class order.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ import numpy as np
 from . import serial
 from .config import RunConfig
 
+# the corpus's splits, in generation order: every split list reads this
+SPLITS = ("train", "query", "database")
+
 
 @dataclass
 class Split:
@@ -37,14 +40,8 @@ class Split:
 
 @dataclass
 class SynthDataset:
-    train: Split
-    query: Split
-    database: Split
+    splits: dict[str, Split]      # by name, in SPLITS order
     prototype_accuracy: float     # nearest-prototype classification on all videos
-
-    @property
-    def splits(self) -> dict[str, Split]:
-        return {"train": self.train, "query": self.query, "database": self.database}
 
 
 def _smooth_drift(rng: np.random.Generator, frames: int, dim: int) -> np.ndarray:
@@ -83,16 +80,16 @@ def generate_synthetic(cfg: RunConfig) -> SynthDataset:
 
     # each split takes videos [lo, hi) of every class
     bounds = np.cumsum((0, *cfg.split_sizes())).tolist()
-    splits = [Split(features=features[:, lo:hi].reshape(-1, m, d),
-                    labels=np.repeat(np.arange(c), hi - lo))
-              for lo, hi in zip(bounds, bounds[1:])]
-    return SynthDataset(*splits, prototype_accuracy=accuracy)
+    splits = {name: Split(features=features[:, lo:hi].reshape(-1, m, d),
+                          labels=np.repeat(np.arange(c), hi - lo))
+              for name, lo, hi in zip(SPLITS, bounds, bounds[1:])}
+    return SynthDataset(splits, prototype_accuracy=accuracy)
 
 
 def load_dataset_splits(data_dir) -> dict[str, Split]:
-    """All three splits of a data directory, with the features as stored
-    (float32)."""
+    """Every split of :data:`SPLITS` in a data directory, with the features
+    as stored (float32)."""
     data_dir = Path(data_dir)
     return {name: Split(serial.load_features(data_dir / f"{name}.features"),
                         serial.load_labels(data_dir / f"{name}.labels"))
-            for name in ("train", "query", "database")}
+            for name in SPLITS}

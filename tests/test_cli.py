@@ -1,5 +1,6 @@
 """CLI exit codes and outputs on a tiny configuration."""
 
+import errno
 import json
 import re
 from dataclasses import replace
@@ -39,12 +40,33 @@ def test_a_damaged_stage_record_reruns_the_stage(tiny):
     # cut short, and valid JSON that is not an object with a list of output names
     header = {"config_hash": cfg.config_hash(), "code_version": pipeline.CODE_VERSION}
     records = [meta.read_bytes()[:20], b"[1, 2]", b"5", b"null", json.dumps(header).encode(),
-               *(json.dumps({**header, "outputs": outputs}).encode() for outputs in ("x", [5]))]
+               *(json.dumps({**header, "outputs": outputs}).encode() for outputs in ("x", [5])),
+               # another stage's record, whole and otherwise current
+               json.dumps({**json.loads(meta.read_text()), "stage": "teacher"}).encode()]
     for record in records:
         meta.write_bytes(record)
         assert cli.main(["synth-data", *args]) == 0, record
         assert json.loads(meta.read_text())["stage"] == "data"
         assert [p.name for p in meta.parent.iterdir()] == ["data.json"]
+
+
+def test_a_record_that_cannot_be_written_exits_2_and_leaves_none(tiny, capsys, monkeypatch):
+    cfg, args = tiny
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pipeline.os, "replace", disk_full)
+    assert cli.main(["synth-data", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'data' failed: cannot write its record ")
+    assert err.rstrip().endswith("No space left on device")
+    meta = run_layout(cfg) / "meta"
+    assert list(meta.iterdir()) == []
+    monkeypatch.undo()
+    assert cli.main(["synth-data", *args]) == 0
+    assert [p.name for p in meta.iterdir()] == ["data.json"]
+    assert pipeline.stage_completed(run_layout(cfg), "data", cfg)
 
 
 def test_data_teacher_graph_in_order_write_the_graph(tiny):

@@ -371,8 +371,7 @@ def test_graph_artifacts_give_the_graph_and_each_video_anchor_centre(tiny_run):
 def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):
     cfg, _, first = tiny_run
     run_dir = first.run_dir
-    count = {name: serial.load_labels(run_dir / "data" / f"{name}.labels").size
-             for name in ("train", "query", "database")}
+    count = json.loads((run_dir / "data" / "dataset.json").read_text())
     rng = np.random.default_rng(0)
     inits = {"teacher": init_teacher(cfg, rng),
              **{f"student_{bits}": init_student(cfg, rng, bits) for bits in cfg.code_bits}}
@@ -407,11 +406,14 @@ def test_every_binary_output_loads_in_its_dtype_and_shape(tiny_run):
             graph = serial.load_graph(path)
             assert graph.offsets.shape == (2, count["train"] + 1)
             assert graph.offsets.dtype == graph.indices.dtype == np.int64
+        elif path.suffix == ".labels":
+            labels = serial.load_labels(path)
+            assert (labels.dtype, labels.shape) == (np.int64, (count[path.stem],)), out
         else:
-            assert path.suffix in (".labels", ".json", ".txt", ".cfg"), out
+            assert path.suffix in (".json", ".txt", ".cfg"), out
             continue
         loaded.add(path.suffix)
-    assert loaded == {".features", ".codes", ".ckpt", ".bin"}
+    assert loaded == {".features", ".codes", ".ckpt", ".bin", ".labels"}
 
 
 def test_the_run_dir_names_its_own_config(tiny_run):
@@ -506,6 +508,22 @@ def test_stale_code_version_reruns_the_stage(tiny_run):
     assert rerun["code_version"] == pipeline.CODE_VERSION
     assert rerun["wall_time_s"] >= 0.0
     assert pipeline.stage_completed(first.run_dir, "eval_8", cfg)
+
+
+def test_a_record_of_another_stage_reruns_that_stage(tiny_run, tmp_path):
+    # once taken for the teacher's, so the graph stage failed on a missing
+    # embeddings.features
+    cfg, _, first = tiny_run
+    run_dir = pipeline.run_layout(cfg, tmp_path)
+    run_dir.mkdir(parents=True)
+    pipeline.stage_data(cfg, run_dir)
+    shutil.copy(run_dir / "meta" / "data.json", run_dir / "meta" / "teacher.json")
+    assert not pipeline.stage_completed(run_dir, "teacher", cfg)
+    pipeline.run_pipeline(cfg, tmp_path)
+    assert json.loads((run_dir / "meta" / "teacher.json").read_text())["stage"] == "teacher"
+    for bits in cfg.code_bits:
+        assert (run_dir / f"metrics_{bits}.json").read_bytes() == \
+            (first.run_dir / f"metrics_{bits}.json").read_bytes()
 
 
 def test_meta_without_code_version_is_stale(tiny_run):

@@ -93,6 +93,24 @@ class TestContainer:
         with pytest.raises(ValueError, match="dtype"):
             serial.load_arrays(path)
 
+    def test_a_repeated_array_name_raises_naming_the_path(self, tmp_path):
+        # once loaded as the second array: (2, 2, 3) where the first was (1, 2, 3)
+        path = tmp_path / "a.features"
+        serial.save_arrays(path, {"features": np.zeros((1, 2, 3), np.float32),
+                                  "featureZ": np.ones((2, 2, 3), np.float32)})
+        path.write_bytes(path.read_bytes().replace(b"featureZ", b"features"))
+        for load in (serial.load_arrays, serial.load_features):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: array name 'features'")):
+                load(path)
+
+    def test_a_name_that_is_not_utf8_raises_naming_the_path(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(serial.MAGIC + struct.pack("<II", serial.VERSION, 1)
+                         + struct.pack("<I2sB", 1, b"f8", 1) + b"\xff"
+                         + struct.pack("<Q", 1) + bytes(8))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: an array name is not UTF-8")):
+            serial.load_arrays(path)
+
     def test_a_kind_loader_refuses_another_kind(self, tmp_path):
         path = tmp_path / "x.codes"
         serial.save_codes(path, np.zeros((2, 1), dtype=np.uint8), k=8)
@@ -209,18 +227,37 @@ class TestCodesAndLabels:
             serial.load_codes(path)
 
     def test_labels_roundtrip(self, tmp_path):
-        path = tmp_path / "labels.txt"
+        path = tmp_path / "a.labels"
         serial.save_labels(path, [3, 1, 4, 1, 5])
         np.testing.assert_array_equal(serial.load_labels(path), [3, 1, 4, 1, 5])
-
-    def test_labels_ignore_blank_lines_and_surrounding_whitespace(self, tmp_path):
-        path = tmp_path / "labels.txt"
-        path.write_text("\n  3\n1 \n\n\t4\r\n \n")
+        serial.save_labels(path, np.zeros(0, dtype=np.uint16))
         got = serial.load_labels(path)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, [3, 1, 4])
-        path.write_text("")
-        assert serial.load_labels(path).shape == (0,)
+        assert (got.dtype, got.shape) == (np.int64, (0,))
+
+    @pytest.mark.parametrize("text", ["3\n1\n4\n", "\n  3\n1 \n\n\t4\r\n \n"],
+                             ids=["lines", "whitespace"])
+    def test_labels_refuse_the_old_text_format(self, tmp_path, text):
+        path = tmp_path / "a.labels"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            serial.load_labels(path)
+
+    @pytest.mark.parametrize("labels", [np.zeros(3), np.zeros((2, 2), np.int64),
+                                        np.zeros(3, np.uint8)],
+                             ids=["float64", "2-D", "uint8"])
+    def test_load_labels_refuses_a_container_save_does_not_write(self, tmp_path, labels):
+        path = tmp_path / "a.labels"
+        serial.save_arrays(path, {"labels": labels})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: labels array 'labels'")):
+            serial.load_labels(path)
+
+    def test_save_labels_refuses_a_label_int64_cannot_hold(self, tmp_path):
+        path = tmp_path / "a.labels"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: label {2**63} ")):
+            serial.save_labels(path, np.array([1, 2**63], dtype=np.uint64))
+        assert not path.exists()
+        serial.save_labels(path, np.array([1, 2**63 - 1], dtype=np.uint64))
+        np.testing.assert_array_equal(serial.load_labels(path), [1, 2**63 - 1])
 
     @pytest.mark.parametrize("labels", [[0.7, 1.9, -0.5], np.zeros(3), [True, False],
                                         np.zeros((2, 2), dtype=np.int64)],
@@ -232,7 +269,9 @@ class TestCodesAndLabels:
             serial.save_labels(path, labels)
         assert not path.exists()
         serial.save_labels(path, np.array([2, 0, 7], dtype=np.uint8))
-        assert path.read_text() == "2\n0\n7\n"
+        got = serial.load_labels(path)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, [2, 0, 7])
 
     @pytest.mark.parametrize("token", ["1.5", "x", "2e3"])
     def test_labels_reject_a_non_integer_token(self, tmp_path, token):

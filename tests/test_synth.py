@@ -5,7 +5,7 @@ import pytest
 
 from dkph import serial
 from dkph.config import RunConfig
-from dkph.synth import _smooth_drift, generate_synthetic, load_dataset_splits
+from dkph.synth import SPLITS, _smooth_drift, generate_synthetic, load_dataset_splits
 
 SMALL = dict(num_classes=3, videos_per_class=10, frames=4, feat_dim=5, num_anchors=1,
              anchor_neighbors=1)
@@ -51,12 +51,13 @@ def test_same_seed_gives_the_same_corpus():
         np.testing.assert_array_equal(split.labels, other.labels)
     assert a.prototype_accuracy == b.prototype_accuracy
     c = generate_synthetic(RunConfig(**SMALL, data_seed=5))
-    assert not np.array_equal(a.train.features, c.train.features)
+    assert not np.array_equal(a.splits["train"].features, c.splits["train"].features)
 
 
 def test_split_sizes_and_ids_numbered_train_query_database():
     # per class: round(0.5 x 10) = 5 train, round(0.1 x 10) = 1 query, 4 database
     data = generate_synthetic(RunConfig(**SMALL))
+    assert tuple(data.splits) == SPLITS == ("train", "query", "database")
     sizes = {"train": 5, "query": 1, "database": 4}
     start = 0
     for name, split in data.splits.items():
@@ -81,7 +82,7 @@ def test_reloaded_splits_are_the_generated_ones_at_float32(tmp_path):
         serial.save_features(tmp_path / f"{name}.features", split.features)
         serial.save_labels(tmp_path / f"{name}.labels", split.labels)
     loaded = load_dataset_splits(tmp_path)
-    assert list(loaded) == ["train", "query", "database"]
+    assert tuple(loaded) == SPLITS
     for name, split in data.splits.items():
         got = loaded[name]
         assert got.features.dtype == np.float32
