@@ -136,19 +136,40 @@ def _meta_path(run_dir: Path, stage: str) -> Path:
     return run_dir / "meta" / f"{stage}.json"
 
 
+# The files each stage writes, relative to the run dir, by the stage's name
+# up to its first "_"; a chain stage's {tag} is the rest of its name.
+_STAGE_OUTPUTS = {
+    "data": (*(f"data/{n}.{kind}" for n in SPLITS for kind in ("features", "labels")),
+             "data/dataset.json", "config.cfg"),
+    "teacher": ("teacher.ckpt", "teacher_log.txt", "embeddings.features"),
+    "graph": ("graph.bin", "anchors.ckpt"),
+    "student": ("student_{tag}.ckpt", "student_{tag}_log.txt"),
+    "encode": ("query_{tag}.codes", "database_{tag}.codes"),
+    "eval": ("metrics_{tag}.json",),
+}
+
+
+def stage_outputs(stage: str) -> list[str]:
+    """The outputs of stage ``stage`` (``data``, ``student_<tag>``, ...): what
+    ``_checkpoint_stage`` requires of it and ``stage_completed`` checks."""
+    name, _, tag = stage.partition("_")
+    return [out.format(tag=tag) for out in _STAGE_OUTPUTS[name]]
+
+
 def stage_completed(run_dir: Path, stage: str, cfg: RunConfig) -> bool:
+    """True when the stage's record is current and every one of its
+    ``stage_outputs`` exists; the output list the record carries is not read."""
     try:
         record = json.loads(_meta_path(run_dir, stage).read_text())
     except (OSError, ValueError):  # missing, or damaged outside the pipeline
         return False
-    outputs = record.get("outputs") if isinstance(record, dict) else None
-    if not isinstance(outputs, list) or not all(isinstance(out, str) for out in outputs):
+    if not isinstance(record, dict):
         return False  # valid JSON, but not a stage record
     if record.get("stage") != stage or record.get("config_hash") != cfg.config_hash():
         return False  # another stage's record, or another config's
     if record.get("code_version") != CODE_VERSION:
         return False
-    return all((run_dir / out).exists() for out in outputs)
+    return all((run_dir / out).exists() for out in stage_outputs(stage))
 
 
 @functools.cache
@@ -166,13 +187,13 @@ def _keep_freed_heap() -> bool:
     return bool(mmap_set and trim_set)
 
 
-def _checkpoint_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | None,
-                      outputs: list[str], fn) -> None:
-    """Execute ``fn`` unless the stage is already complete; record its wall
-    time, minor page faults and the peak RSS after it, and any fields of the
-    dict ``fn`` returns. The prerequisite stage ``needs`` must have completed
-    first, even when this one has. A record that cannot be written raises
-    PipelineError and leaves no record file behind."""
+def _checkpoint_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | None, fn) -> None:
+    """Execute ``fn`` unless the stage is already complete, then require its
+    ``stage_outputs``; record them, its wall time, minor page faults and the
+    peak RSS after it, and any fields of the dict ``fn`` returns. The
+    prerequisite stage ``needs`` must have completed first, even when this
+    one has. A record that cannot be written raises PipelineError and leaves
+    no record file behind."""
     if needs is not None and not stage_completed(run_dir, needs, cfg):
         raise PipelineError(stage, f"prerequisite stage {needs!r} has not run; "
                                    f"run it first (work dir {run_dir})")
@@ -192,6 +213,7 @@ def _checkpoint_stage(run_dir: Path, cfg: RunConfig, stage: str, needs: str | No
         raise PipelineError(stage, f"{type(err).__name__}: {err}") from err
     wall_time_s = round(time.perf_counter() - start, 3)
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    outputs = stage_outputs(stage)
     for out in outputs:
         if not (run_dir / out).exists():
             raise PipelineError(stage, f"expected output {out} was not produced")
@@ -226,9 +248,7 @@ def stage_data(cfg: RunConfig, run_dir: Path) -> None:
         # the run's own work directory, so that loading this file finds the run
         replace(cfg, work_dir=str(run_dir.parent.resolve())).save(run_dir / "config.cfg")
 
-    outputs = [f"data/{n}.{kind}" for n in SPLITS
-               for kind in ("features", "labels")] + ["data/dataset.json", "config.cfg"]
-    _checkpoint_stage(run_dir, cfg, "data", None, outputs, fn)
+    _checkpoint_stage(run_dir, cfg, "data", None, fn)
 
 
 def _video_embeddings(features: np.ndarray, params: Params) -> np.ndarray:
@@ -248,8 +268,7 @@ def stage_teacher(cfg: RunConfig, run_dir: Path) -> None:
         serial.save_features(run_dir / "embeddings.features", means[:, None, :])
         return {"optimizer_steps": optimizer_steps(len(train), cfg.teacher_epochs, cfg)}
 
-    _checkpoint_stage(run_dir, cfg, "teacher", "data",
-                      ["teacher.ckpt", "teacher_log.txt", "embeddings.features"], fn)
+    _checkpoint_stage(run_dir, cfg, "teacher", "data", fn)
 
 
 def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
@@ -274,7 +293,7 @@ def stage_graph(cfg: RunConfig, run_dir: Path) -> None:
                 "isolated_videos": int(graph.isolated.size),
                 "positive_precision": precision[0], "negative_precision": precision[1]}
 
-    _checkpoint_stage(run_dir, cfg, "graph", "teacher", ["graph.bin", "anchors.ckpt"], fn)
+    _checkpoint_stage(run_dir, cfg, "graph", "teacher", fn)
 
 
 def load_graph_artifacts(run_dir: Path):
@@ -310,8 +329,7 @@ def stage_student(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full
         write_log(run_dir / f"student_{tag}_log.txt", result.history)
         return {"optimizer_steps": optimizer_steps(len(train), cfg.student_epochs, cfg)}
 
-    _checkpoint_stage(run_dir, cfg, f"student_{tag}", "graph",
-                      [f"student_{tag}.ckpt", f"student_{tag}_log.txt"], fn)
+    _checkpoint_stage(run_dir, cfg, f"student_{tag}", "graph", fn)
 
 
 def encode_split(features: np.ndarray, params: Params) -> np.ndarray:
@@ -333,8 +351,7 @@ def stage_encode(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full"
         for name, x in features.items():
             serial.save_codes(run_dir / f"{name}_{tag}.codes", encode_split(x, params), bits)
 
-    _checkpoint_stage(run_dir, cfg, f"encode_{tag}", f"student_{tag}",
-                      [f"query_{tag}.codes", f"database_{tag}.codes"], fn)
+    _checkpoint_stage(run_dir, cfg, f"encode_{tag}", f"student_{tag}", fn)
 
 
 def evaluate_codes(run_dir: Path, bits: int, variant: str = "full") -> dict:
@@ -362,7 +379,7 @@ def stage_eval(cfg: RunConfig, run_dir: Path, bits: int, variant: str = "full") 
         (run_dir / f"metrics_{tag}.json").write_text(
             json.dumps(metrics, sort_keys=True) + "\n")
 
-    _checkpoint_stage(run_dir, cfg, f"eval_{tag}", f"encode_{tag}", [f"metrics_{tag}.json"], fn)
+    _checkpoint_stage(run_dir, cfg, f"eval_{tag}", f"encode_{tag}", fn)
 
 
 # -- the stage grid, report and end-to-end -----------------------------------

@@ -24,6 +24,19 @@ a prefix of that one ranked list. ``map_at_k`` is the sweep at one cutoff
 without PR histograms, and ``pr_curve`` the sweep with no cutoff, which
 ranks nothing; so each does only its own part of the work.
 
+Single queries. ``query_topk`` scores one query in one pass, without the
+sweep's machinery. Its words come straight from the query's packed bytes,
+zero-padded to the index's word width (``_as_words``' rule for one row).
+Each word column of the index is XORed against the query's word into one
+fresh row, whose bits are counted into the key dtype in place; the sweep
+instead forms a block's (queries x database) outer XOR in
+``packed_distances``. The query's own row, when ``exclude_id`` is in the
+index, is found by a binary search in the sorted ids and an exact check of
+the id found there, against the sweep's rows of all its query ids at once
+(``CodeIndex._rows_of``). The top k is an in-place partition and sort of the
+call's own key row, where the sweep's ``_top_keys`` ranks a copy of each
+block's keys. No per-query work is cached on the index or on the code.
+
 The index keeps ``packed``, ``ids`` and ``labels`` in ascending id order,
 so a row's position is its id's rank. Results are ranked by the single key
 ``distance * n + rank_of_id``, where ``rank_of_id`` is the row's position:
@@ -236,21 +249,40 @@ def _top_keys(key: np.ndarray, k: int) -> np.ndarray:
 
 
 def query_topk(idx: CodeIndex, query: BinaryCode, k: int, exclude_id=None) -> RankedList:
-    """The k nearest codes; raises if k exceeds the (post-exclusion) size.
-    ``k`` and ``exclude_id`` must be integers, not bools (TypeError)."""
+    """The k nearest codes, ranked by distance then id, from one XOR and count
+    over the index's words, a binary search for ``exclude_id``'s row and an
+    in-place top k (module docstring, Single queries). Raises ValueError if
+    k exceeds the (post-exclusion) size; ``k`` and ``exclude_id`` must be
+    integers, not bools (TypeError)."""
     k = _integer(k, "k")
     if query.k != idx.k:
         raise ShapeError(f"query has {query.k} bits, index has {idx.k}")
-    dist = packed_distances(idx.words, _as_words(query.packed[None, :]),
-                            idx.rank_of_id.dtype)[0]
+    words = idx.words
+    # _as_words' rule for one row: the packed bytes, zero-padded to whole words
+    q_words = np.frombuffer(query.packed.tobytes().ljust(words.shape[1] * words.itemsize, b"\0"),
+                            dtype=words.dtype)
+    dtype = idx.rank_of_id.dtype
+    dist = _count_bits(np.bitwise_xor(words[:, 0], q_words[0]), dtype)
+    for w in range(1, q_words.size):
+        dist += _count_bits(np.bitwise_xor(words[:, w], q_words[w]), dtype)
     size = idx.n
     if exclude_id is not None:
-        own = idx.ids == _integer(exclude_id, "exclude_id")
-        dist[own] = idx.k + 1   # past every real key, so never among the k
-        size -= np.count_nonzero(own)
+        exclude_id = _integer(exclude_id, "exclude_id")
+        # ids are sorted and unique: the search gives the one row that may hold
+        # exclude_id, and only an equal id there is it (an int past int64 is
+        # searched as a float, so 2**63 lands on 2**63 - 1)
+        at = idx.ids.searchsorted(exclude_id)
+        if at < size and idx.ids[at] == exclude_id:
+            dist[at] = idx.k + 1   # past every real key, so never among the k
+            size -= 1
     if not 0 <= k <= size:
         raise ValueError(f"k={k} outside 0..{size}, the database size after exclusion")
-    distances, rank = np.divmod(_top_keys(_keys(idx, dist), k), idx.n)
+    top = _keys(idx, dist)
+    if k < top.size:
+        top.partition(k - 1)
+        top = top[:k]
+    top.sort()
+    distances, rank = np.divmod(top, idx.n)
     return RankedList(ids=idx.ids[rank], distances=distances.astype(np.int64))
 
 

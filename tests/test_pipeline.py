@@ -539,6 +539,25 @@ def test_meta_without_code_version_is_stale(tiny_run):
         path.write_text(json.dumps(record, sort_keys=True) + "\n")
 
 
+@pytest.mark.parametrize("stage, lost, reader", [("data", "data/train.features", "teacher"),
+                                                  ("encode_16", "query_16.codes", "eval_16")])
+def test_a_record_listing_no_outputs_does_not_hide_a_lost_one(tiny_run, tmp_path, stage, lost,
+                                                                reader):
+    # the record's own list was once trusted: with "outputs": [] the stage
+    # counted as done, and the stage that reads the lost file failed on it
+    cfg, _, first = tiny_run
+    run_dir = _copy_without(first, tmp_path, reader)
+    path = pipeline._meta_path(run_dir, stage)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "outputs": []}))
+    (run_dir / lost).unlink()
+    assert not pipeline.stage_completed(run_dir, stage, cfg)
+    pipeline.run_pipeline(cfg, tmp_path)
+    assert json.loads(path.read_text())["outputs"] == pipeline.stage_outputs(stage)
+    assert (run_dir / lost).read_bytes() == (first.run_dir / lost).read_bytes()
+    for done in (stage, reader):
+        assert pipeline.stage_completed(run_dir, done, cfg), done
+
+
 @pytest.fixture(scope="module")
 def tiny_ablation(tmp_path_factory):
     cfg = RunConfig(**TINY)

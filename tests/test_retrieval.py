@@ -22,6 +22,10 @@ from dkph.retrieval import (
 )
 
 
+# every word type: 1-, 2-, 3-, 4-, 5- and 8-byte rows, and 2 and 3 uint64 words
+WIDTHS = (1, 7, 8, 13, 24, 32, 40, 63, 64, 65, 130)
+
+
 def random_bits(rng, n, k):
     return np.where(rng.random((n, k)) > 0.5, 1, -1).astype(np.int8)
 
@@ -165,6 +169,48 @@ class TestQueryTopk:
         # numpy integers and k = 0 stay valid
         assert query_topk(idx, q, k=np.int64(0)).ids.size == 0
         assert 1 not in query_topk(idx, q, k=np.uint8(4), exclude_id=np.int32(1)).ids.tolist()
+
+    def test_exclusion_at_the_int64_limits(self):
+        # an id past int64 finds its neighbour by a float search (2**63 lands
+        # on 2**63 - 1): only an equal id may be excluded
+        ids = [-2**63, -3, 0, 7, 2**63 - 1]
+        bits = random_bits(np.random.default_rng(5), 5, 8)
+        idx, q = CodeIndex.from_bits(bits, ids=ids), BinaryCode(bits[0])
+        for outside in (2**63, -2**63 - 1, np.uint64(2**64 - 1)):
+            assert sorted(query_topk(idx, q, 5, exclude_id=outside).ids.tolist()) == ids
+        for limit in (2**63 - 1, -2**63):
+            got = query_topk(idx, q, 4, exclude_id=limit).ids.tolist()
+            assert sorted(got) == [i for i in ids if i != limit]
+            with pytest.raises(ValueError, match="outside 0..4"):
+                query_topk(idx, q, 5, exclude_id=limit)
+
+    @pytest.mark.parametrize("k_bits", (1, 8, 65, 130))
+    def test_an_empty_index_answers_k_zero_only(self, k_bits):
+        idx = CodeIndex.from_bits(np.ones((0, k_bits), dtype=np.int8))
+        q = BinaryCode(np.ones(k_bits, dtype=np.int8))
+        for exclude in (None, 0):
+            got = query_topk(idx, q, 0, exclude_id=exclude)
+            assert got.ids.dtype == got.distances.dtype == np.int64
+            assert got.ids.shape == got.distances.shape == (0,)
+            with pytest.raises(ValueError, match="outside 0..0"):
+                query_topk(idx, q, 1, exclude_id=exclude)
+
+    @pytest.mark.parametrize("k_bits", WIDTHS)
+    def test_queries_never_write_to_the_index(self, k_bits):
+        # the distances, keys and top k are formed in place on the call's own arrays
+        rng = np.random.default_rng(k_bits)
+        bits = random_bits(rng, 40, k_bits)
+        idx = CodeIndex.from_bits(bits, ids=rng.permutation(400)[:40] - 100,
+                                  labels=rng.integers(0, 3, 40))
+        fields = ("words", "packed", "ids", "labels", "rank_of_id")
+        before = {name: getattr(idx, name).copy() for name in fields}
+        for q in np.concatenate([bits[:5], random_bits(rng, 5, k_bits)]):
+            for exclude in (None, int(idx.ids[3]), 10**6):
+                for k in (0, 1, 17, 39):
+                    query_topk(idx, BinaryCode(q), k, exclude_id=exclude)
+        for name, was in before.items():
+            now = getattr(idx, name)
+            assert (now.dtype, now.shape, now.tobytes()) == (was.dtype, was.shape, was.tobytes())
 
 
 class TestIdOrder:
@@ -501,10 +547,6 @@ def oracle_pr_curve(query_bits, query_labels, idx, query_ids=None):
     return points
 
 
-# every word type: 1-, 2-, 3-, 4-, 5- and 8-byte rows, and 2 and 3 uint64 words
-WIDTHS = (1, 7, 8, 13, 24, 32, 40, 63, 64, 65, 130)
-
-
 def oracle_case(rng, k_bits, n, nq, n_classes, all_equal):
     """Database with shuffled, non-contiguous (partly negative) ids; about half
     the queries are database members (same id, code and label), the rest are
@@ -597,6 +639,15 @@ class TestAgainstOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(retrieval, "_key_dtype", lambda k, n: np.int64)
             assert check_against_oracle(*case).rank_of_id.dtype == np.int64
+
+    @pytest.mark.parametrize("k_bits", WIDTHS)
+    def test_int64_keys_match_oracle_at_every_width(self, k_bits, monkeypatch):
+        # keys are int32 at every size above; both query paths on int64 ones
+        monkeypatch.setattr(retrieval, "_key_dtype", lambda k, n: np.int64)
+        # (n, nq, n_classes, all_equal, with_ids, block_rows, seed)
+        for case in ((23, 9, 3, False, True, 4, k_bits), (6, 5, 2, True, True, 2, k_bits + 1),
+                     (17, 7, 4, False, False, 3, k_bits + 2)):
+            assert check_against_oracle(k_bits, *case).rank_of_id.dtype == np.int64
 
     @pytest.mark.parametrize("key_dtype", [np.int32, np.int64])
     @given(ORACLE_CASES)
