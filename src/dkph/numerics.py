@@ -10,7 +10,8 @@ teacher and student are gated by it (``gradcheck`` and the test suite).
 
 Block budget. The row-blocked passes (the encoder over blocks of videos,
 ``graph`` over blocks of rows of the anchor-graph adjacency and of
-nearest-centre differences, ``retrieval`` over blocks of query rows) take
+nearest-centre differences, ``retrieval`` over blocks of query rows,
+``optim.Adam`` over chunks of a model's flat parameter buffer) take
 their blocks from :func:`block_slices`: as many rows as fit
 :data:`BLOCK_BYTES`, and at least one. Each pass states its own bytes per
 row. The budget is read when the slices are made, so one setting of

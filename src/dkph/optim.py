@@ -1,15 +1,31 @@
 """Adam, the epoch loop both models train in, and the training-log format.
 
-Parameters are updated in place, so every holder of a model's parameter
-dict sees the step. The learning rate, ``RunConfig.learn_rate``, is the
-one setting; the moment decays and the epsilon are fixed constants.
+The learning rate, ``RunConfig.learn_rate``, is the one setting; the
+moment decays and the epsilon are fixed constants.
+
+Flat buffers. A trained model keeps four arrays of its size, each one
+contiguous buffer in checkpoint order: its parameters, its gradient sum
+and Adam's two moments. :class:`Adam` moves the parameters into theirs
+and makes every ``params[name]`` a reshaped view of it, so the dict and
+every holder of it see each step; a :class:`Grads` holds the gradient
+sum as views of its own buffer, into which a model's step writes each
+block's gradients. :meth:`Adam.step` then updates the whole model in one
+pass, in place, over chunks of the buffers from ``numerics.block_slices``
+at the bytes of the six arrays a chunk touches (parameters, gradient,
+both moments and two scratch rows), so a chunk stays in cache. Each
+element goes through the same operations in the same order as the
+textbook per-tensor update, so the result does not depend on the chunks.
+A frozen tensor gets a zero gradient slice: its moments stay zero and its
+update is exactly 0.0, so it stays fixed bit for bit.
 
 The loop. :func:`train_epochs` runs the teacher's and the student's
-training alike: each epoch draws one permutation of the training videos
-and cuts it into batches of ``RunConfig.batch_size``; a model's step
-returns a batch's losses and gradients, and the loop checks that every
-loss is finite before one Adam step and a ``Params.version`` bump. An
-epoch's row is ``epoch`` and each loss's mean over its batches.
+training alike: its one :class:`Adam` packs the parameters, then each
+epoch draws one permutation of the training videos and cuts it into
+batches of ``RunConfig.batch_size``; a model's step fills the gradient
+buffer with a batch's gradients and returns its losses, and the loop
+checks that every loss is finite before one Adam step and a
+``Params.version`` bump. An epoch's row is ``epoch`` and each loss's mean
+over its batches.
 
 The log. :func:`write_log` writes one line per row, ``key=value`` pairs
 in row order separated by spaces: integers as they are, ``share_*``
@@ -24,48 +40,92 @@ import numpy as np
 
 from .config import RunConfig
 from .exceptions import TrainingError
+from .numerics import block_slices
 
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
 
+def _views(flat: np.ndarray, like: dict) -> dict:
+    """Views of ``flat`` keyed and shaped like ``like``'s tensors, laid end
+    to end in the dict's order."""
+    views, at = {}, 0
+    for name, t in like.items():
+        views[name] = flat[at:at + t.size].reshape(t.shape)
+        at += t.size
+    return views
+
+
+class Grads(dict):
+    """A gradient sum keyed and shaped like a parameter dict, each tensor a
+    view of one uninitialized buffer, ``flat``, in the dict's order."""
+
+    def __init__(self, params):
+        size = sum(t.size for t in params.values())
+        self.flat = np.empty(size, dtype=np.result_type(*params.values()))
+        super().__init__(_views(self.flat, params))
+
+
 class Adam:
-    def __init__(self, lr: float):
+    """Adam over a parameter dict, in place. It copies the tensors into one
+    flat buffer ``p`` in the dict's order and makes every ``params[name]``
+    a view of it; ``m`` and ``v`` are the moments, buffers of its shape
+    (module docstring, Flat buffers)."""
+
+    def __init__(self, params, lr: float):
+        self.p = np.concatenate([t.ravel() for t in params.values()])
+        params.update(_views(self.p, params))
         self.lr = lr
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self.m = np.zeros_like(self.p)
+        self.v = np.zeros_like(self.p)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """One adaptive-moment update. A tensor without a gradient is skipped,
-        moments included, so a frozen tensor stays fixed."""
+    def step(self, grads: Grads) -> None:
+        """One adaptive-moment update by ``grads``, a :class:`Grads` of the
+        parameters, chunk by chunk. The comments give the per-tensor
+        expressions computed; the chunk keeps their operations and order (a
+        commuted operand of one * is the same IEEE result), so the two agree
+        bit for bit."""
+        grad = grads.flat
         self.t += 1
         b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for name, p in params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if name not in self._m:
-                self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
-            m, v = self._m[name], self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
+        p, m, v = self.p, self.m, self.v
+        chunks = block_slices(p.size, 6 * p.itemsize)
+        scratch = np.empty((2, chunks[0].stop), dtype=p.dtype)
+        for c in chunks:
+            g, mc, vc = grad[c], m[c], v[c]
+            num, den = scratch[:, :len(g)]
+            # m = m * b1 + (1 - b1) * g;  v = v * b2 + (1 - b2) * g * g
+            mc *= b1
+            np.multiply(g, 1.0 - b1, out=num)
+            mc += num
+            vc *= b2
+            np.multiply(g, 1.0 - b2, out=num)
+            num *= g
+            vc += num
+            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(mc, bias1, out=num)
+            num *= self.lr
+            np.divide(vc, bias2, out=den)
+            np.sqrt(den, out=den)
+            den += EPS
+            num /= den
+            p[c] -= num
 
 
-def add_grads(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
-    """Add one block's gradients into ``total``, keyed alike, in place; a name
-    not yet in ``total`` takes the block's array as it is, and later blocks
-    add into that array."""
+def add_grads(total: dict, part: dict, first: bool) -> None:
+    """Add one block's gradients into ``total``, keyed alike, in place. The
+    ``first`` block is copied into the arrays ``total`` holds (a
+    :class:`Grads`' views), and a name ``total`` lacks takes the block's
+    array as it is; later blocks add into both."""
     for name, g in part.items():
-        if name in total:
+        if not first:
             total[name] += g
+        elif name in total:
+            total[name][...] = g
         else:
             total[name] = g
 
@@ -85,22 +145,24 @@ def train_epochs(params, n: int, epochs: int, cfg: RunConfig,
     :func:`optimizer_steps` steps.
 
     ``rng`` draws each epoch's permutation; ``step`` may draw from it too.
-    ``step(batch)`` takes an index array of videos and returns the batch's
-    ``(losses, grads)``: losses by name, gradients keyed like ``params``.
-    A non-finite loss raises ``TrainingError`` with the epoch, naming
-    ``model``, before its batch is applied.
+    ``step(batch, grads)`` takes an index array of videos and the
+    :class:`Grads` of ``params``, writes the batch's gradient for every
+    tensor into ``grads`` and returns its losses by name. A non-finite loss
+    raises ``TrainingError`` with the epoch, naming ``model``, before its
+    batch is applied.
     """
-    opt = Adam(cfg.learn_rate)
+    opt = Adam(params, cfg.learn_rate)
+    grads = Grads(params)
     starts = range(0, n, cfg.batch_size)
     history: list[dict] = []
     for epoch in range(epochs):
         order = rng.permutation(n)
         sums: Counter = Counter()  # each loss summed left to right, in first-seen order
         for start in starts:
-            losses, grads = step(order[start:start + cfg.batch_size])
+            losses = step(order[start:start + cfg.batch_size], grads)
             if not np.isfinite(list(losses.values())).all():
                 raise TrainingError(f"{model} loss non-finite at epoch {epoch}", epoch)
-            opt.step(params, grads)
+            opt.step(grads)
             params.version += 1
             sums.update(losses)
         history.append({"epoch": epoch, **{key: sums[key] / len(starts) for key in sums}})

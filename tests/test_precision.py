@@ -78,11 +78,11 @@ def record(monkeypatch):
 
     step = optim.Adam.step
 
-    def recorded_step(self, params, grads):
-        step(self, params, grads)
-        add("Adam.params", params)
-        add("Adam.grads", grads)
-        add("Adam.moments", (self._m, self._v))
+    def recorded_step(self, grads):
+        step(self, grads)
+        add("Adam.params", self.p)
+        add("Adam.grads", grads.flat)
+        add("Adam.moments", (self.m, self.v))
 
     monkeypatch.setattr(optim.Adam, "step", recorded_step)
 

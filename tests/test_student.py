@@ -277,9 +277,15 @@ class TestStep:
         # the step only computes: the optimizer of optim.train_epochs applies it
         for name, arr in params.items():
             np.testing.assert_array_equal(arr, before[name])
+        # a frozen tensor's gradient is zero, so the optimizer leaves it as it is
         _, frozen = student_step(feats, [0, 1, 2, 3], params, graph, anchors,
                                  TOY, np.random.default_rng(1), freeze=("w_temp", "b_temp"))
-        assert list(frozen) == [name for name in params if name not in ("w_temp", "b_temp")]
+        assert list(frozen) == list(params)
+        for name, g in frozen.items():
+            if name in ("w_temp", "b_temp"):
+                assert not g.any()
+            else:
+                np.testing.assert_array_equal(g, grads[name])
 
     def test_full_loss_gradient_check_toy(self):
         report = student_gradient_check(seed=0)
@@ -303,6 +309,20 @@ class TestStep:
         for name, arr in a.params.items():
             np.testing.assert_array_equal(arr, b.params[name])
         assert a.history == b.history
+
+    def test_without_the_dual_stream_the_temporal_head_stays_zero_and_the_rest_trains(self):
+        # 6 videos in batches of 4: two steps per epoch, over 3 epochs
+        feats, graph, anchors = two_class_setup()
+        cfg = replace(TOY, student_epochs=3, batch_size=4, train_seed=2)
+        init_ss, _ = np.random.SeedSequence(cfg.train_seed).spawn(2)
+        before = init_student(cfg, np.random.default_rng(init_ss), K)
+        result = train_student(feats, cfg, graph, anchors, code_bits=K, dual_stream=False)
+        assert list(result.params) == list(before)
+        for name, arr in result.params.items():
+            if name in ("w_temp", "b_temp"):
+                assert np.array_equal(arr, np.zeros_like(arr)), name
+            else:
+                assert not np.array_equal(arr, before[name]), name
 
     def test_nan_features_raise_training_error_with_epoch(self):
         # every frame of video 0 is poisoned, and each epoch's batches cover it
