@@ -100,10 +100,7 @@ Training packs them into one contiguous buffer in that order
 (``optim.Adam``), each tensor a view of it. Both passes read the
 ``encoder.*`` keys, and ``mask_embed`` when masking; the backward returns
 its gradients under the same keys (the attention weights' as ``w_qk`` and
-``w_vo``, above), for the head to add its own to. A model's step sums
-them over blocks into the views of a gradient buffer laid out like the
-parameters (``optim.Grads``), and :func:`factor_grads` writes the four
-attention weights' gradients into theirs.
+``w_vo``, above), for the head to add its own to.
 
 Precision. Both passes compute in the dtype of the parameters and cast
 their inputs to it; no dtype is fixed here. Trainers build parameters in
@@ -530,15 +527,10 @@ def factor_grads(grads: dict, params) -> dict:
 
         dW_q = g_qk W_k,  dW_k = g_qk^T W_q,  dW_v = g_vo W_o^T,  dW_o = W_v^T g_vo
 
-    Each product is written into the array ``grads`` holds under its
-    weight's name, a gradient buffer's view, and into a new one where it
-    holds none. The map is linear, so it runs once per summed gradient, not
-    per block."""
+    The map is linear, so it runs once per summed gradient, not per block."""
     p = _tensors(params)
     g_qk, g_vo = grads[_PREFIX + "w_qk"], grads[_PREFIX + "w_vo"]
-    operands = {"w_q": (g_qk, p["w_k"]), "w_k": (g_qk.T, p["w_q"]),
-                "w_v": (g_vo, p["w_o"].T), "w_o": (p["w_v"].T, g_vo)}
-    factors = {_PREFIX + name: np.matmul(a, b, out=grads.get(_PREFIX + name))
-               for name, (a, b) in operands.items()}
-    merged = {**grads, **factors}
+    factors = {"w_q": g_qk @ p["w_k"], "w_k": g_qk.T @ p["w_q"],
+               "w_v": g_vo @ p["w_o"].T, "w_o": p["w_v"].T @ g_vo}
+    merged = {**grads, **{_PREFIX + name: g for name, g in factors.items()}}
     return {name: merged[name] for name in params if name in merged}

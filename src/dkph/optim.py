@@ -3,29 +3,28 @@
 The learning rate, ``RunConfig.learn_rate``, is the one setting; the
 moment decays and the epsilon are fixed constants.
 
-Flat buffers. A trained model keeps four arrays of its size, each one
-contiguous buffer in checkpoint order: its parameters, its gradient sum
-and Adam's two moments. :class:`Adam` moves the parameters into theirs
-and makes every ``params[name]`` a reshaped view of it, so the dict and
-every holder of it see each step; a :class:`Grads` holds the gradient
-sum as views of its own buffer, into which a model's step writes each
-block's gradients. :meth:`Adam.step` then updates the whole model in one
-pass, in place, over chunks of the buffers from ``numerics.block_slices``
-at the bytes of the six arrays a chunk touches (parameters, gradient,
-both moments and two scratch rows), so a chunk stays in cache. Each
-element goes through the same operations in the same order as the
-textbook per-tensor update, so the result does not depend on the chunks.
-A frozen tensor gets a zero gradient slice: its moments stay zero and its
-update is exactly 0.0, so it stays fixed bit for bit.
+Flat buffers. :class:`Adam` keeps four arrays of a model's size, each
+one contiguous buffer in checkpoint order: the parameters, the gradient
+and the two moments. It moves the parameters into theirs and makes every
+``params[name]`` a reshaped view of it, so the dict and every holder of it
+see each step. :meth:`Adam.step` concatenates a step's gradient dict into
+its buffer, then updates the whole model in one pass, in place, over
+chunks of the buffers from ``numerics.block_slices`` at the bytes of the
+six arrays a chunk touches (parameters, gradient, both moments and two
+scratch rows), so a chunk stays in cache. Each element goes through the
+same operations in the same order as the textbook per-tensor update, so
+the result does not depend on the chunks. Every tensor needs a gradient in
+the parameters' dtype: a missing one, or one of another dtype, raises
+before anything changes. A frozen tensor gets a zero one, so its moments
+stay zero, its update is exactly 0.0 and it stays fixed bit for bit.
 
 The loop. :func:`train_epochs` runs the teacher's and the student's
 training alike: its one :class:`Adam` packs the parameters, then each
 epoch draws one permutation of the training videos and cuts it into
-batches of ``RunConfig.batch_size``; a model's step fills the gradient
-buffer with a batch's gradients and returns its losses, and the loop
-checks that every loss is finite before one Adam step and a
-``Params.version`` bump. An epoch's row is ``epoch`` and each loss's mean
-over its batches.
+batches of ``RunConfig.batch_size``; a model's step returns a batch's
+losses and gradients, and the loop checks that every loss is finite
+before one Adam step and a ``Params.version`` bump. An epoch's row is
+``epoch`` and each loss's mean over its batches.
 
 The log. :func:`write_log` writes one line per row, ``key=value`` pairs
 in row order separated by spaces: integers as they are, ``share_*``
@@ -57,42 +56,35 @@ def _views(flat: np.ndarray, like: dict) -> dict:
     return views
 
 
-class Grads(dict):
-    """A gradient sum keyed and shaped like a parameter dict, each tensor a
-    view of one uninitialized buffer, ``flat``, in the dict's order."""
-
-    def __init__(self, params):
-        size = sum(t.size for t in params.values())
-        self.flat = np.empty(size, dtype=np.result_type(*params.values()))
-        super().__init__(_views(self.flat, params))
-
-
 class Adam:
     """Adam over a parameter dict, in place. It copies the tensors into one
     flat buffer ``p`` in the dict's order and makes every ``params[name]``
-    a view of it; ``m`` and ``v`` are the moments, buffers of its shape
-    (module docstring, Flat buffers)."""
+    a view of it; ``g`` holds a step's gradient and ``m`` and ``v`` the
+    moments, buffers of its shape (module docstring, Flat buffers)."""
 
     def __init__(self, params, lr: float):
         self.p = np.concatenate([t.ravel() for t in params.values()])
         params.update(_views(self.p, params))
+        self._names = list(params)
         self.lr = lr
         self.t = 0
+        self.g = np.empty_like(self.p)
         self.m = np.zeros_like(self.p)
         self.v = np.zeros_like(self.p)
 
-    def step(self, grads: Grads) -> None:
-        """One adaptive-moment update by ``grads``, a :class:`Grads` of the
-        parameters, chunk by chunk. The comments give the per-tensor
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One adaptive-moment update by ``grads``, keyed like the parameters
+        and in their dtype, chunk by chunk. The comments give the per-tensor
         expressions computed; the chunk keeps their operations and order (a
         commuted operand of one * is the same IEEE result), so the two agree
         bit for bit."""
-        grad = grads.flat
+        np.concatenate([grads[name] for name in self._names], axis=None, out=self.g,
+                       casting="no")
         self.t += 1
         b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        p, m, v = self.p, self.m, self.v
+        p, grad, m, v = self.p, self.g, self.m, self.v
         chunks = block_slices(p.size, 6 * p.itemsize)
         scratch = np.empty((2, chunks[0].stop), dtype=p.dtype)
         for c in chunks:
@@ -116,16 +108,13 @@ class Adam:
             p[c] -= num
 
 
-def add_grads(total: dict, part: dict, first: bool) -> None:
-    """Add one block's gradients into ``total``, keyed alike, in place. The
-    ``first`` block is copied into the arrays ``total`` holds (a
-    :class:`Grads`' views), and a name ``total`` lacks takes the block's
-    array as it is; later blocks add into both."""
+def add_grads(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
+    """Add one block's gradients into ``total``, keyed alike, in place; a name
+    not yet in ``total`` takes the block's array as it is, and later blocks
+    add into that array. A block of another dtype raises ``TypeError``."""
     for name, g in part.items():
-        if not first:
-            total[name] += g
-        elif name in total:
-            total[name][...] = g
+        if name in total:
+            np.add(total[name], g, out=total[name], casting="no")
         else:
             total[name] = g
 
@@ -145,21 +134,19 @@ def train_epochs(params, n: int, epochs: int, cfg: RunConfig,
     :func:`optimizer_steps` steps.
 
     ``rng`` draws each epoch's permutation; ``step`` may draw from it too.
-    ``step(batch, grads)`` takes an index array of videos and the
-    :class:`Grads` of ``params``, writes the batch's gradient for every
-    tensor into ``grads`` and returns its losses by name. A non-finite loss
-    raises ``TrainingError`` with the epoch, naming ``model``, before its
-    batch is applied.
+    ``step(batch)`` takes an index array of videos and returns the batch's
+    ``(losses, grads)``: losses by name, a gradient for every tensor of
+    ``params`` by name. A non-finite loss raises ``TrainingError`` with the
+    epoch, naming ``model``, before its batch is applied.
     """
     opt = Adam(params, cfg.learn_rate)
-    grads = Grads(params)
     starts = range(0, n, cfg.batch_size)
     history: list[dict] = []
     for epoch in range(epochs):
         order = rng.permutation(n)
         sums: Counter = Counter()  # each loss summed left to right, in first-seen order
         for start in starts:
-            losses = step(order[start:start + cfg.batch_size], grads)
+            losses, grads = step(order[start:start + cfg.batch_size])
             if not np.isfinite(list(losses.values())).all():
                 raise TrainingError(f"{model} loss non-finite at epoch {epoch}", epoch)
             opt.step(grads)

@@ -32,8 +32,8 @@ every output has a leading B axis (the code is (B, K)). ``batch_gradients``,
 ``probe_reconstruction`` and the pipeline's encoding run the videos they need
 through ``encoder.forward_blocks``, in blocks sized by bytes per video; the
 student never masks frames. :func:`train_student` runs the epochs of
-``optim.train_epochs`` on :func:`student_step`, which writes one batch's
-gradients into the loop's gradient buffer and returns its losses. Encoding reads the code alone, so it runs the encoder
+``optim.train_epochs`` on :func:`student_step`, which returns one batch's
+losses and gradients. Encoding reads the code alone, so it runs the encoder
 and :func:`student_code`, the hash head, without the temporal head and the
 decoder. Pairs stay index arrays from the sampler to the gradients:
 ``batch_gradients`` maps their videos to rows of its forward with
@@ -69,7 +69,7 @@ from .encoder import (
 )
 from .encoder import _col_sum, _uniform
 from .graph import PairSample, SignedGraph, sample_pairs
-from .optim import Grads, add_grads, train_epochs
+from .optim import add_grads, train_epochs
 
 
 def init_student(cfg: RunConfig, rng: np.random.Generator, code_bits: int) -> Params:
@@ -129,19 +129,18 @@ def student_recon_loss(x: np.ndarray, recon: np.ndarray) -> float:
 
 def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
                     params: Params, cfg: RunConfig, anchors: np.ndarray | None = None,
-                    binarize: str = "hard", out: Grads | None = None):
+                    binarize: str = "hard"):
     """Losses and gradients of recon + gamma1*bsim + gamma2*tsim, with the
     weights (and tsim's hinge weight ``eta`` and margin ``beta``) of ``cfg``.
 
     One forward and one backward per distinct video, in the blocks of
-    ``encoder.forward_blocks``, summed into the views of ``out`` (an
-    ``optim.Grads`` of ``params``) or of a new one; the attention weights'
-    gradients are mapped from the block sum by ``encoder.factor_grads``.
+    ``encoder.forward_blocks``; the attention weights' gradients are mapped
+    from the block sum by ``encoder.factor_grads``.
     Reconstruction covers the distinct videos of ``batch``, the pair losses
     cover the videos named in ``pairs`` (both sides of a pair receive bsim
     gradient; only the anchor side receives tsim gradient). ``pairs=None``
     drops both pair terms, and then ``anchors`` may be None too. Returns
-    (losses dict, the filled ``Grads``); the reported loss
+    (losses dict, gradients keyed like ``params``); the reported loss
     components are unweighted. Pair gradients reach their videos' rows
     through one product with each side's one-hot incidence matrix.
     """
@@ -192,8 +191,7 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
         l_tsim = float((pull + push * hinge).sum()) / n
         d_mean = at_i @ ((g2 * 2.0 / n) * (delta_i + push[:, None] * (delta_i - delta_j)))
 
-    out = Grads(params) if out is None else out
-    grads = dict(out)
+    grads: dict[str, np.ndarray] = {}
     l_recon = 0.0
     for blk, fwd in fwds:
         frames = fwd.frames
@@ -216,33 +214,32 @@ def batch_gradients(features: np.ndarray, batch, pairs: PairSample | None,
             w_hash=frames.reshape(len(frames), -1).T @ d_that,
             b_hash=_col_sum(d_that),
         )
-        add_grads(grads, part, blk.start == 0)
-    factor_grads(grads, params)
+        add_grads(grads, part)
+    grads = factor_grads(grads, params)
     l_recon *= recon_scale
 
     total = l_recon + cfg.gamma1 * l_bsim + cfg.gamma2 * l_tsim
     losses = {"recon": l_recon, "bsim": l_bsim, "tsim": l_tsim, "total": total}
-    return losses, out
+    return losses, grads
 
 
 def student_step(features: np.ndarray, batch, params: Params,
                  graph: SignedGraph, anchors: np.ndarray, cfg: RunConfig,
-                 pair_rng, freeze: tuple = (), out: Grads | None = None) -> tuple[dict, Grads]:
+                 pair_rng, freeze: tuple = ()) -> tuple[dict, dict]:
     """The loss breakdown and the gradients of one training batch of the
     weighted objective, as ``(losses, grads)`` for ``optim.train_epochs``.
 
     One pair is sampled per video of ``batch``. With gamma1 = gamma2 = 0 no
     pairs are sampled and the gradients are exactly the reconstruction-only
-    ones. The gradients go into ``out`` as in :func:`batch_gradients`.
-    Tensors named in ``freeze`` get a zero gradient, so the optimizer keeps
-    their current values exactly (used by architecture ablations).
+    ones. Tensors named in ``freeze`` get a zero gradient, so the optimizer
+    keeps their current values exactly (used by architecture ablations).
     """
     pairs = None
     if cfg.gamma1 or cfg.gamma2:
         pairs = sample_pairs(graph, batch, count=len(batch), seed=pair_rng)
-    losses, grads = batch_gradients(features, batch, pairs, params, cfg, anchors, out=out)
+    losses, grads = batch_gradients(features, batch, pairs, params, cfg, anchors)
     for name in freeze:
-        grads[name][...] = 0.0
+        grads[name] = np.zeros_like(grads[name])
     return losses, grads
 
 
@@ -288,8 +285,8 @@ def train_student(features: np.ndarray, cfg: RunConfig, graph: SignedGraph,
         freeze = ("w_temp", "b_temp")
     rng = np.random.default_rng(train_ss)
 
-    def step(batch, grads):
-        return student_step(features, batch, params, graph, anchors, cfg, rng, freeze, grads)[0]
+    def step(batch):
+        return student_step(features, batch, params, graph, anchors, cfg, rng, freeze)
 
     history = train_epochs(params, len(features), cfg.student_epochs, cfg, rng, step, "student")
     for row in history:

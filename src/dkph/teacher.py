@@ -73,7 +73,7 @@ from .encoder import (
 )
 from .encoder import _col_sum, _uniform
 from .exceptions import ShapeError
-from .optim import Grads, add_grads, train_epochs
+from .optim import add_grads, train_epochs
 
 
 def init_teacher(cfg: RunConfig, rng: np.random.Generator) -> Params:
@@ -214,26 +214,22 @@ def masked_eval_loss(features: np.ndarray, params: Params, masks: np.ndarray) ->
 
 
 def batch_gradients(x: np.ndarray, masks: np.ndarray, params: Params,
-                    binarize: str = "hard", out: Grads | None = None) -> tuple[float, Grads]:
+                    binarize: str = "hard") -> tuple[float, dict]:
     """The mean masked-reconstruction loss of a (B, M, D) batch under its
     (B, M) ``masks``, and its gradient for every teacher tensor, keyed like
-    ``params``, in ``out`` (an ``optim.Grads`` of ``params``) or in a new one.
+    ``params``.
 
     One forward and one backward per block of ``encoder.forward_blocks``;
-    the blocks' gradients are summed into ``out``'s views, the attention
-    weights' are mapped from the block sum by ``encoder.factor_grads``, and
-    the whole buffer is scaled by 1/B at once.
+    the attention weights' gradients are mapped from the block sum by
+    ``encoder.factor_grads``.
     """
-    out = Grads(params) if out is None else out
     total = 0.0
-    grads = dict(out)
+    grads: dict[str, np.ndarray] = {}
     for blk, fwd in forward_blocks(teacher_forward, x, params, masks, binarize=binarize):
         total += float(teacher_recon_loss(x[blk], fwd.recon, masks[blk]).sum())
-        add_grads(grads, teacher_backward(x[blk], fwd, params), blk.start == 0)
-    factor_grads(grads, params)
+        add_grads(grads, teacher_backward(x[blk], fwd, params))
     scale = 1.0 / len(x)
-    out.flat *= scale
-    return total * scale, out
+    return total * scale, {name: g * scale for name, g in factor_grads(grads, params).items()}
 
 
 def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
@@ -255,9 +251,10 @@ def train_teacher(features: np.ndarray, cfg: RunConfig) -> TeacherTrainResult:
 
     rng = np.random.default_rng(train_ss)
 
-    def step(batch, grads):
+    def step(batch):
         masks = draw_mask(rng, cfg.frames, cfg.masked_frames(), len(batch))
-        return {"recon": batch_gradients(features[batch], masks, params, out=grads)[0]}
+        loss, grads = batch_gradients(features[batch], masks, params)
+        return {"recon": loss}, grads
 
     history = train_epochs(params, len(features), cfg.teacher_epochs, cfg, rng, step, "teacher")
     eval_after = masked_eval_loss(features, params, eval_masks)

@@ -14,7 +14,6 @@ from dkph.optim import (
     BETA2,
     EPS,
     Adam,
-    Grads,
     add_grads,
     optimizer_steps,
     train_epochs,
@@ -26,28 +25,30 @@ from test_student import TOY, K, two_class_setup
 
 
 def test_add_grads_is_the_left_to_right_sum_and_writes_only_the_first_part():
-    # "w" has a gradient buffer's view, copied into by the first block; "b"
-    # has none, so it takes the first block's array and sums into it
     rng = np.random.default_rng(0)
     parts = [{"w": rng.normal(size=(3, 4)).astype(np.float32),
               "b": rng.normal(size=4).astype(np.float32)} for _ in range(4)]
     later = [{name: g.copy() for name, g in part.items()} for part in parts[1:]]
-    first_w = parts[0]["w"].copy()
     want = {name: parts[0][name] + parts[1][name] + parts[2][name] + parts[3][name]
             for name in parts[0]}
-    buffer = Grads({"w": parts[0]["w"]})
-    total = dict(buffer)
-    for k, part in enumerate(parts):
-        add_grads(total, part, k == 0)
+    total = {}
+    for part in parts:
+        add_grads(total, part)
     assert list(total) == ["w", "b"]
     for name, g in total.items():
         assert g.dtype == np.float32 and np.array_equal(g, want[name])
-    assert total["w"] is buffer["w"] and np.array_equal(buffer.flat, want["w"].ravel())
-    assert np.array_equal(parts[0]["w"], first_w)
-    assert total["b"] is parts[0]["b"]  # the first block's array, accumulated in place
+        assert g is parts[0][name]  # the first block's array, accumulated in place
     for part, copy in zip(parts[1:], later):
         for name, g in part.items():
             assert np.array_equal(g, copy[name])
+
+
+@pytest.mark.parametrize("first, later", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_add_grads_refuses_a_block_of_another_dtype(first, later):
+    total = {"w": np.ones(3, dtype=first)}
+    with pytest.raises(TypeError):
+        add_grads(total, {"w": np.ones(3, dtype=later)})
+    assert np.array_equal(total["w"], np.ones(3))
 
 
 def written_out_step(p, g, m, v, t, lr):
@@ -62,7 +63,9 @@ def written_out_step(p, g, m, v, t, lr):
 
 def test_adam_moments_keep_their_identity_and_a_tensor_without_gradient_gets_none():
     # the moments are two flat buffers, one slot per parameter; a tensor
-    # whose gradient slice is zero (frozen) keeps zero moments and its values
+    # whose gradient is zero (frozen) keeps zero moments and its values, and
+    # a step missing a tensor's gradient, or given one of another dtype,
+    # raises before it changes anything
     rng = np.random.default_rng(1)
     params = {"w": rng.normal(size=(3, 4)).astype(np.float32),
               "frozen": rng.normal(size=5).astype(np.float32)}
@@ -71,14 +74,12 @@ def test_adam_moments_keep_their_identity_and_a_tensor_without_gradient_gets_non
     m_ref = np.zeros_like(want)
     v_ref = np.zeros_like(want)
     opt = Adam(params, lr=0.01)
-    grads = Grads(params)
     moments = opt.m, opt.v
-    assert opt.p.shape == opt.m.shape == opt.v.shape == (17,)
+    assert opt.p.shape == opt.g.shape == opt.m.shape == opt.v.shape == (17,)
     for t in range(1, 4):
-        grads["w"][...] = rng.normal(size=(3, 4)).astype(np.float32)
-        grads["frozen"][...] = 0.0
-        opt.step(grads)
-        written_out_step(want, grads["w"], m_ref, v_ref, t, 0.01)
+        g = rng.normal(size=(3, 4)).astype(np.float32)
+        opt.step({"w": g, "frozen": np.zeros(5, dtype=np.float32)})
+        written_out_step(want, g, m_ref, v_ref, t, 0.01)
         assert np.array_equal(params["w"], want)
         assert opt.m is moments[0] and opt.v is moments[1]
         assert np.array_equal(opt.m[:12], m_ref.ravel()) and np.array_equal(opt.v[:12],
@@ -86,6 +87,13 @@ def test_adam_moments_keep_their_identity_and_a_tensor_without_gradient_gets_non
         assert not opt.m[12:].any() and not opt.v[12:].any()
     assert np.array_equal(params["frozen"], frozen)
     assert params["w"].base is opt.p and params["frozen"].base is opt.p
+    state = [a.copy() for a in (opt.p, opt.m, opt.v)]
+    for bad in ({"w": g}, {"w": g.astype(np.float64), "frozen": np.zeros(5, dtype=np.float32)}):
+        with pytest.raises((KeyError, TypeError)):
+            opt.step(bad)
+        assert opt.t == 3
+        for got, before in zip((opt.p, opt.m, opt.v), state):
+            assert np.array_equal(got, before)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -100,10 +108,9 @@ def test_fused_step_is_the_per_tensor_update_bit_for_bit(monkeypatch, dtype):
     ref = {name: t.copy() for name, t in params.items()}
     moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in ref.items()}
     opt = Adam(params, lr=0.05)
-    grads = Grads(params)
     for t in range(1, 5):
-        for name, shape in shapes.items():
-            grads[name][...] = 0.0 if name == "frozen" else rng.normal(size=shape)
+        grads = {name: np.zeros(shape, dtype) if name == "frozen"
+                 else rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
         opt.step(grads)
         for name in shapes:
             written_out_step(ref[name], grads[name], *moments[name], t, 0.05)
@@ -114,8 +121,8 @@ def test_fused_step_is_the_per_tensor_update_bit_for_bit(monkeypatch, dtype):
 
 
 class FakeStep:
-    """A step over 4 videos in batches of 2: fixed losses and the call's
-    number as the gradient, a NaN loss at call ``nan_at`` (1-based)."""
+    """A step over 4 videos in batches of 2: fixed losses and one gradient
+    per call, a NaN loss at call ``nan_at`` (1-based)."""
 
     def __init__(self, nan_at=None):
         self.nan_at = nan_at
@@ -123,13 +130,12 @@ class FakeStep:
         self.losses = [{"a": 1.0, "b": 10.0}, {"a": 2.0, "b": 30.0},
                        {"a": 0.5, "b": 4.0}, {"a": 0.25, "b": 8.0}]
 
-    def __call__(self, batch, grads):
+    def __call__(self, batch):
         self.batches.append(batch)
         losses = dict(self.losses[len(self.batches) - 1])
         if len(self.batches) == self.nan_at:
             losses["b"] = float("nan")
-        grads["w"][...] = float(len(self.batches))
-        return losses
+        return losses, {"w": np.full(3, float(len(self.batches)))}
 
 
 LOOP_CFG = RunConfig(batch_size=2, learn_rate=0.1)
@@ -153,9 +159,8 @@ def test_train_epochs_takes_one_step_per_batch_of_every_epoch(n, batch_size, epo
     params = Params(w=np.zeros(3))
     cfg = RunConfig(batch_size=batch_size)
 
-    def step(batch, grads):
-        grads["w"][...] = 1.0
-        return {"a": 1.0}
+    def step(batch):
+        return {"a": 1.0}, {"w": np.ones(3)}
 
     train_epochs(params, n, epochs, cfg, np.random.default_rng(0), step, "toy")
     assert params.version == optimizer_steps(n, epochs, cfg) == epochs * -(-n // batch_size)
@@ -169,10 +174,8 @@ def test_train_epochs_stops_at_a_non_finite_loss_before_applying_its_batch():
     assert params.version == 2
     want = {"w": np.zeros(3)}
     opt = Adam(want, LOOP_CFG.learn_rate)
-    grads = Grads(want)
     for call in (1, 2):
-        grads["w"][...] = float(call)
-        opt.step(grads)
+        opt.step({"w": np.full(3, float(call))})
     np.testing.assert_array_equal(params["w"], want["w"])
 
 
@@ -190,8 +193,7 @@ def test_write_log_writes_each_row_in_order(tmp_path):
 
 class ReferenceAdam:
     """The per-tensor optimizer: :func:`written_out_step` on each tensor of
-    the unpacked dict, by name. After each step it fills the gradient buffer
-    with NaN, so a tensor that a later step leaves unwritten shows."""
+    the unpacked dict, by name."""
 
     def __init__(self, params, lr):
         self.params, self.lr, self.t = params, lr, 0
@@ -201,7 +203,6 @@ class ReferenceAdam:
         self.t += 1
         for name, p in self.params.items():
             written_out_step(p, grads[name], *self.moments[name], self.t, self.lr)
-        grads.flat[...] = np.nan
 
 
 @pytest.mark.parametrize("dual_stream", [True, False])

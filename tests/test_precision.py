@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dkph import optim, pipeline, student, teacher
+from dkph import numerics, optim, pipeline, student, teacher
 from dkph.config import RunConfig
 from dkph.encoder import cast_params, factor_grads
 from dkph.graph import sample_pairs
@@ -81,7 +81,7 @@ def record(monkeypatch):
     def recorded_step(self, grads):
         step(self, grads)
         add("Adam.params", self.p)
-        add("Adam.grads", grads.flat)
+        add("Adam.grads", grads)  # the dict the model produced, not Adam's buffer
         add("Adam.moments", (self.m, self.v))
 
     monkeypatch.setattr(optim.Adam, "step", recorded_step)
@@ -116,15 +116,47 @@ def test_student_training_and_encoding_stay_float32(record):
     # the anchor centres are float64, as the pipeline loads them
     feats, graph, anchors = float32_features()
     assert anchors.dtype == np.float64
-    seen = record((student, "student_forward"), (student, "batch_gradients"),
-                  (pipeline, "encode_forward"), (pipeline, "student_code"))
+    seen = record((student, "student_forward"), (student, "encode_backward"),
+                  (student, "batch_gradients"), (pipeline, "encode_forward"),
+                  (pipeline, "student_code"))
     cfg = dataclasses.replace(TOY, student_epochs=2, batch_size=3, train_seed=0)
     result = train_student(feats, cfg, graph, anchors, code_bits=K)
     assert float_dtypes(result.params) == {np.dtype(np.float32)}
     pipeline.encode_split(feats, result.params)
-    assert set(seen) == {"student_forward", "batch_gradients", "encode_forward", "student_code",
-                         "Adam.params", "Adam.grads", "Adam.moments"}
+    assert set(seen) == {"student_forward", "encode_backward", "batch_gradients",
+                         "encode_forward", "student_code", "Adam.params", "Adam.grads",
+                         "Adam.moments"}
     assert seen == {name: {np.dtype(np.float32)} for name in seen}
+
+
+@pytest.mark.parametrize("model, backward", [(teacher, "teacher_backward"),
+                                             (student, "encode_backward")])
+@pytest.mark.parametrize("bad_call", [0, 1])
+def test_a_float64_block_gradient_fails_float32_training(monkeypatch, model, backward,
+                                                         bad_call):
+    # one video per block: the first block's gradients become the sum, later
+    # ones are added to it and Adam copies the sum into its float32 buffer;
+    # a block whose backward slipped into float64 is refused, not cast back
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 1)
+    feats, graph, anchors = float32_features()
+    fn, calls = getattr(model, backward), []
+
+    def slipped(*args, **kwargs):
+        grads = fn(*args, **kwargs)
+        calls.append(len(calls))
+        if calls[-1] == bad_call:
+            grads = {name: g.astype(np.float64) for name, g in grads.items()}
+        return grads
+
+    monkeypatch.setattr(model, backward, slipped)
+    cfg = dataclasses.replace(TOY, teacher_epochs=1, student_epochs=1, teacher_bits=16,
+                              batch_size=3, train_seed=0)
+    with pytest.raises(TypeError):
+        if model is teacher:
+            train_teacher(feats, cfg)
+        else:
+            train_student(feats, cfg, graph, anchors, code_bits=K)
+    assert bad_call in calls
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
